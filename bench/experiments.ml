@@ -635,136 +635,6 @@ let ordering_faults () =
       ("diverged_runs", Runner.J_int diverged);
     ]
 
-(* -------------------------------- executor fast paths (A/B vs seed exec) *)
-
-module Exec = Brdb_engine.Exec
-module Catalog = Brdb_storage.Catalog
-module Manager = Brdb_txn.Manager
-
-(* Direct executor benchmark, no simulated network: the same query runs
-   under the hash/top-k/pushdown fast paths and under the seed nested-loop
-   executor ([hash_ops = false]), comparing versions visited (the
-   executor's own op_visited counters) and repeated-run wall clock. *)
-let fastpath () =
-  header
-    "Executor fast paths: hash join / aggregation / top-k / index probes vs \
-     seed nested-loop executor";
-  let n_orders = if !quick then 2000 else 6000 in
-  let n_customers = 150 in
-  let catalog = Catalog.create () in
-  let mgr = Manager.create catalog in
-  let boot =
-    match
-      Manager.begin_txn mgr ~global_id:"boot" ~client:"bench"
-        ~snapshot_height:(-1) ()
-    with
-    | Ok t -> t
-    | Error `Duplicate_txid -> assert false
-  in
-  let exec sql =
-    match Exec.execute_sql catalog boot sql with
-    | Ok _ -> ()
-    | Error e -> failwith (Exec.error_to_string e)
-  in
-  (* customers.cid is deliberately NOT indexed: an equi-join on it gets a
-     150-row rescan per outer row from the seed nested-loop executor vs a
-     one-time hash build from the fast path. *)
-  exec "CREATE TABLE customers (id INT PRIMARY KEY, cid INT, region INT)";
-  exec "CREATE TABLE orders (oid INT PRIMARY KEY, cid INT, amount INT)";
-  exec "CREATE INDEX orders_cid ON orders (cid)";
-  for c = 0 to n_customers - 1 do
-    exec (Printf.sprintf "INSERT INTO customers VALUES (%d, %d, %d)" c c (c mod 5))
-  done;
-  for o = 0 to n_orders - 1 do
-    exec
-      (Printf.sprintf "INSERT INTO orders VALUES (%d, %d, %d)" o
-         (o mod n_customers) (o mod 97))
-  done;
-  Manager.commit mgr boot ~height:1;
-  let txn_id = ref 1 in
-  let run_query ~hash_ops sql =
-    incr txn_id;
-    let txn =
-      match
-        Manager.begin_txn mgr
-          ~global_id:(Printf.sprintf "fp-%d" !txn_id)
-          ~client:"bench" ~snapshot_height:1 ()
-      with
-      | Ok t -> t
-      | Error `Duplicate_txid -> assert false
-    in
-    let stats = Exec.new_stats () in
-    let mode = { Exec.default_mode with Exec.stats = Some stats; hash_ops } in
-    let r = Exec.execute_sql catalog txn ~mode sql in
-    Manager.abort mgr txn (Brdb_txn.Txn.Contract_error "bench");
-    Manager.release mgr txn;
-    match r with
-    | Ok rs -> (rs, stats)
-    | Error e -> failwith (Exec.error_to_string e)
-  in
-  let time_query ~hash_ops sql =
-    let reps = if !quick then 20 else 50 in
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      ignore (run_query ~hash_ops sql)
-    done;
-    (Sys.time () -. t0) *. 1000. /. float_of_int reps
-  in
-  (* "scanned rows": versions examined by scan operators (the acceptance
-     metric) — hash probe / top-k candidate counts are reported in the
-     registry but would double-count the scan that fed them. *)
-  let total_visited stats =
-    List.fold_left
-      (fun acc (op, _, v) ->
-        if op = "seq_scan" || op = "index_scan" then acc + v else acc)
-      0 (Exec.visited_counts stats)
-  in
-  let queries =
-    [
-      ( "hash_join",
-        "SELECT SUM(o.amount) FROM orders o JOIN customers c ON o.cid = c.cid \
-         WHERE c.region = 2" );
-      ( "agg_index_probe",
-        "SELECT cid, SUM(amount) FROM orders WHERE cid IN (3, 30, 60, 90, 120) \
-         GROUP BY cid ORDER BY cid" );
-      ("top_k", "SELECT oid, amount FROM orders ORDER BY amount, oid LIMIT 10");
-      ( "semi_join",
-        "SELECT COUNT(*) FROM orders WHERE cid IN (SELECT cid FROM customers \
-         WHERE region = 0)" );
-    ]
-  in
-  line "(orders=%d, customers=%d; visited = versions examined per query)"
-    n_orders n_customers;
-  line "%16s | %10s %10s %7s | %9s %9s %8s" "query" "visited" "seed-vis"
-    "ratio" "ms" "seed-ms" "speedup";
-  List.iter
-    (fun (name, sql) ->
-      let rs_fast, st_fast = run_query ~hash_ops:true sql in
-      let rs_seed, st_seed = run_query ~hash_ops:false sql in
-      if
-        List.sort compare rs_fast.Exec.rows <> List.sort compare rs_seed.Exec.rows
-      then failwith (name ^ ": fast/seed result mismatch");
-      let vf = total_visited st_fast and vs = total_visited st_seed in
-      let tf = time_query ~hash_ops:true sql
-      and ts = time_query ~hash_ops:false sql in
-      let ratio = float_of_int vs /. float_of_int (max 1 vf) in
-      line "%16s | %10d %10d %6.1fx | %9.3f %9.3f %7.1fx" name vf vs ratio tf
-        ts (ts /. tf);
-      Runner.record
-        [
-          ("kind", Runner.J_str "fastpath");
-          ("query", Runner.J_str name);
-          ("sql", Runner.J_str sql);
-          ("rows_out", Runner.J_int (List.length rs_fast.Exec.rows));
-          ("visited_fast", Runner.J_int vf);
-          ("visited_seed", Runner.J_int vs);
-          ("visited_ratio", Runner.J_float ratio);
-          ("ms_fast", Runner.J_float tf);
-          ("ms_seed", Runner.J_float ts);
-          ("speedup", Runner.J_float (ts /. tf));
-        ])
-    queries
-
 (* ---------------- snapshot bootstrap: join time & compaction (§11) ------ *)
 
 module Peer = Brdb_node.Peer
@@ -1314,7 +1184,6 @@ let admission () =
 
 let all : (string * (unit -> unit)) list =
   [
-    ("fastpath", fastpath);
     ("bootstrap", bootstrap);
     ("fig5a", fig5a);
     ("fig5b", fig5b);

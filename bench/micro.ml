@@ -94,38 +94,27 @@ let bench_join_aggregate =
          | Ok _ -> ()
          | Error e -> failwith (Exec.error_to_string e)))
 
-(* A/B of the executor fast paths against the seed nested-loop/sort
-   executor (hash_ops = false) on the same fixture. *)
-let bench_query ~name ~hash_ops sql =
+(* The executor's hash join, hash aggregation and top-k operators on the
+   same fixture. *)
+let bench_query ~name sql =
   let fx = fixture 1000 in
-  let mode = { Exec.default_mode with Exec.hash_ops } in
   Test.make ~name
     (with_txn fx (fun catalog txn _ ->
-         match Exec.execute_sql catalog txn ~mode sql with
+         match Exec.execute_sql catalog txn sql with
          | Ok _ -> ()
          | Error e -> failwith (Exec.error_to_string e)))
 
-let join_sql =
-  "SELECT g.name, i.qty FROM items i JOIN grps g ON i.grp = g.grp WHERE i.qty > 8"
+let bench_hash_join =
+  bench_query ~name:"equi-join 1000x10 (hash)"
+    "SELECT g.name, i.qty FROM items i JOIN grps g ON i.grp = g.grp WHERE i.qty > 8"
 
-let agg_sql = "SELECT grp, COUNT(*), SUM(qty) FROM items GROUP BY grp"
+let bench_hash_agg =
+  bench_query ~name:"GROUP BY 1000 rows (hash)"
+    "SELECT grp, COUNT(*), SUM(qty) FROM items GROUP BY grp"
 
-let topk_sql = "SELECT id, qty FROM items ORDER BY qty, id LIMIT 5"
-
-let bench_hash_join = bench_query ~name:"equi-join 1000x10 (hash)" ~hash_ops:true join_sql
-
-let bench_nl_join =
-  bench_query ~name:"equi-join 1000x10 (nested loop)" ~hash_ops:false join_sql
-
-let bench_hash_agg = bench_query ~name:"GROUP BY 1000 rows (hash)" ~hash_ops:true agg_sql
-
-let bench_sort_agg =
-  bench_query ~name:"GROUP BY 1000 rows (sorted map)" ~hash_ops:false agg_sql
-
-let bench_topk = bench_query ~name:"ORDER BY LIMIT 5 (top-k heap)" ~hash_ops:true topk_sql
-
-let bench_sort_limit =
-  bench_query ~name:"ORDER BY LIMIT 5 (full sort)" ~hash_ops:false topk_sql
+let bench_topk =
+  bench_query ~name:"ORDER BY LIMIT 5 (top-k heap)"
+    "SELECT id, qty FROM items ORDER BY qty, id LIMIT 5"
 
 let instances = Instance.[ monotonic_clock ]
 
@@ -139,11 +128,8 @@ let benchmark () =
         bench_pk_select;
         bench_join_aggregate;
         bench_hash_join;
-        bench_nl_join;
         bench_hash_agg;
-        bench_sort_agg;
         bench_topk;
-        bench_sort_limit;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in

@@ -7,6 +7,11 @@ set -eu
 cd "$(dirname "$0")"
 dune build @all @lint
 dune runtest
+# Wall-clock benchmark smoke: all four workloads (including the executor
+# workloads eo_group and eo_sessions) at 1/20 length, with every
+# correctness check. Cached when nothing it depends on changed.
+dune build @benchmark/smoke
+echo "benchmark smoke ok"
 dune exec bin/brdb_cli.exe -- sys > /dev/null
 echo "sys.* smoke ok"
 dune exec bin/brdb_cli.exe -- snapshot > /dev/null

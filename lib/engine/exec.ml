@@ -56,26 +56,13 @@ type mode = {
   allow_ddl : bool;
   allow_sys : bool;
   stats : stats option;
-  hash_ops : bool;
 }
 
 let default_mode =
-  {
-    require_index = false;
-    allow_ddl = true;
-    allow_sys = true;
-    stats = None;
-    hash_ops = true;
-  }
+  { require_index = false; allow_ddl = true; allow_sys = true; stats = None }
 
 let strict_mode =
-  {
-    require_index = true;
-    allow_ddl = true;
-    allow_sys = false;
-    stats = None;
-    hash_ops = true;
-  }
+  { require_index = true; allow_ddl = true; allow_sys = false; stats = None }
 
 let stats_scan mode ~op ~table ~rows ~visited =
   match mode.stats with
@@ -254,16 +241,10 @@ type path =
 (* Pick the most selective indexed column: equality (or IN) beats range.
    Grouping is list-based so candidate order never depends on hashtable
    internals. *)
-let choose_path table env ~hash_ops alias where_conjuncts =
+let choose_path table env alias where_conjuncts =
   let schema = Table.schema table in
   let restrictions =
     List.concat_map (restriction_of_conjunct env schema alias) where_conjuncts
-  in
-  let restrictions =
-    (* IN-probes are a fast-path feature: with hash_ops off they fall back
-       to the seed plan (seq scan + WHERE), which A/B tests rely on. *)
-    if hash_ops then restrictions
-    else List.filter (fun r -> r.r_op <> `In) restrictions
   in
   let columns =
     List.sort_uniq compare (List.map (fun r -> r.r_column) restrictions)
@@ -365,8 +346,7 @@ let within_bounds v ~lo ~hi =
    the row's environment (scan binding appended) plus the binding itself.
    [op_visited] counts versions examined, [op_rows] rows surviving
    visibility + pushed filters. *)
-let run_scan catalog txn mode spec env f =
-  ignore catalog;
+let run_scan txn mode spec env f =
   let name = Table.name spec.sc_table in
   (* Virtual views are statement-local materializations: they are not part
      of the SSI-visible database, so scans over them register neither reads
@@ -439,12 +419,12 @@ let run_scan catalog txn mode spec env f =
         raise (Exec_error (Missing_index name));
       if record then
         Txn.record_predicate txn (Predicate.Full_scan { table = name });
-      if mode.hash_ops && not spec.sc_provenance then
+      if spec.sc_provenance then Table.iter_versions spec.sc_table yield
+      else
         (* Visibility index: skip versions that are dead at the snapshot
            height instead of wading through the full history (ascending
            vid, same order as the heap). *)
-        Table.iter_live spec.sc_table ~height:txn.Txn.snapshot_height yield
-      else Table.iter_versions spec.sc_table yield);
+        Table.iter_live spec.sc_table ~height:txn.Txn.snapshot_height yield);
   let op =
     match spec.sc_path with Index_range _ -> "index_scan" | Seq_scan -> "seq_scan"
   in
@@ -473,12 +453,6 @@ let null_binding ~provenance alias table =
     provenance;
   }
 
-module KeyMap = Map.Make (struct
-  type t = Value.t list
-
-  let compare = List.compare Value.compare_total
-end)
-
 (* --- static select planning --------------------------------------------- *)
 
 type join_strategy =
@@ -505,10 +479,7 @@ type table_plan = {
 
 type select_plan = {
   sp_tables : table_plan list;
-  sp_residual : expr list option;
-      (* [Some conjuncts] with hash_ops on: WHERE conjuncts not pushed into
-         any scan. [None] with hash_ops off: evaluate the whole WHERE tree
-         per row, exactly like the seed executor. *)
+  sp_residual : expr list;  (* WHERE conjuncts not pushed into any scan *)
 }
 
 (* Decide, before any row is read, which WHERE conjunct filters at which
@@ -520,7 +491,6 @@ let plan_select resolve mode ~base_env (sel : select) =
   | None -> None
   | Some base ->
       let provenance = sel.provenance in
-      let hash = mode.hash_ops in
       let where_conj = match sel.where with None -> [] | Some w -> conjuncts_of w in
       let tables =
         List.map
@@ -547,27 +517,24 @@ let plan_select resolve mode ~base_env (sel : select) =
       done;
       let assigned = Array.make n [] in
       let residual = ref [] in
-      if hash then begin
-        (* Each conjunct filters at the earliest scan where all its names
-           resolve. LEFT-JOIN scan points are skipped: their matches are
-           defined by ON alone, and WHERE must see the null-extended row. *)
-        List.iter
-          (fun c ->
-            let rec place i = function
-              | [] -> residual := c :: !residual
-              | (_, _, j) :: rest ->
-                  let eligible =
-                    match j with None -> true | Some j -> j.j_kind = J_inner
-                  in
-                  if eligible && bound_in envs.(i + 1) c then
-                    assigned.(i) <- c :: assigned.(i)
-                  else place (i + 1) rest
-            in
-            place 0 tables)
-          where_conj;
-        residual := List.rev !residual;
-        Array.iteri (fun i l -> assigned.(i) <- List.rev l) assigned
-      end;
+      (* Each conjunct filters at the earliest scan where all its names
+         resolve. LEFT-JOIN scan points are skipped: their matches are
+         defined by ON alone, and WHERE must see the null-extended row. *)
+      List.iter
+        (fun c ->
+          let rec place i = function
+            | [] -> residual := c :: !residual
+            | (_, _, j) :: rest ->
+                let eligible =
+                  match j with None -> true | Some j -> j.j_kind = J_inner
+                in
+                if eligible && bound_in envs.(i + 1) c then
+                  assigned.(i) <- c :: assigned.(i)
+                else place (i + 1) rest
+          in
+          place 0 tables)
+        where_conj;
+      Array.iteri (fun i l -> assigned.(i) <- List.rev l) assigned;
       let plans =
         List.mapi
           (fun i (tr, table, j) ->
@@ -581,15 +548,14 @@ let plan_select resolve mode ~base_env (sel : select) =
                   conjuncts_of j.j_on
                   @ (if j.j_kind = J_inner then where_conj else [])
             in
-            let hint = choose_path table env ~hash_ops:hash alias hint_conjuncts in
+            let hint = choose_path table env alias hint_conjuncts in
             match j with
             | None ->
                 { tp_ref = tr; tp_table = table; tp_filters = filters;
                   tp_path_hint = hint; tp_join = None }
             | Some j ->
                 let strat =
-                  if (not hash) || provenance || mode.require_index
-                     || hint <> Seq_scan
+                  if provenance || mode.require_index || hint <> Seq_scan
                   then Nested
                   else begin
                     let schema = Table.schema table in
@@ -641,26 +607,19 @@ let plan_select resolve mode ~base_env (sel : select) =
                   tp_path_hint = hint; tp_join = Some (j, strat) })
           tables
       in
-      Some
-        {
-          sp_tables = plans;
-          sp_residual = (if hash then Some !residual else None);
-        }
+      Some { sp_tables = plans; sp_residual = List.rev !residual }
 
 (* Produce the stream of joined environments for FROM ... JOIN ...,
    WHERE already applied. *)
 let joined_rows catalog txn mode ~provenance ~base_env (sel : select) f =
-  let full_where env =
-    match sel.where with None -> true | Some w -> Eval.eval_bool env w = Some true
-  in
   match plan_select (resolve_table catalog txn mode) mode ~base_env sel with
-  | None -> if full_where base_env then f base_env
+  | None -> (
+      match sel.where with
+      | Some w when Eval.eval_bool base_env w <> Some true -> ()
+      | _ -> f base_env)
   | Some plan ->
       let keep env =
-        match plan.sp_residual with
-        | None -> full_where env
-        | Some residual ->
-            List.for_all (fun c -> Eval.eval_bool env c = Some true) residual
+        List.for_all (fun c -> Eval.eval_bool env c = Some true) plan.sp_residual
       in
       let where_conj = match sel.where with None -> [] | Some w -> conjuncts_of w in
       (* WHERE conjuncts may sharpen the access path of inner joins, but a
@@ -675,7 +634,7 @@ let joined_rows catalog txn mode ~provenance ~base_env (sel : select) f =
               let conjuncts =
                 extra_conjuncts @ if use_where then where_conj else []
               in
-              choose_path table env ~hash_ops:mode.hash_ops alias conjuncts
+              choose_path table env alias conjuncts
         in
         let spec =
           {
@@ -686,7 +645,7 @@ let joined_rows catalog txn mode ~provenance ~base_env (sel : select) f =
             sc_filters = tp.tp_filters;
           }
         in
-        run_scan catalog txn mode spec env (fun env' _b -> k env')
+        run_scan txn mode spec env (fun env' _b -> k env')
       in
       let null_extended env (tp : table_plan) =
         {
@@ -731,7 +690,7 @@ let joined_rows catalog txn mode ~provenance ~base_env (sel : select) f =
                                  sc_filters = h.h_build_filters;
                                }
                              in
-                             run_scan catalog txn mode spec base_env
+                             run_scan txn mode spec base_env
                                (fun _env (b : Eval.binding) ->
                                  let key =
                                    List.map
@@ -933,13 +892,13 @@ let exec_select catalog txn mode ~base_env (sel : select) =
               if (not (Eval.has_aggregate e)) && not (List.mem (expr_to_string e) group_keys)
               then fail "column %s must appear in GROUP BY or an aggregate" (expr_to_string e))
         sel.items;
-      (* Both grouping paths produce [(key, rows-in-arrival-order)] in
-         ascending key order ([Value.compare_total], then canonical
-         encoding on ties), so downstream output is path-independent. *)
+      (* Groups come out as [(key, rows-in-arrival-order)] in ascending key
+         order ([Value.compare_total], then canonical encoding on ties), so
+         output never depends on hashtable internals. *)
       let groups =
         match sel.group_by with
         | [] -> [ ([], envs) ] (* a single group — even with no input rows *)
-        | _ when mode.hash_ops ->
+        | _ ->
             let tbl = Hashtbl.create 64 in
             List.iter
               (fun env ->
@@ -962,20 +921,6 @@ let exec_select catalog txn mode ~base_env (sel : select) =
                 | c -> c)
               drained
             |> List.map (fun (_, key, group) -> (key, group))
-        | _ ->
-            let m =
-              List.fold_left
-                (fun acc env ->
-                  let key = List.map (Eval.eval env) sel.group_by in
-                  KeyMap.update key
-                    (function None -> Some [ env ] | Some g -> Some (env :: g))
-                    acc)
-                KeyMap.empty envs
-            in
-            List.rev
-              (KeyMap.fold
-                 (fun key group acc -> (key, List.rev group) :: acc)
-                 m [])
       in
       let decorated =
         List.filter_map
@@ -1028,7 +973,7 @@ let exec_select catalog txn mode ~base_env (sel : select) =
     | [] -> decorated
     | _ -> (
         match sel.limit with
-        | Some k when mode.hash_ops && not sel.distinct ->
+        | Some k when not sel.distinct ->
             (* ORDER BY ... LIMIT k: bounded heap, first k of the stable
                sort without sorting the full input. (DISTINCT dedups after
                the sort, so it still needs every row.) *)
@@ -1063,8 +1008,7 @@ let exec_select catalog txn mode ~base_env (sel : select) =
 
 (* --- DML ----------------------------------------------------------------- *)
 
-let check_unique_at_insert catalog txn table row ~exclude_vid =
-  ignore catalog;
+let check_unique_at_insert txn table row ~exclude_vid =
   List.iter
     (fun col ->
       let key = row.(col) in
@@ -1110,7 +1054,7 @@ let exec_insert catalog txn ~env0 ~ins_table ~ins_cols ~ins_rows =
       (match Schema.check_row schema row with
       | Ok () -> ()
       | Error msg -> fail "%s" msg);
-      check_unique_at_insert catalog txn table row ~exclude_vid:None;
+      check_unique_at_insert txn table row ~exclude_vid:None;
       let v = Table.insert_version table ~xmin:txn.Txn.txid row in
       Txn.record_write txn (Txn.W_insert { table = ins_table; vid = v.Version.vid });
       incr count)
@@ -1122,19 +1066,15 @@ let target_rows catalog txn mode ~env0 ~table_name ~where f =
   let table = table_or_fail catalog table_name in
   let alias = table_name in
   let conjuncts = match where with None -> [] | Some w -> conjuncts_of w in
-  let path = choose_path table env0 ~hash_ops:mode.hash_ops alias conjuncts in
-  let pushed, residual =
-    if mode.hash_ops then
-      let penv =
-        {
-          env0 with
-          Eval.bindings =
-            env0.Eval.bindings @ [ null_binding ~provenance:false alias table ];
-        }
-      in
-      List.partition (bound_in penv) conjuncts
-    else ([], conjuncts)
+  let path = choose_path table env0 alias conjuncts in
+  let penv =
+    {
+      env0 with
+      Eval.bindings =
+        env0.Eval.bindings @ [ null_binding ~provenance:false alias table ];
+    }
   in
+  let pushed, residual = List.partition (bound_in penv) conjuncts in
   let spec =
     {
       sc_table = table;
@@ -1144,17 +1084,17 @@ let target_rows catalog txn mode ~env0 ~table_name ~where f =
       sc_filters = pushed;
     }
   in
-  run_scan catalog txn mode spec env0 (fun env (b : Eval.binding) ->
-      let keep =
-        if mode.hash_ops then
-          List.for_all (fun c -> Eval.eval_bool env c = Some true) residual
-        else
-          match where with None -> true | Some w -> Eval.eval_bool env w = Some true
-      in
-      if keep then
+  (* Finish the scan before the first write: a scan that sees the new
+     versions this statement inserts would update a row again (a
+     sequential scan reaches the appended versions, and IN-probes revisit
+     rows moved onto a later key). *)
+  let targets = ref [] in
+  run_scan txn mode spec env0 (fun env (b : Eval.binding) ->
+      if List.for_all (fun c -> Eval.eval_bool env c = Some true) residual then
         match b.Eval.version with
-        | Some v -> f table env v
-        | None -> assert false)
+        | Some v -> targets := (env, v) :: !targets
+        | None -> assert false);
+  List.iter (fun (env, v) -> f table env v) (List.rev !targets)
 
 let exec_update catalog txn mode ~env0 ~upd_table ~upd_sets ~upd_where =
   if mode.require_index && upd_where = None then
@@ -1174,7 +1114,7 @@ let exec_update catalog txn mode ~env0 ~upd_table ~upd_sets ~upd_where =
       | Ok () -> ()
       | Error msg -> fail "%s" msg);
       Version.claim v txn.Txn.txid;
-      check_unique_at_insert catalog txn table row ~exclude_vid:(Some v.Version.vid);
+      check_unique_at_insert txn table row ~exclude_vid:(Some v.Version.vid);
       let nv = Table.insert_version table ~xmin:txn.Txn.txid row in
       Txn.record_write txn
         (Txn.W_update { table = upd_table; old_vid = v.Version.vid; new_vid = nv.Version.vid });
@@ -1272,9 +1212,9 @@ let describe_filters = function
 exception Explain_error of string
 
 let explain_gen ?actual catalog stmt =
-  (* Plans with [default_mode] (hash operators on) against pseudo-bound
-     NULL rows: the decisions shown are exactly the ones [plan_select] and
-     [choose_path] make at execution time, parameters treated as opaque.
+  (* Plans with [default_mode] against pseudo-bound NULL rows: the
+     decisions shown are exactly the ones [plan_select] and [choose_path]
+     make at execution time, parameters treated as opaque.
      With [actual = Some (stats, op_ms)] (EXPLAIN ANALYZE) each operator
      line carries the rows/visited counts recorded while executing the same
      statement plus its modelled time; stats are aggregated per
@@ -1361,9 +1301,8 @@ let explain_gen ?actual catalog stmt =
                 if h.h_probe_filters <> [] then
                   line ("  probe" ^ describe_filters h.h_probe_filters))
           plan.sp_tables;
-        (match plan.sp_residual with
-        | Some (_ :: _ as res) -> line ("residual" ^ describe_filters res)
-        | _ -> ());
+        if plan.sp_residual <> [] then
+          line ("residual" ^ describe_filters plan.sp_residual);
         let aggregated =
           sel.group_by <> []
           || sel.having <> None
@@ -1396,7 +1335,7 @@ let explain_gen ?actual catalog stmt =
     Buffer.add_string buf (what ^ ":\n");
     let table = table_of name in
     let conjuncts = match where with None -> [] | Some w -> conjuncts_of w in
-    let path = choose_path table env0 ~hash_ops:mode.hash_ops name conjuncts in
+    let path = choose_path table env0 name conjuncts in
     let penv =
       {
         env0 with
@@ -1563,7 +1502,7 @@ let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) st
         b
   in
   let rec run_subquery sel env =
-    if mode.hash_ops && is_uncorrelated sel then (
+    if is_uncorrelated sel then (
       match find_phys row_cache sel with
       | Some rows -> rows
       | None ->
@@ -1572,7 +1511,7 @@ let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) st
           rows)
     else (exec_select catalog txn mode ~base_env:env sel).rows
   and semijoin sel env =
-    if not (mode.hash_ops && is_uncorrelated sel) then None
+    if not (is_uncorrelated sel) then None
     else
       match find_phys probe_cache sel with
       | Some probe -> Some probe

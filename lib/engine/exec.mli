@@ -10,16 +10,16 @@
     with [Missing_index], and [UPDATE]/[DELETE] without a [WHERE] clause
     fail with [Blind_update] (§3.4.3).
 
-    With [hash_ops] on (the default) the executor additionally uses
-    deterministic fast paths: hash joins for equi-joins, hash grouping for
-    GROUP BY, a bounded top-k heap for ORDER BY ... LIMIT, predicate
-    pushdown into scans, index probes for [IN (k1, ..., kn)], cached hash
-    semi-joins for uncorrelated [IN (SELECT ...)], and the storage layer's
-    live-version visibility index for sequential scans. Every hash
-    structure is drained in key order ([Brdb_storage.Value.compare_total]),
-    so results, read/predicate sets and commit decisions are identical to
-    the nested-loop/sort paths — [hash_ops = false] is the executable
-    oracle for that claim. *)
+    There is one operator set: hash joins for equi-joins (nested loops
+    otherwise), hash grouping for GROUP BY, a bounded top-k heap for
+    ORDER BY ... LIMIT, predicate pushdown into scans, index probes for
+    [IN (k1, ..., kn)], cached hash semi-joins for uncorrelated
+    [IN (SELECT ...)], and the storage layer's live-version visibility
+    index for sequential scans. Every hash structure is drained in key
+    order ([Brdb_storage.Value.compare_total]), so results, read/predicate
+    sets and commit decisions never depend on hashtable internals. The
+    property tests check query results against a reference computed with
+    plain lists that shares no code with this module. *)
 
 (** Per-operator execution statistics, collected when [mode.stats] is set
     (the observability layer enables it per contract run). Counting is
@@ -64,10 +64,6 @@ type mode = {
           (inbox depth, metrics), so a contract reading them during block
           processing could fork the cluster's write sets. *)
   stats : stats option;  (** when set, scans/statements are counted *)
-  hash_ops : bool;
-      (** enable the hash/top-k/pushdown/visibility-index fast paths;
-          [false] reproduces the seed nested-loop executor (the A/B
-          oracle used by property tests and benchmarks) *)
 }
 
 val default_mode : mode

@@ -484,7 +484,6 @@ let run_contract t txn (tx : Block.tx) =
              registry); node-local sys.* views are for clients only. *)
           allow_sys = false;
           stats;
-          hash_ops = true;
         }
       in
       let ctx =
