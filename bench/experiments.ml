@@ -5,7 +5,6 @@
 module B = Brdb_core.Blockchain_db
 module Node_core = Brdb_node.Node_core
 module Service = Brdb_consensus.Service
-module Metrics = Brdb_sim.Metrics
 module Network = Brdb_sim.Network
 module Chaos = Brdb_core.Chaos
 
@@ -42,7 +41,7 @@ let fig5 flow ~rates ~block_sizes =
               { Runner.default_spec with flow; block_size; rate; duration = dur () }
           in
           line "%8.0f %6d | %12.0f %12.3f" rate block_size
-            s.Metrics.throughput_tps s.Metrics.avg_latency_s)
+            s.B.throughput_tps s.B.avg_latency_s)
         rates)
     block_sizes
 
@@ -84,8 +83,8 @@ let phase_breakdown dbs =
       let nhist name =
         match Reg.histogram reg ~node:node0 name with
         | Some s ->
-            Printf.sprintf "%7.2f/%-7.2f" (Metrics.Stat.mean s)
-              (Metrics.Stat.percentile s 95.)
+            Printf.sprintf "%7.2f/%-7.2f" (Reg.Stat.mean s)
+              (Reg.Stat.percentile s 95.)
         | None -> Printf.sprintf "%7s/%-7s" "-" "-"
       in
       let aborts =
@@ -158,7 +157,7 @@ let parallel_ab ~flow ~rate runs =
   line "%4s | %12s %14s %8s | %6s %8s %9s" "bs" "ser bet(ms)" "par bet(ms)"
     "speedup" "blocks" "waves" "occupancy";
   List.iter
-    (fun (block_size, (serial : Metrics.summary)) ->
+    (fun (block_size, (serial : B.summary)) ->
       let db, s =
         Runner.run_db
           {
@@ -184,23 +183,23 @@ let parallel_ab ~flow ~rate runs =
         | Some st -> f st
       in
       let speedup =
-        if s.Metrics.bet_ms > 0. then serial.Metrics.bet_ms /. s.Metrics.bet_ms
+        if s.B.bet_ms > 0. then serial.B.bet_ms /. s.B.bet_ms
         else 1.
       in
       line "%4d | %12.2f %14.2f %7.1fx | %6d %8.1f %9.2f" block_size
-        serial.Metrics.bet_ms s.Metrics.bet_ms speedup blocks
-        (stat "validation.waves" Metrics.Stat.mean)
-        (stat "validation.occupancy" Metrics.Stat.mean);
+        serial.B.bet_ms s.B.bet_ms speedup blocks
+        (stat "validation.waves" Reg.Stat.mean)
+        (stat "validation.occupancy" Reg.Stat.mean);
       Runner.record
         [
           ("kind", Runner.J_str "parallel_ab");
           ("block_size", Runner.J_int block_size);
-          ("serial_bet_ms", Runner.J_float serial.Metrics.bet_ms);
-          ("parallel_bet_ms", Runner.J_float s.Metrics.bet_ms);
+          ("serial_bet_ms", Runner.J_float serial.B.bet_ms);
+          ("parallel_bet_ms", Runner.J_float s.B.bet_ms);
           ("val_speedup", Runner.J_float speedup);
           ("val_blocks", Runner.J_int blocks);
-          ("val_waves_mean", Runner.J_float (stat "validation.waves" Metrics.Stat.mean));
-          ("val_occupancy_mean", Runner.J_float (stat "validation.occupancy" Metrics.Stat.mean));
+          ("val_waves_mean", Runner.J_float (stat "validation.waves" Reg.Stat.mean));
+          ("val_occupancy_mean", Runner.J_float (stat "validation.occupancy" Reg.Stat.mean));
         ])
     runs
 
@@ -216,9 +215,9 @@ let micro_table ~flow ~rate ~title =
             { Runner.default_spec with flow; block_size; rate; duration = dur () }
         in
         line "%4d | %8.1f %8.1f %9.2f %9.2f %9.2f %9.3f %7.0f %6.1f" block_size
-          s.Metrics.brr s.Metrics.bpr s.Metrics.bpt_ms s.Metrics.bet_ms
-          s.Metrics.bct_ms s.Metrics.tet_ms s.Metrics.mt_per_s
-          s.Metrics.su_percent;
+          s.B.brr s.B.bpr s.B.bpt_ms s.B.bet_ms
+          s.B.bct_ms s.B.tet_ms s.B.mt_per_s
+          s.B.su_percent;
         (block_size, db, s))
       [ 10; 100; 500 ]
   in
@@ -252,14 +251,14 @@ let serial_baseline () =
             duration = dur ();
           }
       in
-      line "%8.0f | %12.0f" rate s.Metrics.throughput_tps)
+      line "%8.0f | %12.0f" rate s.B.throughput_tps)
     [ 400.; 800.; 1200.; 1600. ];
   let oe =
     Runner.run
       { Runner.default_spec with flow = Node_core.Order_execute; rate = 2100.; duration = dur () }
   in
   line "(concurrent OE reference @2100: %.0f tps — serial peaks at ~40%% of it)"
-    oe.Metrics.throughput_tps
+    oe.B.throughput_tps
 
 (* ------------------------------------- Figs 6/7: complex contracts *)
 
@@ -277,8 +276,8 @@ let complex_fig ~contract ~oe_rates ~eo_rates ~title =
               ~rates
           in
           line "%28s %6d | %10.0f %9.2f %9.2f %9.3f" (flow_name flow) block_size
-            s.Metrics.throughput_tps s.Metrics.bpt_ms s.Metrics.bet_ms
-            s.Metrics.tet_ms)
+            s.B.throughput_tps s.B.bpt_ms s.B.bet_ms
+            s.B.tet_ms)
         [ 10; 50; 100 ])
     [ (Node_core.Order_execute, oe_rates); (Node_core.Execute_order, eo_rates) ]
 
@@ -325,9 +324,9 @@ let fig8a () =
           ~rates
       in
       line "%6d | %10.0f %10.0f | %12.3f %12.3f | %10.0f" block_size
-        lan.Metrics.throughput_tps wan.Metrics.throughput_tps
-        lan.Metrics.avg_latency_s wan.Metrics.avg_latency_s
-        ((wan.Metrics.avg_latency_s -. lan.Metrics.avg_latency_s) *. 1000.))
+        lan.B.throughput_tps wan.B.throughput_tps
+        lan.B.avg_latency_s wan.B.avg_latency_s
+        ((wan.B.avg_latency_s -. lan.B.avg_latency_s) *. 1000.))
     [ 10; 50; 100 ]
 
 (* -------------------------------------- Fig 8b: orderer scaling *)
@@ -369,7 +368,7 @@ let ablation () =
         | Service.Raft -> "raft"
         | Service.Solo -> "solo"
         | Service.Bft -> "bft")
-        s.Metrics.throughput_tps s.Metrics.avg_latency_s)
+        s.B.throughput_tps s.B.avg_latency_s)
     [ Service.Solo; Service.Kafka; Service.Raft; Service.Bft ]
 
 let contention () =
@@ -389,11 +388,11 @@ let contention () =
     List.map
       (fun flow ->
         let net, s = Runner.run_db (spec_of flow) in
-        let total = s.Metrics.committed + s.Metrics.aborted in
-        line "%28s | %9d %9d %8.1f%%" (flow_name flow) s.Metrics.committed
-          s.Metrics.aborted
+        let total = s.B.committed + s.B.aborted in
+        line "%28s | %9d %9d %8.1f%%" (flow_name flow) s.B.committed
+          s.B.aborted
           (if total = 0 then 0.
-           else 100. *. float_of_int s.Metrics.aborted /. float_of_int total);
+           else 100. *. float_of_int s.B.aborted /. float_of_int total);
         (* Table 2 breakdown straight from the introspection schema
            (DESIGN.md §10) — the same query a live deployment would run. *)
         (match B.query net "SELECT class, n FROM sys.aborts WHERE n > 0" with
@@ -432,13 +431,13 @@ let contention () =
         | Some st -> f st
       in
       line "%28s | %9d %9d | %6d %8.1f %9.2f %7.1fx" (flow_name flow)
-        s.Metrics.committed s.Metrics.aborted blocks
-        (stat "validation.waves" Metrics.Stat.mean)
-        (stat "validation.occupancy" Metrics.Stat.mean)
-        (stat "validation.speedup" Metrics.Stat.mean);
+        s.B.committed s.B.aborted blocks
+        (stat "validation.waves" Reg.Stat.mean)
+        (stat "validation.occupancy" Reg.Stat.mean)
+        (stat "validation.speedup" Reg.Stat.mean);
       if
-        s.Metrics.committed <> serial.Metrics.committed
-        || s.Metrics.aborted <> serial.Metrics.aborted
+        s.B.committed <> serial.B.committed
+        || s.B.aborted <> serial.B.aborted
       then
         line "  WARNING: %s decisions moved under parallel validation"
           (flow_name flow);
@@ -451,13 +450,13 @@ let contention () =
               | Node_core.Order_execute -> "order-execute"
               | Node_core.Execute_order -> "execute-order"
               | Node_core.Serial_baseline -> "serial") );
-          ("committed", Runner.J_int s.Metrics.committed);
-          ("aborted", Runner.J_int s.Metrics.aborted);
+          ("committed", Runner.J_int s.B.committed);
+          ("aborted", Runner.J_int s.B.aborted);
           ("val_blocks", Runner.J_int blocks);
-          ("val_waves_mean", Runner.J_float (stat "validation.waves" Metrics.Stat.mean));
-          ("val_waves_max", Runner.J_float (stat "validation.waves" Metrics.Stat.max));
-          ("val_occupancy_mean", Runner.J_float (stat "validation.occupancy" Metrics.Stat.mean));
-          ("val_speedup", Runner.J_float (stat "validation.speedup" Metrics.Stat.mean));
+          ("val_waves_mean", Runner.J_float (stat "validation.waves" Reg.Stat.mean));
+          ("val_waves_max", Runner.J_float (stat "validation.waves" Reg.Stat.max));
+          ("val_occupancy_mean", Runner.J_float (stat "validation.occupancy" Reg.Stat.mean));
+          ("val_speedup", Runner.J_float (stat "validation.speedup" Reg.Stat.mean));
         ])
     [ Node_core.Order_execute; Node_core.Execute_order ]
 
@@ -1125,7 +1124,7 @@ let admission () =
     let blocks =
       Node_core.height (Brdb_node.Peer.core (B.peer db 0))
     in
-    let bet_total_ms = s.Metrics.bet_ms *. float_of_int blocks in
+    let bet_total_ms = s.B.bet_ms *. float_of_int blocks in
     ( opened,
       submitted,
       early,

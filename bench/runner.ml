@@ -6,7 +6,6 @@ module Service = Brdb_consensus.Service
 module Clock = Brdb_sim.Clock
 module Rng = Brdb_sim.Rng
 module Workload = Brdb_sim.Workload
-module Metrics = Brdb_sim.Metrics
 module Network = Brdb_sim.Network
 
 type spec = {
@@ -84,7 +83,7 @@ let phase_percentiles net =
       match Brdb_obs.Registry.histogram reg ~node:"db-org1" metric with
       | None -> []
       | Some s ->
-          let module Stat = Brdb_sim.Metrics.Stat in
+          let module Stat = Brdb_obs.Registry.Stat in
           [
             (short ^ "_p50_ms", J_float (Stat.percentile s 50.));
             (short ^ "_p95_ms", J_float (Stat.percentile s 95.));
@@ -105,7 +104,7 @@ let validation_metrics net =
   let blocks = Brdb_obs.Registry.counter reg ~node "validation.blocks" in
   if blocks = 0 then []
   else
-    let module Stat = Brdb_sim.Metrics.Stat in
+    let module Stat = Brdb_obs.Registry.Stat in
     let stat name f =
       match Brdb_obs.Registry.histogram reg ~node name with
       | None -> 0.
@@ -150,7 +149,7 @@ let headroom_summary net =
     registry feeds the per-phase breakdown printed next to Tables 4/5).
     Throughput counts transactions that reached majority commit within
     the workload window (steady state), as in the paper. *)
-let run_db (spec : spec) : B.t * Metrics.summary =
+let run_db (spec : spec) : B.t * B.summary =
   let config =
     {
       (B.default_config ()) with
@@ -211,10 +210,10 @@ let run_db (spec : spec) : B.t * Metrics.summary =
        ("block_size", J_int spec.block_size);
        ("rate", J_float spec.rate);
        ("duration_s", J_float spec.duration);
-       ("throughput_tps", J_float summary.Metrics.throughput_tps);
-       ("avg_latency_s", J_float summary.Metrics.avg_latency_s);
-       ("committed", J_int summary.Metrics.committed);
-       ("aborted", J_int summary.Metrics.aborted);
+       ("throughput_tps", J_float summary.B.throughput_tps);
+       ("avg_latency_s", J_float summary.B.avg_latency_s);
+       ("committed", J_int summary.B.committed);
+       ("aborted", J_int summary.B.aborted);
      ]
     @ (let blocks, serial, critical, headroom, waves = headroom_summary net in
        [
@@ -237,7 +236,7 @@ let peak spec ~rates =
       let s = run { spec with rate } in
       match best with
       | None -> Some (rate, s)
-      | Some (_, bs) when s.Metrics.throughput_tps > bs.Metrics.throughput_tps ->
+      | Some (_, bs) when s.B.throughput_tps > bs.B.throughput_tps ->
           Some (rate, s)
       | Some _ -> best)
     None rates

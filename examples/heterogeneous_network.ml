@@ -138,10 +138,14 @@ let () =
   let duration = Clock.now clock in
   List.iter
     (fun p ->
-      let s = Brdb_sim.Metrics.summarize (Peer.metrics p) ~duration_s:duration in
+      let missing =
+        Brdb_obs.Registry.counter
+          (Brdb_obs.Obs.metrics (Peer.obs p))
+          ~node:(Peer.name p) "block.missing_txs"
+      in
       Printf.printf "%-14s %8d %10.1f %12d\n" (Peer.name p)
         (Node_core.height (Peer.core p))
-        s.Brdb_sim.Metrics.mt_per_s
+        (float_of_int missing /. duration)
         (Brdb_ledger.Checkpoint.checkpointed_height (Peer.checkpoints p)))
     peers;
   List.iter

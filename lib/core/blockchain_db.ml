@@ -8,7 +8,6 @@ module Identity = Brdb_crypto.Identity
 module Clock = Brdb_sim.Clock
 module Rng = Brdb_sim.Rng
 module Network = Brdb_sim.Network
-module Metrics = Brdb_sim.Metrics
 module Cost_model = Brdb_sim.Cost_model
 module Obs = Brdb_obs.Obs
 module Reg = Brdb_obs.Registry
@@ -102,7 +101,6 @@ type t = {
   peers : Peer.t list;
   service : Service.t;
   admins : (string * Identity.t) list;
-  metrics : Metrics.t;  (** network-level throughput/latency *)
   obs : Obs.t;
   health : Brdb_obs.Health.t;  (** shared cluster-level detector engine *)
   (* tx_id -> submission time; feeds the ordering-phase span and is
@@ -164,16 +162,15 @@ let track_final t tx_id status now =
           in
           if track.commits >= t.majority then begin
             decide Committed;
-            Metrics.record_commit t.metrics ~submitted:track.submitted_at ~now
+            Reg.observe (Obs.metrics t.obs) ~node:"cluster" "decided.latency_s"
+              (now -. track.submitted_at)
           end
-          else if track.aborts >= t.majority then begin
-            (match status with
+          else if track.aborts >= t.majority then
+            match status with
             | Node_core.S_aborted r ->
                 decide (Aborted (Brdb_txn.Txn.abort_reason_to_string r))
             | Node_core.S_rejected r -> decide (Rejected r)
-            | Node_core.S_committed -> assert false);
-            Metrics.record_abort t.metrics
-          end)
+            | Node_core.S_committed -> assert false)
 
 let create config =
   if config.orgs = [] then invalid_arg "Blockchain_db.create: need at least one org";
@@ -278,7 +275,6 @@ let create config =
       peers;
       service;
       admins;
-      metrics = Metrics.create ();
       obs;
       health = Brdb_obs.Health.create ~thresholds:config.health_thresholds ();
       submit_ts = Hashtbl.create 1024;
@@ -565,7 +561,6 @@ let submit t ~user ~contract ~args =
   let tx_id = tx.Block.tx_id in
   Hashtbl.replace t.tracks tx_id
     { submitted_at = Clock.now t.clock; commits = 0; aborts = 0; final = None };
-  Metrics.record_submit t.metrics ~time:(Clock.now t.clock);
   Reg.incr (Obs.metrics t.obs) ~node:"cluster" "client.submitted";
   Hashtbl.replace t.submit_ts tx_id (Clock.now t.clock);
   (let tr = Obs.trace t.obs in
@@ -600,7 +595,6 @@ let submit_at t ~user ~contract ~args ~peer:peer_index ~snapshot =
   let tx_id = tx.Block.tx_id in
   Hashtbl.replace t.tracks tx_id
     { submitted_at = Clock.now t.clock; commits = 0; aborts = 0; final = None };
-  Metrics.record_submit t.metrics ~time:(Clock.now t.clock);
   Reg.incr (Obs.metrics t.obs) ~node:"cluster" "client.submitted";
   Hashtbl.replace t.submit_ts tx_id (Clock.now t.clock);
   (let tr = Obs.trace t.obs in
@@ -742,22 +736,47 @@ let verified_query t ?params sql =
   | Some (_, Error e) -> Error e
   | None -> Error "internal: no majority answer"
 
+type summary = {
+  committed : int;
+  aborted : int;
+  throughput_tps : float;
+  avg_latency_s : float;
+  brr : float;
+  bpr : float;
+  bpt_ms : float;
+  bet_ms : float;
+  bct_ms : float;
+  tet_ms : float;
+  mt_per_s : float;
+  su_percent : float;
+}
+
 let summary t ~duration_s =
-  sync_registry t;
-  Metrics.record_network t.metrics ~delivered:(Msg.Net.delivered t.net)
-    ~dropped:(Msg.Net.dropped t.net) ~duplicated:(Msg.Net.duplicated t.net);
-  let network = Metrics.summarize t.metrics ~duration_s in
-  let node0 = Metrics.summarize (Peer.metrics (peer t 0)) ~duration_s in
+  let reg = Obs.metrics t.obs in
+  let node0 = Peer.name (peer t 0) in
+  let per_s n = float_of_int n /. duration_s in
+  let mean ~node name =
+    match Reg.histogram reg ~node name with
+    | Some s -> Reg.Stat.mean s
+    | None -> 0.
+  in
+  let cluster = Reg.counter reg ~node:"cluster" in
+  let committed = cluster "decided.committed" in
+  let bpr = per_s (Reg.counter reg ~node:node0 "block.processed") in
+  let bpt_ms = mean ~node:node0 "phase.bpt_ms" in
   {
-    network with
-    Metrics.brr = node0.Metrics.brr;
-    bpr = node0.Metrics.bpr;
-    bpt_ms = node0.Metrics.bpt_ms;
-    bet_ms = node0.Metrics.bet_ms;
-    bct_ms = node0.Metrics.bct_ms;
-    tet_ms = node0.Metrics.tet_ms;
-    mt_per_s = node0.Metrics.mt_per_s;
-    su_percent = node0.Metrics.su_percent;
+    committed;
+    aborted = cluster "decided.aborted" + cluster "decided.rejected";
+    throughput_tps = per_s committed;
+    avg_latency_s = mean ~node:"cluster" "decided.latency_s";
+    brr = per_s (Reg.counter reg ~node:node0 "block.received");
+    bpr;
+    bpt_ms;
+    bet_ms = mean ~node:node0 "phase.bet_ms";
+    bct_ms = mean ~node:node0 "phase.bct_ms";
+    tet_ms = mean ~node:node0 "phase.tet_ms";
+    mt_per_s = per_s (Reg.counter reg ~node:node0 "block.missing_txs");
+    su_percent = Float.min 100. (bpr *. bpt_ms /. 10.);
   }
 
 let submitted_count t = Hashtbl.length t.tracks

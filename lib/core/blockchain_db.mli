@@ -190,9 +190,28 @@ val verified_query :
   t -> ?params:Value.t array -> string ->
   (Brdb_engine.Exec.result_set * string list, string) result
 
-(** Combined metrics: network-level throughput/latency plus node 0's
-    micro-metrics. *)
-val summary : t -> duration_s:float -> Brdb_sim.Metrics.summary
+(** A run's §5 metrics (Tables 4/5): cluster-level throughput and latency
+    plus node 0's micro-metrics. *)
+type summary = {
+  committed : int;  (** [decided.committed] *)
+  aborted : int;  (** [decided.aborted] + [decided.rejected] *)
+  throughput_tps : float;  (** committed / duration *)
+  avg_latency_s : float;  (** mean of [decided.latency_s] *)
+  brr : float;  (** blocks received / s *)
+  bpr : float;  (** blocks processed / s *)
+  bpt_ms : float;  (** mean block processing time *)
+  bet_ms : float;  (** mean block execution time *)
+  bct_ms : float;  (** mean block commit time *)
+  tet_ms : float;  (** mean transaction execution time *)
+  mt_per_s : float;  (** missing transactions per second (EO) *)
+  su_percent : float;  (** system utilization: bpr * bpt *)
+}
+
+(** [summary t ~duration_s] is a read-only view of the registry: the
+    cluster's [decided.*] counters and [decided.latency_s] histogram, and
+    node 0's [block.received], [block.processed], [block.missing_txs] and
+    [phase.*_ms] metrics, with rates taken over [duration_s]. *)
+val summary : t -> duration_s:float -> summary
 
 (** Transactions submitted / decided so far. *)
 val submitted_count : t -> int

@@ -7,7 +7,6 @@ module Chunk = Brdb_snapshot.Chunk
 module Clock = Brdb_sim.Clock
 module Cpu = Brdb_sim.Cpu
 module Cost_model = Brdb_sim.Cost_model
-module Metrics = Brdb_sim.Metrics
 module Obs = Brdb_obs.Obs
 module Reg = Brdb_obs.Registry
 module Trace = Brdb_obs.Trace
@@ -48,7 +47,6 @@ type t = {
   rng : Brdb_sim.Rng.t;
   cpu : Cpu.t;
   core : Node_core.t;
-  metrics : Metrics.t;
   obs : Obs.t;
   checkpoints : Checkpoint.t;
   (* blocks waiting their turn (height -> block) *)
@@ -111,8 +109,6 @@ let name t = t.config.core.Node_core.name
 
 let core t = t.core
 
-let metrics t = t.metrics
-
 let obs t = t.obs
 
 let reg t = Obs.metrics t.obs
@@ -162,7 +158,6 @@ let try_pre_execute t (tx : Block.tx) =
   | Ok () ->
       let active = Brdb_txn.Manager.pending_count (Node_core.manager t.core) in
       let tet = Cost_model.eo_tet t.config.cost ~tet:(tet_of t tx) ~active in
-      Metrics.record_tet t.metrics tet;
       mincr t "eo.pre_executed";
       mobserve t "phase.tet_ms" (tet *. 1000.);
       `Executed
@@ -544,12 +539,9 @@ let finish_block t (result : Node_core.block_result) =
       (match status with
       | Node_core.S_committed -> mincr t "txn.committed"
       | Node_core.S_aborted r ->
-          Metrics.record_abort t.metrics;
           mincr t "txn.aborted";
           mincr t ("txn.aborted." ^ Abort_class.to_string (Abort_class.of_reason r))
-      | Node_core.S_rejected _ ->
-          Metrics.record_abort t.metrics;
-          mincr t "txn.rejected");
+      | Node_core.S_rejected _ -> mincr t "txn.rejected");
       if Trace.enabled tr then begin
         let height = result.Node_core.br_height in
         (* Causal edges: validation happens inside the block's execute
@@ -674,18 +666,16 @@ let rec process_ready t =
                 if t.config.core.Node_core.flow = Node_core.Order_execute then
                   List.iter
                     (fun tx ->
-                      let tet = tet_of t tx in
-                      Metrics.record_tet t.metrics tet;
-                      mobserve t "phase.tet_ms" (tet *. 1000.))
+                      mobserve t "phase.tet_ms" (tet_of t tx *. 1000.))
                     block.Block.txs;
                 let complete ~bpt ~bet () =
                     t.processing <- false;
-                    Metrics.record_block t.metrics
-                      ~size:(List.length block.Block.txs)
-                      ~bpt ~bet ~bct;
-                    Metrics.record_missing_tx t.metrics
-                      result.Node_core.br_missing;
                     mincr t "block.processed";
+                    (* EO only (§3.4.1): counted when non-zero so OE
+                       nodes' sys.metrics gains no row *)
+                    if result.Node_core.br_missing > 0 then
+                      mincr ~by:result.Node_core.br_missing t
+                        "block.missing_txs";
                     mobserve t "phase.bpt_ms" (bpt *. 1000.);
                     mobserve t "phase.bet_ms" (bet *. 1000.);
                     mobserve t "phase.bct_ms" (bct *. 1000.);
@@ -1055,7 +1045,6 @@ let handle t ~src msg =
         if admit_block t block then begin
           note_height t block.Block.height;
           if block_is_new t block then begin
-            Metrics.record_block_received t.metrics;
             mincr t "block.received";
             Hashtbl.replace t.inbox block.Block.height block;
             process_ready t
@@ -1121,7 +1110,6 @@ let create ~net ?obs (config : config) ~registry =
              else 1)
           clock;
       core;
-      metrics = Metrics.create ();
       checkpoints =
         Checkpoint.create ~self:config.core.Node_core.name ~peers:config.peer_names;
       inbox = Hashtbl.create 32;

@@ -6,7 +6,10 @@
     - virtual-time accounting from the calibrated {!Brdb_sim.Cost_model}
       (semantics are computed instantly in OCaml; the simulation clock
       advances by the modelled execution/commit costs);
-    - per-node metrics (the seven micro-metrics of §5);
+    - per-node metrics, recorded into the shared {!Brdb_obs.Registry}
+      under the peer's name ([block.received], [block.processed],
+      [block.missing_txs], [phase.*_ms]; the §5 micro-metrics are read
+      back from them by [Blockchain_db.summary]);
     - client notifications (the paper's LISTEN/NOTIFY channel);
     - §3.6 catch-up: a peer that detects a gap in the block stream
       (crash, partition, message loss) fetches the missing blocks from
@@ -83,8 +86,6 @@ val create :
 val core : t -> Node_core.t
 
 val name : t -> string
-
-val metrics : t -> Brdb_sim.Metrics.t
 
 val obs : t -> Brdb_obs.Obs.t
 

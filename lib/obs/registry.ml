@@ -1,4 +1,49 @@
-module Stat = Brdb_sim.Metrics.Stat
+module Stat = struct
+  type t = {
+    mutable samples : float list;
+    mutable count : int;
+    mutable sum : float;
+    mutable min : float;
+    mutable max : float;
+  }
+
+  let create () = { samples = []; count = 0; sum = 0.; min = infinity; max = neg_infinity }
+
+  let add t x =
+    t.samples <- x :: t.samples;
+    t.count <- t.count + 1;
+    t.sum <- t.sum +. x;
+    if x < t.min then t.min <- x;
+    if x > t.max then t.max <- x
+
+  let count t = t.count
+
+  let mean t = if t.count = 0 then 0. else t.sum /. float_of_int t.count
+
+  let min t = if t.count = 0 then 0. else t.min
+
+  let max t = if t.count = 0 then 0. else t.max
+
+  let samples t = List.rev t.samples
+
+  (* Linear interpolation between closest ranks (the "C = 1" / numpy
+     default). Truncating nearest-rank degenerates at small n — p95 of
+     two samples would report the *minimum* — and small n is the common
+     case for per-phase histograms in short runs. *)
+  let percentile t p =
+    match t.samples with
+    | [] -> 0.
+    | samples ->
+        let arr = Array.of_list samples in
+        Array.sort Float.compare arr;
+        let n = Array.length arr in
+        let p = Float.max 0. (Float.min 100. p) in
+        let rank = Float.of_int (n - 1) *. p /. 100. in
+        let lo = int_of_float (Float.floor rank) in
+        let hi = Stdlib.min (n - 1) (lo + 1) in
+        let frac = rank -. Float.of_int lo in
+        arr.(lo) +. (frac *. (arr.(hi) -. arr.(lo)))
+end
 
 type metric = Counter of int ref | Gauge of float ref | Histogram of Stat.t
 

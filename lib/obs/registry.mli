@@ -1,13 +1,40 @@
 (** Metrics registry: named counters, gauges and histograms keyed by
     (node, metric name), with per-node and cluster-wide views.
 
-    Histograms reuse {!Brdb_sim.Metrics.Stat} (all samples retained, so a
-    cluster view can merge per-node distributions exactly). Metrics are
+    Histograms are {!Stat}s (all samples retained, so a cluster view can
+    merge per-node distributions exactly). Metrics are
     created on first use; using the same name with a different kind is a
     programmer error ([Invalid_argument]).
 
     The registry is always-on (it never touches rng, clock scheduling or
     committed state); only {!Trace} is gated behind an enabled flag. *)
+
+(** Sample store behind every histogram: count, sum, min and max are
+    kept incrementally, and every sample is retained so percentiles are
+    exact and per-node histograms merge without loss. *)
+module Stat : sig
+  type t
+
+  val create : unit -> t
+
+  val add : t -> float -> unit
+
+  val count : t -> int
+
+  val mean : t -> float  (** 0 when empty *)
+
+  val min : t -> float  (** 0 when empty *)
+
+  val max : t -> float  (** 0 when empty *)
+
+  (** Exact percentile over the retained samples, linearly interpolated
+      between closest ranks; [p] is clamped to [0, 100]; 0 when empty. *)
+  val percentile : t -> float -> float
+
+  (** All retained samples in insertion order (used by {!cluster_view} to
+      merge per-node histograms). *)
+  val samples : t -> float list
+end
 
 type t
 
@@ -28,7 +55,7 @@ val counter : t -> node:string -> string -> int
 (** Current gauge value; [0.] when absent. *)
 val gauge : t -> node:string -> string -> float
 
-val histogram : t -> node:string -> string -> Brdb_sim.Metrics.Stat.t option
+val histogram : t -> node:string -> string -> Stat.t option
 
 (** One row of a view; [e_count]/[e_value] carry the counter value, the
     gauge value, or the histogram count/mean depending on [e_kind]. *)

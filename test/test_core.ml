@@ -131,11 +131,53 @@ let test_metrics_populated () =
   B.settle net;
   let duration = Brdb_sim.Clock.now (B.clock net) in
   let s = B.summary net ~duration_s:duration in
-  Alcotest.(check int) "committed (incl. init)" 21 s.Brdb_sim.Metrics.committed;
-  Alcotest.(check bool) "throughput > 0" true (s.Brdb_sim.Metrics.throughput_tps > 0.);
-  Alcotest.(check bool) "latency > 0" true (s.Brdb_sim.Metrics.avg_latency_s > 0.);
-  Alcotest.(check bool) "bpt > 0" true (s.Brdb_sim.Metrics.bpt_ms > 0.);
-  Alcotest.(check bool) "blocks received" true (s.Brdb_sim.Metrics.brr > 0.)
+  Alcotest.(check int) "committed (incl. init)" 21 s.B.committed;
+  Alcotest.(check bool) "throughput > 0" true (s.B.throughput_tps > 0.);
+  Alcotest.(check bool) "latency > 0" true (s.B.avg_latency_s > 0.);
+  Alcotest.(check bool) "bpt > 0" true (s.B.bpt_ms > 0.);
+  Alcotest.(check bool) "blocks received" true (s.B.brr > 0.);
+  Alcotest.(check bool) "OE nodes record no block.missing_txs row" false
+    (List.exists
+       (fun e -> e.Brdb_obs.Registry.e_name = "block.missing_txs")
+       (Brdb_obs.Registry.snapshot (Brdb_obs.Obs.metrics (B.obs net))))
+
+(* The summary is a read-only view of the registry. Node 0 sits behind
+   slow links from its fellow peers (the orderer link stays fast), so
+   blocks reach it before the transactions forwarded by db-org2/db-org3:
+   it executes them as missing transactions (§3.4.1) and mt > 0. *)
+let test_summary_is_registry_view () =
+  let net = init_net ~flow:Node_core.Execute_order () in
+  let slow = { Brdb_sim.Network.latency_s = 0.2; bandwidth_bps = 50e6 } in
+  List.iter
+    (fun src -> Brdb_consensus.Msg.Net.set_link (B.net net) ~src ~dst:"db-org1" slow)
+    [ "db-org2"; "db-org3" ];
+  let alice = B.register_user net "org1/alice" in
+  let ids = submit_puts net alice 30 in
+  B.settle net;
+  let duration = Brdb_sim.Clock.now (B.clock net) in
+  let s = B.summary net ~duration_s:duration in
+  let reg = Brdb_obs.Obs.metrics (B.obs net) in
+  let module Reg = Brdb_obs.Registry in
+  let mean ~node name =
+    match Reg.histogram reg ~node name with
+    | Some h -> Reg.Stat.mean h
+    | None -> Alcotest.failf "histogram %s/%s missing" node name
+  in
+  let committed =
+    List.length (List.filter (fun id -> B.status net id = Some B.Committed) ids)
+  in
+  Alcotest.(check int) "committed = decided.committed" s.B.committed
+    (Reg.counter reg ~node:"cluster" "decided.committed");
+  Alcotest.(check int) "every put committed (plus init)" (committed + 1)
+    s.B.committed;
+  Alcotest.(check (float 0.)) "bet_ms = mean of node 0's phase.bet_ms"
+    (mean ~node:"db-org1" "phase.bet_ms") s.B.bet_ms;
+  let missing = Reg.counter reg ~node:"db-org1" "block.missing_txs" in
+  Alcotest.(check bool) "lagging node executed missing txs" true (missing > 0);
+  Alcotest.(check (float 0.)) "mt_per_s = block.missing_txs / duration"
+    (float_of_int missing /. duration) s.B.mt_per_s;
+  Alcotest.(check (float 0.)) "avg_latency_s = mean of decided.latency_s"
+    (mean ~node:"cluster" "decided.latency_s") s.B.avg_latency_s
 
 let test_crash_and_catchup () =
   let net = init_net () in
@@ -284,6 +326,8 @@ let suites =
         Alcotest.test_case "serial baseline" `Quick test_serial_baseline_end_to_end;
         Alcotest.test_case "conflicting submissions" `Quick test_conflicting_submissions;
         Alcotest.test_case "metrics populated" `Quick test_metrics_populated;
+        Alcotest.test_case "summary is a registry view" `Quick
+          test_summary_is_registry_view;
         Alcotest.test_case "crash and catch-up" `Quick test_crash_and_catchup;
         Alcotest.test_case "OE = EO final state" `Quick test_eo_vs_oe_same_final_state;
         Alcotest.test_case "verified query flags tampering" `Quick test_verified_query;

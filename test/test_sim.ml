@@ -234,60 +234,6 @@ let test_workload_uniform () =
   ignore (Clock.run clock);
   Alcotest.(check int) "10 arrivals" 10 (List.length !seen)
 
-let test_metrics_summary () =
-  let m = Metrics.create () in
-  Metrics.record_submit m ~time:0.;
-  Metrics.record_submit m ~time:0.;
-  Metrics.record_submit m ~time:0.;
-  Metrics.record_commit m ~submitted:0. ~now:0.5;
-  Metrics.record_commit m ~submitted:0. ~now:1.5;
-  Metrics.record_abort m;
-  Metrics.record_block_received m;
-  Metrics.record_block m ~size:2 ~bpt:0.010 ~bet:0.008 ~bct:0.002;
-  Metrics.record_tet m 0.0002;
-  Metrics.record_missing_tx m 5;
-  let s = Metrics.summarize m ~duration_s:10. in
-  Alcotest.(check (float 1e-9)) "tput" 0.2 s.Metrics.throughput_tps;
-  Alcotest.(check (float 1e-9)) "lat" 1.0 s.Metrics.avg_latency_s;
-  Alcotest.(check (float 1e-9)) "bpt ms" 10. s.Metrics.bpt_ms;
-  Alcotest.(check (float 1e-9)) "mt" 0.5 s.Metrics.mt_per_s;
-  Alcotest.(check int) "aborted" 1 s.Metrics.aborted
-
-let test_stat_percentile_edges () =
-  let empty = Metrics.Stat.create () in
-  Alcotest.(check (float 0.)) "empty p50" 0. (Metrics.Stat.percentile empty 50.);
-  Alcotest.(check (float 0.)) "empty p100" 0. (Metrics.Stat.percentile empty 100.);
-  let single = Metrics.Stat.create () in
-  Metrics.Stat.add single 42.;
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "single p%g" p)
-        42.
-        (Metrics.Stat.percentile single p))
-    [ 0.; 50.; 95.; 100. ];
-  let s = Metrics.Stat.create () in
-  List.iter (Metrics.Stat.add s) [ 5.; 1.; 3.; 2.; 4. ];
-  Alcotest.(check (float 0.)) "p0 = min" (Metrics.Stat.min s)
-    (Metrics.Stat.percentile s 0.);
-  Alcotest.(check (float 0.)) "p100 = max" (Metrics.Stat.max s)
-    (Metrics.Stat.percentile s 100.);
-  Alcotest.(check bool) "monotone" true
-    (Metrics.Stat.percentile s 25. <= Metrics.Stat.percentile s 75.);
-  (* duplicates: percentiles sit on the repeated value *)
-  let d = Metrics.Stat.create () in
-  List.iter (Metrics.Stat.add d) [ 7.; 7.; 7.; 7. ];
-  List.iter
-    (fun p ->
-      Alcotest.(check (float 0.))
-        (Printf.sprintf "dupes p%g" p)
-        7.
-        (Metrics.Stat.percentile d p))
-    [ 0.; 50.; 95.; 100. ];
-  (* samples are retained in insertion order *)
-  Alcotest.(check (list (float 0.)))
-    "samples order" [ 5.; 1.; 3.; 2.; 4. ] (Metrics.Stat.samples s)
-
 let test_cost_model_shapes () =
   let m = Cost_model.default in
   (* Calibration targets from Tables 4/5 (within 20%). *)
@@ -339,6 +285,37 @@ let test_parallel_time_makespan () =
   Alcotest.(check (float 1e-12)) "oe_bet = ceil-div form" old_form
     (Cost_model.oe_bet m ~n:100 ~tet)
 
+(* Simulation metrics are recorded into [Brdb_obs.Registry]; its [Stat]
+   histogram backs every latency and per-block percentile. *)
+let test_stat_percentile_edges () =
+  let module Stat = Brdb_obs.Registry.Stat in
+  let stat values =
+    let s = Stat.create () in
+    List.iter (Stat.add s) values;
+    s
+  in
+  let check_all msg values expected =
+    List.iter
+      (fun q ->
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "%s p%g" msg q)
+          expected
+          (Stat.percentile (stat values) q))
+      [ 0.; 50.; 95.; 100. ]
+  in
+  check_all "empty" [] 0.;
+  check_all "single" [ 42. ] 42.;
+  (* duplicates: percentiles sit on the repeated value *)
+  check_all "dupes" [ 7.; 7.; 7.; 7. ] 7.;
+  let s = stat [ 5.; 1.; 3.; 2.; 4. ] in
+  Alcotest.(check (float 0.)) "p0 = min" (Stat.min s) (Stat.percentile s 0.);
+  Alcotest.(check (float 0.)) "p100 = max" (Stat.max s) (Stat.percentile s 100.);
+  Alcotest.(check bool) "monotone" true
+    (Stat.percentile s 25. <= Stat.percentile s 75.);
+  (* samples are retained in insertion order *)
+  Alcotest.(check (list (float 0.)))
+    "samples order" [ 5.; 1.; 3.; 2.; 4. ] (Stat.samples s)
+
 let suites =
   [
     ( "sim.clock",
@@ -374,16 +351,15 @@ let suites =
         Alcotest.test_case "poisson rate" `Quick test_workload_poisson_rate;
         Alcotest.test_case "uniform" `Quick test_workload_uniform;
       ] );
-    ( "sim.metrics",
-      [
-        Alcotest.test_case "summary" `Quick test_metrics_summary;
-        Alcotest.test_case "percentile edge cases" `Quick
-          test_stat_percentile_edges;
-      ] );
     ( "sim.cost_model",
       [
         Alcotest.test_case "calibration shapes" `Quick test_cost_model_shapes;
         Alcotest.test_case "parallel_time makespan" `Quick
           test_parallel_time_makespan;
+      ] );
+    ( "sim.metrics",
+      [
+        Alcotest.test_case "percentile edge cases" `Quick
+          test_stat_percentile_edges;
       ] );
   ]

@@ -162,4 +162,17 @@ if [ -f "$core_file" ]; then
   done
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline in node_core.ml"
+# One metrics store (DESIGN.md §8): every sample lives in an
+# Obs.Registry histogram, so Stat.create has exactly one home. A second
+# sample store (a private per-peer accumulator duplicating the registry's
+# phase timings) cannot silently come back.
+stat_matches=$(grep -rnE '(^|[^[:alnum:]_])Stat\.create' "$dir" --include='*.ml' \
+  --include='*.mli' | grep -v "^$dir/obs/registry\.ml:" || true)
+if [ -n "$stat_matches" ]; then
+  echo "lint failed — Stat.create outside $dir/obs/registry.ml; record samples" >&2
+  echo "with Registry.observe so the registry stays the only metrics store:" >&2
+  echo "$stat_matches" >&2
+  exit 1
+fi
+
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline in node_core.ml; one metrics store (Stat.create only in obs/registry.ml)"
