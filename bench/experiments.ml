@@ -690,15 +690,12 @@ let bootstrap_join ~blocks ~threshold ~compaction ~seed =
               Peer.core =
                 Node_core.make_config ~name ~org:"org1"
                   ~flow:Node_core.Order_execute ~orgs:[ "org1" ] ();
-              cost = Brdb_sim.Cost_model.default;
               contract_class_of = (fun _ -> Brdb_sim.Cost_model.Simple);
               orderer_target = "orderer-1";
               peer_names;
               forward_delay_mean = 0.;
               checkpoint_interval = 4;
-              fetch_timeout = 0.05;
               sync_interval = 0.;
-              inbox_window = 64;
               snapshot_threshold = threshold;
               snapshot_chunk_size = chunk_size;
               compaction;

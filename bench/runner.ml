@@ -244,6 +244,11 @@ let peak spec ~rates =
 
 (* ---------------- ordering-service-only experiment (Fig. 8b) ------------- *)
 
+(* The ordering-only runs below measure the consensus plane, not client
+   authentication: their load client has no registered certificate, so
+   the cutters accept every submission. *)
+let accept_all _ = true
+
 (** Throughput of the ordering service alone: dummy sink peers count
     ordered transactions. *)
 let ordering_throughput ~kind ~n_orderers ~rate ~duration ~seed =
@@ -264,7 +269,8 @@ let ordering_throughput ~kind ~n_orderers ~rate ~duration ~seed =
   let _service =
     Service.create ~net ~kind ~orderer_names
       ~identity_of:(fun n -> List.assoc n identities)
-      ~rng:(Rng.split rng) ~block_size:100 ~block_timeout:1.0
+      ~rng:(Rng.split rng) ~authenticator:accept_all ~block_size:100
+      ~block_timeout:1.0
       ~peers_of:(fun o -> if o = List.hd orderer_names then [ sink ] else [])
       ()
   in
@@ -341,7 +347,8 @@ let ordering_fault_recovery ~kind ~n_orderers ~rate ~duration ~seed =
   let service =
     Service.create ~net ~kind ~orderer_names
       ~identity_of:(fun n -> List.assoc n identities)
-      ~rng:(Rng.split rng) ~block_size:50 ~block_timeout:0.1
+      ~rng:(Rng.split rng) ~authenticator:accept_all ~block_size:50
+      ~block_timeout:0.1
       ~peers_of:(fun _ -> [ sink ])
       ()
   in

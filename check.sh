@@ -6,6 +6,10 @@
 set -eu
 cd "$(dirname "$0")"
 dune build @all @lint
+# Every value a library interface exports must be used outside its own
+# module (prints each offender).
+sh tools/dead_exports.sh
+echo "dead-export check ok"
 dune runtest
 # Wall-clock benchmark smoke: all four workloads (including the executor
 # workloads eo_group and eo_sessions) at 1/20 length, with every

@@ -52,7 +52,8 @@ let () =
   let _service =
     Service.create ~net ~kind:Service.Solo ~orderer_names:[ "orderer-1" ]
       ~identity_of:(fun _ -> orderer_id)
-      ~rng:(Rng.split rng) ~block_size:50 ~block_timeout:0.1
+      ~rng:(Rng.split rng) ~authenticator:(Block.verify_tx registry)
+      ~block_size:50 ~block_timeout:0.1
       ~peers_of:(fun _ -> peer_names)
       ()
   in
@@ -65,15 +66,12 @@ let () =
               Peer.core =
                 Node_core.make_config ~name ~org:name
                   ~flow:Node_core.Execute_order ~orgs:peer_names ();
-              cost = Brdb_sim.Cost_model.default;
               contract_class_of = (fun _ -> Brdb_sim.Cost_model.Simple);
               orderer_target = "orderer-1";
               peer_names;
               forward_delay_mean = 0.;
               checkpoint_interval = 1;
-              fetch_timeout = 0.05;
               sync_interval = 0.;
-              inbox_window = 64;
               snapshot_threshold = 0;
               snapshot_chunk_size = Brdb_snapshot.Chunk.default_size;
               compaction = Brdb_snapshot.Snapshot.Archive;

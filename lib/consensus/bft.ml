@@ -8,6 +8,17 @@ module SSet = Set.Make (String)
    catch up without a separate fetch protocol. *)
 let vc_tail = 8
 
+(* Modelled CPU (s): per client transaction received, per protocol message
+   received, per message serialized for each recipient, and per block
+   assembled and signed. *)
+let tx_cpu = 0.00002
+
+let recv_cpu = 0.0012
+
+let send_cpu = 0.0006
+
+let block_cpu = 0.018
+
 type phase_state = {
   mutable block : Block.t option;
   mutable vview : int;  (** view in which the current votes are counted *)
@@ -29,11 +40,6 @@ type t = {
   cutter : Cutter.t;
   assembler : Assembler.t;
   block_timeout : float;
-  view_timeout : float;
-  tx_cpu : float;
-  recv_cpu : float;
-  send_cpu : float;
-  block_cpu : float;
   peers : string list;
   f : int;
   states : (int, phase_state) Hashtbl.t;
@@ -93,7 +99,7 @@ let send_to t dst msg =
 let send_all t msg =
   (* Serialization cost per recipient on the sender's CPU. *)
   Cpu.run t.cpu
-    ~cost:(t.send_cpu *. float_of_int (List.length t.others))
+    ~cost:(send_cpu *. float_of_int (List.length t.others))
     (fun () -> List.iter (fun dst -> send_to t dst msg) t.others)
 
 (* Undelivered work this replica knows about — what the view-change
@@ -108,7 +114,7 @@ let work_outstanding t =
    proposals re-arm timers). *)
 let rec ensure_vc_timer t =
   if
-    (not t.crashed) && t.view_timeout > 0.
+    (not t.crashed)
     && (not t.vc_armed)
     && not (String.equal t.name (primary_of t t.view))
   then begin
@@ -117,7 +123,8 @@ let rec ensure_vc_timer t =
     let epoch = t.vc_epoch in
     let snapshot = t.activity in
     let view = t.view in
-    Clock.schedule t.clock ~delay:t.view_timeout (fun () ->
+    (* the view-change timeout: 4x the block timeout *)
+    Clock.schedule t.clock ~delay:(4.0 *. t.block_timeout) (fun () ->
         if t.vc_epoch = epoch && not t.crashed then begin
           t.vc_armed <- false;
           if work_outstanding t then begin
@@ -201,7 +208,7 @@ and relay_backlog t =
     let txs = Cutter.pending_txs t.cutter in
     if txs <> [] then
       Cpu.run t.cpu
-        ~cost:(t.send_cpu *. float_of_int (List.length txs))
+        ~cost:(send_cpu *. float_of_int (List.length txs))
         (fun () ->
           let dst = primary_of t t.view in
           List.iter (fun tx -> send_to t dst (Msg.Client_tx tx)) txs)
@@ -284,7 +291,7 @@ and deliver_ready t =
   loop ()
 
 and propose_block t txs =
-  Cpu.run t.cpu ~cost:t.block_cpu (fun () ->
+  Cpu.run t.cpu ~cost:block_cpu (fun () ->
       let b = Assembler.make t.assembler txs in
       let seq = b.Block.height in
       send_all t (Msg.Bft (Msg.Pre_prepare { view = t.view; seq; block = b }));
@@ -413,7 +420,7 @@ let handle t ~src msg =
   | Msg.Client_tx tx ->
       (* Client ingestion is cheap (batched); the protocol messages below
          carry the real per-orderer cost. *)
-      Cpu.run t.cpu ~cost:t.tx_cpu (fun () ->
+      Cpu.run t.cpu ~cost:tx_cpu (fun () ->
           if is_primary t then (
             match Cutter.add t.cutter tx with
             | Cutter.Cut txs -> propose_block t txs
@@ -424,14 +431,19 @@ let handle t ~src msg =
                next primary if this one dies with it) and relay to the
                primary — once: replica-to-replica relays are not
                re-forwarded, so a stale sender cannot start a loop. *)
-            (match Cutter.stash t.cutter tx with
-            | `Stashed -> ensure_vc_timer t
-            | `Duplicate -> ());
-            if not (List.mem src t.names) then
+            let relay =
+              match Cutter.stash t.cutter tx with
+              | `Stashed ->
+                  ensure_vc_timer t;
+                  true
+              | `Duplicate -> true
+              | `Rejected -> false
+            in
+            if relay && not (List.mem src t.names) then
               send_to t (primary_of t t.view) msg
           end)
   | Msg.Bft (Msg.Pre_prepare { view; seq; block }) ->
-      Cpu.run t.cpu ~cost:(t.recv_cpu +. (t.block_cpu /. 4.)) (fun () ->
+      Cpu.run t.cpu ~cost:(recv_cpu +. (block_cpu /. 4.)) (fun () ->
           (* A proposal from the legitimate primary of a later view is
              proof the cluster moved on while we were down: adopt it. *)
           if
@@ -444,7 +456,7 @@ let handle t ~src msg =
             on_block t ~view seq block
           end)
   | Msg.Bft (Msg.Prepare { view; seq; digest }) ->
-      Cpu.run t.cpu ~cost:t.recv_cpu (fun () ->
+      Cpu.run t.cpu ~cost:recv_cpu (fun () ->
           if view = t.view && not (in_view_change t) then begin
             let s = state t seq in
             if s.delivered then (
@@ -467,7 +479,7 @@ let handle t ~src msg =
             end
           end)
   | Msg.Bft (Msg.Commit_vote { view; seq; digest }) ->
-      Cpu.run t.cpu ~cost:t.recv_cpu (fun () ->
+      Cpu.run t.cpu ~cost:recv_cpu (fun () ->
           if view = t.view && not (in_view_change t) then begin
             let s = state t seq in
             if (not s.delivered) && s.vview = view then begin
@@ -483,7 +495,7 @@ let handle t ~src msg =
             end
           end)
   | Msg.Bft (Msg.View_change { view = v; last_delivered; entries }) ->
-      Cpu.run t.cpu ~cost:t.recv_cpu (fun () ->
+      Cpu.run t.cpu ~cost:recv_cpu (fun () ->
           if v <= t.view then (
             (* straggler that missed the change we already completed *)
             match t.last_new_view with
@@ -501,7 +513,7 @@ let handle t ~src msg =
             end
           end)
   | Msg.Bft (Msg.New_view { view = v; entries }) ->
-      Cpu.run t.cpu ~cost:(t.recv_cpu +. (t.block_cpu /. 4.)) (fun () ->
+      Cpu.run t.cpu ~cost:(recv_cpu +. (block_cpu /. 4.)) (fun () ->
           if String.equal src (primary_of t v) && v >= t.view then begin
             if v > t.view then enter_view t v;
             if v = t.view then begin
@@ -512,13 +524,9 @@ let handle t ~src msg =
   | _ -> ()
 
 let create ~net ~name ~names ~identity ?auth ~block_size ~block_timeout
-    ?view_timeout ?(tx_cpu = 0.00002) ?(recv_cpu = 0.0012) ?(send_cpu = 0.0006)
-    ?(block_cpu = 0.018) ~peers () =
+    ~peers () =
   if names = [] then invalid_arg "Bft.create: no names";
   let n = List.length names in
-  let view_timeout =
-    match view_timeout with Some v -> v | None -> 4.0 *. block_timeout
-  in
   let t =
     {
       net;
@@ -531,11 +539,6 @@ let create ~net ~name ~names ~identity ?auth ~block_size ~block_timeout
       cutter = Cutter.create ?auth ~block_size ();
       assembler = Assembler.create ~identity ~metadata:"bft";
       block_timeout;
-      view_timeout;
-      tx_cpu;
-      recv_cpu;
-      send_cpu;
-      block_cpu;
       peers;
       f = (n - 1) / 3;
       states = Hashtbl.create 64;

@@ -34,9 +34,8 @@ type t
     first name is the initial primary). Call once per name with that
     node's identity and connected peers.
 
-    [view_timeout] is the watchdog delay before a silent primary is
-    voted out; it defaults to [4 * block_timeout] and [0.] disables view
-    changes entirely. *)
+    The watchdog delay before a silent primary is voted out is
+    [4 * block_timeout]. *)
 val create :
   net:Msg.Net.net ->
   name:string ->
@@ -45,19 +44,11 @@ val create :
   ?auth:(Brdb_ledger.Block.tx -> bool) ->
   block_size:int ->
   block_timeout:float ->
-  ?view_timeout:float ->
-  ?tx_cpu:float ->
-  ?recv_cpu:float ->
-  ?send_cpu:float ->
-  ?block_cpu:float ->
   peers:string list ->
   unit ->
   t
 
 (** True when this replica is the primary of its current view. *)
-val is_primary : t -> bool
-
-(** Alias for {!is_primary} (the pre-view-change name). *)
 val is_leader : t -> bool
 
 val blocks_delivered : t -> int

@@ -76,6 +76,11 @@ let cut t =
   if t.pending_count = 0 then None
   else match take t with [] -> None | txs -> Some txs
 
+(* A stashed forgery would never be delivered, so it would keep the
+   holder's view-change watchdog armed and depose every primary in turn:
+   verify it on arrival instead of at cut time. Only the rejection is
+   counted here; a stashed transaction is counted as verified when the
+   primary cuts it. *)
 let stash t tx =
   if Hashtbl.mem t.seen tx.Block.tx_id then begin
     t.replays <- t.replays + 1;
@@ -83,9 +88,14 @@ let stash t tx =
   end
   else begin
     Hashtbl.replace t.seen tx.Block.tx_id ();
-    t.pending <- tx :: t.pending;
-    t.pending_count <- t.pending_count + 1;
-    `Stashed
+    match t.auth with
+    | Some verify when not (verify tx) ->
+        t.auth_rejected <- t.auth_rejected + 1;
+        `Rejected
+    | _ ->
+        t.pending <- tx :: t.pending;
+        t.pending_count <- t.pending_count + 1;
+        `Stashed
   end
 
 let drop t ~ids =

@@ -30,8 +30,11 @@ val cut : t -> Brdb_ledger.Block.tx list option
 
 (** Buffer a transaction without ever triggering a size cut — how BFT
     replicas that are not the current primary accumulate the backlog a
-    view change may later ask them to propose (§4.4). *)
-val stash : t -> Brdb_ledger.Block.tx -> [ `Stashed | `Duplicate ]
+    view change may later ask them to propose (§4.4). With an [auth]
+    verifier the signature is checked on arrival: a forgery is counted in
+    {!auth_rejected} and dropped ([`Rejected]), so it can never sit in a
+    backlog that no primary will deliver. *)
+val stash : t -> Brdb_ledger.Block.tx -> [ `Stashed | `Duplicate | `Rejected ]
 
 (** [drop t ~ids] marks [ids] as seen and removes them from the pending
     batch (they were ordered by someone else — e.g. delivered in a block

@@ -8,18 +8,20 @@ type cluster = {
   c_net : Msg.Net.net;
   c_name : string;
   c_cpu : Cpu.t;
-  c_publish_cpu : float;
   c_orderers : string list;
   mutable c_next_offset : int;
 }
 
-let create_cluster ~net ~name ?(publish_cpu = 0.0003) ~orderers () =
+(* Modelled broker CPU per published record (s): a ≈3300 records/s
+   ceiling. *)
+let publish_cpu = 0.0003
+
+let create_cluster ~net ~name ~orderers () =
   let c =
     {
       c_net = net;
       c_name = name;
       c_cpu = Cpu.create (Msg.Net.clock net);
-      c_publish_cpu = publish_cpu;
       c_orderers = orderers;
       c_next_offset = 0;
     }
@@ -27,7 +29,7 @@ let create_cluster ~net ~name ?(publish_cpu = 0.0003) ~orderers () =
   Msg.Net.register net ~name (fun ~src:_ msg ->
       match msg with
       | Msg.Kafka_publish entry ->
-          Cpu.run c.c_cpu ~cost:c.c_publish_cpu (fun () ->
+          Cpu.run c.c_cpu ~cost:publish_cpu (fun () ->
               let offset = c.c_next_offset in
               c.c_next_offset <- offset + 1;
               let record = Msg.Kafka_record { offset; entry } in
@@ -40,8 +42,6 @@ let create_cluster ~net ~name ?(publish_cpu = 0.0003) ~orderers () =
       | _ -> ());
   c
 
-let records_published c = c.c_next_offset
-
 (* --- orderer node ------------------------------------------------------ *)
 
 type t = {
@@ -53,14 +53,17 @@ type t = {
   cutter : Cutter.t;
   assembler : Assembler.t;
   block_timeout : float;
-  tx_cpu : float;
-  block_cpu : float;
   peers : string list;
   (* In-order consumption: records can arrive jittered; buffer by offset. *)
   reorder : (int, Msg.kafka_entry) Hashtbl.t;
   mutable next_offset : int;
   mutable blocks : int;
 }
+
+(* Modelled orderer CPU per received transaction and per cut block (s). *)
+let tx_cpu = 0.00002
+
+let block_cpu = 0.001
 
 let publish t entry =
   ignore
@@ -79,7 +82,7 @@ let deliver t block =
     t.peers
 
 let cut_block t txs =
-  Cpu.run t.cpu ~cost:t.block_cpu (fun () -> deliver t (Assembler.make t.assembler txs))
+  Cpu.run t.cpu ~cost:block_cpu (fun () -> deliver t (Assembler.make t.assembler txs))
 
 let arm_timer t =
   (* Time-to-cut (§4.4): each orderer publishes a TTC record naming the
@@ -116,14 +119,14 @@ let rec drain t =
 
 let handle t ~src:_ msg =
   match msg with
-  | Msg.Client_tx tx -> Cpu.run t.cpu ~cost:t.tx_cpu (fun () -> publish t (Msg.K_tx tx))
+  | Msg.Client_tx tx -> Cpu.run t.cpu ~cost:tx_cpu (fun () -> publish t (Msg.K_tx tx))
   | Msg.Kafka_record { offset; entry } ->
       Hashtbl.replace t.reorder offset entry;
       drain t
   | _ -> ()
 
 let create_orderer ~net ~name ~identity ~cluster ?auth ~block_size ~block_timeout
-    ?(tx_cpu = 0.00002) ?(block_cpu = 0.001) ~peers () =
+    ~peers () =
   let t =
     {
       net;
@@ -134,8 +137,6 @@ let create_orderer ~net ~name ~identity ~cluster ?auth ~block_size ~block_timeou
       cutter = Cutter.create ?auth ~block_size ();
       assembler = Assembler.create ~identity ~metadata:"kafka";
       block_timeout;
-      tx_cpu;
-      block_cpu;
       peers;
       reorder = Hashtbl.create 64;
       next_offset = 0;

@@ -13,17 +13,14 @@
 
 type cluster
 
-(** [create_cluster ~net ~name ~orderers ()] — [publish_cpu] defaults to
-    0.3 ms/record (≈3300 records/s ceiling). *)
+(** [create_cluster ~net ~name ~orderers ()] — each published record
+    costs the broker 0.3 ms of CPU (≈3300 records/s ceiling). *)
 val create_cluster :
   net:Msg.Net.net ->
   name:string ->
-  ?publish_cpu:float ->
   orderers:string list ->
   unit ->
   cluster
-
-val records_published : cluster -> int
 
 type t
 
@@ -35,8 +32,6 @@ val create_orderer :
   ?auth:(Brdb_ledger.Block.tx -> bool) ->
   block_size:int ->
   block_timeout:float ->
-  ?tx_cpu:float ->
-  ?block_cpu:float ->
   peers:string list ->
   unit ->
   t

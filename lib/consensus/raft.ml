@@ -15,10 +15,6 @@ type t = {
   clock : Clock.t;
   cpu : Cpu.t;
   rng : Rng.t;
-  election_lo : float;
-  election_hi : float;
-  heartbeat : float;
-  msg_cpu : float;
   (* persistent state *)
   mutable term : int;
   mutable voted_for : string option;
@@ -42,6 +38,17 @@ type t = {
   mutable blocks : int;
   mutable elections : int;  (* times this node won an election *)
 }
+
+(* Election timeouts are drawn uniformly from [election_lo, election_hi)
+   seconds; the leader heartbeats every [heartbeat] seconds and every
+   handled message costs [msg_cpu] seconds of modelled CPU. *)
+let election_lo = 0.15
+
+let election_hi = 0.3
+
+let heartbeat = 0.05
+
+let msg_cpu = 0.00002
 
 let last_log_index t = Vec.length t.log
 
@@ -105,7 +112,7 @@ let apply_committed t =
 let rec reset_election_timer t =
   t.timer_epoch <- t.timer_epoch + 1;
   let epoch = t.timer_epoch in
-  let delay = Rng.uniform t.rng ~lo:t.election_lo ~hi:t.election_hi in
+  let delay = Rng.uniform t.rng ~lo:election_lo ~hi:election_hi in
   Clock.schedule t.clock ~delay (fun () ->
       if (not t.crashed) && t.timer_epoch = epoch && t.role <> Leader then
         start_election t)
@@ -149,7 +156,7 @@ and become_leader t =
 and heartbeat_loop t =
   if (not t.crashed) && t.role = Leader then begin
     replicate t;
-    Clock.schedule t.clock ~delay:t.heartbeat (fun () -> heartbeat_loop t)
+    Clock.schedule t.clock ~delay:heartbeat (fun () -> heartbeat_loop t)
   end
 
 and replicate t =
@@ -284,7 +291,7 @@ let handle_raft t ~src rmsg =
 
 let handle t ~src msg =
   if not t.crashed then
-    Cpu.run t.cpu ~cost:t.msg_cpu (fun () ->
+    Cpu.run t.cpu ~cost:msg_cpu (fun () ->
         if not t.crashed then
           match msg with
           | Msg.Client_tx tx -> propose t (Msg.K_tx tx)
@@ -295,9 +302,7 @@ let handle t ~src msg =
           | _ -> ())
 
 let create ~net ~name ~names ~identity ~rng ?auth ~block_size ~block_timeout
-    ?(election_timeout = (0.15, 0.3)) ?(heartbeat = 0.05) ?(msg_cpu = 0.00002)
     ~peers () =
-  let lo, hi = election_timeout in
   let t =
     {
       net;
@@ -307,10 +312,6 @@ let create ~net ~name ~names ~identity ~rng ?auth ~block_size ~block_timeout
       clock = Msg.Net.clock net;
       cpu = Cpu.create (Msg.Net.clock net);
       rng;
-      election_lo = lo;
-      election_hi = hi;
-      heartbeat;
-      msg_cpu;
       term = 0;
       voted_for = None;
       log = Vec.create ();

@@ -8,7 +8,7 @@ type handle =
 
 type t = { kind : kind; names : string list; handle : handle }
 
-let create ~net ~kind ~orderer_names ~identity_of ~rng ?authenticator ~block_size
+let create ~net ~kind ~orderer_names ~identity_of ~rng ~authenticator ~block_size
     ~block_timeout ~peers_of () =
   if orderer_names = [] then invalid_arg "Service.create: need at least one orderer";
   let handle =
@@ -16,7 +16,7 @@ let create ~net ~kind ~orderer_names ~identity_of ~rng ?authenticator ~block_siz
     | Solo ->
         let name = List.hd orderer_names in
         H_solo
-          (Solo.create ~net ~name ~identity:(identity_of name) ?auth:authenticator
+          (Solo.create ~net ~name ~identity:(identity_of name) ~auth:authenticator
              ~block_size ~block_timeout ~peers:(peers_of name) ())
     | Kafka ->
         let cluster_name = "kafka-cluster" in
@@ -27,7 +27,7 @@ let create ~net ~kind ~orderer_names ~identity_of ~rng ?authenticator ~block_siz
           List.map
             (fun name ->
               Kafka.create_orderer ~net ~name ~identity:(identity_of name)
-                ~cluster:cluster_name ?auth:authenticator ~block_size
+                ~cluster:cluster_name ~auth:authenticator ~block_size
                 ~block_timeout ~peers:(peers_of name) ())
             orderer_names
         in
@@ -38,7 +38,7 @@ let create ~net ~kind ~orderer_names ~identity_of ~rng ?authenticator ~block_siz
              (fun name ->
                Raft.create ~net ~name ~names:orderer_names
                  ~identity:(identity_of name) ~rng:(Brdb_sim.Rng.split rng)
-                 ?auth:authenticator ~block_size ~block_timeout
+                 ~auth:authenticator ~block_size ~block_timeout
                  ~peers:(peers_of name) ())
              orderer_names)
     | Bft ->
@@ -46,7 +46,7 @@ let create ~net ~kind ~orderer_names ~identity_of ~rng ?authenticator ~block_siz
           (List.map
              (fun name ->
                Bft.create ~net ~name ~names:orderer_names
-                 ~identity:(identity_of name) ?auth:authenticator ~block_size
+                 ~identity:(identity_of name) ~auth:authenticator ~block_size
                  ~block_timeout ~peers:(peers_of name) ())
              orderer_names)
   in
@@ -80,16 +80,18 @@ let queued t =
   | H_bft bs -> maxl Bft.queued bs
 
 (* Service-level auth counters: Kafka orderers each consume the full
-   cluster stream and cut identical blocks, so their per-cutter counters
-   are copies — take the max, not the sum. Raft/Bft leadership moves, so
-   counts accumulate across whichever node was cutting — sum them. *)
+   cluster stream, and every Raft node applies the full committed log, so
+   all of them cut identical blocks and their per-cutter counters are
+   copies — take the max, not the sum. Only the BFT primary cuts and the
+   primary moves with view changes, so counts accumulate across whichever
+   node was cutting — sum them. *)
 let auth_stat t ~solo ~kafka ~raft ~bft =
   let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
   let maxl f l = List.fold_left (fun acc x -> max acc (f x)) 0 l in
   match t.handle with
   | H_solo s -> solo s
   | H_kafka (_, os) -> maxl kafka os
-  | H_raft rs -> sum raft rs
+  | H_raft rs -> maxl raft rs
   | H_bft bs -> sum bft bs
 
 let auth_verified t =

@@ -14,22 +14,22 @@ type kind =
 
 type t
 
-(** [create ~net ~kind ~orderer_names ~identity_of ~rng ~block_size
-     ~block_timeout ~peers_of ()] starts all orderer nodes. [peers_of o]
-    lists the database nodes connected to orderer [o] (each peer should
-    be connected to exactly one orderer, or to [2f+1] for byzantine
-    settings — the delivery fan-out is up to the caller).
+(** [create ~net ~kind ~orderer_names ~identity_of ~rng ~authenticator
+     ~block_size ~block_timeout ~peers_of ()] starts all orderer nodes.
+    [peers_of o] lists the database nodes connected to orderer [o] (each
+    peer should be connected to exactly one orderer, or to [2f+1] for
+    byzantine settings — the delivery fan-out is up to the caller).
 
     [authenticator] is the per-transaction signature verifier every
     orderer's cutter applies in deterministic batches before cutting a
-    block (ISSUE 10); omitted, submissions are ordered unverified. *)
+    block (DESIGN.md §16). *)
 val create :
   net:Msg.Net.net ->
   kind:kind ->
   orderer_names:string list ->
   identity_of:(string -> Brdb_crypto.Identity.t) ->
   rng:Brdb_sim.Rng.t ->
-  ?authenticator:(Brdb_ledger.Block.tx -> bool) ->
+  authenticator:(Brdb_ledger.Block.tx -> bool) ->
   block_size:int ->
   block_timeout:float ->
   peers_of:(string -> string list) ->
@@ -60,20 +60,16 @@ val cut_total : t -> int
 val queued : t -> int
 
 (** Batch-authentication totals across the service (ISSUE 10):
-    transactions verified / forged-and-dropped at cut time, and duplicate
-    ids observed (replay protection). Kafka orderers cut identical blocks,
-    so their counters are maxed rather than summed. *)
+    transactions verified / forged-and-dropped at cut time (a BFT backup
+    also drops forgeries as they arrive), and duplicate ids observed
+    (replay protection). Kafka and Raft orderers all cut identical
+    blocks, so their counters are maxed rather than summed; BFT counters
+    are summed over the replicas. *)
 val auth_verified : t -> int
 
 val auth_rejected : t -> int
 
 val auth_replayed : t -> int
-
-(** Raft only: current leader if any (testing). *)
-val raft_nodes : t -> Raft.t list
-
-(** Bft only: the replica handles (testing). *)
-val bft_nodes : t -> Bft.t list
 
 (** Crash/restart one orderer node by name (Raft and Bft only; mirrors
     {!Raft.crash}/{!Bft.crash}). Returns [false] for unknown names and

@@ -10,11 +10,14 @@ type t = {
   clock : Clock.t;
   cpu : Cpu.t;
   block_timeout : float;
-  tx_cpu : float;
-  block_cpu : float;
   peers : string list;
   mutable blocks : int;
 }
+
+(* Modelled orderer CPU per received transaction and per cut block (s). *)
+let tx_cpu = 0.00002
+
+let block_cpu = 0.001
 
 let deliver t block =
   t.blocks <- t.blocks + 1;
@@ -26,7 +29,7 @@ let deliver t block =
            (Msg.Block_deliver block)))
     t.peers
 
-let cut_block t txs = Cpu.run t.cpu ~cost:t.block_cpu (fun () -> deliver t (Assembler.make t.assembler txs))
+let cut_block t txs = Cpu.run t.cpu ~cost:block_cpu (fun () -> deliver t (Assembler.make t.assembler txs))
 
 let arm_timer t =
   let epoch = Cutter.epoch t.cutter in
@@ -39,15 +42,14 @@ let arm_timer t =
 let handle t ~src:_ msg =
   match msg with
   | Msg.Client_tx tx ->
-      Cpu.run t.cpu ~cost:t.tx_cpu (fun () ->
+      Cpu.run t.cpu ~cost:tx_cpu (fun () ->
           match Cutter.add t.cutter tx with
           | Cutter.Cut txs -> cut_block t txs
           | Cutter.First -> arm_timer t
           | Cutter.Buffered | Cutter.Duplicate -> ())
   | _ -> ()
 
-let create ~net ~name ~identity ?auth ~block_size ~block_timeout ?(tx_cpu = 0.00002)
-    ?(block_cpu = 0.001) ~peers () =
+let create ~net ~name ~identity ?auth ~block_size ~block_timeout ~peers () =
   let t =
     {
       net;
@@ -57,8 +59,6 @@ let create ~net ~name ~identity ?auth ~block_size ~block_timeout ?(tx_cpu = 0.00
       clock = Msg.Net.clock net;
       cpu = Cpu.create (Msg.Net.clock net);
       block_timeout;
-      tx_cpu;
-      block_cpu;
       peers;
       blocks = 0;
     }

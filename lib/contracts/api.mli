@@ -13,8 +13,6 @@ type hooks = {
       (** register (Some pk) or remove (None) a user credential *)
 }
 
-val no_hooks : hooks
-
 type t = {
   catalog : Brdb_storage.Catalog.t;
   txn : Brdb_txn.Txn.t;

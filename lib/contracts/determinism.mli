@@ -5,8 +5,6 @@
     system information), [LIMIT]/[FETCH] without a total [ORDER BY], and
     references to row-header pseudo-columns outside provenance mode. *)
 
-val forbidden_functions : string list
-
 (** Check one statement. *)
 val check_stmt : Brdb_sql.Ast.stmt -> (unit, string) result
 

@@ -23,7 +23,6 @@ type config = {
   block_size : int;
   block_timeout : float;
   link : Network.link;
-  cost : Cost_model.t;
   contract_class_of : string -> Cost_model.contract_class;
   forward_delay_mean : float;
   seed : int;
@@ -46,20 +45,6 @@ type config = {
           decisions, write-set hashes and state digests are identical —
           only modelled block-validation time and the sys.validation /
           validation.* metrics change. *)
-  health_interval : float;
-      (** tick period of the streaming health plane (ISSUE 9, DESIGN.md
-          §15): every [health_interval] simulated seconds the shared
-          {!Brdb_obs.Health} engine samples cluster state and evaluates
-          its detectors. 0 disables the engine. Ticks only read state and
-          draw no rng, so enabling them never changes committed state,
-          hashes or decisions. *)
-  health_thresholds : Brdb_obs.Health.thresholds;  (** detector tuning *)
-  authenticate : bool;
-      (** cut-time batch signature verification at the ordering service
-          (ISSUE 10): orderers verify every submission's Schnorr
-          signature against the shared certificate registry before it can
-          enter a block, dropping forgeries. On by default — clients sign
-          every submission, so clean runs are unaffected. *)
 }
 
 let default_config () =
@@ -71,7 +56,6 @@ let default_config () =
     block_size = 100;
     block_timeout = 1.0;
     link = Network.lan_link;
-    cost = Cost_model.default;
     contract_class_of = (fun _ -> Cost_model.Simple);
     forward_delay_mean = 0.;
     seed = 42;
@@ -79,10 +63,11 @@ let default_config () =
     snapshot_threshold = 0;
     compaction = Brdb_snapshot.Snapshot.Archive;
     parallel_validation = false;
-    health_interval = 0.1;
-    health_thresholds = Brdb_obs.Health.default_thresholds;
-    authenticate = true;
   }
+
+(* Tick period of the streaming health plane (DESIGN.md §15), in
+   simulated seconds. *)
+let health_interval = 0.1
 
 type final_status = Committed | Aborted of string | Rejected of string
 
@@ -112,7 +97,6 @@ type t = {
   majority : int;
   mutable submit_rr : int;
   mutable seq : int;
-  mutable decided : int;
   mutable decision_listeners : (tx_id:string -> final_status -> unit) list;
   (* sys.clients rows, installed by the client-plane hub (Brdb_client);
      the registration lives here so the sys.* name stays inside the
@@ -123,6 +107,11 @@ type t = {
 let peer_name org = "db-" ^ org
 
 let orderer_name i = Printf.sprintf "orderer-%d" (i + 1)
+
+let decided_count t =
+  let cluster = Reg.counter (Obs.metrics t.obs) ~node:"cluster" in
+  cluster "decided.committed" + cluster "decided.aborted"
+  + cluster "decided.rejected"
 
 let track_final t tx_id status now =
   match Hashtbl.find_opt t.tracks tx_id with
@@ -137,7 +126,6 @@ let track_final t tx_id status now =
       | None ->
           let decide final =
             track.final <- Some final;
-            t.decided <- t.decided + 1;
             (match final with
             | Committed -> Reg.incr (Obs.metrics t.obs) ~node:"cluster" "decided.committed"
             | Aborted _ -> Reg.incr (Obs.metrics t.obs) ~node:"cluster" "decided.aborted"
@@ -218,46 +206,32 @@ let create config =
   let peers_of o =
     List.filter (fun p -> String.equal (orderer_of_peer p) o) peer_names
   in
-  let authenticator =
-    (* Deterministic: Block.verify_tx is a pure function of (tx bytes,
-       registry), and the registry is identical on every orderer. *)
-    if config.authenticate then Some (fun tx -> Block.verify_tx registry tx)
-    else None
-  in
+  (* Cut-time authentication is deterministic: Block.verify_tx is a pure
+     function of (tx bytes, registry), and the registry is identical on
+     every orderer. *)
   let service =
     Service.create ~net ~kind:config.ordering ~orderer_names
       ~identity_of:(fun name -> List.assoc name orderer_identities)
-      ~rng:(Rng.split rng) ?authenticator ~block_size:config.block_size
+      ~rng:(Rng.split rng) ~authenticator:(Block.verify_tx registry)
+      ~block_size:config.block_size
       ~block_timeout:config.block_timeout ~peers_of ()
   in
   let peers =
     List.map
       (fun org ->
-        let core_config =
-          {
-            Node_core.name = peer_name org;
-            org;
-            flow = config.flow;
-            require_index = false;
-            orgs = config.orgs;
-            atomic_commit = false;
-          }
-        in
         Peer.create ~net ~obs
           {
-            Peer.core = core_config;
-            cost = config.cost;
+            Peer.core =
+              Node_core.make_config ~name:(peer_name org) ~org
+                ~flow:config.flow ~orgs:config.orgs ();
             contract_class_of = config.contract_class_of;
             orderer_target = orderer_of_peer (peer_name org);
             peer_names;
             forward_delay_mean = config.forward_delay_mean;
             checkpoint_interval = 1;
-            (* §3.6 catch-up: retry base 50 ms, anti-entropy probe every
-               250 ms (safe here — the clock is always run bounded),
-               buffer at most 64 out-of-order blocks *)
-            fetch_timeout = 0.05;
+            (* §3.6 anti-entropy probe every 250 ms (safe here — the
+               clock is always run bounded) *)
             sync_interval = 0.25;
-            inbox_window = 64;
             snapshot_threshold = config.snapshot_threshold;
             snapshot_chunk_size = Brdb_snapshot.Chunk.default_size;
             compaction = config.compaction;
@@ -276,14 +250,13 @@ let create config =
       service;
       admins;
       obs;
-      health = Brdb_obs.Health.create ~thresholds:config.health_thresholds ();
+      health = Health.create ();
       submit_ts = Hashtbl.create 1024;
       seen_heights = Hashtbl.create 256;
       tracks = Hashtbl.create 1024;
       majority = (List.length peer_names / 2) + 1;
       submit_rr = 0;
       seq = 0;
-      decided = 0;
       decision_listeners = [];
       client_rows = (fun () -> []);
     }
@@ -386,7 +359,7 @@ let create config =
          submission swallowed by the network is not work the ordering
          service is failing to cut *)
       s_pending = Service.queued t.service;
-      s_decided = t.decided;
+      s_decided = decided_count t;
       s_aborted =
         Reg.counter reg ~node:"cluster" "decided.aborted"
         + Reg.counter reg ~node:"cluster" "decided.rejected";
@@ -410,38 +383,36 @@ let create config =
       Brdb_storage.Catalog.register_virtual cat ~name:"sys.detectors"
         ~columns:Brdb_obs.Sysview.detectors_columns ~rows:detector_rows)
     peers;
-  if config.health_interval > 0. then begin
-    let rec health_tick () =
-      Clock.schedule clock ~delay:config.health_interval (fun () ->
-          let transitions = Health.observe t.health (health_sample ()) in
-          let reg = Obs.metrics t.obs in
-          List.iter
-            (fun (al : Health.alert) ->
-              let id = Health.detector_id al.Health.al_detector in
-              (match al.Health.al_transition with
-              | Health.Fire ->
-                  Reg.incr reg ~node:"health" "alerts.fired";
-                  Reg.incr reg ~node:"health" ("alerts.fired." ^ id)
-              | Health.Clear ->
-                  Reg.incr reg ~node:"health" "alerts.cleared");
-              let tr = Obs.trace t.obs in
-              if Trace.enabled tr then
-                Trace.instant tr ~node:"health" ~track:"alerts" ~cat:"alert"
-                  ~name:(id ^ "." ^ Health.transition_name al.al_transition)
-                  ~span:(Printf.sprintf "alert/%s/%d" id al.al_seq)
-                  ~args:
-                    [
-                      ("subject", Trace.S al.al_subject);
-                      ("severity", Trace.S (Health.severity_name al.al_severity));
-                      ("height", Trace.I al.al_height);
-                      ("evidence", Trace.S al.al_evidence);
-                    ]
-                  ())
-            transitions;
-          health_tick ())
-    in
-    health_tick ()
-  end;
+  let rec health_tick () =
+    Clock.schedule clock ~delay:health_interval (fun () ->
+        let transitions = Health.observe t.health (health_sample ()) in
+        let reg = Obs.metrics t.obs in
+        List.iter
+          (fun (al : Health.alert) ->
+            let id = Health.detector_id al.Health.al_detector in
+            (match al.Health.al_transition with
+            | Health.Fire ->
+                Reg.incr reg ~node:"health" "alerts.fired";
+                Reg.incr reg ~node:"health" ("alerts.fired." ^ id)
+            | Health.Clear ->
+                Reg.incr reg ~node:"health" "alerts.cleared");
+            let tr = Obs.trace t.obs in
+            if Trace.enabled tr then
+              Trace.instant tr ~node:"health" ~track:"alerts" ~cat:"alert"
+                ~name:(id ^ "." ^ Health.transition_name al.al_transition)
+                ~span:(Printf.sprintf "alert/%s/%d" id al.al_seq)
+                ~args:
+                  [
+                    ("subject", Trace.S al.al_subject);
+                    ("severity", Trace.S (Health.severity_name al.al_severity));
+                    ("height", Trace.I al.al_height);
+                    ("evidence", Trace.S al.al_evidence);
+                  ]
+                ())
+          transitions;
+        health_tick ())
+  in
+  health_tick ();
   (* Ordering-phase visibility without touching the four consensus
      implementations: watch the first Block_deliver broadcast of each
      height on the network tap. The tap fires after the send outcome is
@@ -694,7 +665,7 @@ let explain_analyze t ?(node = 0) ?params sql =
   (* Per-row operator time is modelled from the calibrated cost model:
      tet_simple is the charge for a ~100-row contract statement, so a
      visited version costs tet_simple / 100 seconds of simulated time. *)
-  let row_cost = t.config.cost.Cost_model.tet_simple /. 100. in
+  let row_cost = Cost_model.default.Cost_model.tet_simple /. 100. in
   Node_core.explain_analyze (Peer.core (peer t node)) ?params ~row_cost sql
 
 let verified_query t ?params sql =
@@ -780,8 +751,6 @@ let summary t ~duration_s =
   }
 
 let submitted_count t = Hashtbl.length t.tracks
-
-let decided_count t = t.decided
 
 let obs t = t.obs
 

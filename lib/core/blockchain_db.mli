@@ -28,7 +28,6 @@ type config = {
   block_size : int;
   block_timeout : float;  (** seconds *)
   link : Brdb_sim.Network.link;  (** LAN or WAN deployment (§5.3) *)
-  cost : Brdb_sim.Cost_model.t;
   contract_class_of : string -> Brdb_sim.Cost_model.contract_class;
   forward_delay_mean : float;  (** EO middleware replication delay (s) *)
   seed : int;
@@ -56,28 +55,6 @@ type config = {
           decisions, write-set hashes and per-block state digests are
           byte-identical either way; only the modelled block-validation
           time and the sys.validation / validation.* metrics change. *)
-  health_interval : float;
-      (** tick period of the streaming health plane (ISSUE 9, DESIGN.md
-          §15): every [health_interval] simulated seconds one shared
-          {!Brdb_obs.Health} engine samples deterministic cluster state
-          (peer heights, consensus churn, decision totals, digest
-          agreement) and evaluates its anomaly detectors, surfacing the
-          results as [sys.alerts]/[sys.detectors] on every node,
-          [alerts.*] metrics and (when tracing) alert trace spans.
-          Defaults to 0.1 s; 0 disables. Ticks only read state and draw
-          no rng, so they never change committed state, hashes or
-          decisions. *)
-  health_thresholds : Brdb_obs.Health.thresholds;
-      (** detector tuning; {!Brdb_obs.Health.default_thresholds} keeps
-          fault-free runs silent across seeds. *)
-  authenticate : bool;
-      (** cut-time batch signature verification at the ordering service
-          (ISSUE 10): every orderer's cutter verifies submission
-          signatures against the shared certificate registry in
-          deterministic batches before cutting a block, dropping
-          forgeries ([auth.*] metrics, [Auth_rejection_burst] detector).
-          On by default; clients sign every submission, so clean runs
-          cut byte-identical blocks either way. *)
 }
 
 (** 3 orgs, order-then-execute, solo orderer, block size 100, 1 s timeout,
@@ -86,6 +63,14 @@ val default_config : unit -> config
 
 type t
 
+(** [create config] starts the network. What [config] does not name is
+    fixed: every peer charges {!Brdb_sim.Cost_model.default} (calibrated
+    once against Tables 4/5), the shared {!health} engine ticks every
+    0.1 simulated seconds, and every orderer verifies submission
+    signatures against {!registry} in deterministic batches at cut time,
+    dropping forgeries ([auth.*] metrics). Health ticks only read state
+    and draw no rng, so they never change committed state, hashes or
+    decisions. *)
 val create : config -> t
 
 val clock : t -> Brdb_sim.Clock.t
@@ -213,9 +198,12 @@ type summary = {
     [phase.*_ms] metrics, with rates taken over [duration_s]. *)
 val summary : t -> duration_s:float -> summary
 
-(** Transactions submitted / decided so far. *)
+(** Transactions submitted so far. *)
 val submitted_count : t -> int
 
+(** Transactions decided so far: the sum of the cluster's
+    [decided.committed], [decided.aborted] and [decided.rejected]
+    counters. *)
 val decided_count : t -> int
 
 (** The deployment's observability bundle: the shared metrics registry

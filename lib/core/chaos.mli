@@ -91,8 +91,6 @@ type fault =
   | Client_forge  (** client signature mangling ([client_forge]) *)
   | Snapshot_corruption  (** chunk payload mangling ([snap_corrupt]) *)
 
-val all_faults : fault list
-
 (** Stable id: ["message_loss"], ["node_crash"], … *)
 val fault_id : fault -> string
 

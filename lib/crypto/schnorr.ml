@@ -48,5 +48,3 @@ let signature_of_string str =
       with
       | Some e, Some s -> Some { e; s }
       | _ -> None)
-
-let public_key_to_string pk = Printf.sprintf "%Lx" pk

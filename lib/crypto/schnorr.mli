@@ -28,5 +28,3 @@ val verify : public_key -> string -> signature -> bool
 val signature_to_string : signature -> string
 
 val signature_of_string : string -> signature option
-
-val public_key_to_string : public_key -> string

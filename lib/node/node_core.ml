@@ -21,14 +21,12 @@ type config = {
   name : string;
   org : string;
   flow : flow;
-  require_index : bool;
   orgs : string list;
   atomic_commit : bool;
 }
 
-let make_config ~name ~org ~flow ?(require_index = false) ?(atomic_commit = false)
-    ~orgs () =
-  { name; org; flow; require_index; orgs; atomic_commit }
+let make_config ~name ~org ~flow ?(atomic_commit = false) ~orgs () =
+  { name; org; flow; orgs; atomic_commit }
 
 type tx_status = S_committed | S_aborted of Txn.abort_reason | S_rejected of string
 
@@ -173,8 +171,6 @@ let block_store t = t.store
 let identity_registry t = t.registry
 
 let height t = Block_store.height t.store
-
-let strict_reads t = t.config.flow = Execute_order || t.config.require_index
 
 (* --- sys.* introspection views (DESIGN.md §10) ------------------------------- *)
 
@@ -477,7 +473,8 @@ let run_contract t txn (tx : Block.tx) =
       in
       let mode =
         {
-          Exec.require_index = (not is_system) && strict_reads t;
+          Exec.require_index =
+            (not is_system) && t.config.flow = Execute_order;
           allow_ddl;
           (* Contracts must stay pure functions of (block stream, contract
              registry); node-local sys.* views are for clients only. *)

@@ -14,8 +14,8 @@ type config = {
   name : string;  (** network node name, e.g. ["db-org1"] *)
   org : string;
   flow : flow;
-  require_index : bool;
-      (** force index-only predicate reads; always on for {!Execute_order} *)
+      (** {!Execute_order} also restricts contract predicate reads to
+          index lookups (§4.3) *)
   orgs : string list;  (** all organizations (governance quorum) *)
   atomic_commit : bool;
       (** §3.6 remark: commit the whole block as one atomic unit. Commit
@@ -24,12 +24,11 @@ type config = {
           committed block and always takes the simple re-execute path. *)
 }
 
-(** [config] with [require_index = false] and [atomic_commit = false]. *)
+(** [config] with [atomic_commit = false] unless given. *)
 val make_config :
   name:string ->
   org:string ->
   flow:flow ->
-  ?require_index:bool ->
   ?atomic_commit:bool ->
   orgs:string list ->
   unit ->

@@ -14,20 +14,26 @@ module Abort_class = Brdb_obs.Abort_class
 
 type config = {
   core : Node_core.config;
-  cost : Cost_model.t;
   contract_class_of : string -> Cost_model.contract_class;
   orderer_target : string;
   peer_names : string list;
   forward_delay_mean : float;
   checkpoint_interval : int;
-  fetch_timeout : float;
   sync_interval : float;
-  inbox_window : int;
   snapshot_threshold : int;
   snapshot_chunk_size : int;
   compaction : Snapshot.compaction;
   parallel_validation : bool;
 }
+
+(* Every peer charges the calibrated Tables 4/5 cost model. *)
+let cost = Cost_model.default
+
+(* Base retry timeout of §3.6 block catch-up and §11 snapshot transfer
+   requests (s); each fruitless attempt doubles it, capped at 8x. *)
+let fetch_timeout = 0.05
+
+let inbox_window = 64
 
 (* Blocks returned per {!Msg.Fetch_blocks} request. *)
 let fetch_batch = 32
@@ -54,7 +60,6 @@ type t = {
   (* EO transactions whose snapshot is above our height *)
   mutable deferred : Block.tx list;
   mutable listeners : (tx_id:string -> status:Node_core.tx_status -> unit) list;
-  mutable blocks_done : int;
   mutable crashed : bool;
   mutable processing : bool;
   (* write-set hashes accumulated since the last checkpoint *)
@@ -69,11 +74,6 @@ type t = {
   mutable fetch_backoff : float;
   mutable fetch_attempts : int;
   mutable fetch_rotation : int;
-  mutable fetch_requests : int;
-  mutable fetched_blocks : int;
-  (* §4.4 authenticated delivery: blocks refused at the door (bad hash,
-     missing/forged orderer signature, or an equivocating sibling) *)
-  mutable blocks_rejected : int;
   (* a crash point to inject into the next block (§3.6 testing) *)
   mutable pending_crash : Node_core.crash_point option;
   (* executor counter values already pushed to the registry, so each
@@ -123,13 +123,13 @@ let mobserve t m v = Reg.observe (reg t) ~node:(name t) m v
 
 let checkpoints t = t.checkpoints
 
-let blocks_processed t = t.blocks_done
+let mcounter t m = Reg.counter (reg t) ~node:(name t) m
 
-let fetch_requests t = t.fetch_requests
+let fetch_requests t = mcounter t "fetch.requests"
 
-let fetched_blocks t = t.fetched_blocks
+let fetched_blocks t = mcounter t "fetch.blocks"
 
-let blocks_rejected t = t.blocks_rejected
+let blocks_rejected t = mcounter t "block.rejected"
 
 let inbox_size t = Hashtbl.length t.inbox
 
@@ -149,7 +149,7 @@ let send t dst msg =
   ignore (Msg.Net.send t.net ~src:(name t) ~dst ~size_bytes:(Msg.size msg) msg)
 
 let tet_of t (tx : Block.tx) =
-  Cost_model.tet t.config.cost (t.config.contract_class_of tx.Block.tx_contract)
+  Cost_model.tet cost (t.config.contract_class_of tx.Block.tx_contract)
 
 (* --- EO execution phase -------------------------------------------------- *)
 
@@ -157,7 +157,7 @@ let try_pre_execute t (tx : Block.tx) =
   match Node_core.pre_execute t.core tx with
   | Ok () ->
       let active = Brdb_txn.Manager.pending_count (Node_core.manager t.core) in
-      let tet = Cost_model.eo_tet t.config.cost ~tet:(tet_of t tx) ~active in
+      let tet = Cost_model.eo_tet cost ~tet:(tet_of t tx) ~active in
       mincr t "eo.pre_executed";
       mobserve t "phase.tet_ms" (tet *. 1000.);
       `Executed
@@ -214,7 +214,7 @@ let cancel_fetch t =
 
 let reset_fetch t =
   cancel_fetch t;
-  t.fetch_backoff <- t.config.fetch_timeout;
+  t.fetch_backoff <- fetch_timeout;
   t.fetch_attempts <- 0
 
 (* One retry tick of the active fetch session: ask a rotating source peer
@@ -232,7 +232,6 @@ let rec fetch_tick t seq ~blind =
         let dst = List.nth others (t.fetch_rotation mod n) in
         t.fetch_rotation <- t.fetch_rotation + 1;
         t.fetch_attempts <- t.fetch_attempts + 1;
-        t.fetch_requests <- t.fetch_requests + 1;
         mincr t "fetch.requests";
         Trace.instant (tracer t) ~node:(name t) ~track:"fetch" ~cat:"fetch"
           ~name:"fetch.request"
@@ -247,7 +246,7 @@ let rec fetch_tick t seq ~blind =
         send t dst (Msg.Fetch_blocks { from_height = Node_core.height t.core + 1 });
         let delay = t.fetch_backoff in
         t.fetch_backoff <-
-          Float.min (t.fetch_backoff *. 2.) (t.config.fetch_timeout *. 8.);
+          Float.min (t.fetch_backoff *. 2.) (fetch_timeout *. 8.);
         Clock.schedule t.clock ~delay (fun () -> fetch_tick t seq ~blind)
       end
     end
@@ -258,12 +257,11 @@ let rec fetch_tick t seq ~blind =
    missed block (restart / periodic anti-entropy); [delay] defers the
    first tick so in-flight deliveries can close the gap silently. *)
 let arm_fetch ?(blind = false) ?(delay = 0.) t =
-  if (not t.fetch_armed) && (not t.crashed) && t.config.fetch_timeout > 0.
-  then begin
+  if (not t.fetch_armed) && not t.crashed then begin
     t.fetch_armed <- true;
     t.fetch_seq <- t.fetch_seq + 1;
     t.fetch_attempts <- 0;
-    t.fetch_backoff <- t.config.fetch_timeout;
+    t.fetch_backoff <- fetch_timeout;
     let seq = t.fetch_seq in
     if delay <= 0. then fetch_tick t seq ~blind
     else Clock.schedule t.clock ~delay (fun () -> fetch_tick t seq ~blind)
@@ -280,14 +278,13 @@ let arm_fetch ?(blind = false) ?(delay = 0.) t =
    honest source (§3.6 machinery); hash-chain linkage itself is enforced
    once more at append time (`Broken_chain`). *)
 let reject_block t ~why =
-  t.blocks_rejected <- t.blocks_rejected + 1;
   mincr t "block.rejected";
   mincr t ("block.rejected." ^ why);
   Trace.instant (tracer t) ~node:(name t) ~track:"block" ~cat:"chaos"
     ~name:"block.rejected"
     ~args:[ ("why", Trace.S why) ]
     ();
-  arm_fetch t ~blind:true ~delay:t.config.fetch_timeout
+  arm_fetch t ~blind:true ~delay:fetch_timeout
 
 let admit_block t (block : Block.t) =
   if not (Block.verify (Node_core.identity_registry t.core) block) then begin
@@ -375,7 +372,7 @@ let rec snap_tick t seq =
           if !resent > 0 then mincr t "snapshot.chunks_retried" ~by:!resent);
       let delay = t.snap_backoff in
       t.snap_backoff <-
-        Float.min (t.snap_backoff *. 2.) (t.config.fetch_timeout *. 8.);
+        Float.min (t.snap_backoff *. 2.) (fetch_timeout *. 8.);
       Clock.schedule t.clock ~delay (fun () -> snap_tick t seq)
     end
   end
@@ -385,22 +382,20 @@ let rec snap_tick t seq =
 let snap_progress t =
   t.snap_seq <- t.snap_seq + 1;
   t.snap_attempts <- 0;
-  t.snap_backoff <- t.config.fetch_timeout;
+  t.snap_backoff <- fetch_timeout;
   let seq = t.snap_seq in
   Clock.schedule t.clock ~delay:t.snap_backoff (fun () -> snap_tick t seq)
 
 let arm_snapshot t =
   if
-    (not t.snap_armed) && (not t.crashed)
-    && t.config.fetch_timeout > 0.
-    && t.config.snapshot_threshold > 0
+    (not t.snap_armed) && (not t.crashed) && t.config.snapshot_threshold > 0
   then begin
     (* the snapshot covers everything a block fetch would bring *)
     cancel_fetch t;
     t.snap_armed <- true;
     t.snap_seq <- t.snap_seq + 1;
     t.snap_attempts <- 0;
-    t.snap_backoff <- t.config.fetch_timeout;
+    t.snap_backoff <- fetch_timeout;
     t.snap_manifest <- None;
     t.snap_parts <- [||];
     t.snap_received <- 0;
@@ -412,7 +407,7 @@ let arm_snapshot t =
 
 let maybe_arm_fetch t =
   if wants_snapshot t then arm_snapshot t
-  else if needs_fetch t then arm_fetch t ~delay:t.config.fetch_timeout
+  else if needs_fetch t then arm_fetch t ~delay:fetch_timeout
 
 (* Serve a catch-up request from our block store (bounded batch). *)
 let serve_fetch t ~src ~from_height =
@@ -439,7 +434,6 @@ let serve_fetch t ~src ~from_height =
 
 let block_times t (block : Block.t) ~missing =
   let n = List.length block.Block.txs in
-  let cost = t.config.cost in
   let tet_avg =
     match block.Block.txs with
     | [] -> 0.
@@ -469,7 +463,6 @@ let block_times t (block : Block.t) ~missing =
    ran (rejects) cost nothing; EO positions validated but not re-executed
    cost only the check. *)
 let wave_job_costs t (block : Block.t) (result : Node_core.block_result) =
-  let cost = t.config.cost in
   let fresh = result.Node_core.br_fresh in
   let statuses = Array.of_list result.Node_core.br_statuses in
   let flow = t.config.core.Node_core.flow in
@@ -528,7 +521,6 @@ let publish_exec_totals t =
    recovery path ({!restart} re-accounting a §3.6 repaired block):
    client notifications, abort metrics, checkpointing, deferred EO txs. *)
 let finish_block t (result : Node_core.block_result) =
-  t.blocks_done <- t.blocks_done + 1;
   publish_exec_totals t;
   let tr = tracer t in
   let node = name t in
@@ -650,19 +642,16 @@ let rec process_ready t =
                    drop it, count it, and re-fetch the height from an
                    honest source. *)
                 t.processing <- false;
-                t.blocks_rejected <- t.blocks_rejected + 1;
                 mincr t "block.rejected";
                 mincr t "block.rejected.chain";
                 process_ready t;
                 if not t.crashed then
-                  arm_fetch t ~blind:true ~delay:t.config.fetch_timeout
+                  arm_fetch t ~blind:true ~delay:fetch_timeout
             | Ok result ->
                 let serial_bet, bct =
                   block_times t block ~missing:result.Node_core.br_missing
                 in
-                let block_const =
-                  t.config.cost.Brdb_sim.Cost_model.block_const
-                in
+                let block_const = cost.Cost_model.block_const in
                 if t.config.core.Node_core.flow = Node_core.Order_execute then
                   List.iter
                     (fun tx ->
@@ -688,9 +677,7 @@ let rec process_ready t =
                           const + bet + bct) *)
                        let h = result.Node_core.br_height in
                        let ts0 = Clock.now t.clock -. bpt in
-                       let const =
-                         t.config.cost.Brdb_sim.Cost_model.block_const
-                       in
+                       let const = cost.Cost_model.block_const in
                        let node = name t in
                        let block_span = Printf.sprintf "block/%d" h in
                        Trace.complete tr ~node ~track:"block" ~cat:"block"
@@ -775,7 +762,7 @@ let block_is_new t (block : Block.t) =
   block.Block.height >= next
   (* bounded inbox: blocks beyond the reorder window are not buffered —
      catch-up re-fetches them once the gap closes *)
-  && block.Block.height < next + t.config.inbox_window
+  && block.Block.height < next + inbox_window
   && not (Hashtbl.mem t.inbox block.Block.height)
 
 let handle_blocks_reply t blocks =
@@ -785,7 +772,6 @@ let handle_blocks_reply t blocks =
       if admit_block t b then begin
         note_height t b.Block.height;
         if block_is_new t b then begin
-          t.fetched_blocks <- t.fetched_blocks + 1;
           mincr t "fetch.blocks";
           Hashtbl.replace t.inbox b.Block.height b;
           progress := true
@@ -813,7 +799,7 @@ let handle_blocks_reply t blocks =
          just buffered can be processed first); an empty-handed probe
          disarms after one tick. *)
       if List.length blocks >= fetch_batch && not (needs_fetch t) then
-        arm_fetch t ~blind:true ~delay:t.config.fetch_timeout
+        arm_fetch t ~blind:true ~delay:fetch_timeout
     end
   end
 
@@ -1106,7 +1092,7 @@ let create ~net ?obs (config : config) ~registry =
             (if
                config.parallel_validation
                && config.core.Node_core.flow <> Node_core.Serial_baseline
-             then config.cost.Cost_model.cores
+             then cost.Cost_model.cores
              else 1)
           clock;
       core;
@@ -1115,24 +1101,20 @@ let create ~net ?obs (config : config) ~registry =
       inbox = Hashtbl.create 32;
       deferred = [];
       listeners = [];
-      blocks_done = 0;
       crashed = false;
       processing = false;
       pending_hashes = [];
       known_height = 0;
       fetch_armed = false;
       fetch_seq = 0;
-      fetch_backoff = config.fetch_timeout;
+      fetch_backoff = fetch_timeout;
       fetch_attempts = 0;
       fetch_rotation = 0;
-      fetch_requests = 0;
-      fetched_blocks = 0;
-      blocks_rejected = 0;
       pending_crash = None;
       exec_published = [];
       snap_armed = false;
       snap_seq = 0;
-      snap_backoff = config.fetch_timeout;
+      snap_backoff = fetch_timeout;
       snap_attempts = 0;
       snap_rotation = 0;
       snap_manifest = None;
@@ -1150,7 +1132,7 @@ let create ~net ?obs (config : config) ~registry =
   (* sys.transactions models per-tx execution time with the same cost
      model the simulation charges (tet by contract class). *)
   Node_core.set_tet_model core (fun contract ->
-      Cost_model.tet config.cost (config.contract_class_of contract));
+      Cost_model.tet cost (config.contract_class_of contract));
   (* sys.metrics: a registry snapshot rendered through the fixed
      {!Brdb_obs.Sysview} schema. Node-local facts — readable by clients,
      never by contracts (the executor refuses sys reads during block

@@ -20,11 +20,14 @@
       manifest, fetches content-addressed chunks (verified one by one,
       rotating away from sources that send corrupt or no data), installs
       the state atomically under the WAL guard, then switches to normal
-      block catch-up for the remainder. *)
+      block catch-up for the remainder.
+
+    Every peer charges {!Brdb_sim.Cost_model.default}, the cost model
+    calibrated once against Tables 4/5. Catch-up and snapshot requests
+    retry after 50 ms, doubling per fruitless attempt up to 8x. *)
 
 type config = {
   core : Node_core.config;
-  cost : Brdb_sim.Cost_model.t;
   contract_class_of : string -> Brdb_sim.Cost_model.contract_class;
   orderer_target : string;  (** where EO peers forward transactions *)
   peer_names : string list;  (** every database node, including this one *)
@@ -36,18 +39,11 @@ type config = {
       (** gossip a checkpoint hash every N blocks (§3.3.4: "it is not
           necessary to record a checkpoint every block"); the hash covers
           the write sets of all blocks since the previous checkpoint. *)
-  fetch_timeout : float;
-      (** base retry timeout for block catch-up requests; each fruitless
-          attempt doubles it (capped at 8x). 0 disables catch-up. *)
   sync_interval : float;
       (** period of the anti-entropy probe that lets a fully-silenced peer
           (every delivery and gossip message lost) discover missed blocks.
           0 disables it — required for drivers that run the clock until
           the event queue drains, since the probe reschedules forever. *)
-  inbox_window : int;
-      (** out-of-order blocks are buffered only within this many heights
-          of the next needed block; anything farther is dropped (bounded
-          memory) and recovered by catch-up once the gap closes. *)
   snapshot_threshold : int;
       (** a height gap strictly greater than this bootstraps from a peer
           snapshot instead of replaying blocks (DESIGN.md §11); a gap
@@ -66,6 +62,11 @@ type config = {
           (OE/EO): {!Brdb_sim.Cpu.run_waves} packs the waves onto the cost
           model's [cores] and fills sys.validation. *)
 }
+
+(** Out-of-order blocks are buffered only within this many heights of
+    the next needed block (64); anything farther is dropped (bounded
+    memory) and recovered by catch-up once the gap closes. *)
+val inbox_window : int
 
 type t
 
@@ -95,19 +96,19 @@ val checkpoints : t -> Brdb_ledger.Checkpoint.t
     status on this node (at the block's simulated completion time). *)
 val on_final : t -> (tx_id:string -> status:Node_core.tx_status -> unit) -> unit
 
-(** Number of blocks fully processed. *)
-val blocks_processed : t -> int
-
-(** Catch-up requests sent so far (diagnostics). *)
+(** Catch-up requests sent so far: this node's [fetch.requests]
+    counter. *)
 val fetch_requests : t -> int
 
-(** Blocks obtained through catch-up (rather than direct delivery). *)
+(** Blocks obtained through catch-up (rather than direct delivery): this
+    node's [fetch.blocks] counter. *)
 val fetched_blocks : t -> int
 
 (** Blocks refused at admission (§4.4 authenticated delivery): failed
     hash/signature verification, an equivocating sibling for an occupied
     height, or a broken chain link at append. Each rejection arms §3.6
-    catch-up so the height is re-fetched from an honest source. *)
+    catch-up so the height is re-fetched from an honest source. This
+    node's [block.rejected] counter. *)
 val blocks_rejected : t -> int
 
 (** Out-of-order blocks currently buffered (bounded by [inbox_window]). *)

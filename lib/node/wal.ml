@@ -14,12 +14,6 @@ let append t ~txid ~height status = Hashtbl.replace t.by_txid txid (height, stat
 
 let find t ~txid = Option.map snd (Hashtbl.find_opt t.by_txid txid)
 
-let block_records t ~height =
-  Hashtbl.fold
-    (fun txid (h, s) acc -> if h = height then (txid, s) :: acc else acc)
-    t.by_txid []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let erase_block t ~height =
   let doomed =
     Hashtbl.fold (fun txid (h, _) acc -> if h = height then txid :: acc else acc) t.by_txid []

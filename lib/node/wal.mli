@@ -14,9 +14,6 @@ val append : t -> txid:int -> height:int -> status -> unit
 
 val find : t -> txid:int -> status option
 
-(** All records for a block. *)
-val block_records : t -> height:int -> (int * status) list
-
 (** Drop the records of a block (recovery rollback re-executes it). *)
 val erase_block : t -> height:int -> unit
 

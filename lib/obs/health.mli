@@ -78,28 +78,6 @@ type alert = {
     and runs. *)
 val render_alert : alert -> string
 
-(** Rule thresholds; see {!default_thresholds} for the calibrated
-    defaults (chosen so fault-free chaos runs stay silent across seeds —
-    the qcheck false-positive-freedom property). *)
-type thresholds = {
-  stall_s : float;  (** fire when no cut for this long with work pending *)
-  storm_window_s : float;  (** churn window *)
-  storm_threshold : int;  (** churn events in window that fire *)
-  ignore_first_election : bool;
-      (** don't count the startup election a Raft cluster needs *)
-  abort_alpha : float;  (** EWMA smoothing for the abort fraction *)
-  abort_ratio : float;  (** EWMA level that fires (clears at half) *)
-  abort_window_s : float;  (** window for the decided-count gate *)
-  abort_min_decided : int;  (** min decisions in window before firing *)
-  lag_blocks : int;  (** height gap that counts as lagging *)
-  lag_sustain : int;  (** consecutive lagging ticks before firing *)
-  fail_window_s : float;  (** window for corruption/rejection bursts *)
-  corrupt_streak : int;  (** corrupted chunks in window that fire *)
-  reject_burst : int;  (** rejected blocks in window that fire *)
-}
-
-val default_thresholds : thresholds
-
 (** Per-node slice of a sample. All counters are cumulative (the engine
     differentiates internally). *)
 type node_sample = {
@@ -134,7 +112,10 @@ type sample = {
 
 type t
 
-val create : ?thresholds:thresholds -> unit -> t
+(** A fresh engine with the calibrated rule thresholds (chosen so
+    fault-free chaos runs stay silent across seeds — the qcheck
+    false-positive-freedom property). *)
+val create : unit -> t
 
 (** Evaluate every rule against the next sample; returns the transitions
     emitted by this tick, in deterministic order. The first sample only

@@ -259,14 +259,3 @@ module Ewma = struct
 
   let count t = t.count
 end
-
-let pp_entry ppf e =
-  match e.e_kind with
-  | "counter" -> Format.fprintf ppf "%-34s %-12s %8d" e.e_name e.e_node e.e_count
-  | "gauge" -> Format.fprintf ppf "%-34s %-12s %8.1f" e.e_name e.e_node e.e_value
-  | _ ->
-      Format.fprintf ppf "%-34s %-12s n=%-5d mean=%-8.3f p50=%-8.3f p95=%-8.3f max=%.3f"
-        e.e_name e.e_node e.e_count e.e_value e.e_p50 e.e_p95 e.e_max
-
-let pp_entries ppf es =
-  List.iter (fun e -> Format.fprintf ppf "%a@." pp_entry e) es

@@ -129,7 +129,3 @@ module Ewma : sig
 
   val count : t -> int
 end
-
-val pp_entry : Format.formatter -> entry -> unit
-
-val pp_entries : Format.formatter -> entry list -> unit

@@ -11,8 +11,6 @@
     min/max/percentile columns are 0 for non-histograms). *)
 val metrics_columns : Brdb_storage.Schema.column list
 
-val metric_row : Registry.entry -> Brdb_storage.Value.t array
-
 (** Rows for a registry snapshot, in the snapshot's (already sorted)
     order. *)
 val metric_rows : Registry.entry list -> Brdb_storage.Value.t array list

@@ -28,8 +28,6 @@ type manifest = {
 (** Default chunk size (bytes). *)
 val default_size : int
 
-val hash_payload : string -> string
-
 (** [split ~chunk_size payload] — at least one (possibly empty) chunk.
     Raises [Invalid_argument] when [chunk_size <= 0]. *)
 val split : chunk_size:int -> string -> chunk array

@@ -28,8 +28,6 @@ type reader
 
 val reader : string -> reader
 
-val at_end : reader -> bool
-
 (** Readers raise an internal exception on malformed input; only
     {!decode} catches it, so use the [r_*] functions inside a decoder
     passed to {!decode}. *)

@@ -34,13 +34,6 @@ let edges_between g catalog (reader : Txn.t) (writer : Txn.t) =
       if phantom then Graph.add_edge g ~reader:reader.Txn.txid ~writer:writer.Txn.txid
   end
 
-let add_txn g catalog txns txn =
-  List.iter
-    (fun other ->
-      edges_between g catalog txn other;
-      edges_between g catalog other txn)
-    txns
-
 let compute catalog txns =
   let g = Graph.create () in
   let rec loop = function

@@ -12,12 +12,3 @@
 
 val compute :
   Brdb_storage.Catalog.t -> Brdb_txn.Txn.t list -> Graph.t
-
-(** [add_txn g catalog txns txn] incrementally adds the edges between
-    [txn] and each element of [txns] (both directions). *)
-val add_txn :
-  Graph.t ->
-  Brdb_storage.Catalog.t ->
-  Brdb_txn.Txn.t list ->
-  Brdb_txn.Txn.t ->
-  unit

@@ -11,6 +11,7 @@ type t = {
   pk_index : int option;
 }
 
+(* Column names reserved for provenance pseudo-columns. *)
 let reserved_columns = [ "xmin"; "xmax"; "creator"; "deleter" ]
 
 let create ~name ~columns =

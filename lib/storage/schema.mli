@@ -30,6 +30,3 @@ val arity : t -> int
 (** [check_row t row] validates arity, types and NOT NULL constraints. The
     primary key column is implicitly NOT NULL. *)
 val check_row : t -> Value.t array -> (unit, string) result
-
-(** Column names reserved for provenance pseudo-columns. *)
-val reserved_columns : string list

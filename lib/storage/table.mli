@@ -77,9 +77,6 @@ val iter_index :
 (** [pk_lookup t v f] iterates versions whose primary key equals [v]. *)
 val pk_lookup : t -> Value.t -> (Version.t -> unit) -> unit
 
-(** [remove_from_indexes t version] — used when pruning aborted versions. *)
-val remove_from_indexes : t -> Version.t -> unit
-
 (** [prune t ~keep] physically drops versions not satisfying [keep]
     (the vacuum analogue, §7 of the paper). Returns number removed.
     Retained versions keep their vids; pruned vids also leave the

@@ -41,15 +41,6 @@ let compare_sql a b =
 
 let is_null = function Null -> true | _ -> false
 
-let type_of =
-  let open Brdb_sql.Ast in
-  function
-  | Null -> None
-  | Int _ -> Some T_int
-  | Float _ -> Some T_float
-  | Text _ -> Some T_text
-  | Bool _ -> Some T_bool
-
 let conforms ty v =
   let open Brdb_sql.Ast in
   match (ty, v) with

@@ -25,8 +25,6 @@ val compare_sql : t -> t -> int option
 
 val is_null : t -> bool
 
-val type_of : t -> Brdb_sql.Ast.data_type option
-
 (** [conforms ty v] — [Null] conforms to every type; [Int] conforms to
     [T_float] (implicit widening). *)
 val conforms : Brdb_sql.Ast.data_type -> t -> bool

@@ -169,7 +169,16 @@ let test_cutter_batch_auth () =
   | Cutter.Buffered -> ()
   | _ -> Alcotest.fail "all-forged batch must not cut");
   Alcotest.(check bool) "nothing left to cut" true (Cutter.cut c2 = None);
-  Alcotest.(check int) "both rejected" 2 (Cutter.auth_rejected c2)
+  Alcotest.(check int) "both rejected" 2 (Cutter.auth_rejected c2);
+  (* a BFT backup's stash refuses forgeries on arrival *)
+  let c3 = Cutter.create ~auth:verify ~block_size:2 () in
+  Alcotest.(check bool) "forgery not stashed" true
+    (Cutter.stash c3 forged = `Rejected);
+  Alcotest.(check bool) "valid tx stashed" true (Cutter.stash c3 t1 = `Stashed);
+  Alcotest.(check (list string)) "backlog holds only the valid tx" [ "a" ]
+    (List.map (fun tx -> tx.Block.tx_id) (Cutter.pending_txs c3));
+  Alcotest.(check int) "stash rejection counted" 1 (Cutter.auth_rejected c3);
+  Alcotest.(check int) "stash counts no verification" 0 (Cutter.auth_verified c3)
 
 (* --------------------------------------------------------- unit: admission *)
 

@@ -254,12 +254,12 @@ let test_raft_leader_failover () =
 
 (* --- bft --------------------------------------------------------------------- *)
 
-let setup_bft ?view_timeout ?(all_peered = false) h ~n =
+let setup_bft ?(block_timeout = 0.5) ?(all_peered = false) h ~n =
   let names = List.init n (fun i -> Printf.sprintf "bft-%d" (i + 1)) in
   List.map
     (fun name ->
       Bft.create ~net:h.net ~name ~names ~identity:(Identity.create ("ord/" ^ name))
-        ~block_size:4 ~block_timeout:0.5 ?view_timeout
+        ~block_size:4 ~block_timeout
         ~peers:(if all_peered || name = List.hd names then [ "peer-1" ] else [])
         ())
     names
@@ -304,11 +304,12 @@ let test_bft_delivers_blocks () =
     nodes
 
 let test_bft_view_change_timeout_boundary () =
-  (* The watchdog is exact: with [view_timeout = 1.0] and the primary dead
-     from the start, no replica votes before the deadline and all of them
-     vote right after it. *)
+  (* The watchdog is exact: its delay is 4x the block timeout, so with
+     [block_timeout = 0.25] and the primary dead from the start, no
+     replica votes before the 1.0 s deadline and all of them vote right
+     after it. *)
   let h = make_harness () in
-  let nodes = setup_bft ~view_timeout:1.0 ~all_peered:true h ~n:4 in
+  let nodes = setup_bft ~block_timeout:0.25 ~all_peered:true h ~n:4 in
   let survivors = List.tl nodes in
   Bft.crash (List.hd nodes);
   for i = 1 to 4 do
@@ -322,6 +323,12 @@ let test_bft_view_change_timeout_boundary () =
     survivors;
   Alcotest.(check int) "nothing delivered without a primary" 0
     (List.length (blocks_for h "peer-1"));
+  ignore (Clock.run ~until:1.05 h.clock);
+  List.iter
+    (fun node ->
+      Alcotest.(check bool) "voted right after the deadline" true
+        (Bft.view_changes node >= 1))
+    survivors;
   ignore (Clock.run ~until:4.0 h.clock);
   List.iter
     (fun node ->

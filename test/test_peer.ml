@@ -33,7 +33,7 @@ let setup_contract =
     (fun ctx -> ignore (Api.execute ctx "CREATE TABLE kv (k INT PRIMARY KEY, v INT)"))
 
 let make_fx ?(flow = Node_core.Execute_order) ?(checkpoint_interval = 1) ?(n = 3)
-    ?(inbox_window = 64) ?(snapshot_threshold = 0)
+    ?(snapshot_threshold = 0)
     ?(snapshot_chunk_size = Brdb_snapshot.Chunk.default_size)
     ?(compaction = Brdb_snapshot.Snapshot.Archive) () =
   let clock = Clock.create () in
@@ -76,17 +76,14 @@ let make_fx ?(flow = Node_core.Execute_order) ?(checkpoint_interval = 1) ?(n = 3
             {
               Peer.core =
                 Node_core.make_config ~name ~org:"org1" ~flow ~orgs:[ "org1" ] ();
-              cost = Brdb_sim.Cost_model.default;
               contract_class_of = (fun _ -> Brdb_sim.Cost_model.Simple);
               orderer_target = "orderer-1";
               peer_names;
               forward_delay_mean = 0.;
               checkpoint_interval;
-              fetch_timeout = 0.05;
               (* these tests run the clock until the queue drains, so the
                  perpetual anti-entropy probe must stay off *)
               sync_interval = 0.;
-              inbox_window;
               snapshot_threshold;
               snapshot_chunk_size;
               compaction;
@@ -387,8 +384,8 @@ let test_gap_triggers_fetch () =
   Alcotest.(check int) "the missing block was fetched" 1 (Peer.fetched_blocks p3)
 
 let test_inbox_bounded () =
-  let window = 8 in
-  let fx = make_fx ~flow:Node_core.Order_execute ~inbox_window:window () in
+  let window = Peer.inbox_window in
+  let fx = make_fx ~flow:Node_core.Order_execute () in
   init_chain fx;
   let p1 = List.hd fx.peers in
   (* flood one peer with far-future heights: only the reorder window may
@@ -410,10 +407,10 @@ let test_inbox_bounded () =
     flood h
   done;
   ignore (Clock.run fx.clock);
-  Alcotest.(check bool)
+  (* next needed is height 2, so the window admits heights 3 .. window+1 *)
+  Alcotest.(check int)
     (Printf.sprintf "inbox bounded by window (%d)" window)
-    true
-    (Peer.inbox_size p1 <= window);
+    (window - 1) (Peer.inbox_size p1);
   Alcotest.(check int) "nothing processed (gap at 2)" 1
     (Node_core.height (Peer.core p1))
 
