@@ -1,50 +1,68 @@
 open Brdb_storage
 module Txn = Brdb_txn.Txn
 
+(* Claims index: each (table, vid) updated or deleted in the set, mapped
+   to the txids that claimed it. *)
+let claims_index txns =
+  let idx = Hashtbl.create 64 in
+  List.iter
+    (fun (w : Txn.t) ->
+      List.iter
+        (fun key ->
+          let prev = Option.value ~default:[] (Hashtbl.find_opt idx key) in
+          Hashtbl.replace idx key (w.Txn.txid :: prev))
+        (Txn.claimed w))
+    txns;
+  idx
+
+(* [None] when the table is gone or the version was pruned: such a
+   version can fall under no predicate. *)
 let version_values catalog table vid =
   match Catalog.find catalog table with
   | None -> None
-  | Some tbl -> (
-      match Table.get_version tbl vid with
-      | v -> Some v.Version.values
-      | exception Invalid_argument _ -> None)
+  | Some tbl -> Option.map (fun v -> v.Version.values) (Table.find_version tbl vid)
 
-(* Edges from [reader] to [writer] (one direction). *)
-let edges_between g catalog (reader : Txn.t) (writer : Txn.t) =
-  if reader.Txn.txid <> writer.Txn.txid then begin
-    (* Writer overwrote something the reader read. *)
-    let claimed = Txn.claimed writer in
-    if
-      List.exists (fun rw -> List.mem rw reader.Txn.reads) claimed
-    then Graph.add_edge g ~reader:reader.Txn.txid ~writer:writer.Txn.txid
-    else
-      (* Writer created a row that falls under one of the reader's
-         predicates (reader could not have seen it). *)
-      let phantom =
-        List.exists
-          (fun (table, vid) ->
-            match version_values catalog table vid with
-            | None -> false
-            | Some values ->
-                List.exists
-                  (fun p -> Predicate.matches p ~table values)
-                  reader.Txn.predicates)
-          (Txn.created writer)
-      in
-      if phantom then Graph.add_edge g ~reader:reader.Txn.txid ~writer:writer.Txn.txid
-  end
+(* Creations index: each table mapped to the versions created in it, as
+   (creator txid, decoded values). *)
+let creations_index catalog txns =
+  let idx = Hashtbl.create 16 in
+  List.iter
+    (fun (w : Txn.t) ->
+      List.iter
+        (fun (table, vid) ->
+          match version_values catalog table vid with
+          | None -> ()
+          | Some values ->
+              let prev = Option.value ~default:[] (Hashtbl.find_opt idx table) in
+              Hashtbl.replace idx table ((w.Txn.txid, values) :: prev))
+        (Txn.created w))
+    txns;
+  idx
 
 let compute catalog txns =
   let g = Graph.create () in
-  let rec loop = function
-    | [] -> ()
-    | txn :: rest ->
+  let claims = claims_index txns in
+  let creations = creations_index catalog txns in
+  let probe_claims = Hashtbl.length claims > 0 in
+  List.iter
+    (fun (r : Txn.t) ->
+      let reader = r.Txn.txid in
+      (* [Graph.add_edge] drops reader = writer, so a transaction that
+         claims what it read, or creates what it scanned, gets no edge. *)
+      let add writer = Graph.add_edge g ~reader ~writer in
+      if probe_claims then
         List.iter
-          (fun other ->
-            edges_between g catalog txn other;
-            edges_between g catalog other txn)
-          rest;
-        loop rest
-  in
-  loop txns;
+          (fun key -> Option.iter (List.iter add) (Hashtbl.find_opt claims key))
+          r.Txn.reads;
+      List.iter
+        (fun p ->
+          let table = Predicate.table p in
+          match Hashtbl.find_opt creations table with
+          | None -> ()
+          | Some created ->
+              List.iter
+                (fun (writer, values) -> if Predicate.matches p ~table values then add writer)
+                created)
+        r.Txn.predicates)
+    txns;
   g

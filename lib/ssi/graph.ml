@@ -1,45 +1,29 @@
 module ISet = Set.Make (Int)
+module IMap = Map.Make (Int)
 
-type node = { mutable inc : ISet.t; mutable out : ISet.t }
+(* Both directions are kept so in/out lookups are one [find]; the maps
+   are ordered, so [edges] drains in key order with no sort. *)
+type t = { mutable inc : ISet.t IMap.t; mutable out : ISet.t IMap.t }
 
-type t = { nodes : (int, node) Hashtbl.t }
+let create () = { inc = IMap.empty; out = IMap.empty }
 
-let create () = { nodes = Hashtbl.create 32 }
-
-let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
-  | None ->
-      let n = { inc = ISet.empty; out = ISet.empty } in
-      Hashtbl.replace t.nodes id n;
-      n
+let neighbours m id = Option.value ~default:ISet.empty (IMap.find_opt id m)
 
 let add_edge t ~reader ~writer =
   if reader <> writer then begin
-    (node t writer).inc <- ISet.add reader (node t writer).inc;
-    (node t reader).out <- ISet.add writer (node t reader).out
+    t.inc <- IMap.add writer (ISet.add reader (neighbours t.inc writer)) t.inc;
+    t.out <- IMap.add reader (ISet.add writer (neighbours t.out reader)) t.out
   end
 
-let in_conflicts t id =
-  match Hashtbl.find_opt t.nodes id with
-  | None -> []
-  | Some n -> ISet.elements n.inc
+let in_conflicts t id = ISet.elements (neighbours t.inc id)
 
-let out_conflicts t id =
-  match Hashtbl.find_opt t.nodes id with
-  | None -> []
-  | Some n -> ISet.elements n.out
+let out_conflicts t id = ISet.elements (neighbours t.out id)
 
-let has_edge t ~reader ~writer =
-  match Hashtbl.find_opt t.nodes writer with
-  | None -> false
-  | Some n -> ISet.mem reader n.inc
+let has_edge t ~reader ~writer = ISet.mem reader (neighbours t.inc writer)
 
-let edge_count t = Hashtbl.fold (fun _ n acc -> acc + ISet.cardinal n.out) t.nodes 0
+let edge_count t = IMap.fold (fun _ ws acc -> acc + ISet.cardinal ws) t.out 0
 
 let edges t =
-  List.sort compare
-    (Hashtbl.fold
-       (fun reader n acc ->
-         ISet.fold (fun writer acc -> (reader, writer) :: acc) n.out acc)
-       t.nodes [])
+  List.concat_map
+    (fun (reader, ws) -> List.map (fun writer -> (reader, writer)) (ISet.elements ws))
+    (IMap.bindings t.out)

@@ -50,8 +50,11 @@ let version_count t = Vec.length t.heap
 
 let live_count t = Bitset.cardinal t.live
 
+let find_version t vid =
+  if vid < 0 || vid >= Vec.length t.heap then None else Vec.get t.heap vid
+
 let get_version t vid =
-  match Vec.get t.heap vid with
+  match find_version t vid with
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Table.get_version: %d pruned" vid)
 

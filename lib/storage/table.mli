@@ -19,6 +19,12 @@ val version_count : t -> int
     deleter); includes uncommitted inserts. *)
 val live_count : t -> int
 
+(** [find_version t vid] is [None] when [vid] was pruned or never
+    existed. *)
+val find_version : t -> int -> Version.t option
+
+(** Like {!find_version}, but raises [Invalid_argument] for a pruned or
+    unknown [vid]. *)
 val get_version : t -> int -> Version.t
 
 (** [insert_version t ~xmin values] appends a new uncommitted version and

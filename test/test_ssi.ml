@@ -118,6 +118,140 @@ let test_detect_update_into_predicate () =
   Alcotest.(check bool) "edge via new version" true
     (Graph.has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid)
 
+let test_detect_no_self_edge () =
+  (* One transaction whose predicate covers its own insert and new
+     version, and which read the version it then claimed. *)
+  let fx = make_fx () in
+  seed fx;
+  let t1 = txn fx ~height:1 in
+  ignore (exec fx t1 "SELECT COUNT(*) FROM accounts WHERE id BETWEEN 1 AND 10");
+  ignore (exec fx t1 "SELECT bal FROM accounts WHERE id = 1");
+  ignore (exec fx t1 "UPDATE accounts SET bal = 0 WHERE id = 1");
+  ignore (exec fx t1 "INSERT INTO accounts VALUES (5, 99)");
+  let g = Detect.compute fx.catalog [ t1 ] in
+  Alcotest.(check (list (pair int int))) "no edges" [] (Graph.edges g)
+
+let test_detect_predicate_other_table () =
+  (* [other] shares column 0's type and the key falls in t1's range on
+     [accounts], but the predicate names a different table. *)
+  let fx = make_fx () in
+  seed fx;
+  let setup = txn fx ~height:1 in
+  ignore (exec fx setup "CREATE TABLE other (id INT PRIMARY KEY, x INT)");
+  Manager.commit fx.mgr setup ~height:2;
+  let t1 = txn fx ~height:2 and t2 = txn fx ~height:2 in
+  ignore (exec fx t1 "SELECT COUNT(*) FROM accounts WHERE id BETWEEN 1 AND 10");
+  ignore (exec fx t2 "INSERT INTO other VALUES (5, 0)");
+  let g = Detect.compute fx.catalog [ t1; t2 ] in
+  Alcotest.(check (list (pair int int))) "no edges" [] (Graph.edges g)
+
+let test_detect_dropped_table () =
+  (* A version created in a table dropped before detection falls under no
+     predicate: no edge, and no exception. *)
+  let fx = make_fx () in
+  seed fx;
+  let setup = txn fx ~height:1 in
+  ignore (exec fx setup "CREATE TABLE scratch (id INT PRIMARY KEY, x INT)");
+  Manager.commit fx.mgr setup ~height:2;
+  let t1 = txn fx ~height:2 and t2 = txn fx ~height:2 in
+  ignore (exec fx t1 "SELECT COUNT(*) FROM scratch");
+  ignore (exec fx t2 "INSERT INTO scratch VALUES (1, 1)");
+  let tbl = Option.get (Catalog.find fx.catalog "scratch") in
+  Alcotest.(check bool) "unknown vid" true (Table.find_version tbl 99 = None);
+  (match Catalog.drop_table fx.catalog "scratch" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let g = Detect.compute fx.catalog [ t1; t2 ] in
+  Alcotest.(check (list (pair int int))) "no edges" [] (Graph.edges g)
+
+let test_detect_shared_claim () =
+  (* Three pending writers delete the version a reader read. Deletes create
+     nothing, so every edge comes from the claims. *)
+  let fx = make_fx () in
+  seed fx;
+  let r = txn fx ~height:1 in
+  ignore (exec fx r "SELECT bal FROM accounts WHERE id = 1");
+  let ws =
+    List.init 3 (fun _ ->
+        let w = txn fx ~height:1 in
+        ignore (exec fx w "DELETE FROM accounts WHERE id = 1");
+        w)
+  in
+  let g = Detect.compute fx.catalog (r :: ws) in
+  let ids = List.map (fun w -> w.Txn.txid) ws in
+  Alcotest.(check (list int)) "one edge to each writer" ids (Graph.out_conflicts g r.Txn.txid);
+  List.iter
+    (fun w ->
+      Alcotest.(check (list int))
+        "writer's readers"
+        (List.sort compare (r.Txn.txid :: List.filter (( <> ) w) ids))
+        (Graph.in_conflicts g w))
+    ids
+
+(* --- indexed detector == pairwise oracle ----------------------------------- *)
+
+(* Two tables: [a] with a secondary index on [v], [b] with none, so scans
+   on [b.w] are sequential. Keys 1-8 are seeded. Reads, updates and
+   deletes pick keys 1-16, so writers often claim the same version;
+   inserts pick 9-40, inside and outside the scanned key ranges. *)
+let gen_stmt =
+  let open QCheck.Gen in
+  let key = int_range 1 16 and value = int_range 0 200 in
+  oneof
+    [
+      map (Printf.sprintf "SELECT v FROM a WHERE id = %d") key;
+      map2 (fun k n -> Printf.sprintf "SELECT COUNT(*) FROM a WHERE id BETWEEN %d AND %d" k (k + n)) key (int_range 0 6);
+      map (Printf.sprintf "SELECT COUNT(*) FROM a WHERE id > %d") key;
+      map (Printf.sprintf "SELECT COUNT(*) FROM a WHERE id < %d") key;
+      map2 (Printf.sprintf "SELECT COUNT(*) FROM a WHERE v >= %d AND v < %d") value value;
+      map (Printf.sprintf "SELECT COUNT(*) FROM b WHERE w = %d") value;
+      map2 (Printf.sprintf "INSERT INTO a VALUES (%d, %d)") (int_range 9 40) value;
+      map2 (Printf.sprintf "INSERT INTO b VALUES (%d, %d)") (int_range 9 40) value;
+      map2 (fun v k -> Printf.sprintf "UPDATE a SET v = %d WHERE id = %d" v k) value key;
+      map2 (fun w k -> Printf.sprintf "UPDATE b SET w = %d WHERE id = %d" w k) value key;
+      map (Printf.sprintf "DELETE FROM a WHERE id = %d") key;
+      map (Printf.sprintf "DELETE FROM b WHERE id = %d") key;
+    ]
+
+let gen_block = QCheck.Gen.(list_size (1 -- 6) (list_size (1 -- 4) gen_stmt))
+
+let arbitrary_block =
+  QCheck.make gen_block
+    ~print:
+      (QCheck.Print.list (fun stmts -> "[" ^ String.concat "; " stmts ^ "]"))
+
+let prop_detect_matches_oracle =
+  QCheck.Test.make ~name:"indexed detect == pairwise oracle" ~count:60 arbitrary_block
+    (fun block ->
+      let fx = make_fx () in
+      let setup = txn fx ~height:0 in
+      List.iter
+        (fun sql -> ignore (exec fx setup sql))
+        [
+          "CREATE TABLE a (id INT PRIMARY KEY, v INT)";
+          "CREATE INDEX a_v ON a (v)";
+          "CREATE TABLE b (id INT PRIMARY KEY, w INT)";
+          "INSERT INTO a VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60), (7, 70), (8, 80)";
+          "INSERT INTO b VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50), (6, 60), (7, 70), (8, 80)";
+        ];
+      Manager.commit fx.mgr setup ~height:1;
+      let txns =
+        List.map
+          (fun stmts ->
+            let t = txn fx ~height:1 in
+            (* A statement the executor rejects (a duplicate key) leaves
+               whatever it recorded; both detectors see the same sets. *)
+            List.iter (fun sql -> ignore (Exec.execute_sql fx.catalog t sql)) stmts;
+            t)
+          block
+      in
+      let indexed = Graph.edges (Detect.compute fx.catalog txns) in
+      let oracle = Graph.edges (Ssi_oracle.compute fx.catalog txns) in
+      indexed = oracle
+      || QCheck.Test.fail_reportf "indexed %s <> oracle %s"
+           (QCheck.Print.(list (pair int int)) indexed)
+           (QCheck.Print.(list (pair int int)) oracle))
+
 (* --- rules ----------------------------------------------------------------- *)
 
 let view_of assoc id =
@@ -305,6 +439,11 @@ let suites =
         Alcotest.test_case "phantom insert" `Quick test_detect_phantom_insert;
         Alcotest.test_case "insert outside predicate" `Quick test_detect_insert_outside_predicate;
         Alcotest.test_case "update into predicate" `Quick test_detect_update_into_predicate;
+        Alcotest.test_case "no self-edge" `Quick test_detect_no_self_edge;
+        Alcotest.test_case "predicate on another table" `Quick test_detect_predicate_other_table;
+        Alcotest.test_case "dropped table" `Quick test_detect_dropped_table;
+        Alcotest.test_case "three writers, one version" `Quick test_detect_shared_claim;
+        QCheck_alcotest.to_alcotest prop_detect_matches_oracle;
       ] );
     ( "ssi.rules.plain",
       [

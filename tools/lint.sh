@@ -20,14 +20,16 @@ if [ -n "$matches" ]; then
   exit 1
 fi
 
-# Executor/storage code must never iterate a hashtable in insertion-history
-# order: anything that reaches committed state, read sets or hashes has to
-# drain in key order (Brdb_util.Sorted_tbl) or via an explicit index
-# (Table.iter_live). Hashtbl.filter_map_inplace is allowed — it rewrites
-# in place and exposes no ordering.
+# Executor, storage and SSI code must never iterate a hashtable in
+# insertion-history order: anything that reaches committed state, read
+# sets, hashes or the rw-antidependency graph has to drain in key order
+# (Brdb_util.Sorted_tbl, a Map) or via an explicit index (Table.iter_live).
+# SSI detection's per-block indexes may only be probed.
+# Hashtbl.filter_map_inplace is allowed — it rewrites in place and exposes
+# no ordering.
 hashtbl_pattern='Hashtbl\.(iter|fold)[^a-z_]'
 hashtbl_matches=''
-for sub in engine storage; do
+for sub in engine storage ssi; do
   d="$dir/$sub"
   [ -d "$d" ] || continue
   m=$(grep -rnE "$hashtbl_pattern" "$d" --include='*.ml' --include='*.mli' || true)
@@ -36,7 +38,7 @@ for sub in engine storage; do
 done
 
 if [ -n "$hashtbl_matches" ]; then
-  echo "determinism lint failed — unordered Hashtbl iteration in executor/storage code" >&2
+  echo "determinism lint failed — unordered Hashtbl iteration in executor/storage/SSI code" >&2
   echo "(use Brdb_util.Sorted_tbl or an ordered index instead):" >&2
   printf '%s' "$hashtbl_matches" >&2
   exit 1
