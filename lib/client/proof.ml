@@ -25,11 +25,6 @@ type provenance = {
   pv_roots : string list;
 }
 
-(* Mirrors Block.compute_hash with the tx root precomputed: the verifier
-   never sees the transactions of successor blocks, only their roots. *)
-let header_hash ~height ~tx_root ~metadata ~prev_hash =
-  Sha256.digest_concat [ string_of_int height; tx_root; metadata; prev_hash ]
-
 let tx_root_of_block (b : Block.t) =
   Merkle.root (List.map Block.tx_payload b.Block.txs)
 
@@ -59,20 +54,18 @@ let build_receipt core ~tx_id =
       match Block_store.get store h with
       | None -> Error (Printf.sprintf "transaction %s is in no stored block" tx_id)
       | Some b -> (
-          let rec index i = function
-            | [] -> None
-            | (tx : Block.tx) :: rest ->
-                if String.equal tx.Block.tx_id tx_id then Some (i, tx)
-                else index (i + 1) rest
-          in
-          match index 0 b.Block.txs with
+          match
+            List.find_index
+              (fun (tx : Block.tx) -> String.equal tx.Block.tx_id tx_id)
+              b.Block.txs
+          with
           | None -> find (h + 1)
-          | Some (i, tx) ->
+          | Some i ->
               let leaves = List.map Block.tx_payload b.Block.txs in
               Ok
                 {
                   rc_height = h;
-                  rc_payload = Block.tx_payload tx;
+                  rc_payload = List.nth leaves i;
                   rc_proof = Merkle.prove leaves i;
                   rc_metadata = b.Block.metadata;
                   rc_prev_hash = b.Block.prev_hash;
@@ -84,7 +77,7 @@ let build_receipt core ~tx_id =
 let verify_receipt ~tip_hash rc =
   let tx_root = Merkle.apply ~leaf:rc.rc_payload rc.rc_proof in
   let h0 =
-    header_hash ~height:rc.rc_height ~tx_root ~metadata:rc.rc_metadata
+    Block.header_hash ~height:rc.rc_height ~tx_root ~metadata:rc.rc_metadata
       ~prev_hash:rc.rc_prev_hash
   in
   let rec chain prev height = function
@@ -92,7 +85,7 @@ let verify_receipt ~tip_hash rc =
     | hd :: rest ->
         hd.h_height = height + 1
         && chain
-             (header_hash ~height:hd.h_height ~tx_root:hd.h_tx_root
+             (Block.header_hash ~height:hd.h_height ~tx_root:hd.h_tx_root
                 ~metadata:hd.h_metadata ~prev_hash:prev)
              hd.h_height rest
   in

@@ -10,47 +10,86 @@ let add a b =
 
 let sub a b = if Int64.compare a b >= 0 then Int64.sub a b else Int64.add (Int64.sub a b) p
 
-(* Reduce a value < 2^63 using 2^61 = 1 (mod p): split into low 61 bits and
-   the high remainder. *)
-let reduce x =
-  let lo = Int64.logand x (Int64.sub (Int64.shift_left 1L 61) 1L) in
-  let hi = Int64.shift_right_logical x 61 in
-  let s = Int64.add lo hi in
-  if Int64.compare s p >= 0 then Int64.sub s p else s
+(* The hot arithmetic runs on native OCaml [int] (63 bits), never boxed.
+   Elements are below 2^61. The split multiply below sums terms whose
+   total stays below 2^63: that may set bit 62 (the sign bit), but only
+   [land], [lsr] and [+] touch the sum before it is folded under 2^62,
+   so it is read as an unsigned 63-bit value and nothing overflows.
+   [int64] appears only at the interface. *)
 
-(* a * b mod p with a, b < 2^61. Split a = a1*2^31 + a0 (a1 < 2^30,
-   a0 < 2^31):
-     a*b = a1*b*2^31 + a0*b.
-   Each partial product is itself reduced by splitting b. *)
-let mul a b =
-  let mask31 = 0x7fffffffL in
-  let a1 = Int64.shift_right_logical a 31 in
-  let a0 = Int64.logand a mask31 in
-  let b1 = Int64.shift_right_logical b 31 in
-  let b0 = Int64.logand b mask31 in
-  (* a1*b1 < 2^60; times 2^62 = 2 (mod p). *)
-  let t_hh = reduce (Int64.mul a1 b1) in
-  let t_hh = add t_hh t_hh in
-  (* mid = a1*b0 + a0*b1 < 2^62; mid * 2^31 (mod p): split mid into
-     mid_hi*2^30 + mid_lo so mid*2^31 = mid_hi*2^61 + mid_lo*2^31
-                                      = mid_hi + mid_lo*2^31 (mod p). *)
-  let mid = Int64.add (Int64.mul a1 b0) (Int64.mul a0 b1) in
-  let mid_hi = Int64.shift_right_logical mid 30 in
-  let mid_lo = Int64.logand mid 0x3fffffffL in
-  let t_mid = add (reduce mid_hi) (reduce (Int64.shift_left mid_lo 31)) in
-  (* a0*b0 < 2^62. *)
-  let t_ll = reduce (Int64.mul a0 b0) in
-  add (add t_hh t_mid) t_ll
+let mask30 = (1 lsl 30) - 1
+
+let mask31 = (1 lsl 31) - 1
+
+let mask61 = (1 lsl 61) - 1
+
+let p_int = mask61
+
+(* a * b mod p with a, b < p. Split a = a1*2^31 + a0 and b likewise
+   (a1, b1 < 2^30; a0, b0 < 2^31), and mid = a1*b0 + a0*b1 < 2^62:
+     a*b = a1*b1*2^62 + mid*2^31 + a0*b0.
+   With 2^61 = 1 (mod p): a1*b1*2^62 = 2*a1*b1, and splitting
+   mid = mid_hi*2^30 + mid_lo gives mid*2^31 = mid_hi + mid_lo*2^31. *)
+let mul_int a b =
+  let a1 = a lsr 31 and a0 = a land mask31 in
+  let b1 = b lsr 31 and b0 = b land mask31 in
+  let mid = (a1 * b0) + (a0 * b1) and ll = a0 * b0 in
+  (* 2^61 + 2^32 + 2^61 + 2^61 + 1 < 2^63 *)
+  let s =
+    ((a1 * b1) lsl 1) + (mid lsr 30) + ((mid land mask30) lsl 31) + (ll land mask61)
+    + (ll lsr 61)
+  in
+  let s = (s land mask61) + (s lsr 61) in
+  if s >= p_int then s - p_int else s
+
+(* Square-and-multiply over the exponent's bits, lowest first. [lsr]
+   walks all 63 bits, so an [int64] exponent at or above 2^62 (negative
+   as an [int]) is still read bit for bit. *)
+let pow_int b e =
+  let rec loop acc b e =
+    if e = 0 then acc
+    else
+      let acc = if e land 1 = 1 then mul_int acc b else acc in
+      loop acc (mul_int b b) (e lsr 1)
+  in
+  loop 1 b e
+
+(* b1^e1 * b2^e2 with one shared ladder (Shamir's trick): from the top
+   bit down, square once and multiply by b1, b2 or b1*b2 as the two
+   exponent bits say. *)
+let joint_pow_int b1 e1 b2 e2 =
+  let b12 = mul_int b1 b2 in
+  let either = e1 lor e2 in
+  let rec top i = if i <= 0 || (either lsr i) land 1 = 1 then i else top (i - 1) in
+  let rec loop acc i =
+    if i < 0 then acc
+    else
+      let acc = mul_int acc acc in
+      let acc =
+        match ((e1 lsr i) land 1, (e2 lsr i) land 1) with
+        | 0, 0 -> acc
+        | 1, 0 -> mul_int acc b1
+        | 0, _ -> mul_int acc b2
+        | _ -> mul_int acc b12
+      in
+      loop acc (i - 1)
+  in
+  loop 1 (top 62)
+
+let mul a b = Int64.of_int (mul_int (Int64.to_int a) (Int64.to_int b))
+
+let exponent name e =
+  if Int64.compare e 0L < 0 then invalid_arg (name ^ ": negative exponent");
+  Int64.to_int e
 
 let pow b e =
-  if Int64.compare e 0L < 0 then invalid_arg "Field61.pow: negative exponent";
-  let rec loop acc b e =
-    if Int64.equal e 0L then acc
-    else
-      let acc = if Int64.equal (Int64.logand e 1L) 1L then mul acc b else acc in
-      loop acc (mul b b) (Int64.shift_right_logical e 1)
-  in
-  loop 1L (norm b) e
+  let e = exponent "Field61.pow" e in
+  Int64.of_int (pow_int (Int64.to_int (norm b)) e)
+
+let joint_pow b1 e1 b2 e2 =
+  let e1 = exponent "Field61.joint_pow" e1 and e2 = exponent "Field61.joint_pow" e2 in
+  Int64.of_int
+    (joint_pow_int (Int64.to_int (norm b1)) e1 (Int64.to_int (norm b2)) e2)
 
 module Order = struct
   let n = Int64.sub p 1L
@@ -66,17 +105,25 @@ module Order = struct
   let sub a b =
     if Int64.compare a b >= 0 then Int64.sub a b else Int64.add (Int64.sub a b) n
 
-  (* Multiplication mod (p - 1) via mod-p tricks is unsound; use the
-     double-and-add ladder instead (log-time, overflow-free). *)
-  let mul a b =
-    let a = norm a and b = norm b in
-    let rec loop acc a b =
-      if Int64.equal b 0L then acc
-      else
-        let acc = if Int64.equal (Int64.logand b 1L) 1L then add acc a else acc in
-        loop acc (add a a) (Int64.shift_right_logical b 1)
+  (* The same split multiply modulo n = 2^61 - 2, where 2^61 = 2 (mod n):
+     a1*b1*2^62 = 4*a1*b1 and mid*2^31 = 2*mid_hi + mid_lo*2^31. *)
+  let n_int = mask61 - 1
+
+  let mul_int a b =
+    let a1 = a lsr 31 and a0 = a land mask31 in
+    let b1 = b lsr 31 and b0 = b land mask31 in
+    let mid = (a1 * b0) + (a0 * b1) and ll = a0 * b0 in
+    let hh = (a1 * b1) lsl 2 in
+    let hh = (hh land mask61) + ((hh lsr 61) lsl 1) in
+    (* (2^61 + 2) + 2^33 + 2^61 + 2^61 + 2 < 2^63 *)
+    let s =
+      hh + ((mid lsr 30) lsl 1) + ((mid land mask30) lsl 31) + (ll land mask61)
+      + ((ll lsr 61) lsl 1)
     in
-    loop 0L a b
+    let s = (s land mask61) + ((s lsr 61) lsl 1) in
+    if s >= n_int then s - n_int else s
+
+  let mul a b = Int64.of_int (mul_int (Int64.to_int (norm a)) (Int64.to_int (norm b)))
 end
 
 let of_bytes s =

@@ -2,7 +2,9 @@
 
     Elements are non-negative [int64] values strictly below [p]. This is
     the base field for the toy Schnorr signatures in {!Schnorr}; 61-bit
-    parameters are NOT cryptographically secure — see DESIGN.md §4. *)
+    parameters are NOT cryptographically secure — see DESIGN.md §4.
+    [mul], [pow], [joint_pow] and [Order.mul] compute on native [int]
+    internally; [int64] is only their interface. *)
 
 (** The modulus, [2305843009213693951]. *)
 val p : int64
@@ -18,8 +20,14 @@ val sub : int64 -> int64 -> int64
     [2^61 ≡ 1 (mod p)]. *)
 val mul : int64 -> int64 -> int64
 
-(** [pow b e] with [e >= 0] interpreted as a plain exponent. *)
+(** [pow b e] with [e >= 0] interpreted as a plain exponent. Raises
+    [Invalid_argument] when [e < 0]. *)
 val pow : int64 -> int64 -> int64
+
+(** [joint_pow b1 e1 b2 e2] is [b1^e1 * b2^e2], computed with one shared
+    square-and-multiply ladder (Shamir's trick). Raises [Invalid_argument]
+    when an exponent is negative. *)
+val joint_pow : int64 -> int64 -> int64 -> int64 -> int64
 
 (** Operations modulo the group order [p - 1] (for Schnorr exponents). *)
 module Order : sig
@@ -31,6 +39,7 @@ module Order : sig
 
   val sub : int64 -> int64 -> int64
 
+  (** Split multiply as for {!mul}, using [2^61 = 2 (mod n)]. *)
   val mul : int64 -> int64 -> int64
 end
 

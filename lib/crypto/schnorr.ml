@@ -30,10 +30,21 @@ let sign sk msg =
   let s = Field61.Order.sub k (Field61.Order.mul e sk) in
   { e; s }
 
-let verify pk msg { e; s } =
-  (* r' = g^s * pk^e; valid iff H(r' || m) = e. *)
-  let r' = Field61.mul (Field61.pow g s) (Field61.pow pk e) in
-  Int64.equal (challenge r' msg) e
+(* Honest signers only produce e in [1, n) and s in [0, n). Rejecting
+   everything else closes the malleability s + n (g^n = 1) and keeps the
+   exponents non-negative, so a garbage signature is [false], never an
+   exception. *)
+let canonical { e; s } =
+  let n = Field61.Order.n in
+  Int64.compare e 0L > 0
+  && Int64.compare e n < 0
+  && Int64.compare s 0L >= 0
+  && Int64.compare s n < 0
+
+let verify pk msg ({ e; s } as sg) =
+  (* r' = g^s * pk^e in one joint exponentiation; valid iff
+     H(r' || m) = e. *)
+  canonical sg && Int64.equal (challenge (Field61.joint_pow g s pk e) msg) e
 
 let signature_to_string { e; s } = Printf.sprintf "%Lx:%Lx" e s
 

@@ -23,6 +23,9 @@ val keygen : seed:string -> secret_key * public_key
 (** [sign sk msg] uses an RFC6979-style deterministic nonce. *)
 val sign : secret_key -> string -> signature
 
+(** [verify pk msg sg] checks [sg] against [msg]. Only canonical
+    signatures ([e] in [[1, n)], [s] in [[0, n)], [n] the group order)
+    verify; any other value is rejected without raising. *)
 val verify : public_key -> string -> signature -> bool
 
 val signature_to_string : signature -> string

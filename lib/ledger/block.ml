@@ -52,8 +52,9 @@ let make_eo_tx ~identity ~contract ~args ~snapshot =
   let tx = unsigned ~id ~user ~contract ~args ~snapshot:(Some snapshot) in
   { tx with tx_signature = Identity.sign identity (tx_payload tx) }
 
-let verify_tx registry tx =
-  Identity.Registry.verify registry ~name:tx.tx_user (tx_payload tx) tx.tx_signature
+let verify_tx ?payload registry tx =
+  let payload = match payload with Some p -> p | None -> tx_payload tx in
+  Identity.Registry.verify registry ~name:tx.tx_user payload tx.tx_signature
 
 type t = {
   height : int;
@@ -64,9 +65,18 @@ type t = {
   signatures : (string * Schnorr.signature) list;
 }
 
-let compute_hash ~height ~txs ~metadata ~prev_hash =
-  let tx_root = Merkle.root (List.map tx_payload txs) in
+let header_hash ~height ~tx_root ~metadata ~prev_hash =
   Sha256.digest_concat [ string_of_int height; tx_root; metadata; prev_hash ]
+
+let merkle_tx_root txs = Merkle.root (List.map tx_payload txs)
+
+let compute_hash ~height ~txs ~metadata ~prev_hash =
+  header_hash ~height ~tx_root:(merkle_tx_root txs) ~metadata ~prev_hash
+
+let hash_matches ?tx_root t =
+  let tx_root = match tx_root with Some r -> r | None -> merkle_tx_root t.txs in
+  String.equal t.hash
+    (header_hash ~height:t.height ~tx_root ~metadata:t.metadata ~prev_hash:t.prev_hash)
 
 let genesis_hash = Sha256.digest "brdb-genesis"
 
@@ -84,10 +94,8 @@ let sign t identity =
   let sg = Identity.sign identity t.hash in
   { t with signatures = t.signatures @ [ (Identity.name identity, sg) ] }
 
-let verify registry t =
-  String.equal t.hash
-    (compute_hash ~height:t.height ~txs:t.txs ~metadata:t.metadata
-       ~prev_hash:t.prev_hash)
+let verify ?tx_root registry t =
+  hash_matches ?tx_root t
   && t.signatures <> []
   && List.for_all
        (fun (name, sg) -> Identity.Registry.verify registry ~name t.hash sg)

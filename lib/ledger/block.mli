@@ -38,7 +38,11 @@ val make_eo_tx :
   snapshot:int ->
   tx
 
-val verify_tx : Brdb_crypto.Identity.Registry.t -> tx -> bool
+(** [verify_tx registry tx] checks the client signature over
+    {!tx_payload}[ tx]. [payload], when given, must be that payload as the
+    caller just computed it from [tx]'s contents; it saves hashing the
+    transaction again. *)
+val verify_tx : ?payload:string -> Brdb_crypto.Identity.Registry.t -> tx -> bool
 
 type t = {
   height : int;
@@ -50,8 +54,20 @@ type t = {
       (** orderer name, signature over [hash] *)
 }
 
+(** The header formula: [H(height, tx_root, metadata, prev_hash)], where
+    [tx_root] is the Merkle root of the block's {!tx_payload}s. Receipt
+    verifiers use it on roots alone. *)
+val header_hash :
+  height:int -> tx_root:string -> metadata:string -> prev_hash:string -> string
+
+(** {!header_hash} with the tx root computed from [txs]. *)
 val compute_hash :
   height:int -> txs:tx list -> metadata:string -> prev_hash:string -> string
+
+(** [hash_matches block] — [block.hash] is the header hash of its contents.
+    [tx_root], when given, must be the Merkle root of the payloads the
+    caller just computed from [block.txs]. *)
+val hash_matches : ?tx_root:string -> t -> bool
 
 (** The hash of "block 0"; the first real block has height 1 and chains
     from this. *)
@@ -62,9 +78,9 @@ val create : height:int -> txs:tx list -> metadata:string -> prev_hash:string ->
 (** [sign block identity] appends an orderer signature. *)
 val sign : t -> Brdb_crypto.Identity.t -> t
 
-(** [verify_block registry block] — hash integrity plus at least one valid
-    orderer signature. *)
-val verify : Brdb_crypto.Identity.Registry.t -> t -> bool
+(** [verify registry block] — hash integrity ({!hash_matches}, with the
+    same [tx_root]) plus at least one valid orderer signature. *)
+val verify : ?tx_root:string -> Brdb_crypto.Identity.Registry.t -> t -> bool
 
 (** [chains_from block ~prev] — sequence number and hash chain agree. *)
 val chains_from : t -> prev:t option -> bool

@@ -10,15 +10,10 @@ let height t = Vec.length t.blocks
 
 let last t = Vec.last t.blocks
 
-let append t (b : Block.t) =
+let append ?tx_root t (b : Block.t) =
   if b.Block.height <> height t + 1 then Error `Out_of_sequence
   else if not (Block.chains_from b ~prev:(last t)) then Error `Broken_chain
-  else if
-    not
-      (String.equal b.Block.hash
-         (Block.compute_hash ~height:b.Block.height ~txs:b.Block.txs
-            ~metadata:b.Block.metadata ~prev_hash:b.Block.prev_hash))
-  then Error `Bad_block
+  else if not (Block.hash_matches ?tx_root b) then Error `Bad_block
   else begin
     ignore (Vec.push t.blocks b);
     Ok ()

@@ -13,7 +13,9 @@ val create : unit -> t
 
 val height : t -> int
 
-val append : t -> Block.t -> (unit, error) result
+(** [append store block]; [`Bad_block] when {!Block.hash_matches} fails
+    ([tx_root] is passed through to it). *)
+val append : ?tx_root:string -> t -> Block.t -> (unit, error) result
 
 val get : t -> int -> Block.t option
 

@@ -558,7 +558,9 @@ let pre_execute t (tx : Block.tx) =
       | Run _ -> Ok ()
       | Rejected (_, reason) -> Error reason
 
-let acquire t ~block_height ~missing (tx : Block.tx) =
+(* [payload] is [Block.tx_payload tx], computed once per block by the
+   caller (see [verify_and_append]). *)
+let acquire t ~block_height ~missing ((tx : Block.tx), payload) =
   let effective_snapshot =
     match (t.config.flow, tx.Block.tx_snapshot) with
     | Serial_baseline, _ ->
@@ -580,7 +582,8 @@ let acquire t ~block_height ~missing (tx : Block.tx) =
       end
   | Some _ -> Rejected (tx, "duplicate transaction identifier")
   | None ->
-      if not (Block.verify_tx t.registry tx) then Rejected (tx, "invalid client signature")
+      if not (Block.verify_tx ~payload t.registry tx) then
+        Rejected (tx, "invalid client signature")
       else begin
         if t.config.flow = Execute_order then incr missing;
         fresh_execute t ~snapshot:effective_snapshot tx
@@ -881,16 +884,17 @@ let record_block t (block : Block.t) statuses committed =
   Hashtbl.replace t.ws_entries height ws_leaves;
   root
 
-let process_appended ?crash ?schedule t (block : Block.t) =
+(* [payloads] are the block's [Block.tx_payload]s, in block order. *)
+let process_appended ?crash ?schedule t (block : Block.t) ~payloads =
   bootstrap t;
   let block_height = block.Block.height in
   let missing = ref 0 in
+  let txs = List.combine block.Block.txs payloads in
   let results, deps, br_fresh =
     match t.config.flow with
-    | Serial_baseline -> process_serial t ~block_height ~missing block.Block.txs
+    | Serial_baseline -> process_serial t ~block_height ~missing txs
     | Order_execute | Execute_order ->
-        process_concurrent ?crash ?schedule t ~block_height ~missing
-          block.Block.txs
+        process_concurrent ?crash ?schedule t ~block_height ~missing txs
   in
   (* Every crash point still pending stops here, before the status step:
      the serial baseline has no ledger step 1 and commits as it executes. *)
@@ -951,22 +955,29 @@ let process_appended ?crash ?schedule t (block : Block.t) =
   Manager.forget_finished t.manager ~below_height:(block_height - 4);
   result
 
+(* Each transaction's payload is hashed once per block, here, from its
+   contents: the header-hash check, the store's integrity check and every
+   client-signature check in [acquire] share them. They live only for
+   the block's processing and are never stored on the transaction. *)
 let verify_and_append t block =
-  if not (Block.verify t.registry block) then Error "invalid block (hash or signatures)"
+  let payloads = List.map Block.tx_payload block.Block.txs in
+  let tx_root = Brdb_crypto.Merkle.root payloads in
+  if not (Block.verify ~tx_root t.registry block) then
+    Error "invalid block (hash or signatures)"
   else
-    match Block_store.append t.store block with
+    match Block_store.append ~tx_root t.store block with
     | Error `Out_of_sequence ->
         Error
           (Printf.sprintf "block %d out of sequence (at height %d)" block.Block.height
              (height t))
     | Error `Broken_chain -> Error "broken hash chain"
     | Error `Bad_block -> Error "corrupt block"
-    | Ok () -> Ok ()
+    | Ok () -> Ok payloads
 
 let process_block t block =
   match verify_and_append t block with
   | Error _ as e -> e
-  | Ok () -> Ok (process_appended t block)
+  | Ok payloads -> Ok (process_appended t block ~payloads)
 
 (* Testing hook for the schedule-independence property: commit the block
    over the waves [schedule] picks from its dependency graph instead of
@@ -974,7 +985,7 @@ let process_block t block =
 let process_block_scheduled_for_test t block ~schedule =
   match verify_and_append t block with
   | Error _ as e -> e
-  | Ok () -> Ok (process_appended ~schedule t block)
+  | Ok payloads -> Ok (process_appended ~schedule t block ~payloads)
 
 (* --- read-only queries ---------------------------------------------------------------- *)
 
@@ -1044,10 +1055,10 @@ let explain_analyze t ?(params = [||]) ~row_cost sql =
    means the group commit never reached disk: physically none of it
    happened. *)
 let process_block_with_crash t block ~crash =
-  (match verify_and_append t block with
-  | Error e -> failwith e
-  | Ok () -> ());
-  try ignore (process_appended ~crash t block)
+  let payloads =
+    match verify_and_append t block with Error e -> failwith e | Ok payloads -> payloads
+  in
+  try ignore (process_appended ~crash t block ~payloads)
   with Crashed ->
     if t.config.atomic_commit then begin
       let height = block.Block.height in
@@ -1100,7 +1111,13 @@ let reexecute t ~height txns =
   Ledger_table.erase_block t.catalog ~height;
   match Block_store.get t.store height with
   | None -> Error (Printf.sprintf "block %d missing from the block store" height)
-  | Some block -> Ok (Some (process_appended t block))
+  | Some block ->
+      (* The stored block was verified when appended; the payloads are
+         recomputed from its transactions, as on the normal path. *)
+      Ok
+        (Some
+           (process_appended t block
+              ~payloads:(List.map Block.tx_payload block.Block.txs)))
 
 (* The serial baseline writes no ledger step 1 (it commits as it
    executes), so its interrupted block shows only as a stored top block

@@ -180,6 +180,24 @@ let test_cutter_batch_auth () =
   Alcotest.(check int) "stash rejection counted" 1 (Cutter.auth_rejected c3);
   Alcotest.(check int) "stash counts no verification" 0 (Cutter.auth_verified c3)
 
+let test_cutter_noncanonical_signature () =
+  (* s = -1 is outside the canonical range: verification says no (it used
+     to raise out of the exponentiation) and the cutter drops the tx. *)
+  let registry = registry () in
+  let t1 = Block.make_tx ~id:"a" ~identity:client ~contract:"c" ~args:[] in
+  let t2 = Block.make_tx ~id:"b" ~identity:client ~contract:"c" ~args:[] in
+  let bad = { t2 with Block.tx_signature = { t2.Block.tx_signature with Brdb_crypto.Schnorr.s = -1L } } in
+  let c = Cutter.create ~auth:(Block.verify_tx registry) ~block_size:3 () in
+  ignore (Cutter.add c t1);
+  ignore (Cutter.add c bad);
+  (match Cutter.cut c with
+  | Some txs ->
+      Alcotest.(check (list string)) "only the valid tx is cut" [ "a" ]
+        (List.map (fun tx -> tx.Block.tx_id) txs)
+  | None -> Alcotest.fail "expected a cut");
+  Alcotest.(check int) "counted as rejected" 1 (Cutter.auth_rejected c);
+  Alcotest.(check int) "valid one verified" 1 (Cutter.auth_verified c)
+
 (* --------------------------------------------------------- unit: admission *)
 
 let test_admission_checks () =
@@ -637,6 +655,8 @@ let suites =
       [
         Alcotest.test_case "cutter batch auth + replay counters" `Quick
           test_cutter_batch_auth;
+        Alcotest.test_case "cutter drops a non-canonical signature" `Quick
+          test_cutter_noncanonical_signature;
         Alcotest.test_case "admission checks (Node_core level)" `Quick
           test_admission_checks;
         Alcotest.test_case "session lifecycle over the network" `Quick

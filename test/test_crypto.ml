@@ -125,6 +125,109 @@ let prop_field61_pow_laws =
       let pb = Field61.pow g (Int64.of_int b) in
       Int64.equal (Field61.pow g (Int64.of_int (a + b))) (Field61.mul pa pb))
 
+(* --- native arithmetic pinned to the boxed reference (field61_ref.ml) ----- *)
+
+module Ref = Field61_ref
+
+(* 0, 1, 2^31 - 1, 2^31, 2^31 + 1, n - 1, p - 1: the split points and the
+   tops of both moduli. *)
+let edge_operands =
+  [ 0L; 1L; 2147483647L; 2147483648L; 2147483649L; Int64.sub Field61.Order.n 1L;
+    Int64.sub Field61.p 1L ]
+
+(* An edge operand a third of the time, otherwise uniform over [0, p). *)
+let element =
+  QCheck.make ~print:Int64.to_string
+    QCheck.Gen.(frequency [ (1, oneofl edge_operands); (2, map Field61.norm ui64) ])
+
+(* Exponents over the whole non-negative int64 range, edges included. *)
+let exponent =
+  QCheck.make ~print:Int64.to_string
+    QCheck.Gen.(
+      frequency
+        [
+          (1, oneofl (Int64.max_int :: Int64.shift_left 1L 62 :: edge_operands));
+          (2, map (Int64.logand Int64.max_int) ui64);
+        ])
+
+let prop_field61_mul_matches_boxed_reference =
+  QCheck.Test.make ~name:"field61 mul = boxed int64 reference" ~count:1000
+    (QCheck.pair element element)
+    (fun (a, b) -> Int64.equal (Field61.mul a b) (Ref.mul a b))
+
+let prop_field61_pow_matches_boxed_reference =
+  QCheck.Test.make ~name:"field61 pow = boxed int64 reference" ~count:300
+    (QCheck.pair element exponent)
+    (fun (b, e) -> Int64.equal (Field61.pow b e) (Ref.pow b e))
+
+let prop_field61_joint_pow_matches_two_ladders =
+  QCheck.Test.make ~name:"field61 joint_pow = product of reference pows" ~count:300
+    QCheck.(quad element exponent element exponent)
+    (fun (b1, e1, b2, e2) ->
+      Int64.equal (Field61.joint_pow b1 e1 b2 e2) (Ref.mul (Ref.pow b1 e1) (Ref.pow b2 e2)))
+
+let prop_field61_order_mul_matches_boxed_reference =
+  (* Arbitrary int64 operands: both sides reduce mod n first. *)
+  let operand =
+    QCheck.make ~print:Int64.to_string
+      QCheck.Gen.(frequency [ (1, oneofl (Int64.min_int :: -1L :: edge_operands)); (2, ui64) ])
+  in
+  QCheck.Test.make ~name:"field61 Order.mul = boxed double-and-add reference" ~count:1000
+    (QCheck.pair operand operand)
+    (fun (a, b) -> Int64.equal (Field61.Order.mul a b) (Ref.Order.mul a b))
+
+let prop_schnorr_sign_matches_reference =
+  QCheck.Test.make ~name:"schnorr keygen/sign = boxed reference" ~count:100
+    QCheck.(pair small_string string)
+    (fun (seed, msg) ->
+      let sk, pk = Schnorr.keygen ~seed and rsk, rpk = Ref.keygen ~seed in
+      Int64.equal pk rpk && Schnorr.sign sk msg = Ref.sign rsk msg)
+
+let prop_schnorr_verify_matches_two_ladder_reference =
+  (* Honest signatures, then the same with e, s or the message perturbed;
+     the perturbed s stays canonical so both sides must agree. *)
+  QCheck.Test.make ~name:"schnorr joint-exponentiation verify = two-ladder reference"
+    ~count:100
+    QCheck.(triple small_string string (int_bound 3))
+    (fun (seed, msg, how) ->
+      let sk, pk = Schnorr.keygen ~seed in
+      let sg = Schnorr.sign sk msg in
+      let sg, msg =
+        match how with
+        | 0 -> (sg, msg)
+        | 1 -> ({ sg with Schnorr.e = Int64.logxor sg.Schnorr.e 1L }, msg)
+        | 2 -> ({ sg with Schnorr.s = Field61.Order.add sg.Schnorr.s 1L }, msg)
+        | _ -> (sg, msg ^ "!")
+      in
+      Bool.equal (Schnorr.verify pk msg sg) (Ref.verify pk msg sg))
+
+(* Captured before the native-int port: the port must not move one bit. *)
+let test_schnorr_golden_signature () =
+  let sk, pk = Schnorr.keygen ~seed:"org1/alice" in
+  Alcotest.(check int64) "public key" 2060370290858864936L pk;
+  Alcotest.(check string) "signature" "5a81f59f8798da:9e653f73c479529"
+    (Schnorr.signature_to_string (Schnorr.sign sk "m"))
+
+let test_schnorr_canonical_only () =
+  let sk, pk = Schnorr.keygen ~seed:"org1/alice" in
+  let sg = Schnorr.sign sk "m" in
+  let n = Field61.Order.n in
+  let shifted = { sg with Schnorr.s = Int64.add sg.Schnorr.s n } in
+  (* g^n = 1, so the reference accepts the shifted response. *)
+  Alcotest.(check bool) "reference is malleable" true (Ref.verify pk "m" shifted);
+  Alcotest.(check bool) "s + n rejected" false (Schnorr.verify pk "m" shifted);
+  List.iter
+    (fun (label, bad) -> Alcotest.(check bool) label false (Schnorr.verify pk "m" bad))
+    [
+      ("s = -1", { sg with Schnorr.s = -1L });
+      ("s = min_int", { sg with Schnorr.s = Int64.min_int });
+      ("s = n", { sg with Schnorr.s = n });
+      ("e = 0", { sg with Schnorr.e = 0L });
+      ("e = -1", { sg with Schnorr.e = -1L });
+      ("e + n", { sg with Schnorr.e = Int64.add sg.Schnorr.e n });
+    ];
+  Alcotest.(check bool) "honest still verifies" true (Schnorr.verify pk "m" sg)
+
 let test_schnorr_sign_verify () =
   let sk, pk = Schnorr.keygen ~seed:"org1/alice" in
   let msg = "transfer 10 from a to b" in
@@ -241,6 +344,10 @@ let suites =
         QCheck_alcotest.to_alcotest prop_field61_mul_commutative_assoc;
         QCheck_alcotest.to_alcotest prop_field61_distributive;
         QCheck_alcotest.to_alcotest prop_field61_pow_laws;
+        QCheck_alcotest.to_alcotest prop_field61_mul_matches_boxed_reference;
+        QCheck_alcotest.to_alcotest prop_field61_pow_matches_boxed_reference;
+        QCheck_alcotest.to_alcotest prop_field61_joint_pow_matches_two_ladders;
+        QCheck_alcotest.to_alcotest prop_field61_order_mul_matches_boxed_reference;
       ] );
     ( "crypto.schnorr",
       [
@@ -249,6 +356,11 @@ let suites =
         Alcotest.test_case "serialization" `Quick test_schnorr_serialization;
         Alcotest.test_case "garbage signatures" `Quick test_schnorr_garbage_signature;
         QCheck_alcotest.to_alcotest prop_schnorr_roundtrip;
+        Alcotest.test_case "golden signature" `Quick test_schnorr_golden_signature;
+        Alcotest.test_case "only canonical signatures verify" `Quick
+          test_schnorr_canonical_only;
+        QCheck_alcotest.to_alcotest prop_schnorr_sign_matches_reference;
+        QCheck_alcotest.to_alcotest prop_schnorr_verify_matches_two_ladder_reference;
       ] );
     ( "crypto.merkle",
       [

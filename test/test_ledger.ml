@@ -63,6 +63,25 @@ let test_block_verify () =
   let corrupt = { b with Block.txs = [ tx 9 ] } in
   Alcotest.(check bool) "content swap detected" false (Block.verify r corrupt)
 
+(* Captured before the native-int port of the signature arithmetic: the
+   client signatures inside and the header formula must not move one bit. *)
+let test_block_golden_hash () =
+  let txs =
+    List.map
+      (fun i ->
+        Block.make_tx ~id:(Printf.sprintf "t%d" i) ~identity:client ~contract:"c"
+          ~args:[ Value.Int i; Value.Text "x" ])
+      [ 1; 2; 3 ]
+  in
+  Alcotest.(check (list string)) "client signatures"
+    [ "1b05256fdb59b13a:13a4cb0e2ad5aa3d"; "187e9cdb75e7716:f7f0f470b3fc482";
+      "1dd33392ab9f6ceb:78f8b7f95aac51b" ]
+    (List.map (fun tx -> Brdb_crypto.Schnorr.signature_to_string tx.Block.tx_signature) txs);
+  let b = Block.create ~height:1 ~txs ~metadata:"m" ~prev_hash:Block.genesis_hash in
+  Alcotest.(check string) "block hash"
+    "b27e4eb7978ddaaa2be6bd9aa666fa2fb35fc03e12bdf83f02a30dd3ef1efedc"
+    (Brdb_util.Hex.encode b.Block.hash)
+
 let test_chains_from () =
   let b1 = block ~height:1 ~prev:None [ tx 1 ] in
   let b2 = block ~height:2 ~prev:(Some b1) [ tx 2 ] in
@@ -142,6 +161,7 @@ let suites =
       [
         Alcotest.test_case "hash covers content" `Quick test_block_hash_covers_content;
         Alcotest.test_case "verify" `Quick test_block_verify;
+        Alcotest.test_case "golden hash" `Quick test_block_golden_hash;
         Alcotest.test_case "chains_from" `Quick test_chains_from;
       ] );
     ( "ledger.store",

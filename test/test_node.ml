@@ -248,6 +248,23 @@ let test_oe_unknown_user_rejected () =
   | [ Node_core.S_rejected _ ] -> ()
   | _ -> Alcotest.fail "expected rejection"
 
+let test_oe_noncanonical_signature_rejected () =
+  (* s = -1 used to raise out of the exponentiation inside acquire. *)
+  let h = setup () in
+  init_chain h;
+  let good = tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 1 ] in
+  let t2 = tx h ~user:"org2/bob" ~contract:"put" [ Value.Int 2; Value.Int 2 ] in
+  let bad =
+    { t2 with Block.tx_signature = { t2.Block.tx_signature with Brdb_crypto.Schnorr.s = -1L } }
+  in
+  let results = deliver h [ good; bad ] in
+  check_identical h results;
+  match statuses (List.hd results) with
+  | [ Node_core.S_committed; Node_core.S_rejected "invalid client signature" ] -> ()
+  | st ->
+      Alcotest.failf "expected commit then signature rejection, got %s"
+        (String.concat "; " (List.map Node_core.tx_status_to_string st))
+
 let test_oe_duplicate_txid () =
   let h = setup () in
   init_chain h;
@@ -827,6 +844,57 @@ let test_recover_serial_atomic_commit () =
   crash_recovery_scenario ~flow:Node_core.Serial_baseline ~atomic_commit:true
     Node_core.Crash_before_status_step true
 
+(* The orderer hashes and signs a block over a transaction whose args
+   were changed after the client signed it, so the block itself verifies.
+   Payloads are recomputed from the received contents on both the normal
+   path and the §3.6 re-execution path, so that transaction alone is
+   rejected there, and every node ends in the same state. *)
+let test_tampered_tx_rejected_on_both_paths () =
+  let h = setup ~n_nodes:3 () in
+  init_chain h;
+  let victim = tx h ~user:"org2/bob" ~contract:"put" [ Value.Int 2; Value.Int 20 ] in
+  let txs =
+    [
+      tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 10 ];
+      { victim with Block.tx_args = [ Value.Int 2; Value.Int 999 ] };
+      tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 3; Value.Int 30 ];
+    ]
+  in
+  let height = (match h.prev with None -> 0 | Some b -> b.Block.height) + 1 in
+  let prev_hash = match h.prev with None -> Block.genesis_hash | Some b -> b.Block.hash in
+  let block = Block.sign (Block.create ~height ~txs ~metadata:"test" ~prev_hash) h.orderer in
+  h.prev <- Some block;
+  Alcotest.(check bool) "block verifies" true (Block.verify h.registry block);
+  let expected = [ "committed"; "rejected: invalid client signature"; "committed" ] in
+  let check_statuses label (r : Node_core.block_result) =
+    Alcotest.(check (list string)) label expected
+      (List.map Node_core.tx_status_to_string (statuses r))
+  in
+  (* node 0 crashes before any commit and re-executes the stored block *)
+  Node_core.process_block_with_crash (node h 0) block
+    ~crash:Node_core.Crash_after_ledger_entries;
+  (match Node_core.recover (node h 0) with
+  | Ok (Some r) -> check_statuses "recovered statuses" r
+  | Ok None -> Alcotest.fail "expected a re-execution"
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun i ->
+      match Node_core.process_block (node h i) block with
+      | Ok r -> check_statuses "statuses" r
+      | Error e -> Alcotest.fail e)
+    [ 1; 2 ];
+  let digest i = Node_core.state_digest (node h i) ~height in
+  Alcotest.(check bool) "digest present" true (digest 0 <> None);
+  List.iter
+    (fun i -> Alcotest.(check (option string)) "state digests equal" (digest 0) (digest i))
+    [ 1; 2 ];
+  List.iter
+    (fun n ->
+      Alcotest.(check int) "only the untampered rows" 2 (query_int n "SELECT COUNT(*) FROM kv");
+      Alcotest.(check int) "no tampered value" 0
+        (query_int n "SELECT COUNT(*) FROM kv WHERE v = 999"))
+    h.nodes
+
 let test_recover_noop_when_consistent () =
   let h = setup ~n_nodes:1 () in
   init_chain h;
@@ -957,6 +1025,8 @@ let suites =
         Alcotest.test_case "ledger records" `Quick test_oe_ledger_records;
         Alcotest.test_case "bad signature" `Quick test_oe_bad_signature_rejected;
         Alcotest.test_case "unknown user" `Quick test_oe_unknown_user_rejected;
+        Alcotest.test_case "non-canonical signature" `Quick
+          test_oe_noncanonical_signature_rejected;
         Alcotest.test_case "duplicate txid" `Quick test_oe_duplicate_txid;
         Alcotest.test_case "contract failure" `Quick test_oe_contract_failure_aborts;
         Alcotest.test_case "unknown contract" `Quick test_oe_unknown_contract_aborts;
@@ -1012,6 +1082,8 @@ let suites =
         Alcotest.test_case "serial baseline: atomic block commit" `Quick
           test_recover_serial_atomic_commit;
         Alcotest.test_case "no-op when consistent" `Quick test_recover_noop_when_consistent;
+        Alcotest.test_case "tampered tx rejected on normal and recovery paths" `Quick
+          test_tampered_tx_rejected_on_both_paths;
       ] );
     ( "node.parallel",
       [
