@@ -639,6 +639,7 @@ let ordering_faults () =
 
 module Peer = Brdb_node.Peer
 module Msg = Brdb_consensus.Msg
+module Assembler = Brdb_consensus.Assembler
 module Block = Brdb_ledger.Block
 module Identity = Brdb_crypto.Identity
 module Value = Brdb_storage.Value
@@ -716,16 +717,9 @@ let bootstrap_join ~blocks ~threshold ~compaction ~seed =
         p)
       peer_names
   in
-  let prev = ref None in
+  let assembler = Assembler.create ~identity:orderer ~metadata:"bench" in
   let deliver txs =
-    let height = (match !prev with None -> 0 | Some b -> b.Block.height) + 1 in
-    let prev_hash =
-      match !prev with None -> Block.genesis_hash | Some b -> b.Block.hash
-    in
-    let block =
-      Block.sign (Block.create ~height ~txs ~metadata:"bench" ~prev_hash) orderer
-    in
-    prev := Some block;
+    let block = Assembler.make assembler txs in
     List.iter
       (fun p ->
         ignore
@@ -827,7 +821,7 @@ let bootstrap () =
 (* ------------------- health plane: detection latency (ISSUE 9) *)
 
 (* The headline number for DESIGN.md §15: for every Chaos fault class,
-   inject it under a tuned spec across several seeds and measure the
+   inject its Chaos.scenarios row across several seeds and measure the
    sim-time and block-count lag from injection to the first matching
    alert (Chaos.expected_alerts); plus a fault-free sweep counting false
    positives, which must stay at zero. *)
@@ -835,104 +829,13 @@ let alerts () =
   header
     "Health plane: fault->alert detection latency per fault class + \
      clean-run false positives";
-  let scenarios =
-    [
-      ( "alerts_partition",
-        Chaos.Message_loss,
-        2,
-        fun seed ->
-          {
-            Chaos.default_spec with
-            Chaos.seed;
-            duration = 2.0;
-            drop = 0.;
-            duplicate = 0.;
-            crashes = 0;
-            partitions = 1;
-          } );
-      ( "alerts_crash",
-        Chaos.Node_crash,
-        3,
-        fun seed ->
-          {
-            Chaos.default_spec with
-            Chaos.seed;
-            duration = 2.0;
-            drop = 0.;
-            duplicate = 0.;
-            crashes = 1;
-            partitions = 0;
-          } );
-      ( "alerts_orderer_raft",
-        Chaos.Orderer_crash,
-        3,
-        fun seed ->
-          {
-            Chaos.default_spec with
-            Chaos.seed;
-            ordering = Service.Raft;
-            n_orderers = 3;
-            orderer_crashes = 1;
-            rate = 60.;
-            duration = 1.5;
-            drop = 0.;
-            duplicate = 0.;
-            crashes = 0;
-            partitions = 0;
-          } );
-      ( "alerts_orderer_bft",
-        Chaos.Orderer_crash,
-        11,
-        fun seed ->
-          {
-            Chaos.default_spec with
-            Chaos.seed;
-            ordering = Service.Bft;
-            n_orderers = 4;
-            orderer_crashes = 1;
-            rate = 60.;
-            duration = 1.5;
-            drop = 0.;
-            duplicate = 0.;
-            crashes = 0;
-            partitions = 0;
-          } );
-      ( "alerts_tamper",
-        Chaos.Block_tamper,
-        7,
-        fun seed ->
-          {
-            Chaos.default_spec with
-            Chaos.seed;
-            block_tamper = 1.0;
-            drop = 0.;
-            duplicate = 0.;
-            crashes = 0;
-            partitions = 0;
-          } );
-      ( "alerts_snapshot",
-        Chaos.Snapshot_corruption,
-        5,
-        fun seed ->
-          {
-            Chaos.default_spec with
-            Chaos.seed;
-            duration = 2.0;
-            drop = 0.05;
-            crashes = 2;
-            partitions = 0;
-            snap_corrupt = 0.6;
-            snapshot_threshold = 2;
-          } );
-    ]
-  in
   let n_seeds = if !quick then 2 else 3 in
   line "%20s | %4s %8s | %11s %11s %10s" "fault class" "runs" "detected"
     "mean-lat(s)" "max-lat(s)" "mean-blk";
   List.iter
-    (fun (kind, fault, base_seed, spec_of) ->
-      let seeds = List.init n_seeds (fun i -> base_seed + i) in
-      let reports = List.map (fun s -> Chaos.run (spec_of s)) seeds in
+    (fun (label, fault, spec) ->
+      let seeds = List.init n_seeds (fun i -> spec.Chaos.seed + i) in
+      let reports = List.map (fun seed -> Chaos.run { spec with Chaos.seed }) seeds in
       let latencies =
         List.filter_map
           (fun (r : Chaos.report) ->
@@ -952,40 +855,27 @@ let alerts () =
       let blocks = List.map (fun (_, b) -> float_of_int b) latencies in
       let max_s = List.fold_left Float.max 0. secs in
       line "%20s | %4d %8d | %10.3fs %10.3fs %10.1f"
-        (Chaos.fault_id fault ^ (if kind = "alerts_orderer_bft" then "(bft)"
-                                 else if kind = "alerts_orderer_raft" then "(raft)"
+        (Chaos.fault_id fault ^ (if label = "orderer_bft" then "(bft)"
+                                 else if label = "orderer_raft" then "(raft)"
                                  else ""))
         (List.length seeds) detected (mean secs) max_s (mean blocks);
       Runner.record
         [
-          ("kind", Runner.J_str kind);
+          ("kind", Runner.J_str ("alerts_" ^ label));
           ("runs", Runner.J_int (List.length seeds));
           ("alert_detected_runs", Runner.J_int detected);
           ("alert_latency_mean_s", Runner.J_float (mean secs));
           ("alert_latency_max_s", Runner.J_float max_s);
           ("alert_latency_blocks", Runner.J_float (mean blocks));
         ])
-    scenarios;
+    Chaos.scenarios;
   (* False-positive freedom: fault-free runs must raise nothing, whatever
      the seed (mirrors the qcheck property in test_health.ml). *)
   let clean_runs = if !quick then 20 else 40 in
   let fp_runs = ref 0 in
   let fp_alerts = ref 0 in
   for seed = 1 to clean_runs do
-    let r =
-      Chaos.run
-        {
-          Chaos.default_spec with
-          Chaos.seed;
-          rate = 100.;
-          duration = 0.5;
-          drop = 0.;
-          duplicate = 0.;
-          snap_corrupt = 0.;
-          crashes = 0;
-          partitions = 0;
-        }
-    in
+    let r = Chaos.run (Chaos.clean_spec seed) in
     if r.Chaos.alerts <> [] then begin
       incr fp_runs;
       fp_alerts := !fp_alerts + List.length r.Chaos.alerts

@@ -7,6 +7,7 @@ module Clock = Brdb_sim.Clock
 module Rng = Brdb_sim.Rng
 module Workload = Brdb_sim.Workload
 module Network = Brdb_sim.Network
+module Msg = Brdb_consensus.Msg
 
 type spec = {
   flow : Node_core.flow;
@@ -249,51 +250,74 @@ let peak spec ~rates =
    the cutters accept every submission. *)
 let accept_all _ = true
 
-(** Throughput of the ordering service alone: dummy sink peers count
-    ordered transactions. *)
-let ordering_throughput ~kind ~n_orderers ~rate ~duration ~seed =
+(* The ordering service alone: [kind] orderers on LAN links delivering
+   to one sink, which calls [on_block now block] — from the first
+   orderer only, or from every orderer when [all_deliver]. Raft gets one
+   simulated second to elect a leader before load arrives. *)
+type ordering_rig = {
+  o_clock : Clock.t;
+  o_net : Msg.Net.net;
+  o_service : Service.t;
+  o_orderers : string list;
+}
+
+let ordering_rig ~kind ~n_orderers ~seed ~block_size ~block_timeout ~all_deliver
+    on_block =
   let clock = Clock.create () in
   let rng = Rng.create ~seed in
-  let module Msg = Brdb_consensus.Msg in
   let net = Msg.Net.create ~clock ~rng:(Rng.split rng) ~default_link:Network.lan_link in
-  let orderer_names = List.init n_orderers (fun i -> Printf.sprintf "orderer-%d" (i + 1)) in
+  let orderers = List.init n_orderers (fun i -> Printf.sprintf "orderer-%d" (i + 1)) in
   let identities =
-    List.map (fun n -> (n, Brdb_crypto.Identity.create ("orderer/" ^ n))) orderer_names
+    List.map (fun n -> (n, Brdb_crypto.Identity.create ("orderer/" ^ n))) orderers
   in
-  let delivered = ref 0 in
   let sink = "sink" in
   Msg.Net.register net ~name:sink (fun ~src:_ msg ->
       match msg with
-      | Msg.Block_deliver b -> delivered := !delivered + List.length b.Brdb_ledger.Block.txs
+      | Msg.Block_deliver b -> on_block (Clock.now clock) b
       | _ -> ());
-  let _service =
-    Service.create ~net ~kind ~orderer_names
+  let service =
+    Service.create ~net ~kind ~orderer_names:orderers
       ~identity_of:(fun n -> List.assoc n identities)
-      ~rng:(Rng.split rng) ~authenticator:accept_all ~block_size:100
-      ~block_timeout:1.0
-      ~peers_of:(fun o -> if o = List.hd orderer_names then [ sink ] else [])
+      ~rng:(Rng.split rng) ~authenticator:accept_all ~block_size ~block_timeout
+      ~peers_of:(fun o -> if all_deliver || o = List.hd orderers then [ sink ] else [])
       ()
   in
-  (* Raft needs a moment to elect a leader before load arrives. *)
   (match kind with
   | Service.Raft -> ignore (Clock.run ~until:1.0 clock)
   | _ -> ());
-  let start = Clock.now clock in
+  { o_clock = clock; o_net = net; o_service = service; o_orderers = orderers }
+
+(* Open-loop no-op load at [rate] tx/s, round-robin over the orderers,
+   then run the clock to the end of the [duration]-second window. *)
+let ordering_load rig ~rate ~duration ~seed =
+  let start = Clock.now rig.o_clock in
   let client = Brdb_crypto.Identity.create "client/load" in
   let wrng = Rng.create ~seed:(seed + 13) in
-  Workload.run ~clock ~rng:wrng ~rate ~duration ~submit:(fun i ->
+  let n_orderers = List.length rig.o_orderers in
+  Workload.run ~clock:rig.o_clock ~rng:wrng ~rate ~duration ~submit:(fun i ->
       let tx =
         Brdb_ledger.Block.make_tx
           ~id:(Printf.sprintf "load-%d" i)
           ~identity:client ~contract:"noop"
           ~args:[ Brdb_storage.Value.Int i ]
       in
-      let dst = List.nth orderer_names (i mod n_orderers) in
+      let dst = List.nth rig.o_orderers (i mod n_orderers) in
       ignore
-        (Msg.Net.send net ~src:"client/load" ~dst
+        (Msg.Net.send rig.o_net ~src:"client/load" ~dst
            ~size_bytes:(Msg.size (Msg.Client_tx tx))
            (Msg.Client_tx tx)));
-  ignore (Clock.run ~until:(start +. duration) clock);
+  ignore (Clock.run ~until:(start +. duration) rig.o_clock)
+
+(** Throughput of the ordering service alone: a dummy sink peer counts
+    ordered transactions. *)
+let ordering_throughput ~kind ~n_orderers ~rate ~duration ~seed =
+  let delivered = ref 0 in
+  let rig =
+    ordering_rig ~kind ~n_orderers ~seed ~block_size:100 ~block_timeout:1.0
+      ~all_deliver:false (fun _ b ->
+        delivered := !delivered + List.length b.Brdb_ledger.Block.txs)
+  in
+  ordering_load rig ~rate ~duration ~seed;
   float_of_int !delivered /. duration
 
 (* ------------- ordering-plane fault recovery (BFT view change / Raft
@@ -313,75 +337,35 @@ type fault_recovery = {
 }
 
 let ordering_fault_recovery ~kind ~n_orderers ~rate ~duration ~seed =
-  let clock = Clock.create () in
-  let rng = Rng.create ~seed in
-  let module Msg = Brdb_consensus.Msg in
-  let net =
-    Msg.Net.create ~clock ~rng:(Rng.split rng) ~default_link:Network.lan_link
-  in
-  let orderer_names =
-    List.init n_orderers (fun i -> Printf.sprintf "orderer-%d" (i + 1))
-  in
-  let identities =
-    List.map
-      (fun n -> (n, Brdb_crypto.Identity.create ("orderer/" ^ n)))
-      orderer_names
-  in
   (* Every orderer delivers to the sink (the crashed one goes silent);
      dedup by height so replicated deliveries count once. *)
   let delivered = ref 0 in
   let deliveries = ref [] in
   (* (time, height), newest first *)
   let seen = Hashtbl.create 64 in
-  let sink = "sink" in
-  Msg.Net.register net ~name:sink (fun ~src:_ msg ->
-      match msg with
-      | Msg.Block_deliver b ->
-          let h = b.Brdb_ledger.Block.height in
-          if not (Hashtbl.mem seen h) then begin
-            Hashtbl.replace seen h ();
-            delivered := !delivered + List.length b.Brdb_ledger.Block.txs;
-            deliveries := (Clock.now clock, h) :: !deliveries
-          end
-      | _ -> ());
-  let service =
-    Service.create ~net ~kind ~orderer_names
-      ~identity_of:(fun n -> List.assoc n identities)
-      ~rng:(Rng.split rng) ~authenticator:accept_all ~block_size:50
-      ~block_timeout:0.1
-      ~peers_of:(fun _ -> [ sink ])
-      ()
+  let rig =
+    ordering_rig ~kind ~n_orderers ~seed ~block_size:50 ~block_timeout:0.1
+      ~all_deliver:true (fun now b ->
+        let h = b.Brdb_ledger.Block.height in
+        if not (Hashtbl.mem seen h) then begin
+          Hashtbl.replace seen h ();
+          delivered := !delivered + List.length b.Brdb_ledger.Block.txs;
+          deliveries := (now, h) :: !deliveries
+        end)
   in
-  (match kind with
-  | Service.Raft -> ignore (Clock.run ~until:1.0 clock)
-  | _ -> ());
-  let start = Clock.now clock in
+  let service = rig.o_service in
   let t_crash = ref nan in
   let h_crash = ref 0 in
-  Clock.schedule clock ~delay:(0.4 *. duration) (fun () ->
+  Clock.schedule rig.o_clock ~delay:(0.4 *. duration) (fun () ->
       let victim =
         match Service.leader service with
         | Some n -> n
-        | None -> List.hd orderer_names
+        | None -> List.hd rig.o_orderers
       in
-      t_crash := Clock.now clock;
+      t_crash := Clock.now rig.o_clock;
       h_crash := List.fold_left (fun acc (_, h) -> max acc h) 0 !deliveries;
       ignore (Service.crash_orderer service victim));
-  let client = Brdb_crypto.Identity.create "client/load" in
-  let wrng = Rng.create ~seed:(seed + 13) in
-  Workload.run ~clock ~rng:wrng ~rate ~duration ~submit:(fun i ->
-      let tx =
-        Brdb_ledger.Block.make_tx
-          ~id:(Printf.sprintf "load-%d" i)
-          ~identity:client ~contract:"noop"
-          ~args:[ Brdb_storage.Value.Int i ]
-      in
-      let dst = List.nth orderer_names (i mod n_orderers) in
-      ignore
-        (Msg.Net.send net ~src:"client/load" ~dst
-           ~size_bytes:(Msg.size (Msg.Client_tx tx))
-           (Msg.Client_tx tx)));
-  ignore (Clock.run ~until:(start +. duration) clock);
+  ordering_load rig ~rate ~duration ~seed;
   let recovery =
     let after =
       List.sort compare

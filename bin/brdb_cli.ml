@@ -509,7 +509,6 @@ let show_info () =
    converges to identical chains. Exits nonzero on any violation. *)
 let chaos_smoke () =
   let module Chaos = Brdb_core.Chaos in
-  let module Service = Brdb_consensus.Service in
   let say fmt = Printf.printf (fmt ^^ "\n%!") in
   let failed = ref false in
   let check what cond =
@@ -521,50 +520,24 @@ let chaos_smoke () =
   let report label (r : Chaos.report) =
     say "%-18s %s" label (Format.asprintf "%a" Chaos.pp_report r)
   in
-  let bft =
+  (* the catalogue's orderer-fault rows, over the default lossy links *)
+  let lossy label =
     Chaos.run
       {
-        Chaos.default_spec with
-        Chaos.seed = 11;
-        ordering = Service.Bft;
-        n_orderers = 4;
-        orderer_crashes = 1;
-        rate = 60.;
-        duration = 1.5;
-        crashes = 0;
-        partitions = 0;
+        (Chaos.scenario label) with
+        Chaos.drop = Chaos.default_spec.Chaos.drop;
+        duplicate = Chaos.default_spec.Chaos.duplicate;
       }
   in
+  let bft = lossy "orderer_bft" in
   report "bft primary crash" bft;
   check "bft chaos converged" bft.Chaos.converged;
   check "bft view change entered" (bft.Chaos.view_changes >= 1);
-  let raft =
-    Chaos.run
-      {
-        Chaos.default_spec with
-        Chaos.seed = 3;
-        ordering = Service.Raft;
-        n_orderers = 3;
-        orderer_crashes = 1;
-        rate = 60.;
-        duration = 1.5;
-        crashes = 0;
-        partitions = 0;
-      }
-  in
+  let raft = lossy "orderer_raft" in
   report "raft leader crash" raft;
   check "raft chaos converged" raft.Chaos.converged;
   check "raft re-election observed" (raft.Chaos.elections >= 1);
-  let tamper =
-    Chaos.run
-      {
-        Chaos.default_spec with
-        Chaos.seed = 7;
-        block_tamper = 1.0;
-        crashes = 0;
-        partitions = 0;
-      }
-  in
+  let tamper = lossy "tamper" in
   report "block tampering" tamper;
   check "tamper chaos converged" tamper.Chaos.converged;
   check "tampered blocks rejected" (tamper.Chaos.blocks_rejected > 0);
@@ -574,13 +547,12 @@ let chaos_smoke () =
 (* --- alerts -------------------------------------------------------------------- *)
 
 (* Health-plane smoke (the check.sh step): the ISSUE 9 fault→alert coverage
-   matrix, end to end. Each Chaos fault class is injected under a tuned spec
-   and must raise one of its expected alerts (Chaos.expected_alerts) within
-   the run; a fault-free run must stay completely silent. Prints every
+   matrix, end to end. Each Chaos.scenarios row injects its fault class and
+   must raise one of its expected alerts (Chaos.expected_alerts) within the
+   run; a fault-free run must stay completely silent. Prints every
    run's coverage rows and full alert stream; exits nonzero on any gap. *)
 let alerts_smoke () =
   let module Chaos = Brdb_core.Chaos in
-  let module Service = Brdb_consensus.Service in
   let module Health = Brdb_obs.Health in
   let say fmt = Printf.printf (fmt ^^ "\n%!") in
   let failed = ref false in
@@ -615,94 +587,11 @@ let alerts_smoke () =
     List.iter (fun a -> say "   %s" (Health.render_alert a)) r.Chaos.alerts;
     r
   in
-  let clean =
-    scenario "fault-free baseline"
-      {
-        Chaos.default_spec with
-        Chaos.seed = 1;
-        drop = 0.;
-        duplicate = 0.;
-        snap_corrupt = 0.;
-        crashes = 0;
-        partitions = 0;
-      }
-  in
+  let clean = scenario "fault-free baseline" (Chaos.clean_spec 1) in
   check "fault-free run stays silent" (clean.Chaos.alerts = []);
-  ignore
-    (scenario "partition"
-       {
-         Chaos.default_spec with
-         Chaos.seed = 2;
-         duration = 2.0;
-         drop = 0.;
-         duplicate = 0.;
-         crashes = 0;
-         partitions = 1;
-       });
-  ignore
-    (scenario "node crash"
-       {
-         Chaos.default_spec with
-         Chaos.seed = 3;
-         duration = 2.0;
-         drop = 0.;
-         duplicate = 0.;
-         crashes = 1;
-         partitions = 0;
-       });
-  ignore
-    (scenario "raft leader crash"
-       {
-         Chaos.default_spec with
-         Chaos.seed = 3;
-         ordering = Service.Raft;
-         n_orderers = 3;
-         orderer_crashes = 1;
-         rate = 60.;
-         duration = 1.5;
-         drop = 0.;
-         duplicate = 0.;
-         crashes = 0;
-         partitions = 0;
-       });
-  ignore
-    (scenario "bft primary crash"
-       {
-         Chaos.default_spec with
-         Chaos.seed = 11;
-         ordering = Service.Bft;
-         n_orderers = 4;
-         orderer_crashes = 1;
-         rate = 60.;
-         duration = 1.5;
-         drop = 0.;
-         duplicate = 0.;
-         crashes = 0;
-         partitions = 0;
-       });
-  ignore
-    (scenario "block tamper"
-       {
-         Chaos.default_spec with
-         Chaos.seed = 7;
-         block_tamper = 1.0;
-         drop = 0.;
-         duplicate = 0.;
-         crashes = 0;
-         partitions = 0;
-       });
-  ignore
-    (scenario "snapshot corruption"
-       {
-         Chaos.default_spec with
-         Chaos.seed = 5;
-         duration = 2.0;
-         drop = 0.05;
-         crashes = 2;
-         partitions = 0;
-         snap_corrupt = 0.6;
-         snapshot_threshold = 2;
-       });
+  List.iter
+    (fun (label, _, spec) -> ignore (scenario label spec))
+    Chaos.scenarios;
   if !failed then `Error (false, "a fault class went undetected") else `Ok ()
 
 (* --- verify -------------------------------------------------------------------- *)

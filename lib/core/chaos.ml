@@ -134,6 +134,45 @@ let faults_of_spec spec =
       | Snapshot_corruption -> spec.snap_corrupt > 0.)
     all_faults
 
+(* --- the fault-scenario catalogue -----------------------------------------
+   One tuned spec per row of the fault->alert coverage matrix, each
+   seeded with that row's base seed. Every row but [snapshot] runs over
+   clean links with no other fault, so the row's own fault class is what
+   the health plane has to notice. *)
+
+let quiet = { default_spec with drop = 0.; duplicate = 0.; crashes = 0; partitions = 0 }
+
+let orderer_crash_spec ordering n_orderers seed =
+  { quiet with seed; ordering; n_orderers; orderer_crashes = 1; rate = 60.; duration = 1.5 }
+
+let scenarios =
+  [
+    ("partition", Message_loss, { quiet with seed = 2; duration = 2.0; partitions = 1 });
+    ("crash", Node_crash, { quiet with seed = 3; duration = 2.0; crashes = 1 });
+    ("orderer_raft", Orderer_crash, orderer_crash_spec Service.Raft 3 3);
+    ("orderer_bft", Orderer_crash, orderer_crash_spec Service.Bft 4 11);
+    ("tamper", Block_tamper, { quiet with seed = 7; block_tamper = 1.0 });
+    ( "snapshot",
+      Snapshot_corruption,
+      (* default loss and two crash cycles: restarted peers fall far
+         enough behind to bootstrap from (corrupted) snapshot chunks *)
+      {
+        default_spec with
+        seed = 5;
+        duration = 2.0;
+        partitions = 0;
+        snap_corrupt = 0.6;
+        snapshot_threshold = 2;
+      } );
+  ]
+
+let scenario label =
+  match List.find_opt (fun (l, _, _) -> String.equal l label) scenarios with
+  | Some (_, _, spec) -> spec
+  | None -> invalid_arg ("Chaos.scenario: unknown scenario " ^ label)
+
+let clean_spec seed = { quiet with seed; rate = 100.; duration = 0.5 }
+
 type detection = {
   det_fault : fault;
   det_injected_at : float;  (** sim-time of the first injection *)

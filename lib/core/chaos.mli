@@ -105,6 +105,24 @@ val expected_alerts : fault -> Brdb_obs.Health.detector list
 (** Fault classes a spec actually injects. *)
 val faults_of_spec : spec -> fault list
 
+(** The fault-scenario catalogue: [(label, fault, spec)], one tuned
+    scenario per row of the coverage matrix — ["partition"], ["crash"],
+    ["orderer_raft"], ["orderer_bft"], ["tamper"] and ["snapshot"]. Each
+    spec injects its row's fault and carries the row's base seed; every
+    row but ["snapshot"] (which needs lossy links and crash cycles to
+    force snapshot bootstraps) runs over clean links with no other
+    fault. The bench's detection-latency table, [brdb_cli alerts] and
+    the [health.coverage] tests all run these specs. *)
+val scenarios : (string * fault * spec) list
+
+(** The spec of the {!scenarios} row labelled [label]. Raises
+    [Invalid_argument] for an unknown label. *)
+val scenario : string -> spec
+
+(** The fault-free run with seed [seed]: 100 req/s for 0.5 s with every
+    fault off. The health plane must raise no alert on it. *)
+val clean_spec : int -> spec
+
 (** One row of the coverage matrix: when the fault class first became
     active and the first expected alert that fired at/after it. *)
 type detection = {

@@ -84,9 +84,11 @@ type t = {
   (* height -> per-transaction records backing sys.transactions/sys.aborts;
      replaced wholesale when recovery re-executes a block *)
   tx_log : (int, tx_record list) Hashtbl.t;
-  (* height -> write-set digest (§3.3.4): the per-block state digest the
-     divergence monitor publishes into sys.blocks *)
-  digests : (int, string) Hashtbl.t;
+  (* height -> (write-set root (§3.3.4), chained state digest): the
+     per-block digest and the running one the divergence monitor
+     publishes into sys.blocks. A height whose block is stored but whose
+     processing was interrupted has no entry until recovery records it. *)
+  digests : (int, string * string) Hashtbl.t;
   (* height -> Merkle leaves of the write-set root (ISSUE 10): the
      canonical per-write entry strings provenance proofs are built from.
      Absent for heights installed from a snapshot — the proof floor. *)
@@ -128,23 +130,29 @@ let set_tet_model t f = t.tet_model <- f
 
 let exec_totals t = t.exec_totals
 
-(* Chained state digest at [height]: a running hash over every block's
-   write-set hash up to [height]. Cumulative on purpose — once two nodes
-   diverge at block d their chained digests differ at every height >= d,
-   which is the monotonicity SQL bisection over sys.blocks relies on. *)
-let chained_digest t ~height =
-  let acc = ref Block.genesis_hash in
-  for h = 1 to height do
-    let ws = Option.value (Hashtbl.find_opt t.digests h) ~default:"" in
-    acc := Brdb_util.Hex.encode (Brdb_crypto.Sha256.digest_concat [ !acc; ws ])
-  done;
-  !acc
+(* Chained state digest: a running hash over every block's write-set
+   root. Cumulative on purpose — once two nodes diverge at block d their
+   chained digests differ at every height >= d, which is the monotonicity
+   SQL bisection over sys.blocks relies on. *)
+let chain prev ws = Brdb_util.Hex.encode (Brdb_crypto.Sha256.digest_concat [ prev; ws ])
 
-let state_digest t ~height =
-  if height < 1 || height > Block_store.height t.store then None
-  else Some (chained_digest t ~height)
+let state_digest t ~height = Option.map snd (Hashtbl.find_opt t.digests height)
 
-let write_set_hash t ~height = Hashtbl.find_opt t.digests height
+let write_set_hash t ~height = Option.map fst (Hashtbl.find_opt t.digests height)
+
+(* Record [ws] as the write-set root at [height], chained onto the digest
+   below. Blocks are recorded in height order (recovery finishes an
+   interrupted top block before the next one is processed), so the height
+   below is always recorded. *)
+let record_digest t ~height ws =
+  let prev =
+    if height = 1 then Block.genesis_hash
+    else
+      match state_digest t ~height:(height - 1) with
+      | Some d -> d
+      | None -> invalid_arg "Node_core.record_digest: height below unrecorded"
+  in
+  Hashtbl.replace t.digests height (ws, chain prev ws)
 
 let write_set_entries_at t ~height = Hashtbl.find_opt t.ws_entries height
 
@@ -154,9 +162,18 @@ let write_set_entries_at t ~height = Hashtbl.find_opt t.ws_entries height
    so SQL bisection over sys.blocks has something to find. Only sys.blocks
    is affected; checkpoints already gossiped are not rewritten. *)
 let tamper_digest_for_test t ~height =
-  match Hashtbl.find_opt t.digests height with
+  match write_set_hash t ~height with
   | None -> ()
-  | Some d -> Hashtbl.replace t.digests height ("tampered:" ^ d)
+  | Some ws ->
+      record_digest t ~height ("tampered:" ^ ws);
+      let rec rechain h =
+        match write_set_hash t ~height:h with
+        | Some ws ->
+            record_digest t ~height:h ws;
+            rechain (h + 1)
+        | None -> ()
+      in
+      rechain (height + 1)
 
 let config t = t.config
 
@@ -221,12 +238,8 @@ let register_sys_views t =
         col "state_digest" T_text;
       ]
     ~rows:(fun ~height ->
-      let rows = ref [] and digest = ref Block.genesis_hash in
+      let rows = ref [] in
       for h = 1 to height do
-        let ws = Option.value (Hashtbl.find_opt t.digests h) ~default:"" in
-        digest :=
-          Brdb_util.Hex.encode
-            (Brdb_crypto.Sha256.digest_concat [ !digest; ws ]);
         match Block_store.get t.store h with
         | None -> ()
         | Some b ->
@@ -237,7 +250,8 @@ let register_sys_views t =
                 Value.Text b.Block.hash;
                 Value.Text b.Block.prev_hash;
                 Value.Int b.Block.height;
-                Value.Text !digest;
+                Value.Text
+                  (Option.value (state_digest t ~height:h) ~default:"");
               |]
               :: !rows
       done;
@@ -880,7 +894,7 @@ let record_block t (block : Block.t) statuses committed =
            r_status;
          })
        (List.combine block.Block.txs statuses));
-  Hashtbl.replace t.digests height root;
+  record_digest t ~height root;
   Hashtbl.replace t.ws_entries height ws_leaves;
   root
 
@@ -1119,12 +1133,15 @@ let reexecute t ~height txns =
            (process_appended t block
               ~payloads:(List.map Block.tx_payload block.Block.txs)))
 
-(* The serial baseline writes no ledger step 1 (it commits as it
-   executes), so its interrupted block shows only as a stored top block
-   without a write-set digest. Returns that block's own transactions. *)
-let interrupted_serial_block t =
+(* A block interrupted before any ledger step 1 entry shows only as a
+   stored top block without a write-set digest: every serial-baseline
+   block (it commits as it executes and writes no ledger step 1), and a
+   concurrent-flow block with no transaction to record (empty, or every
+   transaction rejected). Returns that block's own transactions. *)
+let interrupted_unlogged_block t =
   let h = height t in
-  if t.config.flow <> Serial_baseline || h = 0 || Hashtbl.mem t.digests h then None
+  if h = 0 || Hashtbl.mem t.digests h || Ledger_table.block_txs t.catalog ~height:h <> []
+  then None
   else
     Option.map
       (fun (block : Block.t) ->
@@ -1219,7 +1236,7 @@ let recover t =
       reset_half_installed t;
       Ok None
   | None -> (
-      match interrupted_serial_block t with
+      match interrupted_unlogged_block t with
       | Some txns -> reexecute t ~height:(height t) txns
       | None -> recover_from_ledger t)
 
@@ -1289,7 +1306,7 @@ let digests_extra t ~height =
   let w = Scodec.writer () in
   Scodec.list w
     (fun w h ->
-      Scodec.str w (Option.value (Hashtbl.find_opt t.digests h) ~default:""))
+      Scodec.str w (Option.value (write_set_hash t ~height:h) ~default:""))
     (heights_upto height);
   Scodec.contents w
 
@@ -1349,7 +1366,7 @@ let export_snapshot t ~compaction =
   let height = height t in
   Snapshot.capture ~catalog:t.catalog ~store:t.store ~contracts:t.contracts
     ~manager:t.manager ~height
-    ~state_digest:(chained_digest t ~height)
+    ~state_digest:(Option.value (state_digest t ~height) ~default:Block.genesis_hash)
     ~compaction
     ~extra:
       [
@@ -1373,12 +1390,7 @@ let install_snapshot ?(crash_after_tables = false) t (snap : Snapshot.t) =
   if List.length digests <> snap.Snapshot.height then
     Error "snapshot digest section does not cover every height"
   else
-    let chained =
-      List.fold_left
-        (fun acc ws ->
-          Brdb_util.Hex.encode (Brdb_crypto.Sha256.digest_concat [ acc; ws ]))
-        Block.genesis_hash digests
-    in
+    let chained = List.fold_left chain Block.genesis_hash digests in
     if not (String.equal chained snap.Snapshot.state_digest) then
       Error "snapshot per-block digests do not chain to the claimed state digest"
     else begin
@@ -1401,7 +1413,7 @@ let install_snapshot ?(crash_after_tables = false) t (snap : Snapshot.t) =
           Ok ()
       | Ok () ->
           Hashtbl.reset t.digests;
-          List.iteri (fun i ws -> Hashtbl.replace t.digests (i + 1) ws) digests;
+          List.iteri (fun i ws -> record_digest t ~height:(i + 1) ws) digests;
           (* Snapshots carry the per-block roots, not the underlying write
              entries — installed heights sit below the provenance-proof
              floor (ISSUE 10). *)

@@ -168,9 +168,12 @@ val critical_path : t -> height:int -> cp_entry option
 
 (** The chained state digest this node publishes in
     [sys.blocks.state_digest]: a running hash of every committed block's
-    write-set hash up to [height]. Cumulative, so two diverged nodes
-    disagree at every height from the first divergent block on — the
-    monotonicity the {!Chaos} SQL bisection relies on. *)
+    write-set hash up to [height], stored when the height is recorded.
+    Cumulative, so two diverged nodes disagree at every height from the
+    first divergent block on — the monotonicity the {!Chaos} SQL
+    bisection relies on. [None] above the current height and for a
+    stored block whose processing a §3.6 crash interrupted, until
+    {!recover} finishes it. *)
 val state_digest : t -> height:int -> string option
 
 (** The write-set hash the node recorded for the block at [height]
@@ -184,9 +187,10 @@ val write_set_hash : t -> height:int -> string option
     heights installed from a snapshot — the provenance-proof floor. *)
 val write_set_entries_at : t -> height:int -> string list option
 
-(** Corrupt the recorded write-set hash at [height], poisoning the
-    published chained digest from [height] onwards (divergence-injection
-    for the chaos harness and tests only). *)
+(** Corrupt the recorded write-set hash at [height] and re-chain every
+    recorded height above it, poisoning the published chained digest
+    from [height] onwards (divergence-injection for the chaos harness and
+    tests only). *)
 val tamper_digest_for_test : t -> height:int -> unit
 
 (** {2 Crash & recovery (§3.6)} *)

@@ -175,25 +175,21 @@ let test_partition_heals () =
 
 (* --- orderer-fault chaos (ISSUE: byzantine-resilient ordering plane) ------ *)
 
+(* A Chaos.scenarios row over the default lossy links. *)
+let lossy label =
+  {
+    (Chaos.scenario label) with
+    Chaos.drop = Chaos.default_spec.Chaos.drop;
+    duplicate = Chaos.default_spec.Chaos.duplicate;
+  }
+
 let test_bft_primary_crash_converges () =
   (* 4 BFT orderers (f = 1) with the primary crashed mid-run: the
      survivors must vote it out, resume cutting, and leave the cluster on
      a byte-identical replicated state across two runs of the spec. *)
-  let spec =
-    {
-      Chaos.default_spec with
-      Chaos.seed = 11;
-      ordering = Service.Bft;
-      n_orderers = 4;
-      orderer_crashes = 1;
-      rate = 60.;
-      duration = 1.5;
-      crashes = 0;
-      partitions = 0;
-    }
-  in
+  let spec = lossy "orderer_bft" in
   let a = Chaos.run spec in
-  check_report 11 a;
+  check_report spec.Chaos.seed a;
   Alcotest.(check int) "orderer crash cycle fired" 1 a.Chaos.orderer_crash_cycles;
   Alcotest.(check bool) "primary was voted out" true (a.Chaos.view_changes >= 1);
   Alcotest.(check (list string)) "no decision mismatches" []
@@ -205,21 +201,9 @@ let test_bft_primary_crash_converges () =
 let test_raft_leader_crash_converges () =
   (* Raft ordering with the leader crashed mid-run: a re-election must be
      observed and cutting must resume. *)
-  let spec =
-    {
-      Chaos.default_spec with
-      Chaos.seed = 3;
-      ordering = Service.Raft;
-      n_orderers = 3;
-      orderer_crashes = 1;
-      rate = 60.;
-      duration = 1.5;
-      crashes = 0;
-      partitions = 0;
-    }
-  in
+  let spec = lossy "orderer_raft" in
   let r = Chaos.run spec in
-  check_report 3 r;
+  check_report spec.Chaos.seed r;
   Alcotest.(check int) "orderer crash cycle fired" 1 r.Chaos.orderer_crash_cycles;
   Alcotest.(check bool) "leader crash forced a re-election" true
     (r.Chaos.elections >= 1)
@@ -228,17 +212,9 @@ let test_block_tamper_rejected () =
   (* Every block towards the victim peer is bit-flipped in flight: §4.4
      admission must reject all of them, catch-up must recover every
      height from an honest peer, and no tampered block may commit. *)
-  let spec =
-    {
-      Chaos.default_spec with
-      Chaos.seed = 7;
-      block_tamper = 1.0;
-      crashes = 0;
-      partitions = 0;
-    }
-  in
+  let spec = lossy "tamper" in
   let r = Chaos.run spec in
-  check_report 7 r;
+  check_report spec.Chaos.seed r;
   Alcotest.(check bool) "tampered deliveries rejected" true
     (r.Chaos.blocks_rejected > 0);
   Alcotest.(check int) "tampering actually fired" r.Chaos.blocks_rejected

@@ -11,6 +11,7 @@
 
 module Node_core = Brdb_node.Node_core
 module Block = Brdb_ledger.Block
+module Assembler = Brdb_consensus.Assembler
 module Identity = Brdb_crypto.Identity
 module Merkle = Brdb_crypto.Merkle
 module Value = Brdb_storage.Value
@@ -77,16 +78,8 @@ let make_node ~registry name =
   Node_core.install_contract node ~name:"put" put_contract;
   node
 
-type chain = { mutable prev : Block.t option }
-
-let next_block chain txs =
-  let height = (match chain.prev with None -> 0 | Some b -> b.Block.height) + 1 in
-  let prev_hash =
-    match chain.prev with None -> Block.genesis_hash | Some b -> b.Block.hash
-  in
-  let b = Block.sign (Block.create ~height ~txs ~metadata:"c" ~prev_hash) orderer in
-  chain.prev <- Some b;
-  b
+(* One linear chain of signed blocks, as an orderer assembles it. *)
+let new_chain () = Assembler.create ~identity:orderer ~metadata:"c"
 
 let process node block =
   match Node_core.process_block node block with
@@ -96,10 +89,10 @@ let process node block =
 let boot () =
   let registry = registry () in
   let node = make_node ~registry "A" in
-  let chain = { prev = None } in
+  let chain = new_chain () in
   let r =
     process node
-      (next_block chain
+      (Assembler.make chain
          [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ])
   in
   (match r.Node_core.br_statuses with
@@ -213,8 +206,8 @@ let test_admission_checks () =
   in
   Alcotest.(check bool) "absent row reads None" true (v9 = None);
   (* supersede both pins: bump key 1, insert key 999 *)
-  ignore (process node (next_block chain [ bump_tx ~key:1 ~tag:1 ~snapshot:h ]));
-  ignore (process node (next_block chain [ put_tx ~key:999 ~v:7 ~snapshot:h ]));
+  ignore (process node (Assembler.make chain [ bump_tx ~key:1 ~tag:1 ~snapshot:h ]));
+  ignore (process node (Assembler.make chain [ put_tx ~key:999 ~v:7 ~snapshot:h ]));
   (match Admission.check node ~pins:[ pin ] ~pinned_height:h () with
   | Error (Admission.Superseded { table = "kv"; _ }) -> ()
   | _ -> Alcotest.fail "updated pin must be superseded");
@@ -264,10 +257,10 @@ type sess = {
 let run_workload ~admission rounds =
   let registry = registry () in
   let node = make_node ~registry "W" in
-  let chain = { prev = None } in
+  let chain = new_chain () in
   ignore
     (process node
-       (next_block chain
+       (Assembler.make chain
           [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ]));
   let pending = ref [] in
   let tag = ref 0 in
@@ -315,7 +308,7 @@ let run_workload ~admission rounds =
     incr fresh;
     let clean = put_tx ~key:(1000 + !fresh) ~v:7 ~snapshot:h in
     let txs = List.map (fun s -> s.sx_tx) included @ [ clean ] in
-    let res = process node (next_block chain txs) in
+    let res = process node (Assembler.make chain txs) in
     ws := Brdb_util.Hex.encode res.Node_core.br_write_set_hash :: !ws;
     List.iter
       (fun (id, st) ->
@@ -368,7 +361,7 @@ let proof_env =
              ids := tx.Block.tx_id :: !ids;
              tx)
        in
-       ignore (process node (next_block chain txs))
+       ignore (process node (Assembler.make chain txs))
      done;
      (node, Array.of_list (List.rev !ids)))
 

@@ -13,7 +13,6 @@ module H = Brdb_obs.Health
 module Reg = Brdb_obs.Registry
 module B = Brdb_core.Blockchain_db
 module Chaos = Brdb_core.Chaos
-module Service = Brdb_consensus.Service
 module Msg = Brdb_consensus.Msg
 module Peer = Brdb_node.Peer
 module Node_core = Brdb_node.Node_core
@@ -330,32 +329,17 @@ let test_bookkeeping () =
 
 (* --- false-positive freedom (qcheck) ------------------------------------- *)
 
-let clean_spec seed =
-  {
-    Chaos.default_spec with
-    Chaos.seed;
-    rate = 100.;
-    duration = 0.5;
-    drop = 0.;
-    duplicate = 0.;
-    snap_corrupt = 0.;
-    crashes = 0;
-    partitions = 0;
-    orderer_crashes = 0;
-    block_tamper = 0.;
-  }
-
 let prop_clean_runs_silent =
   QCheck.Test.make ~count:20 ~name:"fault-free chaos runs raise zero alerts"
     (QCheck.make ~print:string_of_int (QCheck.Gen.int_bound 10_000))
     (fun seed ->
-      let r = Chaos.run (clean_spec seed) in
+      let r = Chaos.run (Chaos.clean_spec seed) in
       if not r.Chaos.converged then
         QCheck.Test.fail_reportf "seed %d did not converge" seed;
       if r.Chaos.alerts <> [] then
         QCheck.Test.fail_reportf "seed %d raised alerts:@.%s" seed
           r.Chaos.alert_stream;
-      Chaos.faults_of_spec (clean_spec seed) = [])
+      Chaos.faults_of_spec (Chaos.clean_spec seed) = [])
 
 (* --- fault -> alert coverage matrix -------------------------------------- *)
 
@@ -385,124 +369,76 @@ let check_covered name (r : Chaos.report) =
 let fired_detector (r : Chaos.report) d =
   List.mem_assoc (H.detector_id d) r.Chaos.alerts_fired
 
-let test_coverage_partition () =
-  let r =
-    Chaos.run
-      {
-        Chaos.default_spec with
-        Chaos.seed = 2;
-        duration = 2.0;
-        drop = 0.;
-        duplicate = 0.;
-        crashes = 0;
-        partitions = 1;
-      }
-  in
-  check_covered "partition" r;
-  Alcotest.(check bool) "partition -> replication_lag" true
-    (fired_detector r H.Replication_lag)
+(* Run a Chaos.scenarios row: every injected fault class is detected
+   within the bounds, and [detector] is among the alerts that fired. *)
+let run_covered label detector =
+  let r = Chaos.run (Chaos.scenario label) in
+  check_covered label r;
+  Alcotest.(check bool)
+    (label ^ " -> " ^ H.detector_id detector)
+    true (fired_detector r detector);
+  r
 
-let test_coverage_crash () =
-  let r =
-    Chaos.run
-      {
-        Chaos.default_spec with
-        Chaos.seed = 3;
-        duration = 2.0;
-        drop = 0.;
-        duplicate = 0.;
-        crashes = 1;
-        partitions = 0;
-      }
-  in
-  check_covered "crash" r;
-  Alcotest.(check bool) "crash -> replication_lag" true
-    (fired_detector r H.Replication_lag)
+let test_coverage label detector () = ignore (run_covered label detector)
 
-let test_coverage_orderer_crash_raft () =
-  let r =
-    Chaos.run
-      {
-        Chaos.default_spec with
-        Chaos.seed = 3;
-        ordering = Service.Raft;
-        n_orderers = 3;
-        orderer_crashes = 1;
-        rate = 60.;
-        duration = 1.5;
-        drop = 0.;
-        duplicate = 0.;
-        crashes = 0;
-        partitions = 0;
-      }
-  in
-  check_covered "raft leader crash" r;
-  Alcotest.(check bool) "leader crash -> view_change_storm" true
-    (fired_detector r H.View_change_storm)
-
-let test_coverage_orderer_crash_bft () =
-  let r =
-    Chaos.run
-      {
-        Chaos.default_spec with
-        Chaos.seed = 11;
-        ordering = Service.Bft;
-        n_orderers = 4;
-        orderer_crashes = 1;
-        rate = 60.;
-        duration = 1.5;
-        drop = 0.;
-        duplicate = 0.;
-        crashes = 0;
-        partitions = 0;
-      }
-  in
-  check_covered "bft primary crash" r;
-  Alcotest.(check bool) "primary crash -> view_change_storm" true
-    (fired_detector r H.View_change_storm)
-
-let test_coverage_snapshot_corruption () =
-  let r =
-    Chaos.run
-      {
-        Chaos.default_spec with
-        Chaos.seed = 5;
-        duration = 2.0;
-        drop = 0.05;
-        crashes = 2;
-        partitions = 0;
-        snap_corrupt = 0.6;
-        snapshot_threshold = 2;
-      }
-  in
-  check_covered "snapshot corruption" r;
-  Alcotest.(check bool) "corrupt chunks -> snapshot_failure" true
-    (fired_detector r H.Snapshot_failure)
-
-let tamper_spec =
-  {
-    Chaos.default_spec with
-    Chaos.seed = 7;
-    block_tamper = 1.0;
-    drop = 0.;
-    duplicate = 0.;
-    crashes = 0;
-    partitions = 0;
-  }
-
-let test_coverage_tamper_and_determinism () =
+let test_coverage_tamper_and_determinism label detector () =
   (* one spec doubles as the tamper coverage row and the byte-identity
      property: the alert stream is a pure function of the spec *)
-  let a = Chaos.run tamper_spec in
-  check_covered "block tamper" a;
-  Alcotest.(check bool) "tamper -> auth_rejection_burst" true
-    (fired_detector a H.Auth_rejection_burst);
+  let a = run_covered label detector in
   Alcotest.(check bool) "stream non-empty" true (a.Chaos.alert_stream <> "");
-  let b = Chaos.run tamper_spec in
+  let b = Chaos.run (Chaos.scenario label) in
   Alcotest.(check string) "alert stream byte-identical across runs"
     a.Chaos.alert_stream b.Chaos.alert_stream;
   Alcotest.(check string) "replicated state byte-identical too"
     a.Chaos.fingerprint b.Chaos.fingerprint
+
+(* The health.coverage cases: name, the Chaos.scenarios row each runs,
+   the detector it asserts, and the test. *)
+let coverage_cases =
+  [
+    ("partition -> replication_lag", "partition", H.Replication_lag, test_coverage);
+    ("crash -> replication_lag", "crash", H.Replication_lag, test_coverage);
+    ("raft leader crash -> storm", "orderer_raft", H.View_change_storm, test_coverage);
+    ("bft primary crash -> storm", "orderer_bft", H.View_change_storm, test_coverage);
+    ("snapshot corruption -> failure", "snapshot", H.Snapshot_failure, test_coverage);
+    ( "tamper -> burst, byte-identical",
+      "tamper",
+      H.Auth_rejection_burst,
+      test_coverage_tamper_and_determinism );
+  ]
+
+let test_catalogue_invariants () =
+  let labels = List.map (fun (label, _, _) -> label) Chaos.scenarios in
+  Alcotest.(check int) "scenario labels are unique"
+    (List.length labels)
+    (List.length (List.sort_uniq String.compare labels));
+  List.iter
+    (fun (label, fault, spec) ->
+      Alcotest.(check bool)
+        (label ^ " injects " ^ Chaos.fault_id fault)
+        true
+        (List.mem fault (Chaos.faults_of_spec spec)))
+    Chaos.scenarios;
+  List.iter
+    (fun (name, label, detector, _) ->
+      match List.find_opt (fun (l, _, _) -> l = label) Chaos.scenarios with
+      | None -> Alcotest.failf "%s: no scenario %s" name label
+      | Some (_, fault, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s expected for %s" name (H.detector_id detector)
+               (Chaos.fault_id fault))
+            true
+            (List.mem detector (Chaos.expected_alerts fault)))
+    coverage_cases
+
+let test_mid_block_crash_no_divergence () =
+  (* §3.6 mid-block crashes leave a stored block whose write-set digest
+     is recorded only by recovery; the live digest comparison must not
+     mistake that window for a state divergence *)
+  let r = Chaos.run { (Chaos.scenario "crash") with Chaos.crash_points = true } in
+  check_covered "mid-block crash" r;
+  Alcotest.(check bool) "no divergence_warning" false
+    (fired_detector r H.Divergence_warning)
 
 (* --- sys.alerts / sys.detectors across nodes ----------------------------- *)
 
@@ -614,21 +550,17 @@ let suites =
         Alcotest.test_case "bookkeeping" `Quick test_bookkeeping;
       ] );
     ( "health.coverage",
-      [
-        QCheck_alcotest.to_alcotest prop_clean_runs_silent;
-        Alcotest.test_case "partition -> replication_lag" `Quick
-          test_coverage_partition;
-        Alcotest.test_case "crash -> replication_lag" `Quick
-          test_coverage_crash;
-        Alcotest.test_case "raft leader crash -> storm" `Quick
-          test_coverage_orderer_crash_raft;
-        Alcotest.test_case "bft primary crash -> storm" `Quick
-          test_coverage_orderer_crash_bft;
-        Alcotest.test_case "snapshot corruption -> failure" `Quick
-          test_coverage_snapshot_corruption;
-        Alcotest.test_case "tamper -> burst, byte-identical" `Quick
-          test_coverage_tamper_and_determinism;
-      ] );
+      (QCheck_alcotest.to_alcotest prop_clean_runs_silent
+      :: List.map
+          (fun (name, label, detector, test) ->
+            Alcotest.test_case name `Quick (test label detector))
+          coverage_cases
+      @ [
+          Alcotest.test_case "catalogue invariants" `Quick
+            test_catalogue_invariants;
+          Alcotest.test_case "mid-block crash, no divergence" `Quick
+            test_mid_block_crash_no_divergence;
+        ]) );
     ( "health.sysviews",
       [
         Alcotest.test_case "sys.alerts identical across nodes" `Quick

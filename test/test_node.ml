@@ -1,5 +1,6 @@
 open Brdb_node
 module Block = Brdb_ledger.Block
+module Assembler = Brdb_consensus.Assembler
 module Identity = Brdb_crypto.Identity
 module Value = Brdb_storage.Value
 module Txn = Brdb_txn.Txn
@@ -10,9 +11,8 @@ module Api = Brdb_contracts.Api
 
 type harness = {
   registry : Identity.Registry.t;
-  orderer : Identity.t;
   nodes : Node_core.t list;
-  mutable prev : Block.t option;
+  chain : Assembler.t;  (** the orderer's linear chain of signed blocks *)
   mutable tx_seq : int;
 }
 
@@ -48,20 +48,19 @@ let setup ?(flow = Node_core.Order_execute) ?(atomic_commit = false)
         Node_core.bootstrap node;
         node)
   in
-  { registry; orderer; nodes; prev = None; tx_seq = 0 }
+  {
+    registry;
+    nodes;
+    chain = Assembler.create ~identity:orderer ~metadata:"test";
+    tx_seq = 0;
+  }
 
 let node h i = List.nth h.nodes i
 
 (* Build, sign and deliver the next block to all nodes; returns one result
    per node. *)
 let deliver h txs =
-  let height = (match h.prev with None -> 0 | Some b -> b.Block.height) + 1 in
-  let prev_hash =
-    match h.prev with None -> Block.genesis_hash | Some b -> b.Block.hash
-  in
-  let block = Block.create ~height ~txs ~metadata:"test" ~prev_hash in
-  let block = Block.sign block h.orderer in
-  h.prev <- Some block;
+  let block = Assembler.make h.chain txs in
   List.map
     (fun n ->
       match Node_core.process_block n block with
@@ -767,11 +766,12 @@ let crash_recovery_scenario ?(flow = Node_core.Order_execute) ?(atomic_commit = 
           tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 99; Value.Int 9 ] )
   in
   (* node 0 crashes mid-block; node 1 processes normally (the reference). *)
-  let height = (match h.prev with None -> 0 | Some b -> b.Block.height) + 1 in
-  let prev_hash = match h.prev with None -> Block.genesis_hash | Some b -> b.Block.hash in
-  let block = Block.sign (Block.create ~height ~txs ~metadata:"test" ~prev_hash) h.orderer in
-  h.prev <- Some block;
+  let height = Assembler.next_height h.chain in
+  let block = Assembler.make h.chain txs in
   Node_core.process_block_with_crash (node h 0) block ~crash;
+  Alcotest.(check (option string)) "no state digest for the interrupted block"
+    None
+    (Node_core.state_digest (node h 0) ~height);
   let reference =
     match Node_core.process_block (node h 1) block with
     | Ok r -> r
@@ -860,10 +860,8 @@ let test_tampered_tx_rejected_on_both_paths () =
       tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 3; Value.Int 30 ];
     ]
   in
-  let height = (match h.prev with None -> 0 | Some b -> b.Block.height) + 1 in
-  let prev_hash = match h.prev with None -> Block.genesis_hash | Some b -> b.Block.hash in
-  let block = Block.sign (Block.create ~height ~txs ~metadata:"test" ~prev_hash) h.orderer in
-  h.prev <- Some block;
+  let height = Assembler.next_height h.chain in
+  let block = Assembler.make h.chain txs in
   Alcotest.(check bool) "block verifies" true (Block.verify h.registry block);
   let expected = [ "committed"; "rejected: invalid client signature"; "committed" ] in
   let check_statuses label (r : Node_core.block_result) =
@@ -894,6 +892,30 @@ let test_tampered_tx_rejected_on_both_paths () =
       Alcotest.(check int) "no tampered value" 0
         (query_int n "SELECT COUNT(*) FROM kv WHERE v = 999"))
     h.nodes
+
+let test_recover_empty_block () =
+  (* A crash while processing a block with no transactions leaves no
+     ledger entry to recover from; recovery must still finish the stored
+     block, or the node never records its digest and cannot chain the
+     next one. *)
+  let h = setup () in
+  init_chain h;
+  let height = Assembler.next_height h.chain in
+  let block = Assembler.make h.chain [] in
+  Node_core.process_block_with_crash (node h 0) block
+    ~crash:Node_core.Crash_after_ledger_entries;
+  (match Node_core.process_block (node h 1) block with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  (match Node_core.recover (node h 0) with
+  | Ok (Some _) -> ()
+  | Ok None -> Alcotest.fail "expected a re-execution"
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (option string)) "state digest matches reference"
+    (Node_core.state_digest (node h 1) ~height)
+    (Node_core.state_digest (node h 0) ~height);
+  check_identical h
+    (deliver h [ tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 1 ] ])
 
 let test_recover_noop_when_consistent () =
   let h = setup ~n_nodes:1 () in
@@ -1081,6 +1103,7 @@ let suites =
           test_recover_serial_mid_commit;
         Alcotest.test_case "serial baseline: atomic block commit" `Quick
           test_recover_serial_atomic_commit;
+        Alcotest.test_case "crash on an empty block" `Quick test_recover_empty_block;
         Alcotest.test_case "no-op when consistent" `Quick test_recover_noop_when_consistent;
         Alcotest.test_case "tampered tx rejected on normal and recovery paths" `Quick
           test_tampered_tx_rejected_on_both_paths;

@@ -17,6 +17,7 @@
 
 open Brdb_node
 module Block = Brdb_ledger.Block
+module Assembler = Brdb_consensus.Assembler
 module Identity = Brdb_crypto.Identity
 module Value = Brdb_storage.Value
 module Registry = Brdb_contracts.Registry
@@ -83,14 +84,8 @@ let make_node ~flow ~registry name =
   Node_core.install_contract node ~name:"rw" rw_contract;
   node
 
-type chain = { mutable prev : Block.t option }
-
-let next_block chain txs =
-  let height = (match chain.prev with None -> 0 | Some b -> b.Block.height) + 1 in
-  let prev_hash = match chain.prev with None -> Block.genesis_hash | Some b -> b.Block.hash in
-  let b = Block.sign (Block.create ~height ~txs ~metadata:"p" ~prev_hash) orderer in
-  chain.prev <- Some b;
-  b
+(* One linear chain of signed blocks, as an orderer assembles it. *)
+let new_chain () = Assembler.create ~identity:orderer ~metadata:"p"
 
 let process node block =
   match Node_core.process_block node block with
@@ -173,12 +168,12 @@ let prop_oe_block_is_serializable =
       let registry = registry () in
       (* Node A processes all ops in ONE block. *)
       let node_a = make_node ~flow:Node_core.Order_execute ~registry "A" in
-      let chain_a = { prev = None } in
+      let chain_a = new_chain () in
       init_node node_a
-        (next_block chain_a
+        (Assembler.make chain_a
            [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ]);
       let txs = txs_of_ops ops in
-      let result = process node_a (next_block chain_a txs) in
+      let result = process node_a (Assembler.make chain_a txs) in
       let committed_ids =
         List.filter_map
           (fun (id, s) -> if s = Node_core.S_committed then Some id else None)
@@ -194,9 +189,9 @@ let prop_oe_block_is_serializable =
           (* Node B replays the committed transactions serially in the
              dependency order. *)
           let node_b = make_node ~flow:Node_core.Order_execute ~registry "B" in
-          let chain_b = { prev = None } in
+          let chain_b = new_chain () in
           init_node node_b
-            (next_block chain_b
+            (Assembler.make chain_b
                [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ]);
           List.iter
             (fun (i, o) ->
@@ -204,7 +199,7 @@ let prop_oe_block_is_serializable =
                 Block.make_tx ~id:(Printf.sprintf "p-%d" i) ~identity:client
                   ~contract:"rw" ~args:(op_args o)
               in
-              let r = process node_b (next_block chain_b [ tx ]) in
+              let r = process node_b (Assembler.make chain_b [ tx ]) in
               match r.Node_core.br_statuses with
               | [ (_, Node_core.S_committed) ] -> ()
               | [ (_, s) ] ->
@@ -222,9 +217,9 @@ let prop_oe_nodes_identical =
     (fun ops ->
       let registry = registry () in
       let nodes = List.map (make_node ~flow:Node_core.Order_execute ~registry) [ "A"; "B"; "C" ] in
-      let chain = { prev = None } in
+      let chain = new_chain () in
       let setup_block =
-        next_block chain
+        Assembler.make chain
           [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ]
       in
       List.iter (fun n -> init_node n setup_block) nodes;
@@ -239,8 +234,8 @@ let prop_oe_nodes_identical =
       in
       let first, second = split 0 txs in
       (* build blocks in order: @ evaluates right-to-left in OCaml *)
-      let b1 = if first = [] then [] else [ next_block chain first ] in
-      let b2 = if second = [] then [] else [ next_block chain second ] in
+      let b1 = if first = [] then [] else [ Assembler.make chain first ] in
+      let b2 = if second = [] then [] else [ Assembler.make chain second ] in
       let blocks = b1 @ b2 in
       let results = List.map (fun node -> List.map (process node) blocks) nodes in
       match results with
@@ -270,9 +265,9 @@ let prop_eo_serializable_with_pre_execution =
     (fun ops ->
       let registry = registry () in
       let node = make_node ~flow:Node_core.Execute_order ~registry "A" in
-      let chain = { prev = None } in
+      let chain = new_chain () in
       init_node node
-        (next_block chain
+        (Assembler.make chain
            [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ]);
       (* All ops pre-execute at snapshot 1 (maximum contention), then land
          in separate consecutive blocks. *)
@@ -292,7 +287,7 @@ let prop_eo_serializable_with_pre_execution =
       let committed = ref [] in
       List.iter
         (fun tx ->
-          let r = process node (next_block chain [ tx ]) in
+          let r = process node (Assembler.make chain [ tx ]) in
           match r.Node_core.br_statuses with
           | [ (id, Node_core.S_committed) ] -> committed := id :: !committed
           | _ -> ())
@@ -316,9 +311,9 @@ let prop_eo_serializable_with_pre_execution =
       | None -> QCheck.Test.fail_report "committed set has a dependency cycle"
       | Some order ->
           let node_b = make_node ~flow:Node_core.Order_execute ~registry "B" in
-          let chain_b = { prev = None } in
+          let chain_b = new_chain () in
           init_node node_b
-            (next_block chain_b
+            (Assembler.make chain_b
                [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ]);
           List.iter
             (fun (i, o) ->
@@ -326,7 +321,7 @@ let prop_eo_serializable_with_pre_execution =
                 Block.make_tx ~id:(Printf.sprintf "replay-%d" i) ~identity:client
                   ~contract:"rw" ~args:(op_args o)
               in
-              let r = process node_b (next_block chain_b [ replay ]) in
+              let r = process node_b (Assembler.make chain_b [ replay ]) in
               match r.Node_core.br_statuses with
               | [ (_, Node_core.S_committed) ] -> ()
               | _ -> QCheck.Test.fail_report "replay failed")
@@ -420,15 +415,15 @@ let check_schedules ~flow ~ops ~block_txs ~prepare =
   let s = make_node ~flow ~registry "S" in
   let r = make_node ~flow ~registry "R" in
   let nodes = [ d; d2; s; r ] in
-  let chain = { prev = None } in
+  let chain = new_chain () in
   let setup_block =
-    next_block chain
+    Assembler.make chain
       [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ]
   in
   List.iter (fun n -> init_node n setup_block) nodes;
   List.iter prepare nodes;
   let blocks =
-    List.rev (List.fold_left (fun acc c -> next_block chain c :: acc) [] block_txs)
+    List.rev (List.fold_left (fun acc c -> Assembler.make chain c :: acc) [] block_txs)
   in
   let rng = Random.State.make [| Hashtbl.hash (print_ops ops) |] in
   let rd = run_all d blocks in
@@ -522,16 +517,16 @@ let prop_prune_preserves_live_state =
     (fun ops ->
       let registry = registry () in
       let node = make_node ~flow:Node_core.Order_execute ~registry "A" in
-      let chain = { prev = None } in
+      let chain = new_chain () in
       init_node node
-        (next_block chain
+        (Assembler.make chain
            [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ]);
       (* one block per op for plenty of superseded versions *)
       List.iteri
         (fun i o ->
           ignore
             (process node
-               (next_block chain
+               (Assembler.make chain
                   [
                     Block.make_tx ~id:(Printf.sprintf "p-%d" i) ~identity:client
                       ~contract:"rw" ~args:(op_args o);

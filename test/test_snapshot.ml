@@ -11,6 +11,7 @@
 
 open Brdb_node
 module Block = Brdb_ledger.Block
+module Assembler = Brdb_consensus.Assembler
 module Identity = Brdb_crypto.Identity
 module Value = Brdb_storage.Value
 module Registry = Brdb_contracts.Registry
@@ -76,16 +77,8 @@ let make_node ~registry name =
     ];
   node
 
-type chain = { mutable prev : Block.t option }
-
-let next_block chain txs =
-  let height = (match chain.prev with None -> 0 | Some b -> b.Block.height) + 1 in
-  let prev_hash =
-    match chain.prev with None -> Block.genesis_hash | Some b -> b.Block.hash
-  in
-  let b = Block.sign (Block.create ~height ~txs ~metadata:"s" ~prev_hash) orderer in
-  chain.prev <- Some b;
-  b
+(* One linear chain of signed blocks, as an orderer assembles it. *)
+let new_chain () = Assembler.create ~identity:orderer ~metadata:"s"
 
 let process node block =
   match Node_core.process_block node block with
@@ -114,9 +107,9 @@ let op_tx i = function
         ~identity:client ~contract:"del" ~args:[ Value.Int k ]
 
 let blocks_of_ops ops =
-  let chain = { prev = None } in
+  let chain = new_chain () in
   let setup =
-    next_block chain
+    Assembler.make chain
       [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ]
   in
   let rec group i = function
@@ -132,7 +125,7 @@ let blocks_of_ops ops =
         let batch, rest = take 3 ops in
         (* bind before consing: constructor arguments evaluate right to
            left, and heights must be sequential (CLAUDE.md gotcha) *)
-        let b = next_block chain (List.mapi (fun j o -> op_tx (i + j) o) batch) in
+        let b = Assembler.make chain (List.mapi (fun j o -> op_tx (i + j) o) batch) in
         b :: group (i + List.length batch) rest
   in
   setup :: group 0 ops
