@@ -57,6 +57,23 @@ let is_query sql =
 
 (* --- sandbox ----------------------------------------------------------------- *)
 
+(* One line per registered sys.* view: its name and column names, as
+   node 0 of [net] serves them. *)
+let print_views ~indent net =
+  let catalog = Node_core.catalog (Brdb_node.Peer.core (B.peer net 0)) in
+  List.iter
+    (fun name ->
+      match Brdb_storage.Catalog.virtual_schema catalog name with
+      | None -> ()
+      | Some schema ->
+          Printf.printf "%s%-18s %s\n" indent name
+            (String.concat ", "
+               (Array.to_list
+                  (Array.map
+                     (fun c -> c.Brdb_storage.Schema.name)
+                     schema.Brdb_storage.Schema.columns))))
+    (Brdb_storage.Catalog.virtual_names catalog)
+
 let sandbox flow_str block_size block_timeout =
   let flow =
     match flow_str with
@@ -85,20 +102,7 @@ let sandbox flow_str block_size block_timeout =
        let line = input_line stdin in
        let line = String.trim line in
        if line <> "" then
-         if line = "\\sys" then
-           let catalog = Node_core.catalog (Brdb_node.Peer.core (B.peer net 0)) in
-           List.iter
-             (fun name ->
-               match Brdb_storage.Catalog.virtual_schema catalog name with
-               | None -> ()
-               | Some schema ->
-                   Printf.printf "%-18s %s\n" name
-                     (String.concat ", "
-                        (Array.to_list
-                           (Array.map
-                              (fun c -> c.Brdb_storage.Schema.name)
-                              schema.Brdb_storage.Schema.columns))))
-             (Brdb_storage.Catalog.virtual_names catalog)
+         if line = "\\sys" then print_views ~indent:"" net
          else if starts_upper line "EXPLAIN ANALYZE " then (
            let n = String.length "EXPLAIN ANALYZE " in
            let sql = String.sub line n (String.length line - n) in
@@ -482,20 +486,8 @@ let show_info () =
      introspection (SELECT-able on every node; see DESIGN.md section 10):";
   (* Render the registered views from a live node so the listing can never
      drift from the code. *)
-  let net = make_net ~flow:Node_core.Order_execute ~block_size:10 ~block_timeout:0.2 () in
-  let catalog = Node_core.catalog (Brdb_node.Peer.core (B.peer net 0)) in
-  List.iter
-    (fun name ->
-      match Brdb_storage.Catalog.virtual_schema catalog name with
-      | None -> ()
-      | Some schema ->
-          Printf.printf "  %-18s %s\n" name
-            (String.concat ", "
-               (Array.to_list
-                  (Array.map
-                     (fun c -> c.Brdb_storage.Schema.name)
-                     schema.Brdb_storage.Schema.columns))))
-    (Brdb_storage.Catalog.virtual_names catalog);
+  print_views ~indent:"  "
+    (make_net ~flow:Node_core.Order_execute ~block_size:10 ~block_timeout:0.2 ());
   print_endline
     "\nsee: dune exec bench/main.exe -- --list   for the evaluation experiments";
   `Ok ()

@@ -4,7 +4,6 @@ module Identity = Brdb_crypto.Identity
 module Peer = Brdb_node.Peer
 module Node_core = Brdb_node.Node_core
 module Reg = Brdb_obs.Registry
-module Sysview = Brdb_obs.Sysview
 module Obs = Brdb_obs.Obs
 
 type status = Active | Submitted | Early_aborted | Closed
@@ -45,12 +44,17 @@ let bump ?(by = 1) h name = Reg.incr ~by (reg h) ~node:"client" name
 let rows h () =
   List.rev_map
     (fun s ->
-      Sysview.client_row ~session:s.s_id
-        ~user:(Identity.name s.s_user)
-        ~peer:(Peer.name (List.nth (B.peers h.db) s.s_peer))
-        ~status:(status_to_string s.s_status) ~pinned_height:s.s_pinned
-        ~reads_pinned:s.s_reads ~submitted:s.s_submitted
-        ~early_aborts:s.s_early_aborts ~receipts_verified:s.s_receipts)
+      {
+        B.cr_session = s.s_id;
+        cr_user = Identity.name s.s_user;
+        cr_peer = Peer.name (List.nth (B.peers h.db) s.s_peer);
+        cr_status = status_to_string s.s_status;
+        cr_pinned_height = s.s_pinned;
+        cr_reads_pinned = s.s_reads;
+        cr_submitted = s.s_submitted;
+        cr_early_aborts = s.s_early_aborts;
+        cr_receipts_verified = s.s_receipts;
+      })
     h.sessions
 
 let create_hub ?(admission = true) ?max_window db =

@@ -78,6 +78,18 @@ type tx_track = {
   mutable final : final_status option;
 }
 
+type client_row = {
+  cr_session : string;
+  cr_user : string;
+  cr_peer : string;
+  cr_status : string;
+  cr_pinned_height : int;
+  cr_reads_pinned : int;
+  cr_submitted : int;
+  cr_early_aborts : int;
+  cr_receipts_verified : int;
+}
+
 type t = {
   config : config;
   clock : Clock.t;
@@ -101,7 +113,7 @@ type t = {
   (* sys.clients rows, installed by the client-plane hub (Brdb_client);
      the registration lives here so the sys.* name stays inside the
      provider layers the lint rule allows *)
-  mutable client_rows : unit -> Value.t array list;
+  mutable client_rows : unit -> client_row list;
 }
 
 let peer_name org = "db-" ^ org
@@ -265,42 +277,6 @@ let create config =
     (fun p ->
       Peer.on_final p (fun ~tx_id ~status -> track_final t tx_id status (Clock.now clock)))
     peers;
-  (* sys.nodes: one row per database peer — liveness and catch-up
-     counters as this cluster sees them right now. Registered on every
-     peer's catalog so any node can serve the view. *)
-  let nodes_rows ~height:_ =
-    List.map
-      (fun p ->
-        let reg = Obs.metrics obs in
-        let node = Peer.name p in
-        Brdb_obs.Sysview.node_row ~node
-          ~height:(Node_core.height (Peer.core p))
-          ~inbox:(Peer.inbox_size p) ~crashed:(Peer.is_crashed p)
-          ~fetch_requests:(Peer.fetch_requests p)
-          ~fetched_blocks:(Peer.fetched_blocks p)
-          ~blocks_rejected:(Peer.blocks_rejected p)
-          ~crashes:(Reg.counter reg ~node "node.crashes")
-          ~restarts:(Reg.counter reg ~node "node.restarts"))
-      peers
-  in
-  List.iter
-    (fun p ->
-      Brdb_storage.Catalog.register_virtual
-        (Node_core.catalog (Peer.core p))
-        ~name:"sys.nodes" ~columns:Brdb_obs.Sysview.nodes_columns
-        ~rows:nodes_rows)
-    peers;
-  (* sys.clients (ISSUE 10): one row per client-plane session. The rows
-     provider is installed by the Brdb_client hub (empty until then);
-     registering here keeps the sys.* literal inside the provider layer
-     and makes the view readable from every node like sys.nodes. *)
-  List.iter
-    (fun p ->
-      Brdb_storage.Catalog.register_virtual
-        (Node_core.catalog (Peer.core p))
-        ~name:"sys.clients" ~columns:Brdb_obs.Sysview.clients_columns
-        ~rows:(fun ~height:_ -> t.client_rows ()))
-    peers;
   (* --- health plane (ISSUE 9, DESIGN.md §15) ---------------------------
      One shared engine per deployment, ticked on the simulated clock. The
      sample is assembled from state that is itself a pure function of
@@ -369,19 +345,76 @@ let create config =
       s_auth_rejected = Service.auth_rejected t.service;
     }
   in
-  let alert_rows ~height:_ =
-    List.map Brdb_obs.Sysview.alert_row (Health.alerts t.health)
-  in
-  let detector_rows ~height:_ =
-    List.map Brdb_obs.Sysview.detector_row (Health.summaries t.health)
-  in
+  (* The cluster-level views, registered on every peer's catalog so any
+     node serves them:
+     - sys.nodes: one row per database peer — liveness and catch-up
+       counters as this cluster sees them right now;
+     - sys.clients (ISSUE 10): one row per client-plane session, from the
+       provider the Brdb_client hub installs (empty until then);
+       registering here keeps the sys.* literal inside the provider layers;
+     - sys.alerts / sys.detectors: the shared health engine's transition
+       log and per-detector summaries. *)
   List.iter
     (fun p ->
-      let cat = Node_core.catalog (Peer.core p) in
-      Brdb_storage.Catalog.register_virtual cat ~name:"sys.alerts"
-        ~columns:Brdb_obs.Sysview.alerts_columns ~rows:alert_rows;
-      Brdb_storage.Catalog.register_virtual cat ~name:"sys.detectors"
-        ~columns:Brdb_obs.Sysview.detectors_columns ~rows:detector_rows)
+      Brdb_storage.Catalog.(
+        let cat = Node_core.catalog (Peer.core p) in
+        let node_counter name p =
+          Reg.counter (Obs.metrics obs) ~node:(Peer.name p) name
+        in
+        register_virtual cat ~name:"sys.nodes"
+          [
+            text ~pk:true "node" Peer.name;
+            int "height" (fun p -> Node_core.height (Peer.core p));
+            int "inbox" Peer.inbox_size;
+            bool "crashed" Peer.is_crashed;
+            int "fetch_requests" Peer.fetch_requests;
+            int "fetched_blocks" Peer.fetched_blocks;
+            int "blocks_rejected" Peer.blocks_rejected;
+            int "crashes" (node_counter "node.crashes");
+            int "restarts" (node_counter "node.restarts");
+          ]
+          (fun ~height:_ -> peers);
+        register_virtual cat ~name:"sys.clients"
+          [
+            text ~pk:true "session" (fun c -> c.cr_session);
+            text "user" (fun c -> c.cr_user);
+            text "peer" (fun c -> c.cr_peer);
+            text "status" (fun c -> c.cr_status);
+            int "pinned_height" (fun c -> c.cr_pinned_height);
+            int "reads_pinned" (fun c -> c.cr_reads_pinned);
+            int "submitted" (fun c -> c.cr_submitted);
+            int "early_aborts" (fun c -> c.cr_early_aborts);
+            int "receipts_verified" (fun c -> c.cr_receipts_verified);
+          ]
+          (fun ~height:_ -> t.client_rows ());
+        register_virtual cat ~name:"sys.alerts"
+          [
+            int ~pk:true "seq" (fun (a : Health.alert) -> a.Health.al_seq);
+            float "ts" (fun a -> a.Health.al_time);
+            int "height" (fun a -> a.Health.al_height);
+            text "transition" (fun a ->
+                Health.transition_name a.Health.al_transition);
+            text "detector" (fun a -> Health.detector_id a.Health.al_detector);
+            text "severity" (fun a ->
+                Health.severity_name a.Health.al_severity);
+            text "subject" (fun a -> a.Health.al_subject);
+            text "evidence" (fun a -> a.Health.al_evidence);
+          ]
+          (fun ~height:_ -> Health.alerts t.health);
+        register_virtual cat ~name:"sys.detectors"
+          (let d (s : Health.summary) = s.Health.sm_detector in
+           [
+             text ~pk:true "detector" (fun s -> Health.detector_id (d s));
+             text "severity" (fun s ->
+                 Health.severity_name (Health.severity_of (d s)));
+             text "rule" (fun s -> Health.describe (d s));
+             int "firing" (fun s -> s.Health.sm_firing);
+             int "fires" (fun s -> s.Health.sm_fires);
+             int "clears" (fun s -> s.Health.sm_clears);
+             float "last_ts" (fun s -> s.Health.sm_last_time);
+             int "last_height" (fun s -> s.Health.sm_last_height);
+           ])
+          (fun ~height:_ -> Health.summaries t.health)))
     peers;
   let rec health_tick () =
     Clock.schedule clock ~delay:health_interval (fun () ->
@@ -514,21 +547,9 @@ let install_contract_source t ~name source =
           install_contract t ~name (Brdb_contracts.Registry.Procedural program);
           Ok ())
 
-let submit t ~user ~contract ~args =
-  t.seq <- t.seq + 1;
-  t.submit_rr <- t.submit_rr + 1;
-  let rr = t.submit_rr in
-  let tx, target =
-    match t.config.flow with
-    | Node_core.Execute_order ->
-        (* Submit to a database peer at its current height (§3.4.1). *)
-        let p = List.nth t.peers (rr mod List.length t.peers) in
-        let snapshot = Node_core.height (Peer.core p) in
-        (Block.make_eo_tx ~identity:user ~contract ~args ~snapshot, Peer.name p)
-    | Node_core.Order_execute | Node_core.Serial_baseline ->
-        let id = Printf.sprintf "%s#%d" (Identity.name user) t.seq in
-        (Block.make_tx ~id ~identity:user ~contract ~args, Service.submit_target t.service rr)
-  in
+(* Track a signed transaction and ship it to [target]: the one submission
+   tail of [submit] and [submit_at]. *)
+let send_tx t ~user ~contract ~target (tx : Block.tx) =
   let tx_id = tx.Block.tx_id in
   Hashtbl.replace t.tracks tx_id
     { submitted_at = Clock.now t.clock; commits = 0; aborts = 0; final = None };
@@ -553,6 +574,23 @@ let submit t ~user ~contract ~args =
        (Msg.Client_tx tx));
   tx_id
 
+let submit t ~user ~contract ~args =
+  t.seq <- t.seq + 1;
+  t.submit_rr <- t.submit_rr + 1;
+  let rr = t.submit_rr in
+  let tx, target =
+    match t.config.flow with
+    | Node_core.Execute_order ->
+        (* Submit to a database peer at its current height (§3.4.1). *)
+        let p = List.nth t.peers (rr mod List.length t.peers) in
+        let snapshot = Node_core.height (Peer.core p) in
+        (Block.make_eo_tx ~identity:user ~contract ~args ~snapshot, Peer.name p)
+    | Node_core.Order_execute | Node_core.Serial_baseline ->
+        let id = Printf.sprintf "%s#%d" (Identity.name user) t.seq in
+        (Block.make_tx ~id ~identity:user ~contract ~args, Service.submit_target t.service rr)
+  in
+  send_tx t ~user ~contract ~target tx
+
 (* Client-plane submission (ISSUE 10): like the EO branch of [submit]
    but with the session's choices pinned — the tx executes at the
    session's begin height on the session's peer, not at whatever height
@@ -561,31 +599,8 @@ let submit_at t ~user ~contract ~args ~peer:peer_index ~snapshot =
   if t.config.flow <> Node_core.Execute_order then
     invalid_arg "Blockchain_db.submit_at: pinned submission requires the EO flow";
   let p = List.nth t.peers (peer_index mod List.length t.peers) in
-  let tx = Block.make_eo_tx ~identity:user ~contract ~args ~snapshot in
-  let target = Peer.name p in
-  let tx_id = tx.Block.tx_id in
-  Hashtbl.replace t.tracks tx_id
-    { submitted_at = Clock.now t.clock; commits = 0; aborts = 0; final = None };
-  Reg.incr (Obs.metrics t.obs) ~node:"cluster" "client.submitted";
-  Hashtbl.replace t.submit_ts tx_id (Clock.now t.clock);
-  (let tr = Obs.trace t.obs in
-   if Trace.enabled tr then
-     Trace.async_begin tr ~node:"client" ~cat:"txn" ~name:"lifecycle" ~id:tx_id
-       ~span:("tx/" ^ tx_id)
-       ~args:
-         [
-           ("user", Trace.S (Identity.name user));
-           ("contract", Trace.S contract);
-           ("target", Trace.S target);
-         ]
-       ());
-  ignore
-    (Msg.Net.send t.net
-       ~src:("client/" ^ Identity.name user)
-       ~dst:target
-       ~size_bytes:(Msg.size (Msg.Client_tx tx))
-       (Msg.Client_tx tx));
-  tx_id
+  send_tx t ~user ~contract ~target:(Peer.name p)
+    (Block.make_eo_tx ~identity:user ~contract ~args ~snapshot)
 
 let set_client_rows_provider t f = t.client_rows <- f
 

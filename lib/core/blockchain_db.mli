@@ -132,10 +132,24 @@ val submit_at :
   snapshot:int ->
   string
 
+(** One client-plane session as a [sys.clients] row. *)
+type client_row = {
+  cr_session : string;
+  cr_user : string;
+  cr_peer : string;  (** name of the session's database peer *)
+  cr_status : string;
+  cr_pinned_height : int;
+  cr_reads_pinned : int;
+  cr_submitted : int;
+  cr_early_aborts : int;
+  cr_receipts_verified : int;
+}
+
 (** Install the [sys.clients] rows provider (called by the
-    {!Brdb_client} hub; the view reads empty until then). Registration
-    happens here so the sys.* schema stays within the provider layers. *)
-val set_client_rows_provider : t -> (unit -> Value.t array list) -> unit
+    {!Brdb_client} hub; the view reads empty until then), rows in
+    session-id order. Registration happens here so the sys.* schema stays
+    within the provider layers. *)
+val set_client_rows_provider : t -> (unit -> client_row list) -> unit
 
 (** Majority status of a transaction ([None] while undecided). *)
 val status : t -> string -> final_status option

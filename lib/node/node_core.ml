@@ -223,161 +223,94 @@ let tx_records_upto t ~height =
    (metrics, peer gossip state) live in the views the peer layer
    registers. *)
 let register_sys_views t =
-  let open Brdb_sql.Ast in
-  let col ?(pk = false) name ty =
-    { Schema.name; ty; not_null = false; primary_key = pk }
-  in
-  Catalog.register_virtual t.catalog ~name:"sys.blocks"
-    ~columns:
+  let module Cp = Brdb_obs.Critical_path in
+  let cp f (_, e) = f e.cp_result in
+  Catalog.(
+    register_virtual t.catalog ~name:"sys.blocks"
       [
-        col ~pk:true "height" T_int;
-        col "txs" T_int;
-        col "hash" T_text;
-        col "prev_hash" T_text;
-        col "committime" T_int;
-        col "state_digest" T_text;
+        int ~pk:true "height" (fun b -> b.Block.height);
+        int "txs" (fun b -> List.length b.Block.txs);
+        text "hash" (fun b -> b.Block.hash);
+        text "prev_hash" (fun b -> b.Block.prev_hash);
+        int "committime" (fun b -> b.Block.height);
+        text "state_digest" (fun b ->
+            Option.value (state_digest t ~height:b.Block.height) ~default:"");
       ]
-    ~rows:(fun ~height ->
-      let rows = ref [] in
-      for h = 1 to height do
-        match Block_store.get t.store h with
-        | None -> ()
-        | Some b ->
-            rows :=
-              [|
-                Value.Int b.Block.height;
-                Value.Int (List.length b.Block.txs);
-                Value.Text b.Block.hash;
-                Value.Text b.Block.prev_hash;
-                Value.Int b.Block.height;
-                Value.Text
-                  (Option.value (state_digest t ~height:h) ~default:"");
-              |]
-              :: !rows
-      done;
-      List.rev !rows);
-  Catalog.register_virtual t.catalog ~name:"sys.transactions"
-    ~columns:
+      (fun ~height ->
+        List.filter_map (Block_store.get t.store) (List.init height succ));
+    register_virtual t.catalog ~name:"sys.transactions"
       [
-        col "gid" T_text;
-        col "block" T_int;
-        col "pos" T_int;
-        col "txuser" T_text;
-        col "contract" T_text;
-        col "decision" T_text;
-        col "abort_class" T_text;
-        col "detail" T_text;
-        col "tet_ms" T_float;
+        text "gid" (fun (_, r) -> r.r_gid);
+        int "block" fst;
+        int "pos" (fun (_, r) -> r.r_pos);
+        text "txuser" (fun (_, r) -> r.r_user);
+        text "contract" (fun (_, r) -> r.r_contract);
+        text "decision" (fun (_, r) -> decision_of r.r_status);
+        text "abort_class" (fun (_, r) -> abort_class_of r.r_status);
+        text "detail" (fun (_, r) -> detail_of r.r_status);
+        float "tet_ms" (fun (_, r) -> t.tet_model r.r_contract *. 1000.);
       ]
-    ~rows:(fun ~height ->
-      List.map
-        (fun (h, r) ->
-          [|
-            Value.Text r.r_gid;
-            Value.Int h;
-            Value.Int r.r_pos;
-            Value.Text r.r_user;
-            Value.Text r.r_contract;
-            Value.Text (decision_of r.r_status);
-            Value.Text (abort_class_of r.r_status);
-            Value.Text (detail_of r.r_status);
-            Value.Float (t.tet_model r.r_contract *. 1000.);
-          |])
-        (tx_records_upto t ~height));
-  Catalog.register_virtual t.catalog ~name:"sys.aborts"
-    ~columns:[ col ~pk:true "class" T_text; col "n" T_int ]
-    ~rows:(fun ~height ->
-      let records = tx_records_upto t ~height in
-      List.map
-        (fun cls ->
-          let name = Brdb_obs.Abort_class.to_string cls in
-          let n =
-            List.length
-              (List.filter (fun (_, r) -> abort_class_of r.r_status = name) records)
-          in
-          [| Value.Text name; Value.Int n |])
-        Brdb_obs.Abort_class.all);
-  Catalog.register_virtual t.catalog ~name:"sys.critical_path"
-    ~columns:
+      (fun ~height -> tx_records_upto t ~height);
+    register_virtual t.catalog ~name:"sys.aborts"
+      [ text ~pk:true "class" fst; int "n" snd ]
+      (fun ~height ->
+        let records = tx_records_upto t ~height in
+        List.map
+          (fun cls ->
+            let name = Brdb_obs.Abort_class.to_string cls in
+            ( name,
+              List.length
+                (List.filter (fun (_, r) -> abort_class_of r.r_status = name) records)
+            ))
+          Brdb_obs.Abort_class.all);
+    register_virtual t.catalog ~name:"sys.critical_path"
       [
-        col ~pk:true "height" T_int;
-        col "txs" T_int;
-        col "edges" T_int;
-        col "serial_ms" T_float;
-        col "critical_ms" T_float;
-        col "headroom" T_float;
-        col "waves" T_int;
+        int ~pk:true "height" fst;
+        int "txs" (fun (_, e) -> e.cp_txs);
+        int "edges" (fun (_, e) -> e.cp_edge_count);
+        float "serial_ms" (cp (fun r -> r.Cp.serial_s *. 1000.));
+        float "critical_ms" (cp (fun r -> r.Cp.critical_s *. 1000.));
+        float "headroom" (cp (fun r -> r.Cp.headroom));
+        int "waves" (cp (fun r -> r.Cp.waves));
       ]
-    ~rows:(fun ~height ->
-      let rows = ref [] in
-      for h = height downto 1 do
-        match Hashtbl.find_opt t.cp_log h with
-        | None -> ()
-        | Some e ->
-            rows :=
-              [|
-                Value.Int h;
-                Value.Int e.cp_txs;
-                Value.Int e.cp_edge_count;
-                Value.Float (e.cp_result.Brdb_obs.Critical_path.serial_s *. 1000.);
-                Value.Float
-                  (e.cp_result.Brdb_obs.Critical_path.critical_s *. 1000.);
-                Value.Float e.cp_result.Brdb_obs.Critical_path.headroom;
-                Value.Int e.cp_result.Brdb_obs.Critical_path.waves;
-              |]
-              :: !rows
-      done;
-      !rows);
-  Catalog.register_virtual t.catalog ~name:"sys.tables"
-    ~columns:
+      (fun ~height ->
+        List.filter_map
+          (fun h -> Option.map (fun e -> (h, e)) (Hashtbl.find_opt t.cp_log h))
+          (List.init height succ));
+    register_virtual t.catalog ~name:"sys.tables"
       [
-        col ~pk:true "name" T_text;
-        col "columns" T_int;
-        col "versions" T_int;
-        col "live" T_int;
-        col "pruned" T_int;
-        col "indexes" T_int;
+        text ~pk:true "name" fst;
+        int "columns" (fun (_, tbl) -> Schema.arity (Table.schema tbl));
+        int "versions" (fun (_, tbl) -> Table.version_count tbl);
+        int "live" (fun (_, tbl) -> Table.live_count tbl);
+        int "pruned" (fun (_, tbl) -> Table.pruned_total tbl);
+        int "indexes" (fun (_, tbl) -> List.length (Table.indexed_columns tbl));
       ]
-    ~rows:(fun ~height:_ ->
-      List.filter_map
-        (fun name ->
-          match Catalog.find t.catalog name with
-          | None -> None
-          | Some table ->
-              Some
-                [|
-                  Value.Text name;
-                  Value.Int (Schema.arity (Table.schema table));
-                  Value.Int (Table.version_count table);
-                  Value.Int (Table.live_count table);
-                  Value.Int (Table.pruned_total table);
-                  Value.Int (List.length (Table.indexed_columns table));
-                |])
-        (Catalog.table_names t.catalog));
-  Catalog.register_virtual t.catalog ~name:"sys.indexes"
-    ~columns:
+      (fun ~height:_ ->
+        List.filter_map
+          (fun name -> Option.map (fun tbl -> (name, tbl)) (find t.catalog name))
+          (table_names t.catalog));
+    register_virtual t.catalog ~name:"sys.indexes"
       [
-        col "table_name" T_text;
-        col "column_name" T_text;
-        col "is_unique" T_bool;
+        text "table_name" (fun (name, _, _) -> name);
+        text "column_name" (fun (_, column, _) -> column);
+        bool "is_unique" (fun (_, _, unique) -> unique);
       ]
-    ~rows:(fun ~height:_ ->
-      List.concat_map
-        (fun name ->
-          match Catalog.find t.catalog name with
-          | None -> []
-          | Some table ->
-              let schema = Table.schema table in
-              let uniques = Table.unique_columns table in
-              List.map
-                (fun c ->
-                  [|
-                    Value.Text name;
-                    Value.Text schema.Schema.columns.(c).Schema.name;
-                    Value.Bool (List.mem c uniques);
-                  |])
-                (Table.indexed_columns table))
-        (Catalog.table_names t.catalog))
+      (fun ~height:_ ->
+        List.concat_map
+          (fun name ->
+            match find t.catalog name with
+            | None -> []
+            | Some table ->
+                let schema = Table.schema table in
+                let uniques = Table.unique_columns table in
+                List.map
+                  (fun c ->
+                    ( name,
+                      schema.Schema.columns.(c).Schema.name,
+                      List.mem c uniques ))
+                  (Table.indexed_columns table))
+          (table_names t.catalog)))
 
 (* --- bootstrap -------------------------------------------------------------- *)
 

@@ -46,6 +46,78 @@ let snap_window = 8
    the EO stale-snapshot lag the middleware forwarding delay can cause. *)
 let compaction_margin = 8
 
+(* A retry session of §3.6 block catch-up or §11 snapshot transfer: one
+   at a time per kind; [seq] invalidates stale scheduled ticks, each tick
+   asks the next source in rotation and doubles [backoff] (capped at 8x
+   [fetch_timeout]), and the session gives up after 2x|other peers|
+   fruitless attempts. [rotation] persists across sessions. *)
+type retry = {
+  mutable armed : bool;
+  mutable seq : int;
+  mutable backoff : float;
+  mutable attempts : int;
+  mutable rotation : int;
+}
+
+let new_retry () =
+  { armed = false; seq = 0; backoff = fetch_timeout; attempts = 0; rotation = 0 }
+
+let cancel_retry r =
+  r.seq <- r.seq + 1;
+  r.armed <- false
+
+(* Fresh attempt budget and a new [seq] (which it returns): a session
+   starting, or one whose progress restarts its inactivity timer. *)
+let restart_retry r =
+  r.seq <- r.seq + 1;
+  r.attempts <- 0;
+  r.backoff <- fetch_timeout;
+  r.seq
+
+let arm_retry r =
+  r.armed <- true;
+  restart_retry r
+
+let retry_live r seq ~crashed = r.seq = seq && r.armed && not crashed
+
+(* The next source to ask, or [None] once the attempt budget is spent. *)
+let next_source r others =
+  let n = List.length others in
+  if n = 0 || r.attempts >= 2 * n then None
+  else begin
+    let dst = List.nth others (r.rotation mod n) in
+    r.rotation <- r.rotation + 1;
+    r.attempts <- r.attempts + 1;
+    Some dst
+  end
+
+(* Schedule [tick] after the current backoff, then double the backoff. *)
+let schedule_retry r clock tick =
+  let delay = r.backoff in
+  r.backoff <- Float.min (r.backoff *. 2.) (fetch_timeout *. 8.);
+  Clock.schedule clock ~delay tick
+
+(* One snapshot install — a row of sys.snapshots. *)
+type snap_install = {
+  si_height : int;
+  si_chunks : int;
+  si_bytes : int;
+  si_root : string;
+  si_source : string;
+  si_duration : float;
+}
+
+(* One wave-validated block — a row of sys.validation (ISSUE 8).
+   Node-local, cost-model-derived timing (s); never enters digests. *)
+type wave_report = {
+  wr_height : int;
+  wr_txs : int;
+  wr_waves : int;
+  wr_serial_bet : float;
+  wr_bet : float;
+  wr_occupancy : float;
+}
+
 type t = {
   config : config;
   net : Msg.Net.net;
@@ -67,26 +139,14 @@ type t = {
   (* §3.6 catch-up: highest block height evidenced anywhere in the
      cluster (deliveries, fetch replies, checkpoint gossip) *)
   mutable known_height : int;
-  (* one fetch "session" at a time; [fetch_seq] invalidates stale
-     scheduled retry ticks *)
-  mutable fetch_armed : bool;
-  mutable fetch_seq : int;
-  mutable fetch_backoff : float;
-  mutable fetch_attempts : int;
-  mutable fetch_rotation : int;
+  fetch : retry;
   (* a crash point to inject into the next block (§3.6 testing) *)
   mutable pending_crash : Node_core.crash_point option;
   (* executor counter values already pushed to the registry, so each
      [finish_block] publishes only the delta since the last one *)
   mutable exec_published : (string * int) list;
-  (* §11 snapshot bootstrap: one transfer session at a time, mirroring the
-     block-fetch machinery (rotating source, exponential backoff,
-     [snap_seq] invalidates stale retry ticks) *)
-  mutable snap_armed : bool;
-  mutable snap_seq : int;
-  mutable snap_backoff : float;
-  mutable snap_attempts : int;
-  mutable snap_rotation : int;
+  (* §11 snapshot bootstrap: one transfer session at a time *)
+  snap : retry;
   mutable snap_manifest : Chunk.manifest option;
   (* verified chunk payloads of the active transfer, by index *)
   mutable snap_parts : string option array;
@@ -94,13 +154,10 @@ type t = {
   mutable snap_next_req : int;
   mutable snap_src : string;
   mutable snap_started : float;
-  (* installs performed, newest first: (height, chunks, bytes, root,
-     source, duration) — the rows behind sys.snapshots *)
-  mutable snap_log : (int * int * int * string * string * float) list;
-  (* wave-validation log, newest first: (height, txs, waves, serial bet s,
-     parallel bet s, occupancy) — the rows behind sys.validation (ISSUE 8).
-     Node-local, cost-model-derived timing; never enters digests. *)
-  mutable val_log : (int * int * int * float * float * float) list;
+  (* installs performed, newest first *)
+  mutable snap_log : snap_install list;
+  (* wave-validation log, newest first *)
+  mutable val_log : wave_report list;
   (* snapshot served to joining peers, rebuilt when our height moves *)
   mutable serve_cache : (int * Chunk.manifest * Chunk.chunk array) option;
 }
@@ -208,14 +265,12 @@ let needs_fetch t =
   t.known_height > Node_core.height t.core
   && not (Hashtbl.mem t.inbox (Node_core.height t.core + 1))
 
-let cancel_fetch t =
-  t.fetch_seq <- t.fetch_seq + 1;
-  t.fetch_armed <- false
+let cancel_fetch t = cancel_retry t.fetch
 
 let reset_fetch t =
   cancel_fetch t;
-  t.fetch_backoff <- fetch_timeout;
-  t.fetch_attempts <- 0
+  t.fetch.backoff <- fetch_timeout;
+  t.fetch.attempts <- 0
 
 (* One retry tick of the active fetch session: ask a rotating source peer
    for everything above our height, then re-arm with exponential backoff.
@@ -223,46 +278,34 @@ let reset_fetch t =
    [handle_blocks_reply]), when the gap closes by itself, or after
    2x|other peers| fruitless attempts (new evidence re-arms it). *)
 let rec fetch_tick t seq ~blind =
-  if t.fetch_seq = seq && t.fetch_armed && not t.crashed then begin
-    if (blind && t.fetch_attempts = 0) || needs_fetch t then begin
-      let others = other_peers t in
-      let n = List.length others in
-      if n = 0 || t.fetch_attempts >= 2 * n then t.fetch_armed <- false
-      else begin
-        let dst = List.nth others (t.fetch_rotation mod n) in
-        t.fetch_rotation <- t.fetch_rotation + 1;
-        t.fetch_attempts <- t.fetch_attempts + 1;
-        mincr t "fetch.requests";
-        Trace.instant (tracer t) ~node:(name t) ~track:"fetch" ~cat:"fetch"
-          ~name:"fetch.request"
-          ~args:
-            [
-              ("dst", Trace.S dst);
-              ("from", Trace.I (Node_core.height t.core + 1));
-              ("attempt", Trace.I t.fetch_attempts);
-              ("backoff_s", Trace.F t.fetch_backoff);
-            ]
-          ();
-        send t dst (Msg.Fetch_blocks { from_height = Node_core.height t.core + 1 });
-        let delay = t.fetch_backoff in
-        t.fetch_backoff <-
-          Float.min (t.fetch_backoff *. 2.) (fetch_timeout *. 8.);
-        Clock.schedule t.clock ~delay (fun () -> fetch_tick t seq ~blind)
-      end
+  if retry_live t.fetch seq ~crashed:t.crashed then begin
+    if (blind && t.fetch.attempts = 0) || needs_fetch t then begin
+      match next_source t.fetch (other_peers t) with
+      | None -> t.fetch.armed <- false
+      | Some dst ->
+          mincr t "fetch.requests";
+          Trace.instant (tracer t) ~node:(name t) ~track:"fetch" ~cat:"fetch"
+            ~name:"fetch.request"
+            ~args:
+              [
+                ("dst", Trace.S dst);
+                ("from", Trace.I (Node_core.height t.core + 1));
+                ("attempt", Trace.I t.fetch.attempts);
+                ("backoff_s", Trace.F t.fetch.backoff);
+              ]
+            ();
+          send t dst (Msg.Fetch_blocks { from_height = Node_core.height t.core + 1 });
+          schedule_retry t.fetch t.clock (fun () -> fetch_tick t seq ~blind)
     end
-    else t.fetch_armed <- false
+    else t.fetch.armed <- false
   end
 
 (* Start a fetch session. [blind] probes once even without evidence of a
    missed block (restart / periodic anti-entropy); [delay] defers the
    first tick so in-flight deliveries can close the gap silently. *)
 let arm_fetch ?(blind = false) ?(delay = 0.) t =
-  if (not t.fetch_armed) && not t.crashed then begin
-    t.fetch_armed <- true;
-    t.fetch_seq <- t.fetch_seq + 1;
-    t.fetch_attempts <- 0;
-    t.fetch_backoff <- fetch_timeout;
-    let seq = t.fetch_seq in
+  if (not t.fetch.armed) && not t.crashed then begin
+    let seq = arm_retry t.fetch in
     if delay <= 0. then fetch_tick t seq ~blind
     else Clock.schedule t.clock ~delay (fun () -> fetch_tick t seq ~blind)
   end
@@ -322,8 +365,7 @@ let wants_snapshot t =
   = `Snapshot
 
 let cancel_snapshot t =
-  t.snap_seq <- t.snap_seq + 1;
-  t.snap_armed <- false;
+  cancel_retry t.snap;
   t.snap_manifest <- None;
   t.snap_parts <- [||];
   t.snap_received <- 0;
@@ -336,73 +378,58 @@ let cancel_snapshot t =
    2x|other peers| fruitless ticks the session gives up and falls back to
    block replay, which always converges. *)
 let rec snap_tick t seq =
-  if t.snap_seq = seq && t.snap_armed && not t.crashed then begin
-    let others = other_peers t in
-    let n = List.length others in
-    if n = 0 || t.snap_attempts >= 2 * n then begin
-      cancel_snapshot t;
-      mincr t "snapshot.sessions_failed";
-      arm_fetch t ~blind:true
-    end
-    else begin
-      let dst = List.nth others (t.snap_rotation mod n) in
-      t.snap_rotation <- t.snap_rotation + 1;
-      t.snap_attempts <- t.snap_attempts + 1;
-      t.snap_src <- dst;
-      (match t.snap_manifest with
-      | None ->
-          mincr t "snapshot.requests";
-          Trace.instant (tracer t) ~node:(name t) ~track:"snapshot"
-            ~cat:"snapshot" ~name:"snapshot.request"
-            ~args:
-              [ ("dst", Trace.S dst); ("attempt", Trace.I t.snap_attempts) ]
-            ();
-          send t dst
-            (Msg.Snapshot_request { min_height = Node_core.height t.core + 1 })
-      | Some m ->
-          let h = m.Chunk.m_height in
-          let resent = ref 0 in
-          Array.iteri
-            (fun index part ->
-              if part = None && !resent < snap_window then begin
-                incr resent;
-                send t dst (Msg.Snapshot_chunk_request { height = h; index })
-              end)
-            t.snap_parts;
-          if !resent > 0 then mincr t "snapshot.chunks_retried" ~by:!resent);
-      let delay = t.snap_backoff in
-      t.snap_backoff <-
-        Float.min (t.snap_backoff *. 2.) (fetch_timeout *. 8.);
-      Clock.schedule t.clock ~delay (fun () -> snap_tick t seq)
-    end
+  if retry_live t.snap seq ~crashed:t.crashed then begin
+    match next_source t.snap (other_peers t) with
+    | None ->
+        cancel_snapshot t;
+        mincr t "snapshot.sessions_failed";
+        arm_fetch t ~blind:true
+    | Some dst ->
+        t.snap_src <- dst;
+        (match t.snap_manifest with
+        | None ->
+            mincr t "snapshot.requests";
+            Trace.instant (tracer t) ~node:(name t) ~track:"snapshot"
+              ~cat:"snapshot" ~name:"snapshot.request"
+              ~args:
+                [ ("dst", Trace.S dst); ("attempt", Trace.I t.snap.attempts) ]
+              ();
+            send t dst
+              (Msg.Snapshot_request { min_height = Node_core.height t.core + 1 })
+        | Some m ->
+            let h = m.Chunk.m_height in
+            let resent = ref 0 in
+            Array.iteri
+              (fun index part ->
+                if part = None && !resent < snap_window then begin
+                  incr resent;
+                  send t dst (Msg.Snapshot_chunk_request { height = h; index })
+                end)
+              t.snap_parts;
+            if !resent > 0 then mincr t "snapshot.chunks_retried" ~by:!resent);
+        schedule_retry t.snap t.clock (fun () -> snap_tick t seq)
   end
 
 (* Progress arrived: reset the attempt budget and restart the inactivity
-   timer (the pending tick is invalidated through [snap_seq]). *)
+   timer (the pending tick is invalidated through its [seq]). *)
 let snap_progress t =
-  t.snap_seq <- t.snap_seq + 1;
-  t.snap_attempts <- 0;
-  t.snap_backoff <- fetch_timeout;
-  let seq = t.snap_seq in
-  Clock.schedule t.clock ~delay:t.snap_backoff (fun () -> snap_tick t seq)
+  let seq = restart_retry t.snap in
+  Clock.schedule t.clock ~delay:t.snap.backoff (fun () -> snap_tick t seq)
 
 let arm_snapshot t =
   if
-    (not t.snap_armed) && (not t.crashed) && t.config.snapshot_threshold > 0
+    (not t.snap.armed) && (not t.crashed) && t.config.snapshot_threshold > 0
   then begin
     (* the snapshot covers everything a block fetch would bring *)
     cancel_fetch t;
-    t.snap_armed <- true;
-    t.snap_seq <- t.snap_seq + 1;
-    t.snap_attempts <- 0;
-    t.snap_backoff <- fetch_timeout;
+    let seq = arm_retry t.snap in
     t.snap_manifest <- None;
     t.snap_parts <- [||];
     t.snap_received <- 0;
     t.snap_next_req <- 0;
     t.snap_started <- Clock.now t.clock;
     mincr t "snapshot.sessions";
-    snap_tick t t.snap_seq
+    snap_tick t seq
   end
 
 let maybe_arm_fetch t =
@@ -744,12 +771,14 @@ let rec process_ready t =
                       mobserve t "validation.occupancy" occupancy;
                       mobserve t "validation.speedup" speedup;
                       t.val_log <-
-                        ( result.Node_core.br_height,
-                          n,
-                          stats.Cpu.wave_count,
-                          serial_bet,
-                          bet,
-                          occupancy )
+                        {
+                          wr_height = result.Node_core.br_height;
+                          wr_txs = n;
+                          wr_waves = stats.Cpu.wave_count;
+                          wr_serial_bet = serial_bet;
+                          wr_bet = bet;
+                          wr_occupancy = occupancy;
+                        }
                         :: t.val_log;
                       complete ~bpt ~bet ())
                 else
@@ -937,12 +966,14 @@ let finish_snapshot t (m : Chunk.manifest) =
               mincr t "snapshot.installed";
               let duration = Clock.now t.clock -. started in
               t.snap_log <-
-                ( h,
-                  Chunk.chunk_count m,
-                  m.Chunk.m_total_bytes,
-                  m.Chunk.m_root,
-                  src,
-                  duration )
+                {
+                  si_height = h;
+                  si_chunks = Chunk.chunk_count m;
+                  si_bytes = m.Chunk.m_total_bytes;
+                  si_root = m.Chunk.m_root;
+                  si_source = src;
+                  si_duration = duration;
+                }
                 :: t.snap_log;
               Trace.instant (tracer t) ~node:(name t) ~track:"snapshot"
                 ~cat:"snapshot" ~name:"snapshot.installed"
@@ -962,7 +993,7 @@ let finish_snapshot t (m : Chunk.manifest) =
               end)
 
 let handle_snapshot_manifest t ~src (m : Chunk.manifest) =
-  if t.snap_armed && t.snap_manifest = None then begin
+  if t.snap.armed && t.snap_manifest = None then begin
     if not (Chunk.verify_manifest m) then
       mincr t "snapshot.manifests_rejected"
     else if m.Chunk.m_height <= Node_core.height t.core then begin
@@ -990,7 +1021,7 @@ let handle_snapshot_manifest t ~src (m : Chunk.manifest) =
 let handle_snapshot_chunk t ~src ~height (c : Chunk.chunk) =
   match t.snap_manifest with
   | Some m
-    when t.snap_armed
+    when t.snap.armed
          && height = m.Chunk.m_height
          && c.Chunk.c_index >= 0
          && c.Chunk.c_index < Array.length t.snap_parts
@@ -1105,18 +1136,10 @@ let create ~net ?obs (config : config) ~registry =
       processing = false;
       pending_hashes = [];
       known_height = 0;
-      fetch_armed = false;
-      fetch_seq = 0;
-      fetch_backoff = fetch_timeout;
-      fetch_attempts = 0;
-      fetch_rotation = 0;
+      fetch = new_retry ();
       pending_crash = None;
       exec_published = [];
-      snap_armed = false;
-      snap_seq = 0;
-      snap_backoff = fetch_timeout;
-      snap_attempts = 0;
-      snap_rotation = 0;
+      snap = new_retry ();
       snap_manifest = None;
       snap_parts = [||];
       snap_received = 0;
@@ -1133,96 +1156,66 @@ let create ~net ?obs (config : config) ~registry =
      model the simulation charges (tet by contract class). *)
   Node_core.set_tet_model core (fun contract ->
       Cost_model.tet cost (config.contract_class_of contract));
-  (* sys.metrics: a registry snapshot rendered through the fixed
-     {!Brdb_obs.Sysview} schema. Node-local facts — readable by clients,
-     never by contracts (the executor refuses sys reads during block
-     processing). *)
-  Brdb_storage.Catalog.register_virtual (Node_core.catalog core)
-    ~name:"sys.metrics" ~columns:Brdb_obs.Sysview.metrics_columns
-    ~rows:(fun ~height:_ -> Brdb_obs.Sysview.metric_rows (Reg.snapshot (reg t)));
-  (* sys.snapshots: every snapshot bootstrap this node performed
-     (DESIGN.md §11) — node-local history, like sys.metrics. *)
-  (let open Brdb_sql.Ast in
-   let col ?(pk = false) name ty =
-     { Brdb_storage.Schema.name; ty; not_null = false; primary_key = pk }
-   in
-   Brdb_storage.Catalog.register_virtual (Node_core.catalog core)
-     ~name:"sys.snapshots"
-     ~columns:
+  (* Node-local views — readable by clients, never by contracts (the
+     executor refuses sys reads during block processing). *)
+  Brdb_storage.Catalog.(
+    let cat = Node_core.catalog core in
+    (* sys.metrics: one row per registry entry; [value] is the counter
+       value, gauge value or histogram mean depending on [kind], and the
+       min/max/percentile columns are 0 for non-histograms. *)
+    register_virtual cat ~name:"sys.metrics"
+      [
+        text "node" (fun (e : Reg.entry) -> e.Reg.e_node);
+        text "name" (fun e -> e.Reg.e_name);
+        text "kind" (fun e -> e.Reg.e_kind);
+        int "n" (fun e -> e.Reg.e_count);
+        float "value" (fun e -> e.Reg.e_value);
+        float "vmin" (fun e -> e.Reg.e_min);
+        float "vmax" (fun e -> e.Reg.e_max);
+        float "p50" (fun e -> e.Reg.e_p50);
+        float "p95" (fun e -> e.Reg.e_p95);
+      ]
+      (fun ~height:_ -> Reg.snapshot (reg t));
+    (* sys.snapshots: every snapshot bootstrap this node performed
+       (DESIGN.md §11), oldest first. *)
+    register_virtual cat ~name:"sys.snapshots"
+      [
+        int ~pk:true "height" (fun i -> i.si_height);
+        int "chunks" (fun i -> i.si_chunks);
+        int "bytes" (fun i -> i.si_bytes);
+        text "merkle_root" (fun i -> i.si_root);
+        text "source" (fun i -> i.si_source);
+        float "install_s" (fun i -> i.si_duration);
+      ]
+      (fun ~height:_ -> List.rev t.snap_log);
+    (* sys.spans: this node's flame-style span aggregate (ISSUE 7), empty
+       when tracing is off. *)
+    register_virtual cat ~name:"sys.spans"
+      (let module P = Brdb_obs.Profile in
        [
-         col ~pk:true "height" T_int;
-         col "chunks" T_int;
-         col "bytes" T_int;
-         col "merkle_root" T_text;
-         col "source" T_text;
-         col "install_s" T_float;
-       ]
-     ~rows:(fun ~height:_ ->
-       List.rev_map
-         (fun (h, chunks, bytes, root, src, dur) ->
-           [|
-             Brdb_storage.Value.Int h;
-             Brdb_storage.Value.Int chunks;
-             Brdb_storage.Value.Int bytes;
-             Brdb_storage.Value.Text root;
-             Brdb_storage.Value.Text src;
-             Brdb_storage.Value.Float dur;
-           |])
-         t.snap_log);
-   (* sys.spans: this node's flame-style span aggregate (ISSUE 7) —
-      node-local like sys.metrics (empty when tracing is off). *)
-   Brdb_storage.Catalog.register_virtual (Node_core.catalog core)
-     ~name:"sys.spans"
-     ~columns:
-       [
-         col ~pk:true "path" T_text;
-         col "depth" T_int;
-         col "events" T_int;
-         col "total_ms" T_float;
-         col "self_ms" T_float;
-       ]
-     ~rows:(fun ~height:_ ->
-       List.map
-         (fun (r : Brdb_obs.Profile.row) ->
-           [|
-             Brdb_storage.Value.Text r.Brdb_obs.Profile.p_path;
-             Brdb_storage.Value.Int r.Brdb_obs.Profile.p_depth;
-             Brdb_storage.Value.Int r.Brdb_obs.Profile.p_events;
-             Brdb_storage.Value.Float
-               (r.Brdb_obs.Profile.p_total_s *. 1000.);
-             Brdb_storage.Value.Float (r.Brdb_obs.Profile.p_self_s *. 1000.);
-           |])
-         (Brdb_obs.Profile.fold ~node:(name t)
-            (Trace.events (tracer t))));
-   (* sys.validation: per-block wave-validation report (ISSUE 8, DESIGN.md
-      §14) — node-local cost-model timing like sys.metrics; empty unless
-      parallel_validation timing is on. speedup = serial bet / wave bet. *)
-   Brdb_storage.Catalog.register_virtual (Node_core.catalog core)
-     ~name:"sys.validation"
-     ~columns:
-       [
-         col ~pk:true "height" T_int;
-         col "txs" T_int;
-         col "waves" T_int;
-         col "serial_bet_ms" T_float;
-         col "parallel_bet_ms" T_float;
-         col "occupancy" T_float;
-         col "speedup" T_float;
-       ]
-     ~rows:(fun ~height:_ ->
-       List.rev_map
-         (fun (h, txs, waves, serial_bet, bet, occupancy) ->
-           [|
-             Brdb_storage.Value.Int h;
-             Brdb_storage.Value.Int txs;
-             Brdb_storage.Value.Int waves;
-             Brdb_storage.Value.Float (serial_bet *. 1000.);
-             Brdb_storage.Value.Float (bet *. 1000.);
-             Brdb_storage.Value.Float occupancy;
-             Brdb_storage.Value.Float
-               (if bet > 0. then serial_bet /. bet else 1.);
-           |])
-         t.val_log));
+         text ~pk:true "path" (fun (r : P.row) -> r.P.p_path);
+         int "depth" (fun r -> r.P.p_depth);
+         int "events" (fun r -> r.P.p_events);
+         float "total_ms" (fun r -> r.P.p_total_s *. 1000.);
+         float "self_ms" (fun r -> r.P.p_self_s *. 1000.);
+       ])
+      (fun ~height:_ ->
+        Brdb_obs.Profile.fold ~node:(name t) (Trace.events (tracer t)));
+    (* sys.validation: per-block wave-validation report (ISSUE 8,
+       DESIGN.md §14), oldest first; empty unless parallel_validation
+       timing is on. speedup = serial bet / wave bet. *)
+    register_virtual cat ~name:"sys.validation"
+      [
+        int ~pk:true "height" (fun w -> w.wr_height);
+        int "txs" (fun w -> w.wr_txs);
+        int "waves" (fun w -> w.wr_waves);
+        float "serial_bet_ms" (fun w -> w.wr_serial_bet *. 1000.);
+        float "parallel_bet_ms" (fun w -> w.wr_bet *. 1000.);
+        float "occupancy" (fun w -> w.wr_occupancy);
+        float "speedup" (fun w ->
+            if w.wr_bet > 0. then w.wr_serial_bet /. w.wr_bet else 1.);
+      ]
+      (fun ~height:_ -> List.rev t.val_log));
   (* Periodic anti-entropy probe: even a peer that missed every delivery
      and every gossip message (total silence) eventually discovers and
      fetches missed blocks. Perpetual — only enable under drivers that

@@ -255,12 +255,9 @@ let observe t (s : sample) =
       t.last_cut_time <- now;
       t.prev <- Some s;
       []
-  | Some _ ->
-  let prev = t.prev in
+  | Some p ->
   let prev_node name =
-    match prev with
-    | None -> None
-    | Some p -> List.find_opt (fun n -> String.equal n.ns_node name) p.s_nodes
+    List.find_opt (fun n -> String.equal n.ns_node name) p.s_nodes
   in
   let acc = [] in
   (* --- ordering stall: the cut counter is flat while work is pending.
@@ -287,15 +284,12 @@ let observe t (s : sample) =
     s.s_view_changes
     + max 0 (s.s_elections - if th.ignore_first_election then 1 else 0)
   in
-  (match prev with
-  | None -> ()
-  | Some p ->
-      let p_churn =
-        p.s_view_changes
-        + max 0 (p.s_elections - if th.ignore_first_election then 1 else 0)
-      in
-      let d = churn_total - p_churn in
-      if d > 0 then Registry.Window.add t.churn_win ~now (float_of_int d));
+  (let p_churn =
+     p.s_view_changes
+     + max 0 (p.s_elections - if th.ignore_first_election then 1 else 0)
+   in
+   let d = churn_total - p_churn in
+   if d > 0 then Registry.Window.add t.churn_win ~now (float_of_int d));
   let churn_in_window = Registry.Window.sum t.churn_win ~now in
   let acc =
     set_condition t ~now ~height:max_height View_change_storm "ordering"
@@ -309,15 +303,12 @@ let observe t (s : sample) =
   (* --- abort spike: EWMA of the abort fraction of newly decided txns,
      gated on enough decisions in the window to be meaningful; clears at
      half the firing threshold (hysteresis). --- *)
-  (match prev with
-  | None -> ()
-  | Some p ->
-      let dd = s.s_decided - p.s_decided in
-      let da = s.s_aborted - p.s_aborted in
-      if dd > 0 then begin
-        Registry.Window.add t.decided_win ~now (float_of_int dd);
-        Registry.Ewma.add t.abort_ewma (float_of_int da /. float_of_int dd)
-      end);
+  (let dd = s.s_decided - p.s_decided in
+   let da = s.s_aborted - p.s_aborted in
+   if dd > 0 then begin
+     Registry.Window.add t.decided_win ~now (float_of_int dd);
+     Registry.Ewma.add t.abort_ewma (float_of_int da /. float_of_int dd)
+   end);
   let ew = Registry.Ewma.value t.abort_ewma in
   let decided_in_window = Registry.Window.sum t.decided_win ~now in
   let spike_state = state t Abort_spike "cluster" in
@@ -415,11 +406,8 @@ let observe t (s : sample) =
   (* --- forged-submission burst at the ordering service (ISSUE 10): any
      transaction dropped by cut-time batch signature verification is
      anomalous (zero in clean runs — clients sign every submission) *)
-  (match prev with
-  | None -> ()
-  | Some p ->
-      let d = s.s_auth_rejected - p.s_auth_rejected in
-      if d > 0 then Registry.Window.add t.auth_win ~now (float_of_int d));
+  (let d = s.s_auth_rejected - p.s_auth_rejected in
+   if d > 0 then Registry.Window.add t.auth_win ~now (float_of_int d));
   let auth_sum = Registry.Window.sum t.auth_win ~now in
   let acc =
     set_condition t ~now ~height:max_height Auth_rejection_burst "ordering"
@@ -431,14 +419,11 @@ let observe t (s : sample) =
   in
   (* --- divergence early-warning: live digest disagreement, or a node's
      own checkpoint monitor flagging a mismatch, inside the window --- *)
-  (match prev with
-  | None -> ()
-  | Some p ->
-      let flags smp =
-        List.fold_left (fun acc n -> acc + n.ns_divergence_flags) 0 smp.s_nodes
-      in
-      let d = flags s - flags p in
-      if d > 0 then Registry.Window.add t.div_win ~now (float_of_int d));
+  (let flags smp =
+     List.fold_left (fun acc n -> acc + n.ns_divergence_flags) 0 smp.s_nodes
+   in
+   let d = flags s - flags p in
+   if d > 0 then Registry.Window.add t.div_win ~now (float_of_int d));
   let div_flags = Registry.Window.sum t.div_win ~now in
   let acc =
     set_condition t ~now ~height:max_height Divergence_warning "cluster"

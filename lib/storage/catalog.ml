@@ -42,14 +42,35 @@ let create () =
   Hashtbl.replace t.tables ledger_table (Table.create (ledger_schema ()));
   t
 
-let register_virtual t ~name ~columns ~rows =
+type 'a column = { c_schema : Schema.column; c_cell : 'a -> Value.t }
+
+let column ty cell ?(pk = false) name get =
+  {
+    c_schema = { Schema.name; ty; not_null = false; primary_key = pk };
+    c_cell = (fun row -> cell (get row));
+  }
+
+let int ?pk = column Brdb_sql.Ast.T_int (fun v -> Value.Int v) ?pk
+
+let float ?pk = column Brdb_sql.Ast.T_float (fun v -> Value.Float v) ?pk
+
+let text ?pk = column Brdb_sql.Ast.T_text (fun v -> Value.Text v) ?pk
+
+let bool ?pk = column Brdb_sql.Ast.T_bool (fun v -> Value.Bool v) ?pk
+
+let register_virtual t ~name columns rows =
   if not (is_sys_name name) then
     invalid_arg (Printf.sprintf "Catalog.register_virtual: %s is not a sys.* name" name)
   else
-    match Schema.create ~name ~columns with
+    match Schema.create ~name ~columns:(List.map (fun c -> c.c_schema) columns) with
     | Error msg ->
         invalid_arg (Printf.sprintf "Catalog.register_virtual %s: %s" name msg)
-    | Ok v_schema -> Hashtbl.replace t.virtuals name { v_schema; v_rows = rows }
+    | Ok v_schema ->
+        let cells = Array.of_list (List.map (fun c -> c.c_cell) columns) in
+        let v_rows ~height =
+          List.map (fun row -> Array.map (fun cell -> cell row) cells) (rows ~height)
+        in
+        Hashtbl.replace t.virtuals name { v_schema; v_rows }
 
 let find_virtual t name = Hashtbl.find_opt t.virtuals name
 

@@ -39,17 +39,27 @@ val drop_table : t -> string -> (unit, string) result
 
 (** {2 Virtual tables} *)
 
-(** [register_virtual t ~name ~columns ~rows] installs (or replaces) a
-    read-only provider. [rows ~height] must return the view's rows as seen
-    at committed block [height], already in the view's canonical order.
+(** A view column over rows of type ['a]: its name, SQL type, primary-key
+    flag and the cell it reads from a row, stated once. *)
+type 'a column
+
+val int : ?pk:bool -> string -> ('a -> int) -> 'a column
+
+val float : ?pk:bool -> string -> ('a -> float) -> 'a column
+
+val text : ?pk:bool -> string -> ('a -> string) -> 'a column
+
+val bool : ?pk:bool -> string -> ('a -> bool) -> 'a column
+
+(** [register_virtual t ~name columns rows] installs (or replaces) a
+    read-only view. The schema is [columns] in order; [rows ~height] must
+    return the view's rows as seen at committed block [height], already in
+    the view's canonical order, and each row renders as one cell per
+    column — so a row's arity and cell types always match the schema.
     Raises [Invalid_argument] when [name] is not a [sys.*] name or the
     columns are invalid. *)
 val register_virtual :
-  t ->
-  name:string ->
-  columns:Schema.column list ->
-  rows:(height:int -> Value.t array list) ->
-  unit
+  t -> name:string -> 'a column list -> (height:int -> 'a list) -> unit
 
 type virtual_table = {
   v_schema : Schema.t;

@@ -380,6 +380,151 @@ let test_explain_analyze_annotates_and_is_neutral () =
         (contains plan "actual rows=")
   | Error e -> Alcotest.fail e
 
+(* --- schema pin ------------------------------------------------------------- *)
+
+(* The full sys.* surface as (column, type, primary key), in column order.
+   Any change to a view's name, columns, types or PK flags must show up
+   here. *)
+let pinned_schemas =
+  let i = "INT" and t = "TEXT" and f = "FLOAT" and b = "BOOL" in
+  [
+    ("sys.aborts", [ ("class", t, true); ("n", i, false) ]);
+    ( "sys.alerts",
+      [
+        ("seq", i, true); ("ts", f, false); ("height", i, false);
+        ("transition", t, false); ("detector", t, false);
+        ("severity", t, false); ("subject", t, false); ("evidence", t, false);
+      ] );
+    ( "sys.blocks",
+      [
+        ("height", i, true); ("txs", i, false); ("hash", t, false);
+        ("prev_hash", t, false); ("committime", i, false);
+        ("state_digest", t, false);
+      ] );
+    ( "sys.clients",
+      [
+        ("session", t, true); ("user", t, false); ("peer", t, false);
+        ("status", t, false); ("pinned_height", i, false);
+        ("reads_pinned", i, false); ("submitted", i, false);
+        ("early_aborts", i, false); ("receipts_verified", i, false);
+      ] );
+    ( "sys.critical_path",
+      [
+        ("height", i, true); ("txs", i, false); ("edges", i, false);
+        ("serial_ms", f, false); ("critical_ms", f, false);
+        ("headroom", f, false); ("waves", i, false);
+      ] );
+    ( "sys.detectors",
+      [
+        ("detector", t, true); ("severity", t, false); ("rule", t, false);
+        ("firing", i, false); ("fires", i, false); ("clears", i, false);
+        ("last_ts", f, false); ("last_height", i, false);
+      ] );
+    ( "sys.indexes",
+      [ ("table_name", t, false); ("column_name", t, false); ("is_unique", b, false) ]
+    );
+    ( "sys.metrics",
+      [
+        ("node", t, false); ("name", t, false); ("kind", t, false);
+        ("n", i, false); ("value", f, false); ("vmin", f, false);
+        ("vmax", f, false); ("p50", f, false); ("p95", f, false);
+      ] );
+    ( "sys.nodes",
+      [
+        ("node", t, true); ("height", i, false); ("inbox", i, false);
+        ("crashed", b, false); ("fetch_requests", i, false);
+        ("fetched_blocks", i, false); ("blocks_rejected", i, false);
+        ("crashes", i, false); ("restarts", i, false);
+      ] );
+    ( "sys.snapshots",
+      [
+        ("height", i, true); ("chunks", i, false); ("bytes", i, false);
+        ("merkle_root", t, false); ("source", t, false);
+        ("install_s", f, false);
+      ] );
+    ( "sys.spans",
+      [
+        ("path", t, true); ("depth", i, false); ("events", i, false);
+        ("total_ms", f, false); ("self_ms", f, false);
+      ] );
+    ( "sys.tables",
+      [
+        ("name", t, true); ("columns", i, false); ("versions", i, false);
+        ("live", i, false); ("pruned", i, false); ("indexes", i, false);
+      ] );
+    ( "sys.transactions",
+      [
+        ("gid", t, false); ("block", i, false); ("pos", i, false);
+        ("txuser", t, false); ("contract", t, false); ("decision", t, false);
+        ("abort_class", t, false); ("detail", t, false); ("tet_ms", f, false);
+      ] );
+    ( "sys.validation",
+      [
+        ("height", i, true); ("txs", i, false); ("waves", i, false);
+        ("serial_bet_ms", f, false); ("parallel_bet_ms", f, false);
+        ("occupancy", f, false); ("speedup", f, false);
+      ] );
+  ]
+
+let test_schema_pinned () =
+  let module Schema = Brdb_storage.Schema in
+  let module Session = Brdb_client.Session in
+  let config =
+    {
+      (B.default_config ()) with
+      B.flow = Node_core.Execute_order;
+      tracing = true;
+      parallel_validation = true;
+      block_size = 2;
+      block_timeout = 0.05;
+    }
+  in
+  let net = B.create config in
+  B.install_contract net ~name:"init"
+    (Registry.Native
+       (fun ctx ->
+         ignore (Api.execute ctx "CREATE TABLE kv (k INT PRIMARY KEY, v INT)")));
+  (match
+     B.install_contract_source net ~name:"put" "INSERT INTO kv VALUES ($1, $2)"
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  ignore (B.submit net ~user:(B.admin net "org1") ~contract:"init" ~args:[]);
+  B.settle net;
+  let hub = Session.create_hub net in
+  let s = Session.begin_ hub ~user:(B.register_user net "sys/pin") in
+  (match Session.submit s ~contract:"put" ~args:[ Value.Int 1; Value.Int 1 ] with
+  | Session.Submitted _ -> ()
+  | Session.Early_abort _ -> Alcotest.fail "pin workload aborted early");
+  B.settle net;
+  let catalog = Node_core.catalog (Peer.core (B.peer net 0)) in
+  Alcotest.(check (list string)) "virtual_names" (List.map fst pinned_schemas)
+    (Catalog.virtual_names catalog);
+  List.iter
+    (fun (name, expected) ->
+      let schema =
+        match Catalog.virtual_schema catalog name with
+        | Some s -> s
+        | None -> Alcotest.failf "%s not registered" name
+      in
+      let got =
+        Array.to_list
+          (Array.map
+             (fun (c : Schema.column) ->
+               ( c.Schema.name,
+                 Brdb_sql.Ast.data_type_to_string c.Schema.ty,
+                 c.Schema.primary_key ))
+             schema.Schema.columns)
+      in
+      Alcotest.(check (list (triple string string bool))) name expected got;
+      let rs = query_ok net ("SELECT * FROM " ^ name) in
+      List.iter
+        (fun row ->
+          Alcotest.(check int) (name ^ " row arity") (List.length expected)
+            (Array.length row))
+        rs.Exec.rows)
+    pinned_schemas
+
 (* --- divergence monitor --------------------------------------------------- *)
 
 let test_bisection_finds_tampered_height () =
@@ -484,6 +629,8 @@ let suites =
           `Quick test_explain_analyze_annotates_and_is_neutral;
         Alcotest.test_case "SQL bisection finds tampered digest" `Quick
           test_bisection_finds_tampered_height;
+        Alcotest.test_case "schema pinned (names, columns, row arity)" `Quick
+          test_schema_pinned;
         QCheck_alcotest.to_alcotest prop_sys_views_agree_under_chaos;
       ] );
   ]
