@@ -172,6 +172,35 @@ let track_final t tx_id status now =
             | Node_core.S_rejected r -> decide (Rejected r)
             | Node_core.S_committed -> assert false)
 
+(* Mirror the network plane's counters and the orderers' block counts
+   into the registry, absorbing them into the same queryable namespace as
+   the per-node metrics. *)
+let sync_registry t =
+  let reg = Obs.metrics t.obs in
+  Reg.set reg ~node:"net" "net.delivered" (float_of_int (Msg.Net.delivered t.net));
+  Reg.set reg ~node:"net" "net.dropped" (float_of_int (Msg.Net.dropped t.net));
+  Reg.set reg ~node:"net" "net.duplicated"
+    (float_of_int (Msg.Net.duplicated t.net));
+  Reg.set reg ~node:"net" "net.bytes_sent" (float_of_int (Msg.Net.bytes_sent t.net));
+  List.iter
+    (fun (orderer, n) ->
+      Reg.set reg ~node:orderer "orderer.blocks_cut" (float_of_int n))
+    (Service.blocks_cut t.service);
+  (* consensus-plane health: election/view-change counters (§4.3/§4.4) *)
+  Reg.set reg ~node:"ordering" "orderer.elections"
+    (float_of_int (Service.elections t.service));
+  Reg.set reg ~node:"ordering" "orderer.term" (float_of_int (Service.term t.service));
+  Reg.set reg ~node:"ordering" "orderer.view_changes"
+    (float_of_int (Service.view_changes t.service));
+  Reg.set reg ~node:"ordering" "orderer.view" (float_of_int (Service.view t.service));
+  (* client-authentication plane (DESIGN.md §16): cut-time batch verification *)
+  Reg.set reg ~node:"ordering" "auth.verified"
+    (float_of_int (Service.auth_verified t.service));
+  Reg.set reg ~node:"ordering" "auth.rejected"
+    (float_of_int (Service.auth_rejected t.service));
+  Reg.set reg ~node:"ordering" "auth.replayed"
+    (float_of_int (Service.auth_replayed t.service))
+
 let create config =
   if config.orgs = [] then invalid_arg "Blockchain_db.create: need at least one org";
   let clock = Clock.create () in
@@ -347,6 +376,8 @@ let create config =
   in
   (* The cluster-level views, registered on every peer's catalog so any
      node serves them:
+     - sys.metrics: one row per registry entry (min/max/percentiles 0
+       for non-histograms); each read refreshes the network/ordering gauges;
      - sys.nodes: one row per database peer — liveness and catch-up
        counters as this cluster sees them right now;
      - sys.clients (ISSUE 10): one row per client-plane session, from the
@@ -361,6 +392,21 @@ let create config =
         let node_counter name p =
           Reg.counter (Obs.metrics obs) ~node:(Peer.name p) name
         in
+        register_virtual cat ~name:"sys.metrics"
+          [
+            text "node" (fun (e : Reg.entry) -> e.Reg.e_node);
+            text "name" (fun e -> e.Reg.e_name);
+            text "kind" (fun e -> e.Reg.e_kind);
+            int "n" (fun e -> e.Reg.e_count);
+            float "value" (fun e -> e.Reg.e_value);
+            float "vmin" (fun e -> e.Reg.e_min);
+            float "vmax" (fun e -> e.Reg.e_max);
+            float "p50" (fun e -> e.Reg.e_p50);
+            float "p95" (fun e -> e.Reg.e_p95);
+          ]
+          (fun ~height:_ ->
+            sync_registry t;
+            Reg.snapshot (Obs.metrics obs));
         register_virtual cat ~name:"sys.nodes"
           [
             text ~pk:true "node" Peer.name;
@@ -641,39 +687,7 @@ let settle t =
   loop 0;
   ignore (Clock.run ~until:(Clock.now t.clock +. 1.5) t.clock)
 
-(* Mirror the network plane's counters and the orderers' block counts
-   into the registry, absorbing them into the same queryable namespace as
-   the per-node metrics. *)
-let sync_registry t =
-  let reg = Obs.metrics t.obs in
-  Reg.set reg ~node:"net" "net.delivered" (float_of_int (Msg.Net.delivered t.net));
-  Reg.set reg ~node:"net" "net.dropped" (float_of_int (Msg.Net.dropped t.net));
-  Reg.set reg ~node:"net" "net.duplicated"
-    (float_of_int (Msg.Net.duplicated t.net));
-  Reg.set reg ~node:"net" "net.bytes_sent" (float_of_int (Msg.Net.bytes_sent t.net));
-  List.iter
-    (fun (orderer, n) ->
-      Reg.set reg ~node:orderer "orderer.blocks_cut" (float_of_int n))
-    (Service.blocks_cut t.service);
-  (* consensus-plane health: election/view-change counters (§4.3/§4.4) *)
-  Reg.set reg ~node:"ordering" "orderer.elections"
-    (float_of_int (Service.elections t.service));
-  Reg.set reg ~node:"ordering" "orderer.term" (float_of_int (Service.term t.service));
-  Reg.set reg ~node:"ordering" "orderer.view_changes"
-    (float_of_int (Service.view_changes t.service));
-  Reg.set reg ~node:"ordering" "orderer.view" (float_of_int (Service.view t.service));
-  (* client-authentication plane (ISSUE 10): cut-time batch verification *)
-  Reg.set reg ~node:"ordering" "auth.verified"
-    (float_of_int (Service.auth_verified t.service));
-  Reg.set reg ~node:"ordering" "auth.rejected"
-    (float_of_int (Service.auth_rejected t.service));
-  Reg.set reg ~node:"ordering" "auth.replayed"
-    (float_of_int (Service.auth_replayed t.service))
-
 let query t ?(node = 0) ?params sql =
-  (* sys.metrics reads the shared registry; keep the network/ordering
-     gauges fresh so clients see live election/view-change counts *)
-  sync_registry t;
   Node_core.query (Peer.core (peer t node)) ?params sql
 
 let explain_analyze t ?(node = 0) ?params sql =

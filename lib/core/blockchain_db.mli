@@ -166,14 +166,15 @@ val run : t -> seconds:float -> unit
     under consensus services with perpetual timers. *)
 val settle : t -> unit
 
-(** Read-only SQL (including [PROVENANCE SELECT]) against one node. *)
+(** Read-only SQL (including [PROVENANCE SELECT]) against one node at its
+    committed height; DML/DDL is rejected before it runs, leaving no residue. *)
 val query :
   t -> ?node:int -> ?params:Value.t array -> string ->
   (Brdb_engine.Exec.result_set, string) result
 
 (** [explain_analyze t sql] — EXPLAIN ANALYZE against one node
-    (DESIGN.md §10): runs the [SELECT] in a sandboxed read-only
-    transaction and returns the plan annotated with actual rows/visited
+    (DESIGN.md §10): runs the [SELECT] on {!query}'s snapshot reader
+    and returns the plan annotated with actual rows/visited
     counts and per-operator times modelled from the cost model
     ([tet_simple] per ~100 visited versions — never the wall clock),
     plus the raw executor counters. Leaves no residue in any state,

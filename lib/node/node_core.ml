@@ -75,7 +75,6 @@ type t = {
   wal : Wal.t;
   (* txid -> (contract, version at execution): §3.7 update-conflict check *)
   exec_versions : (int, string * int) Hashtbl.t;
-  mutable query_seq : int;
   mutable bootstrapped : bool;
   mutable trace : Trace.t;
   (* cumulative per-operator executor counters across all contract runs;
@@ -111,7 +110,6 @@ let create config ~registry =
     store = Block_store.create ();
     wal = Wal.create ();
     exec_versions = Hashtbl.create 256;
-    query_seq = 0;
     bootstrapped = false;
     trace = Trace.null;
     exec_totals = Exec.new_stats ();
@@ -934,65 +932,44 @@ let process_block_scheduled_for_test t block ~schedule =
   | Error _ as e -> e
   | Ok payloads -> Ok (process_appended ~schedule t block ~payloads)
 
-(* --- read-only queries ---------------------------------------------------------------- *)
+(* --- client reads at a committed height --------------------------------------------- *)
 
-let query t ?(params = [||]) sql =
-  bootstrap t;
-  t.query_seq <- t.query_seq + 1;
-  match
-    Manager.begin_txn t.manager
-      ~global_id:(Printf.sprintf "__query-%d__" t.query_seq)
-      ~client:"reader" ~snapshot_height:(height t) ()
-  with
-  | Error `Duplicate_txid -> Error "internal: query id collision"
-  | Ok txn ->
-      let result =
-        match Exec.execute_sql t.catalog txn ~params sql with
-        | Ok rs ->
-            if txn.Txn.writes <> [] || txn.Txn.ddl <> [] then
-              Error "read-only queries cannot modify state"
-            else Ok rs
-        | Error e -> Error (Exec.error_to_string e)
-      in
-      Manager.abort t.manager txn (Txn.Contract_error "read-only");
-      Manager.release t.manager txn;
-      result
-
-let explain_analyze t ?(params = [||]) ~row_cost sql =
+(* One SELECT (or PROVENANCE SELECT) on an untracked snapshot reader at
+   the committed height. Every transaction at or below that height is
+   decided, so nothing is recorded for SSI, no txid is drawn and the
+   Manager never sees the read. Any other statement is refused with
+   [reject] before it runs, so a client read leaves no node-local residue. *)
+let read_committed t ~reject ~params ~mode sql =
   bootstrap t;
   match Brdb_sql.Parser.parse sql with
   | Error e -> Error e
-  | Ok stmt -> (
-      match stmt with
-      | Brdb_sql.Ast.Select _ ->
-          t.query_seq <- t.query_seq + 1;
-          (match
-             Manager.begin_txn t.manager
-               ~global_id:(Printf.sprintf "__explain-%d__" t.query_seq)
-               ~client:"reader" ~snapshot_height:(height t) ()
-           with
-          | Error `Duplicate_txid -> Error "internal: query id collision"
-          | Ok txn ->
-              (* A private stats record, never merged into [exec_totals]: the
-                 sandboxed run must leave no residue in any counter a later
-                 query or hash could observe. *)
-              let stats = Exec.new_stats () in
-              let mode = { Exec.default_mode with Exec.stats = Some stats } in
-              let result =
-                match Exec.execute t.catalog txn ~params ~mode stmt with
-                | Error e -> Error (Exec.error_to_string e)
-                | Ok _ ->
-                    let op_ms ~op:_ ~visited =
-                      float_of_int visited *. row_cost *. 1000.
-                    in
-                    Result.map
-                      (fun plan -> (plan, stats))
-                      (Exec.explain_analyzed t.catalog stats ~op_ms stmt)
-              in
-              Manager.abort t.manager txn (Txn.Contract_error "read-only");
-              Manager.release t.manager txn;
-              result)
-      | _ -> Error "EXPLAIN ANALYZE supports SELECT statements only")
+  | Ok (Brdb_sql.Ast.Select _ as stmt) ->
+      Exec.execute t.catalog (Txn.reader ~snapshot_height:(height t)) ~params ~mode stmt
+      |> Result.map_error Exec.error_to_string
+      |> Result.map (fun rs -> (stmt, rs))
+  | Ok _ -> Error reject
+
+let query t ?(params = [||]) sql =
+  read_committed t ~reject:"read-only queries cannot modify state" ~params
+    ~mode:Exec.default_mode sql
+  |> Result.map snd
+
+let explain_analyze t ?(params = [||]) ~row_cost sql =
+  (* A private stats record, never merged into [exec_totals]: the run
+     must leave no residue in any counter a later query or hash could
+     observe. *)
+  let stats = Exec.new_stats () in
+  let mode = { Exec.default_mode with Exec.stats = Some stats } in
+  match
+    read_committed t ~reject:"EXPLAIN ANALYZE supports SELECT statements only"
+      ~params ~mode sql
+  with
+  | Error e -> Error e
+  | Ok (stmt, _) ->
+      let op_ms ~op:_ ~visited = float_of_int visited *. row_cost *. 1000. in
+      Result.map
+        (fun plan -> (plan, stats))
+        (Exec.explain_analyzed t.catalog stats ~op_ms stmt)
 
 (* --- crash & recovery (§3.6) ------------------------------------------------------------ *)
 

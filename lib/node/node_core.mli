@@ -123,8 +123,10 @@ val process_block_scheduled_for_test :
   schedule:(Block_deps.t -> int array) ->
   (block_result, string) result
 
-(** Run a read-only query outside any blockchain transaction (the
-    paper's single-statement [SELECT] / provenance path). *)
+(** Run one [SELECT] / [PROVENANCE SELECT] (the paper's single-statement
+    read path) at the committed height on a {!Brdb_txn.Txn.reader}: no
+    txid, no SSI bookkeeping, no {!manager} entry. Anything else fails
+    with ["read-only queries cannot modify state"] before it runs. *)
 val query :
   t ->
   ?params:Brdb_storage.Value.t array ->
@@ -132,13 +134,13 @@ val query :
   (Brdb_engine.Exec.result_set, string) result
 
 (** [explain_analyze t ~row_cost sql] — EXPLAIN ANALYZE (DESIGN.md §10):
-    execute the [SELECT] in a sandboxed read-only transaction that is
-    aborted afterwards, and return the plan annotated with the actual
-    rows/visited counters plus a modelled per-operator time of
-    [visited * row_cost] seconds (rendered in ms). Uses a private stats
-    record so the run leaves no residue in {!exec_totals}, the metrics
-    registry, traces, or any committed state or hash. Non-[SELECT]
-    statements are an [Error]. *)
+    execute the [SELECT] on the same snapshot reader as {!query} and
+    return the plan annotated with the actual rows/visited counters plus
+    a modelled per-operator time of [visited * row_cost] seconds
+    (rendered in ms). Uses a private stats record so the run leaves no
+    residue in {!exec_totals}, the metrics registry, traces, or any
+    committed state or hash. Non-[SELECT] statements are rejected before
+    they run. *)
 val explain_analyze :
   t ->
   ?params:Brdb_storage.Value.t array ->

@@ -1160,22 +1160,6 @@ let create ~net ?obs (config : config) ~registry =
      executor refuses sys reads during block processing). *)
   Brdb_storage.Catalog.(
     let cat = Node_core.catalog core in
-    (* sys.metrics: one row per registry entry; [value] is the counter
-       value, gauge value or histogram mean depending on [kind], and the
-       min/max/percentile columns are 0 for non-histograms. *)
-    register_virtual cat ~name:"sys.metrics"
-      [
-        text "node" (fun (e : Reg.entry) -> e.Reg.e_node);
-        text "name" (fun e -> e.Reg.e_name);
-        text "kind" (fun e -> e.Reg.e_kind);
-        int "n" (fun e -> e.Reg.e_count);
-        float "value" (fun e -> e.Reg.e_value);
-        float "vmin" (fun e -> e.Reg.e_min);
-        float "vmax" (fun e -> e.Reg.e_max);
-        float "p50" (fun e -> e.Reg.e_p50);
-        float "p95" (fun e -> e.Reg.e_p95);
-      ]
-      (fun ~height:_ -> Reg.snapshot (reg t));
     (* sys.snapshots: every snapshot bootstrap this node performed
        (DESIGN.md §11), oldest first. *)
     register_virtual cat ~name:"sys.snapshots"

@@ -68,6 +68,7 @@ type ddl =
 
 type t = {
   txid : int;
+  tracked : bool;
   global_id : string;
   client : string;
   description : string;
@@ -89,6 +90,7 @@ type t = {
 let create ~txid ~global_id ~client ?(description = "") ~snapshot_height () =
   {
     txid;
+    tracked = true;
     global_id;
     client;
     description;
@@ -107,17 +109,23 @@ let create ~txid ~global_id ~client ?(description = "") ~snapshot_height () =
     on_abort = [];
   }
 
+(* The Manager allocates txids from 1 and system rows use xmin 0, so -1
+   can never own a version: the reader sees exactly the committed state. *)
+let reader ~snapshot_height =
+  let t = create ~txid:(-1) ~global_id:"" ~client:"" ~snapshot_height () in
+  { t with tracked = false }
+
 let record_read t ~table ~vid =
   (* Reads repeat a lot (every scan revisits hot rows); a hash set keeps
      the list duplicate-free in O(1). *)
   let entry = (table, vid) in
-  if not (Hashtbl.mem t.reads_seen entry) then begin
+  if t.tracked && not (Hashtbl.mem t.reads_seen entry) then begin
     Hashtbl.replace t.reads_seen entry ();
     t.reads <- entry :: t.reads
   end
 
 let record_predicate t p =
-  if not (Hashtbl.mem t.predicates_seen p) then begin
+  if t.tracked && not (Hashtbl.mem t.predicates_seen p) then begin
     Hashtbl.replace t.predicates_seen p ();
     t.predicates <- p :: t.predicates
   end

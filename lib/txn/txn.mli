@@ -42,6 +42,7 @@ type ddl =
 
 type t = {
   txid : int;  (** node-local transaction id (xmin/xmax domain) *)
+  tracked : bool;  (** records SSI reads/predicates; false for {!reader} *)
   global_id : string;  (** client-supplied unique identifier *)
   client : string;  (** submitting user, for the ledger *)
   description : string;  (** contract invocation, for the ledger *)
@@ -72,6 +73,13 @@ val create :
   snapshot_height:int ->
   unit ->
   t
+
+(** [reader ~snapshot_height] — a SELECT-only view of the committed state
+    at [snapshot_height]. Every transaction at or below it is decided (a
+    safe snapshot, Ports & Grittner), so the reader records nothing for
+    SSI, is never registered with a {!Manager}, and has a txid the
+    Manager never issues. *)
+val reader : snapshot_height:int -> t
 
 val record_read : t -> table:string -> vid:int -> unit
 

@@ -221,6 +221,28 @@ let test_oe_ledger_records () =
       | _ -> Alcotest.fail "expected one row")
   | Error e -> Alcotest.fail e
 
+(* Client reads draw no transaction id, so no committed client id can
+   collide with them — whatever the client named its transaction. *)
+let test_reads_ignore_client_ids () =
+  let h = setup () in
+  init_chain h;
+  let named id k =
+    Block.make_tx ~id ~identity:(identity_of "org1/alice") ~contract:"put"
+      ~args:[ Value.Int k; Value.Int k ]
+  in
+  let commit tx =
+    List.iter
+      (fun r -> Alcotest.(check bool) "committed" true (List.for_all is_committed (statuses r)))
+      (deliver h [ tx ])
+  in
+  commit (named "__query-1__" 1);
+  commit (named "__explain-1__" 2);
+  let n = node h 0 in
+  Alcotest.(check int) "query runs" 2 (query_int n "SELECT COUNT(*) FROM kv");
+  match Node_core.explain_analyze n ~row_cost:0.001 "SELECT * FROM kv WHERE k > 0" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
 let test_oe_bad_signature_rejected () =
   let h = setup () in
   init_chain h;
@@ -1045,6 +1067,7 @@ let suites =
         Alcotest.test_case "basic commit" `Quick test_oe_basic_commit;
         Alcotest.test_case "empty block" `Quick test_empty_block;
         Alcotest.test_case "ledger records" `Quick test_oe_ledger_records;
+        Alcotest.test_case "reads ignore client ids" `Quick test_reads_ignore_client_ids;
         Alcotest.test_case "bad signature" `Quick test_oe_bad_signature_rejected;
         Alcotest.test_case "unknown user" `Quick test_oe_unknown_user_rejected;
         Alcotest.test_case "non-canonical signature" `Quick

@@ -334,6 +334,7 @@ let test_explain_analyze_annotates_and_is_neutral () =
     let reg_entries = Reg.snapshot (Brdb_obs.Obs.metrics (B.obs net)) in
     let totals = Exec.scan_counts (Node_core.exec_totals core) in
     let pending = Brdb_txn.Manager.pending_count (Node_core.manager core) in
+    let next_txid = Brdb_txn.Manager.next_txid (Node_core.manager core) in
     let versions =
       List.filter_map
         (fun name ->
@@ -344,41 +345,72 @@ let test_explain_analyze_annotates_and_is_neutral () =
     in
     let digest = Node_core.state_digest core ~height:(Node_core.height core) in
     let traces = List.length (Brdb_obs.Trace.events (Brdb_obs.Obs.trace (B.obs net))) in
-    (reg_entries, totals, pending, versions, digest, traces)
+    (reg_entries, totals, pending, next_txid, versions, digest, traces)
+  in
+  let neutral what f =
+    let before = snapshot () in
+    let r = f () in
+    Alcotest.(check bool) (what ^ " leaves no residue") true (before = snapshot ());
+    r
   in
   let baseline_rows =
-    List.length (query_ok net "SELECT * FROM kv WHERE k > 1").Exec.rows
+    neutral "query" (fun () ->
+        List.length (query_ok net "SELECT * FROM kv WHERE k > 1").Exec.rows)
   in
-  let before = snapshot () in
-  (match B.explain_analyze net "SELECT * FROM kv WHERE k > 1" with
-  | Error e -> Alcotest.fail e
-  | Ok (plan, stats) ->
-      (* The annotation carries the actual executor counters. *)
-      let rows =
-        List.fold_left
-          (fun acc (_, _, n) -> acc + n)
-          0
-          (Exec.scan_counts stats)
-      in
-      Alcotest.(check int) "stats row count matches a real execution"
-        baseline_rows rows;
-      Alcotest.(check bool) "plan shows actual counters" true
-        (contains plan (Printf.sprintf "actual rows=%d" baseline_rows));
-      Alcotest.(check bool) "plan shows modelled time" true
-        (contains plan "time="));
-  Alcotest.(check bool) "EXPLAIN ANALYZE leaves no residue" true
-    (before = snapshot ());
+  (* DML through the read path is refused before it touches the heap. *)
+  neutral "rejected INSERT" (fun () ->
+      match B.query net "INSERT INTO kv VALUES (100, 1)" with
+      | Ok _ -> Alcotest.fail "query accepted DML"
+      | Error e ->
+          Alcotest.(check string) "query rejects DML"
+            "read-only queries cannot modify state" e);
+  neutral "EXPLAIN ANALYZE" (fun () ->
+      match B.explain_analyze net "SELECT * FROM kv WHERE k > 1" with
+      | Error e -> Alcotest.fail e
+      | Ok (plan, stats) ->
+          (* The annotation carries the actual executor counters. *)
+          let rows =
+            List.fold_left
+              (fun acc (_, _, n) -> acc + n)
+              0
+              (Exec.scan_counts stats)
+          in
+          Alcotest.(check int) "stats row count matches a real execution"
+            baseline_rows rows;
+          Alcotest.(check bool) "plan shows actual counters" true
+            (contains plan (Printf.sprintf "actual rows=%d" baseline_rows));
+          Alcotest.(check bool) "plan shows modelled time" true
+            (contains plan "time="));
   (* Writes and DDL are refused up front. *)
   (match B.explain_analyze net "INSERT INTO kv VALUES (99, 99)" with
   | Ok _ -> Alcotest.fail "EXPLAIN ANALYZE accepted DML"
   | Error e ->
       Alcotest.(check string) "EA rejects non-SELECT"
         "EXPLAIN ANALYZE supports SELECT statements only" e);
-  match B.explain_analyze net "SELECT * FROM sys.aborts" with
+  (match B.explain_analyze net "SELECT * FROM sys.aborts" with
   | Ok (plan, _) ->
       Alcotest.(check bool) "EA works on sys views" true
         (contains plan "actual rows=")
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  (* Reads served by node 0 alone leave no trace in what later commits
+     write: txids, ledger rows and version counts stay identical. *)
+  let u = B.register_user net "sys/carol" in
+  List.iter
+    (fun k ->
+      ignore (query_ok net "SELECT COUNT(*) FROM kv");
+      let id = B.submit net ~user:u ~contract:"put" ~args:[ Value.Int k; Value.Int k ] in
+      B.settle net;
+      Alcotest.(check bool) "put committed" true (B.status net id = Some B.Committed))
+    [ 200; 201; 202 ];
+  List.iter
+    (fun sql ->
+      Alcotest.(check string) (sql ^ " identical on node 1")
+        (render (query_ok net ~node:0 sql))
+        (render (query_ok net ~node:1 sql)))
+    [
+      "SELECT txid, gid FROM pgledger ORDER BY txid";
+      "SELECT name, versions, live FROM sys.tables";
+    ]
 
 (* --- schema pin ------------------------------------------------------------- *)
 

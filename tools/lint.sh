@@ -61,18 +61,19 @@ if [ -d "$dir/snapshot" ]; then
 fi
 
 # The sys.* introspection schema (DESIGN.md §10) has exactly one source of
-# truth: the virtual-table providers (Catalog.register_virtual callers in
-# lib/node and lib/core, schemas in lib/obs, the name guard in lib/storage).
-# Nothing else may construct a sys-prefixed table name — the executor must
-# route every decision through Catalog.is_sys_name so the read-only and
+# truth: the virtual-table providers, i.e. the Catalog.register_virtual
+# callers in lib/node and lib/core, where each view's name and typed
+# columns are declared together. Nothing else may construct a sys-prefixed
+# table name — the executor and the catalog's name guard must route every
+# decision through Catalog.is_sys_name so the read-only and
 # contract-visibility rules cannot be bypassed by string comparison drift.
 # ("sys.* tables are read-only" error messages don't match: '*' != [a-z_].)
 sys_matches=$(grep -rnE '"sys\.[a-z_]' "$dir" --include='*.ml' --include='*.mli' \
-  | grep -vE "^$dir/(node|core|obs|storage)/" || true)
+  | grep -vE "^$dir/(node|core)/" || true)
 
 if [ -n "$sys_matches" ]; then
   echo "lint failed — sys-prefixed table name constructed outside the" >&2
-  echo "virtual-table provider layers (lib/node, lib/core, lib/obs, lib/storage);" >&2
+  echo "virtual-table provider layers (lib/node, lib/core);" >&2
   echo "use Catalog.is_sys_name / Catalog.virtual_names instead:" >&2
   echo "$sys_matches" >&2
   exit 1
