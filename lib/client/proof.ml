@@ -25,23 +25,18 @@ type provenance = {
   pv_roots : string list;
 }
 
-let tx_root_of_block (b : Block.t) =
-  Merkle.root (List.map Block.tx_payload b.Block.txs)
-
+(* Successor headers read the tx root the store kept when each block was
+   appended: no block above the receipt's is rehashed. *)
 let successors store ~above ~upto =
   let rec collect h acc =
     if h > upto then List.rev acc
     else
-      match Block_store.get store h with
-      | None -> List.rev acc
-      | Some b ->
+      match (Block_store.get store h, Block_store.tx_root store h) with
+      | Some b, Some tx_root ->
           collect (h + 1)
-            ({
-               h_height = h;
-               h_tx_root = tx_root_of_block b;
-               h_metadata = b.Block.metadata;
-             }
+            ({ h_height = h; h_tx_root = tx_root; h_metadata = b.Block.metadata }
             :: acc)
+      | _ -> List.rev acc
   in
   collect (above + 1) []
 
@@ -96,14 +91,14 @@ let build_provenance core ~height ~matches =
   if height < 1 || height > tip then
     Error (Printf.sprintf "height %d out of range (tip %d)" height tip)
   else
-    match Node_core.write_set_entries_at core ~height with
+    match Node_core.write_set_tree_at core ~height with
     | None ->
         Error
           (Printf.sprintf
              "height %d is below this node's provenance floor (installed from \
               a snapshot)"
              height)
-    | Some entries -> (
+    | Some (entries, tree) -> (
         let rec index i = function
           | [] -> None
           | e :: rest -> if matches e then Some (i, e) else index (i + 1) rest
@@ -132,7 +127,7 @@ let build_provenance core ~height ~matches =
                 {
                   pv_height = height;
                   pv_entry = entry;
-                  pv_proof = Merkle.prove entries i;
+                  pv_proof = Merkle.prove_tree tree entries i;
                   pv_prefix = prefix;
                   pv_roots = List.rev !roots;
                 })
@@ -148,14 +143,17 @@ let verify_provenance ~tip_digest pv =
               pv.pv_prefix pv.pv_roots)
            tip_digest
 
-let row_write_matches ~table ~values entry =
+let row_write_matches ~table ~values =
   let vals =
     String.concat "," (List.map Value.encode (Array.to_list values))
   in
   (* Insert leaves read "<gid>|I|<table>|<vals>"; update leaves end with
-     ";U+|<table>|<new vals>" (Manager.write_set_entries). *)
-  String.ends_with ~suffix:(Printf.sprintf "|I|%s|%s" table vals) entry
-  || String.ends_with ~suffix:(Printf.sprintf ";U+|%s|%s" table vals) entry
+     ";U+|<table>|<new vals>" (Manager.write_set_entries). Both suffixes
+     are built once per row, not once per entry tested. *)
+  let insert = Printf.sprintf "|I|%s|%s" table vals
+  and update = Printf.sprintf ";U+|%s|%s" table vals in
+  fun entry ->
+    String.ends_with ~suffix:insert entry || String.ends_with ~suffix:update entry
 
 let tip_hash core =
   let store = Node_core.block_store core in

@@ -45,7 +45,11 @@ type provenance = {
 }
 
 (** [build_receipt core ~tx_id] — serve a receipt from the node's block
-    store; [Error] when the transaction is in no stored block. *)
+    store; [Error] when the transaction is in no stored block. Cost: a
+    scan from height 1 to the transaction's block, whose payloads are
+    hashed once for the Merkle path; successor headers read the tx roots
+    the store kept at append ({!Brdb_ledger.Block_store.tx_root}), so no
+    later block is rehashed. *)
 val build_receipt :
   Brdb_node.Node_core.t -> tx_id:string -> (receipt, string) result
 
@@ -57,7 +61,13 @@ val verify_receipt : tip_hash:string -> receipt -> bool
 (** [build_provenance core ~height ~matches] — proof for the first write
     entry of block [height] satisfying [matches] (first in canonical
     write order, so every node picks the same entry). [Error] when none
-    matches or the height is below the node's provenance floor. *)
+    matches or the height is below the node's provenance floor. Cost: one
+    [matches] call per entry up to the match, then the path from the
+    Merkle tree the node kept at commit
+    ({!Brdb_node.Node_core.write_set_tree_at}): at most 26 hashes inside
+    the entry's 16-entry bucket ({!Brdb_crypto.Merkle.prove_tree})
+    whatever the block's size, plus one write-set root read per height
+    from [height] to the tip. *)
 val build_provenance :
   Brdb_node.Node_core.t ->
   height:int ->
@@ -66,12 +76,15 @@ val build_provenance :
 
 (** [verify_provenance ~tip_digest p] — recompute the write-set root from
     leaf + proof, refold the chained state digest over [pv_roots], and
-    compare against the trusted [tip_digest]. Pure. *)
+    compare against the trusted [tip_digest]. Pure. Cost: one hash per
+    proof step plus one per root, so linear in the distance to the tip. *)
 val verify_provenance : tip_digest:string -> provenance -> bool
 
 (** Entry predicate for "this row was written": matches an insert of, or
     an update to, exactly [values] in [table] (the canonical entry
-    encodings of {!Brdb_txn.Manager.write_set_entries}). *)
+    encodings of {!Brdb_txn.Manager.write_set_entries}). Apply it to
+    [~table ~values] once: the two suffixes it compares are built then,
+    and each entry tested costs two suffix comparisons. *)
 val row_write_matches :
   table:string -> values:Brdb_storage.Value.t array -> string -> bool
 

@@ -60,6 +60,9 @@ type t = {
 val header_hash :
   height:int -> tx_root:string -> metadata:string -> prev_hash:string -> string
 
+(** The Merkle root of [txs]' {!tx_payload}s — a block's tx root. *)
+val merkle_tx_root : tx list -> string
+
 (** {!header_hash} with the tx root computed from [txs]. *)
 val compute_hash :
   height:int -> txs:tx list -> metadata:string -> prev_hash:string -> string

@@ -14,12 +14,18 @@ val create : unit -> t
 val height : t -> int
 
 (** [append store block]; [`Bad_block] when {!Block.hash_matches} fails
-    ([tx_root] is passed through to it). *)
+    ([tx_root] is passed through to it, and computed from the payloads
+    when absent). The store keeps the root beside the block. *)
 val append : ?tx_root:string -> t -> Block.t -> (unit, error) result
 
 val get : t -> int -> Block.t option
 
 val last : t -> Block.t option
+
+(** [tx_root store h] is the Merkle root of block [h]'s payloads, as
+    checked when the block was appended (or restored); [None] when no
+    block [h] is stored. Reading it hashes nothing. *)
+val tx_root : t -> int -> string option
 
 val iter : t -> (Block.t -> unit) -> unit
 

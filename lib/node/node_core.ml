@@ -88,10 +88,12 @@ type t = {
      publishes into sys.blocks. A height whose block is stored but whose
      processing was interrupted has no entry until recovery records it. *)
   digests : (int, string * string) Hashtbl.t;
-  (* height -> Merkle leaves of the write-set root (ISSUE 10): the
-     canonical per-write entry strings provenance proofs are built from.
-     Absent for heights installed from a snapshot — the proof floor. *)
-  ws_entries : (int, string list) Hashtbl.t;
+  (* height -> Merkle leaves of the write-set root, the
+     canonical per-write entry strings provenance proofs are built from,
+     and the bucketed tree [record_block] hashed them into, so a proof
+     rehashes one bucket instead of the whole set. Absent for heights
+     installed from a snapshot — the proof floor. *)
+  ws_entries : (int, string list * Brdb_crypto.Merkle.tree) Hashtbl.t;
   (* modelled base execution time (seconds) per contract name, installed by
      the peer from the calibrated cost model; backs sys.transactions.tet_ms *)
   mutable tet_model : string -> float;
@@ -152,7 +154,9 @@ let record_digest t ~height ws =
   in
   Hashtbl.replace t.digests height (ws, chain prev ws)
 
-let write_set_entries_at t ~height = Hashtbl.find_opt t.ws_entries height
+let write_set_entries_at t ~height = Option.map fst (Hashtbl.find_opt t.ws_entries height)
+
+let write_set_tree_at t ~height = Hashtbl.find_opt t.ws_entries height
 
 (* Testing hook for the divergence monitor: corrupt this node's recorded
    write-set hash at [height], which poisons the published chained digest
@@ -807,13 +811,14 @@ let process_concurrent ?crash ?schedule t ~block_height ~missing txs =
     Array.of_list (List.map snd slots_fresh) )
 
 (* sys.* bookkeeping for a decided block: per-tx records (block order),
-   the write-set root and its leaves — the per-block state digest the
+   the write-set root, its leaves and tree — the per-block state digest the
    divergence monitor publishes. Replace, not add: recovery overwrites a
    partial attempt. Returns the write-set root. *)
 let record_block t (block : Block.t) statuses committed =
   let height = block.Block.height in
   let ws_leaves = Manager.write_set_entries t.manager committed in
-  let root = Brdb_crypto.Merkle.root ws_leaves in
+  let tree = Brdb_crypto.Merkle.tree ws_leaves in
+  let root = Brdb_crypto.Merkle.tree_root tree in
   Hashtbl.replace t.tx_log height
     (List.mapi
        (fun pos ((tx : Block.tx), r_status) ->
@@ -826,7 +831,7 @@ let record_block t (block : Block.t) statuses committed =
          })
        (List.combine block.Block.txs statuses));
   record_digest t ~height root;
-  Hashtbl.replace t.ws_entries height ws_leaves;
+  Hashtbl.replace t.ws_entries height (ws_leaves, tree);
   root
 
 (* [payloads] are the block's [Block.tx_payload]s, in block order. *)

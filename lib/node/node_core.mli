@@ -189,6 +189,13 @@ val write_set_hash : t -> height:int -> string option
     heights installed from a snapshot — the provenance-proof floor. *)
 val write_set_entries_at : t -> height:int -> string list option
 
+(** {!write_set_entries_at} together with the Merkle tree they were hashed
+    into when the block was recorded, so a provenance proof is served
+    without rehashing the whole write set (about [n/8] retained digests
+    per [n]-entry block). Same [None] cases. *)
+val write_set_tree_at :
+  t -> height:int -> (string list * Brdb_crypto.Merkle.tree) option
+
 (** Corrupt the recorded write-set hash at [height] and re-chain every
     recorded height above it, poisoning the published chained digest
     from [height] onwards (divergence-injection for the chaos harness and

@@ -235,8 +235,6 @@ let write_set_entries t txns =
     txns;
   List.rev !parts
 
-let write_set_digest t txns = Brdb_crypto.Merkle.root (write_set_entries t txns)
-
 let rollback_committed t txn =
   List.iter
     (fun w ->

@@ -62,14 +62,10 @@ val abort : t -> Txn.t -> Txn.abort_reason -> unit
 
 (** Canonical per-write entry strings (["<gid>|<op>|<table>|<values>"])
     of a list of (committed) transactions, in order — the Merkle leaves
-    of the per-block write-set root (ISSUE 10 provenance proofs). *)
+    of the per-block write-set root, which provenance proofs open. The
+    root, [Merkle.root (write_set_entries t txns)], is the per-block
+    write-set hash of the checkpointing phase (§3.3.4). *)
 val write_set_entries : t -> Txn.t list -> string list
-
-(** Deterministic digest of the changes a list of (committed) transactions
-    made, in order — the per-block write-set hash of the checkpointing
-    phase (§3.3.4), computed as [Merkle.root (write_set_entries t txns)]
-    so individual entries admit inclusion proofs. *)
-val write_set_digest : t -> Txn.t list -> string
 
 (** Physically reverse a commit (recovery §3.6 case (b)): un-stamp the
     creator/deleter blocks and hide the created versions. The transaction

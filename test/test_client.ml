@@ -642,6 +642,86 @@ let test_admission_off_server_aborts () =
             | Some (B.Aborted _) -> assert false
             | None -> "undecided"))
 
+(* ------------------------------------ row predicate, cached proof paths *)
+
+let test_row_write_matches () =
+  let enc vs = String.concat "," (List.map Value.encode vs) in
+  let m ~table vs = Proof.row_write_matches ~table ~values:(Array.of_list vs) in
+  let insert = "g1|I|kv|" ^ enc [ Value.Int 1; Value.Int 5 ] in
+  let update =
+    "g2|U-|kv|" ^ enc [ Value.Int 1; Value.Int 5 ] ^ ";U+|kv|"
+    ^ enc [ Value.Int 1; Value.Int 6 ]
+  in
+  let kv15 = m ~table:"kv" [ Value.Int 1; Value.Int 5 ] in
+  Alcotest.(check bool) "insert leaf" true (kv15 insert);
+  Alcotest.(check bool) "update leaf (new values)" true
+    (m ~table:"kv" [ Value.Int 1; Value.Int 6 ] update);
+  Alcotest.(check bool) "update's old values were not written" false (kv15 update);
+  Alcotest.(check bool) "other table" false
+    (kv15 ("g3|I|akv|" ^ enc [ Value.Int 1; Value.Int 5 ]));
+  Alcotest.(check bool) "other table, same values" false
+    (m ~table:"other" [ Value.Int 1; Value.Int 5 ] insert);
+  let ten = "g4|I|kv|" ^ enc [ Value.Int 10 ] in
+  Alcotest.(check bool) "1 is not a prefix match for 10" false
+    (m ~table:"kv" [ Value.Int 1 ] ten);
+  Alcotest.(check bool) "10 matches 10" true (m ~table:"kv" [ Value.Int 10 ] ten);
+  Alcotest.(check bool) "10 does not match 1" false
+    (m ~table:"kv" [ Value.Int 10 ] ("g5|I|kv|" ^ enc [ Value.Int 1 ]))
+
+(* Three blocks of 17 inserts after setup: enough leaves per block for
+   the payload and write-set trees to span two 16-leaf buckets. *)
+let test_cached_proofs_match_references () =
+  let node, chain = boot () in
+  let ids = ref [ "setup" ] in
+  for b = 0 to 2 do
+    let txs =
+      List.init 17 (fun i -> put_tx ~key:(1000 + (b * 17) + i) ~v:b ~snapshot:1)
+    in
+    ids := !ids @ List.map (fun (tx : Block.tx) -> tx.Block.tx_id) txs;
+    ignore (process node (Assembler.make chain txs))
+  done;
+  let store = Node_core.block_store node in
+  let anchor = Proof.tip_hash node in
+  List.iter
+    (fun tx_id ->
+      match (Proof.build_receipt node ~tx_id, Receipt_ref.build store ~tx_id) with
+      | Ok rc, Some old ->
+          Alcotest.(check int) "height" old.Proof.rc_height rc.Proof.rc_height;
+          Alcotest.(check string) "payload" old.Proof.rc_payload rc.Proof.rc_payload;
+          Alcotest.(check string) "path"
+            (Merkle.proof_to_string old.Proof.rc_proof)
+            (Merkle.proof_to_string rc.Proof.rc_proof);
+          Alcotest.(check string) "metadata" old.Proof.rc_metadata rc.Proof.rc_metadata;
+          Alcotest.(check string) "prev hash" old.Proof.rc_prev_hash rc.Proof.rc_prev_hash;
+          Alcotest.(check bool) "successor headers" true (old.Proof.rc_chain = rc.Proof.rc_chain);
+          Alcotest.(check bool) "both verify" true
+            (Proof.verify_receipt ~tip_hash:anchor rc
+            && Proof.verify_receipt ~tip_hash:anchor old)
+      | Error e, _ -> Alcotest.failf "build_receipt %s: %s" tx_id e
+      | Ok _, None -> Alcotest.failf "reference found no block for %s" tx_id)
+    !ids;
+  let tip_digest = Proof.tip_digest node in
+  for height = 1 to Node_core.height node do
+    let entries =
+      Option.value ~default:[] (Node_core.write_set_entries_at node ~height)
+    in
+    if height > 1 then
+      Alcotest.(check int) (Printf.sprintf "block %d: 17 entries" height) 17
+        (List.length entries);
+    List.iteri
+      (fun i entry ->
+        match Proof.build_provenance node ~height ~matches:(String.equal entry) with
+        | Ok pv ->
+            Alcotest.(check string)
+              (Printf.sprintf "provenance path, block %d entry %d" height i)
+              (Merkle_ref.proof entries i)
+              (Merkle.proof_to_string pv.Proof.pv_proof);
+            Alcotest.(check bool) "provenance verifies" true
+              (Proof.verify_provenance ~tip_digest pv)
+        | Error e -> Alcotest.failf "build_provenance %d: %s" height e)
+      entries
+  done
+
 let suites =
   [
     ( "client",
@@ -656,6 +736,10 @@ let suites =
           test_session_lifecycle;
         Alcotest.test_case "admission off: doomed tx aborts server-side" `Quick
           test_admission_off_server_aborts;
+        Alcotest.test_case "row predicate: insert/update leaves, exact values" `Quick
+          test_row_write_matches;
+        Alcotest.test_case "cached receipts and proofs equal the rebuilt ones" `Quick
+          test_cached_proofs_match_references;
       ] );
     ( "client.properties",
       List.map QCheck_alcotest.to_alcotest

@@ -305,6 +305,32 @@ let prop_merkle_proofs_verify =
         (fun i -> Merkle.check ~root:r ~leaf:(List.nth leaves i) (Merkle.prove leaves i))
         (List.init (List.length leaves) Fun.id))
 
+(* The bucketed tree against the list-based reference: the root and every
+   proof, byte for byte. *)
+let tree_matches_reference leaves =
+  let t = Merkle.tree leaves in
+  String.equal (Merkle.tree_root t) (Merkle_ref.root leaves)
+  && List.for_all2
+       (fun i expected ->
+         String.equal (Merkle.proof_to_string (Merkle.prove_tree t leaves i)) expected)
+       (List.init (List.length leaves) Fun.id)
+       (Merkle_ref.all_proofs leaves)
+
+let prop_merkle_tree_matches_reference =
+  QCheck.Test.make ~name:"merkle tree roots and proofs equal the list reference"
+    ~count:10
+    QCheck.(pair (int_bound 300) small_string)
+    (fun (n, salt) -> tree_matches_reference (List.init n (Printf.sprintf "%s-%d" salt)))
+
+let test_merkle_tree_bucket_edges () =
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d leaves" n)
+        true
+        (tree_matches_reference (List.init n (Printf.sprintf "e%d"))))
+    [ 0; 1; 2; 15; 16; 17; 31; 32; 33; 1000 ]
+
 let test_identity_registry () =
   let reg = Identity.Registry.create () in
   let alice = Identity.create "org1/alice" in
@@ -370,6 +396,8 @@ let suites =
         Alcotest.test_case "proof out of range" `Quick test_merkle_proof_out_of_range;
         Alcotest.test_case "cross-position proof fails" `Quick test_merkle_proof_wrong_position_fails;
         QCheck_alcotest.to_alcotest prop_merkle_proofs_verify;
+        Alcotest.test_case "tree at bucket edges" `Quick test_merkle_tree_bucket_edges;
+        QCheck_alcotest.to_alcotest prop_merkle_tree_matches_reference;
       ] );
     ("crypto.identity", [ Alcotest.test_case "registry" `Quick test_identity_registry ]);
   ]

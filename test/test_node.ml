@@ -829,6 +829,55 @@ let crash_recovery_scenario ?(flow = Node_core.Order_execute) ?(atomic_commit = 
   Alcotest.(check (list string)) "later statuses identical"
     (reasons (List.nth r 1)) (reasons (List.hd r))
 
+(* The Merkle tree a provenance proof reads is rebuilt with the block:
+   after a mid-commit crash re-executes it, every entry's proof equals the
+   list reference and the healthy node's proof, and verifies. Twenty
+   inserts put the write set across two 16-leaf buckets. *)
+let test_recover_mid_commit_serves_proofs () =
+  let h = setup () in
+  init_chain h;
+  let txs =
+    List.init 20 (fun i ->
+        tx h ~user:"org1/alice" ~contract:"put" [ Value.Int (500 + i); Value.Int i ])
+  in
+  let height = Assembler.next_height h.chain in
+  let block = Assembler.make h.chain txs in
+  Node_core.process_block_with_crash (node h 0) block ~crash:(Node_core.Crash_mid_commit 5);
+  (match Node_core.process_block (node h 1) block with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  (match Node_core.recover (node h 0) with
+  | Ok (Some _) -> ()
+  | Ok None -> Alcotest.fail "interrupted block not re-executed"
+  | Error e -> Alcotest.fail e);
+  let entries n =
+    match Node_core.write_set_entries_at (node h n) ~height with
+    | Some e -> e
+    | None -> Alcotest.failf "no write set at %d on node %d" height n
+  in
+  let recovered = entries 0 in
+  Alcotest.(check (list string)) "same entries as the healthy node" (entries 1) recovered;
+  Alcotest.(check int) "20 entries" 20 (List.length recovered);
+  let proof n entry =
+    match
+      Brdb_client.Proof.build_provenance (node h n) ~height ~matches:(String.equal entry)
+    with
+    | Ok pv -> pv
+    | Error e -> Alcotest.failf "build_provenance on node %d: %s" n e
+  in
+  let tip_digest = Brdb_client.Proof.tip_digest (node h 0) in
+  List.iteri
+    (fun i entry ->
+      let pv = proof 0 entry in
+      let path pv = Brdb_crypto.Merkle.proof_to_string pv.Brdb_client.Proof.pv_proof in
+      Alcotest.(check string) (Printf.sprintf "entry %d: reference path" i)
+        (Merkle_ref.proof recovered i) (path pv);
+      Alcotest.(check string) (Printf.sprintf "entry %d: healthy node's path" i)
+        (path (proof 1 entry)) (path pv);
+      Alcotest.(check bool) (Printf.sprintf "entry %d verifies" i) true
+        (Brdb_client.Proof.verify_provenance ~tip_digest pv))
+    recovered
+
 let test_recover_after_ledger_entries () =
   crash_recovery_scenario Node_core.Crash_after_ledger_entries true
 
@@ -1113,6 +1162,8 @@ let suites =
       [
         Alcotest.test_case "crash after ledger entries" `Quick test_recover_after_ledger_entries;
         Alcotest.test_case "crash mid-commit" `Quick test_recover_mid_commit;
+        Alcotest.test_case "crash mid-commit: proofs from the rebuilt tree" `Quick
+          test_recover_mid_commit_serves_proofs;
         Alcotest.test_case "crash before status step" `Quick test_recover_before_status_step;
         Alcotest.test_case "atomic block commit: mid-crash" `Quick test_recover_atomic_commit_mid_crash;
         Alcotest.test_case "atomic block commit: before status" `Quick

@@ -354,6 +354,57 @@ let test_mid_install_crash_recovers () =
     (fun a b -> Alcotest.(check string) "state matches source" a b)
     (observations src) (observations victim)
 
+(* Snapshots carry write-set roots, not entries or trees: every installed
+   height stays below the provenance floor, while a block processed after
+   the install serves proofs again. *)
+let test_installed_heights_below_provenance_floor () =
+  let reg = registry () in
+  let src = make_node ~registry:reg "src" in
+  let blocks = blocks_of_ops mixed_ops in
+  let n = List.length blocks in
+  List.iteri (fun i b -> if i < n - 1 then ignore (process src b)) blocks;
+  let floor = Node_core.height src in
+  let fresh, _ =
+    bootstrap_from ~registry:reg ~compaction:Snapshot.Archive ~chunk_size:256 src
+      [ List.nth blocks (n - 1) ]
+      "fresh"
+  in
+  ignore (process src (List.nth blocks (n - 1)));
+  for height = 1 to floor do
+    match
+      Brdb_client.Proof.build_provenance fresh ~height ~matches:(fun _ -> true)
+    with
+    | Ok _ -> Alcotest.failf "height %d served below the floor" height
+    | Error e ->
+        Alcotest.(check string)
+          (Printf.sprintf "height %d error" height)
+          (Printf.sprintf
+             "height %d is below this node's provenance floor (installed from a \
+              snapshot)"
+             height)
+          e
+  done;
+  let above = floor + 1 in
+  match Node_core.write_set_entries_at fresh ~height:above with
+  | None -> Alcotest.fail "block processed after install has no write set"
+  | Some [] -> Alcotest.fail "block processed after install wrote nothing"
+  | Some (entry :: _) -> (
+      match
+        ( Brdb_client.Proof.build_provenance fresh ~height:above
+            ~matches:(String.equal entry),
+          Brdb_client.Proof.build_provenance src ~height:above
+            ~matches:(String.equal entry) )
+      with
+      | Ok pv, Ok pv_src ->
+          Alcotest.(check string) "same proof as the replaying node"
+            (Brdb_crypto.Merkle.proof_to_string pv_src.Brdb_client.Proof.pv_proof)
+            (Brdb_crypto.Merkle.proof_to_string pv.Brdb_client.Proof.pv_proof);
+          Alcotest.(check bool) "verifies against the tip digest" true
+            (Brdb_client.Proof.verify_provenance
+               ~tip_digest:(Brdb_client.Proof.tip_digest fresh)
+               pv)
+      | Error e, _ | _, Error e -> Alcotest.failf "above the floor: %s" e)
+
 let test_pruned_compaction_coherent () =
   let reg = registry () in
   let src = make_node ~registry:reg "src" in
@@ -520,6 +571,8 @@ let suites =
           test_mid_install_crash_recovers;
         Alcotest.test_case "pruned compaction coherent with prune" `Quick
           test_pruned_compaction_coherent;
+        Alcotest.test_case "installed heights stay below the proof floor" `Quick
+          test_installed_heights_below_provenance_floor;
         Alcotest.test_case "restart threshold boundary" `Quick
           test_restart_threshold_boundary;
         Alcotest.test_case "transfer survives chunk corruption" `Quick

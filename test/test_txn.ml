@@ -137,26 +137,28 @@ let test_stale_check_ignores_untouched_reads () =
 
 let test_write_set_digest_properties () =
   let fx = make_fx () in
+  (* the per-block write-set hash of §3.3.4, as Node_core computes it *)
+  let digest txns = Brdb_crypto.Merkle.root (Manager.write_set_entries fx.mgr txns) in
   seed fx;
   let a = txn fx in
   ignore (exec fx a "INSERT INTO kv VALUES (7, 70)");
   Manager.commit fx.mgr a ~height:1;
-  let d1 = Manager.write_set_digest fx.mgr [ a ] in
-  let d1' = Manager.write_set_digest fx.mgr [ a ] in
+  let d1 = digest [ a ] in
+  let d1' = digest [ a ] in
   Alcotest.(check string) "deterministic" (Brdb_util.Hex.encode d1) (Brdb_util.Hex.encode d1');
   let b = txn fx ~snapshot:1 in
   ignore (exec fx b "UPDATE kv SET v = 71 WHERE k = 7");
   Manager.commit fx.mgr b ~height:2;
-  let d2 = Manager.write_set_digest fx.mgr [ b ] in
+  let d2 = digest [ b ] in
   Alcotest.(check bool) "different writes differ" false
     (String.equal d1 d2);
   (* order matters: the digest pins the commit order *)
-  let d_ab = Manager.write_set_digest fx.mgr [ a; b ] in
-  let d_ba = Manager.write_set_digest fx.mgr [ b; a ] in
+  let d_ab = digest [ a; b ] in
+  let d_ba = digest [ b; a ] in
   Alcotest.(check bool) "order sensitive" false (String.equal d_ab d_ba);
   Alcotest.(check string) "empty digest stable"
-    (Brdb_util.Hex.encode (Manager.write_set_digest fx.mgr []))
-    (Brdb_util.Hex.encode (Manager.write_set_digest fx.mgr []))
+    (Brdb_util.Hex.encode (digest []))
+    (Brdb_util.Hex.encode (digest []))
 
 let test_rollback_committed () =
   let fx = make_fx () in
