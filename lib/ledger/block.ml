@@ -52,9 +52,12 @@ let make_eo_tx ~identity ~contract ~args ~snapshot =
   let tx = unsigned ~id ~user ~contract ~args ~snapshot:(Some snapshot) in
   { tx with tx_signature = Identity.sign identity (tx_payload tx) }
 
-let verify_tx ?payload registry tx =
-  let payload = match payload with Some p -> p | None -> tx_payload tx in
+type signed_tx = { tx : tx; payload : string }
+
+let verify_signed registry { tx; payload } =
   Identity.Registry.verify registry ~name:tx.tx_user payload tx.tx_signature
+
+let verify_tx registry tx = verify_signed registry { tx; payload = tx_payload tx }
 
 type t = {
   height : int;
@@ -68,15 +71,8 @@ type t = {
 let header_hash ~height ~tx_root ~metadata ~prev_hash =
   Sha256.digest_concat [ string_of_int height; tx_root; metadata; prev_hash ]
 
-let merkle_tx_root txs = Merkle.root (List.map tx_payload txs)
-
 let compute_hash ~height ~txs ~metadata ~prev_hash =
-  header_hash ~height ~tx_root:(merkle_tx_root txs) ~metadata ~prev_hash
-
-let hash_matches ?tx_root t =
-  let tx_root = match tx_root with Some r -> r | None -> merkle_tx_root t.txs in
-  String.equal t.hash
-    (header_hash ~height:t.height ~tx_root ~metadata:t.metadata ~prev_hash:t.prev_hash)
+  header_hash ~height ~tx_root:(Merkle.root (List.map tx_payload txs)) ~metadata ~prev_hash
 
 let genesis_hash = Sha256.digest "brdb-genesis"
 
@@ -94,12 +90,30 @@ let sign t identity =
   let sg = Identity.sign identity t.hash in
   { t with signatures = t.signatures @ [ (Identity.name identity, sg) ] }
 
-let verify ?tx_root registry t =
-  hash_matches ?tx_root t
-  && t.signatures <> []
+type checked = { block : t; signed : signed_tx list; tx_root : string }
+
+(* The one place a received block's contents are hashed: each payload
+   once, then the tx root and the header. *)
+let check_hash t =
+  let signed = List.map (fun tx -> { tx; payload = tx_payload tx }) t.txs in
+  let tx_root = Merkle.root (List.map (fun s -> s.payload) signed) in
+  if
+    String.equal t.hash
+      (header_hash ~height:t.height ~tx_root ~metadata:t.metadata ~prev_hash:t.prev_hash)
+  then Ok { block = t; signed; tx_root }
+  else Error "invalid block (hash or signatures)"
+
+let orderer_signed registry t =
+  t.signatures <> []
   && List.for_all
        (fun (name, sg) -> Identity.Registry.verify registry ~name t.hash sg)
        t.signatures
+
+let check registry t =
+  if orderer_signed registry t then check_hash t
+  else Error "invalid block (hash or signatures)"
+
+let verify registry t = Result.is_ok (check registry t)
 
 let chains_from t ~prev =
   match prev with

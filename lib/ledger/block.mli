@@ -38,11 +38,14 @@ val make_eo_tx :
   snapshot:int ->
   tx
 
-(** [verify_tx registry tx] checks the client signature over
-    {!tx_payload}[ tx]. [payload], when given, must be that payload as the
-    caller just computed it from [tx]'s contents; it saves hashing the
-    transaction again. *)
-val verify_tx : ?payload:string -> Brdb_crypto.Identity.Registry.t -> tx -> bool
+(** The client signature over {!tx_payload}[ tx], hashed here. *)
+val verify_tx : Brdb_crypto.Identity.Registry.t -> tx -> bool
+
+(** A transaction of a {!checked} block and its {!tx_payload}. *)
+type signed_tx = private { tx : tx; payload : string }
+
+(** {!verify_tx} on the payload {!check_hash} already computed. *)
+val verify_signed : Brdb_crypto.Identity.Registry.t -> signed_tx -> bool
 
 type t = {
   height : int;
@@ -60,17 +63,9 @@ type t = {
 val header_hash :
   height:int -> tx_root:string -> metadata:string -> prev_hash:string -> string
 
-(** The Merkle root of [txs]' {!tx_payload}s — a block's tx root. *)
-val merkle_tx_root : tx list -> string
-
 (** {!header_hash} with the tx root computed from [txs]. *)
 val compute_hash :
   height:int -> txs:tx list -> metadata:string -> prev_hash:string -> string
-
-(** [hash_matches block] — [block.hash] is the header hash of its contents.
-    [tx_root], when given, must be the Merkle root of the payloads the
-    caller just computed from [block.txs]. *)
-val hash_matches : ?tx_root:string -> t -> bool
 
 (** The hash of "block 0"; the first real block has height 1 and chains
     from this. *)
@@ -81,9 +76,23 @@ val create : height:int -> txs:tx list -> metadata:string -> prev_hash:string ->
 (** [sign block identity] appends an orderer signature. *)
 val sign : t -> Brdb_crypto.Identity.t -> t
 
-(** [verify registry block] — hash integrity ({!hash_matches}, with the
-    same [tx_root]) plus at least one valid orderer signature. *)
-val verify : ?tx_root:string -> Brdb_crypto.Identity.Registry.t -> t -> bool
+(** A block whose [hash] is the {!header_hash} of its contents, with its
+    payloads in block order and its tx root; only {!check_hash} builds it. *)
+type checked = private { block : t; signed : signed_tx list; tx_root : string }
+
+(** [check_hash block] hashes each payload once; the block store and the
+    commit path reuse the result and hash nothing again. *)
+val check_hash : t -> (checked, string) result
+
+(** At least one orderer signature, all valid over [block.hash]; append
+    checks it again, as user management can change [registry] (§4.4). *)
+val orderer_signed : Brdb_crypto.Identity.Registry.t -> t -> bool
+
+(** {!orderer_signed}, then {!check_hash}: the admission test (§3.3, §4.4). *)
+val check : Brdb_crypto.Identity.Registry.t -> t -> (checked, string) result
+
+(** [verify registry block] is [Result.is_ok (check registry block)]. *)
+val verify : Brdb_crypto.Identity.Registry.t -> t -> bool
 
 (** [chains_from block ~prev] — sequence number and hash chain agree. *)
 val chains_from : t -> prev:t option -> bool

@@ -507,9 +507,8 @@ let pre_execute t (tx : Block.tx) =
       | Run _ -> Ok ()
       | Rejected (_, reason) -> Error reason
 
-(* [payload] is [Block.tx_payload tx], computed once per block by the
-   caller (see [verify_and_append]). *)
-let acquire t ~block_height ~missing ((tx : Block.tx), payload) =
+(* [signed] carries the payload the block's [Block.check_hash] hashed. *)
+let acquire t ~block_height ~missing ({ Block.tx; _ } as signed : Block.signed_tx) =
   let effective_snapshot =
     match (t.config.flow, tx.Block.tx_snapshot) with
     | Serial_baseline, _ ->
@@ -531,7 +530,7 @@ let acquire t ~block_height ~missing ((tx : Block.tx), payload) =
       end
   | Some _ -> Rejected (tx, "duplicate transaction identifier")
   | None ->
-      if not (Block.verify_tx ~payload t.registry tx) then
+      if not (Block.verify_signed t.registry signed) then
         Rejected (tx, "invalid client signature")
       else begin
         if t.config.flow = Execute_order then incr missing;
@@ -834,12 +833,10 @@ let record_block t (block : Block.t) statuses committed =
   Hashtbl.replace t.ws_entries height (ws_leaves, tree);
   root
 
-(* [payloads] are the block's [Block.tx_payload]s, in block order. *)
-let process_appended ?crash ?schedule t (block : Block.t) ~payloads =
+let process_appended ?crash ?schedule t ({ Block.block; signed = txs; _ } : Block.checked) =
   bootstrap t;
   let block_height = block.Block.height in
   let missing = ref 0 in
-  let txs = List.combine block.Block.txs payloads in
   let results, deps, br_fresh =
     match t.config.flow with
     | Serial_baseline -> process_serial t ~block_height ~missing txs
@@ -905,37 +902,33 @@ let process_appended ?crash ?schedule t (block : Block.t) ~payloads =
   Manager.forget_finished t.manager ~below_height:(block_height - 4);
   result
 
-(* Each transaction's payload is hashed once per block, here, from its
-   contents: the header-hash check, the store's integrity check and every
-   client-signature check in [acquire] share them. They live only for
-   the block's processing and are never stored on the transaction. *)
-let verify_and_append t block =
-  let payloads = List.map Block.tx_payload block.Block.txs in
-  let tx_root = Brdb_crypto.Merkle.root payloads in
-  if not (Block.verify ~tx_root t.registry block) then
+(* Nothing is hashed again: the store checks sequence and chain, and
+   [acquire] reuses [Block.check_hash]'s payloads. The orderer signatures
+   are checked against the registry as it stands now, since a block
+   committed after this one's admission may have revoked its orderer. *)
+let append t (c : Block.checked) =
+  if not (Block.orderer_signed t.registry c.Block.block) then
     Error "invalid block (hash or signatures)"
   else
-    match Block_store.append ~tx_root t.store block with
+    match Block_store.append t.store c with
     | Error `Out_of_sequence ->
         Error
-          (Printf.sprintf "block %d out of sequence (at height %d)" block.Block.height
-             (height t))
+          (Printf.sprintf "block %d out of sequence (at height %d)"
+             c.Block.block.Block.height (height t))
     | Error `Broken_chain -> Error "broken hash chain"
-    | Error `Bad_block -> Error "corrupt block"
-    | Ok () -> Ok payloads
+    | Ok () -> Ok ()
 
-let process_block t block =
-  match verify_and_append t block with
-  | Error _ as e -> e
-  | Ok payloads -> Ok (process_appended t block ~payloads)
+let run ?schedule t c = Result.map (fun () -> process_appended ?schedule t c) (append t c)
+
+let process_checked t c = run t c
+
+let process_block t block = Result.bind (Block.check_hash block) (run t)
 
 (* Testing hook for the schedule-independence property: commit the block
    over the waves [schedule] picks from its dependency graph instead of
    the default levelization. *)
 let process_block_scheduled_for_test t block ~schedule =
-  match verify_and_append t block with
-  | Error _ as e -> e
-  | Ok payloads -> Ok (process_appended ~schedule t block ~payloads)
+  Result.bind (Block.check_hash block) (run ~schedule t)
 
 (* --- client reads at a committed height --------------------------------------------- *)
 
@@ -983,11 +976,9 @@ let explain_analyze t ?(params = [||]) ~row_cost sql =
    applies in commit order. With atomic block commit, a crash mid-block
    means the group commit never reached disk: physically none of it
    happened. *)
-let process_block_with_crash t block ~crash =
-  let payloads =
-    match verify_and_append t block with Error e -> failwith e | Ok payloads -> payloads
-  in
-  try ignore (process_appended ~crash t block ~payloads)
+let process_block_with_crash t ({ Block.block; _ } as c : Block.checked) ~crash =
+  (match append t c with Error e -> failwith e | Ok () -> ());
+  try ignore (process_appended ~crash t c)
   with Crashed ->
     if t.config.atomic_commit then begin
       let height = block.Block.height in
@@ -1041,12 +1032,9 @@ let reexecute t ~height txns =
   match Block_store.get t.store height with
   | None -> Error (Printf.sprintf "block %d missing from the block store" height)
   | Some block ->
-      (* The stored block was verified when appended; the payloads are
-         recomputed from its transactions, as on the normal path. *)
-      Ok
-        (Some
-           (process_appended t block
-              ~payloads:(List.map Block.tx_payload block.Block.txs)))
+      (* The stored block passed the orderer-signature check when it was
+         appended; only its payloads are recomputed. *)
+      Result.map (fun c -> Some (process_appended t c)) (Block.check_hash block)
 
 (* A block interrupted before any ledger step 1 entry shows only as a
    stored top block without a write-set digest: every serial-baseline

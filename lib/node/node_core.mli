@@ -104,12 +104,15 @@ val install_contract : t -> name:string -> Brdb_contracts.Registry.body -> unit
     is decided at commit. *)
 val pre_execute : t -> Brdb_ledger.Block.tx -> (unit, string) result
 
-(** Process the next block (verification, execution, commit, ledger
-    bookkeeping, write-set hash). OE and EO commit wave by wave over the
-    block's {!Block_deps} graph: every wave is decided against pre-wave
-    state, then applied in block order (DESIGN.md §14). The WAL is
-    appended in that commit order. [Error] on out-of-sequence or invalid
-    blocks. *)
+(** Append the next checked block, then execute, commit and record the
+    ledger bookkeeping and write-set hash, hashing no contents again. OE
+    and EO commit wave by wave over the {!Block_deps} graph, each wave
+    decided against pre-wave state and applied in block order (DESIGN.md
+    §14), as is the WAL. [Error] on an out-of-sequence block, a broken
+    chain, or orderer signatures the registry no longer accepts. *)
+val process_checked : t -> Brdb_ledger.Block.checked -> (block_result, string) result
+
+(** {!Brdb_ledger.Block.check_hash}, then {!process_checked}. *)
 val process_block : t -> Brdb_ledger.Block.t -> (block_result, string) result
 
 (** {!process_block}, but OE/EO commit over the waves [schedule] returns
@@ -213,13 +216,13 @@ type crash_point =
           0, so [n = 1] is always the block's first transaction. *)
   | Crash_before_status_step  (** all commits WAL'd, ledger statuses missing *)
 
-(** Append a block and run {!process_block}'s pipeline up to the crash
-    point, leaving the node inconsistent. The serial baseline has no
+(** Append a checked block and run {!process_checked}'s pipeline up to
+    the crash point, leaving the node inconsistent. The serial baseline has no
     ledger step 1 and commits as it executes, so it always stops before
     the status step; {!recover} finds that block by its missing
     write-set digest and re-executes it. *)
 val process_block_with_crash :
-  t -> Brdb_ledger.Block.t -> crash:crash_point -> unit
+  t -> Brdb_ledger.Block.checked -> crash:crash_point -> unit
 
 (** The §3.6 restart procedure. Returns [Some result] when a block had to
     be repaired (either by completing its status step from the WAL or by

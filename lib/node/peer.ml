@@ -127,8 +127,8 @@ type t = {
   core : Node_core.t;
   obs : Obs.t;
   checkpoints : Checkpoint.t;
-  (* blocks waiting their turn (height -> block) *)
-  inbox : (int, Block.t) Hashtbl.t;
+  (* admitted blocks waiting their turn (height -> checked block) *)
+  inbox : (int, Block.checked) Hashtbl.t;
   (* EO transactions whose snapshot is above our height *)
   mutable deferred : Block.tx list;
   mutable listeners : (tx_id:string -> status:Node_core.tx_status -> unit) list;
@@ -312,14 +312,14 @@ let arm_fetch ?(blind = false) ?(delay = 0.) t =
 
 (* --- §4.4 authenticated block delivery ------------------------------------ *)
 
-(* A block is admitted into the inbox only if its hash recomputes and it
-   carries at least one valid orderer signature ({!Block.verify}), and if
-   no differently-hashed valid block already occupies the height — in the
-   store or in the inbox (equivocation: keep the first admitted block).
-   A rejection is evidence the delivering link is tampering or the source
-   equivocating, so catch-up is armed to pull the height from a rotating
-   honest source (§3.6 machinery); hash-chain linkage itself is enforced
-   once more at append time (`Broken_chain`). *)
+(* A block is admitted into the inbox only if {!Block.check} accepts it
+   (hash and orderer signatures), and if no differently-hashed valid block
+   already occupies the height — in the store or in the inbox
+   (equivocation: keep the first admitted block). Append reuses the
+   checked value; it re-checks only the signatures (the signer may have
+   been revoked meanwhile) and the chain. A rejection is evidence the
+   delivering link is tampering or the source equivocating, so catch-up
+   is armed to pull the height from a rotating honest source (§3.6). *)
 let reject_block t ~why =
   mincr t "block.rejected";
   mincr t ("block.rejected." ^ why);
@@ -330,25 +330,21 @@ let reject_block t ~why =
   arm_fetch t ~blind:true ~delay:fetch_timeout
 
 let admit_block t (block : Block.t) =
-  if not (Block.verify (Node_core.identity_registry t.core) block) then begin
-    reject_block t ~why:"auth";
-    false
-  end
-  else begin
-    let sibling =
-      match Hashtbl.find_opt t.inbox block.Block.height with
-      | Some held -> Some held.Block.hash
-      | None -> (
-          match Block_store.get (Node_core.block_store t.core) block.Block.height with
-          | Some held -> Some held.Block.hash
-          | None -> None)
-    in
-    match sibling with
-    | Some h when not (String.equal h block.Block.hash) ->
-        reject_block t ~why:"equivocation";
-        false
-    | _ -> true
-  end
+  match Block.check (Node_core.identity_registry t.core) block with
+  | Error _ ->
+      reject_block t ~why:"auth";
+      None
+  | Ok checked -> (
+      let held =
+        match Hashtbl.find_opt t.inbox block.Block.height with
+        | Some c -> Some c.Block.block
+        | None -> Block_store.get (Node_core.block_store t.core) block.Block.height
+      in
+      match held with
+      | Some held when not (String.equal held.Block.hash block.Block.hash) ->
+          reject_block t ~why:"equivocation";
+          None
+      | _ -> Some checked)
 
 (* --- §11 snapshot bootstrap: session management --------------------------- *)
 
@@ -649,25 +645,25 @@ let rec process_ready t =
     let next = Node_core.height t.core + 1 in
     match Hashtbl.find_opt t.inbox next with
     | None -> ()
-    | Some block -> (
+    | Some ({ Block.block; _ } as checked) -> (
         Hashtbl.remove t.inbox next;
         match t.pending_crash with
         | Some point ->
             (* §3.6: append the block and begin processing, then die at the
                injected point; {!restart} rolls back and re-executes. *)
             t.pending_crash <- None;
-            Node_core.process_block_with_crash t.core block ~crash:point;
+            Node_core.process_block_with_crash t.core checked ~crash:point;
             do_crash t
         | None -> (
             t.processing <- true;
             (* Semantic processing happens now; the result is announced
                after the modelled processing time has elapsed. *)
-            match Node_core.process_block t.core block with
+            match Node_core.process_checked t.core checked with
             | Error _ ->
-                (* A block that passed admission but fails append
-                   (broken hash chain against the stored predecessor):
-                   drop it, count it, and re-fetch the height from an
-                   honest source. *)
+                (* A block that passed admission but fails append (broken
+                   hash chain against the stored predecessor, or an
+                   orderer key revoked since admission): drop it, count
+                   it, and re-fetch the height from an honest source. *)
                 t.processing <- false;
                 mincr t "block.rejected";
                 mincr t "block.rejected.chain";
@@ -794,18 +790,25 @@ let block_is_new t (block : Block.t) =
   && block.Block.height < next + inbox_window
   && not (Hashtbl.mem t.inbox block.Block.height)
 
+(* A delivered or fetched block: [None] when admission refuses it,
+   [Some true] when it entered the inbox (counted under [counter]). *)
+let receive_block t (block : Block.t) ~counter =
+  Option.map
+    (fun checked ->
+      note_height t block.Block.height;
+      let fresh = block_is_new t block in
+      if fresh then begin
+        mincr t counter;
+        Hashtbl.replace t.inbox block.Block.height checked
+      end;
+      fresh)
+    (admit_block t block)
+
 let handle_blocks_reply t blocks =
   let progress = ref false in
   List.iter
-    (fun (b : Block.t) ->
-      if admit_block t b then begin
-        note_height t b.Block.height;
-        if block_is_new t b then begin
-          mincr t "fetch.blocks";
-          Hashtbl.replace t.inbox b.Block.height b;
-          progress := true
-        end
-      end)
+    (fun b ->
+      if receive_block t b ~counter:"fetch.blocks" = Some true then progress := true)
     blocks;
   if !progress then begin
     Trace.instant (tracer t) ~node:(name t) ~track:"fetch" ~cat:"fetch"
@@ -1058,16 +1061,12 @@ let handle t ~src msg =
   if not t.crashed then
     match msg with
     | Msg.Client_tx tx -> handle_client_tx t ~src tx
-    | Msg.Block_deliver block ->
-        if admit_block t block then begin
-          note_height t block.Block.height;
-          if block_is_new t block then begin
-            mincr t "block.received";
-            Hashtbl.replace t.inbox block.Block.height block;
-            process_ready t
-          end;
-          maybe_arm_fetch t
-        end
+    | Msg.Block_deliver block -> (
+        match receive_block t block ~counter:"block.received" with
+        | None -> ()
+        | Some fresh ->
+            if fresh then process_ready t;
+            maybe_arm_fetch t)
     | Msg.Checkpoint_hash { height; hash } ->
         note_height t height;
         Checkpoint.receive t.checkpoints ~from:src ~height ~hash;

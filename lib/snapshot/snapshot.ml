@@ -187,8 +187,8 @@ let r_block r =
         let name = Codec.r_str r in
         (name, r_sig r))
   in
-  (* The hash is recomputed, never trusted from the wire; the store's
-     restore path re-validates the whole chain on install. *)
+  (* The hash is recomputed, never trusted from the wire; install checks
+     every block's signatures and the whole chain. *)
   let hash = Block.compute_hash ~height ~txs ~metadata ~prev_hash in
   { Block.height; txs; metadata; prev_hash; hash; signatures }
 
@@ -351,63 +351,68 @@ let install ~catalog ~store ~contracts ~manager ~identities t =
   (* Phase 1 — validate and build everything on the side; no live state
      is touched until nothing can fail. *)
   let scratch = Block_store.create () in
-  match Block_store.restore scratch t.blocks with
-  | Error e -> Error e
-  | Ok () -> (
-      match Block_store.audit scratch identities with
-      | Error h -> Error (Printf.sprintf "snapshot block %d fails verification" h)
-      | Ok () ->
-          if Block_store.height scratch <> t.height then
-            Error
-              (Printf.sprintf "snapshot claims height %d but carries %d blocks"
-                 t.height (Block_store.height scratch))
-          else
-            let rec build acc = function
-              | [] -> Ok (List.rev acc)
-              | ts :: rest -> (
-                  match build_table ts with
-                  | Error _ as e -> e
-                  | Ok table -> build (table :: acc) rest)
-            in
-            Result.bind (build [] t.tables) (fun tables ->
-                if
-                  not
-                    (List.exists
-                       (fun tbl -> String.equal (Table.name tbl) Catalog.ledger_table)
-                       tables)
-                then Error "snapshot lacks the ledger table"
-                else
-                  let bad_contract =
-                    let probe = Registry.create () in
-                    List.find_map
-                      (fun (name, version, source) ->
-                        match Registry.install_exact probe ~name ~version ~source with
-                        | Ok () -> None
-                        | Error e -> Some (Printf.sprintf "contract %s: %s" name e))
-                      t.contracts
-                  in
-                  match bad_contract with
-                  | Some e -> Error e
-                  | None -> begin
-                  (* Phase 2 — swap, in an order where each step leaves a
-                     consistent (catalog, store) pair. *)
-                  Catalog.swap_tables catalog tables;
-                  (match Block_store.restore store t.blocks with
+  let rec check_all acc = function
+    | [] ->
+        let checked = List.rev acc in
+        Result.map (fun () -> checked) (Block_store.restore scratch checked)
+    | (b : Block.t) :: rest -> (
+        match Block.check identities b with
+        | Ok c -> check_all (c :: acc) rest
+        | Error _ ->
+            Error (Printf.sprintf "snapshot block %d fails verification" b.Block.height))
+  in
+  Result.bind (check_all [] t.blocks) (fun checked ->
+      if Block_store.height scratch <> t.height then
+        Error
+          (Printf.sprintf "snapshot claims height %d but carries %d blocks"
+             t.height (Block_store.height scratch))
+      else
+        let rec build acc = function
+          | [] -> Ok (List.rev acc)
+          | ts :: rest -> (
+              match build_table ts with
+              | Error _ as e -> e
+              | Ok table -> build (table :: acc) rest)
+        in
+        Result.bind (build [] t.tables) (fun tables ->
+            if
+              not
+                (List.exists
+                   (fun tbl -> String.equal (Table.name tbl) Catalog.ledger_table)
+                   tables)
+            then Error "snapshot lacks the ledger table"
+            else
+              let bad_contract =
+                let probe = Registry.create () in
+                List.find_map
+                  (fun (name, version, source) ->
+                    match Registry.install_exact probe ~name ~version ~source with
+                    | Ok () -> None
+                    | Error e -> Some (Printf.sprintf "contract %s: %s" name e))
+                  t.contracts
+              in
+              match bad_contract with
+              | Some e -> Error e
+              | None -> begin
+              (* Phase 2 — swap, in an order where each step leaves a
+                 consistent (catalog, store) pair. *)
+              Catalog.swap_tables catalog tables;
+              (match Block_store.restore store checked with
+              | Ok () -> ()
+              | Error _ -> assert false (* validated on scratch above *));
+              List.iter
+                (fun (name, _, _) -> ignore (Registry.drop contracts ~name))
+                (Registry.export_procedural contracts);
+              List.iter
+                (fun (name, version, source) ->
+                  match Registry.install_exact contracts ~name ~version ~source with
                   | Ok () -> ()
-                  | Error _ -> assert false (* validated on scratch above *));
-                  List.iter
-                    (fun (name, _, _) -> ignore (Registry.drop contracts ~name))
-                    (Registry.export_procedural contracts);
-                  List.iter
-                    (fun (name, version, source) ->
-                      match Registry.install_exact contracts ~name ~version ~source with
-                      | Ok () -> ()
-                      | Error _ -> assert false (* probed above *))
-                    t.contracts;
-                  Registry.set_next_version contracts t.contract_next_version;
-                  Manager.restore_globals manager ~next_txid:t.next_txid t.globals;
-                  Ok ()
-                end))
+                  | Error _ -> assert false (* probed above *))
+                t.contracts;
+              Registry.set_next_version contracts t.contract_next_version;
+              Manager.restore_globals manager ~next_txid:t.next_txid t.globals;
+              Ok ()
+            end))
 
 (* --- accounting --------------------------------------------------------------------- *)
 

@@ -91,23 +91,86 @@ let test_chains_from () =
   let gap = block ~height:3 ~prev:(Some b1) [ tx 3 ] in
   Alcotest.(check bool) "height gap" false (Block.chains_from gap ~prev:(Some b1))
 
+(* [Block.check] against the formula it replaced (test/block_ref.ml), over
+   random blocks of 0-40 transactions and one mutation each: content,
+   order, header fields, orderer signatures, or a forged client signature
+   inside an otherwise well-formed block (accepted: the block check does
+   not cover client signatures, [acquire] does). *)
+let tx_pool = lazy (Array.init 41 tx)
+
+let mutate kind pos (b : Block.t) =
+  let n = List.length b.Block.txs in
+  let at i f = List.mapi (fun j t -> if j = i then f t else t) b.Block.txs in
+  match kind with
+  | 1 when n > 0 ->
+      let changed t = { t with Block.tx_args = [ Value.Int (-1) ] } in
+      { b with Block.txs = at (pos mod n) changed }
+  | 2 when n > 1 ->
+      let i = pos mod n and j = (pos + 1) mod n in
+      let ti = List.nth b.Block.txs i and tj = List.nth b.Block.txs j in
+      let swap k t = if k = i then tj else if k = j then ti else t in
+      { b with Block.txs = List.mapi swap b.Block.txs }
+  | 3 -> { b with Block.metadata = b.Block.metadata ^ "x" }
+  | 4 -> { b with Block.prev_hash = Brdb_crypto.Sha256.digest "elsewhere" }
+  | 5 -> { b with Block.height = b.Block.height + 1 }
+  | 6 -> { b with Block.hash = Brdb_crypto.Sha256.digest "forged" }
+  | 7 -> { b with Block.signatures = [] }
+  | 8 -> Block.sign b (Identity.create "orderer/mallory")
+  | 9 ->
+      let other = Brdb_crypto.Sha256.digest "another block" in
+      { b with Block.signatures = [ (Identity.name orderer, Identity.sign orderer other) ] }
+  | 10 when n > 0 ->
+      let forged t = { t with Block.tx_signature = Identity.sign client "not the payload" } in
+      Block.sign
+        (Block.create ~height:b.Block.height ~txs:(at (pos mod n) forged)
+           ~metadata:b.Block.metadata ~prev_hash:b.Block.prev_hash)
+        orderer
+  | _ -> b
+
+let prop_check_matches_reference =
+  let r = registry () in
+  QCheck.Test.make ~name:"Block.check = reference verify; root and tx verdicts agree"
+    ~count:200
+    QCheck.(quad (int_bound 40) (int_bound 10) small_nat small_nat)
+    (fun (n, kind, pos, rot) ->
+      let pool = Lazy.force tx_pool in
+      let txs = List.init n (fun i -> pool.((i + rot) mod 41)) in
+      let b = mutate kind pos (block ~height:1 ~prev:None txs) in
+      Result.is_ok (Block.check_hash b) = Block_ref.hash_matches b
+      &&
+      match Block.check r b with
+      | Error _ -> not (Block_ref.verify r b)
+      | Ok c ->
+          Block_ref.verify r b
+          && c.Block.block == b
+          && List.for_all2 (fun s t -> s.Block.tx == t) c.Block.signed b.Block.txs
+          && String.equal c.Block.tx_root
+               (Brdb_crypto.Merkle.root (List.map Block.tx_payload b.Block.txs))
+          && List.map (Block.verify_signed r) c.Block.signed
+             = List.map (Block.verify_tx r) b.Block.txs)
+
 (* --- block store --------------------------------------------------------------- *)
+
+let checked b =
+  match Block.check (registry ()) b with Ok c -> c | Error e -> Alcotest.fail e
 
 let test_block_store_sequencing () =
   let s = Block_store.create () in
   let b1 = block ~height:1 ~prev:None [ tx 1 ] in
   let b2 = block ~height:2 ~prev:(Some b1) [ tx 2 ] in
-  Alcotest.(check bool) "append 1" true (Block_store.append s b1 = Ok ());
+  Alcotest.(check bool) "append 1" true (Block_store.append s (checked b1) = Ok ());
   (* duplicate and gap *)
-  Alcotest.(check bool) "dup rejected" true (Block_store.append s b1 = Error `Out_of_sequence);
+  Alcotest.(check bool) "dup rejected" true
+    (Block_store.append s (checked b1) = Error `Out_of_sequence);
   let b3 = block ~height:3 ~prev:(Some b2) [ tx 3 ] in
-  Alcotest.(check bool) "gap rejected" true (Block_store.append s b3 = Error `Out_of_sequence);
-  Alcotest.(check bool) "append 2" true (Block_store.append s b2 = Ok ());
+  Alcotest.(check bool) "gap rejected" true
+    (Block_store.append s (checked b3) = Error `Out_of_sequence);
+  Alcotest.(check bool) "append 2" true (Block_store.append s (checked b2) = Ok ());
   (* chain break *)
   let evil = block ~height:3 ~prev:(Some b1) [ tx 3 ] in
   let evil = { evil with Block.height = 3 } in
   Alcotest.(check bool) "broken chain rejected" true
-    (Block_store.append s evil = Error `Broken_chain);
+    (Block_store.append s (checked evil) = Error `Broken_chain);
   Alcotest.(check int) "height" 2 (Block_store.height s);
   Alcotest.(check bool) "get 1" true (Block_store.get s 1 = Some b1);
   Alcotest.(check bool) "get 0" true (Block_store.get s 0 = None);
@@ -118,13 +181,13 @@ let test_block_store_audit () =
   let s = Block_store.create () in
   let b1 = block ~height:1 ~prev:None [ tx 1 ] in
   let b2 = block ~height:2 ~prev:(Some b1) [ tx 2 ] in
-  ignore (Block_store.append s b1);
-  ignore (Block_store.append s b2);
-  Alcotest.(check bool) "clean" true (Block_store.audit s r = Ok ());
+  ignore (Block_store.append s (checked b1));
+  ignore (Block_store.append s (checked b2));
+  Alcotest.(check bool) "clean" true (Block_ref.audit s r = Ok ());
   (* forge block 1 in place: hash chain of block 2 breaks *)
   let forged = block ~height:1 ~prev:None [ tx 99 ] in
   Block_store.tamper_for_test s 1 forged;
-  (match Block_store.audit s r with
+  (match Block_ref.audit s r with
   | Error h -> Alcotest.(check bool) "detected at 1 or 2" true (h = 1 || h = 2)
   | Ok () -> Alcotest.fail "tampering undetected")
 
@@ -163,6 +226,7 @@ let suites =
         Alcotest.test_case "verify" `Quick test_block_verify;
         Alcotest.test_case "golden hash" `Quick test_block_golden_hash;
         Alcotest.test_case "chains_from" `Quick test_chains_from;
+        QCheck_alcotest.to_alcotest prop_check_matches_reference;
       ] );
     ( "ledger.store",
       [

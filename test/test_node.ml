@@ -57,6 +57,10 @@ let setup ?(flow = Node_core.Order_execute) ?(atomic_commit = false)
 
 let node h i = List.nth h.nodes i
 
+(* The crash hook takes a block as the peer's admission leaves it. *)
+let checked h block =
+  match Block.check h.registry block with Ok c -> c | Error e -> Alcotest.fail e
+
 (* Build, sign and deliver the next block to all nodes; returns one result
    per node. *)
 let deliver h txs =
@@ -790,7 +794,7 @@ let crash_recovery_scenario ?(flow = Node_core.Order_execute) ?(atomic_commit = 
   (* node 0 crashes mid-block; node 1 processes normally (the reference). *)
   let height = Assembler.next_height h.chain in
   let block = Assembler.make h.chain txs in
-  Node_core.process_block_with_crash (node h 0) block ~crash;
+  Node_core.process_block_with_crash (node h 0) (checked h block) ~crash;
   Alcotest.(check (option string)) "no state digest for the interrupted block"
     None
     (Node_core.state_digest (node h 0) ~height);
@@ -842,7 +846,8 @@ let test_recover_mid_commit_serves_proofs () =
   in
   let height = Assembler.next_height h.chain in
   let block = Assembler.make h.chain txs in
-  Node_core.process_block_with_crash (node h 0) block ~crash:(Node_core.Crash_mid_commit 5);
+  Node_core.process_block_with_crash (node h 0) (checked h block)
+    ~crash:(Node_core.Crash_mid_commit 5);
   (match Node_core.process_block (node h 1) block with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
@@ -940,7 +945,7 @@ let test_tampered_tx_rejected_on_both_paths () =
       (List.map Node_core.tx_status_to_string (statuses r))
   in
   (* node 0 crashes before any commit and re-executes the stored block *)
-  Node_core.process_block_with_crash (node h 0) block
+  Node_core.process_block_with_crash (node h 0) (checked h block)
     ~crash:Node_core.Crash_after_ledger_entries;
   (match Node_core.recover (node h 0) with
   | Ok (Some r) -> check_statuses "recovered statuses" r
@@ -973,7 +978,7 @@ let test_recover_empty_block () =
   init_chain h;
   let height = Assembler.next_height h.chain in
   let block = Assembler.make h.chain [] in
-  Node_core.process_block_with_crash (node h 0) block
+  Node_core.process_block_with_crash (node h 0) (checked h block)
     ~crash:Node_core.Crash_after_ledger_entries;
   (match Node_core.process_block (node h 1) block with
   | Ok _ -> ()
@@ -987,6 +992,32 @@ let test_recover_empty_block () =
     (Node_core.state_digest (node h 0) ~height);
   check_identical h
     (deliver h [ tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 1 ] ])
+
+(* §3.6 recovery re-executes the stored block without judging its orderer
+   signatures again: the block was authenticated when it was appended,
+   and an on-commit hook that ran before the crash has since removed its
+   orderer's key. *)
+let test_recover_after_orderer_revoked () =
+  let h = setup ~n_nodes:1 () in
+  init_chain h;
+  let height = Assembler.next_height h.chain in
+  let block =
+    Assembler.make h.chain
+      [
+        tx h ~user:"org1/admin" ~contract:"delete_user" [ Value.Text "orderer/1" ];
+        tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 1 ];
+      ]
+  in
+  Node_core.process_block_with_crash (node h 0) (checked h block)
+    ~crash:(Node_core.Crash_mid_commit 1);
+  Alcotest.(check bool) "orderer key removed before the crash" false
+    (Identity.Registry.mem h.registry "orderer/1");
+  (match Node_core.recover (node h 0) with
+  | Ok (Some _) -> ()
+  | Ok None -> Alcotest.fail "expected a re-execution"
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "state digest recorded" true
+    (Node_core.state_digest (node h 0) ~height <> None)
 
 let test_recover_noop_when_consistent () =
   let h = setup ~n_nodes:1 () in
@@ -1004,7 +1035,7 @@ let test_block_store_tamper_detection () =
   init_chain h;
   ignore (deliver h [ tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 1 ] ]);
   let store = Node_core.block_store (node h 0) in
-  (match Brdb_ledger.Block_store.audit store h.registry with
+  (match Block_ref.audit store h.registry with
   | Ok () -> ()
   | Error height -> Alcotest.failf "clean chain flagged at %d" height);
   (* Tamper with block 2's transactions. *)
@@ -1013,7 +1044,7 @@ let test_block_store_tamper_detection () =
   | Some b ->
       let forged = { b with Block.txs = [] } in
       Brdb_ledger.Block_store.tamper_for_test store 2 forged);
-  match Brdb_ledger.Block_store.audit store h.registry with
+  match Block_ref.audit store h.registry with
   | Ok () -> Alcotest.fail "tampering undetected"
   | Error height -> Alcotest.(check int) "detected at block 2" 2 height
 
@@ -1178,6 +1209,8 @@ let suites =
         Alcotest.test_case "serial baseline: atomic block commit" `Quick
           test_recover_serial_atomic_commit;
         Alcotest.test_case "crash on an empty block" `Quick test_recover_empty_block;
+        Alcotest.test_case "recovery after the orderer is revoked" `Quick
+          test_recover_after_orderer_revoked;
         Alcotest.test_case "no-op when consistent" `Quick test_recover_noop_when_consistent;
         Alcotest.test_case "tampered tx rejected on normal and recovery paths" `Quick
           test_tampered_tx_rejected_on_both_paths;

@@ -33,22 +33,24 @@ let setup_contract =
     (fun ctx -> ignore (Api.execute ctx "CREATE TABLE kv (k INT PRIMARY KEY, v INT)"))
 
 let make_fx ?(flow = Node_core.Execute_order) ?(checkpoint_interval = 1) ?(n = 3)
-    ?(snapshot_threshold = 0)
+    ?(own_registries = false) ?(snapshot_threshold = 0)
     ?(snapshot_chunk_size = Brdb_snapshot.Chunk.default_size)
     ?(compaction = Brdb_snapshot.Snapshot.Archive) () =
   let clock = Clock.create () in
   let rng = Rng.create ~seed:5 in
   let net = Msg.Net.create ~clock ~rng ~default_link:Brdb_sim.Network.lan_link in
-  let registry = Identity.Registry.create () in
   let orderer = Identity.create "orderer/1" in
   let admin = Identity.create "org1/admin" in
   let client = Identity.create "org1/alice" in
-  List.iter
-    (fun id ->
-      match Identity.Registry.register registry id with
-      | Ok () -> ()
-      | Error _ -> assert false)
-    [ orderer; admin; client ];
+  let new_registry () =
+    let r = Identity.Registry.create () in
+    List.iter
+      (fun id ->
+        match Identity.Registry.register r id with Ok () -> () | Error _ -> assert false)
+      [ orderer; admin; client ];
+    r
+  in
+  let registry = new_registry () in
   let peer_names = List.init n (fun i -> Printf.sprintf "peer-%d" (i + 1)) in
   let fx =
     {
@@ -89,7 +91,7 @@ let make_fx ?(flow = Node_core.Execute_order) ?(checkpoint_interval = 1) ?(n = 3
               compaction;
               parallel_validation = false;
             }
-            ~registry
+            ~registry:(if own_registries then new_registry () else registry)
         in
         List.iter
           (fun contract_name ->
@@ -259,6 +261,103 @@ let test_invalid_block_ignored () =
     ];
   Alcotest.(check (list int)) "honest chain continues" [ 2; 2; 2 ] (heights fx)
 
+let test_chain_break_rejected () =
+  let fx = make_fx ~flow:Node_core.Order_execute () in
+  init_chain fx;
+  (* correctly hashed and signed, at the next height, but linked to the
+     wrong predecessor: admission passes it, append refuses it *)
+  let broken =
+    Block.sign
+      (Block.create ~height:2
+         ~txs:
+           [
+             Block.make_tx ~id:"orphan" ~identity:fx.client ~contract:"put"
+               ~args:[ Value.Int 7; Value.Int 7 ];
+           ]
+         ~metadata:"t" ~prev_hash:Block.genesis_hash)
+      fx.orderer
+  in
+  List.iter
+    (fun p ->
+      ignore
+        (Msg.Net.send fx.net ~src:"orderer-1" ~dst:(Peer.name p)
+           ~size_bytes:(Msg.size (Msg.Block_deliver broken))
+           (Msg.Block_deliver broken)))
+    fx.peers;
+  ignore (Clock.run fx.clock);
+  Alcotest.(check (list int)) "every peer stays at its height" [ 1; 1; 1 ] (heights fx);
+  Alcotest.(check (list int)) "one chain rejection each" [ 1; 1; 1 ]
+    (List.map
+       (fun p ->
+         Brdb_obs.Registry.counter
+           (Brdb_obs.Obs.metrics (Peer.obs p))
+           ~node:(Peer.name p) "block.rejected.chain")
+       fx.peers);
+  deliver_block fx
+    [
+      Block.make_tx ~id:"good" ~identity:fx.client ~contract:"put"
+        ~args:[ Value.Int 2; Value.Int 2 ];
+    ];
+  Alcotest.(check (list int)) "honest block accepted" [ 2; 2; 2 ] (heights fx)
+
+(* Orderer signatures are judged against the registry in force at
+   append, not at admission: peer 1 buffers block 3 while its orderer's
+   key is still registered, then block 2 deletes that key. Peer 1 must
+   refuse the buffered block exactly as peers 2 and 3 refuse it on
+   arrival, so all three stay at height 2. Each peer owns its registry,
+   as separate nodes do. *)
+let test_orderer_revoked_while_buffered () =
+  let fx = make_fx ~flow:Node_core.Order_execute ~own_registries:true () in
+  init_chain fx;
+  let b1 = Option.get fx.prev in
+  let revoke =
+    Block.sign
+      (Block.create ~height:2
+         ~txs:
+           [
+             Block.make_tx ~id:"revoke" ~identity:fx.admin ~contract:"delete_user"
+               ~args:[ Value.Text (Identity.name fx.orderer) ];
+           ]
+         ~metadata:"t" ~prev_hash:b1.Block.hash)
+      fx.orderer
+  in
+  let next =
+    Block.sign
+      (Block.create ~height:3
+         ~txs:
+           [
+             Block.make_tx ~id:"late" ~identity:fx.client ~contract:"put"
+               ~args:[ Value.Int 3; Value.Int 3 ];
+           ]
+         ~metadata:"t" ~prev_hash:revoke.Block.hash)
+      fx.orderer
+  in
+  let send block peers =
+    List.iter
+      (fun p ->
+        ignore
+          (Msg.Net.send fx.net ~src:"orderer-1" ~dst:(Peer.name p)
+             ~size_bytes:(Msg.size (Msg.Block_deliver block))
+             (Msg.Block_deliver block)))
+      peers;
+    ignore (Clock.run fx.clock)
+  in
+  let counter name =
+    List.map
+      (fun p ->
+        Brdb_obs.Registry.counter (Brdb_obs.Obs.metrics (Peer.obs p)) ~node:(Peer.name p) name)
+      fx.peers
+  in
+  send next [ List.hd fx.peers ];
+  Alcotest.(check (list int)) "block 3 buffered at peer 1" [ 1; 1; 1 ] (heights fx);
+  send revoke fx.peers;
+  send next (List.tl fx.peers);
+  Alcotest.(check (list int)) "same verdict on block 3 everywhere" [ 2; 2; 2 ] (heights fx);
+  Alcotest.(check (list int)) "peer 1 refuses it at append" [ 1; 0; 0 ]
+    (counter "block.rejected.chain");
+  Alcotest.(check (list int)) "peers 2 and 3 refuse it on arrival" [ 0; 1; 1 ]
+    (counter "block.rejected.auth")
+
 let test_checkpoint_interval () =
   let fx = make_fx ~flow:Node_core.Order_execute ~checkpoint_interval:2 () in
   init_chain fx;
@@ -423,6 +522,9 @@ let suites =
         Alcotest.test_case "out-of-order blocks" `Quick test_out_of_order_blocks_buffered;
         Alcotest.test_case "checkpoint gossip" `Quick test_checkpoint_gossip;
         Alcotest.test_case "invalid block ignored" `Quick test_invalid_block_ignored;
+        Alcotest.test_case "chain break rejected at append" `Quick test_chain_break_rejected;
+        Alcotest.test_case "orderer revoked while block buffered" `Quick
+          test_orderer_revoked_while_buffered;
         Alcotest.test_case "checkpoint interval" `Quick test_checkpoint_interval;
         Alcotest.test_case "tampered node flagged via checkpoints" `Quick
           test_divergence_detected_via_checkpoints;

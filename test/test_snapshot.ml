@@ -354,6 +354,55 @@ let test_mid_install_crash_recovers () =
     (fun a b -> Alcotest.(check string) "state matches source" a b)
     (observations src) (observations victim)
 
+(* A decoded snapshot whose block 3 fails the orderer-signature check is
+   refused with the verification error, and the installing node keeps
+   its height, state digest and tables. *)
+let test_install_refuses_unauthenticated_blocks () =
+  let reg = registry () in
+  let blocks = blocks_of_ops mixed_ops in
+  let src = make_node ~registry:reg "src" in
+  List.iter (fun b -> ignore (process src b)) blocks;
+  let snap = Node_core.export_snapshot src ~compaction:Snapshot.Archive in
+  let victim = make_node ~registry:reg "victim" in
+  List.iteri (fun i b -> if i < 2 then ignore (process victim b)) blocks;
+  let height = Node_core.height victim in
+  let state_digest = Node_core.state_digest victim ~height in
+  let tables = rendered victim "SELECT * FROM sys.tables ORDER BY name" in
+  let other_hash = Brdb_crypto.Sha256.digest "another block" in
+  List.iter
+    (fun (label, fault) ->
+      let blocks =
+        List.map
+          (fun (b : Block.t) -> if b.Block.height = 3 then fault b else b)
+          snap.Snapshot.blocks
+      in
+      let decoded =
+        match Snapshot.decode (Snapshot.encode { snap with Snapshot.blocks }) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "decode: %s" e
+      in
+      (match Node_core.install_snapshot victim decoded with
+      | Ok () -> Alcotest.failf "%s: install accepted" label
+      | Error e ->
+          Alcotest.(check string) label "snapshot block 3 fails verification" e);
+      Alcotest.(check int) (label ^ ": height") height (Node_core.height victim);
+      Alcotest.(check (option string)) (label ^ ": state digest") state_digest
+        (Node_core.state_digest victim ~height);
+      Alcotest.(check string) (label ^ ": sys.tables") tables
+        (rendered victim "SELECT * FROM sys.tables ORDER BY name"))
+    [
+      ("dropped signatures", fun b -> { b with Block.signatures = [] });
+      ( "unknown orderer",
+        fun b ->
+          Block.sign { b with Block.signatures = [] } (Identity.create "orderer/mallory") );
+      ( "signed over another hash",
+        fun b ->
+          {
+            b with
+            Block.signatures = [ (Identity.name orderer, Identity.sign orderer other_hash) ];
+          } );
+    ]
+
 (* Snapshots carry write-set roots, not entries or trees: every installed
    height stays below the provenance floor, while a block processed after
    the install serves proofs again. *)
@@ -569,6 +618,8 @@ let suites =
           test_tampered_chunk_rejected;
         Alcotest.test_case "mid-install crash recovers via WAL" `Quick
           test_mid_install_crash_recovers;
+        Alcotest.test_case "install refuses unauthenticated blocks" `Quick
+          test_install_refuses_unauthenticated_blocks;
         Alcotest.test_case "pruned compaction coherent with prune" `Quick
           test_pruned_compaction_coherent;
         Alcotest.test_case "installed heights stay below the proof floor" `Quick

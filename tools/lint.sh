@@ -178,4 +178,17 @@ if [ -n "$stat_matches" ]; then
   exit 1
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline in node_core.ml; one metrics store (Stat.create only in obs/registry.ml)"
+# One checked block (DESIGN.md §4 item 3): ledger interfaces take no
+# optional arguments. Block.check builds the only value that carries a
+# block's payloads and tx root, so an optional "root/payload the caller
+# just computed" argument, which nothing can enforce, cannot come back.
+opt_matches=$(grep -nE '\?[a-z_][A-Za-z0-9_]*:' "$dir"/ledger/*.mli 2>/dev/null || true)
+if [ -n "$opt_matches" ]; then
+  echo "lint failed — optional argument in a ledger interface; pass a" >&2
+  echo "Block.checked (built only by Block.check) instead of a caller-supplied" >&2
+  echo "root or payload:" >&2
+  echo "$opt_matches" >&2
+  exit 1
+fi
+
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline in node_core.ml; one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces"
