@@ -55,14 +55,30 @@ type tx_record = {
   r_status : tx_status;
 }
 
-(* Per-block critical-path analysis (ISSUE 7 tentpole b), backing
-   sys.critical_path and the bench profiler. Derived purely from the
-   block's dependency DAG + the calibrated cost model, so every node
-   computes identical entries. *)
+(* Per-block critical-path analysis backing sys.critical_path and the
+   bench profiler: the block's dependency DAG weighed with the calibrated
+   cost model, so every node that processed the block computes it alike. *)
 type cp_entry = {
   cp_txs : int;
   cp_edge_count : int;
   cp_result : Brdb_obs.Critical_path.result;
+}
+
+(* What the commit phase leaves behind for one height (§3.3.4, §3.6):
+   sys.transactions rows, the write-set root and the chained state digest
+   sys.blocks publishes, the Merkle leaves and tree proofs are served
+   from, and the critical-path entry. A stored block whose processing was
+   interrupted has no record until recovery writes one. *)
+type block_record = {
+  b_txs : tx_record list;  (* block order *)
+  b_root : string;
+  b_digest : string;
+  (* the leaves and the bucketed tree they were hashed into, so a proof
+     rehashes one bucket; [None] below the proof floor (installed heights) *)
+  b_tree : (string list * Brdb_crypto.Merkle.tree) option;
+  (* [None] where the block's dependency graph is unknown: installed
+     heights and §3.6 case (a) *)
+  b_cp : cp_entry option;
 }
 
 type t = {
@@ -80,25 +96,12 @@ type t = {
   (* cumulative per-operator executor counters across all contract runs;
      deterministic, so peers surface them as registry metrics *)
   exec_totals : Exec.stats;
-  (* height -> per-transaction records backing sys.transactions/sys.aborts;
-     replaced wholesale when recovery re-executes a block *)
-  tx_log : (int, tx_record list) Hashtbl.t;
-  (* height -> (write-set root (§3.3.4), chained state digest): the
-     per-block digest and the running one the divergence monitor
-     publishes into sys.blocks. A height whose block is stored but whose
-     processing was interrupted has no entry until recovery records it. *)
-  digests : (int, string * string) Hashtbl.t;
-  (* height -> Merkle leaves of the write-set root, the
-     canonical per-write entry strings provenance proofs are built from,
-     and the bucketed tree [record_block] hashed them into, so a proof
-     rehashes one bucket instead of the whole set. Absent for heights
-     installed from a snapshot — the proof floor. *)
-  ws_entries : (int, string list * Brdb_crypto.Merkle.tree) Hashtbl.t;
   (* modelled base execution time (seconds) per contract name, installed by
      the peer from the calibrated cost model; backs sys.transactions.tet_ms *)
   mutable tet_model : string -> float;
-  (* height -> dependency-DAG analysis; replaced wholesale on recovery *)
-  cp_log : (int, cp_entry) Hashtbl.t;
+  (* height -> the block's record: written only by [store_record], reset
+     only by [forget_records] *)
+  records : (int, block_record) Hashtbl.t;
 }
 
 let create config ~registry =
@@ -115,14 +118,13 @@ let create config ~registry =
     bootstrapped = false;
     trace = Trace.null;
     exec_totals = Exec.new_stats ();
-    tx_log = Hashtbl.create 64;
-    digests = Hashtbl.create 64;
-    ws_entries = Hashtbl.create 64;
     tet_model = (fun _ -> 0.);
-    cp_log = Hashtbl.create 64;
+    records = Hashtbl.create 64;
   }
 
-let critical_path t ~height = Hashtbl.find_opt t.cp_log height
+let record_at t ~height = Hashtbl.find_opt t.records height
+
+let critical_path t ~height = Option.bind (record_at t ~height) (fun r -> r.b_cp)
 
 let set_trace t trace = t.trace <- trace
 
@@ -136,27 +138,34 @@ let exec_totals t = t.exec_totals
    SQL bisection over sys.blocks relies on. *)
 let chain prev ws = Brdb_util.Hex.encode (Brdb_crypto.Sha256.digest_concat [ prev; ws ])
 
-let state_digest t ~height = Option.map snd (Hashtbl.find_opt t.digests height)
+let state_digest t ~height = Option.map (fun r -> r.b_digest) (record_at t ~height)
 
-let write_set_hash t ~height = Option.map fst (Hashtbl.find_opt t.digests height)
+let write_set_hash t ~height = Option.map (fun r -> r.b_root) (record_at t ~height)
 
-(* Record [ws] as the write-set root at [height], chained onto the digest
-   below. Blocks are recorded in height order (recovery finishes an
-   interrupted top block before the next one is processed), so the height
-   below is always recorded. *)
-let record_digest t ~height ws =
+(* The one writer of the per-height records: store [height]'s record
+   with [root] chained onto the digest below. Blocks are recorded in
+   height order (recovery finishes an interrupted top block before the
+   next one is processed), so the height below is always recorded.
+   Replace, not add: recovery overwrites a partial attempt. *)
+let store_record t ~height ~txs ~root ~tree ~cp =
   let prev =
     if height = 1 then Block.genesis_hash
     else
       match state_digest t ~height:(height - 1) with
       | Some d -> d
-      | None -> invalid_arg "Node_core.record_digest: height below unrecorded"
+      | None -> invalid_arg "Node_core.store_record: height below unrecorded"
   in
-  Hashtbl.replace t.digests height (ws, chain prev ws)
+  Hashtbl.replace t.records height
+    { b_txs = txs; b_root = root; b_digest = chain prev root; b_tree = tree; b_cp = cp }
 
-let write_set_entries_at t ~height = Option.map fst (Hashtbl.find_opt t.ws_entries height)
+(* The one reset: every per-height record and §3.7 execution version. *)
+let forget_records t =
+  Hashtbl.reset t.records;
+  Hashtbl.reset t.exec_versions
 
-let write_set_tree_at t ~height = Hashtbl.find_opt t.ws_entries height
+let write_set_tree_at t ~height = Option.bind (record_at t ~height) (fun r -> r.b_tree)
+
+let write_set_entries_at t ~height = Option.map fst (write_set_tree_at t ~height)
 
 (* Testing hook for the divergence monitor: corrupt this node's recorded
    write-set hash at [height], which poisons the published chained digest
@@ -164,18 +173,15 @@ let write_set_tree_at t ~height = Hashtbl.find_opt t.ws_entries height
    so SQL bisection over sys.blocks has something to find. Only sys.blocks
    is affected; checkpoints already gossiped are not rewritten. *)
 let tamper_digest_for_test t ~height =
-  match write_set_hash t ~height with
-  | None -> ()
-  | Some ws ->
-      record_digest t ~height ("tampered:" ^ ws);
-      let rec rechain h =
-        match write_set_hash t ~height:h with
-        | Some ws ->
-            record_digest t ~height:h ws;
-            rechain (h + 1)
-        | None -> ()
-      in
-      rechain (height + 1)
+  let rec rechain h root_of =
+    match record_at t ~height:h with
+    | None -> ()
+    | Some r ->
+        store_record t ~height:h ~txs:r.b_txs ~root:(root_of r.b_root) ~tree:r.b_tree
+          ~cp:r.b_cp;
+        rechain (h + 1) Fun.id
+  in
+  rechain height (fun ws -> "tampered:" ^ ws)
 
 let config t = t.config
 
@@ -207,17 +213,15 @@ let detail_of = function
   | S_aborted r -> Txn.abort_reason_to_string r
   | S_rejected r -> r
 
+(* [(h, record)] for every recorded height up to [height], ascending. *)
+let records_upto t ~height =
+  List.filter_map (fun h -> Option.map (fun r -> (h, r)) (record_at t ~height:h))
+    (List.init height succ)
+
 (* Transaction records of all blocks up to [height], in (block, pos)
    order. *)
 let tx_records_upto t ~height =
-  let acc = ref [] in
-  for h = height downto 1 do
-    match Hashtbl.find_opt t.tx_log h with
-    | Some records ->
-        acc := List.map (fun r -> (h, r)) records @ !acc
-    | None -> ()
-  done;
-  !acc
+  List.concat_map (fun (h, r) -> List.map (fun x -> (h, x)) r.b_txs) (records_upto t ~height)
 
 (* The node-level virtual tables. Everything each provider renders is a
    pure function of the block stream and contract registry at the
@@ -276,9 +280,8 @@ let register_sys_views t =
         int "waves" (cp (fun r -> r.Cp.waves));
       ]
       (fun ~height ->
-        List.filter_map
-          (fun h -> Option.map (fun e -> (h, e)) (Hashtbl.find_opt t.cp_log h))
-          (List.init height succ));
+        List.filter_map (fun (h, r) -> Option.map (fun e -> (h, e)) r.b_cp)
+          (records_upto t ~height));
     register_virtual t.catalog ~name:"sys.tables"
       [
         text ~pk:true "name" fst;
@@ -809,28 +812,26 @@ let process_concurrent ?crash ?schedule t ~block_height ~missing txs =
     deps,
     Array.of_list (List.map snd slots_fresh) )
 
-(* sys.* bookkeeping for a decided block: per-tx records (block order),
-   the write-set root, its leaves and tree — the per-block state digest the
-   divergence monitor publishes. Replace, not add: recovery overwrites a
-   partial attempt. Returns the write-set root. *)
-let record_block t (block : Block.t) statuses committed =
+(* The record of a decided block: per-tx records (block order), the
+   write-set root, its leaves and tree, and the critical-path entry [cp].
+   Returns the write-set root. *)
+let record_block t (block : Block.t) statuses committed ~cp =
   let height = block.Block.height in
   let ws_leaves = Manager.write_set_entries t.manager committed in
   let tree = Brdb_crypto.Merkle.tree ws_leaves in
   let root = Brdb_crypto.Merkle.tree_root tree in
-  Hashtbl.replace t.tx_log height
-    (List.mapi
-       (fun pos ((tx : Block.tx), r_status) ->
-         {
-           r_pos = pos;
-           r_gid = tx.Block.tx_id;
-           r_user = tx.Block.tx_user;
-           r_contract = tx.Block.tx_contract;
-           r_status;
-         })
-       (List.combine block.Block.txs statuses));
-  record_digest t ~height root;
-  Hashtbl.replace t.ws_entries height (ws_leaves, tree);
+  store_record t ~height ~root ~tree:(Some (ws_leaves, tree)) ~cp
+    ~txs:
+      (List.mapi
+         (fun pos ((tx : Block.tx), r_status) ->
+           {
+             r_pos = pos;
+             r_gid = tx.Block.tx_id;
+             r_user = tx.Block.tx_user;
+             r_contract = tx.Block.tx_contract;
+             r_status;
+           })
+         (List.combine block.Block.txs statuses));
   root
 
 let process_appended ?crash ?schedule t ({ Block.block; signed = txs; _ } : Block.checked) =
@@ -850,22 +851,23 @@ let process_appended ?crash ?schedule t ({ Block.block; signed = txs; _ } : Bloc
   (* Critical-path analysis (sys.critical_path / bench profiler): weights
      come from the calibrated cost model; rejected transactions never
      execute and weigh nothing. *)
-  (let weights =
-     Array.of_list
-       (List.map2
-          (fun (tx : Block.tx) (_, status, _) ->
-            match status with
-            | S_rejected _ -> 0.
-            | S_committed | S_aborted _ -> t.tet_model tx.Block.tx_contract)
-          block.Block.txs results)
-   in
-   let n = Array.length weights in
-   let cp_result =
-     Brdb_obs.Critical_path.analyze
-       { Brdb_obs.Critical_path.n; weights; edges = dep_edges }
-   in
-   Hashtbl.replace t.cp_log block_height
-     { cp_txs = n; cp_edge_count = List.length dep_edges; cp_result });
+  let cp =
+    let weights =
+      Array.of_list
+        (List.map2
+           (fun (tx : Block.tx) (_, status, _) ->
+             match status with
+             | S_rejected _ -> 0.
+             | S_committed | S_aborted _ -> t.tet_model tx.Block.tx_contract)
+           block.Block.txs results)
+    in
+    let n = Array.length weights in
+    let cp_result =
+      Brdb_obs.Critical_path.analyze
+        { Brdb_obs.Critical_path.n; weights; edges = dep_edges }
+    in
+    { cp_txs = n; cp_edge_count = List.length dep_edges; cp_result }
+  in
   (* Ledger step 2: statuses, written atomically after all commits. *)
   let statuses =
     List.filter_map
@@ -884,7 +886,9 @@ let process_appended ?crash ?schedule t ({ Block.block; signed = txs; _ } : Bloc
       br_height = block_height;
       br_statuses = List.map (fun (gid, status, _) -> (gid, status)) results;
       br_write_set_hash =
-        record_block t block (List.map (fun (_, s, _) -> s) results) committed_txns;
+        record_block t block
+          (List.map (fun (_, s, _) -> s) results)
+          committed_txns ~cp:(Some cp);
       br_missing = !missing;
       br_waves = deps.Block_deps.waves;
       br_fresh;
@@ -996,8 +1000,9 @@ let process_block_with_crash t ({ Block.block; _ } as c : Block.checked) ~crash 
    the node half-swapped between its old state and the snapshot's. The
    snapshot transfer is idempotent, so the cheapest correct recovery is a
    clean bootstrap slate and a fresh fetch (DESIGN.md §11): discard every
-   table, block, contract and bookkeeping entry, then re-run bootstrap so
-   the node looks exactly like a freshly created one. *)
+   table, block, procedural contract and per-height record, then re-run
+   bootstrap. State and sys.* views are then a freshly created node's; its
+   native contracts, tracer, cost model and executor counters stay. *)
 let reset_half_installed t =
   Catalog.reset t.catalog;
   (match Block_store.restore t.store [] with
@@ -1007,10 +1012,7 @@ let reset_half_installed t =
     (fun (name, _, _) -> ignore (Registry.drop t.contracts ~name))
     (Registry.export_procedural t.contracts);
   Manager.restore_globals t.manager ~next_txid:1 [];
-  Hashtbl.reset t.digests;
-  Hashtbl.reset t.ws_entries;
-  Hashtbl.reset t.tx_log;
-  Hashtbl.reset t.exec_versions;
+  forget_records t;
   Wal.restore t.wal [];
   t.bootstrapped <- false;
   bootstrap t
@@ -1043,7 +1045,7 @@ let reexecute t ~height txns =
    transaction rejected). Returns that block's own transactions. *)
 let interrupted_unlogged_block t =
   let h = height t in
-  if h = 0 || Hashtbl.mem t.digests h || Ledger_table.block_txs t.catalog ~height:h <> []
+  if h = 0 || Hashtbl.mem t.records h || Ledger_table.block_txs t.catalog ~height:h <> []
   then None
   else
     Option.map
@@ -1116,7 +1118,7 @@ let recover_from_ledger t =
                  {
                    br_height = h;
                    br_statuses;
-                   br_write_set_hash = record_block t block tx_statuses committed;
+                   br_write_set_hash = record_block t block tx_statuses committed ~cp:None;
                    br_missing = 0;
                    (* The schedule of the interrupted run is not recoverable
                       from the WAL; restart never models validation time, so
@@ -1188,29 +1190,21 @@ let status_of_tag s =
     | _ -> Scodec.fail (Printf.sprintf "bad status tag %S" s)
 
 let wal_status_tag = function
-  | Wal.Committed -> "C"
-  | Wal.Aborted r -> "A" ^ Txn.abort_reason_encode r
+  | Wal.Committed -> status_tag S_committed
+  | Wal.Aborted r -> status_tag (S_aborted r)
 
 let wal_status_of_tag s =
-  if String.length s = 0 then Scodec.fail "empty wal status tag"
-  else
-    let rest = String.sub s 1 (String.length s - 1) in
-    match s.[0] with
-    | 'C' when rest = "" -> Wal.Committed
-    | 'A' -> (
-        match Txn.abort_reason_decode rest with
-        | Some r -> Wal.Aborted r
-        | None -> Scodec.fail (Printf.sprintf "bad abort reason tag %S" rest))
-    | _ -> Scodec.fail (Printf.sprintf "bad wal status tag %S" s)
-
-let heights_upto height = List.init height (fun i -> i + 1)
+  match status_of_tag s with
+  | S_committed -> Wal.Committed
+  | S_aborted r -> Wal.Aborted r
+  | S_rejected _ -> Scodec.fail (Printf.sprintf "bad wal status tag %S" s)
 
 let digests_extra t ~height =
   let w = Scodec.writer () in
   Scodec.list w
     (fun w h ->
       Scodec.str w (Option.value (write_set_hash t ~height:h) ~default:""))
-    (heights_upto height);
+    (List.init height succ);
   Scodec.contents w
 
 let decode_digests payload = Scodec.decode payload (fun r -> Scodec.r_list r Scodec.r_str)
@@ -1218,7 +1212,7 @@ let decode_digests payload = Scodec.decode payload (fun r -> Scodec.r_list r Sco
 let tx_log_extra t ~height =
   let w = Scodec.writer () in
   Scodec.list w
-    (fun w h ->
+    (fun w (h, r) ->
       Scodec.int w h;
       Scodec.list w
         (fun w rec_ ->
@@ -1227,8 +1221,8 @@ let tx_log_extra t ~height =
           Scodec.str w rec_.r_user;
           Scodec.str w rec_.r_contract;
           Scodec.str w (status_tag rec_.r_status))
-        (Hashtbl.find t.tx_log h))
-    (List.filter (Hashtbl.mem t.tx_log) (heights_upto height));
+        r.b_txs)
+    (records_upto t ~height);
   Scodec.contents w
 
 let decode_tx_log payload =
@@ -1296,6 +1290,9 @@ let install_snapshot ?(crash_after_tables = false) t (snap : Snapshot.t) =
     let chained = List.fold_left chain Block.genesis_hash digests in
     if not (String.equal chained snap.Snapshot.state_digest) then
       Error "snapshot per-block digests do not chain to the claimed state digest"
+    else if List.map fst tx_log <> List.init snap.Snapshot.height succ then
+      (* One record per height: the txlog names each height once, in order. *)
+      Error "snapshot txlog section does not cover every height"
     else begin
       (* The target node must be bootstrapped (sys.* views, native system
          contracts) before the storage swap; install then replaces the
@@ -1315,15 +1312,13 @@ let install_snapshot ?(crash_after_tables = false) t (snap : Snapshot.t) =
              stays set, exactly the window §11 recovery must handle. *)
           Ok ()
       | Ok () ->
-          Hashtbl.reset t.digests;
-          List.iteri (fun i ws -> record_digest t ~height:(i + 1) ws) digests;
+          forget_records t;
           (* Snapshots carry the per-block roots, not the underlying write
-             entries — installed heights sit below the provenance-proof
-             floor (ISSUE 10). *)
-          Hashtbl.reset t.ws_entries;
-          Hashtbl.reset t.tx_log;
-          List.iter (fun (h, records) -> Hashtbl.replace t.tx_log h records) tx_log;
-          Hashtbl.reset t.exec_versions;
+             entries or dependency graphs — installed heights sit below the
+             provenance-proof floor (DESIGN.md §16) and have no critical path. *)
+          List.iter2
+            (fun root (height, txs) -> store_record t ~height ~txs ~root ~tree:None ~cp:None)
+            digests tx_log;
           Wal.restore t.wal wal_entries;
           Wal.complete_install t.wal;
           Ok ()

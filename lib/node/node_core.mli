@@ -156,19 +156,22 @@ val explain_analyze :
     wires this to {!Brdb_sim.Cost_model}; defaults to 0). *)
 val set_tet_model : t -> (string -> float) -> unit
 
-(** Per-block critical-path analysis (ISSUE 7): the rw/ww dependency DAG
-    of each processed block, weighted with the installed cost model and
-    folded by {!Brdb_obs.Critical_path.analyze}. Pure function of (block
-    stream, cost model), so entries are identical across replicas; backs
-    [sys.critical_path] and the bench profiler. Replaced wholesale when
-    §3.6 recovery re-executes a block. *)
+(** Per-block critical-path analysis: the rw/ww dependency DAG of each
+    processed block, weighted with the installed cost model and folded by
+    {!Brdb_obs.Critical_path.analyze}. Pure function of (block stream,
+    cost model), so every replica that processed a block holds the same
+    entry; backs [sys.critical_path] and the bench profiler. Replaced
+    wholesale when §3.6 recovery re-executes a block. *)
 type cp_entry = {
   cp_txs : int;  (** transactions in the block *)
   cp_edge_count : int;  (** dependency edges (rw + ww, deduplicated) *)
   cp_result : Brdb_obs.Critical_path.result;
 }
 
-(** [None] above the node's processed height. *)
+(** [None] above the node's processed height, and where the block's
+    dependency graph is unknown: heights installed from a snapshot, and a
+    height finished by §3.6 case (a) recovery (statuses from the WAL, no
+    re-execution). So replicas agree on every entry both hold. *)
 val critical_path : t -> height:int -> cp_entry option
 
 (** The chained state digest this node publishes in
@@ -248,8 +251,9 @@ val export_snapshot :
 
 (** [install_snapshot t snap] replaces this node's state with the
     snapshot's. Validation first (node sections decode, the per-block
-    digests chain exactly to the snapshot's claimed state digest, blocks
-    verify, tables are coherent) — [Error] leaves the node untouched.
+    digests chain exactly to the snapshot's claimed state digest, the
+    txlog names heights 1..n once each in order, blocks verify, tables
+    are coherent) — [Error] leaves the node untouched.
     The mutation window is guarded by the WAL install marker: a crash
     inside it is detected by {!recover}, which resets the node to a
     clean bootstrap slate so the peer layer can fetch afresh.

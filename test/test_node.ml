@@ -171,6 +171,14 @@ let query_int n sql =
       | rows -> Alcotest.failf "expected one int, got %d rows" (List.length rows))
   | Error e -> Alcotest.fail e
 
+let rendered n sql =
+  match Node_core.query n sql with
+  | Ok rs ->
+      List.map
+        (fun row -> String.concat "|" (Array.to_list (Array.map Value.to_string row)))
+        rs.Brdb_engine.Exec.rows
+  | Error e -> Alcotest.fail e
+
 let is_committed = function Node_core.S_committed -> true | _ -> false
 
 let is_aborted = function Node_core.S_aborted _ -> true | _ -> false
@@ -815,6 +823,27 @@ let crash_recovery_scenario ?(flow = Node_core.Order_execute) ?(atomic_commit = 
   Alcotest.(check (option string)) "state digest matches reference"
     (Node_core.state_digest (node h 1) ~height)
     (Node_core.state_digest (node h 0) ~height);
+  (* sys.* rows converge too. Only §3.6 case (a) — every commit logged,
+     the status step lost — finishes the block without re-executing it,
+     so it cannot rebuild the dependency graph and records no critical
+     path. *)
+  List.iter
+    (fun sql ->
+      Alcotest.(check (list string)) sql (rendered (node h 1) sql) (rendered (node h 0) sql))
+    [
+      "SELECT gid, block, pos, decision FROM sys.transactions ORDER BY block, pos";
+      "SELECT * FROM sys.blocks ORDER BY height";
+    ];
+  let case_a =
+    flow <> Node_core.Serial_baseline && (not atomic_commit)
+    && crash = Node_core.Crash_before_status_step
+  in
+  let cp_rows n =
+    query_int (node h n)
+      (Printf.sprintf "SELECT COUNT(*) FROM sys.critical_path WHERE height = %d" height)
+  in
+  Alcotest.(check int) "reference has a critical path" 1 (cp_rows 1);
+  Alcotest.(check int) "critical path iff re-executed" (if case_a then 0 else 1) (cp_rows 0);
   (* state converges *)
   Alcotest.(check int) "kv count equal"
     (query_int (node h 1) "SELECT COUNT(*) FROM kv")

@@ -403,6 +403,148 @@ let test_install_refuses_unauthenticated_blocks () =
           } );
     ]
 
+let install node snap =
+  match Node_core.install_snapshot node snap with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "install: %s" e
+
+(* The per-height rows sys.* renders: compared whole, every column. *)
+let sys_rows node =
+  List.map (rendered node)
+    [
+      "SELECT * FROM sys.critical_path ORDER BY height";
+      "SELECT * FROM sys.transactions ORDER BY block, pos";
+      "SELECT * FROM sys.blocks ORDER BY height";
+    ]
+
+let check_renders_like ~label want got =
+  List.iter2 (Alcotest.(check string) label) (sys_rows want) (sys_rows got)
+
+(* A node that processed blocks 1-3 and then installs a snapshot of a
+   longer chain keeps none of its own per-height records: its sys.* rows
+   render exactly like a fresh joiner's, with no critical path for any
+   installed height. The same holds over the crash path: an install
+   interrupted after the storage swap, then §3.6 restart, leaves no
+   record behind, and the fetch that restarts afresh installs cleanly. *)
+let test_install_drops_stale_rows () =
+  let reg = registry () in
+  let blocks = blocks_of_ops mixed_ops in
+  let src = make_node ~registry:reg "src" in
+  List.iter (fun b -> ignore (process src b)) blocks;
+  let snap = Node_core.export_snapshot src ~compaction:Snapshot.Archive in
+  let joiner = make_node ~registry:reg "joiner" in
+  install joiner snap;
+  Alcotest.(check string) "a joiner has no critical path" ""
+    (rendered joiner "SELECT * FROM sys.critical_path");
+  List.iter
+    (fun crash ->
+      let node = make_node ~registry:reg "node" in
+      List.iteri (fun i b -> if i < 3 then ignore (process node b)) blocks;
+      Alcotest.(check string) "processed blocks have a critical path" "1\n2\n3"
+        (rendered node "SELECT height FROM sys.critical_path ORDER BY height");
+      if crash then begin
+        (match Node_core.install_snapshot ~crash_after_tables:true node snap with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "install (crash injection): %s" e);
+        (match Node_core.recover node with
+        | Ok None -> ()
+        | Ok (Some _) -> Alcotest.fail "recover repaired a block?"
+        | Error e -> Alcotest.failf "recover: %s" e);
+        for height = 1 to 3 do
+          Alcotest.(check bool)
+            (Printf.sprintf "no critical-path entry at %d after the reset" height)
+            true
+            (Node_core.critical_path node ~height = None)
+        done;
+        check_renders_like ~label:"reset renders like a fresh node"
+          (make_node ~registry:reg "fresh") node
+      end;
+      install node snap;
+      check_renders_like ~label:"renders like a fresh joiner" joiner node)
+    [ false; true ]
+
+(* The txlog section is input from another peer: install refuses one that
+   does not name every height 1..n once, in order, before it touches any
+   state. *)
+let test_install_refuses_bad_txlog () =
+  let module C = Brdb_snapshot.Codec in
+  let reg = registry () in
+  let blocks = blocks_of_ops mixed_ops in
+  let src = make_node ~registry:reg "src" in
+  List.iter (fun b -> ignore (process src b)) blocks;
+  let snap = Node_core.export_snapshot src ~compaction:Snapshot.Archive in
+  let n = snap.Snapshot.height in
+  (* (height, records) with each record's five fields kept as encoded *)
+  let entries =
+    match
+      C.decode (Option.get (Snapshot.find_extra snap "txlog")) (fun r ->
+          C.r_list r (fun r ->
+              let h = C.r_int r in
+              let records =
+                C.r_list r (fun r ->
+                    let pos = C.r_int r in
+                    let gid = C.r_str r in
+                    let user = C.r_str r in
+                    let contract = C.r_str r in
+                    let status = C.r_str r in
+                    (pos, gid, user, contract, status))
+              in
+              (h, records)))
+    with
+    | Ok e -> e
+    | Error e -> Alcotest.failf "decode txlog: %s" e
+  in
+  Alcotest.(check (list int)) "honest txlog covers 1..n" (List.init n succ)
+    (List.map fst entries);
+  let encode entries =
+    let w = C.writer () in
+    C.list w
+      (fun w (h, records) ->
+        C.int w h;
+        C.list w
+          (fun w (pos, gid, user, contract, status) ->
+            C.int w pos;
+            List.iter (C.str w) [ gid; user; contract; status ])
+          records)
+      entries;
+    C.contents w
+  in
+  Alcotest.(check bool) "re-encoding is the identity" true
+    (Snapshot.find_extra snap "txlog" = Some (encode entries));
+  let victim = make_node ~registry:reg "victim" in
+  List.iteri (fun i b -> if i < 2 then ignore (process victim b)) blocks;
+  let height = Node_core.height victim in
+  let state_digest = Node_core.state_digest victim ~height in
+  let tables = rendered victim "SELECT * FROM sys.tables ORDER BY name" in
+  List.iter
+    (fun (label, entries) ->
+      let extra =
+        List.map
+          (fun (name, payload) ->
+            if name = "txlog" then (name, encode entries) else (name, payload))
+          snap.Snapshot.extra
+      in
+      let decoded =
+        match Snapshot.decode (Snapshot.encode { snap with Snapshot.extra }) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "decode: %s" e
+      in
+      (match Node_core.install_snapshot victim decoded with
+      | Ok () -> Alcotest.failf "%s: install accepted" label
+      | Error e ->
+          Alcotest.(check string) label "snapshot txlog section does not cover every height" e);
+      Alcotest.(check int) (label ^ ": height") height (Node_core.height victim);
+      Alcotest.(check (option string)) (label ^ ": state digest") state_digest
+        (Node_core.state_digest victim ~height);
+      Alcotest.(check string) (label ^ ": sys.tables") tables
+        (rendered victim "SELECT * FROM sys.tables ORDER BY name"))
+    [
+      ("extra height", entries @ [ (n + 1, []) ]);
+      ("missing height", List.filter (fun (h, _) -> h <> 2) entries);
+      ( "duplicate height",
+        List.concat_map (fun ((h, _) as e) -> if h = 2 then [ e; e ] else [ e ]) entries );
+    ]
+
 (* Snapshots carry write-set roots, not entries or trees: every installed
    height stays below the provenance floor, while a block processed after
    the install serves proofs again. *)
@@ -620,6 +762,10 @@ let suites =
           test_mid_install_crash_recovers;
         Alcotest.test_case "install refuses unauthenticated blocks" `Quick
           test_install_refuses_unauthenticated_blocks;
+        Alcotest.test_case "install drops stale per-height rows" `Quick
+          test_install_drops_stale_rows;
+        Alcotest.test_case "install refuses a txlog that skips or repeats heights"
+          `Quick test_install_refuses_bad_txlog;
         Alcotest.test_case "pruned compaction coherent with prune" `Quick
           test_pruned_compaction_coherent;
         Alcotest.test_case "installed heights stay below the proof floor" `Quick

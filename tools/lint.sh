@@ -148,17 +148,21 @@ if [ -f "$chaos_file" ]; then
   fi
 fi
 
-# One block pipeline (DESIGN.md §14): Node_core builds a block's SSI graph
-# and records ledger step 1 in exactly one place each, so a second
-# block-processing path (a serial commit fork, a hand-copied crash-path
-# prefix) cannot silently come back.
+# One block pipeline (DESIGN.md §14) and one per-height record: Node_core
+# builds a block's SSI graph, records ledger step 1, writes a height's
+# block record and resets the records in exactly one place each, so a
+# second block-processing path (a serial commit fork, a hand-copied
+# crash-path prefix) or a second writer that lets a height's rows drift
+# apart cannot silently come back. Exactly one: a renamed call fails too.
 core_file="$dir/node/node_core.ml"
 if [ -f "$core_file" ]; then
-  for call in Detect.compute Ledger_table.record_txs; do
+  for call in Detect.compute Ledger_table.record_txs \
+    'Hashtbl.replace t.records' 'Hashtbl.reset t.records'; do
     n=$(grep -cF "$call" "$core_file" || true)
-    if [ "$n" -gt 1 ]; then
+    if [ "$n" -ne 1 ]; then
       echo "lint failed — $n call sites of $call in $core_file; the block" >&2
-      echo "pipeline must have one (crash injection and recovery reuse it):" >&2
+      echo "pipeline and its per-height record must have exactly one (crash" >&2
+      echo "injection, recovery and snapshot install reuse it):" >&2
       grep -nF "$call" "$core_file" >&2
       exit 1
     fi
@@ -191,4 +195,4 @@ if [ -n "$opt_matches" ]; then
   exit 1
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline in node_core.ml; one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces"
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record writer in node_core.ml; one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces"
