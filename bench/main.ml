@@ -1,6 +1,7 @@
 (** Benchmark harness: regenerates every table and figure of the paper's
-    evaluation (§5) on the simulated testbed, plus Bechamel wall-clock
-    micro-benchmarks of the engine primitives.
+    evaluation (§5) on the simulated testbed. Wall-clock time of the
+    engine primitives is measured by the traced workloads in benchmark/
+    (benchmark/README.md).
 
     Usage:
       dune exec bench/main.exe                 # all experiments
@@ -12,7 +13,6 @@
                                                # machine-readable summary
                                                # (per-run metrics + exec.*
                                                # per-operator row counts)
-      dune exec bench/main.exe -- --micro      # Bechamel micro-benchmarks
       dune exec bench/main.exe -- --list       # list experiment names *)
 
 let json_escape s =
@@ -96,11 +96,6 @@ let () =
   Runner.json_file := json_out;
   if has "--list" then begin
     List.iter (fun (name, _) -> print_endline name) Experiments.all;
-    exit 0
-  end;
-  if has "--micro" then begin
-    print_endline "== Bechamel micro-benchmarks (wall clock)";
-    Micro.benchmark ();
     exit 0
   end;
   let run_experiment (name, f) =

@@ -594,7 +594,8 @@ let alerts_smoke () =
    no trust in the serving peer. Every single-byte tampering of the proof
    material must be rejected, and a session whose pinned read was
    superseded must fail at the client, before ordering ("Early Fail Tx").
-   Exits nonzero on any violation. *)
+   Last, a cross-node query (§3.5) must flag exactly the replica whose
+   local rows were tampered with. Exits nonzero on any violation. *)
 let verify_smoke () =
   let module Session = Brdb_client.Session in
   let module Proof = Brdb_client.Proof in
@@ -720,6 +721,27 @@ let verify_smoke () =
       say "# sys.clients:";
       print_result rs
   | Error e -> check ("sys.clients queried (" ^ e ^ ")") false);
+  say "# verified query (section 3.5): every node answers, the majority wins";
+  let cross_check () = B.verified_query net "SELECT id, v FROM audit_kv ORDER BY id" in
+  (match cross_check () with
+  | Ok (_, divergent) -> check "all nodes agree" (divergent = [])
+  | Error e -> check ("verified query answered (" ^ e ^ ")") false);
+  (* one replica rewrites its local copy of every row *)
+  let victim = List.nth (B.peers net) (List.length (B.peers net) - 1) in
+  let victim_name = Brdb_node.Peer.name victim in
+  let catalog = Node_core.catalog (Brdb_node.Peer.core victim) in
+  (match Brdb_storage.Catalog.find catalog "audit_kv" with
+  | None -> check "victim holds audit_kv" false
+  | Some table ->
+      Brdb_storage.Table.iter_versions table (fun v ->
+          v.Brdb_storage.Version.values.(1) <- Value.Int 666));
+  (match cross_check () with
+  | Ok (_, divergent) ->
+      say "  divergent: %s" (String.concat ", " divergent);
+      check
+        ("only the tampered replica " ^ victim_name ^ " is flagged")
+        (divergent = [ victim_name ])
+  | Error e -> check ("verified query answered (" ^ e ^ ")") false);
   if !failed then `Error (false, "a verifiable-read invariant failed")
   else `Ok ()
 
@@ -854,9 +876,10 @@ let verify_cmd =
        ~doc:
          "verifiable-read smoke: obtain an inclusion receipt and a \
           provenance proof through a client session, verify both against \
-          hash anchors alone, reject every tampered variant, and fail a \
-          doomed transaction at the client before ordering (nonzero exit \
-          on any violation — the check.sh smoke step)")
+          hash anchors alone, reject every tampered variant, fail a \
+          doomed transaction at the client before ordering, and flag the \
+          one replica whose rows were tampered with in a cross-node query \
+          (nonzero exit on any violation — the check.sh smoke step)")
     Term.(ret (const verify_smoke $ const ()))
 
 let main =

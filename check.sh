@@ -7,7 +7,8 @@ set -eu
 cd "$(dirname "$0")"
 dune build @all @lint
 # Every value a library interface exports must be used outside its own
-# module (prints each offender).
+# module, by the system: test/ does not count as a use, and only values in
+# a `module Testing : sig ... end` block are exempt (prints each offender).
 sh tools/dead_exports.sh
 echo "dead-export check ok"
 dune runtest
@@ -44,10 +45,11 @@ dune exec tools/bench_diff.exe -- \
   --tolerances tools/bench_tolerances.txt
 echo "detection-latency gate ok (alerts vs BENCH_alerts.json)"
 # Client-plane smoke + gate (ISSUE 10): receipts and provenance proofs
-# must verify from hashes alone (and tampered variants fail), and the
-# contended admission A/B must keep failing doomed txs before ordering.
+# must verify from hashes alone (and tampered variants fail), a
+# cross-node verified query must flag exactly the tampered replica, and
+# the contended admission A/B must keep failing doomed txs before ordering.
 dune exec bin/brdb_cli.exe -- verify > /dev/null
-echo "verifiable-read smoke ok (receipt + provenance verified; tampering rejected)"
+echo "verifiable-read smoke ok (receipt + provenance verified; tampering rejected; tampered replica flagged)"
 dune exec bench/main.exe -- --quick --only admission --json "$fresh_json" > /dev/null
 dune exec tools/bench_diff.exe -- \
   --baseline BENCH_client.json --fresh "$fresh_json" \

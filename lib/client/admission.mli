@@ -35,17 +35,6 @@ type violation =
 
 val violation_to_string : violation -> string
 
-(** [lookup core ~table ~key ~height] is the version of [key] visible in
-    committed state at [height] ([None] when absent or the table does not
-    exist). Raises [Invalid_argument] for [sys.*] virtual tables — they
-    have no MVCC versions to pin. *)
-val lookup :
-  Brdb_node.Node_core.t ->
-  table:string ->
-  key:Value.t ->
-  height:int ->
-  Brdb_storage.Version.t option
-
 (** [pin_read core ~table ~key ~height] performs a pinned read: returns
     the pin to record plus the row values visible at [height]. *)
 val pin_read :

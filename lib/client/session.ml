@@ -91,10 +91,6 @@ let begin_ h ~user =
   bump h "client.sessions";
   s
 
-let id s = s.s_id
-
-let pinned_height s = s.s_pinned
-
 let peer_index s = s.s_peer
 
 let require_active s op =

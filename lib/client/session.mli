@@ -36,10 +36,6 @@ val create_hub : ?admission:bool -> ?max_window:int -> B.t -> hub
 (** Open a session: assign a peer (round-robin) and pin its height. *)
 val begin_ : hub -> user:Brdb_crypto.Identity.t -> t
 
-val id : t -> string
-
-val pinned_height : t -> int
-
 (** Index of the session's database peer. *)
 val peer_index : t -> int
 

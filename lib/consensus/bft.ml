@@ -559,8 +559,6 @@ let create ~net ~name ~names ~identity ?auth ~block_size ~block_timeout
   Msg.Net.register net ~name (fun ~src msg -> handle t ~src msg);
   t
 
-let is_leader = is_primary
-
 let blocks_delivered t = t.delivered_count
 
 let queued t = if t.crashed then 0 else Cutter.pending t.cutter
@@ -574,8 +572,6 @@ let replays t = Cutter.replays t.cutter
 let view t = t.view
 
 let view_changes t = t.view_changes
-
-let name t = t.name
 
 let primary t = primary_of t t.view
 
@@ -597,5 +593,3 @@ let restart t =
     ensure_vc_timer t;
     if is_primary t then drain_backlog t else relay_backlog t
   end
-
-let is_crashed t = t.crashed

@@ -48,9 +48,6 @@ val create :
   unit ->
   t
 
-(** True when this replica is the primary of its current view. *)
-val is_leader : t -> bool
-
 val blocks_delivered : t -> int
 
 (** Transactions buffered for the next block (health plane, ISSUE 9):
@@ -64,8 +61,6 @@ val view : t -> int
 (** How many view changes this replica has entered. *)
 val view_changes : t -> int
 
-val name : t -> string
-
 (** Name of the primary of this replica's current view. *)
 val primary : t -> string
 
@@ -78,8 +73,6 @@ val crash : t -> unit
     down, it re-adopts the current view from the legitimate primary's
     traffic. *)
 val restart : t -> unit
-
-val is_crashed : t -> bool
 
 (** Batch-authentication counters (ISSUE 10): transactions verified /
     dropped at cut time, and duplicate ids observed (replay protection).

@@ -341,8 +341,6 @@ let role t = t.role
 
 let term t = t.term
 
-let leader_hint t = t.leader_hint
-
 let blocks_cut t = t.blocks
 
 let queued t =
@@ -357,10 +355,6 @@ let auth_rejected t = Cutter.auth_rejected t.cutter
 
 let replays t = Cutter.replays t.cutter
 
-let commit_index t = t.commit_index
-
-let log_length t = Vec.length t.log
-
 let crash t =
   t.crashed <- true;
   t.role <- Follower;
@@ -374,3 +368,11 @@ let restart t =
   reset_election_timer t
 
 let is_crashed t = t.crashed
+
+module Testing = struct
+  let leader_hint t = t.leader_hint
+
+  let commit_index t = t.commit_index
+
+  let log_length t = Vec.length t.log
+end

@@ -33,8 +33,6 @@ val role : t -> role
 
 val term : t -> int
 
-val leader_hint : t -> string option
-
 val blocks_cut : t -> int
 
 (** Transactions buffered for the next block (health plane, ISSUE 9):
@@ -44,10 +42,6 @@ val queued : t -> int
 
 (** Times this node won an election (became leader). *)
 val elections : t -> int
-
-val commit_index : t -> int
-
-val log_length : t -> int
 
 (** Crash the node: it stops handling messages and timers until
     {!restart}. *)
@@ -65,3 +59,16 @@ val auth_verified : t -> int
 val auth_rejected : t -> int
 
 val replays : t -> int
+
+(** Inspectors over the replicated log, which the ordering service never
+    reads; tests use them to check election and replication. *)
+module Testing : sig
+  (** The leader this node last heard from ([Some] own name when
+      leading, [None] after a crash until the next heartbeat). *)
+  val leader_hint : t -> string option
+
+  (** Highest log index known to be stored on a majority. *)
+  val commit_index : t -> int
+
+  val log_length : t -> int
+end

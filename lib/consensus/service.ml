@@ -52,8 +52,6 @@ let create ~net ~kind ~orderer_names ~identity_of ~rng ~authenticator ~block_siz
   in
   { kind; names = orderer_names; handle }
 
-let kind t = t.kind
-
 let orderer_names t = t.names
 
 let submit_target t i =

@@ -36,8 +36,6 @@ val create :
   unit ->
   t
 
-val kind : t -> kind
-
 val orderer_names : t -> string list
 
 (** Round-robin assignment helper: the orderer that the [i]-th client

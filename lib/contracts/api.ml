@@ -56,5 +56,3 @@ let query1 t sql =
 let execute t sql = (query t sql).Exec.affected
 
 let set_local t name v = t.locals <- (name, v) :: List.remove_assoc name t.locals
-
-let local t name = List.assoc_opt name t.locals

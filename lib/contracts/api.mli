@@ -41,8 +41,6 @@ val make :
 (** Name of the submitting client (authenticated before execution). *)
 val invoker : t -> string
 
-val arg : t -> int -> Brdb_storage.Value.t
-
 val arg_int : t -> int -> int
 
 val arg_text : t -> int -> string
@@ -58,5 +56,3 @@ val query1 : t -> string -> Brdb_storage.Value.t option
 val execute : t -> string -> int
 
 val set_local : t -> string -> Brdb_storage.Value.t -> unit
-
-val local : t -> string -> Brdb_storage.Value.t option

@@ -82,3 +82,11 @@ let check_program (p : Procedural.t) =
         match check_step step with Ok () -> loop rest | Error _ as e -> e)
   in
   loop p.Procedural.steps
+
+let parse_program source =
+  match Procedural.parse source with
+  | Error e -> Error (`Syntax e)
+  | Ok program -> (
+      match check_program program with
+      | Error e -> Error (`Nondeterministic e)
+      | Ok () -> Ok program)

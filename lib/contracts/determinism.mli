@@ -5,8 +5,11 @@
     system information), [LIMIT]/[FETCH] without a total [ORDER BY], and
     references to row-header pseudo-columns outside provenance mode. *)
 
-(** Check one statement. *)
-val check_stmt : Brdb_sql.Ast.stmt -> (unit, string) result
-
 (** Check a whole procedural program. *)
 val check_program : Procedural.t -> (unit, string) result
+
+(** [parse_program source] parses a procedural contract and then checks
+    it: the one deploy-time gate that direct installs, the deployment
+    system contract and its on-commit hook all go through. *)
+val parse_program :
+  string -> (Procedural.t, [ `Syntax of string | `Nondeterministic of string ]) result

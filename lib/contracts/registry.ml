@@ -15,14 +15,6 @@ let deploy t ~name body =
   Hashtbl.replace t.contracts name { name; version; body };
   version
 
-let deploy_source t ~name source =
-  match Procedural.parse source with
-  | Error e -> Error e
-  | Ok program -> (
-      match Determinism.check_program program with
-      | Error e -> Error e
-      | Ok () -> Ok (deploy t ~name (Procedural program)))
-
 let drop t ~name =
   if Hashtbl.mem t.contracts name then begin
     Hashtbl.remove t.contracts name;
@@ -31,10 +23,6 @@ let drop t ~name =
   else Error (Printf.sprintf "contract %s does not exist" name)
 
 let find t name = Hashtbl.find_opt t.contracts name
-
-let names t = Hashtbl.fold (fun k _ acc -> k :: acc) t.contracts [] |> List.sort compare
-
-let snapshot t name = find t name
 
 (* --- snapshot support (DESIGN.md §11) ------------------------------------- *)
 
@@ -52,16 +40,8 @@ let export_procedural t =
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
 let install_exact t ~name ~version ~source =
-  match Procedural.parse source with
-  | Error e -> Error e
-  | Ok program -> (
-      match Determinism.check_program program with
-      | Error e -> Error e
-      | Ok () ->
-          Hashtbl.replace t.contracts name { name; version; body = Procedural program };
-          Ok ())
-
-let restore t name prev =
-  match prev with
-  | None -> Hashtbl.remove t.contracts name
-  | Some c -> Hashtbl.replace t.contracts name c
+  match Determinism.parse_program source with
+  | Error (`Syntax e | `Nondeterministic e) -> Error e
+  | Ok program ->
+      Hashtbl.replace t.contracts name { name; version; body = Procedural program };
+      Ok ()

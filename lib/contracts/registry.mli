@@ -19,21 +19,9 @@ val create : unit -> t
     Procedural bodies must already have passed the determinism guard. *)
 val deploy : t -> name:string -> body -> int
 
-(** [deploy_source t ~name source] parses + determinism-checks +
-    installs a procedural contract. *)
-val deploy_source : t -> name:string -> string -> (int, string) result
-
 val drop : t -> name:string -> (unit, string) result
 
 val find : t -> string -> contract option
-
-val names : t -> string list
-
-(** Undo helpers for abort-on-failed-deploy: restore the previous state
-    of a name. *)
-val snapshot : t -> string -> contract option
-
-val restore : t -> string -> contract option -> unit
 
 (** {2 Snapshot support (DESIGN.md §11)} *)
 

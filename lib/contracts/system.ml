@@ -51,13 +51,11 @@ let create_deploytx ctx =
      approvals. Validate procedural bodies early so a proposal that can
      never deploy is rejected up front. *)
   (if kind <> "drop" then
-     let body = Api.arg_text ctx 4 in
-     match Procedural.parse body with
-     | Error e -> Api.fail (Printf.sprintf "contract body invalid: %s" e)
-     | Ok program -> (
-         match Determinism.check_program program with
-         | Error e -> Api.fail (Printf.sprintf "determinism violation: %s" e)
-         | Ok () -> ()));
+     match Determinism.parse_program (Api.arg_text ctx 4) with
+     | Error (`Syntax e) -> Api.fail (Printf.sprintf "contract body invalid: %s" e)
+     | Error (`Nondeterministic e) ->
+         Api.fail (Printf.sprintf "determinism violation: %s" e)
+     | Ok _ -> ());
   Api.set_local ctx "proposer" (Value.Text (Api.invoker ctx));
   ignore
     (Api.execute ctx

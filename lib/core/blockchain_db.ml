@@ -584,14 +584,11 @@ let install_contract t ~name body =
   List.iter (fun p -> Node_core.install_contract (Peer.core p) ~name body) t.peers
 
 let install_contract_source t ~name source =
-  match Brdb_contracts.Procedural.parse source with
-  | Error e -> Error e
-  | Ok program -> (
-      match Brdb_contracts.Determinism.check_program program with
-      | Error e -> Error e
-      | Ok () ->
-          install_contract t ~name (Brdb_contracts.Registry.Procedural program);
-          Ok ())
+  match Brdb_contracts.Determinism.parse_program source with
+  | Error (`Syntax e | `Nondeterministic e) -> Error e
+  | Ok program ->
+      install_contract t ~name (Brdb_contracts.Registry.Procedural program);
+      Ok ()
 
 (* Track a signed transaction and ship it to [target]: the one submission
    tail of [submit] and [submit_at]. *)
@@ -778,8 +775,6 @@ let summary t ~duration_s =
     mt_per_s = per_s (Reg.counter reg ~node:node0 "block.missing_txs");
     su_percent = Float.min 100. (bpr *. bpt_ms /. 10.);
   }
-
-let submitted_count t = Hashtbl.length t.tracks
 
 let obs t = t.obs
 

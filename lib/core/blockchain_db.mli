@@ -213,14 +213,6 @@ type summary = {
     [phase.*_ms] metrics, with rates taken over [duration_s]. *)
 val summary : t -> duration_s:float -> summary
 
-(** Transactions submitted so far. *)
-val submitted_count : t -> int
-
-(** Transactions decided so far: the sum of the cluster's
-    [decided.committed], [decided.aborted] and [decided.rejected]
-    counters. *)
-val decided_count : t -> int
-
 (** The deployment's observability bundle: the shared metrics registry
     (per-node and cluster views over txn/abort/block/fetch counters and
     phase histograms) and the tracer ({!Brdb_obs.Trace.null} unless

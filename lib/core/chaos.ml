@@ -97,16 +97,6 @@ type fault =
   | Client_forge  (** client submission signatures mangled in flight *)
   | Snapshot_corruption  (** snapshot chunk payloads mangled in flight *)
 
-let all_faults =
-  [
-    Message_loss;
-    Node_crash;
-    Orderer_crash;
-    Block_tamper;
-    Client_forge;
-    Snapshot_corruption;
-  ]
-
 let fault_id = function
   | Message_loss -> "message_loss"
   | Node_crash -> "node_crash"
@@ -122,17 +112,6 @@ let expected_alerts = function
   | Block_tamper -> [ Health.Auth_rejection_burst ]
   | Client_forge -> [ Health.Auth_rejection_burst ]
   | Snapshot_corruption -> [ Health.Snapshot_failure ]
-
-let faults_of_spec spec =
-  List.filter
-    (function
-      | Message_loss -> spec.drop > 0. || spec.partitions > 0
-      | Node_crash -> spec.crashes > 0
-      | Orderer_crash -> spec.orderer_crashes > 0
-      | Block_tamper -> spec.block_tamper > 0.
-      | Client_forge -> spec.client_forge > 0.
-      | Snapshot_corruption -> spec.snap_corrupt > 0.)
-    all_faults
 
 (* --- the fault-scenario catalogue -----------------------------------------
    One tuned spec per row of the fault->alert coverage matrix, each
@@ -861,3 +840,7 @@ let pp_report fmt r =
                     lat_s lat_b
               | _ -> Printf.sprintf "%s UNDETECTED" (fault_id d.det_fault))
             r.fault_coverage))
+
+module Testing = struct
+  let find_divergence = find_divergence
+end

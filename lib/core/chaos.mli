@@ -102,9 +102,6 @@ val fault_id : fault -> string
     here — so a new fault class cannot ship undetectable. *)
 val expected_alerts : fault -> Brdb_obs.Health.detector list
 
-(** Fault classes a spec actually injects. *)
-val faults_of_spec : spec -> fault list
-
 (** The fault-scenario catalogue: [(label, fault, spec)], one tuned
     scenario per row of the coverage matrix — ["partition"], ["crash"],
     ["orderer_raft"], ["orderer_bft"], ["tamper"] and ["snapshot"]. Each
@@ -217,12 +214,16 @@ type report = {
     shows up as [converged = false]). *)
 val run : spec -> report
 
-(** Online divergence monitor (DESIGN.md §10): locate the first block
-    height at which any two nodes publish different
-    [sys.blocks.state_digest] values, by binary search over SQL queries
-    against every node. [None] when all nodes agree up to the lowest
-    common height. Works because the digest is chained (cumulative):
-    disagreement is monotone in height. *)
-val find_divergence : Blockchain_db.t -> int option
-
 val pp_report : Format.formatter -> report -> unit
+
+module Testing : sig
+  (** The online divergence monitor {!run} applies after each run
+      (DESIGN.md §10): the first block height at which any two nodes
+      publish different [sys.blocks.state_digest] values, found by binary
+      search over SQL queries against every node. [None] when all nodes
+      agree up to the lowest common height. Works because the digest is
+      chained (cumulative): disagreement is monotone in height. No
+      scenario makes honest replicas diverge, so tests point it at a
+      cluster whose digest they tampered. *)
+  val find_divergence : Blockchain_db.t -> int option
+end

@@ -6,8 +6,6 @@ let create name =
 
 let name t = t.name
 
-let public_key t = t.pk
-
 let sign t msg = Schnorr.sign t.sk msg
 
 module Registry = struct
@@ -33,12 +31,8 @@ module Registry = struct
 
   let find t name = Hashtbl.find_opt t name
 
-  let mem t name = Hashtbl.mem t name
-
   let verify t ~name msg signature =
     match find t name with
     | None -> false
     | Some pk -> Schnorr.verify pk msg signature
-
-  let names t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare
 end

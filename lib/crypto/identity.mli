@@ -12,8 +12,6 @@ val create : string -> t
 
 val name : t -> string
 
-val public_key : t -> Schnorr.public_key
-
 val sign : t -> string -> Schnorr.signature
 
 module Registry : sig
@@ -27,19 +25,12 @@ module Registry : sig
       the same name with a different key is an error ([Error `Conflict]). *)
   val register : t -> id -> (unit, [ `Conflict ]) result
 
-  val register_key : t -> name:string -> Schnorr.public_key -> (unit, [ `Conflict ]) result
-
   (** Unconditional upsert (user-management updates). *)
   val set : t -> name:string -> Schnorr.public_key -> unit
 
   val remove : t -> string -> unit
 
-  val find : t -> string -> Schnorr.public_key option
-
-  val mem : t -> string -> bool
-
   (** [verify t ~name msg signature] is false when [name] is unknown. *)
   val verify : t -> name:string -> string -> Schnorr.signature -> bool
 
-  val names : t -> string list
 end

@@ -105,29 +105,8 @@ let proof_to_string proof =
          | Right r -> "R" ^ Brdb_util.Hex.encode r)
        proof)
 
-let proof_of_string s =
-  let step_len = 1 + 64 in
-  let n = String.length s in
-  if n mod step_len <> 0 then None
-  else
-    let rec parse i acc =
-      if i = n then Some (List.rev acc)
-      else
-        let tag = s.[i] in
-        match Brdb_util.Hex.decode (String.sub s (i + 1) 64) with
-        | None -> None
-        | Some digest -> (
-            match tag with
-            | 'L' -> parse (i + step_len) (Left digest :: acc)
-            | 'R' -> parse (i + step_len) (Right digest :: acc)
-            | _ -> None)
-    in
-    parse 0 []
-
 let apply ~leaf proof =
   List.fold_left
     (fun h step ->
       match step with Left l -> node_hash l h | Right r -> node_hash h r)
     (leaf_hash leaf) proof
-
-let check ~root:expected ~leaf proof = String.equal (apply ~leaf proof) expected

@@ -43,14 +43,8 @@ val prove : string list -> int -> proof
     into a trusted hash chain (ISSUE 10). *)
 val apply : leaf:string -> proof -> string
 
-(** [check ~root ~leaf proof] verifies an inclusion proof. *)
-val check : root:string -> leaf:string -> proof -> bool
-
 (** Canonical printable encoding of a proof: per step, a ['L']/['R'] tag
     naming the sibling's side followed by its hex digest, in leaf-to-root
     order. Used by read receipts and provenance proofs (ISSUE 10) so an
     untrusting client can carry proofs as plain strings. *)
 val proof_to_string : proof -> string
-
-(** Inverse of {!proof_to_string}; [None] on any malformed byte. *)
-val proof_of_string : string -> proof option

@@ -45,17 +45,3 @@ let verify pk msg ({ e; s } as sg) =
   (* r' = g^s * pk^e in one joint exponentiation; valid iff
      H(r' || m) = e. *)
   canonical sg && Int64.equal (challenge (Field61.joint_pow g s pk e) msg) e
-
-let signature_to_string { e; s } = Printf.sprintf "%Lx:%Lx" e s
-
-let signature_of_string str =
-  match String.index_opt str ':' with
-  | None -> None
-  | Some i -> (
-      let parse s = Int64.of_string_opt ("0x" ^ s) in
-      match
-        ( parse (String.sub str 0 i),
-          parse (String.sub str (i + 1) (String.length str - i - 1)) )
-      with
-      | Some e, Some s -> Some { e; s }
-      | _ -> None)

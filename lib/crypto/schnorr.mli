@@ -27,7 +27,3 @@ val sign : secret_key -> string -> signature
     signatures ([e] in [[1, n)], [s] in [[0, n)], [n] the group order)
     verify; any other value is rejected without raising. *)
 val verify : public_key -> string -> signature -> bool
-
-val signature_to_string : signature -> string
-
-val signature_of_string : string -> signature option

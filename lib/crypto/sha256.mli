@@ -13,13 +13,3 @@ val hex : string -> string
 (** [digest_concat parts] hashes a length-prefixed concatenation of
     [parts], so that [["ab"; "c"]] and [["a"; "bc"]] hash differently. *)
 val digest_concat : string list -> string
-
-(** Incremental interface. *)
-type ctx
-
-val init : unit -> ctx
-
-val feed : ctx -> string -> unit
-
-(** [finalize ctx] returns the digest; the context must not be reused. *)
-val finalize : ctx -> string

@@ -61,9 +61,6 @@ type mode = {
 let default_mode =
   { require_index = false; allow_ddl = true; allow_sys = true; stats = None }
 
-let strict_mode =
-  { require_index = true; allow_ddl = true; allow_sys = false; stats = None }
-
 let stats_scan mode ~op ~table ~rows ~visited =
   match mode.stats with
   | None -> ()

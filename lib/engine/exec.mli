@@ -68,8 +68,6 @@ type mode = {
 
 val default_mode : mode
 
-val strict_mode : mode
-
 type error =
   | Missing_index of string
   | Blind_update of string

@@ -71,9 +71,6 @@ type t = {
 let header_hash ~height ~tx_root ~metadata ~prev_hash =
   Sha256.digest_concat [ string_of_int height; tx_root; metadata; prev_hash ]
 
-let compute_hash ~height ~txs ~metadata ~prev_hash =
-  header_hash ~height ~tx_root:(Merkle.root (List.map tx_payload txs)) ~metadata ~prev_hash
-
 let genesis_hash = Sha256.digest "brdb-genesis"
 
 let create ~height ~txs ~metadata ~prev_hash =
@@ -82,7 +79,9 @@ let create ~height ~txs ~metadata ~prev_hash =
     txs;
     metadata;
     prev_hash;
-    hash = compute_hash ~height ~txs ~metadata ~prev_hash;
+    hash =
+      header_hash ~height ~tx_root:(Merkle.root (List.map tx_payload txs)) ~metadata
+        ~prev_hash;
     signatures = [];
   }
 
@@ -94,13 +93,17 @@ type checked = { block : t; signed : signed_tx list; tx_root : string }
 
 (* The one place a received block's contents are hashed: each payload
    once, then the tx root and the header. *)
-let check_hash t =
+let hash_contents t =
   let signed = List.map (fun tx -> { tx; payload = tx_payload tx }) t.txs in
   let tx_root = Merkle.root (List.map (fun s -> s.payload) signed) in
-  if
-    String.equal t.hash
-      (header_hash ~height:t.height ~tx_root ~metadata:t.metadata ~prev_hash:t.prev_hash)
-  then Ok { block = t; signed; tx_root }
+  let hash =
+    header_hash ~height:t.height ~tx_root ~metadata:t.metadata ~prev_hash:t.prev_hash
+  in
+  (signed, tx_root, hash)
+
+let check_hash t =
+  let signed, tx_root, hash = hash_contents t in
+  if String.equal t.hash hash then Ok { block = t; signed; tx_root }
   else Error "invalid block (hash or signatures)"
 
 let orderer_signed registry t =
@@ -111,6 +114,13 @@ let orderer_signed registry t =
 
 let check registry t =
   if orderer_signed registry t then check_hash t
+  else Error "invalid block (hash or signatures)"
+
+let check_decoded registry t =
+  let signed, tx_root, hash = hash_contents t in
+  let block = { t with hash } in
+  if (t.hash = "" || String.equal t.hash hash) && orderer_signed registry block then
+    Ok { block; signed; tx_root }
   else Error "invalid block (hash or signatures)"
 
 let verify registry t = Result.is_ok (check registry t)

@@ -63,10 +63,6 @@ type t = {
 val header_hash :
   height:int -> tx_root:string -> metadata:string -> prev_hash:string -> string
 
-(** {!header_hash} with the tx root computed from [txs]. *)
-val compute_hash :
-  height:int -> txs:tx list -> metadata:string -> prev_hash:string -> string
-
 (** The hash of "block 0"; the first real block has height 1 and chains
     from this. *)
 val genesis_hash : string
@@ -90,6 +86,13 @@ val orderer_signed : Brdb_crypto.Identity.Registry.t -> t -> bool
 
 (** {!orderer_signed}, then {!check_hash}: the admission test (§3.3, §4.4). *)
 val check : Brdb_crypto.Identity.Registry.t -> t -> (checked, string) result
+
+(** {!check} for a block whose [hash] did not travel with it (snapshot
+    decode, DESIGN.md §11, leaves it [""]): the same single hashing pass as
+    {!check_hash} derives the hash from the contents, and the orderer
+    signatures must hold over it. A non-empty [block.hash] (an in-process
+    snapshot) must equal the derived hash. *)
+val check_decoded : Brdb_crypto.Identity.Registry.t -> t -> (checked, string) result
 
 (** [verify registry block] is [Result.is_ok (check registry block)]. *)
 val verify : Brdb_crypto.Identity.Registry.t -> t -> bool

@@ -48,7 +48,9 @@ let restore t blocks =
       Vec.iter (fun e -> ignore (Vec.push t.blocks e)) scratch.blocks;
       Ok ()
 
-let tamper_for_test t h b =
-  if h >= 1 && h <= Vec.length t.blocks then
-    Vec.set t.blocks (h - 1)
-      { block = b; tx_root = Brdb_crypto.Merkle.root (List.map Block.tx_payload b.Block.txs) }
+module Testing = struct
+  let tamper t h b =
+    if h >= 1 && h <= Vec.length t.blocks then
+      Vec.set t.blocks (h - 1)
+        { block = b; tx_root = Brdb_crypto.Merkle.root (List.map Block.tx_payload b.Block.txs) }
+end

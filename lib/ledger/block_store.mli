@@ -35,5 +35,8 @@ val iter : t -> (Block.t -> unit) -> unit
     store is unchanged. *)
 val restore : t -> Block.checked list -> (unit, string) result
 
-(** Tamper with a stored block (testing §3.5 scenarios only). *)
-val tamper_for_test : t -> int -> Block.t -> unit
+module Testing : sig
+  (** [tamper t h b] replaces the stored block at height [h] with [b],
+      unchecked (the §3.5 forged-store scenarios). *)
+  val tamper : t -> int -> Block.t -> unit
+end

@@ -167,29 +167,9 @@ let write_set_tree_at t ~height = Option.bind (record_at t ~height) (fun r -> r.
 
 let write_set_entries_at t ~height = Option.map fst (write_set_tree_at t ~height)
 
-(* Testing hook for the divergence monitor: corrupt this node's recorded
-   write-set hash at [height], which poisons the published chained digest
-   from [height] onwards — exactly the shape of a real state divergence,
-   so SQL bisection over sys.blocks has something to find. Only sys.blocks
-   is affected; checkpoints already gossiped are not rewritten. *)
-let tamper_digest_for_test t ~height =
-  let rec rechain h root_of =
-    match record_at t ~height:h with
-    | None -> ()
-    | Some r ->
-        store_record t ~height:h ~txs:r.b_txs ~root:(root_of r.b_root) ~tree:r.b_tree
-          ~cp:r.b_cp;
-        rechain (h + 1) Fun.id
-  in
-  rechain height (fun ws -> "tampered:" ^ ws)
-
-let config t = t.config
-
 let catalog t = t.catalog
 
 let manager t = t.manager
-
-let contracts t = t.contracts
 
 let block_store t = t.store
 
@@ -372,17 +352,13 @@ let hooks_for t txn =
                 Ok ()
               end
           | "create" | "replace" -> (
-              match Procedural.parse body with
-              | Error e -> Error e
-              | Ok program -> (
-                  match Determinism.check_program program with
-                  | Error e -> Error e
-                  | Ok () ->
-                      Txn.add_on_commit txn (fun () ->
-                          ignore
-                            (Registry.deploy t.contracts ~name
-                               (Registry.Procedural program)));
-                      Ok ()))
+              match Determinism.parse_program body with
+              | Error (`Syntax e | `Nondeterministic e) -> Error e
+              | Ok program ->
+                  Txn.add_on_commit txn (fun () ->
+                      ignore
+                        (Registry.deploy t.contracts ~name (Registry.Procedural program)));
+                  Ok ())
           | k -> Error (Printf.sprintf "unknown deployment kind %s" k));
     Api.set_user =
       (fun ~name ~pubkey ->
@@ -928,12 +904,6 @@ let process_checked t c = run t c
 
 let process_block t block = Result.bind (Block.check_hash block) (run t)
 
-(* Testing hook for the schedule-independence property: commit the block
-   over the waves [schedule] picks from its dependency graph instead of
-   the default levelization. *)
-let process_block_scheduled_for_test t block ~schedule =
-  Result.bind (Block.check_hash block) (run ~schedule t)
-
 (* --- client reads at a committed height --------------------------------------------- *)
 
 (* One SELECT (or PROVENANCE SELECT) on an untracked snapshot reader at
@@ -1323,3 +1293,27 @@ let install_snapshot ?(crash_after_tables = false) t (snap : Snapshot.t) =
           Wal.complete_install t.wal;
           Ok ()
     end
+
+module Testing = struct
+  (* For the schedule-independence property: commit the block over the
+     waves [schedule] picks from its dependency graph instead of the
+     default levelization. *)
+  let process_block_scheduled t block ~schedule =
+    Result.bind (Block.check_hash block) (run ~schedule t)
+
+  (* For the divergence monitor: corrupt this node's recorded write-set
+     hash at [height], which poisons the published chained digest from
+     [height] onwards — exactly the shape of a real state divergence, so
+     SQL bisection over sys.blocks has something to find. Only sys.blocks
+     is affected; checkpoints already gossiped are not rewritten. *)
+  let tamper_digest t ~height =
+    let rec rechain h root_of =
+      match record_at t ~height:h with
+      | None -> ()
+      | Some r ->
+          store_record t ~height:h ~txs:r.b_txs ~root:(root_of r.b_root) ~tree:r.b_tree
+            ~cp:r.b_cp;
+          rechain (h + 1) Fun.id
+    in
+    rechain height (fun ws -> "tampered:" ^ ws)
+end

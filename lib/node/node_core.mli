@@ -40,8 +40,6 @@ type tx_status =
   | S_rejected of string
       (** never executed: bad signature, duplicate id, … *)
 
-val tx_status_to_string : tx_status -> string
-
 type block_result = {
   br_height : int;
   br_statuses : (string * tx_status) list;  (** tx_id, status — block order *)
@@ -74,13 +72,9 @@ val set_trace : t -> Brdb_obs.Trace.t -> unit
     the peer layer republishes them as registry metrics. *)
 val exec_totals : t -> Brdb_engine.Exec.stats
 
-val config : t -> config
-
 val catalog : t -> Brdb_storage.Catalog.t
 
 val manager : t -> Brdb_txn.Manager.t
-
-val contracts : t -> Brdb_contracts.Registry.t
 
 val block_store : t -> Brdb_ledger.Block_store.t
 
@@ -114,17 +108,6 @@ val process_checked : t -> Brdb_ledger.Block.checked -> (block_result, string) r
 
 (** {!Brdb_ledger.Block.check_hash}, then {!process_checked}. *)
 val process_block : t -> Brdb_ledger.Block.t -> (block_result, string) result
-
-(** {!process_block}, but OE/EO commit over the waves [schedule] returns
-    for the block's dependency graph instead of {!Block_deps.t.waves}.
-    Any schedule in which every [sched_edges] pair [(a, b)] has
-    [wave a < wave b] must give identical decisions, write-set hashes and
-    state (the schedule-independence property); tests only. *)
-val process_block_scheduled_for_test :
-  t ->
-  Brdb_ledger.Block.t ->
-  schedule:(Block_deps.t -> int array) ->
-  (block_result, string) result
 
 (** Run one [SELECT] / [PROVENANCE SELECT] (the paper's single-statement
     read path) at the committed height on a {!Brdb_txn.Txn.reader}: no
@@ -202,12 +185,6 @@ val write_set_entries_at : t -> height:int -> string list option
 val write_set_tree_at :
   t -> height:int -> (string list * Brdb_crypto.Merkle.tree) option
 
-(** Corrupt the recorded write-set hash at [height] and re-chain every
-    recorded height above it, poisoning the published chained digest
-    from [height] onwards (divergence-injection for the chaos harness and
-    tests only). *)
-val tamper_digest_for_test : t -> height:int -> unit
-
 (** {2 Crash & recovery (§3.6)} *)
 
 type crash_point =
@@ -261,3 +238,24 @@ val export_snapshot :
     crash (storage swapped, bookkeeping and guard not finalized). *)
 val install_snapshot :
   ?crash_after_tables:bool -> t -> Brdb_snapshot.Snapshot.t -> (unit, string) result
+
+(** Hooks that reach past the public pipeline into the node's private
+    per-height records; tests only. *)
+module Testing : sig
+  (** {!process_block}, but OE/EO commit over the waves [schedule] returns
+      for the block's dependency graph instead of {!Block_deps.t.waves}.
+      Any schedule in which every [sched_edges] pair [(a, b)] has
+      [wave a < wave b] must give identical decisions, write-set hashes
+      and state (the schedule-independence property). *)
+  val process_block_scheduled :
+    t ->
+    Brdb_ledger.Block.t ->
+    schedule:(Block_deps.t -> int array) ->
+    (block_result, string) result
+
+  (** Corrupt the recorded write-set hash at [height] and re-chain every
+      recorded height above it, poisoning the published chained digest
+      from [height] onwards (divergence injection for the divergence
+      monitor's tests). *)
+  val tamper_digest : t -> height:int -> unit
+end

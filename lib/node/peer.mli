@@ -63,11 +63,6 @@ type config = {
           model's [cores] and fills sys.validation. *)
 }
 
-(** Out-of-order blocks are buffered only within this many heights of
-    the next needed block (64); anything farther is dropped (bounded
-    memory) and recovered by catch-up once the gap closes. *)
-val inbox_window : int
-
 type t
 
 (** [create ~net ?obs config ~registry] — [obs] is the shared
@@ -111,17 +106,15 @@ val fetched_blocks : t -> int
     node's [block.rejected] counter. *)
 val blocks_rejected : t -> int
 
-(** Out-of-order blocks currently buffered (bounded by [inbox_window]). *)
+(** Out-of-order blocks currently buffered. Only blocks within 64
+    heights of the next needed block are buffered; anything farther is
+    dropped (bounded memory) and recovered by catch-up once the gap
+    closes. *)
 val inbox_size : t -> int
 
 (** Snapshot bootstraps this peer has completed (the [sys.snapshots]
     row count). *)
 val snapshots_installed : t -> int
-
-(** The catch-up path a height gap takes (§11): [`Snapshot] only when
-    snapshots are enabled and [gap > snapshot_threshold]; a gap equal to
-    the threshold — or any gap with snapshots disabled — is [`Replay]. *)
-val snapshot_decision : t -> gap:int -> [ `Snapshot | `Replay ]
 
 (** The peer is currently down (between {!crash} and {!restart}). *)
 val is_crashed : t -> bool
@@ -137,6 +130,8 @@ val crash : ?at:Node_core.crash_point -> t -> unit
     or rolling back and re-executing a partially-processed block from the
     block store; a crash mid-snapshot-install resets to a clean bootstrap
     slate), re-registers on the network, resumes buffered blocks, and
-    catches up on whatever was missed while down — via snapshot bootstrap
-    or block replay per {!snapshot_decision}. *)
+    catches up on whatever was missed while down (§11): via snapshot
+    bootstrap only when snapshots are enabled and the gap exceeds
+    [snapshot_threshold]; a gap equal to the threshold, or any gap with
+    snapshots disabled, replays blocks. *)
 val restart : t -> unit

@@ -34,12 +34,3 @@ val all : t list
 val to_string : t -> string
 
 val of_reason : Brdb_txn.Txn.abort_reason -> t
-
-(** {!Brdb_ssi.Rules} rule names that classify as {!Block_aware_commit}
-    (the Table 2 abort-during-commit rules); any other [Ssi_conflict]
-    rule is {!Rw_antidependency}. *)
-val block_aware_rules : string list
-
-(** [Contract_error] messages the node layer uses to mark fault-plane
-    rollbacks; these class as {!Chaos_induced}. *)
-val chaos_markers : string list

@@ -34,9 +34,6 @@ let detector_id = function
   | Auth_rejection_burst -> "auth_rejection_burst"
   | Divergence_warning -> "divergence_warning"
 
-let detector_of_id s =
-  List.find_opt (fun d -> String.equal (detector_id d) s) all_detectors
-
 let severity_of = function
   | Ordering_stall -> Critical
   | View_change_storm -> Warning
@@ -438,18 +435,6 @@ let observe t (s : sample) =
 
 let alerts t = List.rev t.log
 
-let alert_count t = t.seq
-
-let firing t =
-  Hashtbl.fold
-    (fun (id, subject) s acc -> if s.firing then (id, subject) :: acc else acc)
-    t.states []
-  |> List.sort compare
-  |> List.filter_map (fun (id, subject) ->
-         match detector_of_id id with
-         | Some d -> Some (d, subject)
-         | None -> None)
-
 type summary = {
   sm_detector : detector;
   sm_firing : int;
@@ -488,8 +473,5 @@ let summaries t =
         }
         cells)
     all_detectors
-
-let fires t d =
-  (List.find (fun sm -> sm.sm_detector = d) (summaries t)).sm_fires
 
 let stream t = String.concat "\n" (List.map render_alert (alerts t))

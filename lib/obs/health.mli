@@ -46,13 +46,9 @@ type detector =
   | Auth_rejection_burst
   | Divergence_warning
 
-val all_detectors : detector list
-
 (** Stable string id (["ordering_stall"], …) used in sys.alerts rows,
     metrics names and the chaos coverage matrix. *)
 val detector_id : detector -> string
-
-val detector_of_id : string -> detector option
 
 val severity_of : detector -> severity
 
@@ -125,12 +121,6 @@ val observe : t -> sample -> alert list
 (** Full alert log, oldest first. *)
 val alerts : t -> alert list
 
-(** Total transitions emitted ([= List.length (alerts t)]). *)
-val alert_count : t -> int
-
-(** Currently-firing (detector, subject) pairs, sorted. *)
-val firing : t -> (detector * string) list
-
 (** sys.detectors row material: per-detector aggregate over subjects. *)
 type summary = {
   sm_detector : detector;
@@ -141,11 +131,8 @@ type summary = {
   sm_last_height : int;
 }
 
-(** One summary per detector, in {!all_detectors} order. *)
+(** One summary per detector, in declaration order of {!detector}. *)
 val summaries : t -> summary list
-
-(** Fire transitions recorded for one detector. *)
-val fires : t -> detector -> int
 
 (** The whole alert log as canonical bytes ({!render_alert} lines). *)
 val stream : t -> string

@@ -85,22 +85,3 @@ let fold ?node events =
         p_self_s = Float.max 0. (total -. children);
       })
     paths
-
-let render rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-48s %8s %12s %12s\n" "path" "events" "total_ms"
-       "self_ms");
-  List.iter
-    (fun r ->
-      let last =
-        match String.rindex_opt r.p_path ';' with
-        | None -> r.p_path
-        | Some i -> String.sub r.p_path (i + 1) (String.length r.p_path - i - 1)
-      in
-      let label = String.make (2 * r.p_depth) ' ' ^ last in
-      Buffer.add_string buf
-        (Printf.sprintf "%-48s %8d %12.3f %12.3f\n" label r.p_events
-           (r.p_total_s *. 1000.) (r.p_self_s *. 1000.)))
-    rows;
-  Buffer.contents buf

@@ -30,7 +30,3 @@ type row = {
     only that node's events are retained and parent links are resolved
     within them (cross-node parents root new trees). *)
 val fold : ?node:string -> Trace.event list -> row list
-
-(** Fixed-width flame-style table (path indented by depth, ms columns);
-    byte-deterministic for equal inputs. *)
-val render : row list -> string

@@ -90,11 +90,6 @@ let counter t ~node name =
   | Some (Counter r) -> !r
   | _ -> 0
 
-let gauge t ~node name =
-  match Hashtbl.find_opt t.tbl (node, name) with
-  | Some (Gauge r) -> !r
-  | _ -> 0.
-
 let histogram t ~node name =
   match Hashtbl.find_opt t.tbl (node, name) with
   | Some (Histogram s) -> Some s
@@ -158,12 +153,6 @@ let snapshot t =
          match compare a.e_name b.e_name with
          | 0 -> compare a.e_node b.e_node
          | c -> c)
-
-let node_view t ~node = List.filter (fun e -> e.e_node = node) (snapshot t)
-
-let nodes t =
-  Hashtbl.fold (fun (node, _) _ acc -> node :: acc) t.tbl []
-  |> List.sort_uniq compare
 
 let cluster_view t =
   let items =

@@ -52,9 +52,6 @@ val observe : t -> node:string -> string -> float -> unit
 (** Current counter value; [0] when absent. *)
 val counter : t -> node:string -> string -> int
 
-(** Current gauge value; [0.] when absent. *)
-val gauge : t -> node:string -> string -> float
-
 val histogram : t -> node:string -> string -> Stat.t option
 
 (** One row of a view; [e_count]/[e_value] carry the counter value, the
@@ -74,11 +71,6 @@ type entry = {
 (** All metrics, sorted by (name, node) — deterministic regardless of
     insertion order. *)
 val snapshot : t -> entry list
-
-val node_view : t -> node:string -> entry list
-
-(** Nodes that have recorded at least one metric, sorted. *)
-val nodes : t -> string list
 
 (** One entry per metric name aggregated over all nodes (counters and
     gauges sum; histograms merge their samples); [e_node = "cluster"]. *)

@@ -41,8 +41,6 @@ let create ?(now = fun () -> 0.) () =
 
 let enabled t = t.enabled
 
-let now t = t.now ()
-
 let push t ~ts ~dur ~node ~track ~cat ~kind ~name ~id ~span ~parent ~follows
     ~args =
   let ev =
@@ -98,9 +96,3 @@ let counter t ~node ?(track = "counters") ~name ~value ?ts () =
       ~span:"" ~parent:"" ~follows:"" ~args:[ (name, F value) ]
 
 let events t = List.rev t.events_rev
-
-let count t = t.seq
-
-let clear t =
-  t.events_rev <- [];
-  t.seq <- 0

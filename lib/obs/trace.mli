@@ -57,9 +57,6 @@ val create : ?now:(unit -> float) -> unit -> t
 
 val enabled : t -> bool
 
-(** Current timestamp as the tracer sees it ([0.] on {!null}). *)
-val now : t -> float
-
 (** [complete t ~node ~name ~ts ~dur ()] records a span covering
     [ts .. ts + dur]; [ts] may lie in the past (block phases are emitted
     on completion and back-dated by their modeled cost). [?span] names
@@ -147,7 +144,3 @@ val counter :
 
 (** Events in emission order. *)
 val events : t -> event list
-
-val count : t -> int
-
-val clear : t -> unit

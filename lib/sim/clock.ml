@@ -42,5 +42,3 @@ let run ?(until = Float.infinity) t =
   loop ();
   if until < Float.infinity && t.time < until then t.time <- until;
   !processed
-
-let pending t = Q.cardinal t.queue

@@ -19,6 +19,3 @@ val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Process events in time order until the queue is empty or the next
     event lies beyond [until]. Returns the number of events processed. *)
 val run : ?until:float -> t -> int
-
-(** Pending event count. *)
-val pending : t -> int

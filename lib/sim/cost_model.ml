@@ -44,41 +44,29 @@ let tet t = function
   | Complex_group -> t.tet_complex_group
   | Custom x -> x
 
-(* The one place `cores` arithmetic lives: a greedy earliest-free-core
-   makespan. For [n] uniform jobs of duration [d] this degenerates to the
-   closed form d * ceil(n/cores) the calibration used, so the closed-form
-   model and the wave scheduler (Cpu.run_waves) charge identical time for
-   conflict-free blocks. Deterministic: jobs are assigned in list order,
-   ties broken by lowest core index. *)
-let parallel_time ~cores durations =
+(* The one place `cores` arithmetic lives: the makespan of [n] jobs of
+   duration [d] on [cores] slots, d * ceil(n/cores), the closed form the
+   calibration used, so the closed-form model and the wave scheduler
+   (Cpu.run_waves) charge identical time for conflict-free blocks. Summed
+   one round at a time rather than multiplied, as the busiest slot of a
+   greedy earliest-free placement accumulates it. *)
+let parallel_time ~cores ~n d =
   if cores < 1 then invalid_arg "Cost_model.parallel_time: cores < 1";
-  match durations with
-  | [] -> 0.
-  | _ ->
-      let busy = Array.make cores 0. in
-      List.iter
-        (fun d ->
-          let best = ref 0 in
-          for i = 1 to cores - 1 do
-            if busy.(i) < busy.(!best) then best := i
-          done;
-          busy.(!best) <- busy.(!best) +. Float.max 0. d)
-        durations;
-      Array.fold_left Float.max 0. busy
-
-let uniform n d = List.init (max 0 n) (fun _ -> d)
+  let d = Float.max 0. d in
+  let rec rounds acc k = if k <= 0 then acc else rounds (acc +. d) (k - 1) in
+  rounds 0. ((max 0 n + cores - 1) / cores)
 
 let oe_bet t ~n ~tet =
   if n = 0 then 0.
   else
     (float_of_int n *. t.oe_start)
-    +. parallel_time ~cores:t.cores (uniform n tet)
+    +. parallel_time ~cores:t.cores ~n tet
 
 let oe_bct t ~n = float_of_int n *. t.oe_commit
 
 let eo_bet t ~n ~missing ~tet =
   (float_of_int n *. t.eo_check)
-  +. parallel_time ~cores:t.cores (uniform missing tet)
+  +. parallel_time ~cores:t.cores ~n:missing tet
 
 let eo_bct t ~n = float_of_int n *. t.eo_commit
 

@@ -36,19 +36,11 @@ val default : t
 (** Base transaction execution time for a contract class. *)
 val tet : t -> contract_class -> float
 
-(** [parallel_time ~cores durations] is the makespan of scheduling the
-    jobs in [durations] (seconds each, in order) greedily onto the
-    earliest-free of [cores] identical slots. This is the single source of
-    truth for multi-core arithmetic: the closed-form block-execution
-    estimates below and the wave scheduler ({!Cpu.run_waves}) both reduce
-    to it, so a conflict-free block costs the same under either. For [n]
-    uniform jobs of duration [d] it equals [d *. ceil (n / cores)], the
-    closed form the Tables 4/5 calibration used. Raises [Invalid_argument]
-    if [cores < 1]. *)
-val parallel_time : cores:int -> float list -> float
-
 (** OE block execution time: serially starting [n] backends plus the
-    parallel execution makespan on [cores] slots. *)
+    parallel execution makespan on [cores] slots: [n] jobs of [tet] each
+    take [ceil (n / cores)] rounds of [tet], the closed form the Tables 4/5
+    calibration used. Raises
+    [Invalid_argument] if [cores < 1]. *)
 val oe_bet : t -> n:int -> tet:float -> float
 
 val oe_bct : t -> n:int -> float

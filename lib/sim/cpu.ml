@@ -58,7 +58,3 @@ let run_waves t ~head ~tail ~waves ~costs f =
     }
   in
   Clock.schedule_at t.clock ~time:finish (fun () -> f stats)
-
-let backlog t =
-  let now = Clock.now t.clock in
-  Array.fold_left (fun acc b -> Float.max acc (b -. now)) 0. t.busy

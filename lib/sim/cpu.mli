@@ -41,6 +41,3 @@ val run_waves :
   costs:float array ->
   (wave_stats -> unit) ->
   unit
-
-(** Max over cores of time already queued beyond [now] (0 when idle). *)
-val backlog : t -> float

@@ -165,9 +165,6 @@ struct
     | None -> ());
     delay
 
-  let broadcast net ~src ~dsts ~size_bytes payload =
-    List.iter (fun dst -> ignore (send net ~src ~dst ~size_bytes payload)) dsts
-
   let delivered net = net.delivered
 
   let dropped net = net.dropped

@@ -33,10 +33,6 @@ val wan_link : link
     DESIGN.md §11) must catch. *)
 type fault = { drop : float; duplicate : float; corrupt : float }
 
-(** [{ drop = 0.; duplicate = 0.; corrupt = 0. }] — the default for every
-    link. *)
-val no_fault : fault
-
 module Make (P : sig
   type payload
 end) : sig
@@ -50,7 +46,8 @@ end) : sig
   val set_link : net -> src:string -> dst:string -> link -> unit
 
   (** Override the fault rates for one ordered (src, dst) pair.
-      Setting {!no_fault} restores perfect delivery for the pair. *)
+      Setting all three rates to [0.] restores perfect delivery for the
+      pair. *)
   val set_fault : net -> src:string -> dst:string -> fault -> unit
 
   (** [partition net ~name ~members] installs a named partition: every
@@ -91,9 +88,6 @@ end) : sig
       delivery delay (self-sends are immediate). The message may still be
       dropped or duplicated by the fault plane. *)
   val send : net -> src:string -> dst:string -> size_bytes:int -> P.payload -> float
-
-  val broadcast :
-    net -> src:string -> dsts:string list -> size_bytes:int -> P.payload -> unit
 
   (** Messages delivered so far. *)
   val delivered : net -> int

@@ -14,11 +14,3 @@ let run ~clock ~rng ~rate ~duration ~submit =
         end)
   in
   arm ()
-
-let run_uniform ~clock ~rate ~duration ~submit =
-  if rate <= 0. then invalid_arg "Workload.run_uniform: rate must be positive";
-  let period = 1. /. rate in
-  let count = int_of_float (duration /. period) in
-  for i = 0 to count - 1 do
-    Clock.schedule clock ~delay:(float_of_int i *. period) (fun () -> submit i)
-  done

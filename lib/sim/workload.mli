@@ -12,7 +12,3 @@ val run :
   duration:float ->
   submit:(int -> unit) ->
   unit
-
-(** Deterministic (uniform-interval) variant for tests. *)
-val run_uniform :
-  clock:Clock.t -> rate:float -> duration:float -> submit:(int -> unit) -> unit

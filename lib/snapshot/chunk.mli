@@ -32,14 +32,6 @@ val default_size : int
     Raises [Invalid_argument] when [chunk_size <= 0]. *)
 val split : chunk_size:int -> string -> chunk array
 
-val manifest :
-  height:int ->
-  state_digest:string ->
-  chunk_size:int ->
-  total_bytes:int ->
-  string array ->
-  manifest
-
 val manifest_of_chunks :
   height:int ->
   state_digest:string ->

@@ -26,8 +26,6 @@ val list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 
 type reader
 
-val reader : string -> reader
-
 (** Readers raise an internal exception on malformed input; only
     {!decode} catches it, so use the [r_*] functions inside a decoder
     passed to {!decode}. *)

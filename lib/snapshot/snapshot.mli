@@ -37,7 +37,11 @@ type t = {
   globals : (string * int) list;  (** global id -> txid, sorted *)
   contract_next_version : int;
   contracts : (string * int * string) list;  (** (name, version, source) *)
-  blocks : Brdb_ledger.Block.t list;  (** heights 1..[height] *)
+  blocks : Brdb_ledger.Block.t list;
+      (** heights 1..[height]. The hash is not encoded: {!decode} leaves
+          each [hash] empty, so read the blocks only through {!install},
+          which derives the hashes and refuses a non-empty one that does
+          not match its contents. *)
   tables : table_state list;  (** sorted by name; includes pgledger *)
   extra : (string * string) list;  (** named node-layer sections, sorted *)
 }

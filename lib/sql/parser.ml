@@ -498,18 +498,6 @@ let parse input =
       | Lexer.Eof -> Ok s
       | t -> error "trailing input: %s" (Lexer.token_to_string t))
 
-let parse_multi input =
-  with_tokens input (fun st ->
-      let rec loop acc =
-        match peek st with
-        | Lexer.Eof -> Ok (List.rev acc)
-        | _ ->
-            let s = parse_stmt st in
-            let _ = accept_sym st ";" in
-            loop (s :: acc)
-      in
-      loop [])
-
 let parse_expr input =
   with_tokens input (fun st ->
       let e = parse_or st in

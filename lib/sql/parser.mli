@@ -3,8 +3,5 @@
 (** [parse s] parses a single statement; a trailing [;] is allowed. *)
 val parse : string -> (Ast.stmt, string) result
 
-(** [parse_multi s] parses a [;]-separated script. *)
-val parse_multi : string -> (Ast.stmt list, string) result
-
 (** [parse_expr s] parses a standalone scalar expression (used in tests). *)
 val parse_expr : string -> (Ast.expr, string) result

@@ -19,8 +19,6 @@ let in_conflicts t id = ISet.elements (neighbours t.inc id)
 
 let out_conflicts t id = ISet.elements (neighbours t.out id)
 
-let has_edge t ~reader ~writer = ISet.mem reader (neighbours t.inc writer)
-
 let edge_count t = IMap.fold (fun _ ws acc -> acc + ISet.cardinal ws) t.out 0
 
 let edges t =

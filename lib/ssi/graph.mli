@@ -18,8 +18,6 @@ val in_conflicts : t -> int -> int list
 
 val out_conflicts : t -> int -> int list
 
-val has_edge : t -> reader:int -> writer:int -> bool
-
 val edge_count : t -> int
 
 (** All [(reader, writer)] rw-antidependency edges, sorted — the order is

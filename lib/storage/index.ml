@@ -60,8 +60,3 @@ let iter_range t ~lo ~hi f =
         end
   in
   walk seq
-
-let iter_eq t key f =
-  match VMap.find_opt key t.map with None -> () | Some s -> ISet.iter f s
-
-let cardinal t = VMap.fold (fun _ s acc -> acc + ISet.cardinal s) t.map 0

@@ -21,7 +21,3 @@ val remove : t -> Value.t -> int -> unit
 (** [iter_range t ~lo ~hi f] calls [f vid] for every entry with key in the
     given bounds, in key order (ties in vid order). *)
 val iter_range : t -> lo:bound -> hi:bound -> (int -> unit) -> unit
-
-val iter_eq : t -> Value.t -> (int -> unit) -> unit
-
-val cardinal : t -> int

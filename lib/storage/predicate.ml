@@ -24,20 +24,3 @@ let matches p ~table:tbl row =
       && column < Array.length row
       && bound_ok_lo lo row.(column)
       && bound_ok_hi hi row.(column)
-
-let bound_to_string side = function
-  | Index.Unbounded -> (match side with `Lo -> "(-inf" | `Hi -> "+inf)")
-  | Index.Incl v -> (
-      match side with
-      | `Lo -> "[" ^ Value.to_string v
-      | `Hi -> Value.to_string v ^ "]")
-  | Index.Excl v -> (
-      match side with
-      | `Lo -> "(" ^ Value.to_string v
-      | `Hi -> Value.to_string v ^ ")")
-
-let to_string = function
-  | Full_scan { table } -> Printf.sprintf "%s:<full>" table
-  | Range { table; column; lo; hi } ->
-      Printf.sprintf "%s.#%d:%s, %s" table column (bound_to_string `Lo lo)
-        (bound_to_string `Hi hi)

@@ -23,5 +23,3 @@ val table : t -> string
 (** [matches p ~table row] — does a row (by values) of [table] fall under
     the predicate? *)
 val matches : t -> table:string -> Value.t array -> bool
-
-val to_string : t -> string

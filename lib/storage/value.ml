@@ -98,5 +98,3 @@ let decode s =
     | 'B' when s = "B1" -> Some (Bool true)
     | 'B' when s = "B0" -> Some (Bool false)
     | _ -> None
-
-let pp fmt v = Format.pp_print_string fmt (to_string v)

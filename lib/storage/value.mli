@@ -39,5 +39,3 @@ val encode : t -> string
 
 (** Inverse of {!encode}; [None] on malformed input. *)
 val decode : string -> t option
-
-val pp : Format.formatter -> t -> unit

@@ -9,8 +9,6 @@ type t = {
 
 let create catalog = { catalog; next_txid = 1; txns = Hashtbl.create 64; by_global = Hashtbl.create 64 }
 
-let catalog t = t.catalog
-
 let pending t =
   Hashtbl.fold (fun _ txn acc -> if Txn.is_pending txn then txn :: acc else acc) t.txns []
   |> List.sort (fun a b -> compare a.Txn.txid b.Txn.txid)
@@ -205,8 +203,7 @@ let abort t txn reason =
       | Txn.D_dropped_table table -> Catalog.restore_table t.catalog table
       | Txn.D_created_index _ -> (* extra indexes are semantically harmless *) ())
     txn.Txn.ddl;
-  txn.Txn.status <- Txn.Aborted reason;
-  List.iter (fun f -> f ()) txn.Txn.on_abort
+  txn.Txn.status <- Txn.Aborted reason
 
 let write_set_entries t txns =
   let parts = ref [] in
@@ -254,15 +251,13 @@ let rollback_committed t txn =
           let tbl = table_exn t table in
           Table.unmark_deleted tbl (Table.get_version tbl old_vid))
     (Txn.writes_in_order txn);
-  List.iter (fun f -> f ()) txn.Txn.on_abort;
   txn.Txn.status <- Txn.Pending;
   txn.Txn.reads <- [];
   Hashtbl.reset txn.Txn.reads_seen;
   txn.Txn.predicates <- [];
   Hashtbl.reset txn.Txn.predicates_seen;
   txn.Txn.writes <- [];
-  txn.Txn.on_commit <- [];
-  txn.Txn.on_abort <- []
+  txn.Txn.on_commit <- []
 
 let release t txn =
   Hashtbl.remove t.txns txn.Txn.txid;

@@ -12,8 +12,6 @@ type t
 
 val create : Brdb_storage.Catalog.t -> t
 
-val catalog : t -> Brdb_storage.Catalog.t
-
 (** Current number of live (pending) transactions. *)
 val pending_count : t -> int
 

@@ -84,7 +84,6 @@ type t = {
   mutable block : int option;
   mutable block_pos : int option;
   mutable on_commit : (unit -> unit) list;
-  mutable on_abort : (unit -> unit) list;
 }
 
 let create ~txid ~global_id ~client ?(description = "") ~snapshot_height () =
@@ -106,7 +105,6 @@ let create ~txid ~global_id ~client ?(description = "") ~snapshot_height () =
     block = None;
     block_pos = None;
     on_commit = [];
-    on_abort = [];
   }
 
 (* The Manager allocates txids from 1 and system rows use xmin 0, so -1
@@ -157,5 +155,3 @@ let created t =
     t.writes
 
 let add_on_commit t f = t.on_commit <- f :: t.on_commit
-
-let add_on_abort t f = t.on_abort <- f :: t.on_abort

@@ -62,7 +62,6 @@ type t = {
   mutable on_commit : (unit -> unit) list;
       (** side effects applied after a successful commit (e.g. contract
           deployment taking effect) *)
-  mutable on_abort : (unit -> unit) list;  (** undo for eager side effects *)
 }
 
 val create :
@@ -105,5 +104,3 @@ val claimed : t -> (string * int) list
 val created : t -> (string * int) list
 
 val add_on_commit : t -> (unit -> unit) -> unit
-
-val add_on_abort : t -> (unit -> unit) -> unit

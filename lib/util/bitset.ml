@@ -11,11 +11,6 @@ let ensure t i =
     t.bits <- bits
   end
 
-let mem t i =
-  i >= 0
-  && i lsr 3 < Bytes.length t.bits
-  && Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
 let add t i =
   if i < 0 then invalid_arg "Bitset.add: negative";
   ensure t i;

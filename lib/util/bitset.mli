@@ -16,12 +16,7 @@ val add : t -> int -> unit
 (** O(1); absent members are a no-op. Negative ints are never members. *)
 val remove : t -> int -> unit
 
-val mem : t -> int -> bool
-
 val cardinal : t -> int
-
-(** Ascending order. *)
-val iter : t -> (int -> unit) -> unit
 
 (** [iter_union t extra f] visits the union of [t] and [extra] in one
     ascending pass; [extra] must be sorted ascending and disjoint from

@@ -1,7 +1,9 @@
 (* The receipt builder as it was before the block store kept tx roots:
    every successor header's tx root is recomputed from the stored block's
    payloads, and the inclusion path comes from the list-based Merkle
-   reference. test_client.ml pins [Proof.build_receipt] to it. *)
+   reference. [build] returns the receipt, carrying the library's
+   uncached [Merkle.prove] path, with the reference path's text form;
+   test_client.ml pins [Proof.build_receipt] to both. *)
 
 module Block = Brdb_ledger.Block
 module Block_store = Brdb_ledger.Block_store
@@ -43,15 +45,14 @@ let build store ~tx_id =
           | Some i ->
               let leaves = payloads b in
               Some
-                {
-                  Proof.rc_height = h;
-                  rc_payload = List.nth leaves i;
-                  rc_proof =
-                    Option.get
-                      (Brdb_crypto.Merkle.proof_of_string (Merkle_ref.proof leaves i));
-                  rc_metadata = b.Block.metadata;
-                  rc_prev_hash = b.Block.prev_hash;
-                  rc_chain = successors store ~above:h ~upto:tip;
-                })
+                ( {
+                    Proof.rc_height = h;
+                    rc_payload = List.nth leaves i;
+                    rc_proof = Brdb_crypto.Merkle.prove leaves i;
+                    rc_metadata = b.Block.metadata;
+                    rc_prev_hash = b.Block.prev_hash;
+                    rc_chain = successors store ~above:h ~upto:tip;
+                  },
+                  Merkle_ref.proof leaves i ))
   in
   find 1

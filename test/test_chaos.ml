@@ -114,11 +114,12 @@ let crash_point_scenario point () =
     names;
   let user = B.register_user db "alice" in
   let clock = B.clock db in
+  let submitted = ref [ setup ] in
   for i = 0 to 39 do
     Brdb_sim.Clock.schedule clock ~delay:(float_of_int i *. 0.02) (fun () ->
-        ignore
-          (B.submit db ~user ~contract:"put"
-             ~args:[ Value.Int i; Value.Int (i * 3) ]))
+        submitted :=
+          B.submit db ~user ~contract:"put" ~args:[ Value.Int i; Value.Int (i * 3) ]
+          :: !submitted)
   done;
   let victim = B.peer db 1 in
   B.run db ~seconds:0.2;
@@ -148,8 +149,9 @@ let crash_point_scenario point () =
           && Checkpoint.local_hash (Peer.checkpoints p) ~height:h <> None)
       done)
     (B.peers db);
-  Alcotest.(check int) "every tx decided" (B.submitted_count db)
-    (B.decided_count db)
+  Alcotest.(check int) "all 41 submitted" 41 (List.length !submitted);
+  Alcotest.(check (list string)) "every tx decided" []
+    (List.filter (fun id -> B.status db id = None) !submitted)
 
 (* --- bounded inbox -------------------------------------------------------- *)
 

@@ -127,6 +127,17 @@ let flip_byte s i =
     Bytes.to_string b
   end
 
+(* The path to leaf [i] with one sibling digest tampered: the honest
+   proof over the same leaves after flipping a byte of one other leaf.
+   [None] for a single leaf, whose path is empty. *)
+let tampered_path leaves i ofs =
+  let n = List.length leaves in
+  if n < 2 then None
+  else begin
+    let j = (i + 1 + (ofs mod (n - 1))) mod n in
+    Some (Merkle.prove (List.mapi (fun k l -> if k = j then flip_byte l ofs else l) leaves) i)
+  end
+
 (* ------------------------------------------------------------ unit: cutter *)
 
 let test_cutter_batch_auth () =
@@ -222,7 +233,7 @@ let test_admission_checks () =
     (Admission.check node ~pins:[] ~pinned_height:h ~max_window:2 () = Ok ());
   (* sys.* views have no versions to pin *)
   (try
-     ignore (Admission.lookup node ~table:"sys.blocks" ~key:(Value.Int 1) ~height:h);
+     ignore (Admission.pin_read node ~table:"sys.blocks" ~key:(Value.Int 1) ~height:h);
      Alcotest.fail "sys.* lookup must raise"
    with Invalid_argument _ -> ())
 
@@ -393,9 +404,14 @@ let prop_receipt_tamper =
               (Proof.verify_receipt ~tip_hash:anchor
                  { rc with Proof.rc_payload = flip_byte rc.Proof.rc_payload ofs })
         | 1 -> (
-            let s = flip_byte (Merkle.proof_to_string rc.Proof.rc_proof) ofs in
-            match Merkle.proof_of_string s with
-            | None -> true (* rejected at parse *)
+            let b =
+              Option.get
+                (Brdb_ledger.Block_store.get (Node_core.block_store node) rc.Proof.rc_height)
+            in
+            let leaves = List.map Block.tx_payload b.Block.txs in
+            let i = Option.get (List.find_index (String.equal rc.Proof.rc_payload) leaves) in
+            match tampered_path leaves i ofs with
+            | None -> Alcotest.fail "receipt blocks hold several transactions"
             | Some p ->
                 not
                   (Proof.verify_receipt ~tip_hash:anchor
@@ -447,19 +463,15 @@ let prop_provenance_tamper =
       let node, _ = Lazy.force proof_env in
       let key = 100 + (t mod 9) in
       let tip = Node_core.height node in
-      let v =
-        match
-          Admission.lookup node ~table:"kv" ~key:(Value.Int key) ~height:tip
-        with
-        | Some v -> v
-        | None -> QCheck.Test.fail_reportf "key %d not visible" key
+      let creator, values =
+        match Admission.pin_read node ~table:"kv" ~key:(Value.Int key) ~height:tip with
+        | { Admission.p_creator = Some creator; _ }, Some values -> (creator, values)
+        | _ -> QCheck.Test.fail_reportf "key %d not visible" key
       in
       let pv =
         match
-          Proof.build_provenance node ~height:v.Version.creator_block
-            ~matches:
-              (Proof.row_write_matches ~table:"kv"
-                 ~values:(Array.copy v.Version.values))
+          Proof.build_provenance node ~height:creator
+            ~matches:(Proof.row_write_matches ~table:"kv" ~values)
         with
         | Ok pv -> pv
         | Error e -> QCheck.Test.fail_reportf "build_provenance: %s" e
@@ -488,20 +500,21 @@ let prop_provenance_tamper =
               (Proof.verify_provenance ~tip_digest:anchor
                  { pv with Proof.pv_roots = roots' })
         | 3 -> (
-            let s = flip_byte (Merkle.proof_to_string pv.Proof.pv_proof) ofs in
-            match Merkle.proof_of_string s with
-            | None -> true
+            let entries =
+              Option.get (Node_core.write_set_entries_at node ~height:pv.Proof.pv_height)
+            in
+            let i = Option.get (List.find_index (String.equal pv.Proof.pv_entry) entries) in
+            match tampered_path entries i ofs with
+            | None ->
+                (* a single entry has an empty path, so tamper the entry
+                   instead *)
+                not
+                  (Proof.verify_provenance ~tip_digest:anchor
+                     { pv with Proof.pv_entry = flip_byte pv.Proof.pv_entry ofs })
             | Some p ->
-                (* an empty proof serializes to "": flipping is a no-op, so
-                   fall back to tampering the entry instead *)
-                if s = "" then
-                  not
-                    (Proof.verify_provenance ~tip_digest:anchor
-                       { pv with Proof.pv_entry = flip_byte pv.Proof.pv_entry ofs })
-                else
-                  not
-                    (Proof.verify_provenance ~tip_digest:anchor
-                       { pv with Proof.pv_proof = p }))
+                not
+                  (Proof.verify_provenance ~tip_digest:anchor
+                     { pv with Proof.pv_proof = p }))
         | _ -> not (Proof.verify_provenance ~tip_digest:(flip_byte anchor ofs) pv)
       in
       if not rejected then
@@ -537,8 +550,11 @@ let test_session_lifecycle () =
   let bob = B.register_user db "client/bob" in
   let s1 = Session.begin_ hub ~user:alice in
   let s2 = Session.begin_ hub ~user:bob in
-  Alcotest.(check bool) "sessions pin the same tip" true
-    (Session.pinned_height s1 = Session.pinned_height s2);
+  (match B.query db "SELECT DISTINCT pinned_height FROM sys.clients" with
+  | Ok rs ->
+      Alcotest.(check int) "sessions pin the same tip" 1
+        (List.length rs.Brdb_engine.Exec.rows)
+  | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "round-robin peers" true
     (Session.peer_index s1 <> Session.peer_index s2);
   (* both sessions read the same hot row *)
@@ -685,12 +701,12 @@ let test_cached_proofs_match_references () =
   List.iter
     (fun tx_id ->
       match (Proof.build_receipt node ~tx_id, Receipt_ref.build store ~tx_id) with
-      | Ok rc, Some old ->
+      | Ok rc, Some (old, ref_path) ->
           Alcotest.(check int) "height" old.Proof.rc_height rc.Proof.rc_height;
           Alcotest.(check string) "payload" old.Proof.rc_payload rc.Proof.rc_payload;
-          Alcotest.(check string) "path"
-            (Merkle.proof_to_string old.Proof.rc_proof)
-            (Merkle.proof_to_string rc.Proof.rc_proof);
+          Alcotest.(check string) "path" ref_path (Merkle.proof_to_string rc.Proof.rc_proof);
+          Alcotest.(check string) "uncached path" ref_path
+            (Merkle.proof_to_string old.Proof.rc_proof);
           Alcotest.(check string) "metadata" old.Proof.rc_metadata rc.Proof.rc_metadata;
           Alcotest.(check string) "prev hash" old.Proof.rc_prev_hash rc.Proof.rc_prev_hash;
           Alcotest.(check bool) "successor headers" true (old.Proof.rc_chain = rc.Proof.rc_chain);

@@ -185,7 +185,7 @@ let test_raft_elects_leader () =
         (fun n ->
           if Raft.role n <> Raft.Leader then
             Alcotest.(check (option string)) "leader hint"
-              (Raft.leader_hint leader) (Raft.leader_hint n))
+              (Raft.Testing.leader_hint leader) (Raft.Testing.leader_hint n))
         nodes)
 
 let test_raft_orders_transactions () =
@@ -196,7 +196,7 @@ let test_raft_orders_transactions () =
   let follower =
     List.nth names
       (match find_leader nodes with
-      | Some l when Raft.leader_hint l = Some (List.nth names 0) -> 1
+      | Some l when Raft.Testing.leader_hint l = Some (List.nth names 0) -> 1
       | _ -> 0)
   in
   for i = 1 to 6 do
@@ -241,16 +241,16 @@ let test_raft_leader_failover () =
   Alcotest.(check bool) "term advanced" true (Raft.term leader2 > term1);
   Alcotest.(check bool) "re-election counted" true (Raft.elections leader2 >= 1);
   (* Transactions still get ordered. *)
-  let survivor_name = (match Raft.leader_hint leader2 with Some n -> n | None -> "raft-1") in
+  let survivor_name = (match Raft.Testing.leader_hint leader2 with Some n -> n | None -> "raft-1") in
   for i = 100 to 105 do
     submit h ~dst:survivor_name (mk_tx i)
   done;
   ignore (Clock.run ~until:10.0 h.clock);
-  Alcotest.(check bool) "committed after failover" true (Raft.commit_index leader2 > 0);
+  Alcotest.(check bool) "committed after failover" true (Raft.Testing.commit_index leader2 > 0);
   (* Old leader restarts and catches up. *)
   Raft.restart leader1;
   ignore (Clock.run ~until:15.0 h.clock);
-  Alcotest.(check int) "log caught up" (Raft.log_length leader2) (Raft.log_length leader1)
+  Alcotest.(check int) "log caught up" (Raft.Testing.log_length leader2) (Raft.Testing.log_length leader1)
 
 (* --- bft --------------------------------------------------------------------- *)
 
@@ -286,7 +286,7 @@ let unique_blocks_for h peer =
 let test_bft_delivers_blocks () =
   let h = make_harness () in
   let nodes = setup_bft h ~n:4 in
-  Alcotest.(check bool) "first is leader" true (Bft.is_leader (List.hd nodes));
+  Alcotest.(check string) "first is leader" "bft-1" (Bft.primary (List.hd nodes));
   for i = 1 to 9 do
     (* submit to random replicas; they relay to the leader *)
     submit h ~dst:(Printf.sprintf "bft-%d" ((i mod 4) + 1)) (mk_tx i)

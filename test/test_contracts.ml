@@ -175,9 +175,17 @@ let test_procedural_if_nested_and_errors () =
 
 (* ------------------------------------------------------------ determinism *)
 
+(* The guard over a one-statement contract; a parse failure is a test
+   bug, not a rejection. *)
+let check_stmt sql =
+  match Determinism.parse_program sql with
+  | Ok _ -> Ok ()
+  | Error (`Nondeterministic e) -> Error e
+  | Error (`Syntax e) -> Alcotest.failf "%S does not parse: %s" sql e
+
 let test_determinism_rejects_functions () =
   let bad sql =
-    match Determinism.check_stmt (Result.get_ok (Brdb_sql.Parser.parse sql)) with
+    match check_stmt sql with
     | Ok () -> Alcotest.failf "%S passed the guard" sql
     | Error _ -> ()
   in
@@ -187,25 +195,19 @@ let test_determinism_rejects_functions () =
   bad "DELETE FROM t WHERE ts < current_timestamp()"
 
 let test_determinism_rejects_unordered_limit () =
-  let stmt = Result.get_ok (Brdb_sql.Parser.parse "SELECT a FROM t LIMIT 5") in
-  (match Determinism.check_stmt stmt with
+  (match check_stmt "SELECT a FROM t LIMIT 5" with
   | Ok () -> Alcotest.fail "LIMIT without ORDER BY passed"
   | Error _ -> ());
-  let ok = Result.get_ok (Brdb_sql.Parser.parse "SELECT a FROM t ORDER BY a LIMIT 5") in
-  match Determinism.check_stmt ok with
+  match check_stmt "SELECT a FROM t ORDER BY a LIMIT 5" with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
 let test_determinism_rejects_row_headers () =
-  let stmt = Result.get_ok (Brdb_sql.Parser.parse "SELECT a FROM t WHERE xmin = 3") in
-  (match Determinism.check_stmt stmt with
+  (match check_stmt "SELECT a FROM t WHERE xmin = 3" with
   | Ok () -> Alcotest.fail "xmin in WHERE passed"
   | Error _ -> ());
   (* allowed in provenance queries *)
-  let prov =
-    Result.get_ok (Brdb_sql.Parser.parse "PROVENANCE SELECT a FROM t WHERE deleter IS NULL")
-  in
-  match Determinism.check_stmt prov with
+  match check_stmt "PROVENANCE SELECT a FROM t WHERE deleter IS NULL" with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
@@ -235,12 +237,19 @@ let test_registry_versions () =
 
 let test_registry_deploy_source_guards () =
   let r = Registry.create () in
-  (match Registry.deploy_source r ~name:"good" "INSERT INTO t VALUES ($1)" with
+  let deploy_source ~name source =
+    Result.map
+      (fun p -> Registry.deploy r ~name (Registry.Procedural p))
+      (Determinism.parse_program source)
+  in
+  (match deploy_source ~name:"good" "INSERT INTO t VALUES ($1)" with
   | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  match Registry.deploy_source r ~name:"bad" "INSERT INTO t VALUES (random())" with
+  | Error (`Syntax e | `Nondeterministic e) -> Alcotest.fail e);
+  (match deploy_source ~name:"bad" "INSERT INTO t VALUES (random())" with
   | Ok _ -> Alcotest.fail "nondeterministic contract deployed"
-  | Error _ -> ()
+  | Error _ -> ());
+  Alcotest.(check bool) "only the checked contract installed" true
+    (Registry.find r "good" <> None && Registry.find r "bad" = None)
 
 let test_admin_org () =
   Alcotest.(check (option string)) "admin" (Some "org1") (System.admin_org "org1/admin");

@@ -3,6 +3,9 @@ module Txn = Brdb_txn.Txn
 module Manager = Brdb_txn.Manager
 module Exec = Brdb_engine.Exec
 
+(* Index-required mode without sys.* reads, as contract execution runs. *)
+let strict_mode = { Exec.default_mode with Exec.require_index = true; allow_sys = false }
+
 (* A tiny single-node fixture: transactions auto-commit at increasing block
    heights, so each statement sees everything committed before it. *)
 type fixture = {
@@ -48,7 +51,9 @@ let run_err ?params ?mode fx sql =
 
 let rows_to_list (rs : Exec.result_set) = List.map Array.to_list rs.Exec.rows
 
-let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
+let value : Value.t Alcotest.testable = Alcotest.testable
+    (fun fmt v -> Format.pp_print_string fmt (Value.to_string v))
+    Value.equal
 
 let check_rows msg expected rs =
   Alcotest.(check (list (list value))) msg expected (rows_to_list rs)
@@ -233,23 +238,23 @@ let test_strict_mode () =
   let fx = make_fixture () in
   seed_items fx;
   (* Indexed access (primary key) is fine. *)
-  ignore (run fx ~mode:Exec.strict_mode "SELECT * FROM items WHERE id = 1");
+  ignore (run fx ~mode:strict_mode "SELECT * FROM items WHERE id = 1");
   (* Unindexed predicate: rejected. *)
-  (match run_err fx ~mode:Exec.strict_mode "SELECT * FROM items WHERE qty > 6" with
+  (match run_err fx ~mode:strict_mode "SELECT * FROM items WHERE qty > 6" with
   | Exec.Missing_index t -> Alcotest.(check string) "table named" "items" t
   | _ -> Alcotest.fail "expected Missing_index");
   (* Whole-table scans: rejected. *)
-  (match run_err fx ~mode:Exec.strict_mode "SELECT * FROM items" with
+  (match run_err fx ~mode:strict_mode "SELECT * FROM items" with
   | Exec.Missing_index _ -> ()
   | _ -> Alcotest.fail "expected Missing_index");
   (* Blind updates: rejected. *)
-  (match run_err fx ~mode:Exec.strict_mode "UPDATE items SET qty = 0" with
+  (match run_err fx ~mode:strict_mode "UPDATE items SET qty = 0" with
   | Exec.Blind_update t -> Alcotest.(check string) "table named" "items" t
   | _ -> Alcotest.fail "expected Blind_update");
   (* After adding an index the same query passes. *)
   ignore (run fx "CREATE INDEX items_qty ON items (qty)");
   check_rows "indexed range now works" [ [ vi 1 ]; [ vi 3 ] ]
-    (run fx ~mode:Exec.strict_mode "SELECT id FROM items WHERE qty > 6 ORDER BY id")
+    (run fx ~mode:strict_mode "SELECT id FROM items WHERE qty > 6 ORDER BY id")
 
 let test_tracking () =
   let fx = make_fixture () in

@@ -6,6 +6,9 @@ module Txn = Brdb_txn.Txn
 module Manager = Brdb_txn.Manager
 module Exec = Brdb_engine.Exec
 
+(* Index-required mode without sys.* reads, as contract execution runs. *)
+let strict_mode = { Exec.default_mode with Exec.require_index = true; allow_sys = false }
+
 type fixture = { mgr : Manager.t; catalog : Catalog.t; mutable height : int; mutable n : int }
 
 let make_fixture () =
@@ -40,7 +43,9 @@ let run_err ?params fx sql =
       Manager.abort fx.mgr txn (Txn.Contract_error (Exec.error_to_string e));
       e
 
-let value : Value.t Alcotest.testable = Alcotest.testable Value.pp Value.equal
+let value : Value.t Alcotest.testable = Alcotest.testable
+    (fun fmt v -> Format.pp_print_string fmt (Value.to_string v))
+    Value.equal
 
 let rows rs = List.map Array.to_list rs.Exec.rows
 
@@ -390,7 +395,7 @@ let test_subquery_strict_mode () =
   (* subquery scans obey the EO index-only restriction too *)
   let txn = fresh_txn fx in
   (match
-     Exec.execute_sql fx.catalog txn ~mode:Exec.strict_mode
+     Exec.execute_sql fx.catalog txn ~mode:strict_mode
        "SELECT (SELECT COUNT(*) FROM orders WHERE qty > 2)"
    with
   | Error (Exec.Missing_index "orders") -> ()
@@ -400,7 +405,7 @@ let test_subquery_strict_mode () =
   (* indexed subquery access is fine *)
   let txn2 = fresh_txn fx in
   (match
-     Exec.execute_sql fx.catalog txn2 ~mode:Exec.strict_mode
+     Exec.execute_sql fx.catalog txn2 ~mode:strict_mode
        "SELECT (SELECT qty FROM orders WHERE oid = 100)"
    with
   | Ok _ -> ()
@@ -418,20 +423,16 @@ let test_left_join_null_ordering () =
        "SELECT o.oid FROM customers c LEFT JOIN orders o ON c.cid = o.cid ORDER BY o.oid")
 
 let test_subquery_determinism_guard () =
-  let stmt =
-    Result.get_ok
-      (Brdb_sql.Parser.parse "SELECT (SELECT random()) FROM t")
+  let rejected sql =
+    match Brdb_contracts.Determinism.parse_program sql with
+    | Error (`Nondeterministic _) -> true
+    | Error (`Syntax e) -> Alcotest.failf "%S does not parse: %s" sql e
+    | Ok _ -> false
   in
-  (match Brdb_contracts.Determinism.check_stmt stmt with
-  | Ok () -> Alcotest.fail "random() in subquery passed"
-  | Error _ -> ());
-  let stmt2 =
-    Result.get_ok
-      (Brdb_sql.Parser.parse "SELECT (SELECT a FROM t LIMIT 1) FROM u")
-  in
-  match Brdb_contracts.Determinism.check_stmt stmt2 with
-  | Ok () -> Alcotest.fail "unordered LIMIT in subquery passed"
-  | Error _ -> ()
+  Alcotest.(check bool) "random() in subquery rejected" true
+    (rejected "SELECT (SELECT random()) FROM t");
+  Alcotest.(check bool) "unordered LIMIT in subquery rejected" true
+    (rejected "SELECT (SELECT a FROM t LIMIT 1) FROM u")
 
 let suites =
   [

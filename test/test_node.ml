@@ -7,6 +7,12 @@ module Txn = Brdb_txn.Txn
 module Registry = Brdb_contracts.Registry
 module Api = Brdb_contracts.Api
 
+(* Failure-message rendering of a decision. *)
+let status_to_string = function
+  | Node_core.S_committed -> "committed"
+  | Node_core.S_aborted r -> "aborted: " ^ Brdb_txn.Txn.abort_reason_to_string r
+  | Node_core.S_rejected r -> "rejected: " ^ r
+
 (* ---------------------------------------------------------------- harness *)
 
 type harness = {
@@ -65,11 +71,11 @@ let checked h block =
    per node. *)
 let deliver h txs =
   let block = Assembler.make h.chain txs in
-  List.map
-    (fun n ->
+  List.mapi
+    (fun i n ->
       match Node_core.process_block n block with
       | Ok r -> r
-      | Error e -> Alcotest.failf "process_block failed on %s: %s" (Node_core.config n).Node_core.name e)
+      | Error e -> Alcotest.failf "process_block failed on node %d: %s" i e)
     h.nodes
 
 let tx h ~user ~contract args =
@@ -129,7 +135,7 @@ let init_chain h =
     (fun (r : Node_core.block_result) ->
       match r.Node_core.br_statuses with
       | [ (_, Node_core.S_committed) ] -> ()
-      | [ (_, s) ] -> Alcotest.failf "setup failed: %s" (Node_core.tx_status_to_string s)
+      | [ (_, s) ] -> Alcotest.failf "setup failed: %s" (status_to_string s)
       | _ -> Alcotest.fail "setup: wrong status count")
     results
 
@@ -296,7 +302,7 @@ let test_oe_noncanonical_signature_rejected () =
   | [ Node_core.S_committed; Node_core.S_rejected "invalid client signature" ] -> ()
   | st ->
       Alcotest.failf "expected commit then signature rejection, got %s"
-        (String.concat "; " (List.map Node_core.tx_status_to_string st))
+        (String.concat "; " (List.map status_to_string st))
 
 let test_oe_duplicate_txid () =
   let h = setup () in
@@ -322,7 +328,7 @@ let test_oe_contract_failure_aborts () =
   check_identical h results;
   match statuses (List.hd results) with
   | [ Node_core.S_aborted (Txn.Contract_error _) ] -> ()
-  | [ s ] -> Alcotest.failf "wrong status: %s" (Node_core.tx_status_to_string s)
+  | [ s ] -> Alcotest.failf "wrong status: %s" (status_to_string s)
   | _ -> Alcotest.fail "wrong count"
 
 let test_oe_unknown_contract_aborts () =
@@ -364,7 +370,7 @@ let test_oe_write_skew_sequential_blocks_ok () =
   let r2 = deliver h [ tx h ~user:"org2/bob" ~contract:"withdraw" [ Value.Int 2; Value.Int 1 ] ] in
   (match statuses (List.hd r2) with
   | [ Node_core.S_aborted (Txn.Contract_error _) ] -> ()
-  | [ s ] -> Alcotest.failf "expected REQUIRE failure, got %s" (Node_core.tx_status_to_string s)
+  | [ s ] -> Alcotest.failf "expected REQUIRE failure, got %s" (status_to_string s)
   | _ -> Alcotest.fail "wrong count");
   Alcotest.(check int) "invariant" 50 (query_int (node h 0) "SELECT SUM(bal) FROM accounts")
 
@@ -385,7 +391,7 @@ let test_oe_ww_first_in_block_wins () =
       Node_core.S_aborted (Txn.Ww_conflict _ | Txn.Ssi_conflict _) ] -> ()
   | sts ->
       Alcotest.failf "unexpected: %s"
-        (String.concat "," (List.map Node_core.tx_status_to_string sts)));
+        (String.concat "," (List.map status_to_string sts)));
   Alcotest.(check int) "bumped once" 1
     (query_int (node h 0) "SELECT v FROM kv WHERE k = 7")
 
@@ -404,7 +410,7 @@ let test_oe_duplicate_pk_in_block () =
   | [ Node_core.S_committed; Node_core.S_aborted (Txn.Duplicate_key _) ] -> ()
   | sts ->
       Alcotest.failf "unexpected: %s"
-        (String.concat "," (List.map Node_core.tx_status_to_string sts))
+        (String.concat "," (List.map status_to_string sts))
 
 (* -------------------------------------------------------------- EO tests *)
 
@@ -439,7 +445,7 @@ let test_eo_stale_read_aborts () =
   check_identical h results;
   (match statuses (List.hd results) with
   | [ Node_core.S_aborted (Txn.Stale_read | Txn.Phantom_read | Txn.Ssi_conflict _) ] -> ()
-  | [ s ] -> Alcotest.failf "expected stale abort, got %s" (Node_core.tx_status_to_string s)
+  | [ s ] -> Alcotest.failf "expected stale abort, got %s" (status_to_string s)
   | _ -> Alcotest.fail "wrong count");
   Alcotest.(check int) "invariant" 50 (query_int (node h 0) "SELECT SUM(bal) FROM accounts")
 
@@ -462,7 +468,7 @@ let test_eo_phantom_aborts () =
   check_identical h results;
   match statuses (List.hd results) with
   | [ Node_core.S_aborted (Txn.Phantom_read | Txn.Ssi_conflict _) ] -> ()
-  | [ s ] -> Alcotest.failf "expected phantom abort, got %s" (Node_core.tx_status_to_string s)
+  | [ s ] -> Alcotest.failf "expected phantom abort, got %s" (status_to_string s)
   | _ -> Alcotest.fail "wrong count"
 
 let test_eo_concurrent_cross_block () =
@@ -497,7 +503,7 @@ let test_eo_requires_index () =
   let results = deliver h [ t ] in
   match statuses (List.hd results) with
   | [ Node_core.S_aborted (Txn.Missing_index _) ] -> ()
-  | [ s ] -> Alcotest.failf "expected missing-index abort, got %s" (Node_core.tx_status_to_string s)
+  | [ s ] -> Alcotest.failf "expected missing-index abort, got %s" (status_to_string s)
   | _ -> Alcotest.fail "wrong count"
 
 let test_eo_blind_update_rejected () =
@@ -508,7 +514,7 @@ let test_eo_blind_update_rejected () =
   let results = deliver h [ eo_tx ~user:"org1/alice" ~contract:"blind" ~snapshot:1 [] ] in
   match statuses (List.hd results) with
   | [ Node_core.S_aborted (Txn.Blind_update _) ] -> ()
-  | [ s ] -> Alcotest.failf "expected blind-update abort, got %s" (Node_core.tx_status_to_string s)
+  | [ s ] -> Alcotest.failf "expected blind-update abort, got %s" (status_to_string s)
   | _ -> Alcotest.fail "wrong count"
 
 (* --------------------------------------------------------- serial baseline *)
@@ -545,7 +551,7 @@ let test_oe_same_block_insert_then_bump_aborts () =
   | [ Node_core.S_committed; Node_core.S_aborted _ ] -> ()
   | sts ->
       Alcotest.failf "unexpected: %s"
-        (String.concat "," (List.map Node_core.tx_status_to_string sts))
+        (String.concat "," (List.map status_to_string sts))
 
 (* ------------------------------------------------------------- governance *)
 
@@ -580,14 +586,13 @@ let test_deployment_workflow () =
   let r = deliver h [ tx h ~user:"org2/admin" ~contract:"submit_deploytx" [ Value.Int 1 ] ] in
   check_identical h r;
   Alcotest.(check bool) "submit commits" true (is_committed (List.hd (statuses (List.hd r))));
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) "contract installed" true
-        (Brdb_contracts.Registry.find (Node_core.contracts n) "put_double" <> None))
-    h.nodes;
-  (* invoke it *)
+  (* invoke it: the contract is installed on every node *)
   let r = deliver h [ tx h ~user:"org1/alice" ~contract:"put_double" [ Value.Int 3; Value.Int 21 ] ] in
-  Alcotest.(check bool) "invocation commits" true (is_committed (List.hd (statuses (List.hd r))));
+  check_identical h r;
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "invocation commits" true (is_committed (List.hd (statuses r))))
+    r;
   Alcotest.(check int) "doubled" 42 (query_int (node h 0) "SELECT v FROM kv WHERE k = 3")
 
 let test_deployment_rejection () =
@@ -641,7 +646,7 @@ let test_user_management () =
   let h = setup () in
   init_chain h;
   let carol = Identity.create "org3/carol" in
-  let pk_hex = Printf.sprintf "%Lx" (Identity.public_key carol) in
+  let pk_hex = Printf.sprintf "%Lx" (snd (Brdb_crypto.Schnorr.keygen ~seed:"org3/carol")) in
   let r =
     deliver h
       [
@@ -699,7 +704,7 @@ let test_update_conflict_on_deploy () =
   let r = deliver h [ t ] in
   match statuses (List.hd r) with
   | [ Node_core.S_aborted Txn.Update_conflict_on_deploy ] -> ()
-  | [ s ] -> Alcotest.failf "expected deploy conflict, got %s" (Node_core.tx_status_to_string s)
+  | [ s ] -> Alcotest.failf "expected deploy conflict, got %s" (status_to_string s)
   | _ -> Alcotest.fail "wrong count"
 
 (* ------------------------------------------------------------- provenance *)
@@ -857,7 +862,7 @@ let crash_recovery_scenario ?(flow = Node_core.Order_execute) ?(atomic_commit = 
   let r = deliver h (pending @ [ next ]) in
   check_identical h r;
   let reasons (r : Node_core.block_result) =
-    List.map Node_core.tx_status_to_string (statuses r)
+    List.map status_to_string (statuses r)
   in
   Alcotest.(check (list string)) "later statuses identical"
     (reasons (List.nth r 1)) (reasons (List.hd r))
@@ -971,7 +976,7 @@ let test_tampered_tx_rejected_on_both_paths () =
   let expected = [ "committed"; "rejected: invalid client signature"; "committed" ] in
   let check_statuses label (r : Node_core.block_result) =
     Alcotest.(check (list string)) label expected
-      (List.map Node_core.tx_status_to_string (statuses r))
+      (List.map status_to_string (statuses r))
   in
   (* node 0 crashes before any commit and re-executes the stored block *)
   Node_core.process_block_with_crash (node h 0) (checked h block)
@@ -1040,7 +1045,8 @@ let test_recover_after_orderer_revoked () =
   Node_core.process_block_with_crash (node h 0) (checked h block)
     ~crash:(Node_core.Crash_mid_commit 1);
   Alcotest.(check bool) "orderer key removed before the crash" false
-    (Identity.Registry.mem h.registry "orderer/1");
+    (Identity.Registry.verify h.registry ~name:"orderer/1" "m"
+       (Identity.sign (Identity.create "orderer/1") "m"));
   (match Node_core.recover (node h 0) with
   | Ok (Some _) -> ()
   | Ok None -> Alcotest.fail "expected a re-execution"
@@ -1072,7 +1078,7 @@ let test_block_store_tamper_detection () =
   | None -> Alcotest.fail "block 2 missing"
   | Some b ->
       let forged = { b with Block.txs = [] } in
-      Brdb_ledger.Block_store.tamper_for_test store 2 forged);
+      Brdb_ledger.Block_store.Testing.tamper store 2 forged);
   match Block_ref.audit store h.registry with
   | Ok () -> Alcotest.fail "tampering undetected"
   | Error height -> Alcotest.(check int) "detected at block 2" 2 height

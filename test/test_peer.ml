@@ -483,7 +483,8 @@ let test_gap_triggers_fetch () =
   Alcotest.(check int) "the missing block was fetched" 1 (Peer.fetched_blocks p3)
 
 let test_inbox_bounded () =
-  let window = Peer.inbox_window in
+  (* the reorder window documented at [Peer.inbox_size] *)
+  let window = 64 in
   let fx = make_fx ~flow:Node_core.Order_execute () in
   init_chain fx;
   let p1 = List.hd fx.peers in

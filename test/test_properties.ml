@@ -23,6 +23,12 @@ module Value = Brdb_storage.Value
 module Registry = Brdb_contracts.Registry
 module Api = Brdb_contracts.Api
 
+(* Failure-message rendering of a decision. *)
+let status_to_string = function
+  | Node_core.S_committed -> "committed"
+  | Node_core.S_aborted r -> "aborted: " ^ Brdb_txn.Txn.abort_reason_to_string r
+  | Node_core.S_rejected r -> "rejected: " ^ r
+
 let keyspace = 5
 
 (* A transaction: read [r1] and [r2], then add a value derived from the
@@ -204,7 +210,7 @@ let prop_oe_block_is_serializable =
               | [ (_, Node_core.S_committed) ] -> ()
               | [ (_, s) ] ->
                   QCheck.Test.fail_reportf "serial replay of committed tx failed: %s"
-                    (Node_core.tx_status_to_string s)
+                    (status_to_string s)
               | _ -> QCheck.Test.fail_report "bad replay result")
             order;
           if state_of node_a <> state_of node_b then
@@ -369,7 +375,7 @@ let run_all ?schedule node blocks =
     match schedule with
     | None -> process node block
     | Some schedule -> (
-        match Node_core.process_block_scheduled_for_test node block ~schedule with
+        match Node_core.Testing.process_block_scheduled node block ~schedule with
         | Ok r -> r
         | Error e -> QCheck.Test.fail_reportf "process_block: %s" e)
   in

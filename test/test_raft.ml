@@ -119,11 +119,11 @@ let test_logs_converge_after_crashes () =
   Raft.restart follower;
   run fx ~until:5.0;
   (* all alive logs converge to the same committed length *)
-  let lengths = List.map Raft.log_length fx.nodes in
+  let lengths = List.map Raft.Testing.log_length fx.nodes in
   (match lengths with
   | l :: rest -> List.iter (fun l' -> Alcotest.(check int) "log lengths equal" l l') rest
   | [] -> ());
-  let commits = List.map Raft.commit_index fx.nodes in
+  let commits = List.map Raft.Testing.commit_index fx.nodes in
   (match commits with
   | c :: rest ->
       List.iter

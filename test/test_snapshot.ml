@@ -403,6 +403,32 @@ let test_install_refuses_unauthenticated_blocks () =
           } );
     ]
 
+(* Decode leaves every block hash empty for install to derive; a snapshot
+   built in process carries its hashes, and a block whose hash is not its
+   contents' is refused even though its signatures cover its contents. *)
+let test_install_refuses_wrong_in_process_hash () =
+  let reg = registry () in
+  let blocks = blocks_of_ops mixed_ops in
+  let src = make_node ~registry:reg "src" in
+  List.iter (fun b -> ignore (process src b)) blocks;
+  let snap = Node_core.export_snapshot src ~compaction:Snapshot.Archive in
+  let victim = make_node ~registry:reg "victim" in
+  let other_hash = Brdb_crypto.Sha256.digest "another block" in
+  let blocks =
+    List.map
+      (fun (b : Block.t) ->
+        if b.Block.height = 3 then { b with Block.hash = other_hash } else b)
+      snap.Snapshot.blocks
+  in
+  (match Node_core.install_snapshot victim { snap with Snapshot.blocks } with
+  | Ok () -> Alcotest.fail "install accepted a block under another hash"
+  | Error e -> Alcotest.(check string) "refused" "snapshot block 3 fails verification" e);
+  Alcotest.(check int) "height unchanged" 0 (Node_core.height victim);
+  match Node_core.install_snapshot victim snap with
+  | Ok () -> Alcotest.(check int) "the honest snapshot installs" (Node_core.height src)
+               (Node_core.height victim)
+  | Error e -> Alcotest.failf "honest install: %s" e
+
 let install node snap =
   match Node_core.install_snapshot node snap with
   | Ok () -> ()
@@ -653,11 +679,6 @@ let test_restart_threshold_boundary () =
   in
   TP.init_chain fx;
   let victim = List.nth fx.TP.peers 2 in
-  (* decision unit, right on the boundary *)
-  Alcotest.(check bool) "gap == threshold replays" true
-    (Brdb_node.Peer.snapshot_decision victim ~gap:4 = `Replay);
-  Alcotest.(check bool) "gap > threshold snapshots" true
-    (Brdb_node.Peer.snapshot_decision victim ~gap:5 = `Snapshot);
   (* end-to-end, gap exactly at the threshold: block replay *)
   Brdb_node.Peer.crash victim;
   for i = 1 to 4 do put_block fx i done;
@@ -762,6 +783,8 @@ let suites =
           test_mid_install_crash_recovers;
         Alcotest.test_case "install refuses unauthenticated blocks" `Quick
           test_install_refuses_unauthenticated_blocks;
+        Alcotest.test_case "install refuses a wrong in-process block hash" `Quick
+          test_install_refuses_wrong_in_process_hash;
         Alcotest.test_case "install drops stale per-height rows" `Quick
           test_install_drops_stale_rows;
         Alcotest.test_case "install refuses a txlog that skips or repeats heights"

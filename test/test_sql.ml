@@ -117,12 +117,6 @@ let test_comments_and_whitespace () =
   check_roundtrip "SELECT a -- trailing comment\nFROM t" "SELECT a FROM t";
   check_roundtrip "  SELECT\n\t a\nFROM\tt  ;" "SELECT a FROM t"
 
-let test_parse_multi () =
-  match Parser.parse_multi "CREATE TABLE t (a INT); INSERT INTO t VALUES (1); SELECT * FROM t" with
-  | Ok [ Ast.Create_table _; Ast.Insert _; Ast.Select _ ] -> ()
-  | Ok other -> Alcotest.failf "wrong statements: %d" (List.length other)
-  | Error m -> Alcotest.fail m
-
 let test_parse_errors () =
   let has_msg s = String.length (parse_err s) > 0 in
   List.iter
@@ -206,7 +200,6 @@ let suites =
         Alcotest.test_case "predicates" `Quick test_expr_predicates;
         Alcotest.test_case "string literals" `Quick test_string_literals;
         Alcotest.test_case "comments/whitespace" `Quick test_comments_and_whitespace;
-        Alcotest.test_case "multi-statement" `Quick test_parse_multi;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "print fixpoint" `Quick test_reparse_printed;
         QCheck_alcotest.to_alcotest prop_expr_print_parse;

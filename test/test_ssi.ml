@@ -4,6 +4,8 @@ module Txn = Brdb_txn.Txn
 module Manager = Brdb_txn.Manager
 module Exec = Brdb_engine.Exec
 
+let has_edge g ~reader ~writer = List.mem (reader, writer) (Graph.edges g)
+
 (* --- graph ---------------------------------------------------------------- *)
 
 let test_graph_basics () =
@@ -19,8 +21,8 @@ let test_graph_basics () =
   Alcotest.(check (list int)) "out(1)" [ 2 ] (Graph.out_conflicts g 1);
   Alcotest.(check (list int)) "in(1)" [ 2 ] (Graph.in_conflicts g 1);
   Alcotest.(check (list int)) "in(5)" [] (Graph.in_conflicts g 5);
-  Alcotest.(check bool) "has" true (Graph.has_edge g ~reader:1 ~writer:2);
-  Alcotest.(check bool) "not has" false (Graph.has_edge g ~reader:2 ~writer:3);
+  Alcotest.(check bool) "has" true (has_edge g ~reader:1 ~writer:2);
+  Alcotest.(check bool) "not has" false (has_edge g ~reader:2 ~writer:3);
   Alcotest.(check int) "edges" 3 (Graph.edge_count g)
 
 (* --- detection fixture ----------------------------------------------------- *)
@@ -66,9 +68,9 @@ let test_detect_write_skew () =
   ignore (exec fx t2 "UPDATE accounts SET bal = bal - 60 WHERE id = 2");
   let g = Detect.compute fx.catalog [ t1; t2 ] in
   Alcotest.(check bool) "t1 -> t2" true
-    (Graph.has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid);
+    (has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid);
   Alcotest.(check bool) "t2 -> t1" true
-    (Graph.has_edge g ~reader:t2.Txn.txid ~writer:t1.Txn.txid)
+    (has_edge g ~reader:t2.Txn.txid ~writer:t1.Txn.txid)
 
 let test_detect_no_conflict () =
   let fx = make_fx () in
@@ -80,9 +82,9 @@ let test_detect_no_conflict () =
   (* Each updated a different row it also read: both read id=1 or id=2
      disjointly, so no cross edges. *)
   Alcotest.(check bool) "no t1->t2" false
-    (Graph.has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid);
+    (has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid);
   Alcotest.(check bool) "no t2->t1" false
-    (Graph.has_edge g ~reader:t2.Txn.txid ~writer:t1.Txn.txid)
+    (has_edge g ~reader:t2.Txn.txid ~writer:t1.Txn.txid)
 
 let test_detect_phantom_insert () =
   let fx = make_fx () in
@@ -93,9 +95,9 @@ let test_detect_phantom_insert () =
   ignore (exec fx t2 "INSERT INTO accounts VALUES (5, 99)");
   let g = Detect.compute fx.catalog [ t1; t2 ] in
   Alcotest.(check bool) "phantom edge" true
-    (Graph.has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid);
+    (has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid);
   Alcotest.(check bool) "no reverse" false
-    (Graph.has_edge g ~reader:t2.Txn.txid ~writer:t1.Txn.txid)
+    (has_edge g ~reader:t2.Txn.txid ~writer:t1.Txn.txid)
 
 let test_detect_insert_outside_predicate () =
   let fx = make_fx () in
@@ -105,7 +107,7 @@ let test_detect_insert_outside_predicate () =
   ignore (exec fx t2 "INSERT INTO accounts VALUES (50, 99)");
   let g = Detect.compute fx.catalog [ t1; t2 ] in
   Alcotest.(check bool) "no edge" false
-    (Graph.has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid)
+    (has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid)
 
 let test_detect_update_into_predicate () =
   (* An UPDATE can move a row *into* someone's scanned range. *)
@@ -116,7 +118,7 @@ let test_detect_update_into_predicate () =
   ignore (exec fx t2 "UPDATE accounts SET bal = 150 WHERE id = 1");
   let g = Detect.compute fx.catalog [ t1; t2 ] in
   Alcotest.(check bool) "edge via new version" true
-    (Graph.has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid)
+    (has_edge g ~reader:t1.Txn.txid ~writer:t2.Txn.txid)
 
 let test_detect_no_self_edge () =
   (* One transaction whose predicate covers its own insert and new

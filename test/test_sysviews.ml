@@ -569,12 +569,12 @@ let test_bisection_finds_tampered_height () =
     B.settle net
   done;
   Alcotest.(check (option int)) "healthy cluster has no divergence" None
-    (Chaos.find_divergence net);
+    (Chaos.Testing.find_divergence net);
   let victim = Peer.core (B.peer net 1) in
   let target = Node_core.height victim - 3 in
-  Node_core.tamper_digest_for_test victim ~height:target;
+  Node_core.Testing.tamper_digest victim ~height:target;
   Alcotest.(check (option int)) "bisection pinpoints the first bad block"
-    (Some target) (Chaos.find_divergence net);
+    (Some target) (Chaos.Testing.find_divergence net);
   (* The digest accessor agrees with what the view publishes. *)
   match
     B.query net ~node:1

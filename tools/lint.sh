@@ -125,13 +125,13 @@ fi
 # Chaos.expected_alerts, so a new fault class cannot ship undetectable.
 # Same containment shape as the Msg.span_ctx rule above: constructors are
 # extracted from the `type fault =` block of chaos.ml and each must appear
-# inside the expected_alerts body (the region between `let expected_alerts`
-# and the following `let faults_of_spec`).
+# inside the expected_alerts body (from `let expected_alerts` up to the
+# first blank or unindented line after it).
 chaos_file="$dir/core/chaos.ml"
 if [ -f "$chaos_file" ]; then
   fault_constructors=$(awk '/^type fault =/{in_t=1; next} in_t && /^[a-z]/{in_t=0} in_t' \
     "$chaos_file" | grep -oE '^  \| [A-Z][A-Za-z_]*' | sed 's/^  | //' || true)
-  coverage_region=$(awk '/^let expected_alerts/{flag=1} /^let faults_of_spec/{flag=0} flag' \
+  coverage_region=$(awk '/^let expected_alerts/{flag=1; print; next} flag && /^$|^[^ |]/{flag=0} flag' \
     "$chaos_file")
   missing=''
   for c in $fault_constructors; do
@@ -195,4 +195,25 @@ if [ -n "$opt_matches" ]; then
   exit 1
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record writer in node_core.ml; one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces"
+# Test hooks stay in tests (DESIGN.md §3): a `module Testing` block
+# exposes a module's private representation to test/ only, so no system
+# code (the libraries, the CLI, the benches, the examples) may name one —
+# not a hook (Foo.Testing.x), an alias or an open (Foo.Testing). The
+# sibling directories are found next to $dir (the @lint alias copies them).
+root=$(dirname "$dir")
+testing_matches=''
+for d in "$dir" "$root/bin" "$root/bench" "$root/benchmark" "$root/examples"; do
+  [ -d "$d" ] || continue
+  m=$(grep -rnE "\.Testing([^A-Za-z0-9_']|\$)|(^|[^A-Za-z0-9_'])Testing\.[a-z_]" "$d" \
+    --include='*.ml' --include='*.mli' || true)
+  [ -n "$m" ] && testing_matches="$testing_matches$m
+"
+done
+if [ -n "$testing_matches" ]; then
+  echo "lint failed — a Testing submodule named outside test/; test hooks" >&2
+  echo "reach private representation and must not be used by the system:" >&2
+  printf '%s' "$testing_matches" >&2
+  exit 1
+fi
+
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record writer in node_core.ml; one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/"
