@@ -700,7 +700,7 @@ let verified_query t ?params sql =
       (fun p -> (Peer.name p, Node_core.query (Peer.core p) ?params sql))
       t.peers
   in
-  (* Key each answer by its rendered rows; pick the majority. *)
+  (* Key each answer by its rendered rows; only a strict majority wins. *)
   let render = function
     | Ok (rs : Brdb_engine.Exec.result_set) ->
         "ok:"
@@ -711,27 +711,28 @@ let verified_query t ?params sql =
                rs.Brdb_engine.Exec.rows)
     | Error e -> "error:" ^ e
   in
-  let counts = Hashtbl.create 4 in
-  List.iter
-    (fun (_, ans) ->
-      let key = render ans in
-      Hashtbl.replace counts key (1 + Option.value (Hashtbl.find_opt counts key) ~default:0))
-    answers;
-  let majority_key, _ =
-    Hashtbl.fold
-      (fun k c best -> match best with Some (_, bc) when bc >= c -> best | _ -> Some (k, c))
-      counts None
-    |> Option.get
+  let keyed = List.map (fun (name, ans) -> (name, render ans, ans)) answers in
+  (* Distinct answers in the order of the first peer giving each. *)
+  let keys =
+    List.fold_left (fun ks (_, k, _) -> if List.mem k ks then ks else ks @ [ k ]) [] keyed
   in
-  let divergent =
-    List.filter_map
-      (fun (name, ans) -> if render ans <> majority_key then Some name else None)
-      answers
+  let peers_with k =
+    List.filter_map (fun (name, k', _) -> if k' = k then Some name else None) keyed
   in
-  match List.find_opt (fun (_, ans) -> render ans = majority_key) answers with
-  | Some (_, Ok rs) -> Ok (rs, divergent)
-  | Some (_, Error e) -> Error e
-  | None -> Error "internal: no majority answer"
+  let n = List.length keyed in
+  match List.find_opt (fun k -> 2 * List.length (peers_with k) > n) keys with
+  | Some k -> (
+      let divergent =
+        List.filter_map (fun (name, k', _) -> if k' <> k then Some name else None) keyed
+      in
+      match List.find (fun (_, k', _) -> k' = k) keyed with
+      | _, _, Ok rs -> Ok (rs, divergent)
+      | _, _, Error e -> Error e)
+  | None ->
+      Error
+        (Printf.sprintf "no answer holds a majority of the %d peers; answers by peer: %s" n
+           (String.concat "; "
+              (List.map (fun k -> "[" ^ String.concat ", " (peers_with k) ^ "]") keys)))
 
 type summary = {
   committed : int;

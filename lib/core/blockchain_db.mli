@@ -185,7 +185,11 @@ val explain_analyze :
 
 (** §3.5(5): run the query on every node and cross-check the answers — the
     paper's defence against a single node tampering with query results.
-    Returns the majority answer plus the names of divergent nodes. *)
+    Returns the answer that more than half of the nodes give, plus the
+    names of the nodes that answered otherwise. When no answer has a
+    strict majority (three different answers on three nodes, a 2–2 split
+    on four), it returns [Error] listing the nodes behind each answer, in
+    node order, rather than picking one of the tied answers. *)
 val verified_query :
   t -> ?params:Value.t array -> string ->
   (Brdb_engine.Exec.result_set * string list, string) result

@@ -244,17 +244,28 @@ let test_verified_query () =
       | _ -> Alcotest.fail "wrong majority answer")
   | Error e -> Alcotest.fail e);
   (* §3.5(5): one node tampers with its local data; cross-checking flags it. *)
-  let victim = Peer.core (B.peer net 2) in
-  let catalog = Node_core.catalog victim in
-  (match Brdb_storage.Catalog.find catalog "kv" with
-  | None -> Alcotest.fail "kv missing"
-  | Some table ->
-      Brdb_storage.Table.iter_versions table (fun v ->
-          v.Brdb_storage.Version.values.(1) <- Value.Int 666));
-  match B.verified_query net "SELECT k, v FROM kv ORDER BY k" with
+  let tamper node value =
+    match Brdb_storage.Catalog.find (Node_core.catalog (Peer.core (B.peer net node))) "kv" with
+    | None -> Alcotest.fail "kv missing"
+    | Some table ->
+        Brdb_storage.Table.iter_versions table (fun v ->
+            v.Brdb_storage.Version.values.(1) <- Value.Int value)
+  in
+  tamper 2 666;
+  (match B.verified_query net "SELECT k, v FROM kv ORDER BY k" with
   | Ok (_, divergent) ->
       Alcotest.(check (list string)) "tamperer flagged" [ "db-org3" ] divergent
-  | Error e -> Alcotest.fail e
+  | Error e -> Alcotest.fail e);
+  (* A second node tampers differently: three answers on three nodes, so
+     no answer has a majority and none may be picked. *)
+  tamper 1 777;
+  match B.verified_query net "SELECT k, v FROM kv ORDER BY k" with
+  | Ok _ -> Alcotest.fail "a three-way split returned an answer"
+  | Error e ->
+      Alcotest.(check string) "every answer group named"
+        "no answer holds a majority of the 3 peers; answers by peer: [db-org1]; \
+         [db-org2]; [db-org3]"
+        e
 
 let test_bft_wan_end_to_end () =
   (* byzantine ordering service over WAN links, OE flow *)

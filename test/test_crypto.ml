@@ -69,6 +69,56 @@ let test_digest_concat_unambiguous () =
   let c = Sha256.digest_concat [ "ab"; "c" ] in
   Alcotest.(check bool) "deterministic" true (String.equal a c)
 
+(* The native-int digest against the boxed-Int32 reference: random
+   lengths 0–300, weighted towards the padding boundaries where the
+   length field moves into a second block. *)
+let message =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      string_size ~gen:char
+        (frequency [ (1, oneofl [ 55; 56; 63; 64; 119; 120 ]); (3, 0 -- 300) ]))
+
+let prop_sha256_matches_reference =
+  QCheck.Test.make ~name:"sha256 digest = boxed Int32 reference" ~count:300 message
+    (fun s -> String.equal (Sha256.digest s) (Sha256_ref.digest s))
+
+(* Part lists of 0–8 parts, empty parts included, up to 150 bytes each so
+   that parts and their length headers straddle 64-byte blocks. *)
+let prop_digest_concat_matches_reference =
+  QCheck.Test.make ~name:"sha256 digest_concat = boxed Int32 reference" ~count:200
+    QCheck.(
+      list_of_size Gen.(0 -- 8)
+        (string_gen_of_size Gen.(frequency [ (1, return 0); (3, 0 -- 150) ]) Gen.char))
+    (fun parts ->
+      String.equal (Sha256.digest_concat parts) (Sha256_ref.digest_concat parts))
+
+(* Every digest shares one context: digests evaluated within one
+   expression, or nested as another's input, must not see each other. *)
+let prop_sha256_interleaved =
+  QCheck.Test.make ~name:"sha256 digests in one expression stay independent"
+    ~count:100 (QCheck.pair message message)
+    (fun (a, b) ->
+      String.equal (Sha256.digest a ^ Sha256.digest b)
+        (Sha256_ref.digest a ^ Sha256_ref.digest b)
+      && String.equal
+           (Sha256.digest_concat [ Sha256.digest a; b; Sha256.digest b ])
+           (Sha256_ref.digest_concat [ Sha256_ref.digest a; b; Sha256_ref.digest b ]))
+
+(* A digest allocates only its 32-byte result (5 words on 64-bit), at
+   any input length; the boxed-Int32 code allocated 320–27,968 words. *)
+let test_sha256_allocation () =
+  List.iter
+    (fun len ->
+      let s = String.make len 'x' in
+      ignore (Sys.opaque_identity (Sha256.digest s));
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Sha256.digest s));
+      let words = Gc.minor_words () -. before in
+      if words > 16. then
+        Alcotest.failf "digest of %d bytes allocated %.0f minor words (at most 16)" len
+          words)
+    [ 0; 64; 200; 8192 ]
+
 let test_field61_basics () =
   let open Field61 in
   Alcotest.(check int64) "p" 2305843009213693951L p;
@@ -364,6 +414,10 @@ let suites =
         Alcotest.test_case "million 'a'" `Slow test_sha256_million_a;
         Alcotest.test_case "incremental = one-shot" `Quick test_sha256_incremental_equals_oneshot;
         Alcotest.test_case "digest_concat unambiguous" `Quick test_digest_concat_unambiguous;
+        QCheck_alcotest.to_alcotest prop_sha256_matches_reference;
+        QCheck_alcotest.to_alcotest prop_digest_concat_matches_reference;
+        QCheck_alcotest.to_alcotest prop_sha256_interleaved;
+        Alcotest.test_case "digest allocates only its result" `Quick test_sha256_allocation;
       ] );
     ( "crypto.field61",
       [

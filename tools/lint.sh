@@ -83,7 +83,10 @@ fi
 # the simulated clock (lib/sim/cpu.ml); real Domain/Mutex/Atomic anywhere
 # in the libraries would introduce actual nondeterminism. The exclusion
 # still lints cpu.ml for the wall-clock/Random rules above — only this
-# rule is scoped.
+# rule is scoped. Brdb_crypto.Sha256 also relies on this ban: every digest
+# resets and reuses one module-private context, which is only safe while
+# the libraries run on one domain. Lifting the ban means giving each
+# domain its own SHA-256 context first.
 par_pattern='(^|[^.[:alnum:]_])(Domain|Mutex|Atomic)\.'
 par_matches=$(grep -rnE "$par_pattern" "$dir" --include='*.ml' --include='*.mli' \
   | grep -v "^$dir/sim/cpu\.ml:" || true)
@@ -91,6 +94,8 @@ par_matches=$(grep -rnE "$par_pattern" "$dir" --include='*.ml' --include='*.mli'
 if [ -n "$par_matches" ]; then
   echo "determinism lint failed — Domain/Mutex/Atomic outside the designated" >&2
   echo "scheduler module ($dir/sim/cpu.ml); parallelism is modeled, not real (ISSUE 8):" >&2
+  echo "(Brdb_crypto.Sha256's one shared context is also only safe on one domain;" >&2
+  echo "see sha256.mli)" >&2
   echo "$par_matches" >&2
   exit 1
 fi
