@@ -13,7 +13,11 @@
                                                # machine-readable summary
                                                # (per-run metrics + exec.*
                                                # per-operator row counts)
-      dune exec bench/main.exe -- --list       # list experiment names *)
+      dune exec bench/main.exe -- --list       # list experiment names
+      dune exec bench/main.exe -- --help       # usage
+
+    An unknown argument, or [--only]/[--json]/[--trace] without a value,
+    prints the usage and exits 2. *)
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -64,37 +68,26 @@ let write_json file =
   Printf.printf "\nwrote %d benchmark records to %s\n" (List.length records)
     file
 
+let usage = "usage: main.exe [--quick] [--list] [--only NAME] [--json FILE] [--trace FILE]"
+
 let () =
-  let args = Array.to_list Sys.argv in
-  let has flag = List.mem flag args in
-  let only =
-    let rec find = function
-      | "--only" :: name :: _ -> Some name
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let trace_out =
-    let rec find = function
-      | "--trace" :: file :: _ -> Some file
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  let json_out =
-    let rec find = function
-      | "--json" :: file :: _ -> Some file
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  if has "--quick" then Experiments.quick := true;
-  Runner.trace_file := trace_out;
-  Runner.json_file := json_out;
-  if has "--list" then begin
+  let list = ref false and only = ref None in
+  let set r = Arg.String (fun v -> r := Some v) in
+  (* [Arg.parse] exits 2 with the usage on an unknown argument or a value
+     flag without its value, before any experiment starts (a typo must not
+     launch the full run), and answers [--help] with the usage and exit 0. *)
+  Arg.parse
+    (Arg.align
+    [
+      ("--quick", Arg.Set Experiments.quick, " shorter measurement windows");
+      ("--list", Arg.Set list, " print the experiment names and exit");
+      ("--only", set only, "NAME run one experiment (default: all, ~10 min)");
+      ("--json", set Runner.json_file, "FILE write the machine-readable summary to FILE");
+      ("--trace", set Runner.trace_file, "FILE write a Chrome trace of the run to FILE");
+    ])
+    (fun a -> raise (Arg.Bad ("unknown argument " ^ a)))
+    usage;
+  if !list then begin
     List.iter (fun (name, _) -> print_endline name) Experiments.all;
     exit 0
   end;
@@ -102,7 +95,7 @@ let () =
     Runner.current_experiment := name;
     f ()
   in
-  (match only with
+  (match !only with
   | Some name -> (
       match List.assoc_opt name Experiments.all with
       | Some f -> run_experiment (name, f)
@@ -114,7 +107,7 @@ let () =
         "Blockchain relational database — evaluation reproduction (simulated \
          testbed; see EXPERIMENTS.md for paper-vs-measured)";
       List.iter run_experiment Experiments.all);
-  (match trace_out with
+  (match !Runner.trace_file with
   | Some file ->
       let events = !Runner.collected in
       let oc = open_out file in
@@ -124,5 +117,5 @@ let () =
         "\nwrote %d trace events to %s (chrome://tracing / ui.perfetto.dev)\n"
         (List.length events) file
   | None -> ());
-  (match json_out with Some file -> write_json file | None -> ());
+  (match !Runner.json_file with Some file -> write_json file | None -> ());
   print_endline "\ndone."

@@ -133,17 +133,10 @@ let run t (ctx : Api.t) =
     | Error e -> raise (Api.Failed e)
   in
   let eval_expr expr =
-    let env =
-      {
-        Brdb_engine.Eval.bindings = [];
-        scope_start = 0;
-        params = ctx.Api.args;
-        named = ctx.Api.locals;
-        subquery = None;
-        semijoin = None;
-      }
+    let eval_ctx =
+      { Brdb_engine.Eval.params = ctx.Api.args; named = ctx.Api.locals; subquery = None }
     in
-    match Brdb_engine.Eval.eval_bool env expr with
+    match Brdb_engine.Eval.eval_bool eval_ctx expr with
     | v -> v
     | exception Brdb_engine.Eval.Error msg -> Api.fail msg
   in

@@ -5,97 +5,135 @@ exception Error of string
 
 let error fmt = Printf.ksprintf (fun msg -> raise (Error msg)) fmt
 
-type binding = {
+(* A compiled expression that fails only when it is evaluated. *)
+let raising msg = fun _ -> raise (Error msg)
+
+(* --- layouts and frames ---------------------------------------------------- *)
+
+type slot = {
   alias : string;
   schema : Schema.t;
-  values : Value.t array;
-  version : Version.t option;
   provenance : bool;
+  null_row : Version.t;
 }
 
-type env = {
-  bindings : binding list;
-  scope_start : int;
-      (* index in [bindings] where the current (innermost) query's own
-         tables begin; everything before it is correlated outer context *)
-  params : Value.t array;
-  named : (string * Value.t) list;
-  subquery : (select -> env -> Value.t array list) option;
-      (* provided by the executor; runs a subquery with this env as the
-         correlated outer context and returns its rows *)
-  semijoin : (select -> env -> (Value.t -> Value.t option) option) option;
-      (* optional hash-membership fast path for [IN (SELECT ...)], also
-         provided by the executor. [get sel env] returns a probe function
-         when the subquery's result can be consulted as a set; the probe
-         returns [None] to demand the (error-preserving) linear fallback
-         for that particular left-hand value. *)
-}
+let slot ~alias ~schema ~provenance =
+  {
+    alias;
+    schema;
+    provenance;
+    null_row = Version.make ~vid:(-1) ~xmin:0 (Array.make (Schema.arity schema) Value.Null);
+  }
 
-let binding_of_version ~alias ~schema ~provenance (v : Version.t) =
-  { alias; schema; values = v.Version.values; version = Some v; provenance }
+type layout = { slots : slot array; scope_start : int }
 
-let pseudo_column (b : binding) name =
-  match (b.version, name) with
-  | None, ("xmin" | "xmax" | "creator" | "deleter") ->
-      (* null-extended row of an outer join *)
-      Some Value.Null
-  | Some v, "xmin" -> Some (Value.Int v.Version.xmin)
-  | Some v, "xmax" ->
-      Some (if v.Version.xmax = 0 then Value.Null else Value.Int v.Version.xmax)
-  | Some v, "creator" ->
-      Some
-        (if v.Version.creator_block = Version.unset_block then Value.Null
-         else Value.Int v.Version.creator_block)
-  | Some v, "deleter" ->
-      Some
-        (if v.Version.deleter_block = Version.unset_block then Value.Null
-         else Value.Int v.Version.deleter_block)
-  | _ -> None
+let root = { slots = [||]; scope_start = 0 }
 
-let binding_column (b : binding) name =
-  match Schema.column_index b.schema name with
-  | Some i -> Some b.values.(i)
-  | None -> if b.provenance then pseudo_column b name else None
+let extend layout s = { layout with slots = Array.append layout.slots [| s |] }
+
+let enter layout = { layout with scope_start = Array.length layout.slots }
+
+type frame = Version.t array
+
+(* --- name resolution ------------------------------------------------------- *)
+
+let pseudo_columns = [ "xmin"; "xmax"; "creator"; "deleter" ]
+
+type access = Column of int | Pseudo of string
+
+type resolution = Found of int * access | Unresolved of string
+
+let slot_access s name =
+  match Schema.column_index s.schema name with
+  | Some i -> Some (Column i)
+  | None ->
+      if s.provenance && List.mem name pseudo_columns then Some (Pseudo name)
+      else None
 
 (* Name resolution is scoped for correlated subqueries: the innermost
-   query's own tables are consulted first; only if the name is absent
-   there does resolution fall back to the outer context (innermost outer
-   binding wins). Ambiguity is an error only within the current scope. *)
-let lookup_column env qualifier name =
-  let inner = List.filteri (fun i _ -> i >= env.scope_start) env.bindings in
-  let outer = List.filteri (fun i _ -> i < env.scope_start) env.bindings in
+   query's own slots are consulted first; only if the name is absent there
+   does resolution fall back to the outer context, where the innermost
+   (last) outer slot wins. Ambiguity is an error only within the current
+   scope. A qualified name picks the last slot with that alias. *)
+let resolve layout qualifier name =
+  let slots = layout.slots and start = layout.scope_start in
+  let rec last p i lo =
+    if i < lo then None else if p slots.(i) then Some i else last p (i - 1) lo
+  in
+  let n = Array.length slots in
+  let found i =
+    match slot_access slots.(i) name with Some a -> Found (i, a) | None -> assert false
+  in
   match qualifier with
   | Some q -> (
-      let matches scope = List.filter (fun b -> String.equal b.alias q) scope in
-      let pick scope =
-        match List.rev (matches scope) with b :: _ -> Some b | [] -> None
+      let is_q s = String.equal s.alias q in
+      let pick =
+        match last is_q (n - 1) start with
+        | Some i -> Some i
+        | None -> last is_q (start - 1) 0
       in
-      match (pick inner, pick outer) with
-      | Some b, _ | None, Some b -> (
-          match binding_column b name with
-          | Some v -> v
-          | None -> error "unknown column %s.%s" q name)
-      | None, None -> error "unknown table or alias %s" q)
+      match pick with
+      | None -> Unresolved (Printf.sprintf "unknown table or alias %s" q)
+      | Some i -> (
+          match slot_access slots.(i) name with
+          | Some a -> Found (i, a)
+          | None -> Unresolved (Printf.sprintf "unknown column %s.%s" q name)))
   | None -> (
-      let hits scope =
-        List.filter_map
-          (fun b -> Option.map (fun v -> (b.alias, v)) (binding_column b name))
-          scope
-      in
-      match hits inner with
-      | [ (_, v) ] -> v
-      | _ :: _ -> error "ambiguous column %s" name
-      | [] -> (
-          match List.rev (hits outer) with
-          | (_, v) :: _ -> v
-          | [] -> error "unknown column %s" name))
+      let has s = slot_access s name <> None in
+      match last has (n - 1) start with
+      | Some i ->
+          if last has (i - 1) start <> None then
+            Unresolved (Printf.sprintf "ambiguous column %s" name)
+          else found i
+      | None -> (
+          match last has (start - 1) 0 with
+          | Some i -> found i
+          | None -> Unresolved (Printf.sprintf "unknown column %s" name)))
+
+let resolves layout qualifier name =
+  match resolve layout qualifier name with Found _ -> true | Unresolved _ -> false
+
+(* A null-extended row (outer join) reads NULL for every pseudo-column. *)
+let pseudo_reader s i name =
+  let read : Version.t -> Value.t =
+    match name with
+    | "xmin" -> fun v -> Value.Int v.Version.xmin
+    | "xmax" -> fun v -> if v.Version.xmax = 0 then Value.Null else Value.Int v.Version.xmax
+    | "creator" ->
+        fun v ->
+          if v.Version.creator_block = Version.unset_block then Value.Null
+          else Value.Int v.Version.creator_block
+    | _ ->
+        fun v ->
+          if v.Version.deleter_block = Version.unset_block then Value.Null
+          else Value.Int v.Version.deleter_block
+  in
+  let null_row = s.null_row in
+  fun (f : frame) ->
+    let v = f.(i) in
+    if v == null_row then Value.Null else read v
+
+let reader s i = function
+  | Column c -> fun (f : frame) -> f.(i).Version.values.(c)
+  | Pseudo p -> pseudo_reader s i p
+
+let column layout qualifier name =
+  match resolve layout qualifier name with
+  | Found (i, a) -> reader layout.slots.(i) i a
+  | Unresolved msg -> raising msg
 
 let has_aggregate e =
   let found = ref false in
   iter_expr (function Agg _ -> found := true | _ -> ()) e;
   !found
 
-(* --- numeric helpers --------------------------------------------------- *)
+(* --- value operations ------------------------------------------------------- *)
+
+let v_true = Value.Bool true
+
+let v_false = Value.Bool false
+
+let of_bool b = if b then v_true else v_false
 
 let as_number = function
   | Value.Int i -> `I i
@@ -103,13 +141,13 @@ let as_number = function
   | v -> error "expected a number, got %s" (Value.to_string v)
 
 let arith op a b =
-  match (a, b) with
-  | Value.Null, _ | _, Value.Null -> Value.Null
+  match (a, b, op) with
+  | Value.Null, _, _ | _, Value.Null, _ -> Value.Null
+  | Value.Int x, Value.Int y, Add -> Value.Int (x + y)
+  | Value.Int x, Value.Int y, Sub -> Value.Int (x - y)
+  | Value.Int x, Value.Int y, Mul -> Value.Int (x * y)
   | _ -> (
       match (as_number a, as_number b, op) with
-      | `I x, `I y, Add -> Value.Int (x + y)
-      | `I x, `I y, Sub -> Value.Int (x - y)
-      | `I x, `I y, Mul -> Value.Int (x * y)
       | `I x, `I y, Div ->
           if y = 0 then error "division by zero" else Value.Int (x / y)
       | `I x, `I y, Mod ->
@@ -128,35 +166,86 @@ let arith op a b =
           in
           Value.Float r)
 
-let compare_op op a b =
-  match Value.compare_sql a b with
-  | None ->
-      if Value.is_null a || Value.is_null b then Value.Null
-      else
-        error "cannot compare %s with %s" (Value.to_string a) (Value.to_string b)
-  | Some c ->
-      let r =
-        match op with
-        | Eq -> c = 0
-        | Neq -> c <> 0
-        | Lt -> c < 0
-        | Le -> c <= 0
-        | Gt -> c > 0
-        | Ge -> c >= 0
-        | _ -> assert false
-      in
-      Value.Bool r
+let compare_test op c =
+  match op with
+  | Eq -> c = 0
+  | Neq -> c <> 0
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+  | _ -> assert false
 
-let as_bool3 = function
-  | Value.Null -> None
-  | Value.Bool b -> Some b
+let compare_op op a b =
+  match (a, b) with
+  | Value.Int x, Value.Int y -> of_bool (compare_test op (Int.compare x y))
+  | _ -> (
+      match Value.compare_sql a b with
+      | None ->
+          if Value.is_null a || Value.is_null b then Value.Null
+          else
+            error "cannot compare %s with %s" (Value.to_string a) (Value.to_string b)
+      | Some c -> of_bool (compare_test op c))
+
+(* A boolean or NULL, else a type error. *)
+let bool_value = function
+  | (Value.Null | Value.Bool _) as v -> v
   | v -> error "expected a boolean, got %s" (Value.to_string v)
 
-let of_bool3 = function None -> Value.Null | Some b -> Value.Bool b
+let as_bool3 v = match bool_value v with Value.Bool b -> Some b | _ -> None
 
 let text_of = function
   | Value.Null -> None
   | v -> Some (Value.to_string v)
+
+(* Kleene AND/OR once the left operand (a checked boolean or NULL) has not
+   decided alone. *)
+let and_rest a b =
+  match bool_value b with
+  | Value.Bool false -> v_false
+  | b -> ( match a with Value.Null -> Value.Null | _ -> b)
+
+let or_rest a b =
+  match bool_value b with
+  | Value.Bool true -> v_true
+  | b -> ( match a with Value.Null -> Value.Null | _ -> b)
+
+(* A binary operator over two evaluated operands. AND/OR here do not
+   short-circuit evaluation (both operands are already values), only the
+   type checks, as for literal operands. *)
+let binop_values op av bv =
+  match op with
+  | And -> ( match bool_value av with Value.Bool false -> v_false | a -> and_rest a bv)
+  | Or -> ( match bool_value av with Value.Bool true -> v_true | a -> or_rest a bv)
+  | Concat -> (
+      match (text_of av, text_of bv) with
+      | Some x, Some y -> Value.Text (x ^ y)
+      | _ -> Value.Null)
+  | Add | Sub | Mul | Div | Mod -> arith op av bv
+  | Eq | Neq | Lt | Le | Gt | Ge -> compare_op op av bv
+
+let unop_value op v =
+  match op with
+  | Neg -> (
+      match v with
+      | Value.Null -> Value.Null
+      | Value.Int i -> Value.Int (-i)
+      | Value.Float f -> Value.Float (-.f)
+      | v -> error "cannot negate %s" (Value.to_string v))
+  | Not -> ( match bool_value v with Value.Bool b -> of_bool (not b) | _ -> Value.Null)
+
+(* [xv IN items] for a non-NULL [xv]: items are evaluated by [get] in
+   order, stopping at the first match. *)
+let in_items get xv items =
+  let rec loop unknown = function
+    | [] -> if unknown then Value.Null else v_false
+    | item :: rest -> (
+        match compare_op Eq xv (get item) with
+        | Value.Bool true -> v_true
+        | Value.Null -> loop true rest
+        | _ -> loop unknown rest)
+  in
+  loop false items
 
 (* --- scalar functions --------------------------------------------------- *)
 
@@ -210,203 +299,257 @@ let call_function name args =
       error "wrong arguments for %s" name
   | _ -> error "unknown function %s" name
 
-(* --- evaluation --------------------------------------------------------- *)
+(* --- compilation ------------------------------------------------------------ *)
 
-let rec eval env e =
+type subquery = {
+  rows : frame -> Value.t array list;
+  probe : (frame -> Value.t -> Value.t option) option;
+}
+
+type ctx = {
+  params : Value.t array;
+  named : (string * Value.t) list;
+  subquery : (select -> layout -> subquery) option;
+}
+
+(* The subquery runner, obtained from the executor when the node is first
+   evaluated (so a subquery that never runs is never planned). *)
+let subquery ctx layout sel =
+  lazy
+    (match ctx.subquery with
+    | Some get -> get sel layout
+    | None -> raise (Error "subqueries are not available in this context"))
+
+let scalar_rows = function
+  | [] -> Value.Null
+  | [ row ] ->
+      if Array.length row <> 1 then error "scalar subquery must return one column"
+      else row.(0)
+  | _ -> error "scalar subquery returned more than one row"
+
+(* [xv IN (SELECT ...)] for a non-NULL [xv]: the executor's membership probe
+   when it has one for this value, else a walk over the rows. *)
+let in_select sq xv (f : frame) =
+  let sq = Lazy.force sq in
+  let fast = match sq.probe with None -> None | Some get -> get f xv in
+  match fast with
+  | Some v -> v
+  | None ->
+      let column (row : Value.t array) =
+        if Array.length row <> 1 then error "IN subquery must return one column"
+        else row.(0)
+      in
+      in_items column xv (sq.rows f)
+
+let rec compile ctx layout e : frame -> Value.t =
   match e with
-  | Lit l -> Value.of_lit l
-  | Col (q, name) -> lookup_column env q name
+  | Lit l ->
+      let v = Value.of_lit l in
+      fun _ -> v
+  | Col (q, name) -> column layout q name
   | Param n ->
-      if n < 1 || n > Array.length env.params then error "parameter $%d not supplied" n
-      else env.params.(n - 1)
+      if n < 1 || n > Array.length ctx.params then
+        raising (Printf.sprintf "parameter $%d not supplied" n)
+      else
+        let v = ctx.params.(n - 1) in
+        fun _ -> v
   | Named_param name -> (
-      match List.assoc_opt name env.named with
-      | Some v -> v
-      | None -> error "parameter :%s not supplied" name)
-  | Binop (And, a, b) -> (
+      match List.assoc_opt name ctx.named with
+      | Some v -> fun _ -> v
+      | None -> raising (Printf.sprintf "parameter :%s not supplied" name))
+  | Binop (And, a, b) ->
       (* Kleene AND with short-circuit on definite false. *)
-      match as_bool3 (eval env a) with
-      | Some false -> Value.Bool false
-      | la -> (
-          match (la, as_bool3 (eval env b)) with
-          | _, Some false -> Value.Bool false
-          | Some true, lb -> of_bool3 lb
-          | None, _ -> Value.Null
-          | Some false, _ -> assert false))
-  | Binop (Or, a, b) -> (
-      match as_bool3 (eval env a) with
-      | Some true -> Value.Bool true
-      | la -> (
-          match (la, as_bool3 (eval env b)) with
-          | _, Some true -> Value.Bool true
-          | Some false, lb -> of_bool3 lb
-          | None, _ -> Value.Null
-          | Some true, _ -> assert false))
-  | Binop (Concat, a, b) -> (
-      match (text_of (eval env a), text_of (eval env b)) with
-      | Some x, Some y -> Value.Text (x ^ y)
-      | _ -> Value.Null)
+      let ca = compile ctx layout a and cb = compile ctx layout b in
+      fun f ->
+        (match bool_value (ca f) with Value.Bool false -> v_false | a -> and_rest a (cb f))
+  | Binop (Or, a, b) ->
+      let ca = compile ctx layout a and cb = compile ctx layout b in
+      fun f ->
+        (match bool_value (ca f) with Value.Bool true -> v_true | a -> or_rest a (cb f))
   | Binop (((Add | Sub | Mul | Div | Mod) as op), a, b) ->
-      arith op (eval env a) (eval env b)
+      let ca = compile ctx layout a and cb = compile ctx layout b in
+      fun f -> arith op (ca f) (cb f)
   | Binop (((Eq | Neq | Lt | Le | Gt | Ge) as op), a, b) ->
-      compare_op op (eval env a) (eval env b)
-  | Unop (Neg, a) -> (
-      match eval env a with
-      | Value.Null -> Value.Null
-      | Value.Int i -> Value.Int (-i)
-      | Value.Float f -> Value.Float (-.f)
-      | v -> error "cannot negate %s" (Value.to_string v))
-  | Unop (Not, a) -> of_bool3 (Option.map not (as_bool3 (eval env a)))
-  | Call (name, args) -> call_function name (List.map (eval env) args)
+      let ca = compile ctx layout a and cb = compile ctx layout b in
+      fun f -> compare_op op (ca f) (cb f)
+  | Binop (Concat, a, b) ->
+      let ca = compile ctx layout a and cb = compile ctx layout b in
+      fun f -> binop_values Concat (ca f) (cb f)
+  | Unop (op, a) ->
+      let ca = compile ctx layout a in
+      fun f -> unop_value op (ca f)
+  | Call (name, args) ->
+      let cs = List.map (compile ctx layout) args in
+      fun f -> call_function name (List.map (fun c -> c f) cs)
   | Between (x, lo, hi) ->
-      eval env (Binop (And, Binop (Ge, x, lo), Binop (Le, x, hi)))
+      compile ctx layout (Binop (And, Binop (Ge, x, lo), Binop (Le, x, hi)))
   | In_list (x, items) ->
-      let xv = eval env x in
-      if Value.is_null xv then Value.Null
-      else
-        let rec loop unknown = function
-          | [] -> if unknown then Value.Null else Value.Bool false
-          | item :: rest -> (
-              match compare_op Eq xv (eval env item) with
-              | Value.Bool true -> Value.Bool true
-              | Value.Null -> loop true rest
-              | _ -> loop unknown rest)
-        in
-        loop false items
+      let cx = compile ctx layout x and cs = List.map (compile ctx layout) items in
+      fun f ->
+        let xv = cx f in
+        if Value.is_null xv then Value.Null else in_items (fun c -> c f) xv cs
   | Is_null (a, want_null) ->
-      let v = eval env a in
-      Value.Bool (Value.is_null v = want_null)
-  | Agg _ -> error "aggregate not allowed in this context"
-  | Subquery sel -> (
-      match run_subquery env sel with
-      | [] -> Value.Null
-      | [ row ] ->
-          if Array.length row <> 1 then error "scalar subquery must return one column"
-          else row.(0)
-      | _ -> error "scalar subquery returned more than one row")
-  | Exists sel -> Value.Bool (run_subquery env sel <> [])
-  | In_select (x, sel) -> (
-      let xv = eval env x in
-      if Value.is_null xv then Value.Null
-      else
-        let fast =
-          match env.semijoin with
-          | None -> None
-          | Some get -> (
-              match get sel env with None -> None | Some probe -> probe xv)
-        in
-        match fast with
-        | Some v -> v
-        | None ->
-        let rows = run_subquery env sel in
-        let rec loop unknown = function
-          | [] -> if unknown then Value.Null else Value.Bool false
-          | (row : Value.t array) :: rest ->
-              if Array.length row <> 1 then error "IN subquery must return one column"
-              else (
-                match compare_op Eq xv row.(0) with
-                | Value.Bool true -> Value.Bool true
-                | Value.Null -> loop true rest
-                | _ -> loop unknown rest)
-        in
-        loop false rows)
+      let ca = compile ctx layout a in
+      fun f -> of_bool (Value.is_null (ca f) = want_null)
+  | Agg _ -> raising "aggregate not allowed in this context"
+  | Subquery sel ->
+      let sq = subquery ctx layout sel in
+      fun f -> scalar_rows ((Lazy.force sq).rows f)
+  | Exists sel ->
+      let sq = subquery ctx layout sel in
+      fun f -> ( match (Lazy.force sq).rows f with [] -> v_false | _ -> v_true)
+  | In_select (x, sel) ->
+      let cx = compile ctx layout x and sq = subquery ctx layout sel in
+      fun f ->
+        let xv = cx f in
+        if Value.is_null xv then Value.Null else in_select sq xv f
 
-and run_subquery env sel =
-  match env.subquery with
-  | Some run -> run sel env
-  | None -> error "subqueries are not available in this context"
+let compile_pred ctx layout e =
+  let c = compile ctx layout e in
+  fun f -> match bool_value (c f) with Value.Bool b -> b | _ -> false
 
-let eval_bool env e = as_bool3 (eval env e)
+let eval ctx e = compile ctx root e [||]
+
+let eval_bool ctx e = as_bool3 (eval ctx e)
+
+let compile_star layout ~provenance =
+  let per_slot =
+    List.init (Array.length layout.slots) (fun i ->
+        let s = layout.slots.(i) in
+        let pseudo =
+          if not provenance then []
+          else
+            List.map
+              (fun name ->
+                match slot_access s name with
+                | Some a -> reader s i a
+                | None -> raising (Printf.sprintf "unknown column %s" name))
+              pseudo_columns
+        in
+        fun (f : frame) ->
+          Array.to_list f.(i).Version.values @ List.map (fun c -> c f) pseudo)
+  in
+  fun f -> List.concat_map (fun c -> c f) per_slot
 
 (* --- aggregates --------------------------------------------------------- *)
 
-let compute_agg kind arg group =
+type group = { g_rows : frame list; g_rep : frame; g_memo : Value.t option array }
+
+type aggregates = {
+  a_ctx : ctx;
+  a_layout : layout;
+  mutable calls : ((agg_kind * expr option) * (int * (frame list -> Value.t))) list;
+  mutable count : int;
+}
+
+let aggregates ctx layout = { a_ctx = ctx; a_layout = layout; calls = []; count = 0 }
+
+let group aggs ~rows ~rep =
+  { g_rows = rows; g_rep = rep; g_memo = Array.make aggs.count None }
+
+let compile_agg ctx layout kind arg : frame list -> Value.t =
+  let non_null c rows =
+    List.filter_map (fun f -> match c f with Value.Null -> None | v -> Some v) rows
+  in
   match kind with
-  | Count_star -> Value.Int (List.length group)
+  | Count_star -> fun rows -> Value.Int (List.length rows)
   | Count ->
-      let arg = Option.get arg in
-      Value.Int
-        (List.length
-           (List.filter (fun env -> not (Value.is_null (eval env arg))) group))
+      let c = compile ctx layout (Option.get arg) in
+      fun rows ->
+        Value.Int (List.length (List.filter (fun f -> not (Value.is_null (c f))) rows))
   | Count_distinct ->
-      let arg = Option.get arg in
-      let values =
-        List.filter_map
-          (fun env -> match eval env arg with Value.Null -> None | v -> Some v)
-          group
-      in
-      Value.Int
-        (List.length (List.sort_uniq Value.compare_total values))
+      let c = compile ctx layout (Option.get arg) in
+      fun rows ->
+        Value.Int (List.length (List.sort_uniq Value.compare_total (non_null c rows)))
   | Sum | Avg -> (
-      let arg = Option.get arg in
-      let values =
-        List.filter_map
-          (fun env -> match eval env arg with Value.Null -> None | v -> Some v)
-          group
-      in
-      match values with
-      | [] -> Value.Null
-      | _ ->
-          let all_int = List.for_all (function Value.Int _ -> true | _ -> false) values in
-          if kind = Sum && all_int then
-            Value.Int
-              (List.fold_left
-                 (fun acc v -> match v with Value.Int i -> acc + i | _ -> acc)
-                 0 values)
-          else
-            let total =
-              List.fold_left
-                (fun acc v ->
-                  match v with
-                  | Value.Int i -> acc +. float_of_int i
-                  | Value.Float f -> acc +. f
-                  | v -> error "cannot aggregate %s" (Value.to_string v))
-                0. values
-            in
-            if kind = Sum then Value.Float total
-            else Value.Float (total /. float_of_int (List.length values)))
+      let c = compile ctx layout (Option.get arg) in
+      fun rows ->
+        let values = non_null c rows in
+        match values with
+        | [] -> Value.Null
+        | _ ->
+            let all_int = List.for_all (function Value.Int _ -> true | _ -> false) values in
+            if kind = Sum && all_int then
+              Value.Int
+                (List.fold_left
+                   (fun acc v -> match v with Value.Int i -> acc + i | _ -> acc)
+                   0 values)
+            else
+              let total =
+                List.fold_left
+                  (fun acc v ->
+                    match v with
+                    | Value.Int i -> acc +. float_of_int i
+                    | Value.Float f -> acc +. f
+                    | v -> error "cannot aggregate %s" (Value.to_string v))
+                  0. values
+              in
+              if kind = Sum then Value.Float total
+              else Value.Float (total /. float_of_int (List.length values)))
   | Min | Max -> (
-      let arg = Option.get arg in
-      let values =
-        List.filter_map
-          (fun env -> match eval env arg with Value.Null -> None | v -> Some v)
-          group
-      in
-      match values with
-      | [] -> Value.Null
-      | first :: rest ->
-          let better a b =
-            let c = Value.compare_total a b in
-            if kind = Min then c < 0 else c > 0
-          in
-          List.fold_left (fun acc v -> if better v acc then v else acc) first rest)
+      let c = compile ctx layout (Option.get arg) in
+      fun rows ->
+        match non_null c rows with
+        | [] -> Value.Null
+        | first :: rest ->
+            let better a b =
+              let cmp = Value.compare_total a b in
+              if kind = Min then cmp < 0 else cmp > 0
+            in
+            List.fold_left (fun acc v -> if better v acc then v else acc) first rest)
 
-let rec eval_grouped ~group env e =
+(* Each distinct aggregate call gets one memo slot per group, filled on
+   first use: an aggregate shared by a select item and ORDER BY (through
+   its output alias) or HAVING is computed once per group, at the point
+   where the first of them needs it. *)
+let agg_slot aggs kind arg =
+  let key = (kind, arg) in
+  match List.assoc_opt key aggs.calls with
+  | Some slot -> slot
+  | None ->
+      let slot = (aggs.count, compile_agg aggs.a_ctx aggs.a_layout kind arg) in
+      aggs.calls <- (key, slot) :: aggs.calls;
+      aggs.count <- aggs.count + 1;
+      slot
+
+let rec compile_grouped aggs layout e : group -> Value.t =
+  let ctx = aggs.a_ctx in
   match e with
-  | Agg (kind, arg) -> compute_agg kind arg group
-  | Lit _ | Col _ | Param _ | Named_param _ -> eval env e
+  | Agg (kind, arg) ->
+      let i, compute = agg_slot aggs kind arg in
+      fun g -> (
+        match g.g_memo.(i) with
+        | Some v -> v
+        | None ->
+            let v = compute g.g_rows in
+            g.g_memo.(i) <- Some v;
+            v)
+  | Lit _ | Col _ | Param _ | Named_param _ | Subquery _ | Exists _ ->
+      let c = compile ctx layout e in
+      fun g -> c g.g_rep
   | Binop (op, a, b) ->
-      (* Rebuild on pre-evaluated literals so 3VL/short-circuit logic in
-         [eval] is reused. *)
-      let av = eval_grouped ~group env a and bv = eval_grouped ~group env b in
-      eval env (Binop (op, lift av, lift bv))
-  | Unop (op, a) -> eval env (Unop (op, lift (eval_grouped ~group env a)))
+      let ca = compile_grouped aggs layout a and cb = compile_grouped aggs layout b in
+      fun g ->
+        let av = ca g and bv = cb g in
+        binop_values op av bv
+  | Unop (op, a) ->
+      let ca = compile_grouped aggs layout a in
+      fun g -> unop_value op (ca g)
   | Call (name, args) ->
-      call_function name (List.map (eval_grouped ~group env) args)
+      let cs = List.map (compile_grouped aggs layout) args in
+      fun g -> call_function name (List.map (fun c -> c g) cs)
   | Between (x, lo, hi) ->
-      eval_grouped ~group env (Binop (And, Binop (Ge, x, lo), Binop (Le, x, hi)))
+      compile_grouped aggs layout (Binop (And, Binop (Ge, x, lo), Binop (Le, x, hi)))
   | In_list (x, items) ->
-      eval env
-        (In_list (lift (eval_grouped ~group env x),
-                  List.map (fun i -> lift (eval_grouped ~group env i)) items))
-  | Is_null (a, w) -> eval env (Is_null (lift (eval_grouped ~group env a), w))
-  | Subquery _ | Exists _ -> eval env e
-  | In_select (x, sel) -> eval env (In_select (lift (eval_grouped ~group env x), sel))
-
-and lift v =
-  match v with
-  | Value.Null -> Lit L_null
-  | Value.Int i -> Lit (L_int i)
-  | Value.Float f -> Lit (L_float f)
-  | Value.Text s -> Lit (L_text s)
-  | Value.Bool b -> Lit (L_bool b)
+      let cx = compile_grouped aggs layout x
+      and cs = List.map (compile_grouped aggs layout) items in
+      let values xv vs = if Value.is_null xv then Value.Null else in_items Fun.id xv vs in
+      fun g -> values (cx g) (List.map (fun c -> c g) cs)
+  | Is_null (a, want_null) ->
+      let ca = compile_grouped aggs layout a in
+      fun g -> of_bool (Value.is_null (ca g) = want_null)
+  | In_select (x, sel) ->
+      let cx = compile_grouped aggs layout x and sq = subquery ctx layout sel in
+      fun g ->
+        let xv = cx g in
+        if Value.is_null xv then Value.Null else in_select sq xv g.g_rep

@@ -1,4 +1,12 @@
-(** Scalar and aggregate expression evaluation.
+(** Expression compilation: scalar and aggregate expressions become
+    closures over a frame of bound rows.
+
+    Each expression is compiled once per statement execution against a
+    {!layout}, the tables in scope at the point where it runs. Column
+    references are resolved at compile time to a (slot, column offset)
+    pair, so evaluating a row never looks a name up. A name that does not
+    resolve compiles to a closure that raises {!Error} when evaluated: a
+    query over an empty table still succeeds.
 
     SQL three-valued logic: [NULL] propagates through arithmetic and
     comparisons; [AND]/[OR] follow Kleene logic; [WHERE] keeps a row only
@@ -7,64 +15,108 @@
 
 exception Error of string
 
-(** One joined table's worth of row context. When [version] is present and
-    the query runs in provenance mode, the pseudo-columns [xmin], [xmax],
-    [creator] and [deleter] resolve against it. *)
-type binding = {
+(** One table brought into scope: its alias and schema, whether its
+    provenance pseudo-columns [xmin], [xmax], [creator] and [deleter]
+    resolve, and the all-NULL row an outer join binds when nothing
+    matches (every pseudo-column of that row reads NULL). *)
+type slot = {
   alias : string;
   schema : Brdb_storage.Schema.t;
-  values : Brdb_storage.Value.t array;
-  version : Brdb_storage.Version.t option;
   provenance : bool;
+  null_row : Brdb_storage.Version.t;
 }
 
-type env = {
-  bindings : binding list;
-  scope_start : int;
-      (** index in [bindings] where the innermost query's own tables begin;
-          earlier bindings are correlated outer context (consulted only
-          when a name is not found in the current scope) *)
+val slot : alias:string -> schema:Brdb_storage.Schema.t -> provenance:bool -> slot
+
+(** The tables in scope, outermost first. Slots from [scope_start] on
+    belong to the innermost query; earlier slots are correlated outer
+    context, consulted only when a name is not found in the current
+    scope (the innermost outer slot wins; ambiguity is an error only
+    within the current scope). *)
+type layout = { slots : slot array; scope_start : int }
+
+(** No tables: parameters and constants only. *)
+val root : layout
+
+(** [extend layout s] binds one more table in the current scope. *)
+val extend : layout -> slot -> layout
+
+(** [enter layout] opens a new innermost scope (a subquery's) with every
+    slot of [layout] as its outer context. *)
+val enter : layout -> layout
+
+(** The bound rows, one version per slot of the layout an expression was
+    compiled against (longer frames are fine: extra slots are ignored). *)
+type frame = Brdb_storage.Version.t array
+
+(** The provenance pseudo-column names, in [SELECT *] order. *)
+val pseudo_columns : string list
+
+(** Does a column reference resolve in this layout? *)
+val resolves : layout -> string option -> string -> bool
+
+(** A subquery as the executor runs it: its rows under an outer frame,
+    and, for subqueries whose result cannot depend on the outer row, a
+    hash-membership fast path for [x IN (SELECT ...)] ([get frame xv]
+    answers [Some] of a [Bool]/[Null], or [None] when that [xv] needs the
+    linear walk, which keeps the comparison-error semantics). *)
+type subquery = {
+  rows : frame -> Brdb_storage.Value.t array list;
+  probe : (frame -> Brdb_storage.Value.t -> Brdb_storage.Value.t option) option;
+}
+
+type ctx = {
   params : Brdb_storage.Value.t array;
   named : (string * Brdb_storage.Value.t) list;  (** [:name] bindings *)
-  subquery : (Brdb_sql.Ast.select -> env -> Brdb_storage.Value.t array list) option;
-      (** subquery executor, injected by {!Brdb_engine.Exec}; runs the
-          query with this env as correlated outer context and returns its
-          rows (scalar/EXISTS/IN semantics are applied by {!eval}) *)
-  semijoin :
-    (Brdb_sql.Ast.select -> env -> (Brdb_storage.Value.t -> Brdb_storage.Value.t option) option)
-    option;
-      (** hash-membership fast path for [x IN (SELECT ...)], also injected
-          by the executor. When present and [get sel env] yields a probe,
-          [probe xv] answers the membership test directly ([Some] of a
-          [Bool]/[Null]); it returns [None] when that [xv] needs the
-          linear row walk (e.g. the subquery mixes value classes, where
-          the walk's comparison-error semantics must be preserved). *)
+  subquery : (Brdb_sql.Ast.select -> layout -> subquery) option;
+      (** compiles a subquery against the layout it runs under; called
+          when the subquery is first evaluated. [None]: subqueries raise
+          {!Error}. *)
 }
 
-val binding_of_version :
-  alias:string ->
-  schema:Brdb_storage.Schema.t ->
-  provenance:bool ->
-  Brdb_storage.Version.t ->
-  binding
+(** [compile ctx layout e] — evaluating an aggregate raises {!Error}. *)
+val compile : ctx -> layout -> Brdb_sql.Ast.expr -> frame -> Brdb_storage.Value.t
 
-(** [lookup_column env qualifier name] resolves a column reference;
-    raises {!Error} on unknown or ambiguous names. *)
-val lookup_column : env -> string option -> string -> Brdb_storage.Value.t
+(** WHERE semantics: [true] only when the predicate is definitely true;
+    a non-boolean result raises {!Error}. *)
+val compile_pred : ctx -> layout -> Brdb_sql.Ast.expr -> frame -> bool
 
-(** [eval env e] — raises {!Error} if [e] contains an aggregate. *)
-val eval : env -> Brdb_sql.Ast.expr -> Brdb_storage.Value.t
+(** [SELECT *] over every slot of the layout, outer slots included, with
+    the pseudo-columns appended per slot when [provenance]. *)
+val compile_star :
+  layout -> provenance:bool -> frame -> Brdb_storage.Value.t list
 
-(** Evaluate to a 3VL boolean: [Some true], [Some false], or [None]
-    (unknown). Non-boolean results raise {!Error}. *)
-val eval_bool : env -> Brdb_sql.Ast.expr -> bool option
+(** Evaluate a closed expression (no columns in scope). *)
+val eval : ctx -> Brdb_sql.Ast.expr -> Brdb_storage.Value.t
 
-(** [eval_grouped ~group env e] evaluates an expression that may contain
-    aggregates: aggregate nodes are computed over [group] (the environments
-    of the group's rows); everything else is evaluated in [env]
-    (a representative row, or an empty env for an empty group). *)
-val eval_grouped :
-  group:env list -> env -> Brdb_sql.Ast.expr -> Brdb_storage.Value.t
+(** Evaluate a closed expression to a 3VL boolean: [Some true],
+    [Some false], or [None] (unknown). Non-boolean results raise
+    {!Error}. *)
+val eval_bool : ctx -> Brdb_sql.Ast.expr -> bool option
+
+(** {2 Aggregates} *)
+
+(** A statement's distinct aggregate calls. Each is computed at most
+    once per group, when an expression first needs it. *)
+type aggregates
+
+(** [aggregates ctx layout]: aggregate arguments compile against
+    [layout], the layout of the grouped rows. *)
+val aggregates : ctx -> layout -> aggregates
+
+(** One group: its rows, the representative row the non-aggregate parts
+    of an expression read, and the group's aggregate values. *)
+type group
+
+(** Create a group after every expression of the statement is compiled. *)
+val group : aggregates -> rows:frame list -> rep:frame -> group
+
+(** [compile_grouped aggs layout e] evaluates [e] per group: aggregate
+    nodes over the group's rows, everything else on the representative
+    row, which has [layout] (the grouped rows' layout, or the enclosing
+    layout for the single group of an empty input). *)
+val compile_grouped :
+  aggregates -> layout -> Brdb_sql.Ast.expr -> group -> Brdb_storage.Value.t
 
 (** Does the expression contain an aggregate node? *)
 val has_aggregate : Brdb_sql.Ast.expr -> bool

@@ -147,16 +147,11 @@ let contains_subquery e =
     e;
   !found
 
-(* Does [e] only reference columns already bound in [env]? (Constants and
+(* Does [e] only reference columns that resolve in [layout]? (Constants and
    params qualify trivially.) *)
-let bound_in env e =
+let bound_in layout e =
   (not (contains_subquery e))
-  && List.for_all
-    (fun (q, c) ->
-      match Eval.lookup_column env q c with
-      | _ -> true
-      | exception Eval.Error _ -> false)
-    (column_refs e)
+  && List.for_all (fun (q, c) -> Eval.resolves layout q c) (column_refs e)
   && not (Eval.has_aggregate e)
 
 (* Is [Col (q, c)] a reference to column [c] of the scanned table? *)
@@ -186,17 +181,18 @@ type restriction = {
   r_column : int;
   r_op : [ `Eq | `Lt | `Le | `Gt | `Ge | `In ];
   r_keys : expr list;
-      (* evaluable in the bound env; singleton except for [`In] *)
+      (* evaluable in the layout the scan starts from; singleton except
+         for [`In] *)
 }
 
 let flip_op = function `Eq -> `Eq | `Lt -> `Gt | `Le -> `Ge | `Gt -> `Lt | `Ge -> `Le
 
-let rec restriction_of_conjunct env schema alias conjunct =
+let rec restriction_of_conjunct layout schema alias conjunct =
   let classify lhs rhs op =
     match column_refs lhs with
     | [ (q, c) ] when lhs = Col (q, c) -> (
         match scan_column schema alias q c with
-        | Some i when bound_in env rhs ->
+        | Some i when bound_in layout rhs ->
             Some { r_column = i; r_op = op; r_keys = [ rhs ] }
         | _ -> None)
     | _ -> None
@@ -218,14 +214,14 @@ let rec restriction_of_conjunct env schema alias conjunct =
       match classify a b `Ge with Some r -> [ r ] | None -> (
         match classify b a (flip_op `Ge) with Some r -> [ r ] | None -> []))
   | Between (x, lo, hi) ->
-      restriction_of_conjunct env schema alias (Binop (Ge, x, lo))
-      @ restriction_of_conjunct env schema alias (Binop (Le, x, hi))
+      restriction_of_conjunct layout schema alias (Binop (Ge, x, lo))
+      @ restriction_of_conjunct layout schema alias (Binop (Le, x, hi))
   | In_list (x, (_ :: _ as es)) -> (
       (* x IN (k1, ..., kn) probes the index once per distinct key. *)
       match column_refs x with
       | [ (q, c) ] when x = Col (q, c) -> (
           match scan_column schema alias q c with
-          | Some i when List.for_all (bound_in env) es ->
+          | Some i when List.for_all (bound_in layout) es ->
               [ { r_column = i; r_op = `In; r_keys = es } ]
           | _ -> [])
       | _ -> [])
@@ -237,11 +233,12 @@ type path =
 
 (* Pick the most selective indexed column: equality (or IN) beats range.
    Grouping is list-based so candidate order never depends on hashtable
-   internals. *)
-let choose_path table env alias where_conjuncts =
+   internals. The choice consults only the catalog and name resolution
+   against [layout], never row values. *)
+let choose_path table layout alias where_conjuncts =
   let schema = Table.schema table in
   let restrictions =
-    List.concat_map (restriction_of_conjunct env schema alias) where_conjuncts
+    List.concat_map (restriction_of_conjunct layout schema alias) where_conjuncts
   in
   let columns =
     List.sort_uniq compare (List.map (fun r -> r.r_column) restrictions)
@@ -263,9 +260,32 @@ let choose_path table env alias where_conjuncts =
   | (column, rs, _) :: _ -> Index_range { column; restrictions = rs }
   | [] -> Seq_scan
 
-(* Evaluate a path's range bounds in the (join-)bound environment; [`In]
-   restrictions are handled separately by the scan. *)
-let bounds_of_restrictions env restrictions =
+(* A path with its key expressions compiled against the layout the scan
+   starts from. *)
+type access =
+  | Seq
+  | Range of {
+      column : int;
+      ranges : ([ `Eq | `Lt | `Le | `Gt | `Ge | `In ] * (Eval.frame -> Value.t)) list;
+      ins : (Eval.frame -> Value.t) list list;  (* one key list per [`In] *)
+    }
+
+let compile_path ctx layout = function
+  | Seq_scan -> Seq
+  | Index_range { column; restrictions } ->
+      let ins, ranges = List.partition (fun r -> r.r_op = `In) restrictions in
+      let key r =
+        match r.r_keys with [ e ] -> Eval.compile ctx layout e | _ -> assert false
+      in
+      Range
+        {
+          column;
+          ranges = List.map (fun r -> (r.r_op, key r)) ranges;
+          ins = List.map (fun r -> List.map (Eval.compile ctx layout) r.r_keys) ins;
+        }
+
+(* Evaluate a path's range bounds on the (join-)bound frame. *)
+let bounds_of_restrictions frame ranges =
   let lo = ref Index.Unbounded and hi = ref Index.Unbounded in
   let tighten_lo b =
     match (!lo, b) with
@@ -293,11 +313,9 @@ let bounds_of_restrictions env restrictions =
           | _ -> ()
   in
   List.iter
-    (fun r ->
-      let key =
-        match r.r_keys with [ e ] -> Eval.eval env e | _ -> assert false
-      in
-      match r.r_op with
+    (fun (op, key) ->
+      let key = key frame in
+      match op with
       | `Eq ->
           tighten_lo (Index.Incl key);
           tighten_hi (Index.Incl key)
@@ -306,21 +324,24 @@ let bounds_of_restrictions env restrictions =
       | `Gt -> tighten_lo (Index.Excl key)
       | `Ge -> tighten_lo (Index.Incl key)
       | `In -> assert false)
-    restrictions;
+    ranges;
   (!lo, !hi)
 
 (* --- scans -------------------------------------------------------------- *)
 
 type scan_spec = {
   sc_table : Table.t;
-  sc_alias : string;
-  sc_path : path;
+  sc_slot : int;  (* the frame slot each visible version is bound to *)
+  sc_access : access;
   sc_provenance : bool;
-  sc_filters : expr list;
+  sc_filters : (Eval.frame -> bool) list;
       (* single-table WHERE conjuncts pushed below materialization;
          evaluated after the read is recorded, so the SSI read set is
          unchanged by pushdown *)
 }
+
+let rec all_true preds frame =
+  match preds with [] -> true | p :: rest -> p frame && all_true rest frame
 
 let visible txn ~provenance (v : Version.t) =
   if provenance then Version.visible_provenance v
@@ -339,38 +360,31 @@ let within_bounds v ~lo ~hi =
   | Index.Excl h -> Value.compare_total v h < 0
 
 (* Iterate visible versions of a scan; registers the predicate and the
-   per-row reads unless the scan is a provenance read. The callback gets
-   the row's environment (scan binding appended) plus the binding itself.
-   [op_visited] counts versions examined, [op_rows] rows surviving
-   visibility + pushed filters. *)
-let run_scan txn mode spec env f =
+   per-row reads unless the scan is a provenance read. Each version that
+   passes visibility is bound to the frame's [sc_slot]; the callback gets
+   the ones that pass the pushed filters too. [op_visited] counts versions
+   examined, [op_rows] rows surviving visibility + pushed filters. *)
+let run_scan txn mode spec (frame : Eval.frame) f =
   let name = Table.name spec.sc_table in
   (* Virtual views are statement-local materializations: they are not part
      of the SSI-visible database, so scans over them register neither reads
      nor predicates (a sys.* read can never abort anything). *)
   let record = not spec.sc_provenance && not (Catalog.is_sys_name name) in
-  let schema = Table.schema spec.sc_table in
   let rows = ref 0 and visited = ref 0 in
   let yield (v : Version.t) =
     incr visited;
     if visible txn ~provenance:spec.sc_provenance v then begin
       if record then Txn.record_read txn ~table:name ~vid:v.Version.vid;
-      let b =
-        Eval.binding_of_version ~alias:spec.sc_alias ~schema
-          ~provenance:spec.sc_provenance v
-      in
-      let env' = { env with Eval.bindings = env.Eval.bindings @ [ b ] } in
-      if List.for_all (fun c -> Eval.eval_bool env' c = Some true) spec.sc_filters
-      then begin
+      frame.(spec.sc_slot) <- v;
+      if all_true spec.sc_filters frame then begin
         incr rows;
-        f env' b
+        f v
       end
     end
   in
-  (match spec.sc_path with
-  | Index_range { column; restrictions } -> (
-      let ins, ranges = List.partition (fun r -> r.r_op = `In) restrictions in
-      let lo, hi = bounds_of_restrictions env ranges in
+  (match spec.sc_access with
+  | Range { column; ranges; ins } -> (
+      let lo, hi = bounds_of_restrictions frame ranges in
       match ins with
       | [] ->
           if record then
@@ -381,12 +395,12 @@ let run_scan txn mode spec env f =
              and probe each surviving key. NULL keys can never match and
              are dropped; the per-key point predicates are together at
              least as precise as the seed's full-scan predicate. *)
-          let set_of r =
+          let set_of keys =
             List.filter_map
-              (fun e ->
-                let v = Eval.eval env e in
+              (fun key ->
+                let v = key frame in
                 if Value.is_null v then None else Some v)
-              r.r_keys
+              keys
             |> List.sort_uniq Value.compare_total
           in
           let keys =
@@ -411,7 +425,7 @@ let run_scan txn mode spec env f =
               Table.iter_index spec.sc_table ~column ~lo:(Index.Incl k)
                 ~hi:(Index.Incl k) yield)
             keys)
-  | Seq_scan ->
+  | Seq ->
       if mode.require_index && record then
         raise (Exec_error (Missing_index name));
       if record then
@@ -422,39 +436,17 @@ let run_scan txn mode spec env f =
            height instead of wading through the full history (ascending
            vid, same order as the heap). *)
         Table.iter_live spec.sc_table ~height:txn.Txn.snapshot_height yield);
-  let op =
-    match spec.sc_path with Index_range _ -> "index_scan" | Seq_scan -> "seq_scan"
-  in
+  let op = match spec.sc_access with Range _ -> "index_scan" | Seq -> "seq_scan" in
   stats_scan mode ~op ~table:name ~rows:!rows ~visited:!visited
 
 (* --- SELECT -------------------------------------------------------------- *)
 
 let alias_of (tr : table_ref) = Option.value tr.alias ~default:tr.table
 
-let empty_env params named subquery =
-  {
-    Eval.bindings = [];
-    Eval.scope_start = 0;
-    Eval.params = params;
-    Eval.named = named;
-    Eval.subquery = subquery;
-    Eval.semijoin = None;
-  }
-
-let null_binding ~provenance alias table =
-  {
-    Eval.alias;
-    schema = Table.schema table;
-    values = Array.make (Schema.arity (Table.schema table)) Value.Null;
-    version = None;
-    provenance;
-  }
-
 (* --- static select planning --------------------------------------------- *)
 
 type join_strategy =
-  | Nested
-      (* per-outer-row scan; access path re-chosen with the outer row bound *)
+  | Nested  (* per-outer-row scan along [tp_path_hint] *)
   | Hashed of {
       h_key_cols : int list;  (* inner columns of the equi-key *)
       h_key_outer : expr list;  (* matching outer-side expressions *)
@@ -465,25 +457,31 @@ type join_strategy =
 type table_plan = {
   tp_ref : table_ref;
   tp_table : Table.t;  (* resolved once at plan time *)
+  tp_slot : Eval.slot;
   tp_filters : expr list;
       (* WHERE conjuncts assigned to this scan (empty for hashed joins,
          whose filters live in the strategy) *)
   tp_path_hint : path;
-      (* the path [choose_path] picks with all earlier tables pseudo-bound;
-         what a nested-loop scan will use at runtime (display + strategy) *)
+      (* the path [choose_path] picks from the ON conjuncts (plus WHERE for
+         inner joins and the base table) with every earlier table in
+         scope. A nested-loop scan runs it for every outer row: the choice
+         depends only on name resolution, never on the outer row's values *)
   tp_join : (join_clause * join_strategy) option;  (* None for the base table *)
 }
 
 type select_plan = {
   sp_tables : table_plan list;
+  sp_layouts : Eval.layout array;
+      (* [sp_layouts.(i)]: the outer context plus the first [i] tables *)
   sp_residual : expr list;  (* WHERE conjuncts not pushed into any scan *)
 }
 
 (* Decide, before any row is read, which WHERE conjunct filters at which
    scan and which joins can be hash joins. Decisions only consult the
-   catalog and name-resolution against pseudo-bound (NULL-row) envs, so
-   every node plans identically for the same statement. *)
-let plan_select resolve mode ~base_env (sel : select) =
+   catalog and name resolution against layouts, so every node plans
+   identically for the same statement. [outer] is the select's own,
+   already entered, scope. *)
+let plan_select resolve mode ~outer (sel : select) =
   match sel.from with
   | None -> None
   | Some base ->
@@ -495,22 +493,16 @@ let plan_select resolve mode ~base_env (sel : select) =
           ((base, None) :: List.map (fun j -> (j.j_table, Some j)) sel.joins)
       in
       let n = List.length tables in
-      (* Cumulative pseudo-envs: envs.(i) has the first [i] tables bound to
-         null rows — computed once, shared by every conjunct-placement and
-         path decision below. *)
-      let nulls =
+      let slots =
         Array.of_list
           (List.map
-             (fun (tr, table, _) -> null_binding ~provenance (alias_of tr) table)
+             (fun (tr, table, _) ->
+               Eval.slot ~alias:(alias_of tr) ~schema:(Table.schema table) ~provenance)
              tables)
       in
-      let envs = Array.make (n + 1) base_env in
+      let layouts = Array.make (n + 1) outer in
       for i = 0 to n - 1 do
-        envs.(i + 1) <-
-          {
-            envs.(i) with
-            Eval.bindings = envs.(i).Eval.bindings @ [ nulls.(i) ];
-          }
+        layouts.(i + 1) <- Eval.extend layouts.(i) slots.(i)
       done;
       let assigned = Array.make n [] in
       let residual = ref [] in
@@ -525,7 +517,7 @@ let plan_select resolve mode ~base_env (sel : select) =
                 let eligible =
                   match j with None -> true | Some j -> j.j_kind = J_inner
                 in
-                if eligible && bound_in envs.(i + 1) c then
+                if eligible && bound_in layouts.(i + 1) c then
                   assigned.(i) <- c :: assigned.(i)
                 else place (i + 1) rest
           in
@@ -536,7 +528,7 @@ let plan_select resolve mode ~base_env (sel : select) =
         List.mapi
           (fun i (tr, table, j) ->
             let alias = alias_of tr in
-            let env = envs.(i) in
+            let layout = layouts.(i) in
             let filters = assigned.(i) in
             let hint_conjuncts =
               match j with
@@ -545,11 +537,11 @@ let plan_select resolve mode ~base_env (sel : select) =
                   conjuncts_of j.j_on
                   @ (if j.j_kind = J_inner then where_conj else [])
             in
-            let hint = choose_path table env alias hint_conjuncts in
+            let hint = choose_path table layout alias hint_conjuncts in
             match j with
             | None ->
-                { tp_ref = tr; tp_table = table; tp_filters = filters;
-                  tp_path_hint = hint; tp_join = None }
+                { tp_ref = tr; tp_table = table; tp_slot = slots.(i);
+                  tp_filters = filters; tp_path_hint = hint; tp_join = None }
             | Some j ->
                 let strat =
                   if provenance || mode.require_index || hint <> Seq_scan
@@ -565,7 +557,7 @@ let plan_select resolve mode ~base_env (sel : select) =
                                 match column_refs x with
                                 | [ (q, cname) ] when x = Col (q, cname) -> (
                                     match scan_column schema alias q cname with
-                                    | Some col when bound_in env y -> Some (col, y)
+                                    | Some col when bound_in layout y -> Some (col, y)
                                     | _ -> None)
                                 | _ -> None
                               in
@@ -580,14 +572,9 @@ let plan_select resolve mode ~base_env (sel : select) =
                       (* Filters whose names resolve against the inner
                          table alone (plus correlated outer context) can
                          shrink the build side; the rest run per match. *)
-                      let build_env =
-                        {
-                          base_env with
-                          Eval.bindings = base_env.Eval.bindings @ [ nulls.(i) ];
-                        }
-                      in
+                      let build_layout = Eval.extend outer slots.(i) in
                       let build_filters, probe_filters =
-                        List.partition (bound_in build_env) filters
+                        List.partition (bound_in build_layout) filters
                       in
                       Hashed
                         {
@@ -600,194 +587,183 @@ let plan_select resolve mode ~base_env (sel : select) =
                   end
                 in
                 let filters = match strat with Hashed _ -> [] | Nested -> filters in
-                { tp_ref = tr; tp_table = table; tp_filters = filters;
-                  tp_path_hint = hint; tp_join = Some (j, strat) })
+                { tp_ref = tr; tp_table = table; tp_slot = slots.(i);
+                  tp_filters = filters; tp_path_hint = hint;
+                  tp_join = Some (j, strat) })
           tables
       in
-      Some { sp_tables = plans; sp_residual = List.rev !residual }
+      Some { sp_tables = plans; sp_layouts = layouts; sp_residual = List.rev !residual }
 
-(* Produce the stream of joined environments for FROM ... JOIN ...,
-   WHERE already applied. *)
-let joined_rows catalog txn mode ~provenance ~base_env (sel : select) f =
-  match plan_select (resolve_table catalog txn mode) mode ~base_env sel with
-  | None -> (
-      match sel.where with
-      | Some w when Eval.eval_bool base_env w <> Some true -> ()
-      | _ -> f base_env)
-  | Some plan ->
-      let keep env =
-        List.for_all (fun c -> Eval.eval_bool env c = Some true) plan.sp_residual
-      in
-      let where_conj = match sel.where with None -> [] | Some w -> conjuncts_of w in
-      (* WHERE conjuncts may sharpen the access path of inner joins, but a
-         LEFT JOIN's matches are defined by its ON clause alone. *)
-      let scan_one ?path (tp : table_plan) extra_conjuncts ~use_where env k =
-        let table = tp.tp_table in
-        let alias = alias_of tp.tp_ref in
-        let path =
-          match path with
-          | Some p -> p
-          | None ->
-              let conjuncts =
-                extra_conjuncts @ if use_where then where_conj else []
+(* --- compiled select pipeline --------------------------------------------- *)
+
+type join_step =
+  | Nested_scan of scan_spec
+  | Hash_probe of {
+      keys : (Eval.frame -> Value.t) list;  (* outer-side key expressions *)
+      probe_filters : (Eval.frame -> bool) list;
+      build : Eval.frame -> (string, Version.t list ref) Hashtbl.t;
+          (* buckets of the inner table under an outer frame *)
+    }
+
+type join_run = {
+  jr_table_name : string;
+  jr_slot : int;
+  jr_null_row : Version.t;
+  jr_left : bool;
+  jr_on : Eval.frame -> bool;
+  jr_step : join_step;
+}
+
+(* Compile FROM ... JOIN ... WHERE once. The result streams the joined rows
+   under an outer frame, WHERE applied; the frame handed to [f] is reused
+   for the next row. *)
+let compile_joins txn mode ctx ~provenance (plan : select_plan) =
+  let layouts = plan.sp_layouts in
+  let n_outer = Array.length layouts.(0).Eval.slots in
+  let n = List.length plan.sp_tables in
+  let preds layout = List.map (Eval.compile_pred ctx layout) in
+  let scan_spec i (tp : table_plan) =
+    {
+      sc_table = tp.tp_table;
+      sc_slot = n_outer + i;
+      sc_access = compile_path ctx layouts.(i) tp.tp_path_hint;
+      sc_provenance = provenance;
+      sc_filters = preds layouts.(i + 1) tp.tp_filters;
+    }
+  in
+  let residual = preds layouts.(n) plan.sp_residual in
+  let base_tp, join_tps =
+    match plan.sp_tables with base :: rest -> (base, rest) | [] -> assert false
+  in
+  let base_scan = scan_spec 0 base_tp in
+  let joins =
+    List.mapi
+      (fun k (tp : table_plan) ->
+        let i = k + 1 in
+        let j, strat =
+          match tp.tp_join with Some js -> js | None -> assert false
+        in
+        let step =
+          match strat with
+          | Nested -> Nested_scan (scan_spec i tp)
+          | Hashed h ->
+              let spec =
+                {
+                  sc_table = tp.tp_table;
+                  sc_slot = n_outer;
+                  sc_access = Seq;
+                  sc_provenance = false;
+                  sc_filters =
+                    preds (Eval.extend layouts.(0) tp.tp_slot) h.h_build_filters;
+                }
               in
-              choose_path table env alias conjuncts
+              (* Buckets are assembled by prepend and reversed once,
+                 keeping heap (vid) order without iterating the
+                 hashtable. *)
+              let build frame0 =
+                let tbl : (string, Version.t list ref) Hashtbl.t = Hashtbl.create 64 in
+                let frame = Array.make (n_outer + 1) tp.tp_slot.Eval.null_row in
+                Array.blit frame0 0 frame 0 n_outer;
+                run_scan txn mode spec frame (fun (v : Version.t) ->
+                    let key =
+                      List.map (fun col -> v.Version.values.(col)) h.h_key_cols
+                    in
+                    if not (List.exists Value.is_null key) then
+                      let ks = key_string key in
+                      match Hashtbl.find_opt tbl ks with
+                      | Some r -> r := v :: !r
+                      | None -> Hashtbl.add tbl ks (ref [ v ]));
+                Hashtbl.filter_map_inplace
+                  (fun _ r ->
+                    r := List.rev !r;
+                    Some r)
+                  tbl;
+                tbl
+              in
+              Hash_probe
+                {
+                  keys = List.map (Eval.compile ctx layouts.(i)) h.h_key_outer;
+                  probe_filters = preds layouts.(i + 1) h.h_probe_filters;
+                  build;
+                }
         in
-        let spec =
-          {
-            sc_table = table;
-            sc_alias = alias;
-            sc_path = path;
-            sc_provenance = provenance;
-            sc_filters = tp.tp_filters;
-          }
-        in
-        run_scan txn mode spec env (fun env' _b -> k env')
-      in
-      let null_extended env (tp : table_plan) =
         {
-          env with
-          Eval.bindings =
-            env.Eval.bindings
-            @ [ null_binding ~provenance (alias_of tp.tp_ref) tp.tp_table ];
-        }
-      in
-      let base_tp, join_tps =
-        match plan.sp_tables with
-        | base :: rest ->
-            ( base,
-              List.map
-                (fun tp ->
-                  let j, strat =
-                    match tp.tp_join with Some js -> js | None -> assert false
-                  in
-                  let build =
-                    match strat with
-                    | Nested -> None
-                    | Hashed h ->
-                        let table = tp.tp_table in
-                        let alias = alias_of tp.tp_ref in
-                        (* Built on the first probe so that a join with no
-                           outer rows records exactly the seed's (empty)
-                           read/predicate footprint. Buckets are assembled
-                           by prepend and reversed once, keeping heap (vid)
-                           order without iterating the hashtable. *)
-                        Some
-                          (lazy
-                            (let tbl : (string, Eval.binding list ref) Hashtbl.t
-                               =
-                               Hashtbl.create 64
-                             in
-                             let spec =
-                               {
-                                 sc_table = table;
-                                 sc_alias = alias;
-                                 sc_path = Seq_scan;
-                                 sc_provenance = false;
-                                 sc_filters = h.h_build_filters;
-                               }
-                             in
-                             run_scan txn mode spec base_env
-                               (fun _env (b : Eval.binding) ->
-                                 let key =
-                                   List.map
-                                     (fun col -> b.Eval.values.(col))
-                                     h.h_key_cols
-                                 in
-                                 if not (List.exists Value.is_null key) then
-                                   let ks = key_string key in
-                                   match Hashtbl.find_opt tbl ks with
-                                   | Some r -> r := b :: !r
-                                   | None -> Hashtbl.add tbl ks (ref [ b ]));
-                             Hashtbl.filter_map_inplace
-                               (fun _ r ->
-                                 r := List.rev !r;
-                                 Some r)
-                               tbl;
-                             tbl))
-                  in
-                  (tp, j, strat, build))
-                rest )
-        | [] -> assert false
-      in
-      let rec do_joins js env =
-        match js with
-        | [] -> if keep env then f env
-        | (tp, j, strat, build) :: rest -> (
-            match strat with
-            | Nested -> (
-                match j.j_kind with
-                | J_inner ->
-                    scan_one tp (conjuncts_of j.j_on) ~use_where:true env
-                      (fun env' ->
-                        match Eval.eval_bool env' j.j_on with
-                        | Some true -> do_joins rest env'
-                        | _ -> ())
-                | J_left ->
-                    let matched = ref false in
-                    scan_one tp (conjuncts_of j.j_on) ~use_where:false env
-                      (fun env' ->
-                        match Eval.eval_bool env' j.j_on with
-                        | Some true ->
-                            matched := true;
-                            do_joins rest env'
-                        | _ -> ());
-                    if not !matched then do_joins rest (null_extended env tp))
-            | Hashed h -> (
-                let buckets = Lazy.force (Option.get build) in
-                let keyv = List.map (Eval.eval env) h.h_key_outer in
-                let bucket =
-                  if List.exists Value.is_null keyv then []
-                  else
-                    match Hashtbl.find_opt buckets (key_string keyv) with
-                    | Some r -> !r
-                    | None -> []
-                in
-                let matched = ref false and matches = ref 0 in
-                List.iter
-                  (fun (b : Eval.binding) ->
-                    let env' =
-                      { env with Eval.bindings = env.Eval.bindings @ [ b ] }
-                    in
-                    let ok =
-                      Eval.eval_bool env' j.j_on = Some true
-                      && List.for_all
-                           (fun c -> Eval.eval_bool env' c = Some true)
-                           h.h_probe_filters
-                    in
-                    if ok then begin
-                      matched := true;
-                      incr matches;
-                      do_joins rest env'
-                    end)
-                  bucket;
-                stats_scan mode ~op:"hash_join" ~table:tp.tp_ref.table
-                  ~rows:!matches ~visited:(List.length bucket);
-                match j.j_kind with
-                | J_left when not !matched ->
-                    do_joins rest (null_extended env tp)
-                | _ -> ()))
-      in
-      (* The base scan's inputs are exactly the hint's: reuse it instead of
-         re-deriving the path. *)
-      scan_one ~path:base_tp.tp_path_hint base_tp [] ~use_where:true base_env
-        (fun env -> do_joins join_tps env)
+          jr_table_name = tp.tp_ref.table;
+          jr_slot = n_outer + i;
+          jr_null_row = tp.tp_slot.Eval.null_row;
+          jr_left = j.j_kind = J_left;
+          jr_on = Eval.compile_pred ctx layouts.(i + 1) j.j_on;
+          jr_step = step;
+        })
+      join_tps
+  in
+  fun (frame0 : Eval.frame) f ->
+    let frame = Array.make (n_outer + n) base_tp.tp_slot.Eval.null_row in
+    Array.blit frame0 0 frame 0 n_outer;
+    (* A hash join's build side is read on its first probe, so a join with
+       no outer rows records exactly the seed's (empty) read/predicate
+       footprint. *)
+    let joins =
+      List.map
+        (fun j ->
+          match j.jr_step with
+          | Hash_probe h -> (j, Some (lazy (h.build frame0)))
+          | Nested_scan _ -> (j, None))
+        joins
+    in
+    let rec do_joins = function
+      | [] -> if all_true residual frame then f frame
+      | (j, buckets) :: rest ->
+          let matched = ref false in
+          let emit () =
+            matched := true;
+            do_joins rest
+          in
+          (match j.jr_step with
+          | Nested_scan spec ->
+              run_scan txn mode spec frame (fun _ -> if j.jr_on frame then emit ())
+          | Hash_probe h ->
+              let buckets = Lazy.force (Option.get buckets) in
+              let keyv = List.map (fun key -> key frame) h.keys in
+              let bucket =
+                if List.exists Value.is_null keyv then []
+                else
+                  match Hashtbl.find_opt buckets (key_string keyv) with
+                  | Some r -> !r
+                  | None -> []
+              in
+              let matches = ref 0 in
+              List.iter
+                (fun v ->
+                  frame.(j.jr_slot) <- v;
+                  if j.jr_on frame && all_true h.probe_filters frame then begin
+                    incr matches;
+                    emit ()
+                  end)
+                bucket;
+              stats_scan mode ~op:"hash_join" ~table:j.jr_table_name ~rows:!matches
+                ~visited:(List.length bucket));
+          if j.jr_left && not !matched then begin
+            frame.(j.jr_slot) <- j.jr_null_row;
+            do_joins rest
+          end
+    in
+    run_scan txn mode base_scan frame (fun _ -> do_joins joins)
 
-let item_columns ~provenance (sel : select) (sample_env : Eval.env option) =
+let item_columns ~provenance (sel : select) (layout : Eval.layout) ~has_rows =
   let star_columns () =
-    match sample_env with
-    | None -> [ "*" ]
-    | Some env ->
-        let many = List.length env.Eval.bindings > 1 in
-        List.concat_map
-          (fun (b : Eval.binding) ->
-            let base =
-              Array.to_list
-                (Array.map (fun c -> c.Schema.name) b.Eval.schema.Schema.columns)
-            in
-            let base = if provenance then base @ [ "xmin"; "xmax"; "creator"; "deleter" ] else base in
-            if many then List.map (fun c -> b.Eval.alias ^ "." ^ c) base else base)
-          env.Eval.bindings
+    if not has_rows then [ "*" ]
+    else
+      let many = Array.length layout.Eval.slots > 1 in
+      List.concat_map
+        (fun (s : Eval.slot) ->
+          let base =
+            Array.to_list
+              (Array.map (fun c -> c.Schema.name) s.Eval.schema.Schema.columns)
+          in
+          let base = if provenance then base @ Eval.pseudo_columns else base in
+          if many then List.map (fun c -> s.Eval.alias ^ "." ^ c) base else base)
+        (Array.to_list layout.Eval.slots)
   in
   List.concat_map
     (function
@@ -796,21 +772,8 @@ let item_columns ~provenance (sel : select) (sample_env : Eval.env option) =
       | Sel_expr (e, None) -> [ expr_to_string e ])
     sel.items
 
-let star_values ~provenance (env : Eval.env) =
-  List.concat_map
-    (fun (b : Eval.binding) ->
-      let base = Array.to_list b.Eval.values in
-      if provenance then
-        base
-        @ List.map
-            (fun name ->
-              match Eval.lookup_column { env with Eval.bindings = [ b ] } None name with
-              | v -> v)
-            [ "xmin"; "xmax"; "creator"; "deleter" ]
-      else base)
-    env.Eval.bindings
-
-(* Substitute output aliases in ORDER BY / HAVING expressions. *)
+(* Substitute output aliases in ORDER BY / HAVING expressions (once, at
+   compile time). *)
 let substitute_aliases items e =
   let alias_map =
     List.filter_map
@@ -833,175 +796,201 @@ let substitute_aliases items e =
   in
   subst e
 
-let exec_select catalog txn mode ~base_env (sel : select) =
+let is_aggregated (sel : select) =
+  sel.group_by <> []
+  || sel.having <> None
+  || List.exists
+       (function Sel_expr (e, _) -> Eval.has_aggregate e | Star -> false)
+       sel.items
+
+(* The statement error an aggregated select raises once its rows are read:
+   [SELECT *] with aggregates, or a non-aggregate item that is not a GROUP
+   BY key (stricter than PostgreSQL's functional-dependency rule, but
+   deterministic and simple to reason about). *)
+let grouping_error (sel : select) =
+  if List.exists (function Star -> true | _ -> false) sel.items then
+    Some "SELECT * cannot be combined with aggregates"
+  else
+    let group_keys = List.map expr_to_string sel.group_by in
+    List.find_map
+      (function
+        | Star -> None
+        | Sel_expr (e, _) ->
+            if (not (Eval.has_aggregate e)) && not (List.mem (expr_to_string e) group_keys)
+            then
+              Some
+                (Printf.sprintf "column %s must appear in GROUP BY or an aggregate"
+                   (expr_to_string e))
+            else None)
+      sel.items
+
+(* Plan and compile a SELECT under the [outer] layout it runs in (the root
+   layout for a statement, the enclosing expression's layout for a
+   subquery). The result runs it under a frame of that layout. Tables are
+   resolved and plans chosen here, once; every expression is compiled once
+   too, the projections after the first rows tell which layout a group's
+   representative row has. *)
+let compile_select catalog txn mode ctx ~outer (sel : select) =
   (* everything this select binds is a new, innermost scope *)
-  let base_env =
-    { base_env with Eval.scope_start = List.length base_env.Eval.bindings }
-  in
+  let outer = Eval.enter outer in
   let provenance = sel.provenance in
-  let envs = ref [] in
-  joined_rows catalog txn mode ~provenance ~base_env sel (fun env ->
-      envs := env :: !envs);
-  let envs = List.rev !envs in
-  let aggregated =
-    sel.group_by <> []
-    || sel.having <> None
-    || List.exists
-         (function Sel_expr (e, _) -> Eval.has_aggregate e | Star -> false)
-         sel.items
+  let layout, joined =
+    match plan_select (resolve_table catalog txn mode) mode ~outer sel with
+    | None ->
+        let where = Option.map (Eval.compile_pred ctx outer) sel.where in
+        ( outer,
+          fun frame0 f ->
+            match where with Some w when not (w frame0) -> () | _ -> f frame0 )
+    | Some plan ->
+        ( plan.sp_layouts.(Array.length plan.sp_layouts - 1),
+          compile_joins txn mode ctx ~provenance plan )
   in
-  let sample_env = match envs with e :: _ -> Some e | [] -> None in
-  let columns = item_columns ~provenance sel sample_env in
-  let rows =
-    if not aggregated then
-      (* Plain projection per row; ORDER BY keys evaluated on the row env. *)
-      let decorated =
-        List.map
-          (fun env ->
-            let keys =
-              List.map
-                (fun k -> Eval.eval env (substitute_aliases sel.items k.o_expr))
-                sel.order_by
-            in
-            let values =
-              List.concat_map
-                (function
-                  | Star -> star_values ~provenance env
-                  | Sel_expr (e, _) -> [ Eval.eval env e ])
-                sel.items
-            in
-            (keys, values))
-          envs
-      in
-      (decorated, sel.order_by)
-    else begin
-      (* Group rows, then evaluate aggregate expressions per group. *)
-      if List.exists (function Star -> true | _ -> false) sel.items then
-        fail "SELECT * cannot be combined with aggregates";
-      (* Each non-aggregate select item must be one of the GROUP BY keys
-         (stricter than PostgreSQL's functional-dependency rule, but
-         deterministic and simple to reason about). *)
-      let group_keys = List.map expr_to_string sel.group_by in
-      List.iter
-        (function
-          | Star -> ()
-          | Sel_expr (e, _) ->
-              if (not (Eval.has_aggregate e)) && not (List.mem (expr_to_string e) group_keys)
-              then fail "column %s must appear in GROUP BY or an aggregate" (expr_to_string e))
-        sel.items;
-      (* Groups come out as [(key, rows-in-arrival-order)] in ascending key
-         order ([Value.compare_total], then canonical encoding on ties), so
-         output never depends on hashtable internals. *)
-      let groups =
-        match sel.group_by with
-        | [] -> [ ([], envs) ] (* a single group — even with no input rows *)
-        | _ ->
-            let tbl = Hashtbl.create 64 in
-            List.iter
-              (fun env ->
-                let key = List.map (Eval.eval env) sel.group_by in
-                let ks = key_string key in
-                match Hashtbl.find_opt tbl ks with
-                | Some (_, r) -> r := env :: !r
-                | None -> Hashtbl.add tbl ks (key, ref [ env ]))
-              envs;
-            let drained =
-              Brdb_util.Sorted_tbl.sorted_bindings tbl
-              |> List.map (fun (ks, (key, r)) -> (ks, key, List.rev !r))
-            in
-            stats_scan mode ~op:"hash_agg" ~table:"-"
-              ~rows:(List.length drained) ~visited:(List.length envs);
-            List.sort
-              (fun (s1, k1, _) (s2, k2, _) ->
-                match List.compare Value.compare_total k1 k2 with
-                | 0 -> compare s1 s2
-                | c -> c)
-              drained
-            |> List.map (fun (_, key, group) -> (key, group))
-      in
-      let decorated =
-        List.filter_map
-          (fun (_key, group) ->
-            let rep = match group with e :: _ -> e | [] -> base_env in
-            let keep =
-              match sel.having with
-              | None -> true
-              | Some h -> (
-                  match Eval.eval_grouped ~group rep (substitute_aliases sel.items h) with
-                  | Value.Bool true -> true
-                  | _ -> false)
-            in
-            if not keep then None
-            else
-              let keys =
-                List.map
-                  (fun k ->
-                    Eval.eval_grouped ~group rep (substitute_aliases sel.items k.o_expr))
-                  sel.order_by
-              in
-              let values =
-                List.concat_map
-                  (function
-                    | Star -> assert false
-                    | Sel_expr (e, _) -> [ Eval.eval_grouped ~group rep e ])
-                  sel.items
-              in
-              Some (keys, values))
-          groups
-      in
-      (decorated, sel.order_by)
-    end
+  let columns_of_rows = item_columns ~provenance sel layout ~has_rows:true in
+  let columns_of_none = item_columns ~provenance sel layout ~has_rows:false in
+  let order_exprs =
+    List.map (fun k -> substitute_aliases sel.items k.o_expr) sel.order_by
   in
-  let decorated, order_by = rows in
-  let cmp (ka, _) (kb, _) =
-    let rec loop ks ka kb =
-      match (ks, ka, kb) with
-      | [], _, _ -> 0
-      | k :: ks, a :: ka, b :: kb ->
-          let c = Value.compare_total a b in
-          let c = if k.o_asc then c else -c in
-          if c <> 0 then c else loop ks ka kb
-      | _ -> 0
+  let aggregated = is_aggregated sel in
+  let grouping_error = if aggregated then grouping_error sel else None in
+  (* Plain projection: ORDER BY keys and items on each row. *)
+  let project =
+    lazy
+      (let keys = List.map (Eval.compile ctx layout) order_exprs in
+       let items =
+         List.map
+           (function
+             | Star -> Eval.compile_star layout ~provenance
+             | Sel_expr (e, _) ->
+                 let c = Eval.compile ctx layout e in
+                 fun frame -> [ c frame ])
+           sel.items
+       in
+       fun frame ->
+         let keys = List.map (fun k -> k frame) keys in
+         (keys, List.concat_map (fun c -> c frame) items))
+  in
+  let group_keys = lazy (List.map (Eval.compile ctx layout) sel.group_by) in
+  (* Grouped projection against the representative row's layout. *)
+  let grouped rep_layout =
+    let aggs = Eval.aggregates ctx layout in
+    let g = Eval.compile_grouped aggs rep_layout in
+    let having = Option.map (fun h -> g (substitute_aliases sel.items h)) sel.having in
+    let keys = List.map g order_exprs in
+    let items =
+      List.map (function Star -> assert false | Sel_expr (e, _) -> g e) sel.items
     in
-    loop order_by ka kb
+    fun ~rows ~rep ->
+      let group = Eval.group aggs ~rows ~rep in
+      let keep =
+        match having with
+        | None -> true
+        | Some h -> ( match h group with Value.Bool true -> true | _ -> false)
+      in
+      if not keep then None
+      else
+        let keys = List.map (fun k -> k group) keys in
+        Some (keys, List.map (fun c -> c group) items)
   in
-  let sorted =
-    match order_by with
-    | [] -> decorated
-    | _ -> (
-        match sel.limit with
-        | Some k when not sel.distinct ->
-            (* ORDER BY ... LIMIT k: bounded heap, first k of the stable
-               sort without sorting the full input. (DISTINCT dedups after
-               the sort, so it still needs every row.) *)
-            let out = Brdb_util.Topk.select ~k ~cmp decorated in
-            stats_scan mode ~op:"top_k" ~table:"-" ~rows:(List.length out)
-              ~visited:(List.length decorated);
-            out
-        | _ -> List.stable_sort cmp decorated)
-  in
-  let deduped =
-    if not sel.distinct then sorted
-    else begin
-      (* keep the first occurrence of each projected row *)
-      let seen = Hashtbl.create 16 in
-      List.filter
-        (fun (_, v) ->
-          let key = String.concat "|" (List.map Value.encode v) in
-          if Hashtbl.mem seen key then false
-          else begin
-            Hashtbl.replace seen key ();
-            true
-          end)
-        sorted
-    end
-  in
-  let limited =
-    match sel.limit with
-    | None -> deduped
-    | Some n -> List.filteri (fun i _ -> i < n) deduped
-  in
-  { columns; rows = List.map (fun (_, v) -> Array.of_list v) limited; affected = 0 }
+  let grouped_rows = lazy (grouped layout) and grouped_empty = lazy (grouped outer) in
+  fun (frame0 : Eval.frame) ->
+    let frames = ref [] in
+    joined frame0 (fun frame -> frames := Array.copy frame :: !frames);
+    let frames = List.rev !frames in
+    let columns = if frames = [] then columns_of_none else columns_of_rows in
+    let decorated =
+      if not aggregated then List.map (Lazy.force project) frames
+      else begin
+        Option.iter (fun msg -> fail "%s" msg) grouping_error;
+        (* Groups come out as [(key, rows-in-arrival-order)] in ascending
+           key order ([Value.compare_total], then canonical encoding on
+           ties), so output never depends on hashtable internals. *)
+        let groups =
+          match sel.group_by with
+          | [] -> [ frames ] (* a single group — even with no input rows *)
+          | _ ->
+              let keys = Lazy.force group_keys in
+              let tbl = Hashtbl.create 64 in
+              List.iter
+                (fun frame ->
+                  let key = List.map (fun k -> k frame) keys in
+                  let ks = key_string key in
+                  match Hashtbl.find_opt tbl ks with
+                  | Some (_, r) -> r := frame :: !r
+                  | None -> Hashtbl.add tbl ks (key, ref [ frame ]))
+                frames;
+              let drained =
+                Brdb_util.Sorted_tbl.sorted_bindings tbl
+                |> List.map (fun (ks, (key, r)) -> (ks, key, List.rev !r))
+              in
+              stats_scan mode ~op:"hash_agg" ~table:"-"
+                ~rows:(List.length drained) ~visited:(List.length frames);
+              List.sort
+                (fun (s1, k1, _) (s2, k2, _) ->
+                  match List.compare Value.compare_total k1 k2 with
+                  | 0 -> compare s1 s2
+                  | c -> c)
+                drained
+              |> List.map (fun (_, _, group) -> group)
+        in
+        let project_group =
+          Lazy.force (if frames = [] then grouped_empty else grouped_rows)
+        in
+        List.filter_map
+          (fun rows ->
+            let rep = match rows with f :: _ -> f | [] -> frame0 in
+            project_group ~rows ~rep)
+          groups
+      end
+    in
+    let cmp (ka, _) (kb, _) =
+      let rec loop ks ka kb =
+        match (ks, ka, kb) with
+        | [], _, _ -> 0
+        | k :: ks, a :: ka, b :: kb ->
+            let c = Value.compare_total a b in
+            let c = if k.o_asc then c else -c in
+            if c <> 0 then c else loop ks ka kb
+        | _ -> 0
+      in
+      loop sel.order_by ka kb
+    in
+    let sorted =
+      match sel.order_by with
+      | [] -> decorated
+      | _ -> (
+          match sel.limit with
+          | Some k when not sel.distinct ->
+              (* ORDER BY ... LIMIT k: bounded heap, first k of the stable
+                 sort without sorting the full input. (DISTINCT dedups after
+                 the sort, so it still needs every row.) *)
+              let out = Brdb_util.Topk.select ~k ~cmp decorated in
+              stats_scan mode ~op:"top_k" ~table:"-" ~rows:(List.length out)
+                ~visited:(List.length decorated);
+              out
+          | _ -> List.stable_sort cmp decorated)
+    in
+    let deduped =
+      if not sel.distinct then sorted
+      else begin
+        (* keep the first occurrence of each projected row *)
+        let seen = Hashtbl.create 16 in
+        List.filter
+          (fun (_, v) ->
+            let key = String.concat "|" (List.map Value.encode v) in
+            if Hashtbl.mem seen key then false
+            else begin
+              Hashtbl.replace seen key ();
+              true
+            end)
+          sorted
+      end
+    in
+    let limited =
+      match sel.limit with
+      | None -> deduped
+      | Some n -> List.filteri (fun i _ -> i < n) deduped
+    in
+    { columns; rows = List.map (fun (_, v) -> Array.of_list v) limited; affected = 0 }
 
 (* --- DML ----------------------------------------------------------------- *)
 
@@ -1023,7 +1012,7 @@ let check_unique_at_insert txn table row ~exclude_vid =
       end)
     (Table.unique_columns table)
 
-let exec_insert catalog txn ~env0 ~ins_table ~ins_cols ~ins_rows =
+let exec_insert catalog txn ctx ~ins_table ~ins_cols ~ins_rows =
   if Catalog.is_sys_name ins_table then fail "sys.* tables are read-only";
   let table = table_or_fail catalog ins_table in
   let schema = Table.schema table in
@@ -1045,9 +1034,7 @@ let exec_insert catalog txn ~env0 ~ins_table ~ins_cols ~ins_rows =
       if List.length exprs <> List.length positions then
         fail "INSERT arity mismatch on %s" ins_table;
       let row = Array.make arity Value.Null in
-      List.iter2
-        (fun pos e -> row.(pos) <- Eval.eval env0 e)
-        positions exprs;
+      List.iter2 (fun pos e -> row.(pos) <- Eval.eval ctx e) positions exprs;
       (match Schema.check_row schema row with
       | Ok () -> ()
       | Error msg -> fail "%s" msg);
@@ -1058,55 +1045,60 @@ let exec_insert catalog txn ~env0 ~ins_table ~ins_cols ~ins_rows =
     ins_rows;
   { columns = []; rows = []; affected = !count }
 
-let target_rows catalog txn mode ~env0 ~table_name ~where f =
+(* The versions an UPDATE/DELETE targets, with the layout (the target table
+   alone) its expressions compile against. *)
+let target_rows catalog txn mode ctx ~table_name ~where =
   if Catalog.is_sys_name table_name then fail "sys.* tables are read-only";
   let table = table_or_fail catalog table_name in
   let alias = table_name in
   let conjuncts = match where with None -> [] | Some w -> conjuncts_of w in
-  let path = choose_path table env0 alias conjuncts in
-  let penv =
-    {
-      env0 with
-      Eval.bindings =
-        env0.Eval.bindings @ [ null_binding ~provenance:false alias table ];
-    }
-  in
-  let pushed, residual = List.partition (bound_in penv) conjuncts in
+  let path = choose_path table Eval.root alias conjuncts in
+  let slot = Eval.slot ~alias ~schema:(Table.schema table) ~provenance:false in
+  let layout = Eval.extend Eval.root slot in
+  let pushed, residual = List.partition (bound_in layout) conjuncts in
   let spec =
     {
       sc_table = table;
-      sc_alias = alias;
-      sc_path = path;
+      sc_slot = 0;
+      sc_access = compile_path ctx Eval.root path;
       sc_provenance = false;
-      sc_filters = pushed;
+      sc_filters = List.map (Eval.compile_pred ctx layout) pushed;
     }
   in
+  let residual = List.map (Eval.compile_pred ctx layout) residual in
   (* Finish the scan before the first write: a scan that sees the new
      versions this statement inserts would update a row again (a
      sequential scan reaches the appended versions, and IN-probes revisit
      rows moved onto a later key). *)
   let targets = ref [] in
-  run_scan txn mode spec env0 (fun env (b : Eval.binding) ->
-      if List.for_all (fun c -> Eval.eval_bool env c = Some true) residual then
-        match b.Eval.version with
-        | Some v -> targets := (env, v) :: !targets
-        | None -> assert false);
-  List.iter (fun (env, v) -> f table env v) (List.rev !targets)
+  let frame = [| slot.Eval.null_row |] in
+  run_scan txn mode spec frame (fun v ->
+      if all_true residual frame then targets := v :: !targets);
+  (table, layout, List.rev !targets)
 
-let exec_update catalog txn mode ~env0 ~upd_table ~upd_sets ~upd_where =
+let exec_update catalog txn mode ctx ~upd_table ~upd_sets ~upd_where =
   if mode.require_index && upd_where = None then
     raise (Exec_error (Blind_update upd_table));
-  let count = ref 0 in
-  target_rows catalog txn mode ~env0 ~table_name:upd_table ~where:upd_where
-    (fun table env v ->
-      let schema = Table.schema table in
+  let table, layout, targets =
+    target_rows catalog txn mode ctx ~table_name:upd_table ~where:upd_where
+  in
+  let schema = Table.schema table in
+  (* An unknown target column fails at the first target row, in SET order. *)
+  let sets =
+    List.map
+      (fun (c, e) ->
+        match Schema.column_index schema c with
+        | None -> fun _ _ -> fail "unknown column %s in UPDATE" c
+        | Some i ->
+            let value = Eval.compile ctx layout e in
+            fun frame (row : Value.t array) -> row.(i) <- value frame)
+      upd_sets
+  in
+  List.iter
+    (fun (v : Version.t) ->
+      let frame = [| v |] in
       let row = Array.copy v.Version.values in
-      List.iter
-        (fun (c, e) ->
-          match Schema.column_index schema c with
-          | None -> fail "unknown column %s in UPDATE" c
-          | Some i -> row.(i) <- Eval.eval env e)
-        upd_sets;
+      List.iter (fun set -> set frame row) sets;
       (match Schema.check_row schema row with
       | Ok () -> ()
       | Error msg -> fail "%s" msg);
@@ -1114,20 +1106,22 @@ let exec_update catalog txn mode ~env0 ~upd_table ~upd_sets ~upd_where =
       check_unique_at_insert txn table row ~exclude_vid:(Some v.Version.vid);
       let nv = Table.insert_version table ~xmin:txn.Txn.txid row in
       Txn.record_write txn
-        (Txn.W_update { table = upd_table; old_vid = v.Version.vid; new_vid = nv.Version.vid });
-      incr count);
-  { columns = []; rows = []; affected = !count }
+        (Txn.W_update { table = upd_table; old_vid = v.Version.vid; new_vid = nv.Version.vid }))
+    targets;
+  { columns = []; rows = []; affected = List.length targets }
 
-let exec_delete catalog txn mode ~env0 ~del_table ~del_where =
+let exec_delete catalog txn mode ctx ~del_table ~del_where =
   if mode.require_index && del_where = None then
     raise (Exec_error (Blind_update del_table));
-  let count = ref 0 in
-  target_rows catalog txn mode ~env0 ~table_name:del_table ~where:del_where
-    (fun _table _env v ->
+  let _, _, targets =
+    target_rows catalog txn mode ctx ~table_name:del_table ~where:del_where
+  in
+  List.iter
+    (fun (v : Version.t) ->
       Version.claim v txn.Txn.txid;
-      Txn.record_write txn (Txn.W_delete { table = del_table; old_vid = v.Version.vid });
-      incr count);
-  { columns = []; rows = []; affected = !count }
+      Txn.record_write txn (Txn.W_delete { table = del_table; old_vid = v.Version.vid }))
+    targets;
+  { columns = []; rows = []; affected = List.length targets }
 
 (* --- DDL ----------------------------------------------------------------- *)
 
@@ -1218,7 +1212,6 @@ let explain_gen ?actual catalog stmt =
      (operator, table), so repeated scans of one table show totals. *)
   let buf = Buffer.create 128 in
   let mode = default_mode in
-  let env0 = empty_env [||] [] None in
   let annotate ops table s =
     match actual with
     | None -> s
@@ -1254,7 +1247,7 @@ let explain_gen ?actual catalog stmt =
          ks)
   in
   let explain_select (sel : select) =
-    match plan_select table_of mode ~base_env:env0 sel with
+    match plan_select table_of mode ~outer:Eval.root sel with
     | None -> line "no table access"
     | Some plan ->
         List.iter
@@ -1300,14 +1293,7 @@ let explain_gen ?actual catalog stmt =
           plan.sp_tables;
         if plan.sp_residual <> [] then
           line ("residual" ^ describe_filters plan.sp_residual);
-        let aggregated =
-          sel.group_by <> []
-          || sel.having <> None
-          || List.exists
-               (function Sel_expr (e, _) -> Eval.has_aggregate e | Star -> false)
-               sel.items
-        in
-        if aggregated then (
+        if is_aggregated sel then (
           match sel.group_by with
           | [] -> line "aggregate (single group)"
           | ks ->
@@ -1332,14 +1318,12 @@ let explain_gen ?actual catalog stmt =
     Buffer.add_string buf (what ^ ":\n");
     let table = table_of name in
     let conjuncts = match where with None -> [] | Some w -> conjuncts_of w in
-    let path = choose_path table env0 name conjuncts in
-    let penv =
-      {
-        env0 with
-        Eval.bindings = [ null_binding ~provenance:false name table ];
-      }
+    let path = choose_path table Eval.root name conjuncts in
+    let layout =
+      Eval.extend Eval.root
+        (Eval.slot ~alias:name ~schema:(Table.schema table) ~provenance:false)
     in
-    let pushed = List.filter (bound_in penv) conjuncts in
+    let pushed = List.filter (bound_in layout) conjuncts in
     line (annotate scan_ops name (describe_path table path ^ describe_filters pushed))
   in
   (match stmt with
@@ -1473,7 +1457,7 @@ let membership_probe rows =
 (* --- entry points --------------------------------------------------------- *)
 
 let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) stmt =
-  (* Scalar subqueries re-enter the executor with the outer row's env as
+  (* Subqueries re-enter the executor with the outer row's frame as
      their correlated context. Per-statement caches (keyed by physical
      identity of the AST node) memoize uncorrelated subqueries: their rows,
      and the membership probe backing IN (SELECT ...). Re-running such a
@@ -1498,40 +1482,43 @@ let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) st
         uncorr := (sel, b) :: !uncorr;
         b
   in
-  let rec run_subquery sel env =
-    if is_uncorrelated sel then (
-      match find_phys row_cache sel with
-      | Some rows -> rows
-      | None ->
-          let rows = (exec_select catalog txn mode ~base_env:env sel).rows in
-          row_cache := (sel, rows) :: !row_cache;
-          rows)
-    else (exec_select catalog txn mode ~base_env:env sel).rows
-  and semijoin sel env =
-    if not (is_uncorrelated sel) then None
+  (* A subquery is planned and compiled once per layout it runs under, on
+     its first evaluation; an uncorrelated one is compiled only when its
+     cached rows are missing. *)
+  let rec subquery sel layout =
+    let ctx = { Eval.params; named; subquery = Some subquery } in
+    let compiled = lazy (compile_select catalog txn mode ctx ~outer:layout sel) in
+    let run frame = (Lazy.force compiled frame).rows in
+    if not (is_uncorrelated sel) then { Eval.rows = run; probe = None }
     else
-      match find_phys probe_cache sel with
-      | Some probe -> Some probe
-      | None ->
-          let probe = membership_probe (run_subquery sel env) in
-          probe_cache := (sel, probe) :: !probe_cache;
-          Some probe
+      let rows frame =
+        match find_phys row_cache sel with
+        | Some rows -> rows
+        | None ->
+            let rows = run frame in
+            row_cache := (sel, rows) :: !row_cache;
+            rows
+      in
+      let probe frame =
+        match find_phys probe_cache sel with
+        | Some probe -> probe
+        | None ->
+            let probe = membership_probe (rows frame) in
+            probe_cache := (sel, probe) :: !probe_cache;
+            probe
+      in
+      { Eval.rows; probe = Some probe }
   in
-  let root_env () =
-    {
-      (empty_env params named (Some run_subquery)) with
-      Eval.semijoin = Some semijoin;
-    }
-  in
+  let ctx = { Eval.params; named; subquery = Some subquery } in
   match
     match stmt with
-    | Select sel -> exec_select catalog txn mode ~base_env:(root_env ()) sel
+    | Select sel -> compile_select catalog txn mode ctx ~outer:Eval.root sel [||]
     | Insert { ins_table; ins_cols; ins_rows } ->
-        exec_insert catalog txn ~env0:(root_env ()) ~ins_table ~ins_cols ~ins_rows
+        exec_insert catalog txn ctx ~ins_table ~ins_cols ~ins_rows
     | Update { upd_table; upd_sets; upd_where } ->
-        exec_update catalog txn mode ~env0:(root_env ()) ~upd_table ~upd_sets ~upd_where
+        exec_update catalog txn mode ctx ~upd_table ~upd_sets ~upd_where
     | Delete { del_table; del_where } ->
-        exec_delete catalog txn mode ~env0:(root_env ()) ~del_table ~del_where
+        exec_delete catalog txn mode ctx ~del_table ~del_where
     | Create_table _ | Create_index _ | Drop_table _ -> exec_ddl catalog txn mode stmt
   with
   | result ->

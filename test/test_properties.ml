@@ -769,6 +769,16 @@ let prop_hash_join_matches_nested_loop =
               t1)
           t1
       in
+      (* t1.b = t2.d probes t2's primary key once per t1 row: an indexed
+         nested-loop join, not a hash join. *)
+      let pk_join =
+        List.concat_map
+          (fun (a, b, _) ->
+            List.filter_map
+              (fun (d, _) -> if sql_eq b (Some d) then Some [ Some a; Some d ] else None)
+              t2)
+          t1
+      in
       let q = "SELECT t1.a, t2.d FROM t1 JOIN t2 ON t1.b = t2.e" in
       List.iter (check_ref run)
         [
@@ -780,6 +790,7 @@ let prop_hash_join_matches_nested_loop =
             true,
             left_join );
           ("SELECT x.a, y.a FROM t1 x JOIN t1 y ON x.b = y.b WHERE x.a < y.a", false, self_join);
+          ("SELECT t1.a, t2.d FROM t1 JOIN t2 ON t1.b = t2.d", false, pk_join);
         ];
       true)
 
@@ -798,8 +809,35 @@ let prop_hash_agg_matches_list_agg =
       let ge2 = cs_where (function Some b -> b >= 2 | None -> false) in
       let in_t2 b = List.exists (fun (_, e) -> sql_eq b e) t2 in
       let in_135 b = List.mem b [ Some 1; Some 3; Some 5 ] in
+      (* The benchmark's group query: an indexed join, SUM of a product per
+         group, top-k by the aggregate's output alias with a key tie-break. *)
+      let top_groups k =
+        let pairs =
+          List.concat_map
+            (fun (_, b, c) ->
+              List.filter_map
+                (fun (d, e) -> if sql_eq b (Some d) then Some (e, c * d) else None)
+                t2)
+            t1
+        in
+        List.sort_uniq compare (List.map fst pairs)
+        |> List.map (fun e ->
+               (e, sum (List.filter_map (fun (e', x) -> if e' = e then Some x else None) pairs)))
+        |> List.sort (fun (e1, s1) (e2, s2) ->
+               match compare s2 s1 with 0 -> compare e1 e2 | c -> c)
+        |> List.filteri (fun i _ -> i < k)
+        |> List.map (fun (e, s) -> [ e; Some s ])
+      in
+      let count_e b = List.length (List.filter (fun (_, e) -> sql_eq b e) t2) in
       List.iter (check_ref run)
         [
+          ( "SELECT t2.e, SUM(t1.c * t2.d) AS s FROM t1 JOIN t2 ON t1.b = t2.d \
+             GROUP BY t2.e ORDER BY s DESC, t2.e LIMIT 2",
+            true,
+            top_groups 2 );
+          ( "SELECT a, (SELECT COUNT(*) FROM t2 WHERE t2.e = t1.b) FROM t1",
+            false,
+            List.map (fun (a, b, _) -> [ Some a; Some (count_e b) ]) t1 );
           ( "SELECT b, COUNT(*), SUM(c) FROM t1 GROUP BY b ORDER BY b",
             true,
             List.map (fun (k, cs) -> [ k; Some (List.length cs); Some (sum cs) ]) groups );
