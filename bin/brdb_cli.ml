@@ -673,7 +673,7 @@ let verify_smoke () =
                  }));
       check "wrong anchor rejected"
         (not (Proof.verify_receipt ~tip_hash:(flip anchor 0) r)));
-  say "# provenance proof: write entry + Merkle path + chained-digest refold";
+  say "# provenance proof: write entry + Merkle path + history path";
   let s2 = Session.begin_ hub ~user in
   (match Session.read_verified s2 ~table:"audit_kv" ~key:(Value.Int 1) with
   | Error e -> check ("verified read served (" ^ e ^ ")") false
@@ -681,7 +681,7 @@ let verify_smoke () =
       say "  row: %s"
         (String.concat ", " (Array.to_list (Array.map Value.to_string row)));
       say "  %s" (Proof.describe_provenance p);
-      check "provenance verifies against the tip state digest alone"
+      check "provenance verifies against the history tree head alone"
         (Proof.verify_provenance ~tip_digest:anchor p);
       check "tampered write entry rejected"
         (not
@@ -691,13 +691,22 @@ let verify_smoke () =
         (not
            (Proof.verify_provenance ~tip_digest:anchor
               { p with Proof.pv_prefix = flip p.Proof.pv_prefix 4 }));
-      check "tampered write-set root rejected"
+      check "tampered history path rejected"
         (match p.Proof.pv_roots with
         | [] -> not (Proof.verify_provenance ~tip_digest:(flip anchor 2) p)
         | r0 :: rest ->
             not
               (Proof.verify_provenance ~tip_digest:anchor
                  { p with Proof.pv_roots = flip r0 5 :: rest }));
+      let claims field f =
+        check
+          (Printf.sprintf "claimed %s +/- 1 rejected" field)
+          (List.for_all
+             (fun d -> not (Proof.verify_provenance ~tip_digest:anchor (f d)))
+             [ -1; 1 ])
+      in
+      claims "height" (fun d -> { p with Proof.pv_height = p.Proof.pv_height + d });
+      claims "tip" (fun d -> { p with Proof.pv_tip = p.Proof.pv_tip + d });
       check "wrong anchor rejected"
         (not (Proof.verify_provenance ~tip_digest:(flip anchor 0) p)));
   say "# Early Fail Tx (1): a superseded pin aborts at the client";

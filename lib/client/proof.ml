@@ -23,6 +23,7 @@ type provenance = {
   pv_proof : Merkle.proof;
   pv_prefix : string;
   pv_roots : string list;
+  pv_tip : int;
 }
 
 (* Successor headers read the tx root the store kept when each block was
@@ -87,7 +88,7 @@ let verify_receipt ~tip_hash rc =
   chain h0 rc.rc_height rc.rc_chain
 
 let build_provenance core ~height ~matches =
-  let tip = Node_core.height core in
+  let tip = Node_core.history_size core in
   if height < 1 || height > tip then
     Error (Printf.sprintf "height %d out of range (tip %d)" height tip)
   else
@@ -113,35 +114,31 @@ let build_provenance core ~height ~matches =
                 | Some d -> d
                 | None -> Block.genesis_hash
             in
-            let roots = ref [] in
-            let complete = ref true in
-            for h = height to tip do
-              match Node_core.write_set_hash core ~height:h with
-              | Some ws -> roots := ws :: !roots
-              | None -> complete := false
-            done;
-            if not !complete then
-              Error "write-set roots missing between height and tip"
-            else
-              Ok
-                {
-                  pv_height = height;
-                  pv_entry = entry;
-                  pv_proof = Merkle.prove_tree tree entries i;
-                  pv_prefix = prefix;
-                  pv_roots = List.rev !roots;
-                })
+            Ok
+              {
+                pv_height = height;
+                pv_entry = entry;
+                pv_proof = Merkle.prove_tree tree entries i;
+                pv_prefix = prefix;
+                pv_roots = Node_core.history_path core ~height;
+                pv_tip = tip;
+              })
+
+(* The anchor names the history's size beside its root, as an RFC 6962
+   tree head does: a root alone does not fix the size (leaf 2 of 3 and
+   leaf 1 of 2 take the same single left step), and without the size a
+   proof could claim another height. *)
+let tree_head ~size root = Printf.sprintf "%d:%s" size (Hex.encode root)
 
 let verify_provenance ~tip_digest pv =
-  match pv.pv_roots with
-  | [] -> false
-  | r0 :: _ ->
-      String.equal (Merkle.apply ~leaf:pv.pv_entry pv.pv_proof) r0
-      && String.equal
-           (List.fold_left
-              (fun acc ws -> Hex.encode (Sha256.digest_concat [ acc; ws ]))
-              pv.pv_prefix pv.pv_roots)
-           tip_digest
+  let ws_root = Merkle.apply ~leaf:pv.pv_entry pv.pv_proof in
+  let digest = Hex.encode (Sha256.digest_concat [ pv.pv_prefix; ws_root ]) in
+  match
+    Merkle.history_apply ~leaf:digest ~index:(pv.pv_height - 1) ~size:pv.pv_tip
+      pv.pv_roots
+  with
+  | Some root -> String.equal (tree_head ~size:pv.pv_tip root) tip_digest
+  | None -> false
 
 let row_write_matches ~table ~values =
   let vals =
@@ -162,12 +159,9 @@ let tip_hash core =
   | None -> Block.genesis_hash
 
 let tip_digest core =
-  let h = Node_core.height core in
-  if h < 1 then Block.genesis_hash
-  else
-    match Node_core.state_digest core ~height:h with
-    | Some d -> d
-    | None -> Block.genesis_hash
+  match Node_core.history_size core with
+  | 0 -> Block.genesis_hash
+  | size -> tree_head ~size (Node_core.history_root core)
 
 let describe_receipt rc =
   Printf.sprintf "receipt: block %d, payload %s, %d-step proof, %d successors"
@@ -177,7 +171,8 @@ let describe_receipt rc =
     (List.length rc.rc_chain)
 
 let describe_provenance pv =
-  Printf.sprintf "provenance: block %d, entry %S, %d-step proof, %d roots"
+  Printf.sprintf
+    "provenance: block %d, entry %S, %d-step proof, %d-step history path to tip %d"
     pv.pv_height pv.pv_entry
     (String.length (Merkle.proof_to_string pv.pv_proof) / 65)
-    (List.length pv.pv_roots)
+    (List.length pv.pv_roots) pv.pv_tip

@@ -4,7 +4,8 @@
     Both proof kinds are verifiable by an untrusting client against
     {e hashes alone} — no trust in the serving peer is needed beyond the
     anchor, which the client obtains by majority (the tip block hash for
-    receipts, the tip chained state digest for provenance proofs):
+    receipts, the head of the history tree over the chained state digests
+    for provenance proofs):
 
     - a {b receipt} shows a transaction is included in block [h]: the
       signed payload bytes, a Merkle proof to the block's transaction
@@ -13,9 +14,12 @@
       last one against the trusted tip hash.
     - a {b provenance proof} shows a write entry (["<gid>|<op>|<table>|
       <values>"]) was committed at block [h]: a Merkle proof to the
-      block's write-set root, the chained digest prefix [a_{h-1}], and
-      the write-set roots of blocks [h..tip] — the verifier refolds the
-      chained state digest and compares against the trusted tip digest.
+      block's write-set root, the chained digest prefix [a_{h-1}], which
+      gives [a_h] with one chain hash, and the path from leaf [h - 1] of
+      the node's history tree over [a_1 .. a_tip]
+      ({!Brdb_node.Node_core.history_root}) to its root — O(log tip)
+      hashes, whatever the distance to the tip. The verifier compares the
+      root and the tree size against the trusted tree head.
 
     Proofs for heights a node installed from a snapshot cannot be built
     there (the write entries were never replayed — the provenance floor);
@@ -37,11 +41,17 @@ type receipt = {
 }
 
 type provenance = {
-  pv_height : int;  (** block whose write set contains the entry *)
+  pv_height : int;
+      (** block whose write set contains the entry; its digest is leaf
+          [pv_height - 1] of the history tree, and the verifier takes the
+          path's sides from that index, so the height is bound *)
   pv_entry : string;  (** the write entry — the Merkle leaf *)
   pv_proof : Merkle.proof;  (** to the block's write-set root *)
   pv_prefix : string;  (** chained state digest before [pv_height] *)
-  pv_roots : string list;  (** write-set roots [pv_height .. tip] *)
+  pv_roots : string list;
+      (** the history path: roots of the sibling subtrees of chained
+          digests, leaf to root, at most ⌈log2 pv_tip⌉ *)
+  pv_tip : int;  (** the history tree's size: the tip height it was served at *)
 }
 
 (** [build_receipt core ~tx_id] — serve a receipt from the node's block
@@ -66,8 +76,9 @@ val verify_receipt : tip_hash:string -> receipt -> bool
     Merkle tree the node kept at commit
     ({!Brdb_node.Node_core.write_set_tree_at}): at most 26 hashes inside
     the entry's 16-entry bucket ({!Brdb_crypto.Merkle.prove_tree})
-    whatever the block's size, plus one write-set root read per height
-    from [height] to the tip. *)
+    whatever the block's size, plus the history path read from the
+    node's history tree ({!Brdb_node.Node_core.history_path}): at most
+    one hash per level for the tree's right edge, once per tip. *)
 val build_provenance :
   Brdb_node.Node_core.t ->
   height:int ->
@@ -75,9 +86,13 @@ val build_provenance :
   (provenance, string) result
 
 (** [verify_provenance ~tip_digest p] — recompute the write-set root from
-    leaf + proof, refold the chained state digest over [pv_roots], and
-    compare against the trusted [tip_digest]. Pure. Cost: one hash per
-    proof step plus one per root, so linear in the distance to the tip. *)
+    leaf + proof, chain it onto [pv_prefix] into the block's state digest,
+    climb the history path with each step's side taken from
+    [(pv_height - 1, pv_tip)], and compare the tree head
+    ["<pv_tip>:<hex root>"] against the trusted [tip_digest]. A path of
+    the wrong length, a height outside [1 .. pv_tip], or any other height
+    or tip than the one served fails. Pure. Cost: one hash per proof step,
+    one chain hash and at most ⌈log2 pv_tip⌉ history hashes. *)
 val verify_provenance : tip_digest:string -> provenance -> bool
 
 (** Entry predicate for "this row was written": matches an insert of, or
@@ -92,8 +107,12 @@ val row_write_matches :
     client cross-checks across peers to obtain the trusted anchor. *)
 val tip_hash : Brdb_node.Node_core.t -> string
 
-(** The node's current tip chained state digest (the provenance anchor;
-    genesis hash at height 0). *)
+(** The provenance anchor: the head of the node's history tree over the
+    chained state digests of heights [1 .. tip], ["<tip>:<hex root>"]
+    (genesis hash at height 0). The root commits to every chained digest,
+    the tip's included; the size in front binds the tree's shape, which
+    the root alone does not. A client cross-checks it across peers, as it
+    did the tip digest. *)
 val tip_digest : Brdb_node.Node_core.t -> string
 
 (** Human-readable one-line renderings (CLI). *)

@@ -44,10 +44,11 @@ val peer_index : t -> int
 val read : t -> table:string -> key:Value.t -> Value.t array option
 
 (** Like {!read}, but also serves a provenance proof for the row's
-    creating write and verifies it against the peer's tip state digest
-    before returning it — [Error] when the row is absent, the proof
-    cannot be built (provenance floor) or verification fails. The
-    returned anchor is the tip digest the proof was checked against;
+    creating write and verifies it against the peer's provenance anchor
+    ({!Proof.tip_digest}: the head of its history tree over the chained
+    state digests) before returning it — [Error] when the row is absent,
+    the proof cannot be built (provenance floor) or verification fails.
+    The returned anchor is the tree head the proof was checked against;
     an untrusting client re-checks the anchor across peers. *)
 val read_verified :
   t ->

@@ -110,3 +110,115 @@ let apply ~leaf proof =
     (fun h step ->
       match step with Left l -> node_hash l h | Right r -> node_hash h r)
     (leaf_hash leaf) proof
+
+(* --- append-only history tree ------------------------------------------- *)
+
+(* [h_levels.(k)] packs level [k]'s complete aligned subtrees, leaf hashes
+   first: node [j] covers leaves [j * 2^k .. (j+1) * 2^k - 1] and is
+   stored once all of them are in, so level [k] holds [size lsr k] nodes.
+   Such a node hashes alike in every tree that holds its leaves, whatever
+   the size, so an append only adds nodes and a truncation only cuts each
+   level. The last node of a level that is not complete (the right edge)
+   is recomputed from the stored ones: at most one hash per level. *)
+type history = {
+  mutable size : int;
+  mutable h_levels : Buffer.t array;
+  (* the last node of every level, leaves first and the root last;
+     [None] until asked for after a change *)
+  mutable edge : string array option;
+}
+
+let history () = { size = 0; h_levels = [||]; edge = None }
+
+let history_size h = h.size
+
+let node_at h k j = Buffer.sub h.h_levels.(k) (j * digest_len) digest_len
+
+let push h k d =
+  if k = Array.length h.h_levels then
+    h.h_levels <- Array.append h.h_levels [| Buffer.create (16 * digest_len) |];
+  Buffer.add_string h.h_levels.(k) d
+
+(* Adding leaf [n - 1] completes the node at level [k + 1] ending there
+   whenever [2^(k+1)] divides [n]: about one node hash per append. *)
+let history_append h leaf =
+  push h 0 (leaf_hash leaf);
+  h.size <- h.size + 1;
+  let n = h.size in
+  let k = ref 0 in
+  while n land ((2 lsl !k) - 1) = 0 do
+    let j = (n lsr !k) - 1 in
+    push h (!k + 1) (node_hash (node_at h !k (j - 1)) (node_at h !k j));
+    incr k
+  done;
+  h.edge <- None
+
+let history_truncate h n =
+  if n < 0 || n > h.size then invalid_arg "Merkle.history_truncate: size out of range";
+  if n < h.size then begin
+    Array.iteri (fun k b -> Buffer.truncate b ((n lsr k) * digest_len)) h.h_levels;
+    h.size <- n;
+    h.edge <- None
+  end
+
+let history_reset h = history_truncate h 0
+
+(* Number of levels above the leaves in a tree of [n >= 1] leaves. *)
+let depth n =
+  let rec go k = if (n - 1) lsr k = 0 then k else go (k + 1) in
+  go 0
+
+let edges h =
+  match h.edge with
+  | Some e -> e
+  | None ->
+      let n = h.size in
+      let d = depth n in
+      let e = Array.make (d + 1) "" in
+      e.(0) <- node_at h 0 (n - 1);
+      for k = 1 to d do
+        let last = (n - 1) lsr k in
+        e.(k) <-
+          (if (last + 1) lsl k <= n then node_at h k last
+           else
+             (* the child on the edge: paired with its complete left
+                sibling when it is a right child, else promoted *)
+             let child = (n - 1) lsr (k - 1) in
+             if child land 1 = 1 then node_hash (node_at h (k - 1) (child - 1)) e.(k - 1)
+             else e.(k - 1))
+      done;
+      h.edge <- Some e;
+      e
+
+let history_root h =
+  if h.size = 0 then empty_root
+  else
+    let e = edges h in
+    e.(Array.length e - 1)
+
+let history_path h i =
+  if i < 0 || i >= h.size then invalid_arg "Merkle.history_path: index out of range";
+  let n = h.size in
+  let e = edges h in
+  List.filter_map
+    (fun k ->
+      let q = (i lsr k) lxor 1 and last = (n - 1) lsr k in
+      if q > last then None else Some (if q = last then e.(k) else node_at h k q))
+    (List.init (depth n) Fun.id)
+
+(* The sibling's side at level [k] is [index]'s bit [k]; a level where
+   [index]'s node is the promoted last one takes no step. *)
+let history_apply ~leaf ~index ~size path =
+  let rec go k acc path =
+    let last = (size - 1) lsr k in
+    if last = 0 then match path with [] -> Some acc | _ :: _ -> None
+    else
+      let p = index lsr k in
+      let q = p lxor 1 in
+      if q > last then go (k + 1) acc path
+      else
+        match path with
+        | [] -> None
+        | s :: rest -> go (k + 1) (if q > p then node_hash acc s else node_hash s acc) rest
+  in
+  if index < 0 || index >= size then None else go 0 (leaf_hash leaf) path

@@ -506,9 +506,18 @@ let plan_select resolve mode ~outer (sel : select) =
       done;
       let assigned = Array.make n [] in
       let residual = ref [] in
-      (* Each conjunct filters at the earliest scan where all its names
-         resolve. LEFT-JOIN scan points are skipped: their matches are
-         defined by ON alone, and WHERE must see the null-extended row. *)
+      (* A conjunct whose names do not all resolve against the whole FROM
+         layout (a name ambiguous across the join, say) is never pushed
+         down nor used as a path hint: it stays in the residual, whose
+         compiled closure raises, instead of binding to the first table
+         that has the name. *)
+      let placeable c =
+        List.for_all (fun (q, col) -> Eval.resolves layouts.(n) q col) (column_refs c)
+      in
+      (* Each other conjunct filters at the earliest scan where all its
+         names resolve. LEFT-JOIN scan points are skipped: their matches
+         are defined by ON alone, and WHERE must see the null-extended
+         row. *)
       List.iter
         (fun c ->
           let rec place i = function
@@ -521,8 +530,9 @@ let plan_select resolve mode ~outer (sel : select) =
                   assigned.(i) <- c :: assigned.(i)
                 else place (i + 1) rest
           in
-          place 0 tables)
+          if placeable c then place 0 tables else residual := c :: !residual)
         where_conj;
+      let hint_where = List.filter placeable where_conj in
       Array.iteri (fun i l -> assigned.(i) <- List.rev l) assigned;
       let plans =
         List.mapi
@@ -532,10 +542,10 @@ let plan_select resolve mode ~outer (sel : select) =
             let filters = assigned.(i) in
             let hint_conjuncts =
               match j with
-              | None -> where_conj
+              | None -> hint_where
               | Some j ->
                   conjuncts_of j.j_on
-                  @ (if j.j_kind = J_inner then where_conj else [])
+                  @ (if j.j_kind = J_inner then hint_where else [])
             in
             let hint = choose_path table layout alias hint_conjuncts in
             match j with

@@ -102,6 +102,9 @@ type t = {
   (* height -> the block's record: written only by [store_record], reset
      only by [forget_records] *)
   records : (int, block_record) Hashtbl.t;
+  (* leaf [h - 1] is the chained state digest of height [h], for every
+     recorded height; same writer and reset as [records] *)
+  history : Brdb_crypto.Merkle.history;
 }
 
 let create config ~registry =
@@ -120,6 +123,7 @@ let create config ~registry =
     exec_totals = Exec.new_stats ();
     tet_model = (fun _ -> 0.);
     records = Hashtbl.create 64;
+    history = Brdb_crypto.Merkle.history ();
   }
 
 let record_at t ~height = Hashtbl.find_opt t.records height
@@ -146,7 +150,9 @@ let write_set_hash t ~height = Option.map (fun r -> r.b_root) (record_at t ~heig
    with [root] chained onto the digest below. Blocks are recorded in
    height order (recovery finishes an interrupted top block before the
    next one is processed), so the height below is always recorded.
-   Replace, not add: recovery overwrites a partial attempt. *)
+   Replace, not add: recovery overwrites a partial attempt, and the
+   history drops every leaf from [height] up before taking the new
+   digest (a re-chain rewrites each height above in turn). *)
 let store_record t ~height ~txs ~root ~tree ~cp =
   let prev =
     if height = 1 then Block.genesis_hash
@@ -155,13 +161,24 @@ let store_record t ~height ~txs ~root ~tree ~cp =
       | Some d -> d
       | None -> invalid_arg "Node_core.store_record: height below unrecorded"
   in
+  let digest = chain prev root in
   Hashtbl.replace t.records height
-    { b_txs = txs; b_root = root; b_digest = chain prev root; b_tree = tree; b_cp = cp }
+    { b_txs = txs; b_root = root; b_digest = digest; b_tree = tree; b_cp = cp };
+  Brdb_crypto.Merkle.history_truncate t.history (height - 1);
+  Brdb_crypto.Merkle.history_append t.history digest
 
-(* The one reset: every per-height record and §3.7 execution version. *)
+(* The one reset: every per-height record, the history over their
+   digests and §3.7 execution version. *)
 let forget_records t =
   Hashtbl.reset t.records;
+  Brdb_crypto.Merkle.history_reset t.history;
   Hashtbl.reset t.exec_versions
+
+let history_size t = Brdb_crypto.Merkle.history_size t.history
+
+let history_root t = Brdb_crypto.Merkle.history_root t.history
+
+let history_path t ~height = Brdb_crypto.Merkle.history_path t.history (height - 1)
 
 let write_set_tree_at t ~height = Option.bind (record_at t ~height) (fun r -> r.b_tree)
 

@@ -185,6 +185,26 @@ val write_set_entries_at : t -> height:int -> string list option
 val write_set_tree_at :
   t -> height:int -> (string list * Brdb_crypto.Merkle.tree) option
 
+(** {2 History of chained digests}
+
+    An append-only Merkle history tree ({!Brdb_crypto.Merkle.history})
+    whose leaf [h - 1] is {!state_digest} at [h], for every recorded
+    height: the provenance anchor (DESIGN.md §16). It is written with
+    each height's record, so recovery, re-chaining and snapshot install
+    keep it equal to {!Brdb_crypto.Merkle.root} over the digests. *)
+
+(** Number of leaves: the highest recorded height (below {!height} only
+    while a §3.6 crash has left the top block unrecorded). *)
+val history_size : t -> int
+
+(** The history root over heights [1 .. history_size t]. *)
+val history_root : t -> string
+
+(** The path from [height]'s leaf to {!history_root}: at most
+    ⌈log2 (history_size t)⌉ sibling roots. Raises [Invalid_argument]
+    unless [1 <= height <= history_size t]. *)
+val history_path : t -> height:int -> string list
+
 (** {2 Crash & recovery (§3.6)} *)
 
 type crash_point =

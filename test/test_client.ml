@@ -455,10 +455,17 @@ let prop_receipt_tamper =
       if not rejected then QCheck.Test.fail_report "tampered receipt verified";
       true)
 
+(* Sites 5 and 6 claim a neighbouring height or tip: the proof must be
+   bound to both, not only to its hashes. *)
+let arbitrary_pv_tamper =
+  QCheck.make
+    ~print:(fun (t, s, o) -> Printf.sprintf "tx=%d site=%d ofs=%d" t s o)
+    QCheck.Gen.(triple (int_bound 8) (int_bound 6) (int_bound 63))
+
 let prop_provenance_tamper =
   QCheck.Test.make
-    ~name:"provenance round-trips; any single-byte tamper rejected" ~count:60
-    arbitrary_tamper
+    ~name:"provenance round-trips; any single-byte tamper rejected" ~count:80
+    arbitrary_pv_tamper
     (fun (t, site, ofs) ->
       let node, _ = Lazy.force proof_env in
       let key = 100 + (t mod 9) in
@@ -489,16 +496,17 @@ let prop_provenance_tamper =
             not
               (Proof.verify_provenance ~tip_digest:anchor
                  { pv with Proof.pv_prefix = flip_byte pv.Proof.pv_prefix ofs })
-        | 2 ->
-            let j = ofs mod List.length pv.Proof.pv_roots in
-            let roots' =
-              List.mapi
-                (fun i r -> if i = j then flip_byte r ofs else r)
-                pv.Proof.pv_roots
-            in
-            not
-              (Proof.verify_provenance ~tip_digest:anchor
-                 { pv with Proof.pv_roots = roots' })
+        | 2 -> (
+            match pv.Proof.pv_roots with
+            | [] ->
+                (* a one-leaf history has an empty path *)
+                not (Proof.verify_provenance ~tip_digest:(flip_byte anchor ofs) pv)
+            | roots ->
+                let j = ofs mod List.length roots in
+                let roots' = List.mapi (fun i r -> if i = j then flip_byte r ofs else r) roots in
+                not
+                  (Proof.verify_provenance ~tip_digest:anchor
+                     { pv with Proof.pv_roots = roots' }))
         | 3 -> (
             let entries =
               Option.get (Node_core.write_set_entries_at node ~height:pv.Proof.pv_height)
@@ -515,6 +523,20 @@ let prop_provenance_tamper =
                 not
                   (Proof.verify_provenance ~tip_digest:anchor
                      { pv with Proof.pv_proof = p }))
+        | 5 ->
+            List.for_all
+              (fun d ->
+                not
+                  (Proof.verify_provenance ~tip_digest:anchor
+                     { pv with Proof.pv_height = pv.Proof.pv_height + d }))
+              [ -1; 1 ]
+        | 6 ->
+            List.for_all
+              (fun d ->
+                not
+                  (Proof.verify_provenance ~tip_digest:anchor
+                     { pv with Proof.pv_tip = pv.Proof.pv_tip + d }))
+              [ -1; 1 ]
         | _ -> not (Proof.verify_provenance ~tip_digest:(flip_byte anchor ofs) pv)
       in
       if not rejected then
@@ -596,8 +618,8 @@ let test_session_lifecycle () =
   | Ok (vals, pv, _anchor) ->
       Alcotest.(check bool) "verified read sees the bump" true
         (vals = [| Value.Int 1; Value.Int 101 |]);
-      Alcotest.(check bool) "proof has roots up to the tip" true
-        (List.length pv.Proof.pv_roots >= 1)
+      Alcotest.(check bool) "proof is served at or above its block" true
+        (pv.Proof.pv_tip >= pv.Proof.pv_height)
   | Error e -> Alcotest.failf "read_verified: %s" e);
   (* sys.clients reflects every session *)
   (match B.query db ~node:0 "SELECT session, status FROM sys.clients" with
@@ -717,7 +739,13 @@ let test_cached_proofs_match_references () =
       | Ok _, None -> Alcotest.failf "reference found no block for %s" tx_id)
     !ids;
   let tip_digest = Proof.tip_digest node in
-  for height = 1 to Node_core.height node do
+  let tip = Node_core.height node in
+  let rec ceil_log2 n = if n <= 1 then 0 else 1 + ceil_log2 ((n + 1) / 2) in
+  let digests =
+    List.init tip (fun h -> Option.get (Node_core.state_digest node ~height:(h + 1)))
+  in
+  let sibling = function Merkle_ref.Left s | Merkle_ref.Right s -> s in
+  for height = 1 to tip do
     let entries =
       Option.value ~default:[] (Node_core.write_set_entries_at node ~height)
     in
@@ -732,8 +760,19 @@ let test_cached_proofs_match_references () =
               (Printf.sprintf "provenance path, block %d entry %d" height i)
               (Merkle_ref.proof entries i)
               (Merkle.proof_to_string pv.Proof.pv_proof);
+            Alcotest.(check (list string))
+              (Printf.sprintf "history path, block %d" height)
+              (List.map sibling (Merkle_ref.prove digests (height - 1)))
+              pv.Proof.pv_roots;
             Alcotest.(check bool) "provenance verifies" true
-              (Proof.verify_provenance ~tip_digest pv)
+              (Proof.verify_provenance ~tip_digest pv);
+            Alcotest.(check bool)
+              (Printf.sprintf "block %d entry %d: at most %d + %d steps" height i
+                 (ceil_log2 (List.length entries)) (ceil_log2 tip))
+              true
+              (String.length (Merkle.proof_to_string pv.Proof.pv_proof) / 65
+               <= ceil_log2 (List.length entries)
+              && List.length pv.Proof.pv_roots <= ceil_log2 tip)
         | Error e -> Alcotest.failf "build_provenance %d: %s" height e)
       entries
   done

@@ -383,6 +383,59 @@ let test_merkle_tree_bucket_edges () =
         (tree_matches_reference (List.init n (Printf.sprintf "e%d"))))
     [ 0; 1; 2; 15; 16; 17; 31; 32; 33; 1000 ]
 
+(* The history tree against the list reference, after [n] appends, a
+   truncation to [m] and [k] appends of fresh leaves: the root, and each
+   sampled index's path equal to the reference proof's sibling hashes in
+   order; [history_apply] climbs the path back to the root and rejects it
+   at a neighbouring index or with a step added or dropped. *)
+let history_matches_reference (n, m, k, salt) =
+  let m = m mod (n + 1) in
+  let h = Merkle.history () in
+  let first = List.init n (Printf.sprintf "%s-%d" salt) in
+  List.iter (Merkle.history_append h) first;
+  let before = String.equal (Merkle.history_root h) (Merkle_ref.root first) in
+  Merkle.history_truncate h m;
+  let fresh = List.init k (Printf.sprintf "%s+%d" salt) in
+  List.iter (Merkle.history_append h) fresh;
+  let leaves = List.filteri (fun i _ -> i < m) first @ fresh in
+  let size = List.length leaves in
+  let levels = Merkle_ref.levels leaves in
+  let sibling = function Merkle_ref.Left s | Merkle_ref.Right s -> s in
+  let path_ok i =
+    let path = Merkle.history_path h i in
+    let leaf = List.nth leaves i and root = Merkle.history_root h in
+    let applied ~index p = Merkle.history_apply ~leaf ~index ~size p in
+    List.equal String.equal path (List.map sibling (Merkle_ref.prove_in levels i))
+    && applied ~index:i path = Some root
+    && List.for_all (fun j -> j < 0 || j >= size || applied ~index:j path <> Some root)
+         [ i - 1; i + 1 ]
+    && applied ~index:i (path @ [ root ]) = None
+    && (path = [] || applied ~index:i (List.tl path) = None)
+  in
+  before
+  && Merkle.history_size h = size
+  && String.equal (Merkle.history_root h) (Merkle_ref.root leaves)
+  && (size = 0
+     || List.for_all path_ok
+          (List.sort_uniq compare [ 0; size - 1; size / 2; (size * 7 / 13) mod size ]))
+
+let prop_history_matches_reference =
+  QCheck.Test.make ~name:"history tree roots and paths equal the list reference"
+    ~count:12
+    QCheck.(quad (int_range 1 300) (int_bound 300) (int_bound 40) small_string)
+    history_matches_reference
+
+let test_history_edges () =
+  List.iter
+    (fun n ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d leaves, truncated to each edge" n)
+        true
+        (List.for_all
+           (fun m -> history_matches_reference (n, m, 3, "e"))
+           [ 0; 1; n / 2; n - 1; n ]))
+    [ 1; 2; 3; 4; 5; 7; 8; 9; 16; 17 ]
+
 let test_identity_registry () =
   let reg = Identity.Registry.create () in
   let alice = Identity.create "org1/alice" in
@@ -453,6 +506,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_merkle_proofs_verify;
         Alcotest.test_case "tree at bucket edges" `Quick test_merkle_tree_bucket_edges;
         QCheck_alcotest.to_alcotest prop_merkle_tree_matches_reference;
+        Alcotest.test_case "history tree at power-of-two edges" `Quick test_history_edges;
+        QCheck_alcotest.to_alcotest prop_history_matches_reference;
       ] );
     ("crypto.identity", [ Alcotest.test_case "registry" `Quick test_identity_registry ]);
   ]

@@ -351,6 +351,12 @@ let test_ambiguous_column () =
     (run_err fx "SELECT v FROM p JOIN q ON p.id = q.id");
   check_error "ambiguous in ORDER BY" "ambiguous column v"
     (run_err fx "SELECT p.id FROM p JOIN q ON p.id = q.id ORDER BY v");
+  (* WHERE resolves against the whole join, not the first table that has
+     the name; nor does an ambiguous key pick the base table's index. *)
+  check_error "ambiguous in WHERE" "ambiguous column v"
+    (run_err fx "SELECT p.id FROM p JOIN q ON p.id = q.id WHERE v = 10");
+  check_error "ambiguous indexed key in WHERE" "ambiguous column id"
+    (run_err fx "SELECT p.v FROM p JOIN q ON p.id = q.id WHERE id = 1");
   (* Qualified names disambiguate; a name only one table has needs none. *)
   check_rows "qualified" [ [ vi 10; vi 100 ]; [ vi 20; vi 200 ] ]
     (run fx "SELECT p.v, q.v FROM p JOIN q ON p.id = q.id ORDER BY p.id");

@@ -622,6 +622,61 @@ let test_installed_heights_below_provenance_floor () =
                pv)
       | Error e, _ | _, Error e -> Alcotest.failf "above the floor: %s" e)
 
+(* The history root is the provenance anchor: after every way a node's
+   per-height records change (processing, §3.6 recovery of a mid-commit
+   crash, snapshot install, the reset of a half install, a re-chain from
+   a tampered digest) it equals the list reference's root over the
+   chained digests 1..tip, and a joiner's equals its source's. *)
+let test_history_root_tracks_digests () =
+  let reg = registry () in
+  let blocks = blocks_of_ops mixed_ops in
+  let n = List.length blocks in
+  let check label node =
+    let tip = Node_core.history_size node in
+    Alcotest.(check int) (label ^ ": one leaf per height") (Node_core.height node) tip;
+    Alcotest.(check string) (label ^ ": root over the digests")
+      (Merkle_ref.root (List.init tip (fun h -> digest node ~height:(h + 1))))
+      (Node_core.history_root node)
+  in
+  let src = make_node ~registry:reg "src" in
+  check "empty" src;
+  List.iteri
+    (fun i b ->
+      if i < n - 1 then begin
+        ignore (process src b);
+        check (Printf.sprintf "block %d" (i + 1)) src
+      end)
+    blocks;
+  let last = List.nth blocks (n - 1) in
+  (match Block.check reg last with
+  | Ok c -> Node_core.process_block_with_crash src c ~crash:(Node_core.Crash_mid_commit 1)
+  | Error e -> Alcotest.fail e);
+  (match Node_core.recover src with
+  | Ok (Some _) -> check "recovered" src
+  | Ok None -> Alcotest.fail "interrupted block not re-executed"
+  | Error e -> Alcotest.failf "recover: %s" e);
+  let snap = Node_core.export_snapshot src ~compaction:Snapshot.Archive in
+  let joiner = make_node ~registry:reg "joiner" in
+  ignore (process joiner (List.hd blocks));
+  install joiner snap;
+  check "installed" joiner;
+  Alcotest.(check string) "joiner's anchor is the source's"
+    (Brdb_client.Proof.tip_digest src) (Brdb_client.Proof.tip_digest joiner);
+  let half = make_node ~registry:reg "half" in
+  List.iteri (fun i b -> if i < 3 then ignore (process half b)) blocks;
+  (match Node_core.install_snapshot ~crash_after_tables:true half snap with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "install (crash injection): %s" e);
+  (match Node_core.recover half with
+  | Ok None -> check "half install reset" half
+  | Ok (Some _) -> Alcotest.fail "recover repaired a block?"
+  | Error e -> Alcotest.failf "recover: %s" e);
+  let before = Node_core.history_root src in
+  Node_core.Testing.tamper_digest src ~height:3;
+  check "re-chained from height 3" src;
+  Alcotest.(check bool) "a tampered digest moves the anchor" false
+    (String.equal before (Node_core.history_root src))
+
 let test_pruned_compaction_coherent () =
   let reg = registry () in
   let src = make_node ~registry:reg "src" in
@@ -791,6 +846,8 @@ let suites =
           `Quick test_install_refuses_bad_txlog;
         Alcotest.test_case "pruned compaction coherent with prune" `Quick
           test_pruned_compaction_coherent;
+        Alcotest.test_case "history root tracks the chained digests" `Quick
+          test_history_root_tracks_digests;
         Alcotest.test_case "installed heights stay below the proof floor" `Quick
           test_installed_heights_below_provenance_floor;
         Alcotest.test_case "restart threshold boundary" `Quick

@@ -158,11 +158,16 @@ fi
 # block record and resets the records in exactly one place each, so a
 # second block-processing path (a serial commit fork, a hand-copied
 # crash-path prefix) or a second writer that lets a height's rows drift
-# apart cannot silently come back. Exactly one: a renamed call fails too.
+# apart cannot silently come back. The history tree over the chained
+# digests (the provenance anchor, DESIGN.md §16) shares that writer and
+# that reset: a second append, truncate or reset could let the anchor
+# drift from the digests sys.blocks publishes. Exactly one: a renamed
+# call fails too.
 core_file="$dir/node/node_core.ml"
 if [ -f "$core_file" ]; then
   for call in Detect.compute Ledger_table.record_txs \
-    'Hashtbl.replace t.records' 'Hashtbl.reset t.records'; do
+    'Hashtbl.replace t.records' 'Hashtbl.reset t.records' \
+    Merkle.history_append Merkle.history_truncate Merkle.history_reset; do
     n=$(grep -cF "$call" "$core_file" || true)
     if [ "$n" -ne 1 ]; then
       echo "lint failed — $n call sites of $call in $core_file; the block" >&2
@@ -221,4 +226,4 @@ if [ -n "$testing_matches" ]; then
   exit 1
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record writer in node_core.ml; one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/"
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/"
