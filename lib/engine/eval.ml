@@ -90,9 +90,6 @@ let resolve layout qualifier name =
           | Some i -> found i
           | None -> Unresolved (Printf.sprintf "unknown column %s" name)))
 
-let resolves layout qualifier name =
-  match resolve layout qualifier name with Found _ -> true | Unresolved _ -> false
-
 (* A null-extended row (outer join) reads NULL for every pseudo-column. *)
 let pseudo_reader s i name =
   let read : Version.t -> Value.t =

@@ -52,8 +52,17 @@ type frame = Brdb_storage.Version.t array
 (** The provenance pseudo-column names, in [SELECT *] order. *)
 val pseudo_columns : string list
 
-(** Does a column reference resolve in this layout? *)
-val resolves : layout -> string option -> string -> bool
+(** What a resolved column reference reads from its slot's version. *)
+type access = Column of int  (** a schema column offset *) | Pseudo of string
+
+type resolution = Found of int * access  (** slot, access *) | Unresolved of string
+
+(** [resolve layout qualifier name]: the one map from a column reference
+    to the slot it reads. Compilation, the planner's pushdown and index
+    choice, the correlation check and GROUP BY matching all read its
+    answer. [Unresolved msg] is the error the reference raises when it
+    is evaluated. *)
+val resolve : layout -> string option -> string -> resolution
 
 (** A subquery as the executor runs it: its rows under an outer frame,
     and, for subqueries whose result cannot depend on the outer row, a

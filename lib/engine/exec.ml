@@ -127,6 +127,18 @@ let resolve_table catalog txn mode name =
           else materialize_virtual v ~height:txn.Txn.snapshot_height
       | None -> fail "table %s does not exist" name)
 
+(* Plan-time table resolution: real tables first, then a registered view
+   as an empty table of its schema, read from [Catalog.virtual_schema]
+   without materializing its rows. [explain] and the correlation check
+   plan with it. *)
+let schema_table catalog name =
+  match Catalog.find catalog name with
+  | Some t -> t
+  | None -> (
+      match Catalog.virtual_schema catalog name with
+      | Some schema -> Table.create schema
+      | None -> fail "table %s does not exist" name)
+
 (* --- access-path selection --------------------------------------------- *)
 
 (* Flatten a WHERE/ON tree into AND-ed conjuncts. *)
@@ -147,19 +159,35 @@ let contains_subquery e =
     e;
   !found
 
-(* Does [e] only reference columns that resolve in [layout]? (Constants and
-   params qualify trivially.) *)
-let bound_in layout e =
-  (not (contains_subquery e))
-  && List.for_all (fun (q, c) -> Eval.resolves layout q c) (column_refs e)
-  && not (Eval.has_aggregate e)
+(* The slots [e]'s column references read, each resolved once by
+   [Eval.resolve] in [layout]; [None] when one does not resolve. *)
+let read_slots layout e =
+  List.fold_left
+    (fun acc (q, c) ->
+      match (acc, Eval.resolve layout q c) with
+      | Some slots, Eval.Found (i, _) -> Some (i :: slots)
+      | _ -> None)
+    (Some []) (column_refs e)
 
-(* Is [Col (q, c)] a reference to column [c] of the scanned table? *)
-let scan_column schema alias q c =
-  match q with
-  | Some q when String.equal q alias -> Schema.column_index schema c
-  | Some _ -> None
-  | None -> Schema.column_index schema c
+(* A subquery or an aggregate needs the full row: it never moves into a
+   scan. *)
+let plain e = not (contains_subquery e || Eval.has_aggregate e)
+
+(* Can [e] run with only the slots before [slot] bound? *)
+let bound_before layout slot e =
+  plain e
+  && match read_slots layout e with
+     | Some slots -> List.for_all (fun i -> i < slot) slots
+     | None -> false
+
+(* The column of [slot] that [e] names, when [e] is a bare reference that
+   resolves there. *)
+let column_of layout slot = function
+  | Col (q, c) -> (
+      match Eval.resolve layout q c with
+      | Eval.Found (i, Eval.Column k) when i = slot -> Some k
+      | _ -> None)
+  | _ -> None
 
 (* --- deterministic hash keys -------------------------------------------- *)
 
@@ -187,43 +215,30 @@ type restriction = {
 
 let flip_op = function `Eq -> `Eq | `Lt -> `Gt | `Le -> `Ge | `Gt -> `Lt | `Ge -> `Le
 
-let rec restriction_of_conjunct layout schema alias conjunct =
+(* An index restriction on [slot]'s table: a comparison (or IN list)
+   between one of its columns and keys bound before it, every name
+   resolved in [layout], the layout the conjunct compiles against. *)
+let rec restriction_of_conjunct layout slot conjunct =
   let classify lhs rhs op =
-    match column_refs lhs with
-    | [ (q, c) ] when lhs = Col (q, c) -> (
-        match scan_column schema alias q c with
-        | Some i when bound_in layout rhs ->
-            Some { r_column = i; r_op = op; r_keys = [ rhs ] }
-        | _ -> None)
+    match column_of layout slot lhs with
+    | Some i when bound_before layout slot rhs ->
+        Some { r_column = i; r_op = op; r_keys = [ rhs ] }
     | _ -> None
   in
   match conjunct with
-  | Binop (Eq, a, b) -> (
-      match classify a b `Eq with Some r -> [ r ] | None -> (
-        match classify b a `Eq with Some r -> [ r ] | None -> []))
-  | Binop (Lt, a, b) -> (
-      match classify a b `Lt with Some r -> [ r ] | None -> (
-        match classify b a (flip_op `Lt) with Some r -> [ r ] | None -> []))
-  | Binop (Le, a, b) -> (
-      match classify a b `Le with Some r -> [ r ] | None -> (
-        match classify b a (flip_op `Le) with Some r -> [ r ] | None -> []))
-  | Binop (Gt, a, b) -> (
-      match classify a b `Gt with Some r -> [ r ] | None -> (
-        match classify b a (flip_op `Gt) with Some r -> [ r ] | None -> []))
-  | Binop (Ge, a, b) -> (
-      match classify a b `Ge with Some r -> [ r ] | None -> (
-        match classify b a (flip_op `Ge) with Some r -> [ r ] | None -> []))
+  | Binop (((Eq | Lt | Le | Gt | Ge) as op), a, b) -> (
+      let op = match op with Eq -> `Eq | Lt -> `Lt | Le -> `Le | Gt -> `Gt | _ -> `Ge in
+      match classify a b op with
+      | Some r -> [ r ]
+      | None -> Option.to_list (classify b a (flip_op op)))
   | Between (x, lo, hi) ->
-      restriction_of_conjunct layout schema alias (Binop (Ge, x, lo))
-      @ restriction_of_conjunct layout schema alias (Binop (Le, x, hi))
+      restriction_of_conjunct layout slot (Binop (Ge, x, lo))
+      @ restriction_of_conjunct layout slot (Binop (Le, x, hi))
   | In_list (x, (_ :: _ as es)) -> (
       (* x IN (k1, ..., kn) probes the index once per distinct key. *)
-      match column_refs x with
-      | [ (q, c) ] when x = Col (q, c) -> (
-          match scan_column schema alias q c with
-          | Some i when List.for_all (bound_in layout) es ->
-              [ { r_column = i; r_op = `In; r_keys = es } ]
-          | _ -> [])
+      match column_of layout slot x with
+      | Some i when List.for_all (bound_before layout slot) es ->
+          [ { r_column = i; r_op = `In; r_keys = es } ]
       | _ -> [])
   | _ -> []
 
@@ -233,13 +248,9 @@ type path =
 
 (* Pick the most selective indexed column: equality (or IN) beats range.
    Grouping is list-based so candidate order never depends on hashtable
-   internals. The choice consults only the catalog and name resolution
-   against [layout], never row values. *)
-let choose_path table layout alias where_conjuncts =
-  let schema = Table.schema table in
-  let restrictions =
-    List.concat_map (restriction_of_conjunct layout schema alias) where_conjuncts
-  in
+   internals. The choice consults only the catalog and name resolution,
+   never row values. *)
+let choose_path table restrictions =
   let columns =
     List.sort_uniq compare (List.map (fun r -> r.r_column) restrictions)
   in
@@ -476,128 +487,133 @@ type select_plan = {
   sp_residual : expr list;  (* WHERE conjuncts not pushed into any scan *)
 }
 
-(* Decide, before any row is read, which WHERE conjunct filters at which
-   scan and which joins can be hash joins. Decisions only consult the
-   catalog and name resolution against layouts, so every node plans
-   identically for the same statement. [outer] is the select's own,
-   already entered, scope. *)
-let plan_select resolve mode ~outer (sel : select) =
+(* The tables a select's FROM list brings into scope after [outer], as
+   [(table_ref, table, join)] in order, with the layouts they build:
+   [layouts.(i)] is [outer] plus the first [i] tables. A name used twice
+   is rejected, as PostgreSQL does, so a qualifier picks one slot. *)
+let from_scope table_of ~outer (sel : select) =
   match sel.from with
   | None -> None
   | Some base ->
-      let provenance = sel.provenance in
-      let where_conj = match sel.where with None -> [] | Some w -> conjuncts_of w in
       let tables =
         List.map
-          (fun (tr, j) -> (tr, resolve tr.table, j))
+          (fun (tr, j) -> (tr, table_of tr.table, j))
           ((base, None) :: List.map (fun j -> (j.j_table, Some j)) sel.joins)
       in
-      let n = List.length tables in
-      let slots =
+      let rec distinct = function
+        | [] -> ()
+        | a :: rest ->
+            if List.mem a rest then fail "table name \"%s\" specified more than once" a;
+            distinct rest
+      in
+      distinct (List.map (fun (tr, _, _) -> alias_of tr) tables);
+      let layouts = Array.make (List.length tables + 1) outer in
+      List.iteri
+        (fun i (tr, table, _) ->
+          layouts.(i + 1) <-
+            Eval.extend layouts.(i)
+              (Eval.slot ~alias:(alias_of tr) ~schema:(Table.schema table)
+                 ~provenance:sel.provenance))
+        tables;
+      Some (tables, layouts)
+
+(* Decide, before any row is read, which WHERE conjunct filters at which
+   scan and which joins can be hash joins. Decisions only consult the
+   catalog and the slots [Eval.resolve] finds, so every node plans
+   identically for the same statement. [outer] is the select's own,
+   already entered, scope. *)
+let plan_select table_of mode ~outer (sel : select) =
+  match from_scope table_of ~outer sel with
+  | None -> None
+  | Some (tables, layouts) ->
+      let n = List.length tables and n_outer = Array.length outer.Eval.slots in
+      let full = layouts.(n) in
+      (* Each WHERE conjunct is resolved once, against the whole FROM list.
+         One whose names all resolve filters at the earliest scan at or
+         past the last local slot it reads. LEFT-JOIN scan points are
+         skipped: their matches are defined by ON alone, and WHERE must
+         see the null-extended row. The rest run on the full row, as the
+         residual: a subquery, an aggregate, or a name that does not
+         resolve (ambiguous across the join, say), whose closure raises
+         and which no scan takes as a path hint either. *)
+      let where_conj =
+        List.map
+          (fun c -> (c, read_slots full c))
+          (match sel.where with None -> [] | Some w -> conjuncts_of w)
+      in
+      let eligible =
         Array.of_list
           (List.map
-             (fun (tr, table, _) ->
-               Eval.slot ~alias:(alias_of tr) ~schema:(Table.schema table) ~provenance)
+             (fun (_, _, j) -> match j with None -> true | Some j -> j.j_kind = J_inner)
              tables)
       in
-      let layouts = Array.make (n + 1) outer in
-      for i = 0 to n - 1 do
-        layouts.(i + 1) <- Eval.extend layouts.(i) slots.(i)
-      done;
       let assigned = Array.make n [] in
       let residual = ref [] in
-      (* A conjunct whose names do not all resolve against the whole FROM
-         layout (a name ambiguous across the join, say) is never pushed
-         down nor used as a path hint: it stays in the residual, whose
-         compiled closure raises, instead of binding to the first table
-         that has the name. *)
-      let placeable c =
-        List.for_all (fun (q, col) -> Eval.resolves layouts.(n) q col) (column_refs c)
-      in
-      (* Each other conjunct filters at the earliest scan where all its
-         names resolve. LEFT-JOIN scan points are skipped: their matches
-         are defined by ON alone, and WHERE must see the null-extended
-         row. *)
       List.iter
-        (fun c ->
-          let rec place i = function
-            | [] -> residual := c :: !residual
-            | (_, _, j) :: rest ->
-                let eligible =
-                  match j with None -> true | Some j -> j.j_kind = J_inner
-                in
-                if eligible && bound_in layouts.(i + 1) c then
-                  assigned.(i) <- c :: assigned.(i)
-                else place (i + 1) rest
-          in
-          if placeable c then place 0 tables else residual := c :: !residual)
+        (fun (c, slots) ->
+          match slots with
+          | Some slots when plain c ->
+              let rec place i =
+                if i = n then residual := c :: !residual
+                else if eligible.(i) then assigned.(i) <- (c, slots) :: assigned.(i)
+                else place (i + 1)
+              in
+              place (List.fold_left (fun m i -> max m (i - n_outer)) 0 slots)
+          | _ -> residual := c :: !residual)
         where_conj;
-      let hint_where = List.filter placeable where_conj in
-      Array.iteri (fun i l -> assigned.(i) <- List.rev l) assigned;
+      let hint_where =
+        List.filter_map (fun (c, slots) -> Option.map (fun _ -> c) slots) where_conj
+      in
       let plans =
         List.mapi
           (fun i (tr, table, j) ->
-            let alias = alias_of tr in
-            let layout = layouts.(i) in
-            let filters = assigned.(i) in
-            let hint_conjuncts =
-              match j with
-              | None -> hint_where
-              | Some j ->
-                  conjuncts_of j.j_on
-                  @ (if j.j_kind = J_inner then hint_where else [])
+            let slot = n_outer + i in
+            let assigned = List.rev assigned.(i) in
+            let filters = List.map fst assigned in
+            (* ON compiles against the tables joined so far, WHERE against
+               them all: each is resolved where it runs. *)
+            let on = match j with None -> [] | Some j -> conjuncts_of j.j_on in
+            let restrictions layout = List.concat_map (restriction_of_conjunct layout slot) in
+            let on_restrictions = restrictions layouts.(i + 1) on in
+            let hint =
+              choose_path table
+                (on_restrictions @ if eligible.(i) then restrictions full hint_where else [])
             in
-            let hint = choose_path table layout alias hint_conjuncts in
+            let tp_slot = full.Eval.slots.(slot) in
             match j with
             | None ->
-                { tp_ref = tr; tp_table = table; tp_slot = slots.(i);
+                { tp_ref = tr; tp_table = table; tp_slot;
                   tp_filters = filters; tp_path_hint = hint; tp_join = None }
             | Some j ->
                 let strat =
-                  if provenance || mode.require_index || hint <> Seq_scan
+                  if sel.provenance || mode.require_index || hint <> Seq_scan
                   then Nested
                   else begin
-                    let schema = Table.schema table in
-                    let equi =
-                      List.filter_map
-                        (fun c ->
-                          match c with
-                          | Binop (Eq, a, b) ->
-                              let pair x y =
-                                match column_refs x with
-                                | [ (q, cname) ] when x = Col (q, cname) -> (
-                                    match scan_column schema alias q cname with
-                                    | Some col when bound_in layout y -> Some (col, y)
-                                    | _ -> None)
-                                | _ -> None
-                              in
-                              (match pair a b with
-                              | Some p -> Some p
-                              | None -> pair b a)
-                          | _ -> None)
-                        (conjuncts_of j.j_on)
-                    in
+                    (* ON's equalities between an inner column and an
+                       outer key are the hash key. *)
+                    let equi = List.filter (fun r -> r.r_op = `Eq) on_restrictions in
                     if equi = [] then Nested
                     else begin
-                      (* Filters whose names resolve against the inner
-                         table alone (plus correlated outer context) can
-                         shrink the build side; the rest run per match. *)
-                      let build_layout = Eval.extend outer slots.(i) in
-                      let build_filters, probe_filters =
-                        List.partition (bound_in build_layout) filters
+                      (* Filters that read only the inner table (plus
+                         correlated outer context) can shrink the build
+                         side; the rest run per match. *)
+                      let build, probe =
+                        List.partition
+                          (fun (_, slots) -> List.for_all (fun k -> k < n_outer || k = slot) slots)
+                          assigned
                       in
                       Hashed
                         {
-                          h_key_cols = List.map fst equi;
-                          h_key_outer = List.map snd equi;
-                          h_build_filters = build_filters;
-                          h_probe_filters = probe_filters;
+                          h_key_cols = List.map (fun r -> r.r_column) equi;
+                          h_key_outer = List.concat_map (fun r -> r.r_keys) equi;
+                          h_build_filters = List.map fst build;
+                          h_probe_filters = List.map fst probe;
                         }
                     end
                   end
                 in
                 let filters = match strat with Hashed _ -> [] | Nested -> filters in
-                { tp_ref = tr; tp_table = table; tp_slot = slots.(i);
+                { tp_ref = tr; tp_table = table; tp_slot;
                   tp_filters = filters; tp_path_hint = hint;
                   tp_join = Some (j, strat) })
           tables
@@ -782,29 +798,33 @@ let item_columns ~provenance (sel : select) (layout : Eval.layout) ~has_rows =
       | Sel_expr (e, None) -> [ expr_to_string e ])
     sel.items
 
+(* [e] with each column reference outside aggregates and subqueries
+   replaced by [f qualifier name]. *)
+let rec map_cols f e =
+  let m = map_cols f in
+  match e with
+  | Col (q, c) -> f q c
+  | Lit _ | Param _ | Named_param _ | Agg _ | Subquery _ | Exists _ -> e
+  | Binop (op, a, b) -> Binop (op, m a, m b)
+  | Unop (op, a) -> Unop (op, m a)
+  | Call (fn, args) -> Call (fn, List.map m args)
+  | Between (a, b, c) -> Between (m a, m b, m c)
+  | In_list (a, es) -> In_list (m a, List.map m es)
+  | Is_null (a, w) -> Is_null (m a, w)
+  | In_select (a, sel) -> In_select (m a, sel)
+
 (* Substitute output aliases in ORDER BY / HAVING expressions (once, at
    compile time). *)
-let substitute_aliases items e =
+let substitute_aliases items =
   let alias_map =
     List.filter_map
       (function Sel_expr (e, Some a) -> Some (a, e) | _ -> None)
       items
   in
-  let rec subst e =
-    match e with
-    | Col (None, c) -> (
-        match List.assoc_opt c alias_map with Some e' -> e' | None -> e)
-    | Lit _ | Col _ | Param _ | Named_param _ -> e
-    | Binop (op, a, b) -> Binop (op, subst a, subst b)
-    | Unop (op, a) -> Unop (op, subst a)
-    | Call (f, args) -> Call (f, List.map subst args)
-    | Between (a, b, c) -> Between (subst a, subst b, subst c)
-    | In_list (a, es) -> In_list (subst a, List.map subst es)
-    | Is_null (a, w) -> Is_null (subst a, w)
-    | Agg _ | Subquery _ | Exists _ -> e
-    | In_select (a, sel) -> In_select (subst a, sel)
-  in
-  subst e
+  map_cols (fun q c ->
+      match (q, List.assoc_opt c alias_map) with
+      | None, Some e -> e
+      | _ -> Col (q, c))
 
 let is_aggregated (sel : select) =
   sel.group_by <> []
@@ -816,22 +836,25 @@ let is_aggregated (sel : select) =
 (* The statement error an aggregated select raises once its rows are read:
    [SELECT *] with aggregates, or a non-aggregate item that is not a GROUP
    BY key (stricter than PostgreSQL's functional-dependency rule, but
-   deterministic and simple to reason about). *)
-let grouping_error (sel : select) =
+   deterministic and simple to reason about). An item matches a key when
+   the two have the same shape and their column references resolve, in
+   [layout], to the same slots and offsets: [v] and [p.v] are one key. *)
+let grouping_error layout (sel : select) =
   if List.exists (function Star -> true | _ -> false) sel.items then
     Some "SELECT * cannot be combined with aggregates"
   else
-    let group_keys = List.map expr_to_string sel.group_by in
+    let key e =
+      ( map_cols (fun _ _ -> Col (None, "")) e,
+        List.map (fun (q, c) -> Eval.resolve layout q c) (column_refs e) )
+    in
+    let group_keys = List.map key sel.group_by in
     List.find_map
       (function
-        | Star -> None
-        | Sel_expr (e, _) ->
-            if (not (Eval.has_aggregate e)) && not (List.mem (expr_to_string e) group_keys)
-            then
-              Some
-                (Printf.sprintf "column %s must appear in GROUP BY or an aggregate"
-                   (expr_to_string e))
-            else None)
+        | Sel_expr (e, _) when not (Eval.has_aggregate e || List.mem (key e) group_keys) ->
+            Some
+              (Printf.sprintf "column %s must appear in GROUP BY or an aggregate"
+                 (expr_to_string e))
+        | _ -> None)
       sel.items
 
 (* Plan and compile a SELECT under the [outer] layout it runs in (the root
@@ -861,7 +884,7 @@ let compile_select catalog txn mode ctx ~outer (sel : select) =
     List.map (fun k -> substitute_aliases sel.items k.o_expr) sel.order_by
   in
   let aggregated = is_aggregated sel in
-  let grouping_error = if aggregated then grouping_error sel else None in
+  let grouping_error = if aggregated then grouping_error layout sel else None in
   (* Plain projection: ORDER BY keys and items on each row. *)
   let project =
     lazy
@@ -1055,17 +1078,23 @@ let exec_insert catalog txn ctx ~ins_table ~ins_cols ~ins_rows =
     ins_rows;
   { columns = []; rows = []; affected = !count }
 
-(* The versions an UPDATE/DELETE targets, with the layout (the target table
-   alone) its expressions compile against. *)
+(* An UPDATE/DELETE target scan: the table alone in slot 0, the layout its
+   expressions compile against, its path, and the WHERE conjuncts it
+   filters by (pushed) or after (residual). *)
+let target_plan table name where =
+  let slot = Eval.slot ~alias:name ~schema:(Table.schema table) ~provenance:false in
+  let layout = Eval.extend Eval.root slot in
+  let conjuncts = match where with None -> [] | Some w -> conjuncts_of w in
+  let path = choose_path table (List.concat_map (restriction_of_conjunct layout 0) conjuncts) in
+  let pushed, residual = List.partition (bound_before layout 1) conjuncts in
+  (slot, layout, path, pushed, residual)
+
+(* The versions an UPDATE/DELETE targets, with the layout its expressions
+   compile against. *)
 let target_rows catalog txn mode ctx ~table_name ~where =
   if Catalog.is_sys_name table_name then fail "sys.* tables are read-only";
   let table = table_or_fail catalog table_name in
-  let alias = table_name in
-  let conjuncts = match where with None -> [] | Some w -> conjuncts_of w in
-  let path = choose_path table Eval.root alias conjuncts in
-  let slot = Eval.slot ~alias ~schema:(Table.schema table) ~provenance:false in
-  let layout = Eval.extend Eval.root slot in
-  let pushed, residual = List.partition (bound_in layout) conjuncts in
+  let slot, layout, path, pushed, residual = target_plan table table_name where in
   let spec =
     {
       sc_table = table;
@@ -1210,8 +1239,6 @@ let describe_filters = function
   | [] -> ""
   | fs -> "; filter: " ^ String.concat " AND " (List.map expr_to_string fs)
 
-exception Explain_error of string
-
 let explain_gen ?actual catalog stmt =
   (* Plans with [default_mode] against pseudo-bound NULL rows: the
      decisions shown are exactly the ones [plan_select] and [choose_path]
@@ -1240,16 +1267,6 @@ let explain_gen ?actual catalog stmt =
   in
   let scan_ops = [ "seq_scan"; "index_scan" ] in
   let line s = Buffer.add_string buf ("  " ^ s ^ "\n") in
-  let table_of name =
-    match Catalog.find catalog name with
-    | Some t -> t
-    | None -> (
-        match Catalog.virtual_schema catalog name with
-        | Some schema -> Table.create schema
-        | None ->
-            raise
-              (Explain_error (Printf.sprintf "table %s does not exist" name)))
-  in
   let order_keys ks =
     String.concat ", "
       (List.map
@@ -1257,7 +1274,7 @@ let explain_gen ?actual catalog stmt =
          ks)
   in
   let explain_select (sel : select) =
-    match plan_select table_of mode ~outer:Eval.root sel with
+    match plan_select (schema_table catalog) mode ~outer:Eval.root sel with
     | None -> line "no table access"
     | Some plan ->
         List.iter
@@ -1326,40 +1343,30 @@ let explain_gen ?actual catalog stmt =
   in
   let explain_dml what name where =
     Buffer.add_string buf (what ^ ":\n");
-    let table = table_of name in
-    let conjuncts = match where with None -> [] | Some w -> conjuncts_of w in
-    let path = choose_path table Eval.root name conjuncts in
-    let layout =
-      Eval.extend Eval.root
-        (Eval.slot ~alias:name ~schema:(Table.schema table) ~provenance:false)
-    in
-    let pushed = List.filter (bound_in layout) conjuncts in
+    let table = schema_table catalog name in
+    let _, _, path, pushed, _ = target_plan table name where in
     line (annotate scan_ops name (describe_path table path ^ describe_filters pushed))
   in
-  (match stmt with
-  | Select sel ->
-      Buffer.add_string buf "select:\n";
-      explain_select sel
-  | Update { upd_table; upd_where; _ } -> explain_dml "update" upd_table upd_where
-  | Delete { del_table; del_where } -> explain_dml "delete" del_table del_where
-  | Insert { ins_table; _ } ->
-      Buffer.add_string buf
-        (Printf.sprintf "insert into %s: no scans\n" ins_table)
-  | Create_table _ | Create_index _ | Drop_table _ ->
-      Buffer.add_string buf "ddl: no scans\n");
-  Buffer.contents buf
-
-let explain catalog stmt =
-  match explain_gen catalog stmt with
-  | plan -> Ok plan
-  | exception Explain_error msg -> Error msg
+  match
+    match stmt with
+    | Select sel ->
+        Buffer.add_string buf "select:\n";
+        explain_select sel
+    | Update { upd_table; upd_where; _ } -> explain_dml "update" upd_table upd_where
+    | Delete { del_table; del_where } -> explain_dml "delete" del_table del_where
+    | Insert { ins_table; _ } ->
+        Buffer.add_string buf
+          (Printf.sprintf "insert into %s: no scans\n" ins_table)
+    | Create_table _ | Create_index _ | Drop_table _ ->
+        Buffer.add_string buf "ddl: no scans\n"
+  with
+  | () -> Ok (Buffer.contents buf)
   | exception Exec_error e -> Error (error_to_string e)
+
+let explain catalog stmt = explain_gen catalog stmt
 
 let explain_analyzed catalog stats ~op_ms stmt =
-  match explain_gen ~actual:(stats, op_ms) catalog stmt with
-  | plan -> Ok plan
-  | exception Explain_error msg -> Error msg
-  | exception Exec_error e -> Error (error_to_string e)
+  explain_gen ~actual:(stats, op_ms) catalog stmt
 
 let explain_sql catalog sql =
   match Brdb_sql.Parser.parse sql with
@@ -1368,65 +1375,39 @@ let explain_sql catalog sql =
 
 (* --- uncorrelated-subquery analysis -------------------------------------- *)
 
-(* Conservative static check: every column reference inside [sel]
-   (recursively) resolves against tables that [sel] itself — or a nested
-   subquery on the path to the reference — brings into scope, so executing
-   [sel] under different outer rows cannot change its result. References
-   that would need the enclosing statement's scope, including output-alias
-   references in ORDER BY/HAVING, make the select correlated. A reference
-   into an unknown table is treated as local (execution fails the same way
-   either path). *)
-let select_uncorrelated catalog (sel : select) =
-  let ok = ref true in
-  let scope_of (s : select) =
-    let tables =
-      match s.from with
-      | None -> []
-      | Some base -> base :: List.map (fun j -> j.j_table) s.joins
-    in
-    ( List.map
-        (fun (tr : table_ref) -> (alias_of tr, Catalog.find catalog tr.table))
-        tables,
-      s.provenance )
-  in
-  let resolves scopes q c =
-    List.exists
-      (fun (tables, prov) ->
-        List.exists
-          (fun (alias, table) ->
-            let col_ok =
-              match table with
-              | None -> true
-              | Some t ->
-                  Schema.column_index (Table.schema t) c <> None
-                  || (prov && List.mem c [ "xmin"; "xmax"; "creator"; "deleter" ])
-            in
-            (match q with Some q -> String.equal q alias | None -> true)
-            && col_ok)
-          tables)
-      scopes
-  in
-  let rec walk scopes (s : select) =
-    let scopes = scope_of s :: scopes in
-    let check e =
-      iter_expr
-        (fun e ->
-          match e with
-          | Col (q, c) -> if not (resolves scopes q c) then ok := false
-          | Subquery inner | Exists inner | In_select (_, inner) ->
-              walk scopes inner
-          | _ -> ())
-        e
-    in
-    List.iter (function Star -> () | Sel_expr (e, _) -> check e) s.items;
-    List.iter (fun j -> check j.j_on) s.joins;
-    Option.iter check s.where;
-    List.iter check s.group_by;
-    Option.iter check s.having;
-    List.iter (fun k -> check k.o_expr) s.order_by
-  in
-  walk [] sel;
-  !ok
+(* Does [sel], compiled under [outer], read a slot before [start], a row of
+   a query enclosing the subquery that opened the scope at [start]? Each
+   reference resolves as [compile_select] resolves it: ON against the
+   tables joined so far, the rest against the whole FROM list, a nested
+   subquery under the layout of the clause it sits in. A name that
+   resolves nowhere reads no row. *)
+let rec reads_before catalog ~start outer (sel : select) =
+  let outer = Eval.enter outer in
+  match from_scope (schema_table catalog) ~outer sel with
+  | exception Exec_error _ -> false (* [sel] fails to plan under any row *)
+  | scope ->
+      let layouts = match scope with None -> [| outer |] | Some (_, l) -> l in
+      let full = layouts.(Array.length layouts - 1) in
+      let reads layout e =
+        let hit = ref false in
+        iter_expr
+          (function
+            | Col (q, c) -> (
+                match Eval.resolve layout q c with
+                | Eval.Found (i, _) when i < start -> hit := true
+                | _ -> ())
+            | Subquery s | Exists s | In_select (_, s) ->
+                if reads_before catalog ~start layout s then hit := true
+            | _ -> ())
+          e;
+        !hit
+      in
+      List.exists Fun.id (List.mapi (fun k j -> reads layouts.(k + 2) j.j_on) sel.joins)
+      || List.exists (reads full)
+           (List.filter_map (function Sel_expr (e, _) -> Some e | Star -> None) sel.items
+           @ Option.to_list sel.where @ sel.group_by
+           @ List.map (substitute_aliases sel.items)
+               (Option.to_list sel.having @ List.map (fun k -> k.o_expr) sel.order_by))
 
 module VSet = Set.Make (struct
   type t = Value.t
@@ -1469,11 +1450,12 @@ let membership_probe rows =
 let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) stmt =
   (* Subqueries re-enter the executor with the outer row's frame as
      their correlated context. Per-statement caches (keyed by physical
-     identity of the AST node) memoize uncorrelated subqueries: their rows,
-     and the membership probe backing IN (SELECT ...). Re-running such a
+     identity of the AST node) memoize uncorrelated subqueries, those
+     with no reference, nested subqueries' included, that resolves to an
+     enclosing row ([reads_before]): their rows, and the membership probe
+     backing IN (SELECT ...). Re-running such a
      subquery per outer row adds nothing to the read/predicate sets (they
      deduplicate), so caching leaves the SSI footprint byte-identical. *)
-  let uncorr : (select * bool) list ref = ref [] in
   let row_cache : (select * Value.t array list) list ref = ref [] in
   let probe_cache : (select * (Value.t -> Value.t option)) list ref = ref [] in
   let find_phys cache sel =
@@ -1484,14 +1466,6 @@ let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) st
     in
     go !cache
   in
-  let is_uncorrelated sel =
-    match find_phys uncorr sel with
-    | Some b -> b
-    | None ->
-        let b = select_uncorrelated catalog sel in
-        uncorr := (sel, b) :: !uncorr;
-        b
-  in
   (* A subquery is planned and compiled once per layout it runs under, on
      its first evaluation; an uncorrelated one is compiled only when its
      cached rows are missing. *)
@@ -1499,7 +1473,8 @@ let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) st
     let ctx = { Eval.params; named; subquery = Some subquery } in
     let compiled = lazy (compile_select catalog txn mode ctx ~outer:layout sel) in
     let run frame = (Lazy.force compiled frame).rows in
-    if not (is_uncorrelated sel) then { Eval.rows = run; probe = None }
+    if reads_before catalog ~start:(Array.length layout.Eval.slots) layout sel then
+      { Eval.rows = run; probe = None }
     else
       let rows frame =
         match find_phys row_cache sel with

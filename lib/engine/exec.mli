@@ -13,9 +13,13 @@
     There is one operator set: hash joins for equi-joins (nested loops
     otherwise), hash grouping for GROUP BY, a bounded top-k heap for
     ORDER BY ... LIMIT, predicate pushdown into scans, index probes for
-    [IN (k1, ..., kn)], cached hash semi-joins for uncorrelated
-    [IN (SELECT ...)], and the storage layer's live-version visibility
-    index for sequential scans. Every hash structure is drained in key
+    [IN (k1, ..., kn)], cached rows and hash semi-joins for uncorrelated
+    subqueries (no column reference in them, nested subqueries' included,
+    resolves to an enclosing query's row; a [sys.*] view's columns come
+    from its registered schema), and the storage layer's live-version
+    visibility index for sequential scans. Every plan decision reads the
+    slot {!Eval.resolve} returns, and a FROM name used twice is rejected
+    at plan time, as PostgreSQL does. Every hash structure is drained in key
     order ([Brdb_storage.Value.compare_total]), so results, read/predicate
     sets and commit decisions never depend on hashtable internals. The
     property tests check query results against a reference computed with

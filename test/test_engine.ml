@@ -395,6 +395,64 @@ let test_correlated_resolution () =
   check_rows "correlated EXISTS" [ [ vi 1 ]; [ vi 2 ] ]
     (run fx "SELECT id FROM p WHERE EXISTS (SELECT id FROM q WHERE q.id = p.id) ORDER BY id")
 
+let test_duplicate_alias () =
+  let fx = make_fixture () in
+  seed_pqr fx;
+  (* PostgreSQL rejects a FROM name used twice, at plan time. *)
+  let dup sql =
+    check_error sql {|table name "p" specified more than once|} (run_err fx sql);
+    match Exec.explain_sql fx.catalog sql with
+    | Ok plan -> Alcotest.failf "explain accepted %s:\n%s" sql plan
+    | Error msg ->
+        Alcotest.(check string) ("explain " ^ sql) {|table name "p" specified more than once|} msg
+  in
+  dup "SELECT p.id FROM p JOIN q AS p ON p.id = p.id WHERE p.v = 10";
+  dup "SELECT * FROM p JOIN p ON p.id = p.id";
+  (* Distinct aliases over one table stay legal, pushdown included. *)
+  check_rows "self join with pushed filters" [ [ vi 2; vi 1 ] ]
+    (run fx "SELECT x.id, y.id FROM p x JOIN p AS y ON y.id = x.id - 1 WHERE x.v = 20 AND y.v = 10");
+  match Exec.explain_sql fx.catalog "SELECT x.id FROM p x JOIN p y ON y.id = x.id" with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "explain self join: %s" msg
+
+let test_pushdown_binds_inner_scope () =
+  let fx = make_fixture () in
+  seed_pqr fx;
+  ignore (run fx "INSERT INTO r VALUES (2, 8)");
+  (* The inner q.v = 100 reads the subquery's own q, not the outer row's:
+     it filters at the inner q scan. The outer-only w keeps the subquery
+     correlated, so no cache hides a wrong placement. *)
+  check_rows "inner q, every outer row" [ [ vi 1; vi 1 ]; [ vi 2; vi 1 ] ]
+    (run fx
+       "SELECT q.id, (SELECT COUNT(*) + w - w FROM p JOIN q ON p.id = q.id WHERE q.v = \
+        100) FROM q JOIN r ON q.id = r.id ORDER BY q.id")
+
+let test_sys_view_correlation () =
+  let fx = make_fixture () in
+  seed_pqr fx;
+  Catalog.register_virtual fx.catalog ~name:"sys.nums"
+    [ Catalog.int ~pk:true "k" fst; Catalog.int "sq" snd ]
+    (fun ~height:_ -> List.map (fun k -> (k, k * k)) [ 1; 2; 3 ]);
+  (* v is not a column of the view: it reads the outer p row, so the
+     subquery is correlated and runs per row. *)
+  check_rows "correlated over a view" [ [ vi 1; vi 0 ]; [ vi 2; vi 1 ]; [ vi 3; vi 2 ] ]
+    (run fx "SELECT p.id, (SELECT COUNT(*) FROM sys.nums WHERE k < v / 10) FROM p ORDER BY p.id");
+  check_rows "uncorrelated over a view" [ [ vi 1; vi 14 ]; [ vi 2; vi 14 ]; [ vi 3; vi 14 ] ]
+    (run fx "SELECT p.id, (SELECT SUM(sq) FROM sys.nums) FROM p ORDER BY p.id")
+
+let test_group_by_resolved () =
+  let fx = make_fixture () in
+  seed_pqr fx;
+  (* A GROUP BY key and an item match by the column they resolve to, not
+     by their printed text. *)
+  let expected = [ [ vi 10; vi 1 ]; [ vi 20; vi 1 ]; [ vi 30; vi 1 ] ] in
+  check_rows "qualified item, bare key" expected
+    (run fx "SELECT p.v, COUNT(*) FROM p GROUP BY v ORDER BY p.v");
+  check_rows "bare item, qualified key" expected
+    (run fx "SELECT v, COUNT(*) FROM p GROUP BY p.v ORDER BY v");
+  check_error "a different column still fails" "column q.v must appear in GROUP BY or an aggregate"
+    (run_err fx "SELECT q.v, COUNT(*) FROM p JOIN q ON p.id = q.id GROUP BY p.v")
+
 let test_unknown_column_timing () =
   let fx = make_fixture () in
   seed_pqr fx;
@@ -406,7 +464,13 @@ let test_unknown_column_timing () =
   check_error "non-empty table" "unknown column nope" (run_err fx "SELECT nope FROM p");
   check_error "non-empty filter" "unknown column nope"
     (run_err fx "SELECT id FROM p WHERE nope = 1");
-  check_error "unknown alias" "unknown table or alias z" (run_err fx "SELECT z.id FROM p")
+  check_error "unknown alias" "unknown table or alias z" (run_err fx "SELECT z.id FROM p");
+  (* A nested subquery that never runs is never planned: its unknown table
+     is no error. *)
+  check_rows "unknown table, nested and unevaluated" [ [ vi 1; vi 0 ] ]
+    (run fx
+       "SELECT r.id, (SELECT COUNT(*) FROM q WHERE q.id < 0 AND EXISTS (SELECT nope.id \
+        FROM nope)) FROM r")
 
 let test_between_null_bound () =
   let fx = make_fixture () in
@@ -542,6 +606,10 @@ let suites =
         Alcotest.test_case "ambiguous column" `Quick test_ambiguous_column;
         Alcotest.test_case "alias shadows table" `Quick test_alias_shadows_table;
         Alcotest.test_case "correlated resolution" `Quick test_correlated_resolution;
+        Alcotest.test_case "duplicate FROM alias" `Quick test_duplicate_alias;
+        Alcotest.test_case "pushdown binds the inner scope" `Quick test_pushdown_binds_inner_scope;
+        Alcotest.test_case "sys.* view correlation" `Quick test_sys_view_correlation;
+        Alcotest.test_case "GROUP BY by resolved column" `Quick test_group_by_resolved;
         Alcotest.test_case "unknown column timing" `Quick test_unknown_column_timing;
         Alcotest.test_case "BETWEEN with NULL bound" `Quick test_between_null_bound;
         Alcotest.test_case "provenance LEFT JOIN nulls" `Quick test_provenance_left_join_nulls;

@@ -829,6 +829,8 @@ let prop_hash_agg_matches_list_agg =
         |> List.map (fun (e, s) -> [ e; Some s ])
       in
       let count_e b = List.length (List.filter (fun (_, e) -> sql_eq b e) t2) in
+      let b_of a' = List.find_map (fun (a, b, _) -> if a = a' then b else None) t1 in
+      let count p l = List.length (List.filter p l) in
       List.iter (check_ref run)
         [
           ( "SELECT t2.e, SUM(t1.c * t2.d) AS s FROM t1 JOIN t2 ON t1.b = t2.d \
@@ -838,6 +840,28 @@ let prop_hash_agg_matches_list_agg =
           ( "SELECT a, (SELECT COUNT(*) FROM t2 WHERE t2.e = t1.b) FROM t1",
             false,
             List.map (fun (a, b, _) -> [ Some a; Some (count_e b) ]) t1 );
+          (* Correlated subqueries whose names the outer query shares: the
+             inner FROM reuses the outer alias t2, or the inner x has the
+             outer t1's column b. A WHERE conjunct reads the inner binding
+             and filters at the inner scan that binds it. *)
+          ( "SELECT t1.a, t2.d, (SELECT COUNT(*) FROM t2 x JOIN t2 ON x.d = t2.d \
+             WHERE t2.e = t1.c) FROM t1 JOIN t2 ON t1.b = t2.d",
+            false,
+            List.concat_map
+              (fun (a, b, c) ->
+                List.filter_map
+                  (fun (d, _) ->
+                    if sql_eq b (Some d) then
+                      Some [ Some a; Some d; Some (count (fun (_, e) -> sql_eq e (Some c)) t2) ]
+                    else None)
+                  t2)
+              t1 );
+          ( "SELECT a, (SELECT COUNT(*) FROM t2 JOIN t1 x ON x.a = t2.d WHERE b = t1.c) FROM t1",
+            false,
+            List.map
+              (fun (a, _, c) ->
+                [ Some a; Some (count (fun (d, _) -> sql_eq (b_of d) (Some c)) t2) ])
+              t1 );
           ( "SELECT b, COUNT(*), SUM(c) FROM t1 GROUP BY b ORDER BY b",
             true,
             List.map (fun (k, cs) -> [ k; Some (List.length cs); Some (sum cs) ]) groups );

@@ -179,6 +179,31 @@ if [ -f "$core_file" ]; then
   done
 fi
 
+# One name resolver (DESIGN.md §9): Eval.resolve is the only code in the
+# engine that maps a column reference to a slot and column, and the
+# planner's pushdown, index choice, hash-join keys, correlation check and
+# GROUP BY matching all read the slot it returned. So Schema.column_index
+# has exactly four sites under engine/: the resolver's one in eval.ml,
+# and the INSERT, UPDATE and CREATE INDEX target-column lookups in
+# exec.ml (a target column names a column of the one table written, not
+# an expression). A side resolver, such as a per-scan "is this my column"
+# helper or a correlation walk with its own schema lookup, cannot
+# silently come back. Exactly four: a fifth site fails, and so does a
+# renamed lookup.
+engine_dir="$dir/engine"
+if [ -d "$engine_dir" ]; then
+  n=$(grep -roF 'Schema.column_index' "$engine_dir" --include='*.ml' | wc -l)
+  n_eval=$(grep -oF 'Schema.column_index' "$engine_dir/eval.ml" | wc -l)
+  if [ "$n" -ne 4 ] || [ "$n_eval" -ne 1 ]; then
+    echo "lint failed — $n Schema.column_index sites in $engine_dir ($n_eval in" >&2
+    echo "eval.ml); expected 4: Eval.resolve's, plus the INSERT, UPDATE and" >&2
+    echo "CREATE INDEX target columns. Resolve column references with" >&2
+    echo "Eval.resolve and read the slot it returns:" >&2
+    grep -rnF 'Schema.column_index' "$engine_dir" --include='*.ml' >&2
+    exit 1
+  fi
+fi
+
 # One metrics store (DESIGN.md §8): every sample lives in an
 # Obs.Registry histogram, so Stat.create has exactly one home. A second
 # sample store (a private per-peer accumulator duplicating the registry's
@@ -226,4 +251,4 @@ if [ -n "$testing_matches" ]; then
   exit 1
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/"
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/"
