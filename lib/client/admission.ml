@@ -28,7 +28,7 @@ let lookup core ~table ~key ~height =
          version is visible at any height — the iteration order of
          pk_lookup cannot leak. *)
       let found = ref None in
-      Table.pk_lookup tbl key (fun v ->
+      Table.pk_lookup ~height tbl key (fun v ->
           if Version.visible_at v ~height then found := Some v);
       !found
 

@@ -411,7 +411,8 @@ let eval_bool ctx e = as_bool3 (eval ctx e)
 
 let compile_star layout ~provenance =
   let per_slot =
-    List.init (Array.length layout.slots) (fun i ->
+    List.init (Array.length layout.slots - layout.scope_start) (fun k ->
+        let i = layout.scope_start + k in
         let s = layout.slots.(i) in
         let pseudo =
           if not provenance then []
@@ -509,8 +510,8 @@ let agg_slot aggs kind arg =
       aggs.count <- aggs.count + 1;
       slot
 
-let rec compile_grouped aggs layout e : group -> Value.t =
-  let ctx = aggs.a_ctx in
+let rec compile_grouped aggs e : group -> Value.t =
+  let ctx = aggs.a_ctx and layout = aggs.a_layout in
   match e with
   | Agg (kind, arg) ->
       let i, compute = agg_slot aggs kind arg in
@@ -525,28 +526,28 @@ let rec compile_grouped aggs layout e : group -> Value.t =
       let c = compile ctx layout e in
       fun g -> c g.g_rep
   | Binop (op, a, b) ->
-      let ca = compile_grouped aggs layout a and cb = compile_grouped aggs layout b in
+      let ca = compile_grouped aggs a and cb = compile_grouped aggs b in
       fun g ->
         let av = ca g and bv = cb g in
         binop_values op av bv
   | Unop (op, a) ->
-      let ca = compile_grouped aggs layout a in
+      let ca = compile_grouped aggs a in
       fun g -> unop_value op (ca g)
   | Call (name, args) ->
-      let cs = List.map (compile_grouped aggs layout) args in
+      let cs = List.map (compile_grouped aggs) args in
       fun g -> call_function name (List.map (fun c -> c g) cs)
   | Between (x, lo, hi) ->
-      compile_grouped aggs layout (Binop (And, Binop (Ge, x, lo), Binop (Le, x, hi)))
+      compile_grouped aggs (Binop (And, Binop (Ge, x, lo), Binop (Le, x, hi)))
   | In_list (x, items) ->
-      let cx = compile_grouped aggs layout x
-      and cs = List.map (compile_grouped aggs layout) items in
+      let cx = compile_grouped aggs x
+      and cs = List.map (compile_grouped aggs) items in
       let values xv vs = if Value.is_null xv then Value.Null else in_items Fun.id xv vs in
       fun g -> values (cx g) (List.map (fun c -> c g) cs)
   | Is_null (a, want_null) ->
-      let ca = compile_grouped aggs layout a in
+      let ca = compile_grouped aggs a in
       fun g -> of_bool (Value.is_null (ca g) = want_null)
   | In_select (x, sel) ->
-      let cx = compile_grouped aggs layout x and sq = subquery ctx layout sel in
+      let cx = compile_grouped aggs x and sq = subquery ctx layout sel in
       fun g ->
         let xv = cx g in
         if Value.is_null xv then Value.Null else in_select sq xv g.g_rep

@@ -90,8 +90,9 @@ val compile : ctx -> layout -> Brdb_sql.Ast.expr -> frame -> Brdb_storage.Value.
     a non-boolean result raises {!Error}. *)
 val compile_pred : ctx -> layout -> Brdb_sql.Ast.expr -> frame -> bool
 
-(** [SELECT *] over every slot of the layout, outer slots included, with
-    the pseudo-columns appended per slot when [provenance]. *)
+(** [SELECT *] over the slots of the innermost scope (the select's own
+    FROM tables, never an enclosing row's), with the pseudo-columns
+    appended per slot when [provenance]. *)
 val compile_star :
   layout -> provenance:bool -> frame -> Brdb_storage.Value.t list
 
@@ -120,12 +121,11 @@ type group
 (** Create a group after every expression of the statement is compiled. *)
 val group : aggregates -> rows:frame list -> rep:frame -> group
 
-(** [compile_grouped aggs layout e] evaluates [e] per group: aggregate
-    nodes over the group's rows, everything else on the representative
-    row, which has [layout] (the grouped rows' layout, or the enclosing
-    layout for the single group of an empty input). *)
-val compile_grouped :
-  aggregates -> layout -> Brdb_sql.Ast.expr -> group -> Brdb_storage.Value.t
+(** [compile_grouped aggs e] evaluates [e] per group: aggregate nodes
+    over the group's rows, everything else on the representative row.
+    Both have the layout [aggs] was created with (the single group of an
+    empty input binds NULL rows for the select's own tables). *)
+val compile_grouped : aggregates -> Brdb_sql.Ast.expr -> group -> Brdb_storage.Value.t
 
 (** Does the expression contain an aggregate node? *)
 val has_aggregate : Brdb_sql.Ast.expr -> bool

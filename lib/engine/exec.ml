@@ -382,6 +382,9 @@ let run_scan txn mode spec (frame : Eval.frame) f =
      nor predicates (a sys.* read can never abort anything). *)
   let record = not spec.sc_provenance && not (Catalog.is_sys_name name) in
   let rows = ref 0 and visited = ref 0 in
+  (* Index scans skip what the snapshot cannot see: versions retired at or
+     below its height (provenance reads walk every committed version). *)
+  let height = if spec.sc_provenance then None else Some txn.Txn.snapshot_height in
   let yield (v : Version.t) =
     incr visited;
     if visible txn ~provenance:spec.sc_provenance v then begin
@@ -400,7 +403,7 @@ let run_scan txn mode spec (frame : Eval.frame) f =
       | [] ->
           if record then
             Txn.record_predicate txn (Predicate.Range { table = name; column; lo; hi });
-          Table.iter_index spec.sc_table ~column ~lo ~hi yield
+          Table.iter_index ?height spec.sc_table ~column ~lo ~hi yield
       | _ ->
           (* Intersect the IN key sets, keep keys inside the range bounds,
              and probe each surviving key. NULL keys can never match and
@@ -433,7 +436,7 @@ let run_scan txn mode spec (frame : Eval.frame) f =
                 Txn.record_predicate txn
                   (Predicate.Range
                      { table = name; column; lo = Index.Incl k; hi = Index.Incl k });
-              Table.iter_index spec.sc_table ~column ~lo:(Index.Incl k)
+              Table.iter_index ?height spec.sc_table ~column ~lo:(Index.Incl k)
                 ~hi:(Index.Incl k) yield)
             keys)
   | Seq ->
@@ -780,7 +783,13 @@ let item_columns ~provenance (sel : select) (layout : Eval.layout) ~has_rows =
   let star_columns () =
     if not has_rows then [ "*" ]
     else
-      let many = Array.length layout.Eval.slots > 1 in
+      (* the select's own tables only: outer slots are correlated context *)
+      let own =
+        Array.to_list
+          (Array.sub layout.Eval.slots layout.Eval.scope_start
+             (Array.length layout.Eval.slots - layout.Eval.scope_start))
+      in
+      let many = List.length own > 1 in
       List.concat_map
         (fun (s : Eval.slot) ->
           let base =
@@ -789,7 +798,7 @@ let item_columns ~provenance (sel : select) (layout : Eval.layout) ~has_rows =
           in
           let base = if provenance then base @ Eval.pseudo_columns else base in
           if many then List.map (fun c -> s.Eval.alias ^ "." ^ c) base else base)
-        (Array.to_list layout.Eval.slots)
+        own
   in
   List.concat_map
     (function
@@ -833,12 +842,15 @@ let is_aggregated (sel : select) =
        (function Sel_expr (e, _) -> Eval.has_aggregate e | Star -> false)
        sel.items
 
-(* The statement error an aggregated select raises once its rows are read:
-   [SELECT *] with aggregates, or a non-aggregate item that is not a GROUP
-   BY key (stricter than PostgreSQL's functional-dependency rule, but
-   deterministic and simple to reason about). An item matches a key when
-   the two have the same shape and their column references resolve, in
-   [layout], to the same slots and offsets: [v] and [p.v] are one key. *)
+(* The statement error an aggregated select raises once its rows are read,
+   over any input, empty or not: [SELECT *] with aggregates, or an item
+   with a column reference outside every aggregate that is not part of a
+   GROUP BY key, named in the error (stricter than PostgreSQL's
+   functional-dependency rule, but deterministic and simple to reason
+   about). An expression matches a key when the two have the same shape
+   and their column references resolve, in [layout], to the same slots
+   and offsets: [v] and [p.v] are one key. A subquery reads the group's
+   representative row. *)
 let grouping_error layout (sel : select) =
   if List.exists (function Star -> true | _ -> false) sel.items then
     Some "SELECT * cannot be combined with aggregates"
@@ -848,13 +860,32 @@ let grouping_error layout (sel : select) =
         List.map (fun (q, c) -> Eval.resolve layout q c) (column_refs e) )
     in
     let group_keys = List.map key sel.group_by in
+    (* The first column reference in [e] outside aggregates and GROUP BY
+       keys. An enclosing row's column is one value for the whole select,
+       and an unknown name raises when it is evaluated. *)
+    let rec ungrouped e =
+      match e with
+      | Lit _ | Param _ | Named_param _ | Agg _ | Subquery _ | Exists _ -> None
+      | _ when List.mem (key e) group_keys -> None
+      | Col (q, c) -> (
+          match Eval.resolve layout q c with
+          | Eval.Found (i, _) when i >= layout.Eval.scope_start -> Some e
+          | _ -> None)
+      | Unop (_, a) | Is_null (a, _) | In_select (a, _) -> ungrouped a
+      | Binop (_, a, b) -> List.find_map ungrouped [ a; b ]
+      | Between (a, b, c) -> List.find_map ungrouped [ a; b; c ]
+      | Call (_, es) -> List.find_map ungrouped es
+      | In_list (a, es) -> List.find_map ungrouped (a :: es)
+    in
     List.find_map
       (function
-        | Sel_expr (e, _) when not (Eval.has_aggregate e || List.mem (key e) group_keys) ->
-            Some
-              (Printf.sprintf "column %s must appear in GROUP BY or an aggregate"
-                 (expr_to_string e))
-        | _ -> None)
+        | Sel_expr (e, _) ->
+            Option.map
+              (fun c ->
+                Printf.sprintf "column %s must appear in GROUP BY or an aggregate"
+                  (expr_to_string c))
+              (ungrouped e)
+        | Star -> None)
       sel.items
 
 (* Plan and compile a SELECT under the [outer] layout it runs in (the root
@@ -903,28 +934,28 @@ let compile_select catalog txn mode ctx ~outer (sel : select) =
          (keys, List.concat_map (fun c -> c frame) items))
   in
   let group_keys = lazy (List.map (Eval.compile ctx layout) sel.group_by) in
-  (* Grouped projection against the representative row's layout. *)
-  let grouped rep_layout =
-    let aggs = Eval.aggregates ctx layout in
-    let g = Eval.compile_grouped aggs rep_layout in
-    let having = Option.map (fun h -> g (substitute_aliases sel.items h)) sel.having in
-    let keys = List.map g order_exprs in
-    let items =
-      List.map (function Star -> assert false | Sel_expr (e, _) -> g e) sel.items
-    in
-    fun ~rows ~rep ->
-      let group = Eval.group aggs ~rows ~rep in
-      let keep =
-        match having with
-        | None -> true
-        | Some h -> ( match h group with Value.Bool true -> true | _ -> false)
-      in
-      if not keep then None
-      else
-        let keys = List.map (fun k -> k group) keys in
-        Some (keys, List.map (fun c -> c group) items)
+  (* Grouped projection: ORDER BY keys and items per group. *)
+  let project_group =
+    lazy
+      (let aggs = Eval.aggregates ctx layout in
+       let g = Eval.compile_grouped aggs in
+       let having = Option.map (fun h -> g (substitute_aliases sel.items h)) sel.having in
+       let keys = List.map g order_exprs in
+       let items =
+         List.map (function Star -> assert false | Sel_expr (e, _) -> g e) sel.items
+       in
+       fun ~rows ~rep ->
+         let group = Eval.group aggs ~rows ~rep in
+         let keep =
+           match having with
+           | None -> true
+           | Some h -> ( match h group with Value.Bool true -> true | _ -> false)
+         in
+         if not keep then None
+         else
+           let keys = List.map (fun k -> k group) keys in
+           Some (keys, List.map (fun c -> c group) items))
   in
-  let grouped_rows = lazy (grouped layout) and grouped_empty = lazy (grouped outer) in
   fun (frame0 : Eval.frame) ->
     let frames = ref [] in
     joined frame0 (fun frame -> frames := Array.copy frame :: !frames);
@@ -965,13 +996,18 @@ let compile_select catalog txn mode ctx ~outer (sel : select) =
                 drained
               |> List.map (fun (_, _, group) -> group)
         in
-        let project_group =
-          Lazy.force (if frames = [] then grouped_empty else grouped_rows)
+        (* The single group of an empty input reads NULL rows for this
+           select's own tables, never an enclosing row's. *)
+        let empty_rep () =
+          Array.mapi
+            (fun i (s : Eval.slot) ->
+              if i < layout.Eval.scope_start then frame0.(i) else s.Eval.null_row)
+            layout.Eval.slots
         in
         List.filter_map
           (fun rows ->
-            let rep = match rows with f :: _ -> f | [] -> frame0 in
-            project_group ~rows ~rep)
+            let rep = match rows with f :: _ -> f | [] -> empty_rep () in
+            Lazy.force project_group ~rows ~rep)
           groups
       end
     in
@@ -1033,8 +1069,8 @@ let check_unique_at_insert txn table row ~exclude_vid =
       let key = row.(col) in
       if not (Value.is_null key) then begin
         let dup = ref false in
-        Table.iter_index table ~column:col ~lo:(Index.Incl key) ~hi:(Index.Incl key)
-          (fun u ->
+        Table.iter_index ~height:txn.Txn.snapshot_height table ~column:col
+          ~lo:(Index.Incl key) ~hi:(Index.Incl key) (fun u ->
             if
               Some u.Version.vid <> exclude_vid
               && visible txn ~provenance:false u

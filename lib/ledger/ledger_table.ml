@@ -35,12 +35,10 @@ let record_txs catalog ~height ~time entries =
     entries
 
 let live_row table ~txid f =
-  Table.pk_lookup table (Value.Int txid) (fun v ->
-      if
-        (not v.Version.xmin_aborted)
-        && v.Version.creator_block <> Version.unset_block
-        && v.Version.deleter_block = Version.unset_block
-      then f v)
+  (* No block deletes above the unset sentinel, so this walks the live
+     versions only: not aborted, no deleter. Keep the committed one. *)
+  Table.pk_lookup ~height:Version.unset_block table (Value.Int txid) (fun v ->
+      if v.Version.creator_block <> Version.unset_block then f v)
 
 let record_statuses catalog ~height statuses =
   let table = ledger catalog in

@@ -2,20 +2,27 @@ open Brdb_util
 module ISet = Set.Make (Int)
 module IMap = Map.Make (Int)
 
+module VMap = Map.Make (struct
+  type t = Value.t
+
+  let compare = Value.compare_total
+end)
+
 type t = {
   schema : Schema.t;
   (* vid -> version; pruning replaces entries with None, keeping vids stable. *)
   heap : Version.t option Vec.t;
+  (* Each index splits every key the same way as [live]/[dead] below. *)
   mutable indexes : Index.t list;
   mutable uniques : int list;
   (* Visibility index: [live] holds vids whose versions are not aborted and
      have no deleter yet; [dead] buckets retired (not aborted) vids by the
      block that deleted them. A snapshot scan at height [h] only needs
      [live] plus the buckets with key > h, so it skips dead history instead
-     of filtering it per version. Membership is maintained by the
-     lifecycle functions below — raw writes to [deleter_block] or
-     [xmin_aborted] elsewhere would desynchronize it (checked by
-     {!check_visibility}). *)
+     of filtering it per version. Membership, here and in the indexes, is
+     maintained by the lifecycle functions below — raw writes to
+     [deleter_block] or [xmin_aborted] elsewhere would desynchronize it
+     (checked by {!check_visibility}). *)
   live : Bitset.t;
   mutable dead : ISet.t IMap.t;
   (* Cumulative count of versions physically removed by {!prune}
@@ -58,13 +65,27 @@ let get_version t vid =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Table.get_version: %d pruned" vid)
 
+(* Index one version by its fields, as the lifecycle functions below
+   would have left it: aborted versions stay out, retired ones sit under
+   their deleter block. *)
+let index_version idx (v : Version.t) =
+  if not v.Version.xmin_aborted then begin
+    let key = v.Version.values.(Index.column idx) in
+    Index.add idx key v.Version.vid;
+    if v.Version.deleter_block <> Version.unset_block then
+      Index.retire idx key v.Version.vid ~block:v.Version.deleter_block
+  end
+
 let insert_version t ~xmin values =
   let vid = Vec.length t.heap in
   let v = Version.make ~vid ~xmin values in
   ignore (Vec.push t.heap (Some v));
   Bitset.add t.live vid;
-  List.iter (fun idx -> Index.add idx values.(Index.column idx) vid) t.indexes;
+  List.iter (fun idx -> index_version idx v) t.indexes;
   v
+
+let iter_versions t f =
+  Vec.iter (function Some v -> f v | None -> ()) t.heap
 
 let find_index t column =
   List.find_opt (fun idx -> Index.column idx = column) t.indexes
@@ -76,12 +97,7 @@ let indexed_columns t = List.map Index.column t.indexes
 let add_index t ~column ~unique =
   if not (has_index t ~column) then begin
     let idx = Index.create ~column in
-    Vec.iteri
-      (fun vid v ->
-        match v with
-        | Some v -> Index.add idx v.Version.values.(column) vid
-        | None -> ())
-      t.heap;
+    iter_versions t (index_version idx);
     t.indexes <- t.indexes @ [ idx ]
   end;
   if unique && not (List.mem column t.uniques) then
@@ -100,6 +116,13 @@ let dead_remove dead height vid =
           if ISet.is_empty s then None else Some s)
     dead
 
+(* Each lifecycle event is one lookup per index; the key's entry is then
+   updated in place. *)
+let key_of idx (v : Version.t) = v.Version.values.(Index.column idx)
+
+let remove_from_indexes t (v : Version.t) =
+  List.iter (fun idx -> Index.remove idx (key_of idx v) v.Version.vid) t.indexes
+
 let mark_deleted t (v : Version.t) ~xmax ~height =
   v.Version.xmax <- xmax;
   v.Version.deleter_block <- height;
@@ -111,7 +134,8 @@ let mark_deleted t (v : Version.t) ~xmax ~height =
         (function
           | None -> Some (ISet.singleton v.Version.vid)
           | Some s -> Some (ISet.add v.Version.vid s))
-        t.dead
+        t.dead;
+    List.iter (fun idx -> Index.retire idx (key_of idx v) v.Version.vid ~block:height) t.indexes
   end
 
 let unmark_deleted t (v : Version.t) =
@@ -119,7 +143,10 @@ let unmark_deleted t (v : Version.t) =
   v.Version.xmax <- 0;
   v.Version.deleter_block <- Version.unset_block;
   if not v.Version.xmin_aborted then begin
-    if was <> Version.unset_block then t.dead <- dead_remove t.dead was v.Version.vid;
+    if was <> Version.unset_block then begin
+      t.dead <- dead_remove t.dead was v.Version.vid;
+      List.iter (fun idx -> Index.unretire idx (key_of idx v) v.Version.vid) t.indexes
+    end;
     Bitset.add t.live v.Version.vid
   end
 
@@ -128,13 +155,11 @@ let mark_aborted t (v : Version.t) =
     v.Version.xmin_aborted <- true;
     if v.Version.deleter_block = Version.unset_block then
       Bitset.remove t.live v.Version.vid
-    else t.dead <- dead_remove t.dead v.Version.deleter_block v.Version.vid
+    else t.dead <- dead_remove t.dead v.Version.deleter_block v.Version.vid;
+    remove_from_indexes t v
   end
 
 (* --- iteration ----------------------------------------------------------- *)
-
-let iter_versions t f =
-  Vec.iter (function Some v -> f v | None -> ()) t.heap
 
 let iter_live t ~height f =
   (* Buckets with deleter <= height hold versions invisible at [height];
@@ -144,25 +169,20 @@ let iter_live t ~height f =
   Bitset.iter_union t.live (ISet.elements extra) (fun vid ->
       match Vec.get t.heap vid with Some v -> f v | None -> ())
 
-let iter_index t ~column ~lo ~hi f =
+let iter_index ?height t ~column ~lo ~hi f =
   match find_index t column with
   | None ->
       invalid_arg
         (Printf.sprintf "Table.iter_index: no index on column %d of %s" column
            (name t))
   | Some idx ->
-      Index.iter_range idx ~lo ~hi (fun vid ->
+      Index.iter_range ?height idx ~lo ~hi (fun vid ->
           match Vec.get t.heap vid with Some v -> f v | None -> ())
 
-let pk_lookup t key f =
+let pk_lookup ?height t key f =
   match t.schema.Schema.pk_index with
   | None -> invalid_arg (Printf.sprintf "Table.pk_lookup: %s has no primary key" (name t))
-  | Some column -> iter_index t ~column ~lo:(Index.Incl key) ~hi:(Index.Incl key) f
-
-let remove_from_indexes t (v : Version.t) =
-  List.iter
-    (fun idx -> Index.remove idx v.Version.values.(Index.column idx) v.Version.vid)
-    t.indexes
+  | Some column -> iter_index ?height t ~column ~lo:(Index.Incl key) ~hi:(Index.Incl key) f
 
 let prune t ~keep =
   let removed = ref 0 in
@@ -170,11 +190,12 @@ let prune t ~keep =
     (fun vid slot ->
       match slot with
       | Some v when not (keep v) ->
-          remove_from_indexes t v;
+          (* Aborted versions already left the visibility and key indexes. *)
           if not v.Version.xmin_aborted then begin
             if v.Version.deleter_block = Version.unset_block then
               Bitset.remove t.live vid
-            else t.dead <- dead_remove t.dead v.Version.deleter_block vid
+            else t.dead <- dead_remove t.dead v.Version.deleter_block vid;
+            remove_from_indexes t v
           end;
           Vec.set t.heap vid None;
           incr removed
@@ -230,6 +251,37 @@ let restore ~schema ~slots ~indexes ~pruned_total =
   List.iter (fun (column, unique) -> add_index t ~column ~unique) indexes;
   t
 
+(* An index must hold exactly the per-key split the heap implies: the live
+   vids, and the retired (deleter block, vid) pairs newest first; aborted
+   vids nowhere. Returns the first key (in key order) where it does not. *)
+let index_mismatch t idx =
+  let expect = ref VMap.empty in
+  iter_versions t (fun v ->
+      if not v.Version.xmin_aborted then begin
+        let key = key_of idx v in
+        let live, retired = Option.value (VMap.find_opt key !expect) ~default:([], []) in
+        expect :=
+          VMap.add key
+            (if v.Version.deleter_block = Version.unset_block then
+               (v.Version.vid :: live, retired)
+             else (live, (v.Version.deleter_block, v.Version.vid) :: retired))
+            !expect
+      end);
+  let expected =
+    List.map
+      (fun (key, (live, retired)) ->
+        (key, List.rev live, List.sort (fun a b -> compare b a) retired))
+      (VMap.bindings !expect)
+  in
+  let rec first = function
+    | [], [] -> None
+    | (k, l, r) :: es, (k', l', r') :: gs
+      when Value.compare_total k k' = 0 && l = l' && r = r' ->
+        first (es, gs)
+    | (k, _, _) :: _, _ | [], (k, _, _) :: _ -> Some k
+  in
+  first (expected, Index.entries idx)
+
 let check_visibility t =
   let expect_live = ref ISet.empty and expect_dead = ref IMap.empty in
   Vec.iteri
@@ -260,4 +312,14 @@ let check_visibility t =
   end;
   if not (IMap.equal ISet.equal !expect_dead t.dead) then
     errors := Printf.sprintf "%s: dead buckets mismatch" (name t) :: !errors;
+  List.iter
+    (fun idx ->
+      match index_mismatch t idx with
+      | None -> ()
+      | Some key ->
+          errors :=
+            Printf.sprintf "%s: index on column %d disagrees with the heap at key %s"
+              (name t) (Index.column idx) (Value.to_string key)
+            :: !errors)
+    t.indexes;
   match !errors with [] -> Ok () | es -> Error (String.concat "; " es)

@@ -54,7 +54,8 @@ val unique_columns : t -> int list
 
 (** [mark_deleted t v ~xmax ~height] retires a version: sets its [xmax]
     and [deleter_block], clears claimants, and moves it from the live set
-    to the dead bucket of [height] (commit of UPDATE/DELETE, §3.3.3). *)
+    to the dead bucket of [height], and likewise under its key in every
+    index (commit of UPDATE/DELETE, §3.3.3). *)
 val mark_deleted : t -> Version.t -> xmax:int -> height:int -> unit
 
 (** Reverse of {!mark_deleted}: clears [xmax]/[deleter_block] and returns
@@ -62,7 +63,8 @@ val mark_deleted : t -> Version.t -> xmax:int -> height:int -> unit
 val unmark_deleted : t -> Version.t -> unit
 
 (** [mark_aborted t v] sets [xmin_aborted] and drops the version from the
-    visibility index (live set or dead bucket). Idempotent. *)
+    visibility index (live set or dead bucket) and from every index.
+    Idempotent. *)
 val mark_aborted : t -> Version.t -> unit
 
 (** [iter_versions t f] walks every version in vid order. *)
@@ -75,13 +77,26 @@ val iter_versions : t -> (Version.t -> unit) -> unit
     MVCC visibility), skipping dead history entirely. *)
 val iter_live : t -> height:int -> (Version.t -> unit) -> unit
 
-(** [iter_index t ~column ~lo ~hi f] walks matching versions in key order.
-    Raises [Invalid_argument] when no index covers [column]. *)
+(** [iter_index ?height t ~column ~lo ~hi f] walks matching versions in
+    key order, ascending vid within a key. With [height] (a snapshot
+    height) it walks only what some reader at [height] could see: versions
+    with no deleter (committed or not) and versions deleted by a block
+    above [height], a strict superset of what [Version.visible_at ~height]
+    accepts. Without it (provenance) it walks every version that is not
+    aborted. Aborted versions are never walked. Raises [Invalid_argument]
+    when no index covers [column]. *)
 val iter_index :
-  t -> column:int -> lo:Index.bound -> hi:Index.bound -> (Version.t -> unit) -> unit
+  ?height:int ->
+  t ->
+  column:int ->
+  lo:Index.bound ->
+  hi:Index.bound ->
+  (Version.t -> unit) ->
+  unit
 
-(** [pk_lookup t v f] iterates versions whose primary key equals [v]. *)
-val pk_lookup : t -> Value.t -> (Version.t -> unit) -> unit
+(** [pk_lookup ?height t v f] iterates versions whose primary key equals
+    [v], filtered by [height] as in {!iter_index}. *)
+val pk_lookup : ?height:int -> t -> Value.t -> (Version.t -> unit) -> unit
 
 (** [prune t ~keep] physically drops versions not satisfying [keep]
     (the vacuum analogue, §7 of the paper). Returns number removed.
@@ -116,6 +131,7 @@ val restore :
   pruned_total:int ->
   t
 
-(** Debug validator: recomputes the visibility index from the heap and
-    compares. [Error] describes the first divergence found. *)
+(** Debug validator: recomputes the visibility index and each index's
+    per-key live/retired split from the heap and compares. [Error]
+    describes the divergences found (for an index, its first bad key). *)
 val check_visibility : t -> (unit, string) result

@@ -76,7 +76,7 @@ let check_unique t txn ~height =
               if Value.is_null key then check_cols cols
               else
                 let dup = ref false in
-                Table.iter_index table ~column:col ~lo:(Index.Incl key)
+                Table.iter_index ~height table ~column:col ~lo:(Index.Incl key)
                   ~hi:(Index.Incl key) (fun u ->
                     if
                       u.Version.vid <> vid
@@ -137,7 +137,10 @@ let check_stale_phantom t txn ~upto_height =
                 match p with
                 | Predicate.Range { column; lo; hi; _ }
                   when Table.has_index table ~column ->
-                    Table.iter_index table ~column ~lo ~hi (consider p table_name)
+                    (* A version retired at or below [snap] fails both gap
+                       tests, so the walk can skip it. *)
+                    Table.iter_index ~height:snap table ~column ~lo ~hi
+                      (consider p table_name)
                 | _ -> Table.iter_versions table (consider p table_name)))
         txn.Txn.predicates;
       !hit

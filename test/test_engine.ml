@@ -502,6 +502,68 @@ let test_provenance_left_join_nulls () =
       Alcotest.(check (list value)) "null row pseudo-columns" [ vnull; vnull; vnull ] [ x3; c3; d3 ]
   | _ -> Alcotest.fail "expected three rows"
 
+(* An aggregated select's items may read columns only inside aggregates or
+   as GROUP BY keys, whatever its input: the ungrouped [v] fails over an
+   empty table as over a full one, and an empty input never reads the
+   enclosing row's columns in place of its own. *)
+let test_grouped_empty_input () =
+  let fx = make_fixture () in
+  seed_pqr fx;
+  ignore (run fx "CREATE TABLE e (id INT PRIMARY KEY, v INT)");
+  let ungrouped = "column v must appear in GROUP BY or an aggregate" in
+  check_error "non-empty input" ungrouped (run_err fx "SELECT COUNT(*) + v FROM p");
+  check_error "empty input" ungrouped (run_err fx "SELECT COUNT(*) + v FROM e");
+  check_error "subquery over an empty table" ungrouped
+    (run_err fx "SELECT p.id, (SELECT COUNT(*) + v FROM e) FROM p");
+  check_rows "constants and aggregates over an empty input" [ [ vi 0; vi 1; vnull ] ]
+    (run fx "SELECT COUNT(*), 1, SUM(v) FROM e");
+  check_rows "an enclosing row's column is one value" [ [ vi 1; vi 10 ]; [ vi 2; vi 20 ]; [ vi 3; vi 30 ] ]
+    (run fx "SELECT p.id, (SELECT COUNT(*) + p.v FROM e) FROM p ORDER BY p.id");
+  check_rows "a grouped expression" [ [ vi 11; vi 1 ]; [ vi 21; vi 1 ]; [ vi 31; vi 1 ] ]
+    (run fx "SELECT v + 1, COUNT(*) FROM p GROUP BY v ORDER BY v")
+
+(* SELECT * expands over the select's own FROM tables, not an enclosing
+   row's. *)
+let test_star_in_subquery () =
+  let fx = make_fixture () in
+  seed_pqr fx;
+  ignore (run fx "CREATE TABLE one (x INT PRIMARY KEY)");
+  ignore (run fx "INSERT INTO one VALUES (1), (3)");
+  check_rows "IN (SELECT *)" [ [ vi 1 ]; [ vi 3 ] ]
+    (run fx "SELECT p.id FROM p WHERE p.id IN (SELECT * FROM one) ORDER BY p.id");
+  check_rows "correlated scalar SELECT *" [ [ vi 1; vi 1 ]; [ vi 2; vnull ]; [ vi 3; vi 3 ] ]
+    (run fx "SELECT p.id, (SELECT * FROM one WHERE x = p.id) FROM p ORDER BY p.id");
+  let rs = run fx "SELECT * FROM p JOIN one ON one.x = p.id ORDER BY p.id" in
+  Alcotest.(check (list string)) "top-level star names every FROM table"
+    [ "p.id"; "p.v"; "one.x" ] rs.Exec.columns
+
+(* A point read visits only what its snapshot could see. After 1,000
+   aborted and 200 committed updates of one key, the key's index entry
+   holds the one live version and 200 retired ones, all deleted at or
+   below the reader's height: the read visits one version, where walking
+   every version ever written under the key visits 1,201. *)
+let test_point_read_skips_history () =
+  let fx = make_fixture () in
+  ignore (run fx "CREATE TABLE kv (k INT PRIMARY KEY, v INT)");
+  ignore (run fx "INSERT INTO kv VALUES (1, 0)");
+  let update = "UPDATE kv SET v = v + 1 WHERE k = 1" in
+  for i = 1 to 1200 do
+    if i mod 6 = 0 then ignore (run fx update)
+    else
+      let txn = fresh_txn fx in
+      (match Exec.execute_sql fx.catalog txn update with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Exec.error_to_string e));
+      Manager.abort fx.mgr txn (Txn.Contract_error "aborted")
+  done;
+  let stats = Exec.new_stats () in
+  check_rows "200 committed updates" [ [ vi 200 ] ]
+    (run ~mode:{ Exec.default_mode with Exec.stats = Some stats } fx
+       "SELECT v FROM kv WHERE k = 1");
+  let visited = List.fold_left (fun acc (_, _, n) -> acc + n) 0 (Exec.visited_counts stats) in
+  if visited > 2 then
+    Alcotest.failf "point SELECT visited %d versions (at most 2)" visited
+
 (* --- allocation ---------------------------------------------------------- *)
 
 (* The benchmark's group query (an index scan, a primary-key nested-loop
@@ -595,6 +657,8 @@ let suites =
         Alcotest.test_case "3VL" `Quick test_three_valued_logic;
         Alcotest.test_case "tracking + abort undo" `Quick test_tracking;
         Alcotest.test_case "provenance" `Quick test_provenance;
+        Alcotest.test_case "point read skips retired and aborted versions" `Quick
+          test_point_read_skips_history;
       ] );
     ( "engine.modes",
       [
@@ -613,6 +677,8 @@ let suites =
         Alcotest.test_case "unknown column timing" `Quick test_unknown_column_timing;
         Alcotest.test_case "BETWEEN with NULL bound" `Quick test_between_null_bound;
         Alcotest.test_case "provenance LEFT JOIN nulls" `Quick test_provenance_left_join_nulls;
+        Alcotest.test_case "aggregates over an empty input" `Quick test_grouped_empty_input;
+        Alcotest.test_case "SELECT * in a subquery" `Quick test_star_in_subquery;
       ] );
     ( "engine.alloc",
       [ Alcotest.test_case "group query allocation" `Quick test_group_query_allocation ] );

@@ -307,6 +307,163 @@ let test_prune_mid_workload_visibility () =
   Alcotest.(check int) "live set matches"
     (3 * last_block) (Table.live_count t)
 
+(* Random version lifecycles against the heap as oracle. A table with a
+   primary key (column 0) and a non-unique index (column 2) runs a random
+   sequence of inserts (committed or left pending), retires at rising
+   heights, rollbacks, aborts, prunes, a late index on column 1 and
+   snapshot round-trips. Then, for every index and random heights and
+   ranges, [iter_index ~height] walks exactly the heap versions in range
+   that are not aborted and were not deleted at or below [height], in key
+   then vid order; without a height, every version in range that is not
+   aborted. *)
+type lifecycle_op =
+  | Insert of int * int * bool  (* id, qty, committed *)
+  | Retire of int  (* picks among live versions *)
+  | Unretire of int  (* picks among retired versions *)
+  | Abort of int  (* picks among versions not aborted *)
+  | Advance
+  | Prune of int  (* drops aborted versions and those deleted at or below it *)
+  | Late_index
+  | Restore
+
+let show_lifecycle_op = function
+  | Insert (id, qty, c) -> Printf.sprintf "Insert(%d,%d,%b)" id qty c
+  | Retire i -> Printf.sprintf "Retire %d" i
+  | Unretire i -> Printf.sprintf "Unretire %d" i
+  | Abort i -> Printf.sprintf "Abort %d" i
+  | Advance -> "Advance"
+  | Prune h -> Printf.sprintf "Prune %d" h
+  | Late_index -> "Late_index"
+  | Restore -> "Restore"
+
+let gen_lifecycle_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map3 (fun id qty c -> Insert (id, qty, c)) (int_bound 5) (int_bound 3) bool);
+        (3, map (fun i -> Retire i) nat);
+        (1, map (fun i -> Unretire i) nat);
+        (2, map (fun i -> Abort i) nat);
+        (2, return Advance);
+        (1, map (fun h -> Prune h) (int_bound 8));
+        (1, return Late_index);
+        (1, return Restore);
+      ])
+
+let gen_bound =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Index.Unbounded);
+        (2, map (fun k -> Index.Incl (Value.Int k)) (int_range (-1) 6));
+        (1, map (fun k -> Index.Excl (Value.Int k)) (int_range (-1) 6));
+      ])
+
+let show_bound = function
+  | Index.Unbounded -> "_"
+  | Index.Incl v -> "[" ^ Value.to_string v
+  | Index.Excl v -> "(" ^ Value.to_string v
+
+let prop_index_split_matches_heap =
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (int_bound 60) gen_lifecycle_op)
+        (list_size (int_range 1 8) (triple (int_range (-1) 12) gen_bound gen_bound)))
+  in
+  let print (ops, queries) =
+    String.concat "; " (List.map show_lifecycle_op ops)
+    ^ " | "
+    ^ String.concat "; "
+        (List.map
+           (fun (h, lo, hi) -> Printf.sprintf "h=%d %s..%s" h (show_bound lo) (show_bound hi))
+           queries)
+  in
+  QCheck.Test.make ~name:"index split = heap filter" ~count:300 (QCheck.make ~print gen)
+    (fun (ops, queries) ->
+      let t = ref (Table.create (sample_schema ())) in
+      Table.add_index !t ~column:2 ~unique:false;
+      let height = ref 1 in
+      let versions pred =
+        let acc = ref [] in
+        Table.iter_versions !t (fun v -> if pred v then acc := v :: !acc);
+        Array.of_list (List.rev !acc)
+      in
+      let pick pred i f =
+        let vs = versions pred in
+        if Array.length vs > 0 then f vs.(i mod Array.length vs)
+      in
+      let not_aborted v = not v.Version.xmin_aborted in
+      let retired v = not_aborted v && v.Version.deleter_block <> Version.unset_block in
+      List.iter
+        (function
+          | Insert (id, qty, committed) ->
+              let v =
+                Table.insert_version !t ~xmin:1
+                  [| Value.Int id; Value.Text (string_of_int (id mod 2)); Value.Int qty |]
+              in
+              if committed then v.Version.creator_block <- !height
+          | Retire i ->
+              pick
+                (fun v -> not_aborted v && v.Version.deleter_block = Version.unset_block)
+                i
+                (fun v -> Table.mark_deleted !t v ~xmax:2 ~height:!height)
+          | Unretire i -> pick retired i (Table.unmark_deleted !t)
+          | Abort i -> pick not_aborted i (Table.mark_aborted !t)
+          | Advance -> incr height
+          | Prune h ->
+              ignore
+                (Table.prune !t ~keep:(fun v -> not_aborted v && v.Version.deleter_block > h))
+          | Late_index -> Table.add_index !t ~column:1 ~unique:false
+          | Restore ->
+              t :=
+                Table.restore ~schema:(Table.schema !t) ~slots:(Table.heap_slots !t)
+                  ~indexes:(Table.index_specs !t) ~pruned_total:(Table.pruned_total !t))
+        ops;
+      (match Table.check_visibility !t with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "incoherent: %s" e);
+      let in_range lo hi key =
+        (match lo with
+        | Index.Unbounded -> true
+        | Index.Incl b -> Value.compare_total key b >= 0
+        | Index.Excl b -> Value.compare_total key b > 0)
+        &&
+        match hi with
+        | Index.Unbounded -> true
+        | Index.Incl b -> Value.compare_total key b <= 0
+        | Index.Excl b -> Value.compare_total key b < 0
+      in
+      List.for_all
+        (fun column ->
+          List.for_all
+            (fun (h, lo, hi) ->
+              (* the text column holds "0"/"1": probe it with the same bounds as text *)
+              let as_column = function
+                | Index.Unbounded -> Index.Unbounded
+                | (Index.Incl (Value.Int k) | Index.Excl (Value.Int k)) as b when column = 1 ->
+                    let v = Value.Text (string_of_int k) in
+                    (match b with Index.Incl _ -> Index.Incl v | _ -> Index.Excl v)
+                | b -> b
+              in
+              let lo = as_column lo and hi = as_column hi in
+              let expected keep =
+                Array.to_list
+                  (versions (fun v ->
+                       keep v && in_range lo hi v.Version.values.(column)))
+                |> List.stable_sort (fun a b ->
+                       Value.compare_total a.Version.values.(column) b.Version.values.(column))
+                |> List.map (fun v -> v.Version.vid)
+              in
+              let walk ?height () =
+                let acc = ref [] in
+                Table.iter_index ?height !t ~column ~lo ~hi (fun v -> acc := v.Version.vid :: !acc);
+                List.rev !acc
+              in
+              walk ~height:h () = expected (fun v -> not_aborted v && v.Version.deleter_block > h)
+              && walk () = expected not_aborted)
+            queries)
+        (Table.indexed_columns !t))
+
 let test_catalog () =
   let c = Catalog.create () in
   Alcotest.(check bool) "ledger exists" true (Catalog.mem c Catalog.ledger_table);
@@ -357,6 +514,7 @@ let suites =
         Alcotest.test_case "prune" `Quick test_table_prune;
         Alcotest.test_case "prune mid-workload keeps visibility coherent"
           `Quick test_prune_mid_workload_visibility;
+        QCheck_alcotest.to_alcotest prop_index_split_matches_heap;
       ] );
     ("storage.catalog", [ Alcotest.test_case "basics" `Quick test_catalog ]);
   ]

@@ -204,6 +204,46 @@ if [ -d "$engine_dir" ]; then
   fi
 fi
 
+# One writer of the key indexes (DESIGN.md §9, "Visibility index"): each
+# index key keeps its live and retired vids apart and leaves aborted ones
+# out, mirroring version fields that only Table's lifecycle functions
+# (insert_version, mark_deleted, unmark_deleted, mark_aborted, prune,
+# add_index/restore) change. So Index's mutating functions are called from
+# lib/storage/table.ml only, at exactly these sites: add and retire in
+# index_version (the one rebuild-or-insert path), retire in mark_deleted,
+# unretire in unmark_deleted, and remove in remove_from_indexes. A second
+# writer that could let a key's split drift from its versions cannot come
+# back silently; an extra or renamed call site fails too.
+table_file="$dir/storage/table.ml"
+if [ -f "$table_file" ]; then
+  index_call='(^|[^A-Za-z0-9_])Index\.(add|retire|unretire|remove)([^A-Za-z0-9_'"'"']|$)'
+  for spec in add:1 retire:2 unretire:1 remove:1; do
+    fn=${spec%:*}
+    want=${spec#*:}
+    n=$(grep -oE "(^|[^A-Za-z0-9_])Index\.$fn([^A-Za-z0-9_']|\$)" "$table_file" | wc -l)
+    if [ "$n" -ne "$want" ]; then
+      echo "lint failed — $n call sites of Index.$fn in $table_file; expected $want" >&2
+      echo "(the key indexes have one writer, Table's lifecycle functions):" >&2
+      grep -nE "(^|[^A-Za-z0-9_])Index\.$fn([^A-Za-z0-9_']|\$)" "$table_file" >&2
+      exit 1
+    fi
+  done
+  root_dir=$(dirname "$dir")
+  index_matches=''
+  for d in "$dir" "$root_dir/bin" "$root_dir/bench" "$root_dir/benchmark" "$root_dir/examples"; do
+    [ -d "$d" ] || continue
+    m=$(grep -rnE "$index_call" "$d" --include='*.ml' | grep -v "^$table_file:" || true)
+    [ -n "$m" ] && index_matches="$index_matches$m
+"
+  done
+  if [ -n "$index_matches" ]; then
+    echo "lint failed — Index.add/retire/unretire/remove outside $table_file;" >&2
+    echo "change versions through Table's lifecycle functions instead:" >&2
+    printf '%s' "$index_matches" >&2
+    exit 1
+  fi
+fi
+
 # One metrics store (DESIGN.md §8): every sample lives in an
 # Obs.Registry histogram, so Stat.create has exactly one home. A second
 # sample store (a private per-peer accumulator duplicating the registry's
@@ -251,4 +291,4 @@ if [ -n "$testing_matches" ]; then
   exit 1
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/"
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one writer of the key indexes (Index mutations only in storage/table.ml); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/"
