@@ -4,12 +4,6 @@ let norm x =
   let x = Int64.rem x p in
   if Int64.compare x 0L < 0 then Int64.add x p else x
 
-let add a b =
-  let s = Int64.add a b in
-  if Int64.compare s p >= 0 then Int64.sub s p else s
-
-let sub a b = if Int64.compare a b >= 0 then Int64.sub a b else Int64.add (Int64.sub a b) p
-
 (* The hot arithmetic runs on native OCaml [int] (63 bits), never boxed.
    Elements are below 2^61. The split multiply below sums terms whose
    total stays below 2^63: that may set bit 62 (the sign bit), but only
@@ -76,8 +70,6 @@ let joint_pow_int b1 e1 b2 e2 =
   in
   loop 1 (top 62)
 
-let mul a b = Int64.of_int (mul_int (Int64.to_int a) (Int64.to_int b))
-
 let exponent name e =
   if Int64.compare e 0L < 0 then invalid_arg (name ^ ": negative exponent");
   Int64.to_int e
@@ -97,10 +89,6 @@ module Order = struct
   let norm x =
     let x = Int64.rem x n in
     if Int64.compare x 0L < 0 then Int64.add x n else x
-
-  let add a b =
-    let s = Int64.add a b in
-    if Int64.compare s n >= 0 then Int64.sub s n else s
 
   let sub a b =
     if Int64.compare a b >= 0 then Int64.sub a b else Int64.add (Int64.sub a b) n

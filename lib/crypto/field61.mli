@@ -3,25 +3,12 @@
     Elements are non-negative [int64] values strictly below [p]. This is
     the base field for the toy Schnorr signatures in {!Schnorr}; 61-bit
     parameters are NOT cryptographically secure — see DESIGN.md §4.
-    [mul], [pow], [joint_pow] and [Order.mul] compute on native [int]
-    internally; [int64] is only their interface. *)
+    [pow], [joint_pow] and [Order.mul] compute on native [int]
+    internally, multiplying mod [p] without 128-bit integers by
+    exploiting [2^61 ≡ 1 (mod p)]; [int64] is only their interface. *)
 
-(** The modulus, [2305843009213693951]. *)
-val p : int64
-
-(** [norm x] reduces an arbitrary [int64] into [[0, p)]. *)
-val norm : int64 -> int64
-
-val add : int64 -> int64 -> int64
-
-val sub : int64 -> int64 -> int64
-
-(** Multiplication mod [p] without 128-bit integers, exploiting
-    [2^61 ≡ 1 (mod p)]. *)
-val mul : int64 -> int64 -> int64
-
-(** [pow b e] with [e >= 0] interpreted as a plain exponent. Raises
-    [Invalid_argument] when [e < 0]. *)
+(** [pow b e] with [e >= 0] interpreted as a plain exponent; [b] is first
+    reduced into [[0, p)]. Raises [Invalid_argument] when [e < 0]. *)
 val pow : int64 -> int64 -> int64
 
 (** [joint_pow b1 e1 b2 e2] is [b1^e1 * b2^e2], computed with one shared
@@ -35,11 +22,9 @@ module Order : sig
 
   val norm : int64 -> int64
 
-  val add : int64 -> int64 -> int64
-
   val sub : int64 -> int64 -> int64
 
-  (** Split multiply as for {!mul}, using [2^61 = 2 (mod n)]. *)
+  (** The split multiply of [pow], using [2^61 = 2 (mod n)]. *)
   val mul : int64 -> int64 -> int64
 end
 

@@ -1,8 +1,8 @@
 (* FIPS 180-4 SHA-256 on native ints: every word is an OCaml [int] masked
-   to 32 bits. The message is processed in 512-bit blocks; partial input
-   is buffered in [ctx.buf]. Every digest resets and reuses the one
-   context below, so it allocates only its result; sha256.mli says why
-   sharing it is safe. *)
+   to 32 bits, and every rotation is a shift of the doubled word (below).
+   The message is processed in 512-bit blocks; partial input is buffered
+   in [ctx.buf]. Every digest resets and reuses the one context below, so
+   it allocates only its result; sha256.mli says why sharing it is safe. *)
 
 let k =
   [|
@@ -51,8 +51,14 @@ let reset () =
 
 let mask = 0xffff_ffff
 
-(* [x] must already be masked to 32 bits. *)
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Rotations on the doubled word. For [x] masked to 32 bits,
+   [x lor (x lsl 32)] repeats bits 0-30 of [x] at bits 32-62 (bit 31 of the
+   copy falls off the 63-bit [int]), so for every shift [n <= 31] the low 32
+   bits of [x2 lsr n] are [rotr x n], and each sigma below doubles its
+   word once and shifts it three times. The sigmas keep the garbage above
+   bit 31: only the low 32 bits of a sum depend on the low 32 bits of its
+   terms, and every sum that becomes a word is masked. *)
+let[@inline] double x = x lor (x lsl 32)
 
 (* The 64 rounds over schedule [w], with the working variables passed as
    arguments so they stay unboxed. [i < 64] bounds both [k] and [w]. *)
@@ -69,11 +75,13 @@ let rec rounds w i a b c d e f g hh =
     h.(7) <- (h.(7) + hh) land mask
   end
   else
-    let s1 = rotr e 6 lxor rotr e 11 lxor rotr e 25 in
-    let ch = (e land f) lxor (lnot e land g) in
+    let e2 = double e in
+    let s1 = (e2 lsr 6) lxor (e2 lsr 11) lxor (e2 lsr 25) in
+    let ch = g lxor (e land (f lxor g)) in
     let t1 = hh + s1 + ch + Array.unsafe_get k i + Array.unsafe_get w i in
-    let s0 = rotr a 2 lxor rotr a 13 lxor rotr a 22 in
-    let maj = (a land b) lxor (a land c) lxor (b land c) in
+    let a2 = double a in
+    let s0 = (a2 lsr 2) lxor (a2 lsr 13) lxor (a2 lsr 22) in
+    let maj = (a land b) lor (c land (a lor b)) in
     rounds w (i + 1) ((t1 + s0 + maj) land mask) a b c ((d + t1) land mask) e f g
 
 let compress block off =
@@ -81,11 +89,15 @@ let compress block off =
   for i = 0 to 15 do
     w.(i) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask
   done;
+  (* [16 <= i < 64] bounds every schedule index below. *)
   for i = 16 to 63 do
-    let x = w.(i - 15) and y = w.(i - 2) in
-    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
-    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let x2 = double x and y2 = double y in
+    let s0 = (x2 lsr 7) lxor (x2 lsr 18) lxor (x lsr 3) in
+    let s1 = (y2 lsr 17) lxor (y2 lsr 19) lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
+      land mask)
   done;
   let h = ctx.h in
   rounds w 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)

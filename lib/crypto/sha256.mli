@@ -9,6 +9,13 @@
     buffer, length header). A digest therefore allocates only its 32-byte
     result, whatever the input length.
 
+    Rotations run on the doubled word: for [x] masked to 32 bits,
+    [x2 = x lor (x lsl 32)] holds bits 0-30 of [x] again at bits 32-62, so
+    [rotr x n] is the low 32 bits of [x2 lsr n] for every [n <= 31]. Each
+    of Σ0, Σ1, σ0 and σ1 is then one doubling and three shifts. Both
+    preconditions matter: a word with bits above 31 set, or a shift
+    above 31, gives a wrong rotation.
+
     The functions are not reentrant. That is safe here for two reasons: a
     digest runs to completion without calling back into other code, so no
     digest can start while another is in progress; and the libraries run

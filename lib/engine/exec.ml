@@ -843,8 +843,9 @@ let is_aggregated (sel : select) =
        sel.items
 
 (* The statement error an aggregated select raises once its rows are read,
-   over any input, empty or not: [SELECT *] with aggregates, or an item
-   with a column reference outside every aggregate that is not part of a
+   over any input, empty or not: [SELECT *] with aggregates, or an item,
+   the HAVING condition or an ORDER BY key (after alias substitution) with
+   a column reference outside every aggregate that is not part of a
    GROUP BY key, named in the error (stricter than PostgreSQL's
    functional-dependency rule, but deterministic and simple to reason
    about). An expression matches a key when the two have the same shape
@@ -877,16 +878,19 @@ let grouping_error layout (sel : select) =
       | Call (_, es) -> List.find_map ungrouped es
       | In_list (a, es) -> List.find_map ungrouped (a :: es)
     in
+    let checked =
+      List.filter_map (function Sel_expr (e, _) -> Some e | Star -> None) sel.items
+      @ List.map (substitute_aliases sel.items)
+          (Option.to_list sel.having @ List.map (fun k -> k.o_expr) sel.order_by)
+    in
     List.find_map
-      (function
-        | Sel_expr (e, _) ->
-            Option.map
-              (fun c ->
-                Printf.sprintf "column %s must appear in GROUP BY or an aggregate"
-                  (expr_to_string c))
-              (ungrouped e)
-        | Star -> None)
-      sel.items
+      (fun e ->
+        Option.map
+          (fun c ->
+            Printf.sprintf "column %s must appear in GROUP BY or an aggregate"
+              (expr_to_string c))
+          (ungrouped e))
+      checked
 
 (* Plan and compile a SELECT under the [outer] layout it runs in (the root
    layout for a statement, the enclosing expression's layout for a

@@ -10,29 +10,6 @@ let encode s =
     s;
   Bytes.unsafe_to_string b
 
-let of_digit c =
-  match c with
-  | '0' .. '9' -> Some (Char.code c - Char.code '0')
-  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-  | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-  | _ -> None
-
-let decode s =
-  let n = String.length s in
-  if n mod 2 <> 0 then None
-  else
-    let b = Bytes.create (n / 2) in
-    let rec loop i =
-      if i >= n then Some (Bytes.unsafe_to_string b)
-      else
-        match (of_digit s.[i], of_digit s.[i + 1]) with
-        | Some hi, Some lo ->
-            Bytes.set b (i / 2) (Char.chr ((hi lsl 4) lor lo));
-            loop (i + 2)
-        | _ -> None
-    in
-    loop 0
-
 let short ?(n = 12) s =
   let h = encode s in
   if String.length h <= n then h else String.sub h 0 n

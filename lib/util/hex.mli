@@ -2,8 +2,5 @@
 
 val encode : string -> string
 
-(** [decode s] is [None] when [s] has odd length or non-hex characters. *)
-val decode : string -> string option
-
 (** First [n] hex characters of [encode s]; handy for log-friendly digests. *)
 val short : ?n:int -> string -> string

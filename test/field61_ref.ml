@@ -17,6 +17,8 @@ let add a b =
   let s = Int64.add a b in
   if Int64.compare s p >= 0 then Int64.sub s p else s
 
+let sub a b = if Int64.compare a b >= 0 then Int64.sub a b else Int64.add (Int64.sub a b) p
+
 (* Reduce a value < 2^63 using 2^61 = 1 (mod p): split into low 61 bits and
    the high remainder. *)
 let reduce x =

@@ -13,6 +13,9 @@ let test_sha256_vectors () =
         "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1" );
       ("The quick brown fox jumps over the lazy dog",
        "d7a8fbb307d7809469ca9abcb0082e4f8d5651e46d3cdb762d02d0bf37c9e592");
+      ( "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+         ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+        "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1" );
     ]
   in
   List.iter
@@ -82,6 +85,21 @@ let prop_sha256_matches_reference =
   QCheck.Test.make ~name:"sha256 digest = boxed Int32 reference" ~count:300 message
     (fun s -> String.equal (Sha256.digest s) (Sha256_ref.digest s))
 
+(* The round kernel rotates a word [x] by shifting [x lor (x lsl 32)],
+   whose copy loses bit 31 of [x] off the top of the 63-bit [int]. Words
+   of all-[\xff] and all-[\x80] bytes have bit 31 set in every message
+   word; lengths 0–130 cover one, two and three blocks and every padding
+   boundary between them. *)
+let test_sha256_high_bit_words () =
+  List.iter
+    (fun c ->
+      for len = 0 to 130 do
+        let s = String.make len c in
+        if not (String.equal (Sha256.digest s) (Sha256_ref.digest s)) then
+          Alcotest.failf "digest of %d x %C differs from the reference" len c
+      done)
+    [ '\xff'; '\x80' ]
+
 (* Part lists of 0–8 parts, empty parts included, up to 150 bytes each so
    that parts and their length headers straddle 64-byte blocks. *)
 let prop_digest_concat_matches_reference =
@@ -119,16 +137,44 @@ let test_sha256_allocation () =
           words)
     [ 0; 64; 200; 8192 ]
 
+(* The same bound for [digest_concat] on the shapes the block path hashes
+   most. Boxing each loaded word as an [Int32] adds 48 minor words per
+   compression and fails it. *)
+let test_sha256_concat_allocation () =
+  let d = String.make 32 '\xab' in
+  List.iter
+    (fun (shape, parts) ->
+      ignore (Sys.opaque_identity (Sha256.digest_concat parts));
+      let before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Sha256.digest_concat parts));
+      let words = Gc.minor_words () -. before in
+      if words > 16. then
+        Alcotest.failf "digest_concat of a %s allocated %.0f minor words (at most 16)" shape
+          words)
+    [
+      ("Merkle node", [ "\x01"; d; d ]);
+      ("transaction payload", [ "tx-000042"; "org1/alice"; "put"; "'k42',42"; "-" ]);
+      ("Schnorr challenge", [ "1234567890123456789"; d ]);
+    ]
+
+module Ref = Field61_ref
+
+(* The library's native multiply mod p, reached through its interface:
+   [joint_pow a 1 b 1] computes [a * b] with one split multiply (and one
+   multiply by 1). *)
+let mul a b = Field61.joint_pow a 1L b 1L
+
 let test_field61_basics () =
-  let open Field61 in
+  let p = Ref.p in
   Alcotest.(check int64) "p" 2305843009213693951L p;
-  Alcotest.(check int64) "norm negative" (Int64.sub p 1L) (norm (-1L));
-  Alcotest.(check int64) "add wraps" 0L (add (Int64.sub p 1L) 1L);
-  Alcotest.(check int64) "sub wraps" (Int64.sub p 1L) (sub 0L 1L);
+  Alcotest.(check int64) "p = Order.n + 1" p (Int64.add Field61.Order.n 1L);
+  Alcotest.(check int64) "norm negative" (Int64.sub p 1L) (Ref.norm (-1L));
+  Alcotest.(check int64) "add wraps" 0L (Ref.add (Int64.sub p 1L) 1L);
+  Alcotest.(check int64) "sub wraps" (Int64.sub p 1L) (Ref.sub 0L 1L);
   Alcotest.(check int64) "mul small" 12L (mul 3L 4L);
-  Alcotest.(check int64) "pow" 1024L (pow 2L 10L);
+  Alcotest.(check int64) "pow" 1024L (Field61.pow 2L 10L);
   (* Fermat: a^(p-1) = 1 mod p for a != 0. *)
-  Alcotest.(check int64) "fermat" 1L (pow 123456789L (Int64.sub p 1L))
+  Alcotest.(check int64) "fermat" 1L (Field61.pow 123456789L (Int64.sub p 1L))
 
 let prop_field61_mul_matches_reference =
   (* Cross-check mul against a reference built from pow/add on small
@@ -137,36 +183,36 @@ let prop_field61_mul_matches_reference =
   QCheck.Test.make ~name:"field61 mul = shift-add reference" ~count:500
     (QCheck.pair gen gen)
     (fun (a, b) ->
-      let a = Field61.norm a and b = Field61.norm b in
+      let a = Ref.norm a and b = Ref.norm b in
       let reference =
         let acc = ref 0L and cur = ref a and e = ref b in
         while not (Int64.equal !e 0L) do
-          if Int64.equal (Int64.logand !e 1L) 1L then acc := Field61.add !acc !cur;
-          cur := Field61.add !cur !cur;
+          if Int64.equal (Int64.logand !e 1L) 1L then acc := Ref.add !acc !cur;
+          cur := Ref.add !cur !cur;
           e := Int64.shift_right_logical !e 1
         done;
         !acc
       in
-      Int64.equal (Field61.mul a b) reference)
+      Int64.equal (mul a b) reference)
 
 let prop_field61_mul_commutative_assoc =
   let gen = QCheck.int64 in
   QCheck.Test.make ~name:"field61 mul commutative+associative" ~count:300
     (QCheck.triple gen gen gen)
     (fun (a, b, c) ->
-      let a = Field61.norm a and b = Field61.norm b and c = Field61.norm c in
-      Int64.equal (Field61.mul a b) (Field61.mul b a)
-      && Int64.equal (Field61.mul a (Field61.mul b c)) (Field61.mul (Field61.mul a b) c))
+      let a = Ref.norm a and b = Ref.norm b and c = Ref.norm c in
+      Int64.equal (mul a b) (mul b a)
+      && Int64.equal (mul a (mul b c)) (mul (mul a b) c))
 
 let prop_field61_distributive =
   let gen = QCheck.int64 in
   QCheck.Test.make ~name:"field61 distributivity" ~count:300
     (QCheck.triple gen gen gen)
     (fun (a, b, c) ->
-      let a = Field61.norm a and b = Field61.norm b and c = Field61.norm c in
+      let a = Ref.norm a and b = Ref.norm b and c = Ref.norm c in
       Int64.equal
-        (Field61.mul a (Field61.add b c))
-        (Field61.add (Field61.mul a b) (Field61.mul a c)))
+        (mul a (Ref.add b c))
+        (Ref.add (mul a b) (mul a c)))
 
 let prop_field61_pow_laws =
   QCheck.Test.make ~name:"field61 pow: g^(a+b) = g^a * g^b" ~count:200
@@ -175,22 +221,20 @@ let prop_field61_pow_laws =
       let g = 37L in
       let pa = Field61.pow g (Int64.of_int a) in
       let pb = Field61.pow g (Int64.of_int b) in
-      Int64.equal (Field61.pow g (Int64.of_int (a + b))) (Field61.mul pa pb))
+      Int64.equal (Field61.pow g (Int64.of_int (a + b))) (mul pa pb))
 
 (* --- native arithmetic pinned to the boxed reference (field61_ref.ml) ----- *)
-
-module Ref = Field61_ref
 
 (* 0, 1, 2^31 - 1, 2^31, 2^31 + 1, n - 1, p - 1: the split points and the
    tops of both moduli. *)
 let edge_operands =
   [ 0L; 1L; 2147483647L; 2147483648L; 2147483649L; Int64.sub Field61.Order.n 1L;
-    Int64.sub Field61.p 1L ]
+    Int64.sub Ref.p 1L ]
 
 (* An edge operand a third of the time, otherwise uniform over [0, p). *)
 let element =
   QCheck.make ~print:Int64.to_string
-    QCheck.Gen.(frequency [ (1, oneofl edge_operands); (2, map Field61.norm ui64) ])
+    QCheck.Gen.(frequency [ (1, oneofl edge_operands); (2, map Ref.norm ui64) ])
 
 (* Exponents over the whole non-negative int64 range, edges included. *)
 let exponent =
@@ -205,7 +249,7 @@ let exponent =
 let prop_field61_mul_matches_boxed_reference =
   QCheck.Test.make ~name:"field61 mul = boxed int64 reference" ~count:1000
     (QCheck.pair element element)
-    (fun (a, b) -> Int64.equal (Field61.mul a b) (Ref.mul a b))
+    (fun (a, b) -> Int64.equal (mul a b) (Ref.mul a b))
 
 let prop_field61_pow_matches_boxed_reference =
   QCheck.Test.make ~name:"field61 pow = boxed int64 reference" ~count:300
@@ -248,7 +292,7 @@ let prop_schnorr_verify_matches_two_ladder_reference =
         match how with
         | 0 -> (sg, msg)
         | 1 -> ({ sg with Schnorr.e = Int64.logxor sg.Schnorr.e 1L }, msg)
-        | 2 -> ({ sg with Schnorr.s = Field61.Order.add sg.Schnorr.s 1L }, msg)
+        | 2 -> ({ sg with Schnorr.s = Ref.Order.add sg.Schnorr.s 1L }, msg)
         | _ -> (sg, msg ^ "!")
       in
       Bool.equal (Schnorr.verify pk msg sg) (Ref.verify pk msg sg))
@@ -471,6 +515,9 @@ let suites =
         QCheck_alcotest.to_alcotest prop_digest_concat_matches_reference;
         QCheck_alcotest.to_alcotest prop_sha256_interleaved;
         Alcotest.test_case "digest allocates only its result" `Quick test_sha256_allocation;
+        Alcotest.test_case "digest_concat allocates only its result" `Quick
+          test_sha256_concat_allocation;
+        Alcotest.test_case "words with bit 31 set" `Quick test_sha256_high_bit_words;
       ] );
     ( "crypto.field61",
       [

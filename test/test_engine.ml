@@ -522,6 +522,28 @@ let test_grouped_empty_input () =
   check_rows "a grouped expression" [ [ vi 11; vi 1 ]; [ vi 21; vi 1 ]; [ vi 31; vi 1 ] ]
     (run fx "SELECT v + 1, COUNT(*) FROM p GROUP BY v ORDER BY v")
 
+(* HAVING and ORDER BY are held to the same rule as the items once output
+   aliases are substituted: neither may read a group's representative row
+   through an ungrouped column. An aggregate alias, a GROUP BY key and an
+   aggregate stay accepted. *)
+let test_grouped_having_order_by () =
+  let fx = make_fixture () in
+  seed_pqr fx;
+  let ungrouped = "column v must appear in GROUP BY or an aggregate" in
+  check_error "ORDER BY an ungrouped column" ungrouped
+    (run_err fx "SELECT COUNT(*) FROM p ORDER BY v");
+  check_error "HAVING on an ungrouped column" ungrouped
+    (run_err fx "SELECT COUNT(*) FROM p HAVING v > 15");
+  check_error "ungrouped column beside a GROUP BY key" "column p.v must appear in GROUP BY or an aggregate"
+    (run_err fx "SELECT id, COUNT(*) FROM p GROUP BY id HAVING p.v > 15");
+  check_rows "ORDER BY an aggregate alias" [ [ vi 30; vi 30 ]; [ vi 20; vi 20 ]; [ vi 10; vi 10 ] ]
+    (run fx "SELECT v, SUM(v) AS t FROM p GROUP BY v ORDER BY t DESC");
+  check_rows "ORDER BY a GROUP BY key" [ [ vi 30; vi 1 ]; [ vi 20; vi 1 ]; [ vi 10; vi 1 ] ]
+    (run fx "SELECT p.v, COUNT(*) FROM p GROUP BY v ORDER BY v DESC");
+  check_rows "HAVING an aggregate" [ [ vi 60 ] ] (run fx "SELECT SUM(v) FROM p HAVING SUM(v) > 15");
+  check_rows "HAVING an aggregate, filtered out" []
+    (run fx "SELECT SUM(v) FROM p HAVING SUM(v) > 100")
+
 (* SELECT * expands over the select's own FROM tables, not an enclosing
    row's. *)
 let test_star_in_subquery () =
@@ -678,6 +700,8 @@ let suites =
         Alcotest.test_case "BETWEEN with NULL bound" `Quick test_between_null_bound;
         Alcotest.test_case "provenance LEFT JOIN nulls" `Quick test_provenance_left_join_nulls;
         Alcotest.test_case "aggregates over an empty input" `Quick test_grouped_empty_input;
+        Alcotest.test_case "HAVING and ORDER BY read grouped columns" `Quick
+          test_grouped_having_order_by;
         Alcotest.test_case "SELECT * in a subquery" `Quick test_star_in_subquery;
       ] );
     ( "engine.alloc",

@@ -53,23 +53,48 @@ let test_vec_copy_independent () =
   Alcotest.(check (list int)) "orig unchanged" [ 1; 2 ] (Vec.to_list v);
   Alcotest.(check (list int)) "copy changed" [ 99; 2; 3 ] (Vec.to_list w)
 
+(* The inverse of [Hex.encode], which the system never needs: [None] when
+   [s] has odd length or non-hex characters. *)
+let hex_decode s =
+  let digit c =
+    match c with
+    | '0' .. '9' -> Some (Char.code c - Char.code '0')
+    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+    | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
+    | _ -> None
+  in
+  let n = String.length s in
+  if n mod 2 <> 0 then None
+  else
+    let b = Bytes.create (n / 2) in
+    let rec loop i =
+      if i >= n then Some (Bytes.to_string b)
+      else
+        match (digit s.[i], digit s.[i + 1]) with
+        | Some hi, Some lo ->
+            Bytes.set b (i / 2) (Char.chr ((hi lsl 4) lor lo));
+            loop (i + 2)
+        | _ -> None
+    in
+    loop 0
+
 let test_hex_roundtrip () =
   let cases = [ ""; "a"; "abc"; "\x00\xff\x10" ] in
   List.iter
     (fun s ->
-      match Hex.decode (Hex.encode s) with
+      match hex_decode (Hex.encode s) with
       | Some s' -> Alcotest.(check string) "roundtrip" s s'
       | None -> Alcotest.fail "decode failed")
     cases
 
 let test_hex_known () =
   Alcotest.(check string) "encode" "68656c6c6f" (Hex.encode "hello");
-  Alcotest.(check (option string)) "decode" (Some "hello") (Hex.decode "68656c6c6f");
-  Alcotest.(check (option string)) "upper" (Some "hello") (Hex.decode "68656C6C6F")
+  Alcotest.(check (option string)) "decode" (Some "hello") (hex_decode "68656c6c6f");
+  Alcotest.(check (option string)) "upper" (Some "hello") (hex_decode "68656C6C6F")
 
 let test_hex_invalid () =
-  Alcotest.(check (option string)) "odd length" None (Hex.decode "abc");
-  Alcotest.(check (option string)) "bad char" None (Hex.decode "zz")
+  Alcotest.(check (option string)) "odd length" None (hex_decode "abc");
+  Alcotest.(check (option string)) "bad char" None (hex_decode "zz")
 
 let test_hex_short () =
   Alcotest.(check string) "short" "68656c6c6f" (Hex.short ~n:12 "hello");
@@ -86,7 +111,7 @@ let prop_vec_matches_list =
 let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex decode . encode = id" ~count:200
     QCheck.(string)
-    (fun s -> Hex.decode (Hex.encode s) = Some s)
+    (fun s -> hex_decode (Hex.encode s) = Some s)
 
 let suites =
   [
