@@ -1,20 +1,23 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4).
+(** SHA-256 (FIPS 180-4).
 
     Used for block hashing, transaction identifiers, write-set digests and
     as the PRF inside the toy signature scheme. Digests are raw 32-byte
     strings; use {!Brdb_util.Hex.encode} to display them.
 
-    Words are native [int]s masked to 32 bits, and every call resets and
-    reuses one module-private context (state, message schedule, block
-    buffer, length header). A digest therefore allocates only its 32-byte
-    result, whatever the input length.
+    Padding, buffering and the {!digest_concat} framing are OCaml; the
+    compression function is C ([sha256_stubs.c]). It runs on the x86 SHA
+    extensions when CPUID, read once as this module initialises, reports
+    SHA, SSSE3 and SSE4.1, and as portable C on every other CPU. Both
+    kernels give the same digests; no option chooses between them.
 
-    Rotations run on the doubled word: for [x] masked to 32 bits,
-    [x2 = x lor (x lsl 32)] holds bits 0-30 of [x] again at bits 32-62, so
-    [rotr x n] is the low 32 bits of [x2 lsr n] for every [n <= 31]. Each
-    of Σ0, Σ1, σ0 and σ1 is then one doubling and three shifts. Both
-    preconditions matter: a word with bits above 31 set, or a shift
-    above 31, gives a wrong rotation.
+    Every call resets and reuses one module-private context: the state, an
+    [int array] of 8 words each below 2^32 (a, ..., h in FIPS order), a
+    64-byte block buffer and a length header. A digest therefore allocates
+    only its 32-byte result, whatever the input length. The compression
+    external is [[@@noalloc]], which is safe because the C stub allocates
+    nothing, never releases the runtime lock and never calls back into
+    OCaml: it only reads 64 bytes of a [Bytes] and stores immediates into
+    the state array, so no GC can run or move a value during the call.
 
     The functions are not reentrant. That is safe here for two reasons: a
     digest runs to completion without calling back into other code, so no
@@ -32,3 +35,10 @@ val hex : string -> string
 (** [digest_concat parts] hashes a length-prefixed concatenation of
     [parts], so that [["ab"; "c"]] and [["a"; "bc"]] hash differently. *)
 val digest_concat : string list -> string
+
+(** Test hooks (DESIGN.md §3). *)
+module Testing : sig
+  (** [digest_portable s] is [digest s] computed by the portable C kernel,
+      whichever kernel [digest] runs on this CPU. *)
+  val digest_portable : string -> string
+end

@@ -7,8 +7,6 @@ let create () = { data = [||]; len = 0 }
 
 let length v = v.len
 
-let is_empty v = v.len = 0
-
 let check v i =
   if i < 0 || i >= v.len then
     invalid_arg (Printf.sprintf "Vec: index %d out of bounds (length %d)" i v.len)
@@ -46,25 +44,6 @@ let iteri f v =
     f i v.data.(i)
   done
 
-let fold_left f acc v =
-  let acc = ref acc in
-  for i = 0 to v.len - 1 do
-    acc := f !acc v.data.(i)
-  done;
-  !acc
-
-let exists p v =
-  let rec loop i = i < v.len && (p v.data.(i) || loop (i + 1)) in
-  loop 0
-
-let find_index p v =
-  let rec loop i =
-    if i >= v.len then None else if p v.data.(i) then Some i else loop (i + 1)
-  in
-  loop 0
-
-let to_list v = List.init v.len (fun i -> v.data.(i))
-
 let of_list xs =
   let v = create () in
   List.iter (fun x -> ignore (push v x)) xs;
@@ -73,5 +52,3 @@ let of_list xs =
 let last v = if v.len = 0 then None else Some v.data.(v.len - 1)
 
 let clear v = v.len <- 0
-
-let copy v = { data = Array.sub v.data 0 v.len; len = v.len }

@@ -10,8 +10,6 @@ val create : unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val get : 'a t -> int -> 'a
 
 val set : 'a t -> int -> 'a -> unit
@@ -27,18 +25,8 @@ val iter : ('a -> unit) -> 'a t -> unit
 
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 
-val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-
-val exists : ('a -> bool) -> 'a t -> bool
-
-val find_index : ('a -> bool) -> 'a t -> int option
-
-val to_list : 'a t -> 'a list
-
 val of_list : 'a list -> 'a t
 
 val last : 'a t -> 'a option
 
 val clear : 'a t -> unit
-
-val copy : 'a t -> 'a t

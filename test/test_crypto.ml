@@ -3,6 +3,11 @@ open Brdb_crypto
 (* An inclusion proof verifies when it implies the expected root. *)
 let merkle_check ~root ~leaf proof = String.equal (Merkle.apply ~leaf proof) root
 
+(* [Sha256.digest] runs the SHA-NI kernel on a CPU that has it and the
+   portable kernel otherwise; [digest_portable] runs the portable one on
+   every CPU, so every vector and property below checks both. *)
+let digest_portable = Sha256.Testing.digest_portable
+
 (* FIPS 180-4 / NIST test vectors. *)
 let test_sha256_vectors () =
   let cases =
@@ -20,7 +25,9 @@ let test_sha256_vectors () =
   in
   List.iter
     (fun (input, expected) ->
-      Alcotest.(check string) ("sha256 of " ^ input) expected (Sha256.hex input))
+      Alcotest.(check string) ("sha256 of " ^ input) expected (Sha256.hex input);
+      Alcotest.(check string) ("portable sha256 of " ^ input) expected
+        (Brdb_util.Hex.encode (digest_portable input)))
     cases
 
 (* [digest_concat] feeds each part behind a 4-byte big-endian length;
@@ -37,9 +44,11 @@ let test_sha256_million_a () =
   (* The classic 1,000,000 x 'a' vector exercises multi-block input, and
      the same bytes fed as 1,000 framed chunks must match the one-shot
      digest of their framing. *)
-  Alcotest.(check string) "million a"
-    "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.hex (String.make 1_000_000 'a'));
+  let million = String.make 1_000_000 'a' in
+  let expected = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0" in
+  Alcotest.(check string) "million a" expected (Sha256.hex million);
+  Alcotest.(check string) "million a, portable" expected
+    (Brdb_util.Hex.encode (digest_portable million));
   let chunks = List.init 1000 (fun _ -> String.make 1000 'a') in
   Alcotest.(check string) "million a, chunked"
     (Sha256.hex (framed chunks))
@@ -72,9 +81,9 @@ let test_digest_concat_unambiguous () =
   let c = Sha256.digest_concat [ "ab"; "c" ] in
   Alcotest.(check bool) "deterministic" true (String.equal a c)
 
-(* The native-int digest against the boxed-Int32 reference: random
-   lengths 0–300, weighted towards the padding boundaries where the
-   length field moves into a second block. *)
+(* Both kernels against the boxed-Int32 reference: random lengths 0–300,
+   weighted towards the padding boundaries where the length field moves
+   into a second block. *)
 let message =
   QCheck.make ~print:(Printf.sprintf "%S")
     QCheck.Gen.(
@@ -83,32 +92,39 @@ let message =
 
 let prop_sha256_matches_reference =
   QCheck.Test.make ~name:"sha256 digest = boxed Int32 reference" ~count:300 message
-    (fun s -> String.equal (Sha256.digest s) (Sha256_ref.digest s))
+    (fun s ->
+      let expected = Sha256_ref.digest s in
+      String.equal (Sha256.digest s) expected && String.equal (digest_portable s) expected)
 
-(* The round kernel rotates a word [x] by shifting [x lor (x lsl 32)],
-   whose copy loses bit 31 of [x] off the top of the 63-bit [int]. Words
-   of all-[\xff] and all-[\x80] bytes have bit 31 set in every message
-   word; lengths 0–130 cover one, two and three blocks and every padding
-   boundary between them. *)
+(* Words of all-[\xff] and all-[\x80] bytes have bit 31 set in every
+   message word, which a signed byte load or a sign-extending word
+   conversion would corrupt; lengths 0–130 cover one, two and three
+   blocks and every padding boundary between them. *)
 let test_sha256_high_bit_words () =
   List.iter
     (fun c ->
       for len = 0 to 130 do
         let s = String.make len c in
-        if not (String.equal (Sha256.digest s) (Sha256_ref.digest s)) then
-          Alcotest.failf "digest of %d x %C differs from the reference" len c
+        let expected = Sha256_ref.digest s in
+        if not (String.equal (Sha256.digest s) expected) then
+          Alcotest.failf "digest of %d x %C differs from the reference" len c;
+        if not (String.equal (digest_portable s) expected) then
+          Alcotest.failf "portable digest of %d x %C differs from the reference" len c
       done)
     [ '\xff'; '\x80' ]
 
 (* Part lists of 0–8 parts, empty parts included, up to 150 bytes each so
-   that parts and their length headers straddle 64-byte blocks. *)
+   that parts and their length headers straddle 64-byte blocks. The
+   portable kernel hashes the framed one-shot input. *)
 let prop_digest_concat_matches_reference =
   QCheck.Test.make ~name:"sha256 digest_concat = boxed Int32 reference" ~count:200
     QCheck.(
       list_of_size Gen.(0 -- 8)
         (string_gen_of_size Gen.(frequency [ (1, return 0); (3, 0 -- 150) ]) Gen.char))
     (fun parts ->
-      String.equal (Sha256.digest_concat parts) (Sha256_ref.digest_concat parts))
+      let expected = Sha256_ref.digest_concat parts in
+      String.equal (Sha256.digest_concat parts) expected
+      && String.equal (digest_portable (framed parts)) expected)
 
 (* Every digest shares one context: digests evaluated within one
    expression, or nested as another's input, must not see each other. *)

@@ -1,8 +1,11 @@
 open Brdb_util
 
+(* A vector's contents, read through [Vec.get]. *)
+let to_list v = List.init (Vec.length v) (Vec.get v)
+
 let test_vec_push_get () =
   let v = Vec.create () in
-  Alcotest.(check bool) "empty" true (Vec.is_empty v);
+  Alcotest.(check int) "empty" 0 (Vec.length v);
   let i0 = Vec.push v "a" in
   let i1 = Vec.push v "b" in
   Alcotest.(check int) "idx0" 0 i0;
@@ -14,7 +17,7 @@ let test_vec_push_get () =
 let test_vec_set () =
   let v = Vec.of_list [ 1; 2; 3 ] in
   Vec.set v 1 42;
-  Alcotest.(check (list int)) "set" [ 1; 42; 3 ] (Vec.to_list v)
+  Alcotest.(check (list int)) "set" [ 1; 42; 3 ] (to_list v)
 
 let test_vec_out_of_bounds () =
   let v = Vec.of_list [ 1 ] in
@@ -26,32 +29,25 @@ let test_vec_out_of_bounds () =
 let test_vec_truncate () =
   let v = Vec.of_list [ 1; 2; 3; 4 ] in
   Vec.truncate v 2;
-  Alcotest.(check (list int)) "truncated" [ 1; 2 ] (Vec.to_list v);
+  Alcotest.(check (list int)) "truncated" [ 1; 2 ] (to_list v);
   Vec.truncate v 10;
-  Alcotest.(check (list int)) "noop" [ 1; 2 ] (Vec.to_list v)
+  Alcotest.(check (list int)) "noop" [ 1; 2 ] (to_list v)
 
-let test_vec_iter_fold () =
+let test_vec_iter () =
   let v = Vec.of_list [ 1; 2; 3 ] in
-  let sum = Vec.fold_left ( + ) 0 v in
-  Alcotest.(check int) "fold" 6 sum;
+  let seen = ref [] in
+  Vec.iter (fun x -> seen := x :: !seen) v;
+  Alcotest.(check (list int)) "iter" [ 1; 2; 3 ] (List.rev !seen);
   let acc = ref [] in
   Vec.iteri (fun i x -> acc := (i, x) :: !acc) v;
   Alcotest.(check (list (pair int int))) "iteri" [ (0, 1); (1, 2); (2, 3) ] (List.rev !acc)
 
-let test_vec_find () =
+let test_vec_last_clear () =
   let v = Vec.of_list [ 10; 20; 30 ] in
-  Alcotest.(check (option int)) "found" (Some 1) (Vec.find_index (fun x -> x = 20) v);
-  Alcotest.(check (option int)) "missing" None (Vec.find_index (fun x -> x = 99) v);
-  Alcotest.(check bool) "exists" true (Vec.exists (fun x -> x > 25) v);
-  Alcotest.(check (option int)) "last" (Some 30) (Vec.last v)
-
-let test_vec_copy_independent () =
-  let v = Vec.of_list [ 1; 2 ] in
-  let w = Vec.copy v in
-  ignore (Vec.push w 3);
-  Vec.set w 0 99;
-  Alcotest.(check (list int)) "orig unchanged" [ 1; 2 ] (Vec.to_list v);
-  Alcotest.(check (list int)) "copy changed" [ 99; 2; 3 ] (Vec.to_list w)
+  Alcotest.(check (option int)) "last" (Some 30) (Vec.last v);
+  Vec.clear v;
+  Alcotest.(check int) "cleared" 0 (Vec.length v);
+  Alcotest.(check (option int)) "last of empty" None (Vec.last v)
 
 (* The inverse of [Hex.encode], which the system never needs: [None] when
    [s] has odd length or non-hex characters. *)
@@ -106,7 +102,7 @@ let prop_vec_matches_list =
     (fun xs ->
       let v = Vec.create () in
       List.iter (fun x -> ignore (Vec.push v x)) xs;
-      Vec.to_list v = xs && Vec.length v = List.length xs)
+      to_list v = xs && Vec.length v = List.length xs)
 
 let prop_hex_roundtrip =
   QCheck.Test.make ~name:"hex decode . encode = id" ~count:200
@@ -121,9 +117,8 @@ let suites =
         Alcotest.test_case "set" `Quick test_vec_set;
         Alcotest.test_case "out-of-bounds" `Quick test_vec_out_of_bounds;
         Alcotest.test_case "truncate" `Quick test_vec_truncate;
-        Alcotest.test_case "iter/fold" `Quick test_vec_iter_fold;
-        Alcotest.test_case "find/exists/last" `Quick test_vec_find;
-        Alcotest.test_case "copy independence" `Quick test_vec_copy_independent;
+        Alcotest.test_case "iter/iteri" `Quick test_vec_iter;
+        Alcotest.test_case "last/clear" `Quick test_vec_last_clear;
         QCheck_alcotest.to_alcotest prop_vec_matches_list;
       ] );
     ( "util.hex",

@@ -100,6 +100,22 @@ if [ -n "$par_matches" ]; then
   exit 1
 fi
 
+# The SHA-256 C stub (lib/crypto/sha256_stubs.c) backs [@@noalloc]
+# externals: it must not allocate, register roots, call back into OCaml
+# or release the runtime lock, or the GC could run mid-call with the
+# shared context's values unregistered. And no environment variable may
+# pick its kernel: CPUID alone chooses, once, so every run on one host
+# hashes through the same code.
+stub_pattern='caml_alloc|CAMLparam|CAMLlocal|caml_callback|caml_release_runtime_system|getenv'
+stub_matches=$(grep -nE "$stub_pattern" "$dir"/crypto/*.c 2>/dev/null || true)
+if [ -n "$stub_matches" ]; then
+  echo "lint failed — allocation, GC roots, callbacks, runtime release or getenv" >&2
+  echo "in a crypto C stub; its externals are [@@noalloc] and its kernel is" >&2
+  echo "chosen by CPUID alone (see sha256.mli):" >&2
+  echo "$stub_matches" >&2
+  exit 1
+fi
+
 # Every network message must carry a span context (ISSUE 7): each
 # constructor of Msg.t has to be matched in Msg.span_ctx, so a new message
 # variant cannot silently opt out of causal tracing. Containment check:
@@ -291,4 +307,4 @@ if [ -n "$testing_matches" ]; then
   exit 1
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one writer of the key indexes (Index mutations only in storage/table.ml); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/"
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one writer of the key indexes (Index mutations only in storage/table.ml); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/; no allocation, callback, runtime release or getenv in the crypto C stubs"
