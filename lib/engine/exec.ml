@@ -381,6 +381,8 @@ let run_scan txn mode spec (frame : Eval.frame) f =
      of the SSI-visible database, so scans over them register neither reads
      nor predicates (a sys.* read can never abort anything). *)
   let record = not spec.sc_provenance && not (Catalog.is_sys_name name) in
+  (* The table's read set, looked up once per scan, not once per row. *)
+  let reads = if record then Some (Txn.reads_of txn ~table:name) else None in
   let rows = ref 0 and visited = ref 0 in
   (* Index scans skip what the snapshot cannot see: versions retired at or
      below its height (provenance reads walk every committed version). *)
@@ -388,7 +390,7 @@ let run_scan txn mode spec (frame : Eval.frame) f =
   let yield (v : Version.t) =
     incr visited;
     if visible txn ~provenance:spec.sc_provenance v then begin
-      if record then Txn.record_read txn ~table:name ~vid:v.Version.vid;
+      (match reads with Some r -> Txn.record_read r v.Version.vid | None -> ());
       frame.(spec.sc_slot) <- v;
       if all_true spec.sc_filters frame then begin
         incr rows;

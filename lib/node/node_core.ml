@@ -489,6 +489,9 @@ let fresh_execute t ~snapshot (tx : Block.tx) =
   | Error `Duplicate_txid -> Rejected (tx, "duplicate transaction identifier")
   | Ok txn ->
       run_contract t txn tx;
+      (* The read sets wait for the block sorted, deduplicated and
+         trimmed; SSI detection in the block pipeline only iterates them. *)
+      Txn.seal txn;
       Run (txn, tx)
 
 (* EO §3.4.1: execute on arrival at the client-specified snapshot. *)
@@ -783,7 +786,7 @@ let process_concurrent ?crash ?schedule t ~block_height ~missing txs =
                 Ledger_table.e_txid = txn.Txn.txid;
                 e_gid = tx.Block.tx_id;
                 e_user = tx.Block.tx_user;
-                e_query = describe_tx tx;
+                e_query = txn.Txn.description;
               }
         | Rejected _ -> None)
       slots

@@ -1,16 +1,26 @@
 open Brdb_storage
 module Txn = Brdb_txn.Txn
+module Vid_tbl = Hashtbl.Make (Int)
 
-(* Claims index: each (table, vid) updated or deleted in the set, mapped
-   to the txids that claimed it. *)
+(* Claims index: each table mapped to the vids updated or deleted in it,
+   each vid to the txids that claimed it. A reader's read set is per
+   table too, so it finds its table's claims once and probes by vid. *)
 let claims_index txns =
-  let idx = Hashtbl.create 64 in
+  let idx = Hashtbl.create 16 in
   List.iter
     (fun (w : Txn.t) ->
       List.iter
-        (fun key ->
-          let prev = Option.value ~default:[] (Hashtbl.find_opt idx key) in
-          Hashtbl.replace idx key (w.Txn.txid :: prev))
+        (fun (table, vid) ->
+          let by_vid =
+            match Hashtbl.find_opt idx table with
+            | Some by_vid -> by_vid
+            | None ->
+                let by_vid = Vid_tbl.create 64 in
+                Hashtbl.replace idx table by_vid;
+                by_vid
+          in
+          let prev = Option.value ~default:[] (Vid_tbl.find_opt by_vid vid) in
+          Vid_tbl.replace by_vid vid (w.Txn.txid :: prev))
         (Txn.claimed w))
     txns;
   idx
@@ -52,7 +62,13 @@ let compute catalog txns =
       let add writer = Graph.add_edge g ~reader ~writer in
       if probe_claims then
         List.iter
-          (fun key -> Option.iter (List.iter add) (Hashtbl.find_opt claims key))
+          (fun reads ->
+            match Hashtbl.find_opt claims (Txn.reads_table reads) with
+            | None -> ()
+            | Some by_vid ->
+                Txn.iter_vids
+                  (fun vid -> Option.iter (List.iter add) (Vid_tbl.find_opt by_vid vid))
+                  reads)
           r.Txn.reads;
       List.iter
         (fun p ->

@@ -2,7 +2,8 @@ module ISet = Set.Make (Int)
 module IMap = Map.Make (Int)
 
 (* Both directions are kept so in/out lookups are one [find]; the maps
-   are ordered, so [edges] drains in key order with no sort. *)
+   are ordered, so the test hook's edge list drains in key order with no
+   sort. *)
 type t = { mutable inc : ISet.t IMap.t; mutable out : ISet.t IMap.t }
 
 let create () = { inc = IMap.empty; out = IMap.empty }
@@ -21,7 +22,9 @@ let out_conflicts t id = ISet.elements (neighbours t.out id)
 
 let edge_count t = IMap.fold (fun _ ws acc -> acc + ISet.cardinal ws) t.out 0
 
-let edges t =
-  List.concat_map
-    (fun (reader, ws) -> List.map (fun writer -> (reader, writer)) (ISet.elements ws))
-    (IMap.bindings t.out)
+module Testing = struct
+  let edges t =
+    List.concat_map
+      (fun (reader, ws) -> List.map (fun writer -> (reader, writer)) (ISet.elements ws))
+      (IMap.bindings t.out)
+end

@@ -20,7 +20,10 @@ val out_conflicts : t -> int -> int list
 
 val edge_count : t -> int
 
-(** All [(reader, writer)] rw-antidependency edges, sorted — the order is
-    independent of insertion/hashing, so downstream consumers (the
-    critical-path analyzer) stay deterministic. *)
-val edges : t -> (int * int) list
+(** Test hooks (DESIGN.md §3). *)
+module Testing : sig
+  (** All [(reader, writer)] rw-antidependency edges, sorted: the order is
+      independent of insertion and hashing, so two detectors' graphs
+      compare as lists. *)
+  val edges : t -> (int * int) list
+end

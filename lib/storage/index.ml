@@ -145,8 +145,8 @@ let iter_entry height f { first; others; retired } =
       end;
       List.iter f !rest
 
-let iter_range ?(height = min_int) t ~lo ~hi f =
-  (* Seek to the lower bound, then walk keys in order until past [hi]. *)
+(* Seek to the lower bound, then walk keys in order until past [hi]. *)
+let walk_range height t ~lo ~hi f =
   let seq =
     match lo with
     | Unbounded -> VMap.to_seq t.map
@@ -164,6 +164,26 @@ let iter_range ?(height = min_int) t ~lo ~hi f =
   in
   walk seq
 
+(* [compare_total] compares an int with a float through [float_of_int],
+   which is exact below 2^53. So a key equal to such a probe is the
+   probe's own number, and the map holds at most one. Past 2^53 equality
+   is not transitive: [Float 2^53] equals both [Int 2^53] and
+   [Int (2^53 + 1)], two keys, and only the walk finds both. *)
+let single_key = function
+  | Value.Int n -> n > -(1 lsl 53) && n < 1 lsl 53
+  | Value.Float x -> Float.abs x < 0x1p53
+  | Value.Null | Value.Bool _ | Value.Text _ -> true
+
+let iter_range ?(height = min_int) t ~lo ~hi f =
+  match (lo, hi) with
+  | Incl a, Incl b when single_key a && Value.compare_total a b = 0 -> (
+      (* A point range (every equality probe and unique check): one
+         lookup, no enumeration. *)
+      match VMap.find a t.map with
+      | exception Not_found -> ()
+      | entry -> iter_entry height f entry)
+  | _ -> walk_range height t ~lo ~hi f
+
 let entries t =
   let rec pairs = function Nil -> [] | Ret r -> (r.block, r.vid) :: pairs r.next in
   VMap.fold
@@ -173,3 +193,7 @@ let entries t =
       :: acc)
     t.map []
   |> List.rev
+
+module Testing = struct
+  let walk_range ?(height = min_int) t ~lo ~hi f = walk_range height t ~lo ~hi f
+end

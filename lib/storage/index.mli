@@ -42,10 +42,20 @@ val remove : t -> Value.t -> int -> unit
     [height], only live vids and vids retired by a block above [height]
     are visited; without it, every indexed vid is. A lifecycle call made
     from [f] does not change the walk of the current key (a key not
-    reached yet may show it). *)
+    reached yet may show it). A point range [Incl k, Incl k] is one map
+    lookup when at most one key can equal [k] (anything but a number of
+    magnitude 2^53 or more); any other range seeks to [lo] and enumerates
+    keys. *)
 val iter_range : ?height:int -> t -> lo:bound -> hi:bound -> (int -> unit) -> unit
 
 (** Every key in order, with its live vids (ascending) and its retired
     [(deleter block, vid)] pairs in stored order (newest block first, then
     higher vid first). For {!Table.check_visibility}. *)
 val entries : t -> (Value.t * int list * (int * int) list) list
+
+(** Test hooks (DESIGN.md §3). *)
+module Testing : sig
+  (** [walk_range] is {!iter_range} through the key enumeration for every
+      range, point ranges included: the walk the point lookup must match. *)
+  val walk_range : ?height:int -> t -> lo:bound -> hi:bound -> (int -> unit) -> unit
+end

@@ -100,10 +100,14 @@ let check_stale_phantom t txn ~upto_height =
        block in (snap, upto]. *)
     let stale =
       List.exists
-        (fun (table, vid) ->
-          let v = Table.get_version (table_exn t table) vid in
-          Version.deleted_after v ~height:snap
-          && v.Version.deleter_block <= upto_height)
+        (fun reads ->
+          let table = table_exn t (Txn.reads_table reads) in
+          Txn.exists_vid
+            (fun vid ->
+              let v = Table.get_version table vid in
+              Version.deleted_after v ~height:snap
+              && v.Version.deleter_block <= upto_height)
+            reads)
         txn.Txn.reads
     in
     if stale then Some Txn.Stale_read
@@ -256,9 +260,8 @@ let rollback_committed t txn =
     (Txn.writes_in_order txn);
   txn.Txn.status <- Txn.Pending;
   txn.Txn.reads <- [];
-  Hashtbl.reset txn.Txn.reads_seen;
   txn.Txn.predicates <- [];
-  Hashtbl.reset txn.Txn.predicates_seen;
+  txn.Txn.predicates_seen <- None;
   txn.Txn.writes <- [];
   txn.Txn.on_commit <- []
 

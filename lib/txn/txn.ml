@@ -66,6 +66,16 @@ type ddl =
   | D_dropped_table of Brdb_storage.Table.t
   | D_created_index of { table : string; column : int }
 
+(* One table's read set: an unboxed, growable vid buffer. [sorted] means
+   [buf.(0 .. len-1)] is strictly ascending, hence duplicate-free; a read
+   that breaks the order clears it and [seal] restores it. *)
+type reads = {
+  table : string;
+  mutable buf : int array;
+  mutable len : int;
+  mutable sorted : bool;
+}
+
 type t = {
   txid : int;
   tracked : bool;
@@ -73,10 +83,9 @@ type t = {
   client : string;
   description : string;
   snapshot_height : int;
-  mutable reads : (string * int) list;
-  reads_seen : (string * int, unit) Hashtbl.t;
+  mutable reads : reads list;
   mutable predicates : Brdb_storage.Predicate.t list;
-  predicates_seen : (Brdb_storage.Predicate.t, unit) Hashtbl.t;
+  mutable predicates_seen : (Brdb_storage.Predicate.t, unit) Hashtbl.t option;
   mutable writes : write list;
   mutable ddl : ddl list;
   mutable status : status;
@@ -95,9 +104,8 @@ let create ~txid ~global_id ~client ?(description = "") ~snapshot_height () =
     description;
     snapshot_height;
     reads = [];
-    reads_seen = Hashtbl.create 32;
     predicates = [];
-    predicates_seen = Hashtbl.create 16;
+    predicates_seen = None;
     writes = [];
     ddl = [];
     status = Pending;
@@ -113,19 +121,111 @@ let reader ~snapshot_height =
   let t = create ~txid:(-1) ~global_id:"" ~client:"" ~snapshot_height () in
   { t with tracked = false }
 
-let record_read t ~table ~vid =
-  (* Reads repeat a lot (every scan revisits hot rows); a hash set keeps
-     the list duplicate-free in O(1). *)
-  let entry = (table, vid) in
-  if t.tracked && not (Hashtbl.mem t.reads_seen entry) then begin
-    Hashtbl.replace t.reads_seen entry ();
-    t.reads <- entry :: t.reads
+(* What an untracked transaction records into: a buffer owned by no
+   transaction, which [record_read] never grows. *)
+let untracked = { table = ""; buf = [||]; len = 0; sorted = true }
+
+let rec find_reads table = function
+  | [] -> untracked
+  | r :: rest -> if String.equal r.table table then r else find_reads table rest
+
+let reads_of t ~table =
+  if not t.tracked then untracked
+  else
+    let r = find_reads table t.reads in
+    if r != untracked then r
+    else begin
+      let r = { table; buf = [||]; len = 0; sorted = true } in
+      t.reads <- r :: t.reads;
+      r
+    end
+
+let record_read r vid =
+  let len = r.len in
+  (* A scan yields ascending vids and nested probes revisit hot rows, so
+     checking the last entry drops most duplicates before they land. *)
+  if len = 0 || r.buf.(len - 1) <> vid then
+    if r != untracked then begin
+      if len = Array.length r.buf then begin
+        let buf = Array.make (max 8 (2 * len)) 0 in
+        Array.blit r.buf 0 buf 0 len;
+        r.buf <- buf
+      end;
+      if len > 0 && vid < r.buf.(len - 1) then r.sorted <- false;
+      r.buf.(len) <- vid;
+      r.len <- len + 1
+    end
+
+(* [sort_into src dst lo hi] sorts the vids [src] and [dst] both hold in
+   [lo, hi) into [dst], using [src] as scratch: a merge sort whose int
+   comparisons compile inline, where [Array.sort] calls a closure for
+   each one. *)
+let rec sort_into (src : int array) (dst : int array) lo hi =
+  if hi - lo >= 2 then begin
+    let mid = (lo + hi) / 2 in
+    sort_into dst src lo mid;
+    sort_into dst src mid hi;
+    let i = ref lo and j = ref mid in
+    for k = lo to hi - 1 do
+      if !j >= hi || (!i < mid && src.(!i) <= src.(!j)) then begin
+        dst.(k) <- src.(!i);
+        incr i
+      end
+      else begin
+        dst.(k) <- src.(!j);
+        incr j
+      end
+    done
   end
 
+(* Sort, drop duplicates and trim the buffer to its length: the set
+   outlives execution (until the block commits), so it keeps no slack. *)
+let seal_table r =
+  if not r.sorted then begin
+    let a = Array.sub r.buf 0 r.len in
+    sort_into r.buf a 0 r.len;
+    let n = ref 1 in
+    for i = 1 to r.len - 1 do
+      if a.(i) <> a.(!n - 1) then begin
+        a.(!n) <- a.(i);
+        incr n
+      end
+    done;
+    r.buf <- (if !n = r.len then a else Array.sub a 0 !n);
+    r.len <- !n;
+    r.sorted <- true
+  end
+  else if r.len < Array.length r.buf then r.buf <- Array.sub r.buf 0 r.len
+
+let seal t = List.iter seal_table t.reads
+
+let reads_table r = r.table
+
+let iter_vids f r =
+  if not r.sorted then seal_table r;
+  for i = 0 to r.len - 1 do
+    f r.buf.(i)
+  done
+
+let exists_vid p r =
+  if not r.sorted then seal_table r;
+  let rec from i = i < r.len && (p r.buf.(i) || from (i + 1)) in
+  from 0
+
 let record_predicate t p =
-  if t.tracked && not (Hashtbl.mem t.predicates_seen p) then begin
-    Hashtbl.replace t.predicates_seen p ();
-    t.predicates <- p :: t.predicates
+  if t.tracked then begin
+    let seen =
+      match t.predicates_seen with
+      | Some seen -> seen
+      | None ->
+          let seen = Hashtbl.create 8 in
+          t.predicates_seen <- Some seen;
+          seen
+    in
+    (* One hash per predicate: [replace] grows the set only for a new one. *)
+    let before = Hashtbl.length seen in
+    Hashtbl.replace seen p ();
+    if Hashtbl.length seen > before then t.predicates <- p :: t.predicates
   end
 
 let record_write t w = t.writes <- w :: t.writes

@@ -40,6 +40,13 @@ type ddl =
   | D_dropped_table of Brdb_storage.Table.t
   | D_created_index of { table : string; column : int }
 
+(** One table's read set: the vids of the versions a transaction read in
+    that table, as an unboxed growable buffer (DESIGN.md §9, "Read sets").
+    Execution appends, dropping a repeat of the last vid on the spot;
+    {!seal} sorts it and drops the other duplicates, and a consumer that
+    iterates an unsealed set seals it first. *)
+type reads
+
 type t = {
   txid : int;  (** node-local transaction id (xmin/xmax domain) *)
   tracked : bool;  (** records SSI reads/predicates; false for {!reader} *)
@@ -47,11 +54,12 @@ type t = {
   client : string;  (** submitting user, for the ledger *)
   description : string;  (** contract invocation, for the ledger *)
   snapshot_height : int;
-  mutable reads : (string * int) list;
-  reads_seen : (string * int, unit) Hashtbl.t;  (** dedup set for [reads] *)
+  mutable reads : reads list;  (** one read set per table read *)
   mutable predicates : Brdb_storage.Predicate.t list;
-  predicates_seen : (Brdb_storage.Predicate.t, unit) Hashtbl.t;
-      (** dedup set for [predicates] *)
+      (** newest first, each at its first recording (the order
+          {!Manager.check_stale_phantom} reports the first hit in) *)
+  mutable predicates_seen : (Brdb_storage.Predicate.t, unit) Hashtbl.t option;
+      (** dedup set for [predicates], created at the first one *)
   mutable writes : write list;  (** newest first *)
   mutable ddl : ddl list;  (** newest first *)
   mutable status : status;
@@ -64,6 +72,8 @@ type t = {
           deployment taking effect) *)
 }
 
+(** [create] allocates the record only: the read sets and the predicate
+    dedup set appear with the first read or predicate recorded. *)
 val create :
   txid:int ->
   global_id:string ->
@@ -80,8 +90,27 @@ val create :
     Manager never issues. *)
 val reader : snapshot_height:int -> t
 
-val record_read : t -> table:string -> vid:int -> unit
+(** [reads_of t ~table] is [table]'s read set, created on first use; a
+    scan asks once and records each row into it. For an untracked
+    transaction it is a shared set that records nothing. *)
+val reads_of : t -> table:string -> reads
 
+(** [record_read r vid] adds [vid] to the read set [r]. *)
+val record_read : reads -> int -> unit
+
+(** [seal t] sorts each of [t]'s read sets, drops its duplicates and trims
+    its buffer. [Node_core] seals a transaction when its contract returns,
+    so the sets wait for their block without slack. *)
+val seal : t -> unit
+
+val reads_table : reads -> string
+
+(** The read set's vids, ascending. *)
+val iter_vids : (int -> unit) -> reads -> unit
+
+val exists_vid : (int -> bool) -> reads -> bool
+
+(** [record_predicate t p] adds [p] unless [t] recorded an equal one. *)
 val record_predicate : t -> Brdb_storage.Predicate.t -> unit
 
 val record_write : t -> write -> unit

@@ -20,9 +20,8 @@ let edges_between g catalog (reader : Txn.t) (writer : Txn.t) =
   if reader.Txn.txid <> writer.Txn.txid then begin
     (* Writer overwrote something the reader read. *)
     let claimed = Txn.claimed writer in
-    if
-      List.exists (fun rw -> List.mem rw reader.Txn.reads) claimed
-    then Graph.add_edge g ~reader:reader.Txn.txid ~writer:writer.Txn.txid
+    let reads = Txn_ref.reads_of_txn reader in
+    if List.exists (fun rw -> List.mem rw reads) claimed then Graph.add_edge g ~reader:reader.Txn.txid ~writer:writer.Txn.txid
     else
       (* Writer created a row that falls under one of the reader's
          predicates (reader could not have seen it). *)

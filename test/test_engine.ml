@@ -273,7 +273,7 @@ let test_tracking () =
   (match Exec.execute_sql fx.catalog txn "SELECT * FROM items WHERE id = 2" with
   | Ok _ -> ()
   | Error e -> Alcotest.fail (Exec.error_to_string e));
-  Alcotest.(check int) "one read" 1 (List.length txn.Txn.reads);
+  Alcotest.(check int) "one read" 1 (List.length (Txn_ref.reads_of_txn txn));
   Alcotest.(check int) "one predicate" 1 (List.length txn.Txn.predicates);
   (match List.hd txn.Txn.predicates with
   | Predicate.Range { table; column; _ } ->

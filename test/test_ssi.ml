@@ -4,7 +4,7 @@ module Txn = Brdb_txn.Txn
 module Manager = Brdb_txn.Manager
 module Exec = Brdb_engine.Exec
 
-let has_edge g ~reader ~writer = List.mem (reader, writer) (Graph.edges g)
+let has_edge g ~reader ~writer = List.mem (reader, writer) (Graph.Testing.edges g)
 
 (* --- graph ---------------------------------------------------------------- *)
 
@@ -131,7 +131,7 @@ let test_detect_no_self_edge () =
   ignore (exec fx t1 "UPDATE accounts SET bal = 0 WHERE id = 1");
   ignore (exec fx t1 "INSERT INTO accounts VALUES (5, 99)");
   let g = Detect.compute fx.catalog [ t1 ] in
-  Alcotest.(check (list (pair int int))) "no edges" [] (Graph.edges g)
+  Alcotest.(check (list (pair int int))) "no edges" [] (Graph.Testing.edges g)
 
 let test_detect_predicate_other_table () =
   (* [other] shares column 0's type and the key falls in t1's range on
@@ -145,7 +145,7 @@ let test_detect_predicate_other_table () =
   ignore (exec fx t1 "SELECT COUNT(*) FROM accounts WHERE id BETWEEN 1 AND 10");
   ignore (exec fx t2 "INSERT INTO other VALUES (5, 0)");
   let g = Detect.compute fx.catalog [ t1; t2 ] in
-  Alcotest.(check (list (pair int int))) "no edges" [] (Graph.edges g)
+  Alcotest.(check (list (pair int int))) "no edges" [] (Graph.Testing.edges g)
 
 let test_detect_dropped_table () =
   (* A version created in a table dropped before detection falls under no
@@ -164,7 +164,7 @@ let test_detect_dropped_table () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let g = Detect.compute fx.catalog [ t1; t2 ] in
-  Alcotest.(check (list (pair int int))) "no edges" [] (Graph.edges g)
+  Alcotest.(check (list (pair int int))) "no edges" [] (Graph.Testing.edges g)
 
 let test_detect_shared_claim () =
   (* Three pending writers delete the version a reader read. Deletes create
@@ -247,8 +247,8 @@ let prop_detect_matches_oracle =
             t)
           block
       in
-      let indexed = Graph.edges (Detect.compute fx.catalog txns) in
-      let oracle = Graph.edges (Ssi_oracle.compute fx.catalog txns) in
+      let indexed = Graph.Testing.edges (Detect.compute fx.catalog txns) in
+      let oracle = Graph.Testing.edges (Ssi_oracle.compute fx.catalog txns) in
       indexed = oracle
       || QCheck.Test.fail_reportf "indexed %s <> oracle %s"
            (QCheck.Print.(list (pair int int)) indexed)

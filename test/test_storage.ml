@@ -177,6 +177,111 @@ let prop_index_range_matches_filter =
       in
       got = expected)
 
+(* A point range [Incl k, Incl k] is one map lookup; every other range
+   enumerates keys from [lo]. The lookup must yield what the enumeration
+   yields for the same point range, in the same order, over keys with live
+   and retired vids, at random heights, for absent keys, for an [Int] and
+   a [Float] key that compare equal, and past 2^53. *)
+type point_op = P_add of int | P_retire of int * int | P_unretire of int | P_remove of int
+
+(* Past 2^53 [compare_total] is not transitive: [Float 2^53] equals both
+   [Int 2^53] and [Int (2^53 + 1)], which differ, so a point range on it
+   spans two keys. *)
+let point_keys =
+  [| Value.Int 0; Value.Int 1; Value.Int 2; Value.Int 5; Value.Float 5.; Value.Float 2.5;
+     Value.Text "a"; Value.Int 7; Value.Int (1 lsl 53); Value.Int ((1 lsl 53) + 1);
+     Value.Float 0x1p53 |]
+
+let probe_keys = Array.append point_keys [| Value.Int 3; Value.Float 5.5; Value.Text "b" |]
+
+let show_point_op = function
+  | P_add k -> "add " ^ Value.to_string point_keys.(k)
+  | P_retire (i, b) -> Printf.sprintf "retire #%d @%d" i b
+  | P_unretire i -> Printf.sprintf "unretire #%d" i
+  | P_remove i -> Printf.sprintf "remove #%d" i
+
+let prop_point_probe_matches_walk =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_bound 50)
+           (frequency
+              [
+                (4, map (fun k -> P_add k) (int_bound (Array.length point_keys - 1)));
+                (3, map2 (fun i b -> P_retire (i, b)) small_nat (int_range 1 10));
+                (1, map (fun i -> P_unretire i) small_nat);
+                (1, map (fun i -> P_remove i) small_nat);
+              ]))
+        (list_size (int_range 1 10)
+           (triple
+              (int_bound (Array.length probe_keys - 1))
+              (int_bound (Array.length probe_keys - 1))
+              (opt (int_range (-1) 11)))))
+  in
+  let print (ops, probes) =
+    String.concat "; " (List.map show_point_op ops)
+    ^ " | "
+    ^ String.concat "; "
+        (List.map
+           (fun (a, b, h) ->
+             Printf.sprintf "[%s,%s] h=%s" (Value.to_string probe_keys.(a))
+               (Value.to_string probe_keys.(b))
+               (match h with None -> "-" | Some h -> string_of_int h))
+           probes)
+  in
+  QCheck.Test.make ~name:"point probe = key enumeration" ~count:300 (QCheck.make ~print gen)
+    (fun (ops, probes) ->
+      let idx = Index.create ~column:0 in
+      (* The model: each vid's key and whether it is retired. *)
+      let vids = ref [] and next = ref 0 in
+      let pick pred i f =
+        match List.filter pred !vids with
+        | [] -> ()
+        | l -> f (List.nth l (i mod List.length l))
+      in
+      List.iter
+        (function
+          | P_add k ->
+              Index.add idx point_keys.(k) !next;
+              vids := (!next, point_keys.(k), ref false) :: !vids;
+              incr next
+          | P_retire (i, block) ->
+              pick
+                (fun (_, _, r) -> not !r)
+                i
+                (fun (vid, key, r) ->
+                  Index.retire idx key vid ~block;
+                  r := true)
+          | P_unretire i ->
+              pick
+                (fun (_, _, r) -> !r)
+                i
+                (fun (vid, key, r) ->
+                  Index.unretire idx key vid;
+                  r := false)
+          | P_remove i ->
+              pick
+                (fun _ -> true)
+                i
+                (fun (vid, key, _) ->
+                  Index.remove idx key vid;
+                  vids := List.filter (fun (v, _, _) -> v <> vid) !vids))
+        (List.rev ops);
+      List.for_all
+        (fun (a, b, height) ->
+          let lo = Index.Incl probe_keys.(a) and hi = Index.Incl probe_keys.(b) in
+          let collect iter =
+            let acc = ref [] in
+            iter ?height idx ~lo ~hi (fun vid -> acc := vid :: !acc);
+            List.rev !acc
+          in
+          let fast = collect Index.iter_range and walk = collect Index.Testing.walk_range in
+          fast = walk
+          || QCheck.Test.fail_reportf "[%s,%s]: point %s, walk %s"
+               (Value.to_string probe_keys.(a)) (Value.to_string probe_keys.(b))
+               (QCheck.Print.(list int) fast) (QCheck.Print.(list int) walk))
+        probes)
+
 (* --- predicate ----------------------------------------------------------- *)
 
 let test_predicate_matches () =
@@ -212,6 +317,36 @@ let test_table_pk_and_indexes () =
   Table.iter_index t ~column:2 ~lo:(Index.Incl (Value.Int 15)) ~hi:Index.Unbounded
     (fun v -> got := v.Version.vid :: !got);
   Alcotest.(check (list int)) "backfilled" [ 1 ] !got
+
+(* Every equality probe and unique check is a point lookup: one map
+   lookup, then the key's vids, with no key enumeration. The
+   [to_seq_from] walk allocated 112 words per probe on top of this. *)
+let test_pk_lookup_allocation () =
+  let t = Table.create (sample_schema ()) in
+  for id = 0 to 99 do
+    ignore (Table.insert_version t ~xmin:1 [| Value.Int id; Value.Text "x"; Value.Int id |])
+  done;
+  let old = Table.get_version t 42 in
+  ignore (Table.insert_version t ~xmin:2 [| Value.Int 42; Value.Text "y"; Value.Int 0 |]);
+  Table.mark_deleted t old ~xmax:2 ~height:5;
+  let found = ref 0 in
+  let f (_ : Version.t) = incr found in
+  List.iter
+    (fun (what, id, seen, bound) ->
+      found := 0;
+      let key = Value.Int id in
+      let words =
+        List.fold_left min infinity
+          (List.init 3 (fun _ ->
+               let before = Gc.minor_words () in
+               Table.pk_lookup ~height:3 t key f;
+               Gc.minor_words () -. before))
+      in
+      Alcotest.(check int) (what ^ ": versions seen") (3 * seen) !found;
+      if words > bound then
+        Alcotest.failf "a pk_lookup probe of %s allocated %.0f minor words (at most %.0f)"
+          what words bound)
+    [ ("a key with one live version", 7, 1, 16.); ("a key with history", 42, 2, 28.) ]
 
 let test_table_prune () =
   let t = Table.create (sample_schema ()) in
@@ -506,11 +641,13 @@ let suites =
         Alcotest.test_case "ranges" `Quick test_index_ranges;
         Alcotest.test_case "duplicates/remove" `Quick test_index_duplicates_and_remove;
         QCheck_alcotest.to_alcotest prop_index_range_matches_filter;
+        QCheck_alcotest.to_alcotest prop_point_probe_matches_walk;
       ] );
     ("storage.predicate", [ Alcotest.test_case "matches" `Quick test_predicate_matches ]);
     ( "storage.table",
       [
         Alcotest.test_case "pk and indexes" `Quick test_table_pk_and_indexes;
+        Alcotest.test_case "pk lookup allocation" `Quick test_pk_lookup_allocation;
         Alcotest.test_case "prune" `Quick test_table_prune;
         Alcotest.test_case "prune mid-workload keeps visibility coherent"
           `Quick test_prune_mid_workload_visibility;

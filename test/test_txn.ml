@@ -221,6 +221,149 @@ let test_abort_side_effect_hooks () =
   Manager.commit fx.mgr b ~height:1;
   Alcotest.(check (list string)) "commit runs its hook" [ "commit" ] !log
 
+(* --- read tracking ----------------------------------------------------------- *)
+
+type track_op =
+  | Read of int * int  (** table, vid *)
+  | Scan of int * int * int * int  (** table, first vid, count, step (±1..3) *)
+  | Pred of int * int * int  (** table, lo, hi *)
+  | Seal
+  | Rollback
+  | Check
+
+let track_table i = [| "orders"; "parts"; "kv" |].(i)
+
+let show_track_op = function
+  | Read (t, v) -> Printf.sprintf "read %s %d" (track_table t) v
+  | Scan (t, v, n, step) -> Printf.sprintf "scan %s %d+%dx%d" (track_table t) v step n
+  | Pred (t, lo, hi) -> Printf.sprintf "pred %s [%d,%d]" (track_table t) lo hi
+  | Seal -> "seal"
+  | Rollback -> "rollback"
+  | Check -> "check"
+
+let gen_track_op ntables =
+  let open QCheck.Gen in
+  let table = int_bound (ntables - 1) in
+  frequency
+    [
+      (6, map2 (fun t v -> Read (t, v)) table (int_bound 40));
+      ( 3,
+        map2
+          (fun (t, v) (n, step) -> Scan (t, v, n, step))
+          (pair table (int_bound 40))
+          (pair (int_bound 12) (oneofl [ -3; -2; -1; 1; 2; 3 ])) );
+      (3, map3 (fun t lo n -> Pred (t, lo, lo + n)) table (int_bound 6) (int_bound 2));
+      (1, return Seal);
+      (1, return Rollback);
+      (2, return Check);
+    ]
+
+(* Both recorders see the same reads and predicates; [Check] compares
+   them mid-stream (the comparison seals the transaction's sets, so later
+   reads land in sealed buffers). An untracked reader fed the same reads
+   must keep nothing. *)
+let prop_read_tracking_matches_ref =
+  let gen =
+    QCheck.Gen.(int_range 1 3 >>= fun n -> list_size (int_bound 80) (gen_track_op n))
+  in
+  let print ops = String.concat "; " (List.map show_track_op ops) in
+  QCheck.Test.make ~name:"read sets = list + Hashtbl reference" ~count:300
+    (QCheck.make ~print gen) (fun ops ->
+      let fx = make_fx () in
+      let t = txn fx in
+      let reader = Txn.reader ~snapshot_height:0 in
+      let r = Txn_ref.create () in
+      let read table vid =
+        let table = track_table table in
+        Txn.record_read (Txn.reads_of t ~table) vid;
+        Txn.record_read (Txn.reads_of reader ~table) vid;
+        Txn_ref.record_read r ~table ~vid
+      in
+      let agree () =
+        Txn_ref.reads_of_txn t = Txn_ref.sorted_reads r
+        && t.Txn.predicates = r.Txn_ref.predicates
+        || QCheck.Test.fail_reportf "reads %d vs %d, predicates %d vs %d"
+             (List.length (Txn_ref.reads_of_txn t))
+             (List.length r.Txn_ref.reads)
+             (List.length t.Txn.predicates)
+             (List.length r.Txn_ref.predicates)
+      in
+      List.for_all
+        (function
+          | Read (table, vid) ->
+              read table vid;
+              true
+          | Scan (table, first, n, step) ->
+              for i = 0 to n - 1 do
+                read table (max 0 (first + (i * step)))
+              done;
+              true
+          | Pred (table, lo, hi) ->
+              let p =
+                Predicate.Range
+                  {
+                    table = track_table table;
+                    column = 0;
+                    lo = Index.Incl (Value.Int lo);
+                    hi = Index.Incl (Value.Int hi);
+                  }
+              in
+              Txn.record_predicate t p;
+              Txn.record_predicate reader p;
+              Txn_ref.record_predicate r p;
+              true
+          | Seal ->
+              Txn.seal t;
+              true
+          | Rollback ->
+              Manager.rollback_committed fx.mgr t;
+              Txn_ref.reset r;
+              true
+          | Check -> agree ())
+        ops
+      && agree ()
+      && (Txn_ref.reads_of_txn reader = [] && reader.Txn.predicates = []
+         || QCheck.Test.fail_report "the untracked reader recorded something"))
+
+let minor_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+(* A transaction is created for every submitted transaction, and most
+   record nothing until their contract runs (an [oe_insert] transaction
+   never reads): [create] allocates the record and nothing else. The two
+   hash tables it used to create cost 81 words. *)
+let test_create_allocation () =
+  let words =
+    minor_words (fun () ->
+        Txn.create ~txid:7 ~global_id:"g" ~client:"c" ~snapshot_height:3 ())
+  in
+  if words > 20. then
+    Alcotest.failf "Txn.create allocated %.0f minor words (at most 20)" words
+
+(* 80 reads as one join execution records them: an ascending index scan
+   of 40 rows in one table, then 40 probes into another, with repeats.
+   Each read is an unboxed int in a growable buffer, found once per scan
+   (the bound includes the 17-word record); the (table, vid) tuple + hash
+   set recorder took 1,023 words. *)
+let test_record_read_allocation () =
+  let words =
+    minor_words (fun () ->
+        let t = Txn.create ~txid:7 ~global_id:"g" ~client:"c" ~snapshot_height:3 () in
+        let orders = Txn.reads_of t ~table:"orders" in
+        for vid = 100 to 139 do
+          Txn.record_read orders vid
+        done;
+        for i = 0 to 39 do
+          Txn.record_read (Txn.reads_of t ~table:"parts") (i * 7919 mod 25)
+        done;
+        t)
+  in
+  if words > 300. then
+    Alcotest.failf "80 tracked reads allocated %.0f minor words (at most 300)" words
+
 let suites =
   [
     ( "txn.manager",
@@ -235,5 +378,11 @@ let suites =
         Alcotest.test_case "rollback committed" `Quick test_rollback_committed;
         Alcotest.test_case "forget finished" `Quick test_forget_finished;
         Alcotest.test_case "commit/abort hooks" `Quick test_abort_side_effect_hooks;
+      ] );
+    ( "txn.reads",
+      [
+        QCheck_alcotest.to_alcotest prop_read_tracking_matches_ref;
+        Alcotest.test_case "create allocation" `Quick test_create_allocation;
+        Alcotest.test_case "record_read allocation" `Quick test_record_read_allocation;
       ] );
   ]

@@ -260,6 +260,55 @@ if [ -f "$table_file" ]; then
   fi
 fi
 
+# One recorder of SSI reads (DESIGN.md §9, "Read sets"): the executor's
+# scans are the only code that adds to a transaction's read sets and
+# predicates, so Txn.record_read has exactly one call site, in run_scan
+# (against the table's read set found once per scan), and
+# Txn.record_predicate exactly three (a range scan, each probed IN key, a
+# sequential scan), all in engine/exec.ml. And the read sets stay unboxed
+# per-table vid buffers: txn.ml may not hash or probe with the polymorphic
+# Hashtbl.hash/Hashtbl.mem, the (table, vid) tuple set it used to keep.
+exec_file="$dir/engine/exec.ml"
+if [ -f "$exec_file" ]; then
+  for spec in record_read:1 record_predicate:3; do
+    fn=${spec%:*}
+    want=${spec#*:}
+    n=$(grep -oE "Txn\.$fn([^A-Za-z0-9_']|\$)" "$exec_file" | wc -l)
+    if [ "$n" -ne "$want" ]; then
+      echo "lint failed — $n call sites of Txn.$fn in $exec_file; expected $want" >&2
+      echo "(scans record reads and predicates; see DESIGN.md §9):" >&2
+      grep -nE "Txn\.$fn([^A-Za-z0-9_']|\$)" "$exec_file" >&2
+      exit 1
+    fi
+  done
+  root_dir=$(dirname "$dir")
+  rec_matches=''
+  for d in "$dir" "$root_dir/bin" "$root_dir/bench" "$root_dir/benchmark" "$root_dir/examples"; do
+    [ -d "$d" ] || continue
+    m=$(grep -rnE "(^|[^A-Za-z0-9_])(Txn\.)?record_(read|predicate)([^A-Za-z0-9_']|\$)" "$d" \
+      --include='*.ml' | grep -v "^$exec_file:" | grep -v "^$dir/txn/txn\.ml:" || true)
+    [ -n "$m" ] && rec_matches="$rec_matches$m
+"
+  done
+  if [ -n "$rec_matches" ]; then
+    echo "lint failed — Txn.record_read/record_predicate outside $exec_file;" >&2
+    echo "only the executor's scans record SSI reads and predicates:" >&2
+    printf '%s' "$rec_matches" >&2
+    exit 1
+  fi
+fi
+txn_file="$dir/txn/txn.ml"
+if [ -f "$txn_file" ]; then
+  read_set_matches=$(grep -nE 'Hashtbl\.(hash|mem)([^A-Za-z0-9_]|$)' "$txn_file" || true)
+  if [ -n "$read_set_matches" ]; then
+    echo "lint failed — polymorphic Hashtbl.hash/Hashtbl.mem in $txn_file; read" >&2
+    echo "sets are per-table vid buffers, and a predicate is hashed once (replace" >&2
+    echo "plus a length check):" >&2
+    echo "$read_set_matches" >&2
+    exit 1
+  fi
+fi
+
 # One metrics store (DESIGN.md §8): every sample lives in an
 # Obs.Registry histogram, so Stat.create has exactly one home. A second
 # sample store (a private per-peer accumulator duplicating the registry's
@@ -307,4 +356,4 @@ if [ -n "$testing_matches" ]; then
   exit 1
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one writer of the key indexes (Index mutations only in storage/table.ml); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/; no allocation, callback, runtime release or getenv in the crypto C stubs"
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one writer of the key indexes (Index mutations only in storage/table.ml); one recorder of SSI reads (Txn.record_read/record_predicate only at their exec.ml sites, no polymorphic hash set in txn.ml); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/; no allocation, callback, runtime release or getenv in the crypto C stubs"
