@@ -823,7 +823,7 @@ let bootstrap () =
 (* The headline number for DESIGN.md §15: for every Chaos fault class,
    inject its Chaos.scenarios row across several seeds and measure the
    sim-time and block-count lag from injection to the first matching
-   alert (Chaos.expected_alerts); plus a fault-free sweep counting false
+   alert (Chaos's fault→alert coverage map); plus a fault-free sweep counting false
    positives, which must stay at zero. *)
 let alerts () =
   header

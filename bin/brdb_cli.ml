@@ -540,7 +540,7 @@ let chaos_smoke () =
 
 (* Health-plane smoke (the check.sh step): the ISSUE 9 fault→alert coverage
    matrix, end to end. Each Chaos.scenarios row injects its fault class and
-   must raise one of its expected alerts (Chaos.expected_alerts) within the
+   must raise one of its expected alerts (Chaos's coverage map) within the
    run; a fault-free run must stay completely silent. Prints every
    run's coverage rows and full alert stream; exits nonzero on any gap. *)
 let alerts_smoke () =

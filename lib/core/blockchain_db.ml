@@ -501,7 +501,7 @@ let create config =
          the receiver's "net" track, so consensus and catch-up traffic is
          attributable in the trace. The net track is delivery-dependent
          (drops, duplicates) and therefore excluded from the cross-node
-         causal projection (Export.causal_jsonl). *)
+         causal projection in Export. *)
       let tr = Obs.trace t.obs in
       (if Trace.enabled tr then
          let label, ctx = Msg.span_ctx msg in

@@ -842,5 +842,6 @@ let pp_report fmt r =
             r.fault_coverage))
 
 module Testing = struct
+  let expected_alerts = expected_alerts
   let find_divergence = find_divergence
 end

@@ -94,14 +94,6 @@ type fault =
 (** Stable id: ["message_loss"], ["node_crash"], … *)
 val fault_id : fault -> string
 
-(** The fault→alert coverage map: the {!Brdb_obs.Health} detectors
-    expected to notice each injected fault class (any one of the listed
-    detectors firing counts as detection). Wildcard-free by construction
-    — adding a [fault] constructor without an entry fails to compile,
-    and tools/lint.sh additionally asserts every constructor appears
-    here — so a new fault class cannot ship undetectable. *)
-val expected_alerts : fault -> Brdb_obs.Health.detector list
-
 (** The fault-scenario catalogue: [(label, fault, spec)], one tuned
     scenario per row of the coverage matrix — ["partition"], ["crash"],
     ["orderer_raft"], ["orderer_bft"], ["tamper"] and ["snapshot"]. Each
@@ -217,6 +209,14 @@ val run : spec -> report
 val pp_report : Format.formatter -> report -> unit
 
 module Testing : sig
+  (** The fault→alert coverage map: the {!Brdb_obs.Health} detectors
+      expected to notice each injected fault class (any one of the listed
+      detectors firing counts as detection). Wildcard-free by construction
+      — adding a [fault] constructor without an entry fails to compile,
+      and tools/lint.sh additionally asserts every constructor appears
+      here — so a new fault class cannot ship undetectable. *)
+  val expected_alerts : fault -> Brdb_obs.Health.detector list
+
   (** The online divergence monitor {!run} applies after each run
       (DESIGN.md §10): the first block height at which any two nodes
       publish different [sys.blocks.state_digest] values, found by binary

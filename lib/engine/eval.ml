@@ -431,123 +431,207 @@ let compile_star layout ~provenance =
 
 (* --- aggregates --------------------------------------------------------- *)
 
-type group = { g_rows : frame list; g_rep : frame; g_memo : Value.t option array }
+module VSet = Set.Make (struct
+  type t = Value.t
+
+  let compare = Value.compare_total
+end)
+
+(* A float total in a record of floats only, stored flat: adding to it
+   allocates nothing. *)
+type total = { mutable sum : float }
+
+(* One aggregate call's running state in one group. *)
+type acc = {
+  mutable ready : bool;  (* every row of the group is folded in *)
+  mutable n : int;  (* COUNT( * ): rows; the other kinds: non-NULL values *)
+  mutable itotal : int;  (* SUM/AVG: the int total *)
+  mutable all_int : bool;  (* SUM/AVG: every value an [Int] *)
+  mutable v : Value.t;
+      (* MIN/MAX: the best value; SUM/AVG: the first non-numeric value;
+         [Null] when there is none *)
+  mutable set : VSet.t;  (* COUNT(DISTINCT ...) *)
+  mutable failed : exn option;  (* the first error its argument raised *)
+  total : total;  (* SUM/AVG: the float total, added in row order *)
+}
+
+type spec = { kind : agg_kind; arg : frame -> Value.t; plain : bool }
+
+type group = { g_rep : frame; g_accs : acc array; g_rows : frame list }
 
 type aggregates = {
   a_ctx : ctx;
   a_layout : layout;
-  mutable calls : ((agg_kind * expr option) * (int * (frame list -> Value.t))) list;
-  mutable count : int;
+  mutable calls : ((agg_kind * expr option) * int) list;
+  mutable specs : spec array;
 }
 
-let aggregates ctx layout = { a_ctx = ctx; a_layout = layout; calls = []; count = 0 }
+let aggregates ctx layout = { a_ctx = ctx; a_layout = layout; calls = []; specs = [||] }
 
-let group aggs ~rows ~rep =
-  { g_rows = rows; g_rep = rep; g_memo = Array.make aggs.count None }
+let has_subquery e =
+  let found = ref false in
+  iter_expr (function Subquery _ | Exists _ | In_select _ -> found := true | _ -> ()) e;
+  !found
 
-let compile_agg ctx layout kind arg : frame list -> Value.t =
-  let non_null c rows =
-    List.filter_map (fun f -> match c f with Value.Null -> None | v -> Some v) rows
-  in
-  match kind with
-  | Count_star -> fun rows -> Value.Int (List.length rows)
-  | Count ->
-      let c = compile ctx layout (Option.get arg) in
-      fun rows ->
-        Value.Int (List.length (List.filter (fun f -> not (Value.is_null (c f))) rows))
-  | Count_distinct ->
-      let c = compile ctx layout (Option.get arg) in
-      fun rows ->
-        Value.Int (List.length (List.sort_uniq Value.compare_total (non_null c rows)))
-  | Sum | Avg -> (
-      let c = compile ctx layout (Option.get arg) in
-      fun rows ->
-        let values = non_null c rows in
-        match values with
-        | [] -> Value.Null
-        | _ ->
-            let all_int = List.for_all (function Value.Int _ -> true | _ -> false) values in
-            if kind = Sum && all_int then
-              Value.Int
-                (List.fold_left
-                   (fun acc v -> match v with Value.Int i -> acc + i | _ -> acc)
-                   0 values)
-            else
-              let total =
-                List.fold_left
-                  (fun acc v ->
-                    match v with
-                    | Value.Int i -> acc +. float_of_int i
-                    | Value.Float f -> acc +. f
-                    | v -> error "cannot aggregate %s" (Value.to_string v))
-                  0. values
-              in
-              if kind = Sum then Value.Float total
-              else Value.Float (total /. float_of_int (List.length values)))
-  | Min | Max -> (
-      let c = compile ctx layout (Option.get arg) in
-      fun rows ->
-        match non_null c rows with
-        | [] -> Value.Null
-        | first :: rest ->
-            let better a b =
-              let cmp = Value.compare_total a b in
-              if kind = Min then cmp < 0 else cmp > 0
-            in
-            List.fold_left (fun acc v -> if better v acc then v else acc) first rest)
+let streamable aggs = Array.for_all (fun s -> s.plain) aggs.specs
 
-(* Each distinct aggregate call gets one memo slot per group, filled on
-   first use: an aggregate shared by a select item and ORDER BY (through
-   its output alias) or HAVING is computed once per group, at the point
-   where the first of them needs it. *)
+let new_acc ~ready =
+  {
+    ready;
+    n = 0;
+    itotal = 0;
+    all_int = true;
+    v = Value.Null;
+    set = VSet.empty;
+    failed = None;
+    total = { sum = 0. };
+  }
+
+let group aggs ~rep =
+  { g_rep = rep; g_accs = Array.map (fun _ -> new_acc ~ready:true) aggs.specs; g_rows = [] }
+
+let buffered aggs ~rows ~rep =
+  { g_rep = rep; g_accs = Array.map (fun _ -> new_acc ~ready:false) aggs.specs; g_rows = rows }
+
+(* Fold one argument value in. *)
+let step kind acc v =
+  match v with
+  | Value.Null -> ()
+  | v -> (
+      match kind with
+      | Count_star | Count -> acc.n <- acc.n + 1
+      | Count_distinct -> acc.set <- VSet.add v acc.set
+      | Sum | Avg -> (
+          acc.n <- acc.n + 1;
+          match v with
+          | Value.Int i ->
+              acc.itotal <- acc.itotal + i;
+              acc.total.sum <- acc.total.sum +. float_of_int i
+          | Value.Float f ->
+              acc.all_int <- false;
+              acc.total.sum <- acc.total.sum +. f
+          | v -> (
+              acc.all_int <- false;
+              match acc.v with Value.Null -> acc.v <- v | _ -> ()))
+      | Min -> (
+          match acc.v with
+          | Value.Null -> acc.v <- v
+          | best -> if Value.compare_total v best < 0 then acc.v <- v)
+      | Max -> (
+          match acc.v with
+          | Value.Null -> acc.v <- v
+          | best -> if Value.compare_total v best > 0 then acc.v <- v))
+
+let fold aggs g frame =
+  let specs = aggs.specs in
+  for i = 0 to Array.length specs - 1 do
+    let acc = g.g_accs.(i) in
+    match acc.failed with
+    | Some _ -> ()
+    | None -> (
+        let s = specs.(i) in
+        match s.kind with
+        | Count_star -> acc.n <- acc.n + 1
+        | kind -> (
+            match s.arg frame with
+            | v -> step kind acc v
+            | exception (Error _ as e) -> acc.failed <- Some e))
+  done
+
+(* The aggregate's value over its group. A buffered group folds its rows
+   in now, in arrival order, raising the first error an argument raises;
+   a streamed one raises the error its fold kept. A SUM/AVG over a
+   non-numeric value raises here, naming the first such value. *)
+let value aggs g i =
+  let s = aggs.specs.(i) and acc = g.g_accs.(i) in
+  if not acc.ready then begin
+    List.iter
+      (fun f ->
+        match s.kind with
+        | Count_star -> acc.n <- acc.n + 1
+        | kind -> step kind acc (s.arg f))
+      g.g_rows;
+    acc.ready <- true
+  end;
+  (match acc.failed with Some e -> raise e | None -> ());
+  match s.kind with
+  | Count_star | Count -> Value.Int acc.n
+  | Count_distinct -> Value.Int (VSet.cardinal acc.set)
+  | (Sum | Avg) as kind -> (
+      if acc.n = 0 then Value.Null
+      else
+        match kind with
+        | Sum when acc.all_int -> Value.Int acc.itotal
+        | _ -> (
+            (match acc.v with
+            | Value.Null -> ()
+            | v -> error "cannot aggregate %s" (Value.to_string v));
+            match kind with
+            | Sum -> Value.Float acc.total.sum
+            | _ -> Value.Float (acc.total.sum /. float_of_int acc.n)))
+  | Min | Max -> acc.v
+
+(* Each distinct aggregate call gets one accumulator per group: an
+   aggregate shared by a select item and ORDER BY (through its output
+   alias) or HAVING is folded once. *)
 let agg_slot aggs kind arg =
   let key = (kind, arg) in
   match List.assoc_opt key aggs.calls with
-  | Some slot -> slot
+  | Some i -> i
   | None ->
-      let slot = (aggs.count, compile_agg aggs.a_ctx aggs.a_layout kind arg) in
-      aggs.calls <- (key, slot) :: aggs.calls;
-      aggs.count <- aggs.count + 1;
-      slot
+      let i = Array.length aggs.specs in
+      let spec =
+        match arg with
+        | None -> { kind; arg = (fun _ -> Value.Null); plain = true }
+        | Some e ->
+            { kind; arg = compile aggs.a_ctx aggs.a_layout e; plain = not (has_subquery e) }
+      in
+      aggs.calls <- (key, i) :: aggs.calls;
+      aggs.specs <- Array.append aggs.specs [| spec |];
+      i
 
-let rec compile_grouped aggs e : group -> Value.t =
-  let ctx = aggs.a_ctx and layout = aggs.a_layout in
+(* [e] per group ['g]: aggregate nodes through [agg], everything else on
+   the representative row [rep] returns. *)
+let rec compile_over ~agg ~rep ctx layout e : 'g -> Value.t =
+  let over = compile_over ~agg ~rep ctx layout in
   match e with
-  | Agg (kind, arg) ->
-      let i, compute = agg_slot aggs kind arg in
-      fun g -> (
-        match g.g_memo.(i) with
-        | Some v -> v
-        | None ->
-            let v = compute g.g_rows in
-            g.g_memo.(i) <- Some v;
-            v)
+  | Agg (kind, arg) -> agg kind arg
   | Lit _ | Col _ | Param _ | Named_param _ | Subquery _ | Exists _ ->
       let c = compile ctx layout e in
-      fun g -> c g.g_rep
+      fun g -> c (rep g)
   | Binop (op, a, b) ->
-      let ca = compile_grouped aggs a and cb = compile_grouped aggs b in
+      let ca = over a and cb = over b in
       fun g ->
         let av = ca g and bv = cb g in
         binop_values op av bv
   | Unop (op, a) ->
-      let ca = compile_grouped aggs a in
+      let ca = over a in
       fun g -> unop_value op (ca g)
   | Call (name, args) ->
-      let cs = List.map (compile_grouped aggs) args in
+      let cs = List.map over args in
       fun g -> call_function name (List.map (fun c -> c g) cs)
-  | Between (x, lo, hi) ->
-      compile_grouped aggs (Binop (And, Binop (Ge, x, lo), Binop (Le, x, hi)))
+  | Between (x, lo, hi) -> over (Binop (And, Binop (Ge, x, lo), Binop (Le, x, hi)))
   | In_list (x, items) ->
-      let cx = compile_grouped aggs x
-      and cs = List.map (compile_grouped aggs) items in
+      let cx = over x and cs = List.map over items in
       let values xv vs = if Value.is_null xv then Value.Null else in_items Fun.id xv vs in
       fun g -> values (cx g) (List.map (fun c -> c g) cs)
   | Is_null (a, want_null) ->
-      let ca = compile_grouped aggs a in
+      let ca = over a in
       fun g -> of_bool (Value.is_null (ca g) = want_null)
   | In_select (x, sel) ->
-      let cx = compile_grouped aggs x and sq = subquery ctx layout sel in
+      let cx = over x and sq = subquery ctx layout sel in
       fun g ->
         let xv = cx g in
-        if Value.is_null xv then Value.Null else in_select sq xv g.g_rep
+        if Value.is_null xv then Value.Null else in_select sq xv (rep g)
+
+let compile_grouped aggs e =
+  compile_over
+    ~agg:(fun kind arg ->
+      let i = agg_slot aggs kind arg in
+      fun g -> value aggs g i)
+    ~rep:(fun g -> g.g_rep)
+    aggs.a_ctx aggs.a_layout e
+
+module Testing = struct
+  let compile_grouped_with ctx layout ~agg ~rep e = compile_over ~agg ~rep ctx layout e
+end

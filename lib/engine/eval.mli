@@ -106,26 +106,68 @@ val eval_bool : ctx -> Brdb_sql.Ast.expr -> bool option
 
 (** {2 Aggregates} *)
 
-(** A statement's distinct aggregate calls. Each is computed at most
-    once per group, when an expression first needs it. *)
+(** A statement's distinct aggregate calls (DESIGN.md §9, "Streaming
+    aggregation"). Each gets one accumulator per group: COUNT a count,
+    SUM and AVG an int total and a float total added in row order, MIN
+    and MAX the best value so far, COUNT(DISTINCT) a set. *)
 type aggregates
 
 (** [aggregates ctx layout]: aggregate arguments compile against
     [layout], the layout of the grouped rows. *)
 val aggregates : ctx -> layout -> aggregates
 
-(** One group: its rows, the representative row the non-aggregate parts
-    of an expression read, and the group's aggregate values. *)
+(** Can rows fold in as they arrive? Only when no registered aggregate's
+    argument has a subquery: a subquery's reads and errors belong at
+    projection, where a {!buffered} group evaluates it. Ask once every
+    expression of the statement is compiled. *)
+val streamable : aggregates -> bool
+
+(** One group: the representative row the non-aggregate parts of an
+    expression read, and an accumulator per aggregate call. *)
 type group
 
-(** Create a group after every expression of the statement is compiled. *)
-val group : aggregates -> rows:frame list -> rep:frame -> group
+(** [group aggs ~rep] is a group its rows {!fold} into as they arrive.
+    [rep] is kept as is (a reused join frame must be copied first).
+    Create it once every expression of the statement is compiled. *)
+val group : aggregates -> rep:frame -> group
+
+(** [fold aggs g frame] evaluates each aggregate's argument on [frame]
+    and folds the value into [g]. An argument that raises {!Error} is
+    kept, that accumulator takes no more rows, and reading its value
+    raises the error: at projection, where the aggregate is first
+    needed. *)
+val fold : aggregates -> group -> frame -> unit
+
+(** [buffered aggs ~rows ~rep] is a group over materialized [rows] (in
+    arrival order): each aggregate folds them in when an expression
+    first reads it. *)
+val buffered : aggregates -> rows:frame list -> rep:frame -> group
 
 (** [compile_grouped aggs e] evaluates [e] per group: aggregate nodes
-    over the group's rows, everything else on the representative row.
-    Both have the layout [aggs] was created with (the single group of an
-    empty input binds NULL rows for the select's own tables). *)
+    from the group's accumulators, everything else on the representative
+    row. Both have the layout [aggs] was created with (the single group
+    of an empty input binds NULL rows for the select's own tables). *)
 val compile_grouped : aggregates -> Brdb_sql.Ast.expr -> group -> Brdb_storage.Value.t
+
+(** Does the expression contain a subquery ([(SELECT ...)], [EXISTS] or
+    [IN (SELECT ...)])? *)
+val has_subquery : Brdb_sql.Ast.expr -> bool
 
 (** Does the expression contain an aggregate node? *)
 val has_aggregate : Brdb_sql.Ast.expr -> bool
+
+(** Test hooks (DESIGN.md §3). *)
+module Testing : sig
+  (** [compile_grouped_with ctx layout ~agg ~rep e] is {!compile_grouped}'s
+      walk over any group type: aggregate nodes through [agg], the rest
+      on [rep g]. The materialize-then-group reference aggregation
+      evaluates its groups with it. *)
+  val compile_grouped_with :
+    ctx ->
+    layout ->
+    agg:(Brdb_sql.Ast.agg_kind -> Brdb_sql.Ast.expr option -> 'g -> Brdb_storage.Value.t) ->
+    rep:('g -> frame) ->
+    Brdb_sql.Ast.expr ->
+    'g ->
+    Brdb_storage.Value.t
+end

@@ -26,26 +26,27 @@ let visited_counts s =
   List.sort compare
     (List.map (fun o -> (o.op_kind, o.op_table, o.op_visited)) s.scans)
 
+(* [s]'s counter for (operator, table), created at its first count. *)
+let op_stat s ~op ~table =
+  let rec find = function
+    | [] ->
+        let o = { op_kind = op; op_table = table; op_rows = 0; op_visited = 0 } in
+        s.scans <- o :: s.scans;
+        o
+    | o :: rest ->
+        if String.equal o.op_kind op && String.equal o.op_table table then o else find rest
+  in
+  find s.scans
+
+let add_counts o ~rows ~visited =
+  o.op_rows <- o.op_rows + rows;
+  o.op_visited <- o.op_visited + visited
+
 let merge_stats ~into (src : stats) =
   List.iter
     (fun o ->
-      match
-        List.find_opt
-          (fun d -> d.op_kind = o.op_kind && d.op_table = o.op_table)
-          into.scans
-      with
-      | Some d ->
-          d.op_rows <- d.op_rows + o.op_rows;
-          d.op_visited <- d.op_visited + o.op_visited
-      | None ->
-          into.scans <-
-            {
-              op_kind = o.op_kind;
-              op_table = o.op_table;
-              op_rows = o.op_rows;
-              op_visited = o.op_visited;
-            }
-            :: into.scans)
+      add_counts (op_stat into ~op:o.op_kind ~table:o.op_table) ~rows:o.op_rows
+        ~visited:o.op_visited)
     src.scans;
   into.stmts <- into.stmts + src.stmts;
   into.rows_out <- into.rows_out + src.rows_out;
@@ -64,17 +65,27 @@ let default_mode =
 let stats_scan mode ~op ~table ~rows ~visited =
   match mode.stats with
   | None -> ()
-  | Some s -> (
-      match
-        List.find_opt (fun o -> o.op_kind = op && o.op_table = table) s.scans
-      with
-      | Some o ->
-          o.op_rows <- o.op_rows + rows;
-          o.op_visited <- o.op_visited + visited
-      | None ->
-          s.scans <-
-            { op_kind = op; op_table = table; op_rows = rows; op_visited = visited }
-            :: s.scans)
+  | Some s -> add_counts (op_stat s ~op ~table) ~rows ~visited
+
+(* A compiled operator's counter: found in [mode.stats] at its first
+   count, as [stats_scan] would, then kept for its later runs. *)
+type counter = { c_op : string; c_table : string; mutable c_stat : op_stat option }
+
+let counter ~op ~table = { c_op = op; c_table = table; c_stat = None }
+
+let count mode c ~rows ~visited =
+  match mode.stats with
+  | None -> ()
+  | Some s ->
+      let o =
+        match c.c_stat with
+        | Some o -> o
+        | None ->
+            let o = op_stat s ~op:c.c_op ~table:c.c_table in
+            c.c_stat <- Some o;
+            o
+      in
+      add_counts o ~rows ~visited
 
 type error =
   | Missing_index of string
@@ -152,13 +163,6 @@ let column_refs e =
   iter_expr (function Col (q, c) -> acc := (q, c) :: !acc | _ -> ()) e;
   !acc
 
-let contains_subquery e =
-  let found = ref false in
-  iter_expr
-    (function Subquery _ | Exists _ | In_select _ -> found := true | _ -> ())
-    e;
-  !found
-
 (* The slots [e]'s column references read, each resolved once by
    [Eval.resolve] in [layout]; [None] when one does not resolve. *)
 let read_slots layout e =
@@ -171,7 +175,7 @@ let read_slots layout e =
 
 (* A subquery or an aggregate needs the full row: it never moves into a
    scan. *)
-let plain e = not (contains_subquery e || Eval.has_aggregate e)
+let plain e = not (Eval.has_subquery e || Eval.has_aggregate e)
 
 (* Can [e] run with only the slots before [slot] bound? *)
 let bound_before layout slot e =
@@ -191,19 +195,22 @@ let column_of layout slot = function
 
 (* --- deterministic hash keys -------------------------------------------- *)
 
-(* Hash-operator keys must collide exactly when [Value.compare_total] calls
-   the values equal. Int and Float compare numerically, so integral floats
-   are canonicalised to the Int spelling before encoding (beyond 2^52 the
-   float grid is coarser than int and the comparison itself is already
-   approximate; those pathological keys keep their float encoding). *)
+(* Hash-operator keys collide exactly when [Value.compare_total] calls the
+   values equal. An Int and a Float compare as the numbers they are, so
+   every integral float in int range takes the Int spelling, and every NaN
+   one spelling; any other float is equal to itself alone. *)
 let canon_encode v =
   match v with
-  | Value.Float f when Float.is_integer f && Float.abs f <= 4503599627370496. ->
-      "I" ^ string_of_int (int_of_float f)
+  | Value.Float f when Float.is_integer f && f >= -0x1p62 && f < 0x1p62 ->
+      Value.encode (Value.Int (Float.to_int f))
+  | Value.Float f when Float.is_nan f -> "Fnan"
   | v -> Value.encode v
 
-(* Injective: every component self-delimits, so the separator is cosmetic. *)
-let key_string vs = String.concat "\x00" (List.map canon_encode vs)
+(* Grouping, DISTINCT and hash-join identity: injective, since every
+   component self-delimits (the separator is cosmetic). *)
+let key_string = function
+  | [ v ] -> canon_encode v
+  | vs -> String.concat "\x00" (List.map canon_encode vs)
 
 type restriction = {
   r_column : int;
@@ -271,29 +278,37 @@ let choose_path table restrictions =
   | (column, rs, _) :: _ -> Index_range { column; restrictions = rs }
   | [] -> Seq_scan
 
-(* A path with its key expressions compiled against the layout the scan
-   starts from. *)
+(* A path with its index resolved and its key expressions compiled
+   against the layout the scan starts from. A lone equality is a point
+   probe: its key is evaluated once per run and looked up directly. *)
 type access =
   | Seq
+  | Point of { index : Index.t; column : int; key : Eval.frame -> Value.t }
   | Range of {
+      index : Index.t;
       column : int;
       ranges : ([ `Eq | `Lt | `Le | `Gt | `Ge | `In ] * (Eval.frame -> Value.t)) list;
       ins : (Eval.frame -> Value.t) list list;  (* one key list per [`In] *)
     }
 
-let compile_path ctx layout = function
+let compile_path ctx layout table = function
   | Seq_scan -> Seq
-  | Index_range { column; restrictions } ->
-      let ins, ranges = List.partition (fun r -> r.r_op = `In) restrictions in
+  | Index_range { column; restrictions } -> (
+      let index = Table.index table ~column in
       let key r =
         match r.r_keys with [ e ] -> Eval.compile ctx layout e | _ -> assert false
       in
-      Range
-        {
-          column;
-          ranges = List.map (fun r -> (r.r_op, key r)) ranges;
-          ins = List.map (fun r -> List.map (Eval.compile ctx layout) r.r_keys) ins;
-        }
+      match restrictions with
+      | [ ({ r_op = `Eq; _ } as r) ] -> Point { index; column; key = key r }
+      | _ ->
+          let ins, ranges = List.partition (fun r -> r.r_op = `In) restrictions in
+          Range
+            {
+              index;
+              column;
+              ranges = List.map (fun r -> (r.r_op, key r)) ranges;
+              ins = List.map (fun r -> List.map (Eval.compile ctx layout) r.r_keys) ins;
+            })
 
 (* Evaluate a path's range bounds on the (join-)bound frame. *)
 let bounds_of_restrictions frame ranges =
@@ -340,15 +355,39 @@ let bounds_of_restrictions frame ranges =
 
 (* --- scans -------------------------------------------------------------- *)
 
-type scan_spec = {
+(* A scan's per-run state. One cell per scan suffices: a scan never runs
+   inside its own run, since its rows drive only the scans after it and
+   subqueries, each compiled on its own. *)
+type cursor = {
+  mutable frame : Eval.frame;
+  mutable emit : Version.t -> unit;
+  mutable rows : int;  (* versions that passed visibility and the filters *)
+  mutable visited : int;  (* versions examined *)
+  mutable reads : Txn.reads option;
+      (* the table's read set, found at the first run: a scan that never
+         runs leaves the table without one *)
+}
+
+(* A compiled scan: what its runs share, resolved once per statement. *)
+type scan = {
   sc_table : Table.t;
-  sc_slot : int;  (* the frame slot each visible version is bound to *)
+  sc_name : string;
   sc_access : access;
   sc_provenance : bool;
-  sc_filters : (Eval.frame -> bool) list;
-      (* single-table WHERE conjuncts pushed below materialization;
-         evaluated after the read is recorded, so the SSI read set is
-         unchanged by pushdown *)
+  sc_record : bool;
+      (* registers reads and predicates: not a provenance read, and not a
+         [sys.*] view (a statement-local materialization outside the
+         SSI-visible database, so a sys.* read can never abort anything) *)
+  sc_height : int;
+      (* what an index walk may skip: versions retired at or below the
+         snapshot height ([min_int] for a provenance read, which walks
+         every committed version) *)
+  sc_counter : counter;
+  sc_cursor : cursor;
+  sc_yield : Version.t -> unit;
+      (* binds each visible version to the scan's frame slot and emits it
+         if it passes the pushed filters: built once, not per run *)
+  sc_reader : Table.reader;  (* [sc_yield] by vid, for index walks *)
 }
 
 let rec all_true preds frame =
@@ -370,42 +409,72 @@ let within_bounds v ~lo ~hi =
   | Index.Incl h -> Value.compare_total v h <= 0
   | Index.Excl h -> Value.compare_total v h < 0
 
-(* Iterate visible versions of a scan; registers the predicate and the
-   per-row reads unless the scan is a provenance read. Each version that
-   passes visibility is bound to the frame's [sc_slot]; the callback gets
-   the ones that pass the pushed filters too. [op_visited] counts versions
-   examined, [op_rows] rows surviving visibility + pushed filters. *)
-let run_scan txn mode spec (frame : Eval.frame) f =
-  let name = Table.name spec.sc_table in
-  (* Virtual views are statement-local materializations: they are not part
-     of the SSI-visible database, so scans over them register neither reads
-     nor predicates (a sys.* read can never abort anything). *)
-  let record = not spec.sc_provenance && not (Catalog.is_sys_name name) in
-  (* The table's read set, looked up once per scan, not once per row. *)
-  let reads = if record then Some (Txn.reads_of txn ~table:name) else None in
-  let rows = ref 0 and visited = ref 0 in
-  (* Index scans skip what the snapshot cannot see: versions retired at or
-     below its height (provenance reads walk every committed version). *)
-  let height = if spec.sc_provenance then None else Some txn.Txn.snapshot_height in
+(* [filters] are the single-table WHERE conjuncts pushed below
+   materialization; they run after the read is recorded, so the SSI read
+   set is unchanged by pushdown. *)
+let compile_scan txn ctx layout table ~slot ~path ~provenance ~filters =
+  let name = Table.name table in
+  let record = (not provenance) && not (Catalog.is_sys_name name) in
+  let cur = { frame = [||]; emit = ignore; rows = 0; visited = 0; reads = None } in
   let yield (v : Version.t) =
-    incr visited;
-    if visible txn ~provenance:spec.sc_provenance v then begin
-      (match reads with Some r -> Txn.record_read r v.Version.vid | None -> ());
-      frame.(spec.sc_slot) <- v;
-      if all_true spec.sc_filters frame then begin
-        incr rows;
-        f v
+    cur.visited <- cur.visited + 1;
+    if visible txn ~provenance v then begin
+      (match cur.reads with Some r -> Txn.record_read r v.Version.vid | None -> ());
+      let frame = cur.frame in
+      frame.(slot) <- v;
+      if all_true filters frame then begin
+        cur.rows <- cur.rows + 1;
+        cur.emit v
       end
     end
   in
-  (match spec.sc_access with
-  | Range { column; ranges; ins } -> (
+  {
+    sc_table = table;
+    sc_name = name;
+    sc_access = compile_path ctx layout table path;
+    sc_provenance = provenance;
+    sc_record = record;
+    sc_height = (if provenance then min_int else txn.Txn.snapshot_height);
+    sc_counter =
+      counter ~op:(match path with Index_range _ -> "index_scan" | Seq_scan -> "seq_scan")
+        ~table:name;
+    sc_cursor = cur;
+    sc_yield = yield;
+    sc_reader = Table.reader table yield;
+  }
+
+(* A scan's access predicate over a column range (an index scan, a point
+   probe, or one probed IN key). *)
+let record_range txn sc column ~lo ~hi =
+  if sc.sc_record then
+    Txn.record_predicate txn (Predicate.Range { table = sc.sc_name; column; lo; hi })
+
+(* Iterate visible versions of a scan; registers the predicate and the
+   per-row reads unless the scan is a provenance read. Each version that
+   passes visibility is bound to the scan's frame slot; [f] gets the ones
+   that pass the pushed filters too. [op_visited] counts versions
+   examined, [op_rows] rows surviving visibility + pushed filters. *)
+let run_scan txn mode sc (frame : Eval.frame) f =
+  let cur = sc.sc_cursor in
+  (match cur.reads with
+  | None when sc.sc_record -> cur.reads <- Some (Txn.reads_of txn ~table:sc.sc_name)
+  | _ -> ());
+  cur.frame <- frame;
+  cur.emit <- f;
+  cur.rows <- 0;
+  cur.visited <- 0;
+  (match sc.sc_access with
+  | Point { index; column; key } ->
+      let k = key frame in
+      let b = Index.Incl k in
+      record_range txn sc column ~lo:b ~hi:b;
+      Table.probe sc.sc_reader index ~height:sc.sc_height k
+  | Range { index; column; ranges; ins } -> (
       let lo, hi = bounds_of_restrictions frame ranges in
       match ins with
       | [] ->
-          if record then
-            Txn.record_predicate txn (Predicate.Range { table = name; column; lo; hi });
-          Table.iter_index ?height spec.sc_table ~column ~lo ~hi yield
+          record_range txn sc column ~lo ~hi;
+          Table.iter_in sc.sc_reader index ~height:sc.sc_height ~lo ~hi
       | _ ->
           (* Intersect the IN key sets, keep keys inside the range bounds,
              and probe each surviving key. NULL keys can never match and
@@ -434,26 +503,22 @@ let run_scan txn mode spec (frame : Eval.frame) f =
           let keys = List.filter (fun v -> within_bounds v ~lo ~hi) keys in
           List.iter
             (fun k ->
-              if record then
-                Txn.record_predicate txn
-                  (Predicate.Range
-                     { table = name; column; lo = Index.Incl k; hi = Index.Incl k });
-              Table.iter_index ?height spec.sc_table ~column ~lo:(Index.Incl k)
-                ~hi:(Index.Incl k) yield)
+              let b = Index.Incl k in
+              record_range txn sc column ~lo:b ~hi:b;
+              Table.probe sc.sc_reader index ~height:sc.sc_height k)
             keys)
   | Seq ->
-      if mode.require_index && record then
-        raise (Exec_error (Missing_index name));
-      if record then
-        Txn.record_predicate txn (Predicate.Full_scan { table = name });
-      if spec.sc_provenance then Table.iter_versions spec.sc_table yield
+      if mode.require_index && sc.sc_record then
+        raise (Exec_error (Missing_index sc.sc_name));
+      if sc.sc_record then
+        Txn.record_predicate txn (Predicate.Full_scan { table = sc.sc_name });
+      if sc.sc_provenance then Table.iter_versions sc.sc_table sc.sc_yield
       else
         (* Visibility index: skip versions that are dead at the snapshot
            height instead of wading through the full history (ascending
            vid, same order as the heap). *)
-        Table.iter_live spec.sc_table ~height:txn.Txn.snapshot_height yield);
-  let op = match spec.sc_access with Range _ -> "index_scan" | Seq -> "seq_scan" in
-  stats_scan mode ~op ~table:name ~rows:!rows ~visited:!visited
+        Table.iter_live sc.sc_table ~height:sc.sc_height sc.sc_yield);
+  count mode sc.sc_counter ~rows:cur.rows ~visited:cur.visited
 
 (* --- SELECT -------------------------------------------------------------- *)
 
@@ -628,16 +693,16 @@ let plan_select table_of mode ~outer (sel : select) =
 (* --- compiled select pipeline --------------------------------------------- *)
 
 type join_step =
-  | Nested_scan of scan_spec
+  | Nested_scan of scan
   | Hash_probe of {
       keys : (Eval.frame -> Value.t) list;  (* outer-side key expressions *)
       probe_filters : (Eval.frame -> bool) list;
       build : Eval.frame -> (string, Version.t list ref) Hashtbl.t;
           (* buckets of the inner table under an outer frame *)
+      probe_counter : counter;
     }
 
 type join_run = {
-  jr_table_name : string;
   jr_slot : int;
   jr_null_row : Version.t;
   jr_left : bool;
@@ -653,20 +718,15 @@ let compile_joins txn mode ctx ~provenance (plan : select_plan) =
   let n_outer = Array.length layouts.(0).Eval.slots in
   let n = List.length plan.sp_tables in
   let preds layout = List.map (Eval.compile_pred ctx layout) in
-  let scan_spec i (tp : table_plan) =
-    {
-      sc_table = tp.tp_table;
-      sc_slot = n_outer + i;
-      sc_access = compile_path ctx layouts.(i) tp.tp_path_hint;
-      sc_provenance = provenance;
-      sc_filters = preds layouts.(i + 1) tp.tp_filters;
-    }
+  let scan i (tp : table_plan) =
+    compile_scan txn ctx layouts.(i) tp.tp_table ~slot:(n_outer + i) ~path:tp.tp_path_hint
+      ~provenance ~filters:(preds layouts.(i + 1) tp.tp_filters)
   in
   let residual = preds layouts.(n) plan.sp_residual in
   let base_tp, join_tps =
     match plan.sp_tables with base :: rest -> (base, rest) | [] -> assert false
   in
-  let base_scan = scan_spec 0 base_tp in
+  let base_scan = scan 0 base_tp in
   let joins =
     List.mapi
       (fun k (tp : table_plan) ->
@@ -676,17 +736,12 @@ let compile_joins txn mode ctx ~provenance (plan : select_plan) =
         in
         let step =
           match strat with
-          | Nested -> Nested_scan (scan_spec i tp)
+          | Nested -> Nested_scan (scan i tp)
           | Hashed h ->
-              let spec =
-                {
-                  sc_table = tp.tp_table;
-                  sc_slot = n_outer;
-                  sc_access = Seq;
-                  sc_provenance = false;
-                  sc_filters =
-                    preds (Eval.extend layouts.(0) tp.tp_slot) h.h_build_filters;
-                }
+              let build_scan =
+                compile_scan txn ctx layouts.(0) tp.tp_table ~slot:n_outer ~path:Seq_scan
+                  ~provenance:false
+                  ~filters:(preds (Eval.extend layouts.(0) tp.tp_slot) h.h_build_filters)
               in
               (* Buckets are assembled by prepend and reversed once,
                  keeping heap (vid) order without iterating the
@@ -695,7 +750,7 @@ let compile_joins txn mode ctx ~provenance (plan : select_plan) =
                 let tbl : (string, Version.t list ref) Hashtbl.t = Hashtbl.create 64 in
                 let frame = Array.make (n_outer + 1) tp.tp_slot.Eval.null_row in
                 Array.blit frame0 0 frame 0 n_outer;
-                run_scan txn mode spec frame (fun (v : Version.t) ->
+                run_scan txn mode build_scan frame (fun (v : Version.t) ->
                     let key =
                       List.map (fun col -> v.Version.values.(col)) h.h_key_cols
                     in
@@ -716,10 +771,10 @@ let compile_joins txn mode ctx ~provenance (plan : select_plan) =
                   keys = List.map (Eval.compile ctx layouts.(i)) h.h_key_outer;
                   probe_filters = preds layouts.(i + 1) h.h_probe_filters;
                   build;
+                  probe_counter = counter ~op:"hash_join" ~table:tp.tp_ref.table;
                 }
         in
         {
-          jr_table_name = tp.tp_ref.table;
           jr_slot = n_outer + i;
           jr_null_row = tp.tp_slot.Eval.null_row;
           jr_left = j.j_kind = J_left;
@@ -731,55 +786,60 @@ let compile_joins txn mode ctx ~provenance (plan : select_plan) =
   fun (frame0 : Eval.frame) f ->
     let frame = Array.make (n_outer + n) base_tp.tp_slot.Eval.null_row in
     Array.blit frame0 0 frame 0 n_outer;
-    (* A hash join's build side is read on its first probe, so a join with
-       no outer rows records exactly the seed's (empty) read/predicate
-       footprint. *)
-    let joins =
-      List.map
-        (fun j ->
-          match j.jr_step with
-          | Hash_probe h -> (j, Some (lazy (h.build frame0)))
-          | Nested_scan _ -> (j, None))
-        joins
-    in
-    let rec do_joins = function
-      | [] -> if all_true residual frame then f frame
-      | (j, buckets) :: rest ->
+    (* One closure per join for this run, not per outer row: [emit j]
+       runs the joins after [j] on the current row. No join re-enters
+       itself (the rows of one join drive the later ones only), so each
+       keeps its "matched" flag in one cell. *)
+    let rec chain = function
+      | [] -> fun () -> if all_true residual frame then f frame
+      | j :: rest ->
+          let next = chain rest in
           let matched = ref false in
           let emit () =
             matched := true;
-            do_joins rest
+            next ()
           in
-          (match j.jr_step with
-          | Nested_scan spec ->
-              run_scan txn mode spec frame (fun _ -> if j.jr_on frame then emit ())
-          | Hash_probe h ->
-              let buckets = Lazy.force (Option.get buckets) in
-              let keyv = List.map (fun key -> key frame) h.keys in
-              let bucket =
-                if List.exists Value.is_null keyv then []
-                else
-                  match Hashtbl.find_opt buckets (key_string keyv) with
-                  | Some r -> !r
-                  | None -> []
-              in
-              let matches = ref 0 in
-              List.iter
-                (fun v ->
-                  frame.(j.jr_slot) <- v;
-                  if j.jr_on frame && all_true h.probe_filters frame then begin
-                    incr matches;
-                    emit ()
-                  end)
-                bucket;
-              stats_scan mode ~op:"hash_join" ~table:j.jr_table_name ~rows:!matches
-                ~visited:(List.length bucket));
-          if j.jr_left && not !matched then begin
-            frame.(j.jr_slot) <- j.jr_null_row;
-            do_joins rest
-          end
+          let probe =
+            match j.jr_step with
+            | Nested_scan sc ->
+                let on_row _ = if j.jr_on frame then emit () in
+                fun () -> run_scan txn mode sc frame on_row
+            | Hash_probe h ->
+                (* The build side is read on the first probe, so a join
+                   with no outer rows records exactly the seed's (empty)
+                   read/predicate footprint. *)
+                let buckets = lazy (h.build frame0) in
+                fun () ->
+                  let buckets = Lazy.force buckets in
+                  let keyv = List.map (fun key -> key frame) h.keys in
+                  let bucket =
+                    if List.exists Value.is_null keyv then []
+                    else
+                      match Hashtbl.find_opt buckets (key_string keyv) with
+                      | Some r -> !r
+                      | None -> []
+                  in
+                  let matches = ref 0 in
+                  List.iter
+                    (fun v ->
+                      frame.(j.jr_slot) <- v;
+                      if j.jr_on frame && all_true h.probe_filters frame then begin
+                        incr matches;
+                        emit ()
+                      end)
+                    bucket;
+                  count mode h.probe_counter ~rows:!matches ~visited:(List.length bucket)
+          in
+          fun () ->
+            matched := false;
+            probe ();
+            if j.jr_left && not !matched then begin
+              frame.(j.jr_slot) <- j.jr_null_row;
+              next ()
+            end
     in
-    run_scan txn mode base_scan frame (fun _ -> do_joins joins)
+    let joined = chain joins in
+    run_scan txn mode base_scan frame (fun _ -> joined ())
 
 let item_columns ~provenance (sel : select) (layout : Eval.layout) ~has_rows =
   let star_columns () =
@@ -894,13 +954,215 @@ let grouping_error layout (sel : select) =
           (ungrouped e))
       checked
 
+(* How an aggregated select turns its joined rows into output rows:
+   given the select's context, mode, layout and AST once (to compile),
+   then per run the enclosing frame and the join (called with a row
+   callback), the ORDER BY keys and items of each output row, in group
+   order. *)
+type aggregation =
+  Eval.ctx ->
+  mode ->
+  Eval.layout ->
+  select ->
+  Eval.frame ->
+  ((Eval.frame -> unit) -> unit) ->
+  (Value.t list * Value.t list) list
+
+(* The single group of an empty input reads NULL rows for this select's
+   own tables, never an enclosing row's. *)
+let empty_rep (layout : Eval.layout) (frame0 : Eval.frame) =
+  Array.mapi
+    (fun i (s : Eval.slot) -> if i < layout.Eval.scope_start then frame0.(i) else s.Eval.null_row)
+    layout.Eval.slots
+
+(* The group of [key] in [tbl], made by [make frame] at the key's first
+   row; [order] gets each new group, newest first, with its key. *)
+let bucket tbl order key ~make frame =
+  let ks = key_string key in
+  match Hashtbl.find tbl ks with
+  | grp -> grp
+  | exception Not_found ->
+      let grp = make frame in
+      Hashtbl.add tbl ks grp;
+      order := (key, ks, grp) :: !order;
+      grp
+
+(* Groups in ascending key order ([Value.compare_total], then the
+   canonical encoding), never in hashtable order. *)
+let key_order order =
+  List.sort
+    (fun (k1, s1, _) (k2, s2, _) ->
+      match List.compare Value.compare_total k1 k2 with 0 -> compare s1 s2 | c -> c)
+    order
+  |> List.map (fun (_, _, grp) -> grp)
+
+(* Streaming aggregation (DESIGN.md §9): each joined row folds into its
+   group's accumulators as the join emits it, and only a group's first
+   row, its representative, is copied. The statement observes what
+   materializing every row and then grouping it gave: the grouping error
+   and the first GROUP BY key error are raised once the join is done, an
+   aggregate's argument error when projection first needs the aggregate.
+   When a GROUP BY key or an aggregate argument has a subquery, whose
+   reads and errors belong after the join, the rows are copied and
+   grouped once the join is done, and each aggregate folds its group's
+   rows when first needed. *)
+let stream_aggregate : aggregation =
+ fun ctx mode layout sel ->
+  let grouping_error = grouping_error layout sel in
+  let grouped = sel.group_by <> [] in
+  (* compiled at the first run that gets past the grouping error *)
+  let compiled =
+    lazy
+      (let keys = List.map (Eval.compile ctx layout) sel.group_by in
+       let aggs = Eval.aggregates ctx layout in
+       let g = Eval.compile_grouped aggs in
+       let having = Option.map (fun h -> g (substitute_aliases sel.items h)) sel.having in
+       let order =
+         List.map (fun k -> g (substitute_aliases sel.items k.o_expr)) sel.order_by
+       in
+       let items =
+         List.map (function Star -> assert false | Sel_expr (e, _) -> g e) sel.items
+       in
+       let project group =
+         let keep =
+           match having with
+           | None -> true
+           | Some h -> ( match h group with Value.Bool true -> true | _ -> false)
+         in
+         if not keep then None
+         else
+           let keys = List.map (fun k -> k group) order in
+           Some (keys, List.map (fun c -> c group) items)
+       in
+       let streaming =
+         Eval.streamable aggs && not (List.exists Eval.has_subquery sel.group_by)
+       in
+       (keys, aggs, streaming, project))
+  in
+  fun frame0 joined ->
+    match grouping_error with
+    | Some msg ->
+        joined ignore;
+        fail "%s" msg
+    | None ->
+        let keys, aggs, streaming, project = Lazy.force compiled in
+        let key_of frame = List.map (fun k -> k frame) keys in
+        let rows = ref 0 in
+        let make frame = Eval.group aggs ~rep:(Array.copy frame) in
+        let groups =
+          if streaming then begin
+            (* the group a row folds into; a GROUP BY key may raise *)
+            let single = ref None and tbl = Hashtbl.create 16 and order = ref [] in
+            let group_of =
+              match keys with
+              | [] -> (
+                  fun frame ->
+                    match !single with
+                    | Some grp -> grp
+                    | None ->
+                        let grp = make frame in
+                        single := Some grp;
+                        grp)
+              | _ -> fun frame -> bucket tbl order (key_of frame) ~make frame
+            in
+            let failed = ref None in
+            joined (fun frame ->
+                incr rows;
+                match !failed with
+                | Some _ -> ()
+                | None -> (
+                    match group_of frame with
+                    | exception (Eval.Error _ as e) -> failed := Some e
+                    | grp -> Eval.fold aggs grp frame));
+            Option.iter raise !failed;
+            match !single with
+            | Some grp -> [ grp ]
+            | None when not grouped -> [ Eval.group aggs ~rep:(empty_rep layout frame0) ]
+            | None -> key_order !order
+          end
+          else begin
+            let tbl = Hashtbl.create 16 and order = ref [] and frames = ref [] in
+            joined (fun frame -> frames := Array.copy frame :: !frames);
+            List.iter
+              (fun frame ->
+                incr rows;
+                let members = bucket tbl order (key_of frame) ~make:(fun _ -> ref []) frame in
+                members := frame :: !members)
+              (List.rev !frames);
+            match key_order !order with
+            | [] when not grouped ->
+                [ Eval.buffered aggs ~rows:[] ~rep:(empty_rep layout frame0) ]
+            | groups ->
+                List.map
+                  (fun members ->
+                    let rows = List.rev !members in
+                    Eval.buffered aggs ~rows ~rep:(List.hd rows))
+                  groups
+          end
+        in
+        if grouped then
+          stats_scan mode ~op:"hash_agg" ~table:"-" ~rows:(List.length groups) ~visited:!rows;
+        List.filter_map project groups
+
+(* ORDER BY (a bounded heap under LIMIT), DISTINCT and LIMIT over the
+   projected rows, each decorated with its ORDER BY keys. *)
+let finish_rows mode (sel : select) columns decorated =
+  let cmp (ka, _) (kb, _) =
+    let rec loop ks ka kb =
+      match (ks, ka, kb) with
+      | [], _, _ -> 0
+      | k :: ks, a :: ka, b :: kb ->
+          let c = Value.compare_total a b in
+          let c = if k.o_asc then c else -c in
+          if c <> 0 then c else loop ks ka kb
+      | _ -> 0
+    in
+    loop sel.order_by ka kb
+  in
+  let sorted =
+    match sel.order_by with
+    | [] -> decorated
+    | _ -> (
+        match sel.limit with
+        | Some k when not sel.distinct ->
+            (* ORDER BY ... LIMIT k: bounded heap, first k of the stable
+               sort without sorting the full input. (DISTINCT dedups after
+               the sort, so it still needs every row.) *)
+            let out = Brdb_util.Topk.select ~k ~cmp decorated in
+            stats_scan mode ~op:"top_k" ~table:"-" ~rows:(List.length out)
+              ~visited:(List.length decorated);
+            out
+        | _ -> List.stable_sort cmp decorated)
+  in
+  let deduped =
+    if not sel.distinct then sorted
+    else begin
+      (* keep the first occurrence of each projected row *)
+      let seen = Hashtbl.create 16 in
+      List.filter
+        (fun (_, v) ->
+          let key = key_string v in
+          if Hashtbl.mem seen key then false
+          else begin
+            Hashtbl.replace seen key ();
+            true
+          end)
+        sorted
+    end
+  in
+  let limited =
+    match sel.limit with
+    | None -> deduped
+    | Some n -> List.filteri (fun i _ -> i < n) deduped
+  in
+  { columns; rows = List.map (fun (_, v) -> Array.of_list v) limited; affected = 0 }
+
 (* Plan and compile a SELECT under the [outer] layout it runs in (the root
    layout for a statement, the enclosing expression's layout for a
    subquery). The result runs it under a frame of that layout. Tables are
    resolved and plans chosen here, once; every expression is compiled once
-   too, the projections after the first rows tell which layout a group's
-   representative row has. *)
-let compile_select catalog txn mode ctx ~outer (sel : select) =
+   too. An aggregated select hands its join to [aggregate]. *)
+let compile_select ~(aggregate : aggregation) catalog txn mode ctx ~outer (sel : select) =
   (* everything this select binds is a new, innermost scope *)
   let outer = Eval.enter outer in
   let provenance = sel.provenance in
@@ -916,156 +1178,42 @@ let compile_select catalog txn mode ctx ~outer (sel : select) =
           compile_joins txn mode ctx ~provenance plan )
   in
   let columns_of_rows = item_columns ~provenance sel layout ~has_rows:true in
-  let columns_of_none = item_columns ~provenance sel layout ~has_rows:false in
-  let order_exprs =
-    List.map (fun k -> substitute_aliases sel.items k.o_expr) sel.order_by
-  in
-  let aggregated = is_aggregated sel in
-  let grouping_error = if aggregated then grouping_error layout sel else None in
-  (* Plain projection: ORDER BY keys and items on each row. *)
-  let project =
-    lazy
-      (let keys = List.map (Eval.compile ctx layout) order_exprs in
-       let items =
-         List.map
-           (function
-             | Star -> Eval.compile_star layout ~provenance
-             | Sel_expr (e, _) ->
-                 let c = Eval.compile ctx layout e in
-                 fun frame -> [ c frame ])
-           sel.items
-       in
-       fun frame ->
-         let keys = List.map (fun k -> k frame) keys in
-         (keys, List.concat_map (fun c -> c frame) items))
-  in
-  let group_keys = lazy (List.map (Eval.compile ctx layout) sel.group_by) in
-  (* Grouped projection: ORDER BY keys and items per group. *)
-  let project_group =
-    lazy
-      (let aggs = Eval.aggregates ctx layout in
-       let g = Eval.compile_grouped aggs in
-       let having = Option.map (fun h -> g (substitute_aliases sel.items h)) sel.having in
-       let keys = List.map g order_exprs in
-       let items =
-         List.map (function Star -> assert false | Sel_expr (e, _) -> g e) sel.items
-       in
-       fun ~rows ~rep ->
-         let group = Eval.group aggs ~rows ~rep in
-         let keep =
-           match having with
-           | None -> true
-           | Some h -> ( match h group with Value.Bool true -> true | _ -> false)
+  if is_aggregated sel then begin
+    (* Aggregates reject [SELECT *], so the columns never depend on
+       whether rows arrived. *)
+    let agg = aggregate ctx mode layout sel in
+    fun frame0 -> finish_rows mode sel columns_of_rows (agg frame0 (joined frame0))
+  end
+  else begin
+    let columns_of_none = item_columns ~provenance sel layout ~has_rows:false in
+    (* ORDER BY keys and items on each row *)
+    let project =
+      lazy
+        (let keys =
+           List.map
+             (fun k -> Eval.compile ctx layout (substitute_aliases sel.items k.o_expr))
+             sel.order_by
          in
-         if not keep then None
-         else
-           let keys = List.map (fun k -> k group) keys in
-           Some (keys, List.map (fun c -> c group) items))
-  in
-  fun (frame0 : Eval.frame) ->
-    let frames = ref [] in
-    joined frame0 (fun frame -> frames := Array.copy frame :: !frames);
-    let frames = List.rev !frames in
-    let columns = if frames = [] then columns_of_none else columns_of_rows in
-    let decorated =
-      if not aggregated then List.map (Lazy.force project) frames
-      else begin
-        Option.iter (fun msg -> fail "%s" msg) grouping_error;
-        (* Groups come out as [(key, rows-in-arrival-order)] in ascending
-           key order ([Value.compare_total], then canonical encoding on
-           ties), so output never depends on hashtable internals. *)
-        let groups =
-          match sel.group_by with
-          | [] -> [ frames ] (* a single group — even with no input rows *)
-          | _ ->
-              let keys = Lazy.force group_keys in
-              let tbl = Hashtbl.create 64 in
-              List.iter
-                (fun frame ->
-                  let key = List.map (fun k -> k frame) keys in
-                  let ks = key_string key in
-                  match Hashtbl.find_opt tbl ks with
-                  | Some (_, r) -> r := frame :: !r
-                  | None -> Hashtbl.add tbl ks (key, ref [ frame ]))
-                frames;
-              let drained =
-                Brdb_util.Sorted_tbl.sorted_bindings tbl
-                |> List.map (fun (ks, (key, r)) -> (ks, key, List.rev !r))
-              in
-              stats_scan mode ~op:"hash_agg" ~table:"-"
-                ~rows:(List.length drained) ~visited:(List.length frames);
-              List.sort
-                (fun (s1, k1, _) (s2, k2, _) ->
-                  match List.compare Value.compare_total k1 k2 with
-                  | 0 -> compare s1 s2
-                  | c -> c)
-                drained
-              |> List.map (fun (_, _, group) -> group)
-        in
-        (* The single group of an empty input reads NULL rows for this
-           select's own tables, never an enclosing row's. *)
-        let empty_rep () =
-          Array.mapi
-            (fun i (s : Eval.slot) ->
-              if i < layout.Eval.scope_start then frame0.(i) else s.Eval.null_row)
-            layout.Eval.slots
-        in
-        List.filter_map
-          (fun rows ->
-            let rep = match rows with f :: _ -> f | [] -> empty_rep () in
-            Lazy.force project_group ~rows ~rep)
-          groups
-      end
+         let items =
+           List.map
+             (function
+               | Star -> Eval.compile_star layout ~provenance
+               | Sel_expr (e, _) ->
+                   let c = Eval.compile ctx layout e in
+                   fun frame -> [ c frame ])
+             sel.items
+         in
+         fun frame ->
+           let keys = List.map (fun k -> k frame) keys in
+           (keys, List.concat_map (fun c -> c frame) items))
     in
-    let cmp (ka, _) (kb, _) =
-      let rec loop ks ka kb =
-        match (ks, ka, kb) with
-        | [], _, _ -> 0
-        | k :: ks, a :: ka, b :: kb ->
-            let c = Value.compare_total a b in
-            let c = if k.o_asc then c else -c in
-            if c <> 0 then c else loop ks ka kb
-        | _ -> 0
-      in
-      loop sel.order_by ka kb
-    in
-    let sorted =
-      match sel.order_by with
-      | [] -> decorated
-      | _ -> (
-          match sel.limit with
-          | Some k when not sel.distinct ->
-              (* ORDER BY ... LIMIT k: bounded heap, first k of the stable
-                 sort without sorting the full input. (DISTINCT dedups after
-                 the sort, so it still needs every row.) *)
-              let out = Brdb_util.Topk.select ~k ~cmp decorated in
-              stats_scan mode ~op:"top_k" ~table:"-" ~rows:(List.length out)
-                ~visited:(List.length decorated);
-              out
-          | _ -> List.stable_sort cmp decorated)
-    in
-    let deduped =
-      if not sel.distinct then sorted
-      else begin
-        (* keep the first occurrence of each projected row *)
-        let seen = Hashtbl.create 16 in
-        List.filter
-          (fun (_, v) ->
-            let key = String.concat "|" (List.map Value.encode v) in
-            if Hashtbl.mem seen key then false
-            else begin
-              Hashtbl.replace seen key ();
-              true
-            end)
-          sorted
-      end
-    in
-    let limited =
-      match sel.limit with
-      | None -> deduped
-      | Some n -> List.filteri (fun i _ -> i < n) deduped
-    in
-    { columns; rows = List.map (fun (_, v) -> Array.of_list v) limited; affected = 0 }
+    fun frame0 ->
+      let frames = ref [] in
+      joined frame0 (fun frame -> frames := Array.copy frame :: !frames);
+      let frames = List.rev !frames in
+      let columns = if frames = [] then columns_of_none else columns_of_rows in
+      finish_rows mode sel columns (List.map (Lazy.force project) frames)
+  end
 
 (* --- DML ----------------------------------------------------------------- *)
 
@@ -1137,14 +1285,9 @@ let target_rows catalog txn mode ctx ~table_name ~where =
   if Catalog.is_sys_name table_name then fail "sys.* tables are read-only";
   let table = table_or_fail catalog table_name in
   let slot, layout, path, pushed, residual = target_plan table table_name where in
-  let spec =
-    {
-      sc_table = table;
-      sc_slot = 0;
-      sc_access = compile_path ctx Eval.root path;
-      sc_provenance = false;
-      sc_filters = List.map (Eval.compile_pred ctx layout) pushed;
-    }
+  let scan =
+    compile_scan txn ctx Eval.root table ~slot:0 ~path ~provenance:false
+      ~filters:(List.map (Eval.compile_pred ctx layout) pushed)
   in
   let residual = List.map (Eval.compile_pred ctx layout) residual in
   (* Finish the scan before the first write: a scan that sees the new
@@ -1153,7 +1296,7 @@ let target_rows catalog txn mode ctx ~table_name ~where =
      rows moved onto a later key). *)
   let targets = ref [] in
   let frame = [| slot.Eval.null_row |] in
-  run_scan txn mode spec frame (fun v ->
+  run_scan txn mode scan frame (fun v ->
       if all_true residual frame then targets := v :: !targets);
   (table, layout, List.rev !targets)
 
@@ -1489,7 +1632,8 @@ let membership_probe rows =
 
 (* --- entry points --------------------------------------------------------- *)
 
-let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) stmt =
+let execute_with aggregate catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode)
+    stmt =
   (* Subqueries re-enter the executor with the outer row's frame as
      their correlated context. Per-statement caches (keyed by physical
      identity of the AST node) memoize uncorrelated subqueries, those
@@ -1513,7 +1657,7 @@ let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) st
      cached rows are missing. *)
   let rec subquery sel layout =
     let ctx = { Eval.params; named; subquery = Some subquery } in
-    let compiled = lazy (compile_select catalog txn mode ctx ~outer:layout sel) in
+    let compiled = lazy (compile_select ~aggregate catalog txn mode ctx ~outer:layout sel) in
     let run frame = (Lazy.force compiled frame).rows in
     if reads_before catalog ~start:(Array.length layout.Eval.slots) layout sel then
       { Eval.rows = run; probe = None }
@@ -1539,7 +1683,7 @@ let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) st
   let ctx = { Eval.params; named; subquery = Some subquery } in
   match
     match stmt with
-    | Select sel -> compile_select catalog txn mode ctx ~outer:Eval.root sel [||]
+    | Select sel -> compile_select ~aggregate catalog txn mode ctx ~outer:Eval.root sel [||]
     | Insert { ins_table; ins_cols; ins_rows } ->
         exec_insert catalog txn ctx ~ins_table ~ins_cols ~ins_rows
     | Update { upd_table; upd_sets; upd_where } ->
@@ -1559,7 +1703,19 @@ let execute catalog txn ?(params = [||]) ?(named = []) ?(mode = default_mode) st
   | exception Exec_error e -> Error e
   | exception Eval.Error msg -> Error (Sql_error msg)
 
+let execute catalog txn ?params ?named ?mode stmt =
+  execute_with stream_aggregate catalog txn ?params ?named ?mode stmt
+
 let execute_sql catalog txn ?params ?named ?mode sql =
   match Brdb_sql.Parser.parse sql with
   | Error msg -> Error (Sql_error msg)
   | Ok stmt -> execute catalog txn ?params ?named ?mode stmt
+
+module Testing = struct
+  type nonrec aggregation = aggregation
+
+  let execute_with = execute_with
+  let grouping_error = grouping_error
+  let substitute_aliases = substitute_aliases
+  let key_string = key_string
+end

@@ -11,7 +11,9 @@
     fail with [Blind_update] (§3.4.3).
 
     There is one operator set: hash joins for equi-joins (nested loops
-    otherwise), hash grouping for GROUP BY, a bounded top-k heap for
+    otherwise), streaming hash grouping for GROUP BY (each joined row
+    folds into its group's accumulators as the join emits it), a
+    bounded top-k heap for
     ORDER BY ... LIMIT, predicate pushdown into scans, index probes for
     [IN (k1, ..., kn)], cached rows and hash semi-joins for uncorrelated
     subqueries (no column reference in them, nested subqueries' included,
@@ -19,9 +21,10 @@
     from its registered schema), and the storage layer's live-version
     visibility index for sequential scans. Every plan decision reads the
     slot {!Eval.resolve} returns, and a FROM name used twice is rejected
-    at plan time, as PostgreSQL does. Every hash structure is drained in key
-    order ([Brdb_storage.Value.compare_total]), so results, read/predicate
-    sets and commit decisions never depend on hashtable internals. The
+    at plan time, as PostgreSQL does. No hash structure is iterated: groups
+    come out in key order ([Brdb_storage.Value.compare_total]), so results,
+    read/predicate sets and commit decisions never depend on hashtable
+    internals. The
     property tests check query results against a reference computed with
     plain lists that shares no code with this module. *)
 
@@ -129,3 +132,46 @@ val execute_sql :
   ?mode:mode ->
   string ->
   (result_set, error) result
+
+(** Test hooks (DESIGN.md §3). *)
+module Testing : sig
+  (** How an aggregated select turns its joined rows into output rows:
+      given the select's context, mode, layout and AST once, then per run
+      the enclosing frame and the join (called with a row callback), the
+      ORDER BY keys and items of each output row, in output order before
+      ORDER BY. *)
+  type aggregation =
+    Eval.ctx ->
+    mode ->
+    Eval.layout ->
+    Brdb_sql.Ast.select ->
+    Eval.frame ->
+    ((Eval.frame -> unit) -> unit) ->
+    (Brdb_storage.Value.t list * Brdb_storage.Value.t list) list
+
+  (** {!execute} with every aggregated select, subqueries included, run
+      through the given aggregation instead of the streaming one. *)
+  val execute_with :
+    aggregation ->
+    Brdb_storage.Catalog.t ->
+    Brdb_txn.Txn.t ->
+    ?params:Brdb_storage.Value.t array ->
+    ?named:(string * Brdb_storage.Value.t) list ->
+    ?mode:mode ->
+    Brdb_sql.Ast.stmt ->
+    (result_set, error) result
+
+  (** The statement error an aggregated select raises once its rows are
+      read ([SELECT *] with aggregates, or a column outside every
+      aggregate and GROUP BY key), if any. *)
+  val grouping_error : Eval.layout -> Brdb_sql.Ast.select -> string option
+
+  (** ORDER BY / HAVING with the select's output aliases substituted. *)
+  val substitute_aliases :
+    Brdb_sql.Ast.select_item list -> Brdb_sql.Ast.expr -> Brdb_sql.Ast.expr
+
+  (** The grouping, DISTINCT and hash-join identity of a key: equal
+      exactly when the values are pairwise equal under
+      {!Brdb_storage.Value.compare_total}. *)
+  val key_string : Brdb_storage.Value.t list -> string
+end

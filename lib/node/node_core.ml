@@ -395,8 +395,13 @@ let hooks_for t txn =
 (* --- contract execution -------------------------------------------------------- *)
 
 let describe_tx (tx : Block.tx) =
-  Printf.sprintf "%s(%s)" tx.Block.tx_contract
-    (String.concat ", " (List.map Value.to_string tx.Block.tx_args))
+  String.concat ""
+    [
+      tx.Block.tx_contract;
+      "(";
+      String.concat ", " (List.map Value.to_string tx.Block.tx_args);
+      ")";
+    ]
 
 let run_contract t txn (tx : Block.tx) =
   match Registry.find t.contracts tx.Block.tx_contract with
@@ -1315,6 +1320,8 @@ let install_snapshot ?(crash_after_tables = false) t (snap : Snapshot.t) =
     end
 
 module Testing = struct
+  let describe_tx = describe_tx
+
   (* For the schedule-independence property: commit the block over the
      waves [schedule] picks from its dependency graph instead of the
      default levelization. *)

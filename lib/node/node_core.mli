@@ -278,4 +278,8 @@ module Testing : sig
       from [height] onwards (divergence injection for the divergence
       monitor's tests). *)
   val tamper_digest : t -> height:int -> unit
+
+  (** The ledger description of a transaction, ["contract(arg, ...)"]
+      with each argument by {!Brdb_storage.Value.to_string}. *)
+  val describe_tx : Brdb_ledger.Block.tx -> string
 end

@@ -562,7 +562,7 @@ let finish_block t (result : Node_core.block_result) =
         (* Causal edges: validation happens inside the block's execute
            phase, the decision inside its commit phase; both follow from
            the transaction's submit span. The abort class/reason args are
-           node-local and stripped by Export.causal_jsonl. *)
+           node-local and stripped by Export's causal projection. *)
         let follows = "tx/" ^ tx_id in
         Trace.instant tr ~node ~track:"txn" ~cat:"validate" ~name:"validate"
           ~parent:(Printf.sprintf "exec/%d" height)

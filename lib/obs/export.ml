@@ -230,3 +230,7 @@ let chrome_string events =
     events;
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
+
+module Testing = struct
+  let causal_jsonl = causal_jsonl
+end

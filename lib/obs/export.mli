@@ -17,13 +17,16 @@ val jsonl_string : Trace.event list -> string
 
 val chrome_string : Trace.event list -> string
 
-(** [causal_jsonl ~node events] projects [events] down to [node]'s causal
-    skeleton: block/txn-track events with node-local data stripped — the
-    node name normalized, timestamps/durations/sequence numbers dropped,
-    args filtered to the replicated keys ([tx], [height], [txs]; abort
-    reasons and classes are node-local per §3.4.1 and excluded), and
-    replayed events (crash recovery, §3.6) deduplicated. Because every
-    replica applies the same block stream, this projection is
-    byte-identical across the nodes of a deployment — the property the
-    cross-node causal-trace qcheck pins down. *)
-val causal_jsonl : node:string -> Trace.event list -> string
+(** Test hooks (DESIGN.md §3). *)
+module Testing : sig
+  (** [causal_jsonl ~node events] projects [events] down to [node]'s causal
+      skeleton: block/txn-track events with node-local data stripped — the
+      node name normalized, timestamps/durations/sequence numbers dropped,
+      args filtered to the replicated keys ([tx], [height], [txs]; abort
+      reasons and classes are node-local per §3.4.1 and excluded), and
+      replayed events (crash recovery, §3.6) deduplicated. Because every
+      replica applies the same block stream, this projection is
+      byte-identical across the nodes of a deployment — the property the
+      cross-node causal-trace qcheck pins down. *)
+  val causal_jsonl : node:string -> Trace.event list -> string
+end

@@ -96,3 +96,7 @@ let counter t ~node ?(track = "counters") ~name ~value ?ts () =
       ~span:"" ~parent:"" ~follows:"" ~args:[ (name, F value) ]
 
 let events t = List.rev t.events_rev
+
+module Testing = struct
+  let counter = counter
+end

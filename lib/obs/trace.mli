@@ -139,8 +139,13 @@ val async_end :
   unit ->
   unit
 
-val counter :
-  t -> node:string -> ?track:string -> name:string -> value:float -> ?ts:float -> unit -> unit
-
 (** Events in emission order. *)
 val events : t -> event list
+
+(** Test hooks (DESIGN.md §3). *)
+module Testing : sig
+  (** [counter t ~node ~name ~value ()] records a sampled counter value
+      (a [Counter] event) on [track] (default ["counters"]). *)
+  val counter :
+    t -> node:string -> ?track:string -> name:string -> value:float -> ?ts:float -> unit -> unit
+end

@@ -164,24 +164,17 @@ let walk_range height t ~lo ~hi f =
   in
   walk seq
 
-(* [compare_total] compares an int with a float through [float_of_int],
-   which is exact below 2^53. So a key equal to such a probe is the
-   probe's own number, and the map holds at most one. Past 2^53 equality
-   is not transitive: [Float 2^53] equals both [Int 2^53] and
-   [Int (2^53 + 1)], two keys, and only the walk finds both. *)
-let single_key = function
-  | Value.Int n -> n > -(1 lsl 53) && n < 1 lsl 53
-  | Value.Float x -> Float.abs x < 0x1p53
-  | Value.Null | Value.Bool _ | Value.Text _ -> true
+(* [compare_total] is a total order, so at most one key of the map equals
+   [key]: a point range (every equality probe and unique check) is one
+   lookup, no enumeration. *)
+let iter_key ~height t key f =
+  match VMap.find key t.map with
+  | exception Not_found -> ()
+  | entry -> iter_entry height f entry
 
 let iter_range ?(height = min_int) t ~lo ~hi f =
   match (lo, hi) with
-  | Incl a, Incl b when single_key a && Value.compare_total a b = 0 -> (
-      (* A point range (every equality probe and unique check): one
-         lookup, no enumeration. *)
-      match VMap.find a t.map with
-      | exception Not_found -> ()
-      | entry -> iter_entry height f entry)
+  | Incl a, Incl b when Value.compare_total a b = 0 -> iter_key ~height t a f
   | _ -> walk_range height t ~lo ~hi f
 
 let entries t =

@@ -43,10 +43,13 @@ val remove : t -> Value.t -> int -> unit
     are visited; without it, every indexed vid is. A lifecycle call made
     from [f] does not change the walk of the current key (a key not
     reached yet may show it). A point range [Incl k, Incl k] is one map
-    lookup when at most one key can equal [k] (anything but a number of
-    magnitude 2^53 or more); any other range seeks to [lo] and enumerates
-    keys. *)
+    lookup; any other range seeks to [lo] and enumerates keys. *)
 val iter_range : ?height:int -> t -> lo:bound -> hi:bound -> (int -> unit) -> unit
+
+(** [iter_key ~height t key f] is [iter_range ~height t ~lo:(Incl key)
+    ~hi:(Incl key) f] with no bounds built ([height = min_int] visits
+    every indexed vid). *)
+val iter_key : height:int -> t -> Value.t -> (int -> unit) -> unit
 
 (** Every key in order, with its live vids (ascending) and its retired
     [(deleter block, vid)] pairs in stored order (newest block first, then

@@ -20,6 +20,13 @@ type t =
 
 val table : t -> string
 
+(** Structural equality: [equal p q] iff [compare p q = 0]. *)
+val equal : t -> t -> bool
+
+(** A hash consistent with {!equal}, specialised to the type (a
+    transaction's predicate dedup set hashes each recorded predicate). *)
+val hash : t -> int
+
 (** [matches p ~table row] — does a row (by values) of [table] fall under
     the predicate? *)
 val matches : t -> table:string -> Value.t array -> bool

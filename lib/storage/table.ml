@@ -169,20 +169,28 @@ let iter_live t ~height f =
   Bitset.iter_union t.live (ISet.elements extra) (fun vid ->
       match Vec.get t.heap vid with Some v -> f v | None -> ())
 
-let iter_index ?height t ~column ~lo ~hi f =
+let index t ~column =
   match find_index t column with
+  | Some idx -> idx
   | None ->
       invalid_arg
-        (Printf.sprintf "Table.iter_index: no index on column %d of %s" column
-           (name t))
-  | Some idx ->
-      Index.iter_range ?height idx ~lo ~hi (fun vid ->
-          match Vec.get t.heap vid with Some v -> f v | None -> ())
+        (Printf.sprintf "Table.index: no index on column %d of %s" column (name t))
 
-let pk_lookup ?height t key f =
+type reader = int -> unit
+
+let reader t f vid = match Vec.get t.heap vid with Some v -> f v | None -> ()
+
+let iter_in reader idx ~height ~lo ~hi = Index.iter_range ~height idx ~lo ~hi reader
+
+let probe reader idx ~height key = Index.iter_key ~height idx key reader
+
+let iter_index ?(height = min_int) t ~column ~lo ~hi f =
+  iter_in (reader t f) (index t ~column) ~height ~lo ~hi
+
+let pk_lookup ?(height = min_int) t key f =
   match t.schema.Schema.pk_index with
   | None -> invalid_arg (Printf.sprintf "Table.pk_lookup: %s has no primary key" (name t))
-  | Some column -> iter_index ?height t ~column ~lo:(Index.Incl key) ~hi:(Index.Incl key) f
+  | Some column -> probe (reader t f) (index t ~column) ~height key
 
 let prune t ~keep =
   let removed = ref 0 in

@@ -94,6 +94,28 @@ val iter_index :
   (Version.t -> unit) ->
   unit
 
+(** [index t ~column] is the index covering [column], for a scan that
+    probes it many times: resolved once, where {!iter_index} finds it on
+    every call. Raises [Invalid_argument] when no index covers [column]. *)
+val index : t -> column:int -> Index.t
+
+(** A version callback bound to its table once, for a scan that probes
+    many times: each probe then hands it vids, with no closure built. *)
+type reader
+
+(** [reader t f] calls [f] with the version of each vid it is handed
+    (pruned vids are skipped). *)
+val reader : t -> (Version.t -> unit) -> reader
+
+(** [iter_in r idx ~height ~lo ~hi] is {!iter_index} through an index
+    from {!index}, calling [r]; [height = min_int] walks every version
+    that is not aborted, as {!iter_index} without [height] does. *)
+val iter_in : reader -> Index.t -> height:int -> lo:Index.bound -> hi:Index.bound -> unit
+
+(** [probe r idx ~height key] is {!iter_in} over the point range
+    [[Incl key, Incl key]], with no bounds built: one index lookup. *)
+val probe : reader -> Index.t -> height:int -> Value.t -> unit
+
 (** [pk_lookup ?height t v f] iterates versions whose primary key equals
     [v], filtered by [height] as in {!iter_index}. *)
 val pk_lookup : ?height:int -> t -> Value.t -> (Version.t -> unit) -> unit

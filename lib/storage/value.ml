@@ -5,12 +5,27 @@ type t =
   | Text of string
   | Bool of bool
 
+(* [x] against [y], exactly: [float_of_int] rounds past 2^53, so the
+   float is cut to an int instead. A NaN sorts below every number, as
+   [Float.compare] places it; the infinities and every float beyond the
+   int range sort past every int. Below 2^62 in magnitude [y]'s integral
+   part is an int and its fraction is exact. *)
+let compare_int_float x y =
+  if Float.is_nan y then 1
+  else if y >= 0x1p62 then -1
+  else if y < -0x1p62 then 1
+  else
+    let t = Float.to_int y in
+    if x < t then -1
+    else if x > t then 1
+    else Float.compare 0. (y -. Float.of_int t)
+
 let equal a b =
   match (a, b) with
   | Null, Null -> true
   | Int x, Int y -> x = y
   | Float x, Float y -> Float.equal x y
-  | Int x, Float y | Float y, Int x -> Float.equal (float_of_int x) y
+  | Int x, Float y | Float y, Int x -> compare_int_float x y = 0
   | Text x, Text y -> String.equal x y
   | Bool x, Bool y -> x = y
   | _ -> false
@@ -23,8 +38,8 @@ let compare_total a b =
   | Bool x, Bool y -> Bool.compare x y
   | Int x, Int y -> Int.compare x y
   | Float x, Float y -> Float.compare x y
-  | Int x, Float y -> Float.compare (float_of_int x) y
-  | Float x, Int y -> Float.compare x (float_of_int y)
+  | Int x, Float y -> compare_int_float x y
+  | Float x, Int y -> -compare_int_float y x
   | Text x, Text y -> String.compare x y
   | _ -> Int.compare (rank a) (rank b)
 
@@ -34,8 +49,8 @@ let compare_sql a b =
   | Bool x, Bool y -> Some (Bool.compare x y)
   | Int x, Int y -> Some (Int.compare x y)
   | Float x, Float y -> Some (Float.compare x y)
-  | Int x, Float y -> Some (Float.compare (float_of_int x) y)
-  | Float x, Int y -> Some (Float.compare x (float_of_int y))
+  | Int x, Float y -> Some (compare_int_float x y)
+  | Float x, Int y -> Some (-compare_int_float y x)
   | Text x, Text y -> Some (String.compare x y)
   | _ -> None
 
@@ -68,9 +83,25 @@ let to_string = function
   | Bool true -> "true"
   | Bool false -> "false"
 
+(* [String.make 1 tag ^ string_of_int i] in one allocation. The digits
+   are taken from the non-positive side, where [min_int] fits. *)
+let tagged_int tag i =
+  let n = if i < 0 then i else -i in
+  let rec width n w = if n > -10 then w else width (n / 10) (w + 1) in
+  let len = width n 2 + if i < 0 then 1 else 0 in
+  let b = Bytes.create len in
+  Bytes.unsafe_set b 0 tag;
+  if i < 0 then Bytes.unsafe_set b 1 '-';
+  let rec fill n pos =
+    Bytes.unsafe_set b pos (Char.unsafe_chr (48 - (n mod 10)));
+    if n <= -10 then fill (n / 10) (pos - 1)
+  in
+  fill n (len - 1);
+  Bytes.unsafe_to_string b
+
 let encode = function
   | Null -> "N"
-  | Int i -> "I" ^ string_of_int i
+  | Int i -> tagged_int 'I' i
   | Float f -> "F" ^ Int64.to_string (Int64.bits_of_float f)
   | Text s -> "T" ^ string_of_int (String.length s) ^ ":" ^ s
   | Bool b -> if b then "B1" else "B0"

@@ -3,7 +3,9 @@
     Two comparison orders coexist:
     - {!compare_total} is an arbitrary total order over all values (used by
       indexes and ORDER BY), with [Null] sorting first and numeric types
-      comparing numerically across [Int]/[Float];
+      comparing numerically across [Int]/[Float], exactly: an [Int] meets a
+      [Float] as the two real numbers, with no rounding past 2^53, a NaN
+      below every number and the infinities past every [Int];
     - {!compare_sql} implements SQL semantics where any comparison with
       [Null] is unknown ([None]). *)
 
@@ -14,6 +16,8 @@ type t =
   | Text of string
   | Bool of bool
 
+(** Equality as {!compare_total} has it for numbers (an [Int] equals a
+    [Float] of the same real value), structural otherwise. *)
 val equal : t -> t -> bool
 
 (** Total order: Null < Bool < numeric (Int/Float merged) < Text. *)

@@ -213,31 +213,39 @@ let abort t txn reason =
   txn.Txn.status <- Txn.Aborted reason
 
 let write_set_entries t txns =
-  let parts = ref [] in
-  List.iter
+  let buf = Buffer.create 128 in
+  (* "<op>|<table>|<encoded values, comma-separated>" *)
+  let entry op table vid =
+    let v = Table.get_version (table_exn t table) vid in
+    Buffer.add_string buf op;
+    Buffer.add_char buf '|';
+    Buffer.add_string buf table;
+    Buffer.add_char buf '|';
+    Array.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char buf ',';
+        Buffer.add_string buf (Value.encode x))
+      v.Version.values
+  in
+  List.concat_map
     (fun txn ->
-      List.iter
+      List.map
         (fun w ->
-          let entry op table vid =
-            let v = Table.get_version (table_exn t table) vid in
-            let values =
-              String.concat "," (List.map Value.encode (Array.to_list v.Version.values))
-            in
-            Printf.sprintf "%s|%s|%s" op table values
-          in
-          let part =
-            match w with
-            | Txn.W_insert { table; vid } -> entry "I" table vid
-            | Txn.W_update { table; new_vid; old_vid } ->
-                entry "U-" table old_vid ^ ";" ^ entry "U+" table new_vid
-            | Txn.W_delete { table; old_vid } -> entry "D" table old_vid
-          in
           (* The global id binds the entry to its transaction so a
              provenance proof names the writer, not just the bytes. *)
-          parts := (txn.Txn.global_id ^ "|" ^ part) :: !parts)
+          Buffer.clear buf;
+          Buffer.add_string buf txn.Txn.global_id;
+          Buffer.add_char buf '|';
+          (match w with
+          | Txn.W_insert { table; vid } -> entry "I" table vid
+          | Txn.W_update { table; new_vid; old_vid } ->
+              entry "U-" table old_vid;
+              Buffer.add_char buf ';';
+              entry "U+" table new_vid
+          | Txn.W_delete { table; old_vid } -> entry "D" table old_vid);
+          Buffer.contents buf)
         (Txn.writes_in_order txn))
-    txns;
-  List.rev !parts
+    txns
 
 let rollback_committed t txn =
   List.iter

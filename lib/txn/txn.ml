@@ -66,6 +66,8 @@ type ddl =
   | D_dropped_table of Brdb_storage.Table.t
   | D_created_index of { table : string; column : int }
 
+module Predicate_tbl = Hashtbl.Make (Brdb_storage.Predicate)
+
 (* One table's read set: an unboxed, growable vid buffer. [sorted] means
    [buf.(0 .. len-1)] is strictly ascending, hence duplicate-free; a read
    that breaks the order clears it and [seal] restores it. *)
@@ -85,7 +87,7 @@ type t = {
   snapshot_height : int;
   mutable reads : reads list;
   mutable predicates : Brdb_storage.Predicate.t list;
-  mutable predicates_seen : (Brdb_storage.Predicate.t, unit) Hashtbl.t option;
+  mutable predicates_seen : unit Predicate_tbl.t option;
   mutable writes : write list;
   mutable ddl : ddl list;
   mutable status : status;
@@ -218,14 +220,14 @@ let record_predicate t p =
       match t.predicates_seen with
       | Some seen -> seen
       | None ->
-          let seen = Hashtbl.create 8 in
+          let seen = Predicate_tbl.create 8 in
           t.predicates_seen <- Some seen;
           seen
     in
     (* One hash per predicate: [replace] grows the set only for a new one. *)
-    let before = Hashtbl.length seen in
-    Hashtbl.replace seen p ();
-    if Hashtbl.length seen > before then t.predicates <- p :: t.predicates
+    let before = Predicate_tbl.length seen in
+    Predicate_tbl.replace seen p ();
+    if Predicate_tbl.length seen > before then t.predicates <- p :: t.predicates
   end
 
 let record_write t w = t.writes <- w :: t.writes

@@ -40,6 +40,10 @@ type ddl =
   | D_dropped_table of Brdb_storage.Table.t
   | D_created_index of { table : string; column : int }
 
+(** Hash tables keyed by predicates, with {!Brdb_storage.Predicate.hash}
+    in place of the polymorphic hash. *)
+module Predicate_tbl : Hashtbl.S with type key = Brdb_storage.Predicate.t
+
 (** One table's read set: the vids of the versions a transaction read in
     that table, as an unboxed growable buffer (DESIGN.md §9, "Read sets").
     Execution appends, dropping a repeat of the last vid on the spot;
@@ -58,8 +62,9 @@ type t = {
   mutable predicates : Brdb_storage.Predicate.t list;
       (** newest first, each at its first recording (the order
           {!Manager.check_stale_phantom} reports the first hit in) *)
-  mutable predicates_seen : (Brdb_storage.Predicate.t, unit) Hashtbl.t option;
-      (** dedup set for [predicates], created at the first one *)
+  mutable predicates_seen : unit Predicate_tbl.t option;
+      (** dedup set for [predicates], created at the first one, hashed by
+          {!Brdb_storage.Predicate.hash} *)
   mutable writes : write list;  (** newest first *)
   mutable ddl : ddl list;  (** newest first *)
   mutable status : status;

@@ -1,6 +1,2 @@
 let sorted_keys ?(compare = Stdlib.compare) tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort_uniq compare
-
-let sorted_bindings ?(compare = Stdlib.compare) tbl =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -3,14 +3,8 @@
     [Hashtbl] iteration order depends on insertion history and hashing, so
     it must never reach committed state, hashes or rendered output
     (CLAUDE.md; enforced for [lib/engine] and [lib/storage] by
-    [tools/lint.sh]). These helpers are the sanctioned way to turn a
+    [tools/lint.sh]). This helper is the sanctioned way to turn a
     hashtable into an ordered sequence. *)
 
 (** Distinct keys in ascending [compare] order. *)
 val sorted_keys : ?compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-
-(** Bindings sorted by key. With duplicate keys (via [Hashtbl.add]
-    shadowing) the relative order of same-key bindings is unspecified —
-    use [Hashtbl.replace]-maintained tables. *)
-val sorted_bindings :
-  ?compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list

@@ -457,7 +457,7 @@ let test_catalogue_invariants () =
             (Printf.sprintf "%s: %s expected for %s" name (H.detector_id detector)
                (Chaos.fault_id fault))
             true
-            (List.mem detector (Chaos.expected_alerts fault)))
+            (List.mem detector (Chaos.Testing.expected_alerts fault)))
     coverage_cases
 
 let test_mid_block_crash_no_divergence () =

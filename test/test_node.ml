@@ -1175,10 +1175,30 @@ let test_parallel_duplicate_pk_waves () =
         (query_int n "SELECT v FROM kv WHERE k = 7"))
     h.nodes
 
+(* The ledger description, formatted as it was with Printf. *)
+let test_describe_tx_bytes () =
+  let h_tx args =
+    Block.make_tx ~id:"d-1" ~identity:(identity_of "org1/alice") ~contract:"put" ~args
+  in
+  List.iter
+    (fun args ->
+      let tx = h_tx args in
+      Alcotest.(check string) "description"
+        (Printf.sprintf "%s(%s)" tx.Block.tx_contract
+           (String.concat ", " (List.map Value.to_string tx.Block.tx_args)))
+        (Node_core.Testing.describe_tx tx))
+    [
+      [];
+      [ Value.Int 7 ];
+      [ Value.Int min_int; Value.Float 2.5; Value.Float (-0.); Value.Text "a, b(c)";
+        Value.Bool true; Value.Null; Value.Text "" ];
+    ]
+
 let suites =
   [
     ( "node.oe",
       [
+        Alcotest.test_case "transaction description bytes" `Quick test_describe_tx_bytes;
         Alcotest.test_case "basic commit" `Quick test_oe_basic_commit;
         Alcotest.test_case "empty block" `Quick test_empty_block;
         Alcotest.test_case "ledger records" `Quick test_oe_ledger_records;

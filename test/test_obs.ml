@@ -162,7 +162,7 @@ let test_null_tracer () =
   Trace.instant t ~node:"n" ~name:"y" ();
   Trace.async_begin t ~node:"n" ~name:"z" ~id:"t1" ();
   Trace.async_end t ~node:"n" ~name:"z" ~id:"t1" ();
-  Trace.counter t ~node:"n" ~name:"c" ~value:1. ();
+  Trace.Testing.counter t ~node:"n" ~name:"c" ~value:1. ();
   Alcotest.(check int) "no events recorded" 0 (List.length (Trace.events t));
   Alcotest.(check bool) "empty" true (Trace.events t = [])
 
@@ -273,7 +273,7 @@ let test_causal_export () =
         (contains jsonl needle))
     [ "\"span\":\"block/1\""; "\"parent\":\"order/1\""; "\"follows\":\"tx/a\"" ];
   check_valid_json "chrome with span contexts" (Export.chrome_string evs);
-  let c1 = Export.causal_jsonl ~node:"db-org1" evs in
+  let c1 = Export.Testing.causal_jsonl ~node:"db-org1" evs in
   let lines s = String.split_on_char '\n' (String.trim s) in
   List.iter (fun l -> check_valid_json "causal line" l) (lines c1);
   Alcotest.(check int) "block + validate, net excluded, replay deduped" 2
@@ -289,7 +289,7 @@ let test_causal_export () =
     (contains c1 "\"height\"" && contains c1 "\"tx\"");
   (* db-org2 saw only the validate — its projection is that single line *)
   Alcotest.(check int) "other node projects its own events" 1
-    (List.length (lines (Export.causal_jsonl ~node:"db-org2" evs)))
+    (List.length (lines (Export.Testing.causal_jsonl ~node:"db-org2" evs)))
 
 (* --- metrics percentiles ---------------------------------------------------- *)
 
@@ -597,7 +597,7 @@ let test_causal_cross_node () =
   let net = init_net ~tracing:true () in
   ignore (run_workload net);
   let evs = B.trace_events net in
-  let proj node = Export.causal_jsonl ~node evs in
+  let proj node = Export.Testing.causal_jsonl ~node evs in
   let reference = proj "db-org1" in
   Alcotest.(check bool) "causal projection non-empty" true (reference <> "");
   List.iter
@@ -639,7 +639,7 @@ let prop_causal_traces_agree_under_chaos =
         QCheck.Test.fail_reportf "seed %d diverged: %a" seed Chaos.pp_report r;
       let evs = r.Chaos.trace_events in
       if evs = [] then QCheck.Test.fail_reportf "seed %d: no trace events" seed;
-      let proj node = Export.causal_jsonl ~node evs in
+      let proj node = Export.Testing.causal_jsonl ~node evs in
       let reference = proj "db-org1" in
       if reference = "" then
         QCheck.Test.fail_reportf "seed %d: empty causal projection" seed;

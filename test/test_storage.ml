@@ -184,9 +184,8 @@ let prop_index_range_matches_filter =
    a [Float] key that compare equal, and past 2^53. *)
 type point_op = P_add of int | P_retire of int * int | P_unretire of int | P_remove of int
 
-(* Past 2^53 [compare_total] is not transitive: [Float 2^53] equals both
-   [Int 2^53] and [Int (2^53 + 1)], which differ, so a point range on it
-   spans two keys. *)
+(* Past 2^53 a float cannot tell [Int 2^53] from [Int (2^53 + 1)]; the
+   exact comparison can, so a point range on [Float 2^53] finds one key. *)
 let point_keys =
   [| Value.Int 0; Value.Int 1; Value.Int 2; Value.Int 5; Value.Float 5.; Value.Float 2.5;
      Value.Text "a"; Value.Int 7; Value.Int (1 lsl 53); Value.Int ((1 lsl 53) + 1);

@@ -160,6 +160,52 @@ let test_write_set_digest_properties () =
     (Brdb_util.Hex.encode (digest []))
     (Brdb_util.Hex.encode (digest []))
 
+(* The write-set entry bytes, formatted as they were before the Buffer
+   writer: "<global id>|<op>|<table>|<values>", an update as its old and
+   new halves joined by ";". The Merkle leaves and pgledger rows hash
+   these bytes, so they must not move. *)
+let reference_entries fx txns =
+  List.concat_map
+    (fun t ->
+      List.map
+        (fun w ->
+          let entry op table vid =
+            let tbl = Option.get (Catalog.find fx.catalog table) in
+            let v = Table.get_version tbl vid in
+            Printf.sprintf "%s|%s|%s" op table
+              (String.concat "," (List.map Value.encode (Array.to_list v.Version.values)))
+          in
+          t.Txn.global_id ^ "|"
+          ^
+          match w with
+          | Txn.W_insert { table; vid } -> entry "I" table vid
+          | Txn.W_update { table; old_vid; new_vid } ->
+              entry "U-" table old_vid ^ ";" ^ entry "U+" table new_vid
+          | Txn.W_delete { table; old_vid } -> entry "D" table old_vid)
+        (Txn.writes_in_order t))
+    txns
+
+let test_write_set_entries_bytes () =
+  let fx = make_fx () in
+  seed fx;
+  let setup = txn fx in
+  ignore (exec fx setup "CREATE TABLE w (k INT PRIMARY KEY, f FLOAT, s TEXT, b BOOL)");
+  Manager.commit fx.mgr setup ~height:1;
+  let a = txn fx ~snapshot:1 in
+  ignore
+    (exec fx a
+       "INSERT INTO w VALUES (-4611686018427387903 - 1, -0.0, 'x|y,z;', TRUE), (0, 2.5, '', \
+        NULL), (4611686018427387903, NULL, NULL, FALSE)");
+  ignore (exec fx a "UPDATE kv SET v = -7 WHERE k = 1");
+  ignore (exec fx a "DELETE FROM kv WHERE k = 2");
+  Manager.commit fx.mgr a ~height:2;
+  let b = txn fx ~snapshot:2 in
+  ignore (exec fx b "UPDATE w SET s = 'caf\195\169', f = 0.1 WHERE k = 0");
+  Manager.commit fx.mgr b ~height:3;
+  Alcotest.(check (list string)) "entries" (reference_entries fx [ a; b ])
+    (Manager.write_set_entries fx.mgr [ a; b ]);
+  Alcotest.(check (list string)) "no transactions" [] (Manager.write_set_entries fx.mgr [])
+
 let test_rollback_committed () =
   let fx = make_fx () in
   seed fx;
@@ -375,6 +421,7 @@ let suites =
         Alcotest.test_case "stale/phantom checks" `Quick test_stale_phantom_checks;
         Alcotest.test_case "disjoint reads unaffected" `Quick test_stale_check_ignores_untouched_reads;
         Alcotest.test_case "write-set digest" `Quick test_write_set_digest_properties;
+        Alcotest.test_case "write-set entry bytes" `Quick test_write_set_entries_bytes;
         Alcotest.test_case "rollback committed" `Quick test_rollback_committed;
         Alcotest.test_case "forget finished" `Quick test_forget_finished;
         Alcotest.test_case "commit/abort hooks" `Quick test_abort_side_effect_hooks;

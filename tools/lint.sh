@@ -262,15 +262,16 @@ fi
 
 # One recorder of SSI reads (DESIGN.md §9, "Read sets"): the executor's
 # scans are the only code that adds to a transaction's read sets and
-# predicates, so Txn.record_read has exactly one call site, in run_scan
-# (against the table's read set found once per scan), and
-# Txn.record_predicate exactly three (a range scan, each probed IN key, a
-# sequential scan), all in engine/exec.ml. And the read sets stay unboxed
+# predicates, so Txn.record_read has exactly one call site, in a compiled
+# scan's yield (against the table's read set the scan found at its first
+# run), and Txn.record_predicate exactly two (record_range, for a range
+# scan, a point probe and each probed IN key; and a sequential scan), all
+# in engine/exec.ml. And the read sets stay unboxed
 # per-table vid buffers: txn.ml may not hash or probe with the polymorphic
 # Hashtbl.hash/Hashtbl.mem, the (table, vid) tuple set it used to keep.
 exec_file="$dir/engine/exec.ml"
 if [ -f "$exec_file" ]; then
-  for spec in record_read:1 record_predicate:3; do
+  for spec in record_read:1 record_predicate:2; do
     fn=${spec%:*}
     want=${spec#*:}
     n=$(grep -oE "Txn\.$fn([^A-Za-z0-9_']|\$)" "$exec_file" | wc -l)
@@ -294,6 +295,33 @@ if [ -f "$exec_file" ]; then
     echo "lint failed — Txn.record_read/record_predicate outside $exec_file;" >&2
     echo "only the executor's scans record SSI reads and predicates:" >&2
     printf '%s' "$rec_matches" >&2
+    exit 1
+  fi
+fi
+# One grouping identity (DESIGN.md §9, "Streaming aggregation"): two keys
+# are one GROUP BY group, one DISTINCT row or one hash-join bucket exactly
+# when Exec.key_string spells them alike, and it must agree with
+# Value.compare_total. So canon_encode is applied only inside key_string's
+# definition, and key_string at exactly four sites in engine/exec.ml: the
+# hash-join build and probe, the group bucketing, and DISTINCT. Neither
+# name appears elsewhere under $dir/ (exec.mli declares the test hook).
+if [ -f "$exec_file" ]; then
+  # applications: the name followed by an argument, definitions excluded
+  apps() { grep -vE '^let (key_string|canon_encode)' | grep -oE "(^|[^A-Za-z0-9_.])$1 [a-z([]" | wc -l; }
+  n=$(apps key_string < "$exec_file")
+  canon_all=$(apps canon_encode < "$exec_file")
+  canon_in=$(awk '/^let key_string/{f=1} f&&/^$/{f=0} f' "$exec_file" | apps canon_encode)
+  ident_matches=$(grep -rnE '(^|[^A-Za-z0-9_])(key_string|canon_encode)([^A-Za-z0-9_]|$)' "$dir" \
+    --include='*.ml' --include='*.mli' | grep -v "^$exec_file:" \
+    | grep -v "^$dir/engine/exec\.mli:" || true)
+  if [ "$n" -ne 4 ] || [ "$canon_in" -eq 0 ] || [ "$canon_all" -ne "$canon_in" ] \
+    || [ -n "$ident_matches" ]; then
+    echo "lint failed — grouping identity: $n key_string applications in $exec_file" >&2
+    echo "(expected 4: hash-join build and probe, group bucketing, DISTINCT);" >&2
+    echo "$canon_all canon_encode applications, $canon_in of them inside key_string" >&2
+    echo "(all must be); uses outside exec.ml:" >&2
+    echo "$ident_matches" >&2
+    grep -nE '(^|[^A-Za-z0-9_.])(key_string|canon_encode) [a-z([]' "$exec_file" >&2
     exit 1
   fi
 fi
@@ -356,4 +384,4 @@ if [ -n "$testing_matches" ]; then
   exit 1
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one writer of the key indexes (Index mutations only in storage/table.ml); one recorder of SSI reads (Txn.record_read/record_predicate only at their exec.ml sites, no polymorphic hash set in txn.ml); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/; no allocation, callback, runtime release or getenv in the crypto C stubs"
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one writer of the key indexes (Index mutations only in storage/table.ml); one recorder of SSI reads (Txn.record_read/record_predicate only at their exec.ml sites, no polymorphic hash set in txn.ml); one grouping identity (key_string at its 4 exec.ml sites, canon_encode only inside it); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/; no allocation, callback, runtime release or getenv in the crypto C stubs"
