@@ -717,16 +717,15 @@ let bootstrap_join ~blocks ~threshold ~compaction ~seed =
         p)
       peer_names
   in
-  let assembler = Assembler.create ~identity:orderer ~metadata:"bench" in
+  (* An orderer that cuts every block by hand: only its chain and its
+     delivery to the peers are used. *)
+  let assembler =
+    Assembler.create ~net ~name:"orderer-1" ~identity:orderer ~metadata:"bench"
+      ~auth:(fun _ -> true) ~block_size:1 ~block_timeout:1.0
+      ~peers:(List.map Peer.name peers)
+  in
   let deliver txs =
-    let block = Assembler.make assembler txs in
-    List.iter
-      (fun p ->
-        ignore
-          (Msg.Net.send net ~src:"orderer-1" ~dst:(Peer.name p)
-             ~size_bytes:(Msg.size (Msg.Block_deliver block))
-             (Msg.Block_deliver block)))
-      peers;
+    Assembler.deliver assembler (Assembler.make assembler txs);
     ignore (Clock.run clock)
   in
   deliver [ Block.make_tx ~id:"setup" ~identity:admin ~contract:"setup" ~args:[] ];

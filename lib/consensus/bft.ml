@@ -37,19 +37,17 @@ type t = {
   identity : Brdb_crypto.Identity.t;
   clock : Clock.t;
   cpu : Cpu.t;
-  cutter : Cutter.t;
-  assembler : Assembler.t;
+  assembler : Assembler.t;  (* proposal chain, delivery fan-out *)
+  cutter : Cutter.t;  (* the assembler's *)
   block_timeout : float;
-  peers : string list;
   f : int;
   states : (int, phase_state) Hashtbl.t;
   mutable next_deliver : int;
-  mutable delivered_count : int;
   mutable activity : int;
       (** liveness evidence: bumps on every delivery and on every
           proposal seen from the current primary — a slow-but-streaming
           primary must not be voted out (the watchdog compares this, not
-          just [delivered_count]) *)
+          just deliveries) *)
   mutable top_seq : int;  (** highest sequence number with a known block *)
   (* view-change machinery (§4.4 / PBFT): [view] is the active view,
      [pending_view > view] while this replica has voted to move on and
@@ -277,13 +275,11 @@ and deliver_ready t =
     | Some ({ block = Some b; delivered = false; _ } as s)
       when SSet.cardinal s.commits >= 2 * t.f ->
         s.delivered <- true;
-        t.delivered_count <- t.delivered_count + 1;
         t.activity <- t.activity + 1;
         ignore
           (Cutter.drop t.cutter
              ~ids:(List.map (fun (tx : Block.tx) -> tx.Block.tx_id) b.Block.txs));
-        let signed = Block.sign b t.identity in
-        List.iter (fun peer -> send_to t peer (Msg.Block_deliver signed)) t.peers;
+        Assembler.deliver t.assembler (Block.sign b t.identity);
         t.next_deliver <- t.next_deliver + 1;
         loop ()
     | _ -> ()
@@ -523,10 +519,14 @@ let handle t ~src msg =
           end)
   | _ -> ()
 
-let create ~net ~name ~names ~identity ?auth ~block_size ~block_timeout
+let create ~net ~name ~names ~identity ~auth ~block_size ~block_timeout
     ~peers () =
   if names = [] then invalid_arg "Bft.create: no names";
   let n = List.length names in
+  let assembler =
+    Assembler.create ~net ~name ~identity ~metadata:"bft" ~auth ~block_size
+      ~block_timeout ~peers
+  in
   let t =
     {
       net;
@@ -536,14 +536,12 @@ let create ~net ~name ~names ~identity ?auth ~block_size ~block_timeout
       identity;
       clock = Msg.Net.clock net;
       cpu = Cpu.create (Msg.Net.clock net);
-      cutter = Cutter.create ?auth ~block_size ();
-      assembler = Assembler.create ~identity ~metadata:"bft";
+      assembler;
+      cutter = Assembler.cutter assembler;
       block_timeout;
-      peers;
       f = (n - 1) / 3;
       states = Hashtbl.create 64;
       next_deliver = 1;
-      delivered_count = 0;
       activity = 0;
       top_seq = 0;
       view = 0;
@@ -559,15 +557,9 @@ let create ~net ~name ~names ~identity ?auth ~block_size ~block_timeout
   Msg.Net.register net ~name (fun ~src msg -> handle t ~src msg);
   t
 
-let blocks_delivered t = t.delivered_count
+let assembler t = t.assembler
 
-let queued t = if t.crashed then 0 else Cutter.pending t.cutter
-
-let auth_verified t = Cutter.auth_verified t.cutter
-
-let auth_rejected t = Cutter.auth_rejected t.cutter
-
-let replays t = Cutter.replays t.cutter
+let is_crashed t = t.crashed
 
 let view t = t.view
 

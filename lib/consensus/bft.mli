@@ -41,19 +41,17 @@ val create :
   name:string ->
   names:string list ->
   identity:Brdb_crypto.Identity.t ->
-  ?auth:(Brdb_ledger.Block.tx -> bool) ->
+  auth:(Brdb_ledger.Block.tx -> bool) ->
   block_size:int ->
   block_timeout:float ->
   peers:string list ->
   unit ->
   t
 
-val blocks_delivered : t -> int
-
-(** Transactions buffered for the next block (health plane, ISSUE 9):
-    the cutter backlog this node holds right now (0 while a crashed
-    Raft/Bft node is down). *)
-val queued : t -> int
+(** The node's application layer: the cutter it stashes the backlog in
+    and cuts from while primary, and its blocks-delivered count — every
+    replica delivers each committed block, signed by itself, through it. *)
+val assembler : t -> Assembler.t
 
 (** The current view number (0 until the first view change). *)
 val view : t -> int
@@ -74,11 +72,4 @@ val crash : t -> unit
     traffic. *)
 val restart : t -> unit
 
-(** Batch-authentication counters (ISSUE 10): transactions verified /
-    dropped at cut time, and duplicate ids observed (replay protection).
-    All 0 when no [auth] verifier was installed. *)
-val auth_verified : t -> int
-
-val auth_rejected : t -> int
-
-val replays : t -> int
+val is_crashed : t -> bool

@@ -2,7 +2,7 @@ module Block = Brdb_ledger.Block
 
 type t = {
   block_size : int;
-  auth : (Block.tx -> bool) option;
+  auth : Block.tx -> bool;
   mutable pending : Block.tx list; (* newest first *)
   mutable pending_count : int;
   mutable epoch : int;
@@ -12,7 +12,7 @@ type t = {
   seen : (string, unit) Hashtbl.t;
 }
 
-let create ?auth ~block_size () =
+let create ~auth ~block_size () =
   if block_size < 1 then invalid_arg "Cutter.create: block_size must be >= 1";
   {
     block_size;
@@ -33,20 +33,17 @@ type add_result = Cut of Block.tx list | First | Buffered | Duplicate
    pass per block rather than one per submission. Forged transactions are
    dropped here, so they never reach the assembler. *)
 let authenticate t txs =
-  match t.auth with
-  | None -> txs
-  | Some verify ->
-      List.filter
-        (fun tx ->
-          if verify tx then begin
-            t.auth_verified <- t.auth_verified + 1;
-            true
-          end
-          else begin
-            t.auth_rejected <- t.auth_rejected + 1;
-            false
-          end)
-        txs
+  List.filter
+    (fun tx ->
+      if t.auth tx then begin
+        t.auth_verified <- t.auth_verified + 1;
+        true
+      end
+      else begin
+        t.auth_rejected <- t.auth_rejected + 1;
+        false
+      end)
+    txs
 
 let take t =
   let txs = List.rev t.pending in
@@ -88,14 +85,15 @@ let stash t tx =
   end
   else begin
     Hashtbl.replace t.seen tx.Block.tx_id ();
-    match t.auth with
-    | Some verify when not (verify tx) ->
-        t.auth_rejected <- t.auth_rejected + 1;
-        `Rejected
-    | _ ->
-        t.pending <- tx :: t.pending;
-        t.pending_count <- t.pending_count + 1;
-        `Stashed
+    if t.auth tx then begin
+      t.pending <- tx :: t.pending;
+      t.pending_count <- t.pending_count + 1;
+      `Stashed
+    end
+    else begin
+      t.auth_rejected <- t.auth_rejected + 1;
+      `Rejected
+    end
   end
 
 let drop t ~ids =

@@ -6,16 +6,15 @@
     dropped, matching the §3.5 obscuration-recovery story — which doubles
     as replay protection for the ISSUE 10 authentication plane.
 
-    When an [auth] verifier is supplied, signatures are checked in
-    deterministic batches at cut time: the batch order is canonical, so
-    every orderer that cuts the same batch drops the same forged
-    transactions and the cut stays byte-identical across nodes. *)
+    Signatures are checked by the [auth] verifier in deterministic
+    batches at cut time: the batch order is canonical, so every orderer
+    that cuts the same batch drops the same forged transactions and the
+    cut stays byte-identical across nodes. *)
 
 type t
 
-(** [auth] is the per-transaction signature verifier (ISSUE 10); when
-    absent, batches are cut unverified (the pre-client-plane behavior). *)
-val create : ?auth:(Brdb_ledger.Block.tx -> bool) -> block_size:int -> unit -> t
+(** [auth] is the per-transaction signature verifier (DESIGN.md §16). *)
+val create : auth:(Brdb_ledger.Block.tx -> bool) -> block_size:int -> unit -> t
 
 type add_result =
   | Cut of Brdb_ledger.Block.tx list  (** size cap reached *)
@@ -30,8 +29,8 @@ val cut : t -> Brdb_ledger.Block.tx list option
 
 (** Buffer a transaction without ever triggering a size cut — how BFT
     replicas that are not the current primary accumulate the backlog a
-    view change may later ask them to propose (§4.4). With an [auth]
-    verifier the signature is checked on arrival: a forgery is counted in
+    view change may later ask them to propose (§4.4). The signature is
+    checked on arrival: a forgery is counted in
     {!auth_rejected} and dropped ([`Rejected]), so it can never sit in a
     backlog that no primary will deliver. *)
 val stash : t -> Brdb_ledger.Block.tx -> [ `Stashed | `Duplicate | `Rejected ]
@@ -59,8 +58,7 @@ val capacity : t -> int
     still refers to the current batch. *)
 val epoch : t -> int
 
-(** Transactions whose signature passed batch verification at cut time;
-    0 when no [auth] verifier is installed. *)
+(** Transactions whose signature passed batch verification at cut time. *)
 val auth_verified : t -> int
 
 (** Forged transactions dropped at cut time. *)

@@ -29,13 +29,8 @@ type t = {
   match_index : (string, int) Hashtbl.t;
   mutable timer_epoch : int;
   mutable crashed : bool;
-  (* application layer (block cutting) *)
-  cutter : Cutter.t;
-  assembler : Assembler.t;
-  block_timeout : float;
-  peers : string list;
+  assembler : Assembler.t;  (* application layer: cut, assemble, deliver *)
   mutable pending_forward : Msg.kafka_entry list;  (* buffered while leaderless *)
-  mutable blocks : int;
   mutable elections : int;  (* times this node won an election *)
 }
 
@@ -62,13 +57,7 @@ let send t dst msg =
 
 let majority t = (List.length t.names / 2) + 1
 
-(* --- application layer: identical to the kafka orderer ------------------- *)
-
-let deliver_block t block =
-  t.blocks <- t.blocks + 1;
-  List.iter
-    (fun peer -> send t peer (Msg.Block_deliver block))
-    t.peers
+(* --- application layer ---------------------------------------------------- *)
 
 let propose t entry =
   (* Route an entry into the replicated log: append locally when leader,
@@ -79,32 +68,14 @@ let propose t entry =
     | Some leader -> send t leader (Msg.Kafka_publish entry)
     | None -> t.pending_forward <- entry :: t.pending_forward
 
-let arm_cut_timer t =
-  let target = Cutter.epoch t.cutter in
-  Clock.schedule t.clock ~delay:t.block_timeout (fun () ->
-      if
-        (not t.crashed)
-        && Cutter.epoch t.cutter = target
-        && Cutter.pending t.cutter > 0
-      then propose t (Msg.K_ttc target))
-
-let apply_entry t entry =
-  match entry with
-  | Msg.K_tx tx -> (
-      match Cutter.add t.cutter tx with
-      | Cutter.Cut txs -> deliver_block t (Assembler.make t.assembler txs)
-      | Cutter.First -> arm_cut_timer t
-      | Cutter.Buffered | Cutter.Duplicate -> ())
-  | Msg.K_ttc target ->
-      if target = Cutter.epoch t.cutter then
-        match Cutter.cut t.cutter with
-        | Some txs -> deliver_block t (Assembler.make t.assembler txs)
-        | None -> ()
-
+(* Committed entries drive the shared application layer; a batch's
+   time-to-cut is proposed into the log like any other entry. *)
 let apply_committed t =
+  let ttc entry = if not t.crashed then propose t entry in
   while t.last_applied < t.commit_index do
     t.last_applied <- t.last_applied + 1;
-    apply_entry t (snd (Vec.get t.log (t.last_applied - 1)))
+    Assembler.apply t.assembler ~cut:(fun f -> f ()) ~ttc
+      (snd (Vec.get t.log (t.last_applied - 1)))
   done
 
 (* --- raft core -------------------------------------------------------------- *)
@@ -301,7 +272,7 @@ let handle t ~src msg =
           | Msg.Raft rmsg -> handle_raft t ~src rmsg
           | _ -> ())
 
-let create ~net ~name ~names ~identity ~rng ?auth ~block_size ~block_timeout
+let create ~net ~name ~names ~identity ~rng ~auth ~block_size ~block_timeout
     ~peers () =
   let t =
     {
@@ -324,12 +295,10 @@ let create ~net ~name ~names ~identity ~rng ?auth ~block_size ~block_timeout
       match_index = Hashtbl.create 8;
       timer_epoch = 0;
       crashed = false;
-      cutter = Cutter.create ?auth ~block_size ();
-      assembler = Assembler.create ~identity ~metadata:"raft";
-      block_timeout;
-      peers;
+      assembler =
+        Assembler.create ~net ~name ~identity ~metadata:"raft" ~auth ~block_size
+          ~block_timeout ~peers;
       pending_forward = [];
-      blocks = 0;
       elections = 0;
     }
   in
@@ -341,19 +310,11 @@ let role t = t.role
 
 let term t = t.term
 
-let blocks_cut t = t.blocks
+let assembler t = t.assembler
 
-let queued t =
-  if t.crashed then 0
-  else Cutter.pending t.cutter + List.length t.pending_forward
+let unforwarded t = List.length t.pending_forward
 
 let elections t = t.elections
-
-let auth_verified t = Cutter.auth_verified t.cutter
-
-let auth_rejected t = Cutter.auth_rejected t.cutter
-
-let replays t = Cutter.replays t.cutter
 
 let crash t =
   t.crashed <- true;

@@ -3,9 +3,9 @@
     A full Raft core — randomized election timeouts, leader election,
     log replication, majority commit — replicating the stream of
     transaction / time-to-cut entries. Every orderer applies committed
-    entries in log order through the same deterministic block-cutting
-    logic as the Kafka service, so all orderers emit identical blocks to
-    their connected peers.
+    entries in log order through the same {!Assembler} as the Kafka
+    service, so all orderers emit identical blocks to their connected
+    peers.
 
     Listed by the paper (§3.1) as one of the pluggable CFT consensus
     algorithms. *)
@@ -20,7 +20,7 @@ val create :
   names:string list ->
   identity:Brdb_crypto.Identity.t ->
   rng:Brdb_sim.Rng.t ->
-  ?auth:(Brdb_ledger.Block.tx -> bool) ->
+  auth:(Brdb_ledger.Block.tx -> bool) ->
   block_size:int ->
   block_timeout:float ->
   peers:string list ->
@@ -33,12 +33,12 @@ val role : t -> role
 
 val term : t -> int
 
-val blocks_cut : t -> int
+(** The node's application layer: its cutter and blocks-cut count. *)
+val assembler : t -> Assembler.t
 
-(** Transactions buffered for the next block (health plane, ISSUE 9):
-    the cutter backlog this node holds right now (0 while a crashed
-    Raft/Bft node is down). *)
-val queued : t -> int
+(** Entries this node holds for want of a known leader, forwarded (or
+    appended, if it wins) once one is known — backlog outside its cutter. *)
+val unforwarded : t -> int
 
 (** Times this node won an election (became leader). *)
 val elections : t -> int
@@ -50,15 +50,6 @@ val crash : t -> unit
 val restart : t -> unit
 
 val is_crashed : t -> bool
-
-(** Batch-authentication counters (ISSUE 10): transactions verified /
-    dropped at cut time, and duplicate ids observed (replay protection).
-    All 0 when no [auth] verifier was installed. *)
-val auth_verified : t -> int
-
-val auth_rejected : t -> int
-
-val replays : t -> int
 
 (** Inspectors over the replicated log, which the ordering service never
     reads; tests use them to check election and replication. *)

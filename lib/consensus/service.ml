@@ -59,23 +59,38 @@ let submit_target t i =
   | H_solo _ -> List.hd t.names
   | _ -> List.nth t.names (i mod List.length t.names)
 
-let blocks_cut t =
+(* Fold [f] over each node's application layer. *)
+let fold t f init =
+  let over node l = List.fold_left (fun acc x -> f acc (node x)) init l in
   match t.handle with
-  | H_solo s -> [ (List.hd t.names, Solo.blocks_cut s) ]
-  | H_kafka (_, os) -> List.map2 (fun n o -> (n, Kafka.blocks_cut o)) t.names os
-  | H_raft rs -> List.map2 (fun n r -> (n, Raft.blocks_cut r)) t.names rs
-  | H_bft bs -> List.map2 (fun n b -> (n, Bft.blocks_delivered b)) t.names bs
+  | H_solo s -> f init (Solo.assembler s)
+  | H_kafka (_, os) -> over Kafka.assembler os
+  | H_raft rs -> over Raft.assembler rs
+  | H_bft bs -> over Bft.assembler bs
 
-let cut_total t =
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (blocks_cut t)
+let blocks_cut t =
+  let named node l =
+    List.map2 (fun name x -> (name, Assembler.blocks_cut (node x))) t.names l
+  in
+  match t.handle with
+  | H_solo s -> [ (List.hd t.names, Assembler.blocks_cut (Solo.assembler s)) ]
+  | H_kafka (_, os) -> named Kafka.assembler os
+  | H_raft rs -> named Raft.assembler rs
+  | H_bft bs -> named Bft.assembler bs
+
+let cut_total t = fold t (fun acc a -> acc + Assembler.blocks_cut a) 0
 
 let queued t =
+  let held a = Cutter.pending (Assembler.cutter a) in
   let maxl f l = List.fold_left (fun acc x -> max acc (f x)) 0 l in
   match t.handle with
-  | H_solo s -> Solo.queued s
-  | H_kafka (_, os) -> maxl Kafka.queued os
-  | H_raft rs -> maxl Raft.queued rs
-  | H_bft bs -> maxl Bft.queued bs
+  | H_solo _ | H_kafka _ -> fold t (fun acc a -> max acc (held a)) 0
+  | H_raft rs ->
+      maxl
+        (fun r ->
+          if Raft.is_crashed r then 0 else held (Raft.assembler r) + Raft.unforwarded r)
+        rs
+  | H_bft bs -> maxl (fun b -> if Bft.is_crashed b then 0 else held (Bft.assembler b)) bs
 
 (* Service-level auth counters: Kafka orderers each consume the full
    cluster stream, and every Raft node applies the full committed log, so
@@ -83,26 +98,15 @@ let queued t =
    copies — take the max, not the sum. Only the BFT primary cuts and the
    primary moves with view changes, so counts accumulate across whichever
    node was cutting — sum them. *)
-let auth_stat t ~solo ~kafka ~raft ~bft =
-  let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
-  let maxl f l = List.fold_left (fun acc x -> max acc (f x)) 0 l in
-  match t.handle with
-  | H_solo s -> solo s
-  | H_kafka (_, os) -> maxl kafka os
-  | H_raft rs -> maxl raft rs
-  | H_bft bs -> sum bft bs
+let auth_stat t count =
+  let combine = match t.kind with Bft -> ( + ) | Solo | Kafka | Raft -> max in
+  fold t (fun acc a -> combine acc (count (Assembler.cutter a))) 0
 
-let auth_verified t =
-  auth_stat t ~solo:Solo.auth_verified ~kafka:Kafka.auth_verified
-    ~raft:Raft.auth_verified ~bft:Bft.auth_verified
+let auth_verified t = auth_stat t Cutter.auth_verified
 
-let auth_rejected t =
-  auth_stat t ~solo:Solo.auth_rejected ~kafka:Kafka.auth_rejected
-    ~raft:Raft.auth_rejected ~bft:Bft.auth_rejected
+let auth_rejected t = auth_stat t Cutter.auth_rejected
 
-let auth_replayed t =
-  auth_stat t ~solo:Solo.replays ~kafka:Kafka.replays ~raft:Raft.replays
-    ~bft:Bft.replays
+let auth_replayed t = auth_stat t Cutter.replays
 
 let raft_nodes t = match t.handle with H_raft rs -> rs | _ -> []
 

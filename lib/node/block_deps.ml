@@ -65,8 +65,5 @@ let build txs =
   in
   let sched_edges = List.sort_uniq compare (closure rw @ edges) in
   let n = List.length txs in
-  let waves =
-    Brdb_obs.Critical_path.schedule
-      { Brdb_obs.Critical_path.n; weights = Array.make n 0.; edges = sched_edges }
-  in
+  let waves = Brdb_obs.Critical_path.schedule ~n ~edges:sched_edges in
   { edges; sched_edges; waves }

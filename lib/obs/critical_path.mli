@@ -37,15 +37,17 @@ type result = {
   path : int list;  (** positions of one longest path, in commit order *)
 }
 
-(** Raises [Invalid_argument] if a weight array mismatches [n] or an edge
-    is out of range / not (low, high). *)
+(** Raises [Invalid_argument] if the weight array mismatches [n] or an
+    edge is out of range / not (low, high). [waves] is one more than the
+    highest wave index {!schedule} assigns. *)
 val analyze : input -> result
 
-(** [schedule input] levelizes the DAG into topological waves: position
-    [i]'s wave index is [0] if it has no in-block predecessors, otherwise
-    one more than the max wave over its predecessors. Every edge [(a, b)]
-    satisfies [wave.(a) < wave.(b)], so executing waves in ascending index
-    order with a barrier between them respects every dependency; this is
-    the schedule the ISSUE 8 parallel validator runs. Same validation and
-    exception behavior as {!analyze}. *)
-val schedule : input -> int array
+(** [schedule ~n ~edges] levelizes the DAG into topological waves:
+    position [i]'s wave index is [0] if it has no in-block predecessors,
+    otherwise one more than the max wave over its predecessors. Every
+    edge [(a, b)] satisfies [wave.(a) < wave.(b)], so executing waves in
+    ascending index order with a barrier between them respects every
+    dependency; this is the schedule the parallel validator runs
+    (DESIGN.md §14). Raises [Invalid_argument] if an edge is out of
+    range / not (low, high). *)
+val schedule : n:int -> edges:(int * int) list -> int array

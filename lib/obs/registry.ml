@@ -213,21 +213,9 @@ module Window = struct
     t.samples <- (now, v) :: t.samples;
     prune t ~now
 
-  let count t ~now =
-    prune t ~now;
-    List.length t.samples
-
   let sum t ~now =
     prune t ~now;
     List.fold_left (fun acc (_, v) -> acc +. v) 0. t.samples
-
-  let mean t ~now =
-    prune t ~now;
-    match t.samples with
-    | [] -> 0.
-    | l ->
-        List.fold_left (fun acc (_, v) -> acc +. v) 0. l
-        /. float_of_int (List.length l)
 end
 
 module Ewma = struct

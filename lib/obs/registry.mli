@@ -83,9 +83,8 @@ val cluster_view : t -> entry list
     so a window's contents are a pure function of its [add] history.
 
     Edge cases are total: an empty window (or one whose every sample has
-    aged out) sums to [0.] and means [0.]; a single sample is its own
-    mean; a window shorter than the sampling interval simply holds at
-    most one sample at a time. *)
+    aged out) sums to [0.]; a window shorter than the sampling interval
+    simply holds at most one sample at a time. *)
 module Window : sig
   type t
 
@@ -95,14 +94,9 @@ module Window : sig
 
   val add : t -> now:float -> float -> unit
 
-  (** Samples newer than [now - span]. *)
-  val count : t -> now:float -> int
-
-  (** Sum of in-window values; [0.] when empty. *)
+  (** Sum of the values of samples no older than [now - span]; [0.]
+      when empty. *)
   val sum : t -> now:float -> float
-
-  (** Mean of in-window values; [0.] when empty. *)
-  val mean : t -> now:float -> float
 end
 
 (** Exponentially-weighted moving average. The first sample seeds the

@@ -68,6 +68,12 @@ let tokenize input =
     else emit (Ident (String.lowercase_ascii word));
     j
   in
+  let int_at i digits =
+    match int_of_string digits with
+    | v -> v
+    | exception Failure _ ->
+        raise (Lex_error (Printf.sprintf "integer literal out of range at %d" i))
+  in
   let lex_number i =
     let rec stop j = if j < n && is_digit input.[j] then stop (j + 1) else j in
     let j = stop i in
@@ -77,7 +83,7 @@ let tokenize input =
       j'
     end
     else begin
-      emit (Int_lit (int_of_string (String.sub input i (j - i))));
+      emit (Int_lit (int_at i (String.sub input i (j - i))));
       j
     end
   in
@@ -113,7 +119,7 @@ let tokenize input =
     let rec stop j = if j < n && is_digit input.[j] then stop (j + 1) else j in
     let j = stop (i + 1) in
     if j = i + 1 then raise (Lex_error (Printf.sprintf "bad parameter at %d" i));
-    emit (Param (int_of_string (String.sub input (i + 1) (j - i - 1))));
+    emit (Param (int_at i (String.sub input (i + 1) (j - i - 1))));
     j
   in
   let two_char_syms = [ "<="; ">="; "<>"; "!="; "||" ] in

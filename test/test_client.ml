@@ -78,8 +78,7 @@ let make_node ~registry name =
   Node_core.install_contract node ~name:"put" put_contract;
   node
 
-(* One linear chain of signed blocks, as an orderer assembles it. *)
-let new_chain () = Assembler.create ~identity:orderer ~metadata:"c"
+let new_chain () = Chain.create ~identity:orderer ~metadata:"c"
 
 let process node block =
   match Node_core.process_block node block with

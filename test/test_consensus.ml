@@ -4,6 +4,9 @@ module Clock = Brdb_sim.Clock
 module Rng = Brdb_sim.Rng
 module Identity = Brdb_crypto.Identity
 
+(* The authenticator of an orderer with no forgeries to catch. *)
+let accept_all _ = true
+
 let mk_tx i =
   let identity = Identity.create "org1/client" in
   Block.make_tx ~id:(Printf.sprintf "tx-%d" i) ~identity ~contract:"noop"
@@ -12,7 +15,7 @@ let mk_tx i =
 (* --- cutter ---------------------------------------------------------------- *)
 
 let test_cutter_size_cut () =
-  let c = Cutter.create ~block_size:3 () in
+  let c = Cutter.create ~auth:accept_all ~block_size:3 () in
   Alcotest.(check bool) "first" true (Cutter.add c (mk_tx 1) = Cutter.First);
   Alcotest.(check bool) "buffered" true (Cutter.add c (mk_tx 2) = Cutter.Buffered);
   (match Cutter.add c (mk_tx 3) with
@@ -23,7 +26,7 @@ let test_cutter_size_cut () =
   Alcotest.(check int) "empty again" 0 (Cutter.pending c)
 
 let test_cutter_duplicates () =
-  let c = Cutter.create ~block_size:10 () in
+  let c = Cutter.create ~auth:accept_all ~block_size:10 () in
   ignore (Cutter.add c (mk_tx 1));
   Alcotest.(check bool) "dup" true (Cutter.add c (mk_tx 1) = Cutter.Duplicate);
   (match Cutter.cut c with
@@ -33,7 +36,7 @@ let test_cutter_duplicates () =
   Alcotest.(check bool) "dup across blocks" true (Cutter.add c (mk_tx 1) = Cutter.Duplicate)
 
 let test_cutter_force_cut () =
-  let c = Cutter.create ~block_size:10 () in
+  let c = Cutter.create ~auth:accept_all ~block_size:10 () in
   Alcotest.(check bool) "empty force" true (Cutter.cut c = None);
   ignore (Cutter.add c (mk_tx 1));
   ignore (Cutter.add c (mk_tx 2));
@@ -81,8 +84,8 @@ let test_solo_size_and_timeout () =
   let identity = Identity.create "ord/solo" in
   (match Identity.Registry.register h.registry identity with Ok () -> () | Error _ -> ());
   let _solo =
-    Solo.create ~net:h.net ~name:"orderer-1" ~identity ~block_size:3
-      ~block_timeout:1.0 ~peers:[ "peer-1" ] ()
+    Solo.create ~net:h.net ~name:"orderer-1" ~identity ~auth:accept_all
+      ~block_size:3 ~block_timeout:1.0 ~peers:[ "peer-1" ] ()
   in
   for i = 1 to 7 do
     submit h ~dst:"orderer-1" (mk_tx i)
@@ -108,8 +111,8 @@ let test_solo_duplicate_txs_ignored () =
   let h = make_harness () in
   let identity = Identity.create "ord/solo" in
   let _solo =
-    Solo.create ~net:h.net ~name:"orderer-1" ~identity ~block_size:100
-      ~block_timeout:0.5 ~peers:[ "peer-1" ] ()
+    Solo.create ~net:h.net ~name:"orderer-1" ~identity ~auth:accept_all
+      ~block_size:100 ~block_timeout:0.5 ~peers:[ "peer-1" ] ()
   in
   submit h ~dst:"orderer-1" (mk_tx 1);
   submit h ~dst:"orderer-1" (mk_tx 1);
@@ -133,7 +136,8 @@ let test_kafka_identical_blocks () =
     List.map2
       (fun name peer ->
         Kafka.create_orderer ~net:h.net ~name ~identity:(Identity.create ("ord/" ^ name))
-          ~cluster:"kafka-cluster" ~block_size:4 ~block_timeout:1.0 ~peers:[ peer ] ())
+          ~cluster:"kafka-cluster" ~auth:accept_all ~block_size:4 ~block_timeout:1.0
+          ~peers:[ peer ] ())
       orderers peers
   in
   (* Clients submit to different orderers. *)
@@ -164,7 +168,7 @@ let setup_raft ?(n = 3) h =
     List.map
       (fun name ->
         Raft.create ~net:h.net ~name ~names ~identity:(Identity.create ("ord/" ^ name))
-          ~rng:(Rng.split rng) ~block_size:4 ~block_timeout:0.5
+          ~rng:(Rng.split rng) ~auth:accept_all ~block_size:4 ~block_timeout:0.5
           ~peers:[ "peer-1" ] ())
       names
   in
@@ -259,7 +263,7 @@ let setup_bft ?(block_timeout = 0.5) ?(all_peered = false) h ~n =
   List.map
     (fun name ->
       Bft.create ~net:h.net ~name ~names ~identity:(Identity.create ("ord/" ^ name))
-        ~block_size:4 ~block_timeout
+        ~auth:accept_all ~block_size:4 ~block_timeout
         ~peers:(if all_peered || name = List.hd names then [ "peer-1" ] else [])
         ())
     names
@@ -300,7 +304,8 @@ let test_bft_delivers_blocks () =
   (* every replica committed every block *)
   List.iter
     (fun node ->
-      Alcotest.(check int) "replica delivered" (List.length bs) (Bft.blocks_delivered node))
+      Alcotest.(check int) "replica delivered" (List.length bs)
+        (Assembler.blocks_cut (Bft.assembler node)))
     nodes
 
 let test_bft_view_change_timeout_boundary () =
@@ -402,8 +407,95 @@ let test_bft_throughput_degrades_with_scale () =
   Alcotest.(check int) "n=4 delivers all" 50 b4;
   Alcotest.(check int) "n=16 delivers all" 50 b16
 
+(* --- service counters -------------------------------------------------------- *)
+
+type counters = {
+  cut : (string * int) list;
+  total : int;
+  queued : int;  (** read while three late txs wait for their cut timer *)
+  stranded : int;  (** read once every live node has cut them *)
+  verified : int;
+  rejected : int;
+  replayed : int;
+}
+
+(* One run through [Service.create]: five valid txs, one forgery and one
+   replayed id; then three late txs (one more replay), and (Raft and Bft)
+   a node crashed while it holds some of them. The service-level policy
+   is what is pinned: Kafka and Raft counters are maxed (every node cuts
+   the same blocks), Bft counters are summed (only the primary cuts;
+   every replica counts what it sees), the backlog is the largest live
+   one, and a crashed node's stranded backlog does not count. *)
+let service_counters kind ~n ~crash =
+  let h = make_harness () in
+  let names = List.init n (fun i -> Printf.sprintf "o-%d" (i + 1)) in
+  let svc =
+    Service.create ~net:h.net ~kind ~orderer_names:names
+      ~identity_of:(fun name -> Identity.create ("ord/" ^ name))
+      ~rng:(Rng.create ~seed:5)
+      ~authenticator:(fun tx -> not (String.equal tx.Block.tx_id "forged"))
+      ~block_size:4 ~block_timeout:0.5
+      ~peers_of:(fun _ -> [ "peer-1" ])
+      ()
+  in
+  let submit_all txs =
+    List.iteri (fun i tx -> submit h ~dst:(Service.submit_target svc i) tx) txs
+  in
+  ignore (Clock.run ~until:2.0 h.clock);
+  let forged = { (mk_tx 0) with Block.tx_id = "forged" } in
+  submit_all [ mk_tx 1; mk_tx 2; forged; mk_tx 3; mk_tx 4; mk_tx 5; mk_tx 1 ];
+  ignore (Clock.run ~until:6.0 h.clock);
+  submit_all [ mk_tx 6; mk_tx 7; mk_tx 1 ];
+  ignore (Clock.run ~until:6.1 h.clock);
+  let queued = Service.queued svc in
+  Option.iter (fun name -> assert (Service.crash_orderer svc name)) crash;
+  ignore (Clock.run ~until:12.0 h.clock);
+  {
+    cut = Service.blocks_cut svc;
+    total = Service.cut_total svc;
+    queued;
+    stranded = Service.queued svc;
+    verified = Service.auth_verified svc;
+    rejected = Service.auth_rejected svc;
+    replayed = Service.auth_replayed svc;
+  }
+
+let check_counters ~msg want got =
+  let pre s = msg ^ ": " ^ s in
+  Alcotest.(check (list (pair string int))) (pre "blocks_cut") want.cut got.cut;
+  Alcotest.(check int) (pre "cut_total") want.total got.total;
+  Alcotest.(check int) (pre "queued") want.queued got.queued;
+  Alcotest.(check int) (pre "queued after the cut") want.stranded got.stranded;
+  Alcotest.(check int) (pre "auth_verified") want.verified got.verified;
+  Alcotest.(check int) (pre "auth_rejected") want.rejected got.rejected;
+  Alcotest.(check int) (pre "auth_replayed") want.replayed got.replayed
+
+let test_service_counters () =
+  let pin msg kind ~n ~crash want =
+    check_counters ~msg want (service_counters kind ~n ~crash)
+  in
+  pin "solo" Service.Solo ~n:1 ~crash:None
+    { cut = [ ("o-1", 3) ]; total = 3; queued = 2; stranded = 0;
+      verified = 7; rejected = 1; replayed = 2 };
+  (* three identical cutters: max 7/1/2, where a sum would read 21/3/6 *)
+  pin "kafka" Service.Kafka ~n:3 ~crash:None
+    { cut = [ ("o-1", 3); ("o-2", 3); ("o-3", 3) ]; total = 9; queued = 2;
+      stranded = 0; verified = 7; rejected = 1; replayed = 2 };
+  (* o-3 crashes holding the two late txs it applied: 0, not 2 *)
+  pin "raft" Service.Raft ~n:3 ~crash:(Some "o-3")
+    { cut = [ ("o-1", 3); ("o-2", 3); ("o-3", 2) ]; total = 8; queued = 2;
+      stranded = 0; verified = 7; rejected = 1; replayed = 2 };
+  (* the late replay is counted by the backup it reached and again by
+     the primary it relayed to (sum 3); the primary's backlog of 2 is the
+     max (a sum would read 3); o-2 crashes holding one stashed tx *)
+  pin "bft" Service.Bft ~n:4 ~crash:(Some "o-2")
+    { cut = [ ("o-1", 3); ("o-2", 2); ("o-3", 3); ("o-4", 3) ]; total = 11;
+      queued = 2; stranded = 0; verified = 7; rejected = 1; replayed = 3 }
+
 let suites =
   [
+    ( "consensus.service",
+      [ Alcotest.test_case "counter policy per kind" `Quick test_service_counters ] );
     ( "consensus.cutter",
       [
         Alcotest.test_case "size cut" `Quick test_cutter_size_cut;

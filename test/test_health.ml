@@ -45,36 +45,32 @@ let all_faults =
 
 let test_window_edges () =
   let w = Reg.Window.create ~span:1.0 in
-  (* empty *)
-  Alcotest.(check int) "empty count" 0 (Reg.Window.count w ~now:0.);
   Alcotest.(check (float 0.)) "empty sum" 0. (Reg.Window.sum w ~now:0.);
-  Alcotest.(check (float 0.)) "empty mean" 0. (Reg.Window.mean w ~now:0.);
   (* single sample *)
   Reg.Window.add w ~now:0.5 3.;
-  Alcotest.(check int) "single count" 1 (Reg.Window.count w ~now:0.5);
   Alcotest.(check (float 1e-9)) "single sum" 3. (Reg.Window.sum w ~now:0.5);
-  Alcotest.(check (float 1e-9)) "single mean" 3. (Reg.Window.mean w ~now:0.5);
   (* second sample, then age the first one out *)
   Reg.Window.add w ~now:1.2 5.;
   Alcotest.(check (float 1e-9)) "both in window" 8. (Reg.Window.sum w ~now:1.2);
   Alcotest.(check (float 1e-9)) "older sample pruned" 5.
     (Reg.Window.sum w ~now:1.6);
-  Alcotest.(check int) "fully drained" 0 (Reg.Window.count w ~now:9.);
+  Alcotest.(check (float 0.)) "fully drained" 0. (Reg.Window.sum w ~now:9.);
   Alcotest.check_raises "non-positive span rejected"
     (Invalid_argument "Registry.Window.create: span must be > 0") (fun () ->
       ignore (Reg.Window.create ~span:0.))
 
 let test_window_shorter_than_tick () =
   (* a window shorter than the sampling interval sees at most the latest
-     sample — each tick starts from a drained window *)
+     sample — each tick starts from a drained window (unit samples: the
+     sum counts them) *)
   let w = Reg.Window.create ~span:0.1 in
   Reg.Window.add w ~now:1.0 1.;
-  Alcotest.(check int) "tick 1 sees its own sample" 1
-    (Reg.Window.count w ~now:1.0);
-  Alcotest.(check int) "next tick sees nothing" 0 (Reg.Window.count w ~now:2.0);
+  Alcotest.(check (float 0.)) "tick 1 sees its own sample" 1.
+    (Reg.Window.sum w ~now:1.0);
+  Alcotest.(check (float 0.)) "next tick sees nothing" 0. (Reg.Window.sum w ~now:2.0);
   Reg.Window.add w ~now:2.0 1.;
-  Alcotest.(check int) "tick 2 sees only its own sample" 1
-    (Reg.Window.count w ~now:2.0)
+  Alcotest.(check (float 0.)) "tick 2 sees only its own sample" 1.
+    (Reg.Window.sum w ~now:2.0)
 
 let test_ewma_edges () =
   let e = Reg.Ewma.create ~alpha:0.5 in

@@ -68,7 +68,7 @@ let test_kafka_out_of_order_records () =
   let identity = Identity.create "ord/k" in
   let _orderer =
     Kafka.create_orderer ~net ~name:"k-1" ~identity ~cluster:"nowhere"
-      ~block_size:3 ~block_timeout:10. ~peers:[ "peer" ] ()
+      ~auth:(fun _ -> true) ~block_size:3 ~block_timeout:10. ~peers:[ "peer" ] ()
   in
   let client = Identity.create "c" in
   let tx i =

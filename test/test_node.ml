@@ -57,7 +57,7 @@ let setup ?(flow = Node_core.Order_execute) ?(atomic_commit = false)
   {
     registry;
     nodes;
-    chain = Assembler.create ~identity:orderer ~metadata:"test";
+    chain = Chain.create ~identity:orderer ~metadata:"test";
     tx_seq = 0;
   }
 
@@ -805,8 +805,8 @@ let crash_recovery_scenario ?(flow = Node_core.Order_execute) ?(atomic_commit = 
           tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 99; Value.Int 9 ] )
   in
   (* node 0 crashes mid-block; node 1 processes normally (the reference). *)
-  let height = Assembler.next_height h.chain in
   let block = Assembler.make h.chain txs in
+  let height = block.Block.height in
   Node_core.process_block_with_crash (node h 0) (checked h block) ~crash;
   Alcotest.(check (option string)) "no state digest for the interrupted block"
     None
@@ -878,8 +878,8 @@ let test_recover_mid_commit_serves_proofs () =
     List.init 20 (fun i ->
         tx h ~user:"org1/alice" ~contract:"put" [ Value.Int (500 + i); Value.Int i ])
   in
-  let height = Assembler.next_height h.chain in
   let block = Assembler.make h.chain txs in
+  let height = block.Block.height in
   Node_core.process_block_with_crash (node h 0) (checked h block)
     ~crash:(Node_core.Crash_mid_commit 5);
   (match Node_core.process_block (node h 1) block with
@@ -970,8 +970,8 @@ let test_tampered_tx_rejected_on_both_paths () =
       tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 3; Value.Int 30 ];
     ]
   in
-  let height = Assembler.next_height h.chain in
   let block = Assembler.make h.chain txs in
+  let height = block.Block.height in
   Alcotest.(check bool) "block verifies" true (Block.verify h.registry block);
   let expected = [ "committed"; "rejected: invalid client signature"; "committed" ] in
   let check_statuses label (r : Node_core.block_result) =
@@ -1010,8 +1010,8 @@ let test_recover_empty_block () =
      next one. *)
   let h = setup () in
   init_chain h;
-  let height = Assembler.next_height h.chain in
   let block = Assembler.make h.chain [] in
+  let height = block.Block.height in
   Node_core.process_block_with_crash (node h 0) (checked h block)
     ~crash:Node_core.Crash_after_ledger_entries;
   (match Node_core.process_block (node h 1) block with
@@ -1034,7 +1034,6 @@ let test_recover_empty_block () =
 let test_recover_after_orderer_revoked () =
   let h = setup ~n_nodes:1 () in
   init_chain h;
-  let height = Assembler.next_height h.chain in
   let block =
     Assembler.make h.chain
       [
@@ -1042,6 +1041,7 @@ let test_recover_after_orderer_revoked () =
         tx h ~user:"org1/alice" ~contract:"put" [ Value.Int 1; Value.Int 1 ];
       ]
   in
+  let height = block.Block.height in
   Node_core.process_block_with_crash (node h 0) (checked h block)
     ~crash:(Node_core.Crash_mid_commit 1);
   Alcotest.(check bool) "orderer key removed before the crash" false

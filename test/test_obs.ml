@@ -676,7 +676,7 @@ let test_critical_path_diamond () =
   Alcotest.(check (float 1e-9)) "critical" 3. r.Critical_path.critical_s;
   Alcotest.(check int) "waves" 3 r.Critical_path.waves;
   Alcotest.(check (array int)) "schedule" [| 0; 1; 1; 2 |]
-    (Critical_path.schedule input)
+    (Critical_path.schedule ~n:input.n ~edges:input.edges)
 
 let test_critical_path_levelization_all_preds () =
   (* depth must be 1 + max over ALL predecessors, not just the heaviest:
@@ -692,11 +692,10 @@ let test_critical_path_levelization_all_preds () =
   let r = Critical_path.analyze input in
   Alcotest.(check int) "waves counts the edge" 2 r.Critical_path.waves;
   Alcotest.(check (array int)) "fan-out schedule" [| 0; 1; 1 |]
-    (Critical_path.schedule input);
+    (Critical_path.schedule ~n:input.n ~edges:input.edges);
   (* independent positions all land in wave 0 *)
   Alcotest.(check (array int)) "no edges -> one wave" [| 0; 0; 0 |]
-    (Critical_path.schedule
-       { Critical_path.n = 3; weights = [| 1.; 1.; 1. |]; edges = [] })
+    (Critical_path.schedule ~n:3 ~edges:[])
 
 let suites =
   [

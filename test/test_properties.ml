@@ -90,8 +90,7 @@ let make_node ~flow ~registry name =
   Node_core.install_contract node ~name:"rw" rw_contract;
   node
 
-(* One linear chain of signed blocks, as an orderer assembles it. *)
-let new_chain () = Assembler.create ~identity:orderer ~metadata:"p"
+let new_chain () = Chain.create ~identity:orderer ~metadata:"p"
 
 let process node block =
   match Node_core.process_block node block with

@@ -31,7 +31,7 @@ let make_fx ?(n = 5) ?(seed = 21) () =
     List.map
       (fun name ->
         Raft.create ~net ~name ~names ~identity:(Identity.create ("ord/" ^ name))
-          ~rng:(Rng.split rng) ~block_size:4 ~block_timeout:0.3
+          ~rng:(Rng.split rng) ~auth:(fun _ -> true) ~block_size:4 ~block_timeout:0.3
           ~peers:[ "sink" ] ())
       names
   in

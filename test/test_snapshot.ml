@@ -77,8 +77,7 @@ let make_node ~registry name =
     ];
   node
 
-(* One linear chain of signed blocks, as an orderer assembles it. *)
-let new_chain () = Assembler.create ~identity:orderer ~metadata:"s"
+let new_chain () = Chain.create ~identity:orderer ~metadata:"s"
 
 let process node block =
   match Node_core.process_block node block with

@@ -137,6 +137,16 @@ let test_parse_errors () =
       "CREATE UNIQUE TABLE t (a INT)";
     ]
 
+(* Integer literals and parameter numbers past [max_int] are lex errors,
+   not an escaping [Failure]. *)
+let test_int_out_of_range () =
+  ignore (parse_ok (Printf.sprintf "SELECT %d" max_int));
+  List.iter
+    (fun s ->
+      Alcotest.(check string) s "lex error: integer literal out of range at 7"
+        (parse_err s))
+    [ "SELECT 4611686018427387904"; "SELECT $99999999999999999999" ]
+
 let test_reparse_printed () =
   (* Printing then reparsing is a fixpoint. *)
   List.iter
@@ -201,6 +211,7 @@ let suites =
         Alcotest.test_case "string literals" `Quick test_string_literals;
         Alcotest.test_case "comments/whitespace" `Quick test_comments_and_whitespace;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
+        Alcotest.test_case "integer out of range" `Quick test_int_out_of_range;
         Alcotest.test_case "print fixpoint" `Quick test_reparse_printed;
         QCheck_alcotest.to_alcotest prop_expr_print_parse;
       ] );

@@ -337,6 +337,30 @@ if [ -f "$txn_file" ]; then
   fi
 fi
 
+# One application layer for the orderers (DESIGN.md §12): each orderer
+# node applies its ordered stream, cutting batches with Cutter.add and
+# Cutter.cut, and fans delivered blocks out to its peers, in
+# consensus/assembler.ml. Bft's primary also cuts through the cutter
+# (it proposes a batch rather than delivering it), but delivers through
+# the assembler too. So a flavour's private copy of the cut/deliver loop
+# cannot come back: Cutter.add/cut are called only in assembler.ml and
+# bft.ml, and no other consensus module builds a Msg.Block_deliver.
+cons_dir="$dir/consensus"
+if [ -d "$cons_dir" ]; then
+  cut_matches=$(grep -rnE "Cutter\.(add|cut)([^A-Za-z0-9_']|\$)" "$dir" --include='*.ml' \
+    | grep -vE "^$cons_dir/(assembler|bft)\.ml:" || true)
+  deliver_matches=$(grep -nE 'Msg\.Block_deliver' "$cons_dir"/*.ml \
+    | grep -v "^$cons_dir/assembler\.ml:" || true)
+  if [ -n "$cut_matches$deliver_matches" ]; then
+    echo "lint failed — Cutter.add/cut outside consensus/assembler.ml and bft.ml, or" >&2
+    echo "a Msg.Block_deliver built in a consensus module other than assembler.ml;" >&2
+    echo "apply the ordered stream and deliver blocks through Assembler:" >&2
+    [ -n "$cut_matches" ] && echo "$cut_matches" >&2
+    [ -n "$deliver_matches" ] && echo "$deliver_matches" >&2
+    exit 1
+  fi
+fi
+
 # One metrics store (DESIGN.md §8): every sample lives in an
 # Obs.Registry histogram, so Stat.create has exactly one home. A second
 # sample store (a private per-peer accumulator duplicating the registry's
@@ -384,4 +408,4 @@ if [ -n "$testing_matches" ]; then
   exit 1
 fi
 
-echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one writer of the key indexes (Index mutations only in storage/table.ml); one recorder of SSI reads (Txn.record_read/record_predicate only at their exec.ml sites, no polymorphic hash set in txn.ml); one grouping identity (key_string at its 4 exec.ml sites, canon_encode only inside it); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/; no allocation, callback, runtime release or getenv in the crypto C stubs"
+echo "lint ok: no wall-clock, global Random, unordered Hashtbl iteration, Marshal in snapshot code, stray sys.* literals, or Domain/Mutex/Atomic outside sim/cpu.ml under $dir/; every Msg.t constructor carries a span context; every Chaos.fault class has a coverage-map entry; one block pipeline and one per-height record and history writer in node_core.ml; one name resolver (Schema.column_index at its 4 engine sites); one writer of the key indexes (Index mutations only in storage/table.ml); one recorder of SSI reads (Txn.record_read/record_predicate only at their exec.ml sites, no polymorphic hash set in txn.ml); one grouping identity (key_string at its 4 exec.ml sites, canon_encode only inside it); one application layer for the orderers (Cutter.add/cut only in consensus/assembler.ml and bft.ml, Msg.Block_deliver built only in assembler.ml); one metrics store (Stat.create only in obs/registry.ml); no optional arguments in ledger interfaces; no Testing hook used outside test/; no allocation, callback, runtime release or getenv in the crypto C stubs"
